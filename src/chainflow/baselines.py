@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, LocalComputationInfeasible, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, _successor_tree, compiled, compute_flows,
-                    init_strategy)
+                    init_strategy, tree_rows)
 from .gp import GpConfig, run_gp
 from .network import Scenario
 from .oracle import solve_flow_domain, strategy_from_flows
@@ -33,20 +33,6 @@ class BaselineResult:
     @property
     def total_cost(self) -> float:
         return self.state.total_cost if self.feasible else float("inf")
-
-
-def _tree_rows(comp, app, k, succ, compute_at=None):
-    """Row block that forwards along a successor tree; `compute_at` nodes send
-    everything to their CPU instead."""
-    mat = np.zeros((comp.n, comp.n + 1))
-    for i in range(comp.n):
-        if k == app.K and i == app.dest:
-            continue
-        if compute_at is not None and compute_at[i]:
-            mat[i, 0] = 1.0
-        else:
-            mat[i, 1 + succ[i]] = 1.0
-    return mat
 
 
 def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> BaselineResult:
@@ -121,7 +107,7 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     """
     comp = compiled(scenario)
     metric = comp.zero_flow_link_metric()
-    Cp0 = comp.comp_cost_deriv(np.zeros(comp.n))
+    Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     n = comp.n
     # all-pairs zero-flow distances and per-target successor trees
     dist_to = np.zeros((n, n))   # dist_to[u, v]: cost u -> v
@@ -136,7 +122,7 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     for app in comp.apps:
         rate_total = float(app.r.sum())
         if app.K == 0:
-            phi.rows[(app.id, 0)] = _tree_rows(comp, app, 0, succ_to[:, app.dest])
+            phi.rows[(app.id, 0)] = tree_rows(comp, app, 0, succ_to[:, app.dest])
             continue
         # DP over task placements; layer k holds the best cost of finishing
         # tasks 1..k+1 with task k+1 at node v
@@ -169,8 +155,8 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
             if k < app.K:
                 compute_at = np.zeros(n, dtype=bool)
                 compute_at[sites[k]] = True
-            phi.rows[(app.id, k)] = _tree_rows(comp, app, k, succ_to[:, target],
-                                               compute_at=compute_at)
+            phi.rows[(app.id, k)] = tree_rows(comp, app, k, succ_to[:, target],
+                                              compute_at=compute_at)
     try:
         state = compute_flows(scenario, phi)
     except CapacityExceeded as err:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected
 from .flows import FlowState, Strategy, compiled, compute_flows
-from .gp import GpConfig, gp_step, sufficient_gap
+from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap
 from .marginals import (CheckResult, blocked_sets, check_sufficient,
                         modified_marginals, traffic_marginals)
 from .network import Scenario
@@ -219,19 +219,10 @@ def _virtual_gap(ext, deltas, admit, tol_mass):
     return worst
 
 
-def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
-              phi0: Strategy | None = None) -> CcResult:
-    """Joint admission control and forwarding optimization.
-
-    Starts from reject-all (always feasible with zero cost) and runs the same
-    slot updates as run_gp, with one extra two-direction row per gateway:
-    admit versus reject, compared through the marginal network cost of the
-    first data stage against the marginal utility of the admitted rate.
-    """
+def _cc_start(ext, phi0):
+    """run_gp_cc's start iterate (reject all) and its extended-graph cost."""
     from .flows import init_strategy
 
-    config = config or GpConfig()
-    comp = compiled(ext.base)
     if phi0 is None:
         phi = init_strategy(ext.base, mode="shortest_path_then_local_comp",
                             require_finite=False)
@@ -239,57 +230,57 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
         phi = phi0.copy()
     admit = {pair: 0.0 for pair in ext.pairs}
     T_ext, state = extended_cost(ext, phi, admit)
-    trace = [T_ext]
-    alpha = config.stepsize
-    alpha_floor = config.stepsize * config.min_stepsize_factor
-    alpha_ceil = config.stepsize * config.max_stepsize_factor
-    iterations, converged, streak = 0, False, 0
-    gap = float("inf")
-    for slot in range(config.max_iters):
+    return (phi, state, admit), T_ext
+
+
+def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
+              phi0: Strategy | None = None) -> CcResult:
+    """Joint admission control and forwarding optimization.
+
+    Starts from reject-all (always feasible with zero cost) and runs the same
+    slot updates and adaptive stepsize as run_gp, with one extra
+    two-direction row per gateway: admit versus reject, compared through the
+    marginal network cost of the first data stage against the marginal
+    utility of the admitted rate. The extended-graph cost trace is
+    nonincreasing.
+    """
+    config = config or GpConfig()
+    comp = compiled(ext.base)
+
+    def slot(point):
+        phi, state, admit = point
         marg = traffic_marginals(ext.base, phi, state)
         delta = modified_marginals(ext.base, state, marg)
         blocked = blocked_sets(ext.base, phi, marg)
         vdelta = _virtual_deltas(ext, marg, admit)
         gap = max(sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter),
                   _virtual_gap(ext, vdelta, admit, config.tol_mass))
-        if gap <= config.tol:
-            converged = True
-            break
-        while True:
-            step_cfg = replace(config, stepsize=alpha, on_iterate=None)
-            cand, _ = gp_step(ext.base, phi, step_cfg, state, marg, delta, blocked)
-            cand_admit = {}
-            for pair, (d_admit, d_reject) in vdelta.items():
-                a = admit[pair]
-                if d_admit < d_reject:
-                    move = min(1.0 - a, alpha * (d_reject - d_admit))
-                    cand_admit[pair] = a + move
-                elif d_reject < d_admit:
-                    move = min(a, alpha * (d_admit - d_reject))
-                    cand_admit[pair] = a - move
-                else:
-                    cand_admit[pair] = a
-            try:
-                T_cand, cand_state = extended_cost(ext, cand, cand_admit)
-            except (CapacityExceeded, LoopDetected):
-                T_cand, cand_state = None, None
-            if T_cand is not None and \
-                    T_cand <= T_ext + 1e-12 * max(1.0, abs(T_ext)):
-                streak += 1
-                if streak >= 3 and alpha < alpha_ceil:
-                    alpha = min(alpha_ceil, 2 * alpha)
-                    streak = 0
-                break
-            streak = 0
-            alpha *= 0.5
-            if alpha < alpha_floor:
-                T_cand = None
-                break
-        if T_cand is None:
-            break
-        phi, admit, state, T_ext = cand, cand_admit, cand_state, T_cand
-        trace.append(T_ext)
-        iterations += 1
+        return gap, (marg, delta, blocked, vdelta)
+
+    def step(point, tables, step_cfg):
+        phi, state, admit = point
+        marg, delta, blocked, vdelta = tables
+        cand, _ = gp_step(ext.base, phi, step_cfg, state, marg, delta, blocked)
+        alpha = step_cfg.stepsize
+        cand_admit = {}
+        for pair, (d_admit, d_reject) in vdelta.items():
+            a = admit[pair]
+            if d_admit < d_reject:
+                move = min(1.0 - a, alpha * (d_reject - d_admit))
+                cand_admit[pair] = a + move
+            elif d_reject < d_admit:
+                move = min(a, alpha * (d_admit - d_reject))
+                cand_admit[pair] = a - move
+            else:
+                cand_admit[pair] = a
+        try:
+            T_cand, cand_state = extended_cost(ext, cand, cand_admit)
+        except (CapacityExceeded, LoopDetected):
+            return None
+        return (cand, cand_state, cand_admit), T_cand
+
+    (phi, state, admit), trace, _, iterations, converged, gap = _adaptive_descent(
+        _cc_start(ext, phi0), config, slot, step)
     admitted = ext.admitted_rates(admit)
     umc = utility_minus_cost(ext, phi, admit)
     return CcResult(phi=phi, admit=admit, admitted=admitted, state=state,

@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,6 +102,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
         if self.sweep is not None and self.sweep.get("kind") not in ("rate_scale", "size_ratio"):
             raise ValueError("sweep kind must be rate_scale or size_ratio")
+        unknown = sorted(set(self.gp) - {f.name for f in fields(GpConfig)})
+        if unknown:
+            raise ValueError(f"unknown GP settings {unknown}")
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExperimentConfig":
@@ -157,7 +160,7 @@ def _gp_config(overrides: dict) -> GpConfig:
 def run_algorithm(name: str, scenario: Scenario, gp_cfg: GpConfig) -> dict:
     """One algorithm on one scenario; failures become infeasible records."""
     record = {"algorithm": name, "T": math.inf, "iterations": 0,
-              "converged": False, "feasible": False,
+              "converged": False, "feasible": False, "reason": "",
               "H_data": math.nan, "H_result": math.nan, "_phi": None}
     try:
         if name == "gp":
@@ -167,7 +170,7 @@ def run_algorithm(name: str, scenario: Scenario, gp_cfg: GpConfig) -> dict:
         else:
             base = BASELINES[name](scenario)
             if not base.feasible:
-                record.update(converged=True)
+                record.update(converged=True, reason=base.reason)
                 return record
             phi, state = base.phi, base.state
             record.update(converged=True)
@@ -181,7 +184,7 @@ def run_algorithm(name: str, scenario: Scenario, gp_cfg: GpConfig) -> dict:
 
 
 RECORD_COLUMNS = ["scenario", "sweep", "seed", "algorithm", "T", "T_norm",
-                  "iterations", "converged", "feasible", "H_data", "H_result",
+                  "iterations", "converged", "feasible", "reason", "H_data", "H_result",
                   "strategy_file"]
 
 

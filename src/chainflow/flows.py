@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
-from .network import Linear, Scenario
+from .network import ABSENT, CostArray, Scenario
 
 INIT_MODES = ("shortest_path_then_local_comp", "shortest_path_comp_at_destination")
 
@@ -46,35 +46,15 @@ class _Compiled:
         self.index = {v: i for i, v in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
 
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.link_kind = np.full((n, n), -1, dtype=np.int8)   # 0 linear, 1 queue
-        self.link_param = np.zeros((n, n))
-        for (u, v), cost in scenario.link_costs.items():
-            i, j = self.index[u], self.index[v]
-            self.adj[i, j] = True
-            if isinstance(cost, Linear):
-                self.link_kind[i, j] = 0
-                self.link_param[i, j] = cost.slope
-            else:
-                self.link_kind[i, j] = 1
-                self.link_param[i, j] = cost.capacity
-        self._lin_mask = self.link_kind == 0
-        self._que_mask = self.link_kind == 1
-
-        self.has_cpu = np.zeros(n, dtype=bool)
-        self.comp_kind = np.full(n, -1, dtype=np.int8)
-        self.comp_param = np.zeros(n)
-        for node, cost in scenario.comp_costs.items():
-            if cost is None:
-                continue
-            i = self.index[node]
-            self.has_cpu[i] = True
-            if isinstance(cost, Linear):
-                self.comp_kind[i] = 0
-                self.comp_param[i] = cost.slope
-            else:
-                self.comp_kind[i] = 1
-                self.comp_param[i] = cost.capacity
+        self.links = CostArray(
+            (n, n), (((self.index[u], self.index[v]), cost)
+                     for (u, v), cost in scenario.link_costs.items()),
+            "link flow at or above queue capacity")
+        self.adj = self.links.kind != ABSENT
+        self.cpus = CostArray(n, ((self.index[node], cost)
+                                  for node, cost in scenario.comp_costs.items()),
+                              "workload at or above CPU capacity")
+        self.has_cpu = self.cpus.kind != ABSENT
 
         self.apps = []
         for app in scenario.applications:
@@ -94,49 +74,21 @@ class _Compiled:
                                           np.asarray(app.packet_sizes, dtype=float), w, r))
         self.stage_keys = [(a.id, k) for a in self.apps for k in range(a.K + 1)]
 
-    # -- cost evaluation -----------------------------------------------------
-
-    def link_cost_total(self, F) -> float:
-        if np.any(F[self._que_mask] >= self.link_param[self._que_mask]):
-            raise CapacityExceeded("link flow at or above queue capacity")
-        total = float(np.sum(self.link_param[self._lin_mask] * F[self._lin_mask]))
-        q = self._que_mask
-        total += float(np.sum(F[q] / (self.link_param[q] - F[q])))
-        return total
-
-    def link_cost_deriv(self, F):
-        D = np.zeros_like(F)
-        D[self._lin_mask] = self.link_param[self._lin_mask]
-        q = self._que_mask
-        if np.any(F[q] >= self.link_param[q]):
-            raise CapacityExceeded("link flow at or above queue capacity")
-        D[q] = self.link_param[q] / (self.link_param[q] - F[q]) ** 2
-        return D
-
-    def comp_cost_total(self, G) -> float:
-        lin, que = self.comp_kind == 0, self.comp_kind == 1
-        if np.any(G[que] >= self.comp_param[que]):
-            raise CapacityExceeded("workload at or above CPU capacity")
+    def cost_total(self, F, G) -> float:
+        """Total link cost of bit rates F plus CPU cost of workloads G."""
+        total = self.links.total(F) + self.cpus.total(G)
         if np.any(G[~self.has_cpu] > 0):
             raise CapacityExceeded("workload on a node without CPU")
-        total = float(np.sum(self.comp_param[lin] * G[lin]))
-        total += float(np.sum(G[que] / (self.comp_param[que] - G[que])))
         return total
-
-    def comp_cost_deriv(self, G):
-        C = np.zeros_like(G)
-        lin, que = self.comp_kind == 0, self.comp_kind == 1
-        if np.any(G[que] >= self.comp_param[que]):
-            raise CapacityExceeded("workload at or above CPU capacity")
-        C[lin] = self.comp_param[lin]
-        C[que] = self.comp_param[que] / (self.comp_param[que] - G[que]) ** 2
-        return C
 
     def zero_flow_link_metric(self):
         """Marginal link cost at zero flow, +inf on absent links."""
+        links = self.links
         M = np.full((self.n, self.n), np.inf)
-        M[self._lin_mask] = self.link_param[self._lin_mask]
-        M[self._que_mask] = 1.0 / self.link_param[self._que_mask]
+        M[links.lin] = links.param[links.lin]
+        # 1/c rather than queue_prime(c, 0) = c/c^2, which can round
+        # differently and would change how initial strategies break ties
+        M[links.que] = 1.0 / links.param[links.que]
         return M
 
 
@@ -342,16 +294,22 @@ class FlowState:
         return float(self.workload[self.nodes.index(node)])
 
 
-def _propagate(inj: np.ndarray, P: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Solve t = inj + P^T t by forward sweeps; exact after at most
-    (longest support path) sweeps when the support is acyclic."""
-    t = inj
-    for _ in range(max_sweeps):
-        t_next = inj + P.T @ t
-        if np.array_equal(t_next, t):
-            return t
-        t = t_next
-    raise LoopDetected("stage traffic did not stabilize (cyclic support)")
+def dag_sweep(b: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Solve x = b + A x by repeated substitution.
+
+    When the support of A is a DAG the sweeps are exact after at most
+    (longest path) of them; values still moving after len(b) + 1 sweeps
+    mean a cycle, reported as LoopDetected. The forward flow propagation,
+    the reverse marginal recursion and the hop-mass accumulation all run
+    through here (forward problems pass A = P.T).
+    """
+    x = b
+    for _ in range(len(b) + 1):
+        nxt = b + A @ x
+        if np.array_equal(nxt, x):
+            return x
+        x = nxt
+    raise LoopDetected("stage sweep did not stabilize (cyclic support)")
 
 
 def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | None = None,
@@ -389,7 +347,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
             for (node, stage), rate in extra.items():
                 if stage == key:
                     inj[comp.index[node]] += rate
-            t = _propagate(inj, P, n + 1)
+            t = dag_sweep(inj, P.T)
             f = t[:, None] * P
             g = t * c0
             if np.any(t < 0):
@@ -403,7 +361,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
                         f"stage {key} sends flow to a CPU that cannot run the task")
                 G[active] += app.w[active, k] * g[active]
             g_prev = g
-    total = comp.link_cost_total(F) + comp.comp_cost_total(G)
+    total = comp.cost_total(F, G)
     return FlowState(nodes=comp.nodes, traffic=traffic, link_flows=link_flows,
                      cpu_flows=cpu_flows, link_bits=F, workload=G, total_cost=total)
 
@@ -462,6 +420,21 @@ def _successor_tree(comp: _Compiled, metric: np.ndarray, targets: np.ndarray):
     return dist, succ
 
 
+def tree_rows(comp: _Compiled, app, k: int, succ, compute_at=None) -> np.ndarray:
+    """Row block of stage (app, k) that forwards along the successor tree
+    `succ`; nodes flagged in `compute_at` send everything to their CPU
+    instead."""
+    mat = np.zeros((comp.n, comp.n + 1))
+    for i in range(comp.n):
+        if k == app.K and i == app.dest:
+            continue
+        if compute_at is not None and compute_at[i]:
+            mat[i, 0] = 1.0
+        else:
+            mat[i, 1 + succ[i]] = 1.0
+    return mat
+
+
 def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp",
                   require_finite: bool = True) -> Strategy:
     """A feasible, loop-free starting strategy with finite total cost.
@@ -485,31 +458,20 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
         dest_targets[app.dest] = True
         _, succ_dest = _successor_tree(comp, metric, dest_targets)
         for k in range(app.K + 1):
-            mat = phi.rows[(app.id, k)]
+            key = (app.id, k)
             if k == app.K:
-                for i in range(n):
-                    if i == app.dest:
-                        continue
-                    mat[i, 1 + succ_dest[i]] = 1.0
+                phi.rows[key] = tree_rows(comp, app, k, succ_dest)
                 continue
             capable = np.isfinite(app.w[:, k]) & comp.has_cpu
             if not capable.any():
                 raise NoFeasibleStrategy(
                     f"no node can perform task {k + 1} of {app.id}")
             if mode == "shortest_path_comp_at_destination" and capable[app.dest]:
-                for i in range(n):
-                    if i == app.dest:
-                        mat[i, 0] = 1.0
-                    else:
-                        mat[i, 1 + succ_dest[i]] = 1.0
+                phi.rows[key] = tree_rows(comp, app, k, succ_dest, compute_at=dest_targets)
                 continue
             # compute locally where possible, else head to the nearest capable node
             _, succ_cap = _successor_tree(comp, metric, capable)
-            for i in range(n):
-                if capable[i]:
-                    mat[i, 0] = 1.0
-                else:
-                    mat[i, 1 + succ_cap[i]] = 1.0
+            phi.rows[key] = tree_rows(comp, app, k, succ_cap, compute_at=capable)
     if require_finite:
         try:
             compute_flows(scenario, phi, check_loops=True)

@@ -9,21 +9,23 @@ higher-marginal directions onto its minimum-marginal ones:
 
 The update is synchronous (all rows move on the same slot's marginal tables),
 keeps rows on their simplices, and preserves loop-freedom through the blocked
-sets. With the adaptive stepsize the cost trace is nonincreasing: a slot that
-would raise the cost (or blow a capacity) is retried with alpha halved.
+sets. The stepsize is always adaptive, so the cost trace is nonincreasing: a
+slot that would raise the cost (or blow a capacity) is retried with alpha
+halved, and alpha doubles after three accepted slots in a row. run_gp and the
+congestion-control solver share that stepsize loop (_adaptive_descent).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, detect_loops,
-                    feasible_start, validate_strategy, _successor_tree)
-from .marginals import (BlockedSets, blocked_sets, modified_marginals,
+                    feasible_start, tree_rows, validate_strategy, _successor_tree)
+from .marginals import (BlockedSets, _active_rows, blocked_sets, modified_marginals,
                         traffic_marginals)
 from .network import Scenario
 
@@ -32,15 +34,17 @@ _TIE_REL = 1e-11
 
 @dataclass
 class GpConfig:
-    stepsize: float = 0.05          # fraction moved per unit marginal gap
+    stepsize: float = 0.05          # initial fraction moved per unit marginal gap
     max_iters: int = 2000
     tol: float = 1e-6               # convergence: max positive-mass delta gap
-    adaptive_stepsize: bool = True
     tol_mass: float = 1e-9
+    # the stepsize always adapts: halved on a rejected slot, never below
+    # min_stepsize_factor * stepsize (the run then stops), doubled after three
+    # accepted slots, never above max_stepsize_factor * stepsize
     min_stepsize_factor: float = 2.0 ** -40
-    max_stepsize_factor: float = 64.0  # adaptive growth cap (multiples of stepsize)
+    max_stepsize_factor: float = 64.0
     row_filter: object = None       # optional (app_id, k) -> bool (rows to touch)
-    on_iterate: object = None       # optional callback(slot, phi, state)
+    on_iterate: object = None       # optional callback(slot, phi, state) per accepted slot
 
     def __post_init__(self):
         if self.stepsize <= 0 or self.tol <= 0:
@@ -53,16 +57,6 @@ class StepDiagnostics:
     n_min: dict          # (app_id, k) -> (n,) count of minimal directions
     transferred: dict    # (app_id, k) -> (n,) removed mass S_i
     blocked: BlockedSets
-    max_gap: float       # largest gap over positive-mass directions
-
-
-def _active_rows(comp, app, k, row_filter):
-    active = np.ones(comp.n, dtype=bool)
-    if k == app.K:
-        active[app.dest] = False
-    if row_filter is not None and not row_filter((app.id, k)):
-        active[:] = False
-    return active
 
 
 def sufficient_gap(comp, phi: Strategy, delta: dict, tol_mass: float,
@@ -136,11 +130,8 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             gaps[key] = np.where(avail | B, e, np.inf)
             n_min[key] = N
             transferred[key] = S
-    diag = StepDiagnostics(gaps=gaps, n_min=n_min, transferred=transferred,
-                           blocked=blocked,
-                           max_gap=sufficient_gap(comp, phi, delta,
-                                                  config.tol_mass, config.row_filter))
-    return out, diag
+    return out, StepDiagnostics(gaps=gaps, n_min=n_min, transferred=transferred,
+                                blocked=blocked)
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -155,8 +146,8 @@ def robust_start(scenario: Scenario) -> Strategy:
     comp = compiled(scenario)
     registry = {block: {} for block in _blocks(comp)}
     fv = _greedy_start(comp, registry)
-    phi = strategy_from_flows(scenario, fv)
     try:
+        phi = strategy_from_flows(scenario, fv)
         compute_flows(scenario, phi)
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"greedy start failed: {err}") from err
@@ -186,58 +177,41 @@ class GpResult:
                             repr(row["stepsize"])])
 
 
-def run_gp(scenario: Scenario, phi0: Strategy | None = None,
-           config: GpConfig | None = None) -> GpResult:
-    """Iterate gp_step until the sufficient-condition gap falls below tol.
+def _adaptive_descent(start, config: GpConfig, slot, step):
+    """The adaptive-stepsize loop shared by run_gp and run_gp_cc.
 
-    Returns the best iterate with converged=False when the slot budget runs
-    out. With adaptive stepsize, slots whose evaluation fails (capacity) or
-    raises the cost are retried at half the stepsize, so the trace is
-    nonincreasing.
+    An iterate is a tuple that starts with the strategy and its FlowState
+    (what config.on_iterate receives); `start` is (iterate, cost). Pass it
+    as a temporary, so that the start is freed once the descent moves on.
+    Each slot, slot(point) returns (gap, tables) and the loop stops once
+    gap <= config.tol. Otherwise step(point, tables, step_cfg) returns a
+    candidate (iterate, cost) for the stepsize step_cfg.stepsize, or None
+    when the candidate cannot be evaluated (capacity or loop). A candidate
+    that does not raise the cost is accepted; else the slot is retried at
+    half the stepsize, and a stepsize below its floor ends the run at the
+    current iterate. Returns (point, trace, history, iterations, converged,
+    gap).
     """
-    config = config or GpConfig()
-    comp = compiled(scenario)
-    phi = phi0.copy() if phi0 is not None else robust_start(scenario)
-    problems = validate_strategy(scenario, phi)
-    if problems:
-        raise ValueError(f"initial strategy invalid: {problems[:3]}")
-    state = compute_flows(scenario, phi)
-    trace = [state.total_cost]
-    history = []
+    (point, cost), start = start, None
+    step_cfg = replace(config)
     alpha = config.stepsize
     alpha_floor = config.stepsize * config.min_stepsize_factor
     alpha_ceil = config.stepsize * config.max_stepsize_factor
-    iterations = 0
-    converged = False
+    trace, history = [cost], []
+    iterations, converged, streak = 0, False, 0
     gap = float("inf")
-    streak = 0
     if config.on_iterate is not None:
-        config.on_iterate(0, phi, state)
-    for slot in range(config.max_iters):
-        marg = traffic_marginals(scenario, phi, state)
-        delta = modified_marginals(scenario, state, marg)
-        blocked = blocked_sets(scenario, phi, marg)
-        gap = sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter)
-        history.append({"iter": slot, "T": state.total_cost,
-                        "max_gap": gap, "stepsize": alpha})
+        config.on_iterate(0, point[0], point[1])
+    for slot_index in range(config.max_iters):
+        gap, tables = slot(point)
+        history.append({"iter": slot_index, "T": cost, "max_gap": gap, "stepsize": alpha})
         if gap <= config.tol:
             converged = True
             break
-        step_cfg = GpConfig(stepsize=alpha, max_iters=config.max_iters,
-                            tol=config.tol, adaptive_stepsize=config.adaptive_stepsize,
-                            tol_mass=config.tol_mass, row_filter=config.row_filter)
         while True:
             step_cfg.stepsize = alpha
-            cand, diag = gp_step(scenario, phi, step_cfg, state, marg, delta, blocked)
-            if not config.adaptive_stepsize:
-                cand_state = compute_flows(scenario, cand)  # errors propagate
-                break
-            try:
-                cand_state = compute_flows(scenario, cand)
-            except (CapacityExceeded, LoopDetected):
-                cand_state = None
-            if cand_state is not None and \
-                    cand_state.total_cost <= state.total_cost + 1e-12 * max(1.0, abs(state.total_cost)):
+            cand = step(point, tables, step_cfg)
+            if cand is not None and cand[1] <= cost + 1e-12 * max(1.0, abs(cost)):
                 streak += 1
                 if streak >= 3 and alpha < alpha_ceil:
                     alpha = min(alpha_ceil, 2 * alpha)
@@ -246,15 +220,58 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
             streak = 0
             alpha *= 0.5
             if alpha < alpha_floor:
-                cand, cand_state = None, None
+                cand = None
                 break
-        if cand_state is None:
+        if cand is None:
             break  # stepsize exhausted: keep current iterate
-        phi, state = cand, cand_state
-        trace.append(state.total_cost)
+        point, cost = cand
+        trace.append(cost)
         iterations += 1
         if config.on_iterate is not None:
-            config.on_iterate(iterations, phi, state)
+            config.on_iterate(iterations, point[0], point[1])
+    return point, trace, history, iterations, converged, gap
+
+
+def _gp_start(scenario, phi0):
+    """run_gp's validated start iterate and its cost."""
+    phi = phi0.copy() if phi0 is not None else robust_start(scenario)
+    problems = validate_strategy(scenario, phi)
+    if problems:
+        raise ValueError(f"initial strategy invalid: {problems[:3]}")
+    state = compute_flows(scenario, phi)
+    return (phi, state), state.total_cost
+
+
+def run_gp(scenario: Scenario, phi0: Strategy | None = None,
+           config: GpConfig | None = None) -> GpResult:
+    """Iterate gp_step until the sufficient-condition gap falls below tol.
+
+    Returns the best iterate with converged=False when the slot budget runs
+    out. Slots whose evaluation fails (capacity) or raises the cost are
+    retried at half the stepsize, so the trace is nonincreasing.
+    """
+    config = config or GpConfig()
+    comp = compiled(scenario)
+
+    def slot(point):
+        phi, state = point
+        marg = traffic_marginals(scenario, phi, state)
+        delta = modified_marginals(scenario, state, marg)
+        blocked = blocked_sets(scenario, phi, marg)
+        gap = sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter)
+        return gap, (marg, delta, blocked)
+
+    def step(point, tables, step_cfg):
+        phi, state = point
+        cand, _ = gp_step(scenario, phi, step_cfg, state, *tables)
+        try:
+            cand_state = compute_flows(scenario, cand)
+        except (CapacityExceeded, LoopDetected):
+            return None
+        return (cand, cand_state), cand_state.total_cost
+
+    (phi, state), trace, history, iterations, converged, gap = _adaptive_descent(
+        _gp_start(scenario, phi0), config, slot, step)
     return GpResult(phi=phi, state=state, trace=trace, history=history,
                     iterations=iterations, converged=converged, final_gap=gap)
 
@@ -263,18 +280,20 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 # adaptation to input / topology changes
 # ---------------------------------------------------------------------------
 
-def _fresh_row_targets(comp, app, k):
-    """Successor choices used when a row must be rebuilt from scratch."""
+def _fresh_rows(comp, app, k):
+    """Row block used where rows must be rebuilt from scratch: compute at
+    capable nodes, else follow zero-flow shortest paths to the nearest
+    capable node (to the destination at the final stage)."""
     metric = comp.zero_flow_link_metric()
     if k < app.K:
         capable = np.isfinite(app.w[:, k]) & comp.has_cpu
         if capable.any():
             _, succ = _successor_tree(comp, metric, capable)
-            return succ, capable
+            return tree_rows(comp, app, k, succ, compute_at=capable)
     targets = np.zeros(comp.n, dtype=bool)
     targets[app.dest] = True
     _, succ = _successor_tree(comp, metric, targets)
-    return succ, np.zeros(comp.n, dtype=bool)
+    return tree_rows(comp, app, k, succ)
 
 
 def _repair_strategy(old_scenario, new_scenario, phi_prev):
@@ -288,11 +307,10 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
         raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
 
     phi = Strategy.zeros(new_scenario)
-    rebuilt_stages = set()
     for app in comp_new.apps:
         for k in range(app.K + 1):
             key = (app.id, k)
-            succ, capable = _fresh_row_targets(comp_new, app, k)
+            fresh = _fresh_rows(comp_new, app, k)
             mat = phi.rows[key]
             old_mat = phi_prev.rows.get(key)
             d_old = delta_old.get(key)
@@ -301,12 +319,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
                     continue
                 oi = comp_old.index.get(node) if old_mat is not None else None
                 if oi is None:
-                    # new node: fresh conservation-satisfying row
-                    if capable[i]:
-                        mat[i, 0] = 1.0
-                    else:
-                        mat[i, 1 + succ[i]] = 1.0
-                    rebuilt_stages.add(key)
+                    mat[i] = fresh[i]   # new node: fresh conservation-satisfying row
                     continue
                 row = np.zeros(comp_new.n + 1)
                 freed = 0.0
@@ -336,12 +349,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
                         if val < best_val:
                             best, best_val = 1 + nj, val
                     if best is None:
-                        row[:] = 0.0
-                        if capable[i]:
-                            row[0] = 1.0
-                        else:
-                            row[1 + succ[i]] = 1.0
-                        rebuilt_stages.add(key)
+                        row[:] = fresh[i]
                     else:
                         row[best] += freed
                 s = row.sum()
@@ -352,16 +360,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     loops = detect_loops(phi)
     for key in loops:
         app = next(a for a in comp_new.apps if a.id == key[0])
-        succ, capable = _fresh_row_targets(comp_new, app, key[1])
-        mat = np.zeros_like(phi.rows[key])
-        for i in range(comp_new.n):
-            if key[1] == app.K and i == app.dest:
-                continue
-            if capable[i]:
-                mat[i, 0] = 1.0
-            else:
-                mat[i, 1 + succ[i]] = 1.0
-        phi.rows[key] = mat
+        phi.rows[key] = _fresh_rows(comp_new, app, key[1])
     return phi
 
 

@@ -15,28 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LoopDetected, ZeroTrafficNode
-from .flows import FlowState, Strategy, compiled, compute_flows
+from .errors import ZeroTrafficNode
+from .flows import FlowState, Strategy, compiled, compute_flows, dag_sweep
 from .network import Scenario
+from .oracle import FlowVector, flow_cost
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TOL_MASS = 1e-9
-_TIE_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # traffic marginals (Eq-style recursion, reverse sweeps)
 # ---------------------------------------------------------------------------
-
-def _reverse_fixed_point(base: np.ndarray, P: np.ndarray, max_sweeps: int) -> np.ndarray:
-    lam = base
-    for _ in range(max_sweeps):
-        nxt = base + P @ lam
-        if np.array_equal(nxt, lam):
-            return lam
-        lam = nxt
-    raise LoopDetected("marginal recursion did not stabilize (cyclic support)")
-
 
 def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> dict:
     """dT/dt_i(a,k) for every node and stage, as {(app_id, k): (n,) array}.
@@ -46,8 +36,8 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     dT/dt = 0 at the destination's final stage.
     """
     comp = compiled(scenario)
-    Dp = comp.link_cost_deriv(state.link_bits)
-    Cp = comp.comp_cost_deriv(state.workload)
+    Dp = comp.links.deriv(state.link_bits)
+    Cp = comp.cpus.deriv(state.workload)
     lam = {}
     for app in comp.apps:
         lam_next = None
@@ -60,7 +50,7 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
                 on = c0 > 0
                 cpu[on] = c0[on] * (app.w[on, k] * Cp[on] + lam_next[on])
                 base = base + cpu
-            lam[(app.id, k)] = _reverse_fixed_point(base, P, comp.n + 1)
+            lam[(app.id, k)] = dag_sweep(base, P)
             lam_next = lam[(app.id, k)]
     return lam
 
@@ -73,8 +63,8 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict) ->
     carry +inf.
     """
     comp = compiled(scenario)
-    Dp = comp.link_cost_deriv(state.link_bits)
-    Cp = comp.comp_cost_deriv(state.workload)
+    Dp = comp.links.deriv(state.link_bits)
+    Cp = comp.cpus.deriv(state.workload)
     delta = {}
     for app in comp.apps:
         for k in range(app.K + 1):
@@ -154,11 +144,15 @@ class CheckResult:
         return {"holds": self.holds, "violations": self.violations}
 
 
-def _row_active(comp, app, k):
-    """Node mask of rows that must sum to one at stage (app, k)."""
+def _active_rows(comp, app, k, row_filter=None):
+    """Node mask of the rows that must sum to one at stage (app, k): all but
+    the destination's final-stage row, and none when `row_filter` rejects
+    the stage."""
     active = np.ones(comp.n, dtype=bool)
     if k == app.K:
         active[app.dest] = False
+    if row_filter is not None and not row_filter((app.id, k)):
+        active[:] = False
     return active
 
 
@@ -184,7 +178,7 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
             t = state.traffic[key]
             d = delta[key]
             mat = phi.rows[key]
-            for i in np.flatnonzero(_row_active(comp, app, k) & (t > tol_mass)):
+            for i in np.flatnonzero(_active_rows(comp, app, k) & (t > tol_mass)):
                 grad = t[i] * d[i]
                 row_min = np.min(grad)
                 for j in np.flatnonzero(mat[i] > tol_mass):
@@ -210,7 +204,7 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
             key = (app.id, k)
             d = delta[key]
             mat = phi.rows[key]
-            for i in np.flatnonzero(_row_active(comp, app, k)):
+            for i in np.flatnonzero(_active_rows(comp, app, k)):
                 row_min = np.min(d[i])
                 for j in np.flatnonzero(mat[i] > tol_mass):
                     if d[i, j] > row_min + tol:
@@ -236,7 +230,6 @@ def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
     objective keeps this <= 0 up to roundoff. Refuses scenarios where any
     (node, stage) traffic is zero under either endpoint.
     """
-    comp = compiled(scenario)
     s1 = compute_flows(scenario, phi1)
     s2 = compute_flows(scenario, phi2)
     for s in (s1, s2):
@@ -245,18 +238,11 @@ def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
                 raise ZeroTrafficNode(f"zero traffic at stage {key}")
     worst = -np.inf
     for t in np.linspace(0.0, 1.0, n_samples):
-        F = np.zeros((comp.n, comp.n))
-        G = np.zeros(comp.n)
-        for app in comp.apps:
-            for k in range(app.K + 1):
-                key = (app.id, k)
-                f = (1 - t) * s1.link_flows[key] + t * s2.link_flows[key]
-                F += app.L[k] * f
-                if k < app.K:
-                    g = (1 - t) * s1.cpu_flows[key] + t * s2.cpu_flows[key]
-                    on = g > 0
-                    G[on] += app.w[on, k] * g[on]
-        cost = comp.link_cost_total(F) + comp.comp_cost_total(G)
+        fv = FlowVector(s1.nodes,
+                        {key: (1 - t) * f + t * s2.link_flows[key]
+                         for key, f in s1.link_flows.items()},
+                        {key: (1 - t) * g + t * s2.cpu_flows[key]
+                         for key, g in s1.cpu_flows.items()})
         chord = (1 - t) * s1.total_cost + t * s2.total_cost
-        worst = max(worst, cost - chord)
+        worst = max(worst, flow_cost(scenario, fv) - chord)
     return float(worst)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowState, Strategy, compiled
+from .flows import FlowState, Strategy, compiled, dag_sweep
 from .network import Scenario
 
 
@@ -29,17 +29,10 @@ class Metrics:
                 "H_result": self.H_result, "iterations": self.iterations}
 
 
-def _hop_mass(P: np.ndarray, f: np.ndarray, max_sweeps: int) -> np.ndarray:
+def _hop_mass(P: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Fixed point of M = P^T M + inflow: total (rate x hops) arriving at
     each node, where packets enter their stage with zero hops."""
-    inflow = f.sum(axis=0)
-    M = inflow.copy()
-    for _ in range(max_sweeps):
-        nxt = inflow + P.T @ M
-        if np.array_equal(nxt, M):
-            return M
-        M = nxt
-    raise RuntimeError("hop accumulation did not stabilize (cyclic support)")
+    return dag_sweep(f.sum(axis=0), P.T)
 
 
 def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
@@ -51,12 +44,12 @@ def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
         key0 = (app.id, 0)
         mat0 = phi.rows[key0]
         if app.K > 0:
-            M = _hop_mass(mat0[:, 1:], state.link_flows[key0], comp.n + 1)
+            M = _hop_mass(mat0[:, 1:], state.link_flows[key0])
             data_num += float(np.sum(mat0[:, 0] * M))
             data_den += float(state.cpu_flows[key0].sum())
         keyK = (app.id, app.K)
         matK = phi.rows[keyK]
-        M = _hop_mass(matK[:, 1:], state.link_flows[keyK], comp.n + 1)
+        M = _hop_mass(matK[:, 1:], state.link_flows[keyK])
         res_num += float(M[app.dest])
         res_den += float(state.traffic[keyK][app.dest])
     return Metrics(total_cost=state.total_cost,

@@ -53,27 +53,94 @@ class Queue:
 
 CostFunction = Linear | Queue
 
+# entry kinds of a CostArray
+ABSENT, LINEAR, QUEUE = -1, 0, 1
+
+
+def queue_value(capacity, x):
+    """Queue cost x / (capacity - x), for scalars or elementwise on arrays."""
+    return x / (capacity - x)
+
+
+def queue_prime(capacity, x):
+    """Derivative capacity / (capacity - x)^2 of the queue cost."""
+    return capacity / (capacity - x) ** 2
+
+
+def queue_room(capacity, x, dx):
+    """Step along a growing load direction dx that brings load x to capacity."""
+    return (capacity - x) / dx
+
+
+class CostArray:
+    """The cost functions of a set of links or CPUs, laid out as an array.
+
+    This is the one implementation of the Linear and Queue value,
+    derivative, domain check and room to capacity; everything that
+    evaluates costs goes through it or through the queue_* formulas above.
+    `kind` holds LINEAR, QUEUE or ABSENT per entry and `param` the slope or
+    capacity. `overflow` is the message of the CapacityExceeded raised when
+    a load reaches a queue capacity.
+    """
+
+    def __init__(self, shape, costs, overflow: str):
+        """`costs` yields (index, cost function or None) pairs."""
+        self.kind = np.full(shape, ABSENT, dtype=np.int8)
+        self.param = np.zeros(shape)
+        for index, cost in costs:
+            if isinstance(cost, Linear):
+                self.kind[index], self.param[index] = LINEAR, cost.slope
+            elif cost is not None:
+                self.kind[index], self.param[index] = QUEUE, cost.capacity
+        self.lin = self.kind == LINEAR
+        self.que = self.kind == QUEUE
+        self.overflow = overflow
+
+    def saturated(self, x, margin: float) -> bool:
+        """Whether some queue load reaches (1 - margin) of its capacity."""
+        return bool(np.any(x[self.que] >= self.param[self.que] * (1 - margin)))
+
+    def check(self, x):
+        if self.saturated(x, 0.0):
+            raise CapacityExceeded(self.overflow)
+
+    def total(self, x) -> float:
+        """Summed cost of the loads x. Raises CapacityExceeded outside the domain."""
+        self.check(x)
+        lin, que, p = self.lin, self.que, self.param
+        return float(np.sum(p[lin] * x[lin])) + float(np.sum(queue_value(p[que], x[que])))
+
+    def deriv(self, x):
+        """Marginal cost of every entry at loads x (0 on absent entries)."""
+        self.check(x)
+        D = np.zeros_like(x)
+        D[self.lin] = self.param[self.lin]
+        D[self.que] = queue_prime(self.param[self.que], x[self.que])
+        return D
+
+    def room(self, x, dx) -> float:
+        """Largest step along dx that keeps every queue below capacity
+        (inf when no queue load grows)."""
+        grow = self.que & (dx > 0)
+        if not grow.any():
+            return math.inf
+        return float(np.min(queue_room(self.param[grow], x[grow], dx[grow])))
+
+
+def _single(c: CostFunction, x: float) -> CostArray:
+    if x < 0:
+        raise ValueError(f"flow must be nonnegative, got {x}")
+    return CostArray(1, [(0, c)], f"flow {x} at or above the capacity of {c}")
+
 
 def eval_cost(c: CostFunction, x: float) -> float:
     """Cost value at flow x. Raises CapacityExceeded outside the domain."""
-    if x < 0:
-        raise ValueError(f"flow must be nonnegative, got {x}")
-    if isinstance(c, Linear):
-        return c.slope * x
-    if x >= c.capacity:
-        raise CapacityExceeded(f"flow {x} >= queue capacity {c.capacity}")
-    return x / (c.capacity - x)
+    return _single(c, x).total(np.array([x], dtype=float))
 
 
 def eval_cost_prime(c: CostFunction, x: float) -> float:
     """First derivative of the cost at flow x (the marginal cost)."""
-    if x < 0:
-        raise ValueError(f"flow must be nonnegative, got {x}")
-    if isinstance(c, Linear):
-        return c.slope
-    if x >= c.capacity:
-        raise CapacityExceeded(f"flow {x} >= queue capacity {c.capacity}")
-    return c.capacity / (c.capacity - x) ** 2
+    return float(_single(c, x).deriv(np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

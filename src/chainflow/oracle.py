@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, compiled
-from .network import Scenario
-
-_EDGE_MARGIN = 1e-12
+from .errors import (CapacityExceeded, LoopDetected, NoFeasibleStrategy, NotConverged,
+                     TooLarge)
+from .flows import Strategy, _support_is_acyclic, compiled, dag_sweep
+from .network import Scenario, queue_prime, queue_room
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ def _totals(comp, fv: FlowVector):
 def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
     comp = compiled(scenario)
     F, G = _totals(comp, fv)
-    return comp.link_cost_total(F) + comp.comp_cost_total(G)
+    return comp.cost_total(F, G)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +186,10 @@ def _rebuild(comp, registry) -> FlowVector:
     return fv
 
 
-def _line_search_deriv(comp, F, G, dF, dG):
-    """gamma_max keeping queue domains open, and a derivative callable."""
-    hi = 1.0
-    que = comp._que_mask & (dF > 0)
-    if que.any():
-        room = (comp.link_param[que] - F[que]) / dF[que]
-        hi = min(hi, float(np.min(room)) * (1 - 1e-9))
-    cque = (comp.comp_kind == 1) & (dG > 0)
-    if cque.any():
-        room = (comp.comp_param[cque] - G[cque]) / dG[cque]
-        hi = min(hi, float(np.min(room)) * (1 - 1e-9))
-
-    def deriv(gamma):
-        Dp = comp.link_cost_deriv(F + gamma * dF)
-        Cp = comp.comp_cost_deriv(G + gamma * dG)
-        return float(np.sum(Dp * dF) + np.sum(Cp * dG))
-
-    return max(hi, 0.0), deriv
-
-
-def _exact_line_search(comp, F, G, dF, dG, hi_cap=1.0):
-    hi, deriv = _line_search_deriv(comp, F, G, dF, dG)
-    hi = min(hi, hi_cap)
+def _bisect(deriv, hi: float) -> float:
+    """Exact line search on [0, hi] for a convex cost with nondecreasing
+    derivative `deriv`: the step where the derivative crosses zero, by 100
+    bisections, or an end point when it does not change sign."""
     if hi <= 0:
         return 0.0
     if deriv(0.0) >= 0:
@@ -224,6 +204,19 @@ def _exact_line_search(comp, F, G, dF, dG, hi_cap=1.0):
         else:
             up = mid
     return lo
+
+
+def _exact_line_search(comp, F, G, dF, dG):
+    """Step in [0, 1] along the dense direction (dF, dG) that minimizes the
+    total cost, kept inside the queue domains."""
+    hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+
+    def deriv(gamma):
+        Dp = comp.links.deriv(F + gamma * dF)
+        Cp = comp.cpus.deriv(G + gamma * dG)
+        return float(np.sum(Dp * dF) + np.sum(Cp * dG))
+
+    return _bisect(deriv, hi)
 
 
 def _delta_entries(app, path_plus, path_minus):
@@ -242,45 +235,30 @@ def _delta_entries(app, path_plus, path_minus):
 
 
 def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
-    """Exact line search touching only the entries in (ef, eg)."""
+    """Exact line search touching only the entries in (ef, eg).
+
+    The derivative is a scalar sum over the entries taken left to right,
+    links first. Its rounding steers the oracle's trajectory, so it must not
+    be vectorized: a numpy sum adds in another order and squares arrays by
+    multiplication where scalars use pow.
+    """
+    links, cpus = comp.links, comp.cpus
+    entries = [(links.que[e], float(links.param[e]), float(F[e]), float(d))
+               for e, d in ef.items()]
+    entries += [(cpus.que[v], float(cpus.param[v]), float(G[v]), float(d))
+                for v, d in eg.items()]
     hi = hi_cap
-    for (u, v), d in ef.items():
-        if d > 0 and comp.link_kind[u, v] == 1:
-            hi = min(hi, (comp.link_param[u, v] - F[u, v]) / d * (1 - 1e-9))
-    for v, d in eg.items():
-        if d > 0 and comp.comp_kind[v] == 1:
-            hi = min(hi, (comp.comp_param[v] - G[v]) / d * (1 - 1e-9))
-    if hi <= 0:
-        return 0.0
+    for que, p, x, d in entries:
+        if d > 0 and que:
+            hi = min(hi, queue_room(p, x, d) * (1 - 1e-9))
 
     def deriv(gamma):
         total = 0.0
-        for (u, v), d in ef.items():
-            x = F[u, v] + gamma * d
-            if comp.link_kind[u, v] == 1:
-                total += comp.link_param[u, v] / (comp.link_param[u, v] - x) ** 2 * d
-            else:
-                total += comp.link_param[u, v] * d
-        for v, d in eg.items():
-            x = G[v] + gamma * d
-            if comp.comp_kind[v] == 1:
-                total += comp.comp_param[v] / (comp.comp_param[v] - x) ** 2 * d
-            else:
-                total += comp.comp_param[v] * d
+        for que, p, x, d in entries:
+            total += (queue_prime(p, x + gamma * d) if que else p) * d
         return total
 
-    if deriv(0.0) >= 0:
-        return 0.0
-    if deriv(hi) <= 0:
-        return hi
-    lo, up = 0.0, hi
-    for _ in range(100):
-        mid = 0.5 * (lo + up)
-        if deriv(mid) <= 0:
-            lo = mid
-        else:
-            up = mid
-    return lo
+    return _bisect(deriv, hi)
 
 
 def _apply_swap(comp, app, fv, F, G, target, worst, amount):
@@ -310,8 +288,8 @@ def _greedy_start(comp, registry, masks=None):
             for _ in range(chunks):
                 F, G = _totals(comp, fv_try)
                 try:
-                    Dp = comp.link_cost_deriv(F)
-                    Cp = comp.comp_cost_deriv(G)
+                    Dp = comp.links.deriv(F)
+                    Cp = comp.cpus.deriv(G)
                 except CapacityExceeded:
                     ok = False
                     break
@@ -324,11 +302,7 @@ def _greedy_start(comp, registry, masks=None):
                     break
                 _add_path(fv_try, app.id, path, part)
                 F, G = _totals(comp, fv_try)
-                if np.any(F[comp._que_mask] >= comp.link_param[comp._que_mask] * (1 - 1e-12)):
-                    ok = False
-                    break
-                cq = comp.comp_kind == 1
-                if np.any(G[cq] >= comp.comp_param[cq] * (1 - 1e-12)):
+                if comp.links.saturated(F, 1e-12) or comp.cpus.saturated(G, 1e-12):
                     ok = False
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
@@ -363,9 +337,9 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         if it and it % 25 == 0:
             fv = _rebuild(comp, registry)  # shed float drift from in-place moves
         F, G = _totals(comp, fv)
-        T = comp.link_cost_total(F) + comp.comp_cost_total(G)
-        Dp = comp.link_cost_deriv(F)
-        Cp = comp.comp_cost_deriv(G)
+        T = comp.cost_total(F, G)
+        Dp = comp.links.deriv(F)
+        Cp = comp.cpus.deriv(G)
         best = {}
         lower = 0.0
         inner = 0.0
@@ -415,8 +389,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                 blocks_here = sorted(by_app.get(app.id, []), key=lambda b: b[1])
                 if not blocks_here:
                     continue
-                Dp = comp.link_cost_deriv(F)
-                Cp = comp.comp_cost_deriv(G)
+                Dp = comp.links.deriv(F)
+                Cp = comp.cpus.deriv(G)
                 dist, succ = cheapest_extended_paths(
                     comp, app, Dp, Cp,
                     adj=None if app_link_masks is None else app_link_masks.get(app.id))
@@ -537,12 +511,12 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
 
     def cost_of(x):
         F, G = _totals(comp, flows_from(x))
-        return comp.link_cost_total(F) + comp.comp_cost_total(G)
+        return comp.cost_total(F, G)
 
     # start: everything on the zero-flow cheapest path, else spread uniformly
     x = {}
-    Dp0 = comp.link_cost_deriv(np.zeros((comp.n, comp.n)))
-    Cp0 = comp.comp_cost_deriv(np.zeros(comp.n))
+    Dp0 = comp.links.deriv(np.zeros((comp.n, comp.n)))
+    Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     for block, plist in paths.items():
         app, src, rate = block
         costs = [path_cost(comp, app, p, Dp0, Cp0) for p in plist]
@@ -562,8 +536,8 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
     gap = np.inf
     for it in range(max_iters):
         F, G = _totals(comp, flows_from(x))
-        Dp = comp.link_cost_deriv(F)
-        Cp = comp.comp_cost_deriv(G)
+        Dp = comp.links.deriv(F)
+        Cp = comp.cpus.deriv(G)
         grad = {block: np.array([path_cost(comp, block[0], p, Dp, Cp)
                                  for p in paths[block]]) for block in paths}
         gap = sum(float(np.dot(grad[b], x[b]) - b[2] * np.min(grad[b])) for b in paths)
@@ -607,8 +581,8 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     comp = compiled(scenario)
     n = comp.n
     F, G = _totals(comp, fv)
-    Dp = comp.link_cost_deriv(F)
-    Cp = comp.comp_cost_deriv(G)
+    Dp = comp.links.deriv(F)
+    Cp = comp.cpus.deriv(G)
     phi = Strategy.zeros(scenario)
     for app in comp.apps:
         lam_next = None
@@ -630,17 +604,14 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
             sums = mat.sum(axis=1)
             fix = pos & (sums > 0.5)
             mat[fix] /= sums[fix, None]
+            if not _support_is_acyclic(mat[:, 1:] > 0):
+                raise LoopDetected(f"stage {key} flows around a cycle")
             # marginals on the positive part (zero rows contribute nothing yet)
             base = (mat[:, 1:] * (app.L[k] * Dp)).sum(axis=1)
             if k < app.K:
                 on = mat[:, 0] > 0
                 base[on] += mat[on, 0] * (app.w[on, k] * Cp[on] + lam_next[on])
-            lam = base.copy()
-            for _ in range(n + 1):
-                nxt = base + mat[:, 1:] @ lam
-                if np.array_equal(nxt, lam):
-                    break
-                lam = nxt
+            lam = dag_sweep(base, mat[:, 1:])
             # fill zero-traffic rows toward the cheapest settled value
             dist = np.where(pos, lam, np.inf)
             choice = np.full(n, -9, dtype=int)

@@ -140,6 +140,20 @@ class TestRunGpCc:
             assert res.utility_minus_cost >= -1e-9   # reject-all gives 0
             assert np.all(np.diff(res.trace) <= 1e-9)
 
+    def test_trace_follows_acceptance_rule(self):
+        # the stepsize loop shared with run_gp accepts a slot only when it
+        # does not raise the extended-graph cost beyond a 1e-12 relative slack
+        for seed in range(4):
+            s = random_scenario(seed, n=7, num_apps=2, K=2)
+            caps = {p: 3 * r for p, r in s.input_rates.items()}
+            utils = {p: AlphaFair(alpha=0.5 + seed % 2, eps=0.1, cap=c)
+                     for p, c in caps.items()}
+            res = run_gp_cc(extend_scenario(s, caps, utils),
+                            GpConfig(tol=1e-6, max_iters=400))
+            assert len(res.trace) == res.iterations + 1 > 1
+            for a, b in zip(res.trace, res.trace[1:]):
+                assert b <= a + 1e-12 * max(1.0, abs(a))
+
     def test_reject_all_with_zero_utility_holds(self):
         ext = _two_node_line(u_slope=0.0)
         from chainflow import init_strategy

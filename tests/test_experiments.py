@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -81,6 +82,16 @@ class TestRunExperiment:
             st = compute_flows(scen, phi)
             assert abs(st.total_cost - rec["T"]) <= 1e-9
 
+    def test_infeasible_reason_in_records_csv(self, tmp_path):
+        # LPR-SC's congestion-blind plan overflows a link on this draw
+        config = ExperimentConfig(scenarios=["abilene"], seeds=[0], algorithms=("lpr-sc",),
+                                  out_dir=str(tmp_path))
+        records = run_experiment(config)
+        assert not records[0]["feasible"]
+        with open(tmp_path / "records.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "capacity" in rows[0]["reason"]
+
     def test_table_row_lookup(self):
         row = table_row("abilene")
         assert row["num_apps"] == 3
@@ -144,6 +155,15 @@ class TestCli:
         out = tmp_path / "results"
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("key", ["tolerance", "adaptive_stepsize"])
+    def test_run_unknown_gp_setting_exit_1(self, tmp_path, capsys, key):
+        exp = {"scenarios": ["abilene"], "seeds": [1], "algorithms": ["gp"],
+               "gp": {key: 1e-4}}
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(exp))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_cc_command(self, tmp_path):
         cc = {"scenario": {"name": "mini",

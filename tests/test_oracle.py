@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, TooLarge, check_sufficient, compute_flows,
+from chainflow import (GpConfig, LoopDetected, TooLarge, check_sufficient, compute_flows,
                        enumerate_bruteforce, run_gp, solve_flow_domain,
                        strategy_from_flows, validate_strategy)
 from chainflow.flows import compiled
-from chainflow.oracle import FlowVector, enumerate_extended_paths, flow_cost
+from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
+                              _extract_path, _greedy_start, _sparse_line_search, _totals,
+                              cheapest_extended_paths, enumerate_extended_paths, flow_cost)
 
 from conftest import random_loopfree_strategy, random_scenario
 
@@ -32,6 +34,37 @@ class TestSolveFlowDomain:
         res = solve_flow_domain(s, tol=1e-6)
         diffs = np.diff(res.cost_trace)
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(res.cost_trace[:-1])))
+
+
+class TestLineSearches:
+    def test_exact_and_sparse_agree_on_swaps(self):
+        # both searches bisect the same 1-D convex cost, one over dense
+        # (n, n) deltas and one over the touched entries only
+        interior = 0
+        for seed in range(6):
+            s = random_scenario(seed, n=6, num_apps=2, K=1, link_bound=20.0,
+                                comp_bound=10.0)
+            comp = compiled(s)
+            registry = {block: {} for block in _blocks(comp)}
+            F, G = _totals(comp, _greedy_start(comp, registry))
+            Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
+            for (app, src, rate), atoms in registry.items():
+                _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
+                target = _extract_path(app, succ, src)
+                for worst in atoms:
+                    ef, eg = _delta_entries(app, target, worst)
+                    ef = {e: rate * d for e, d in ef.items()}
+                    eg = {v: rate * d for v, d in eg.items()}
+                    dF, dG = np.zeros_like(F), np.zeros_like(G)
+                    for e, d in ef.items():
+                        dF[e] = d
+                    for v, d in eg.items():
+                        dG[v] = d
+                    dense = _exact_line_search(comp, F, G, dF, dG)
+                    sparse = _sparse_line_search(comp, F, G, ef, eg, 1.0)
+                    assert abs(dense - sparse) <= 1e-12
+                    interior += 0.0 < sparse < 1.0
+        assert interior >= 5
 
 
 class TestBruteforce:
@@ -100,6 +133,30 @@ class TestStrategyFromFlows:
         phi = strategy_from_flows(e1, fv)
         assert phi.rows[("a", 0)][0, 0] == pytest.approx(0.5)
         assert phi.rows[("a", 0)][0, 2] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("circling", [1.0, 1e-8])
+    def test_cyclic_flow_refused(self, circling):
+        # raw data circles 1 -> 2 -> 1 before node 2 computes it; on this
+        # 6-node chain a small circling rate lets the marginal sweep settle
+        # within its n + 1 sweeps, so the refusal cannot rest on the sweep
+        from chainflow import Application, Graph, Linear, Scenario
+        g = Graph.from_undirected_edges(range(1, 7), [(i, i + 1) for i in range(1, 6)])
+        app = Application(id="a", chain_length=1, destination=6, packet_sizes=(2.0, 1.0))
+        s = Scenario(graph=g, applications=(app,),
+                     link_costs={e: Linear(1.0) for e in g.links},
+                     comp_costs={v: Linear(1.0) for v in g.nodes},
+                     input_rates={(1, "a"): 1.0})
+        comp = compiled(s)
+        fv = FlowVector(comp.nodes,
+                        {k: np.zeros((6, 6)) for k in comp.stage_keys},
+                        {k: np.zeros(6) for k in comp.stage_keys})
+        fv.link_flows[("a", 0)][0, 1] = 1.0 + circling
+        fv.link_flows[("a", 0)][1, 0] = circling
+        fv.cpu_flows[("a", 0)][1] = 1.0
+        for i in range(1, 5):
+            fv.link_flows[("a", 1)][i, i + 1] = 1.0
+        with pytest.raises(LoopDetected):
+            strategy_from_flows(s, fv)
 
     def test_round_trip_reproduces_totals(self):
         for seed in range(4):
