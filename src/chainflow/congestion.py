@@ -251,7 +251,7 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
         phi, state, admit = point
         marg = traffic_marginals(ext.base, phi, state)
         delta = modified_marginals(ext.base, state, marg)
-        blocked = blocked_sets(ext.base, phi, marg)
+        blocked = blocked_sets(ext.base, phi, marg, state)
         vdelta = _virtual_deltas(ext, marg, admit)
         gap = max(sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter),
                   _virtual_gap(ext, vdelta, admit, config.tol_mass))
@@ -260,7 +260,7 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
     def step(point, tables, step_cfg):
         phi, state, admit = point
         marg, delta, blocked, vdelta = tables
-        cand, _ = gp_step(ext.base, phi, step_cfg, state, marg, delta, blocked)
+        cand = gp_step(ext.base, phi, step_cfg, state, marg, delta, blocked)
         alpha = step_cfg.stepsize
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():

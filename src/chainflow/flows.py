@@ -3,8 +3,8 @@
 A strategy assigns, per (node, stage), a fraction row over {CPU} ∪ neighbors.
 The engine evaluates the induced per-stage traffic, link flows, CPU flows,
 and the total transmission + computation cost. Only loop-free strategies are
-evaluated: per-stage traffic then follows from a finite propagation instead
-of a cyclic linear system.
+evaluated: per-stage traffic then follows from one pass along the stage's
+levels (stage_levels) instead of a cyclic linear system.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class Strategy:
 
 
 # ---------------------------------------------------------------------------
-# validation and loop detection
+# validation, loop detection and stage order
 # ---------------------------------------------------------------------------
 
 def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
@@ -230,16 +230,25 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     return out
 
 
-def _support_is_acyclic(support: np.ndarray) -> bool:
-    M = support.copy()
-    while M.any():
-        has_out = M.any(axis=1)
-        touched = has_out | M.any(axis=0)
-        dead = touched & ~has_out
-        if not dead.any():
-            return False
-        M[:, dead] = False
-    return True
+def stage_levels(P: np.ndarray, key) -> list:
+    """Node masks of stage `key`'s positive-fraction support P, sinks first.
+
+    Every link of the support leads from a node to one in an earlier level,
+    so solving along the levels, or along them reversed, visits each node
+    after everything it depends on. This is the one loop check: a support
+    that does not peel down to nothing has a cycle, reported as LoopDetected.
+    """
+    M = P > 0
+    left = np.ones(len(M), dtype=bool)
+    levels = []
+    while left.any():
+        level = left & ~M.any(axis=1)
+        if not level.any():
+            raise LoopDetected(f"stage {key} has a cyclic support")
+        levels.append(level)
+        left &= ~level
+        M[:, level] = False
+    return levels
 
 
 def detect_loops(phi: Strategy) -> dict:
@@ -251,14 +260,13 @@ def detect_loops(phi: Strategy) -> dict:
     """
     out = {}
     for key, mat in phi.rows.items():
-        support = mat[:, 1:] > 0
-        if _support_is_acyclic(support):
-            continue
-        g = nx.DiGraph()
-        g.add_nodes_from(range(support.shape[0]))
-        g.add_edges_from(zip(*np.nonzero(support)))
-        cycles = [[phi.nodes[i] for i in cyc] for cyc in nx.simple_cycles(g)]
-        out[key] = cycles
+        try:
+            stage_levels(mat[:, 1:], key)
+        except LoopDetected:
+            g = nx.DiGraph()
+            g.add_nodes_from(range(len(mat)))
+            g.add_edges_from(zip(*np.nonzero(mat[:, 1:] > 0)))
+            out[key] = [[phi.nodes[i] for i in cyc] for cyc in nx.simple_cycles(g)]
     return out
 
 
@@ -277,6 +285,7 @@ class FlowState:
     link_bits: np.ndarray  # (n, n) total bits/sec F_ij
     workload: np.ndarray   # (n,) total workload G_i
     total_cost: float
+    levels: dict           # (app_id, k) -> stage_levels of the strategy's rows
 
     def t(self, node, app_id, k: int) -> float:
         return float(self.traffic[(app_id, k)][self.nodes.index(node)])
@@ -294,26 +303,22 @@ class FlowState:
         return float(self.workload[self.nodes.index(node)])
 
 
-def dag_sweep(b: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Solve x = b + A x by repeated substitution.
+def dag_sweep(b: np.ndarray, A: np.ndarray, levels) -> np.ndarray:
+    """Solve x = b + A x in one pass over a stage's levels.
 
-    When the support of A is a DAG the sweeps are exact after at most
-    (longest path) of them; values still moving after len(b) + 1 sweeps
-    mean a cycle, reported as LoopDetected. The forward flow propagation,
-    the reverse marginal recursion and the hop-mass accumulation all run
-    through here (forward problems pass A = P.T).
+    Pass the levels sinks first when A is the stage's fraction matrix P (the
+    reverse marginal recursion) and reversed when A = P.T (forward flow and
+    hop-mass propagation). Each level takes its rows of the full product
+    A @ x: the rows of A[level] @ x can round differently.
     """
-    x = b
-    for _ in range(len(b) + 1):
-        nxt = b + A @ x
-        if np.array_equal(nxt, x):
-            return x
-        x = nxt
-    raise LoopDetected("stage sweep did not stabilize (cyclic support)")
+    x = np.zeros_like(b)
+    for level in levels:
+        x[level] = (b + A @ x)[level]
+    return x
 
 
 def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | None = None,
-                  rates: dict | None = None, check_loops: bool = True) -> FlowState:
+                  rates: dict | None = None) -> FlowState:
     """Evaluate a loop-free strategy into a :class:`FlowState`.
 
     `extra_injections` maps (node, (app_id, k)) to an additional exogenous
@@ -324,7 +329,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     comp = compiled(scenario)
     n = comp.n
     extra = extra_injections or {}
-    traffic, link_flows, cpu_flows = {}, {}, {}
+    traffic, link_flows, cpu_flows, levels = {}, {}, {}, {}
     F = np.zeros((n, n))
     G = np.zeros(n)
     for app in comp.apps:
@@ -333,8 +338,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
             key = (app.id, k)
             mat = phi.rows[key]
             P, c0 = mat[:, 1:], mat[:, 0]
-            if check_loops and not _support_is_acyclic(P > 0):
-                raise LoopDetected(f"stage {key} has a cyclic support")
+            levels[key] = stage_levels(P, key)
             if k == 0:
                 if rates is None:
                     inj = app.r.copy()
@@ -347,7 +351,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
             for (node, stage), rate in extra.items():
                 if stage == key:
                     inj[comp.index[node]] += rate
-            t = dag_sweep(inj, P.T)
+            t = dag_sweep(inj, P.T, levels[key][::-1])
             f = t[:, None] * P
             g = t * c0
             if np.any(t < 0):
@@ -363,7 +367,8 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
             g_prev = g
     total = comp.cost_total(F, G)
     return FlowState(nodes=comp.nodes, traffic=traffic, link_flows=link_flows,
-                     cpu_flows=cpu_flows, link_bits=F, workload=G, total_cost=total)
+                     cpu_flows=cpu_flows, link_bits=F, workload=G, total_cost=total,
+                     levels=levels)
 
 
 def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowState,
@@ -474,7 +479,7 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
             phi.rows[key] = tree_rows(comp, app, k, succ_cap, compute_at=capable)
     if require_finite:
         try:
-            compute_flows(scenario, phi, check_loops=True)
+            compute_flows(scenario, phi)
         except CapacityExceeded as err:
             raise NoFeasibleStrategy(f"init mode {mode!r} saturates a capacity: {err}") from err
     return phi

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
-from .flows import (FlowState, Strategy, compiled, compute_flows, detect_loops,
-                    feasible_start, tree_rows, validate_strategy, _successor_tree)
+from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
+                    stage_levels, tree_rows, validate_strategy, _successor_tree)
 from .marginals import (BlockedSets, _active_rows, blocked_sets, modified_marginals,
                         traffic_marginals)
 from .network import Scenario
@@ -51,14 +51,6 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-@dataclass
-class StepDiagnostics:
-    gaps: dict           # (app_id, k) -> (n, n+1) marginal gaps e (inf = unavailable)
-    n_min: dict          # (app_id, k) -> (n,) count of minimal directions
-    transferred: dict    # (app_id, k) -> (n,) removed mass S_i
-    blocked: BlockedSets
-
-
 def sufficient_gap(comp, phi: Strategy, delta: dict, tol_mass: float,
                    row_filter=None) -> float:
     """Largest modified-marginal gap over positive-fraction directions; the
@@ -82,8 +74,8 @@ def sufficient_gap(comp, phi: Strategy, delta: dict, tol_mass: float,
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             state: FlowState | None = None, marginals: dict | None = None,
-            delta: dict | None = None, blocked: BlockedSets | None = None):
-    """One synchronous slot update. Returns (phi_next, StepDiagnostics)."""
+            delta: dict | None = None, blocked: BlockedSets | None = None) -> Strategy:
+    """One synchronous slot update. Returns the next strategy."""
     comp = compiled(scenario)
     if state is None:
         state = compute_flows(scenario, phi)
@@ -92,11 +84,10 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     if delta is None:
         delta = modified_marginals(scenario, state, marginals)
     if blocked is None:
-        blocked = blocked_sets(scenario, phi, marginals)
+        blocked = blocked_sets(scenario, phi, marginals, state)
 
     alpha = config.stepsize
     out = phi.copy()
-    gaps, n_min, transferred = {}, {}, {}
     for app in comp.apps:
         for k in range(app.K + 1):
             key = (app.id, k)
@@ -126,12 +117,7 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             norm = rows & (sums > 0)
             new[norm] /= sums[norm, None]
             out.rows[key] = np.where(rows[:, None], new, mat)
-
-            gaps[key] = np.where(avail | B, e, np.inf)
-            n_min[key] = N
-            transferred[key] = S
-    return out, StepDiagnostics(gaps=gaps, n_min=n_min, transferred=transferred,
-                                blocked=blocked)
+    return out
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -257,13 +243,13 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
         phi, state = point
         marg = traffic_marginals(scenario, phi, state)
         delta = modified_marginals(scenario, state, marg)
-        blocked = blocked_sets(scenario, phi, marg)
+        blocked = blocked_sets(scenario, phi, marg, state)
         gap = sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter)
         return gap, (marg, delta, blocked)
 
     def step(point, tables, step_cfg):
         phi, state = point
-        cand, _ = gp_step(scenario, phi, step_cfg, state, *tables)
+        cand = gp_step(scenario, phi, step_cfg, state, *tables)
         try:
             cand_state = compute_flows(scenario, cand)
         except (CapacityExceeded, LoopDetected):
@@ -356,11 +342,11 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
                 if s > 0:
                     row /= s
                 mat[i] = row
-    # repairs can stitch kept rows into a cycle: rebuild offending stages
-    loops = detect_loops(phi)
-    for key in loops:
-        app = next(a for a in comp_new.apps if a.id == key[0])
-        phi.rows[key] = _fresh_rows(comp_new, app, key[1])
+            # repairs can stitch kept rows into a cycle: rebuild such stages
+            try:
+                stage_levels(mat[:, 1:], key)
+            except LoopDetected:
+                phi.rows[key] = fresh
     return phi
 
 

@@ -3,10 +3,10 @@ optimality checkers.
 
 The marginal table holds dT/dt_i(a,k), computed by the same recursion a
 distributed marginal-cost broadcast would run: stage K first, then k = K-1
-down to 0, each stage swept against the direction of its support DAG. A node
-only ever combines its own measured link/CPU marginals with the values of its
-downstream neighbors, so the computation ports mechanically to real message
-passing.
+down to 0, each stage solved along its levels (stage_levels), sinks first.
+A node only ever combines its own measured link/CPU marginals with the
+values of its downstream neighbors, so the computation ports mechanically
+to real message passing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroTrafficNode
-from .flows import FlowState, Strategy, compiled, compute_flows, dag_sweep
+from .flows import FlowState, Strategy, compiled, compute_flows, dag_sweep, stage_levels
 from .network import Scenario
 from .oracle import FlowVector, flow_cost
 
@@ -32,8 +32,8 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     """dT/dt_i(a,k) for every node and stage, as {(app_id, k): (n,) array}.
 
     Requires a loop-free strategy and its evaluated FlowState; the recursion
-    runs in decreasing k, each stage against its support DAG, starting from
-    dT/dt = 0 at the destination's final stage.
+    runs in decreasing k, each stage along its levels sinks first, starting
+    from dT/dt = 0 at the destination's final stage.
     """
     comp = compiled(scenario)
     Dp = comp.links.deriv(state.link_bits)
@@ -50,7 +50,7 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
                 on = c0 > 0
                 cpu[on] = c0[on] * (app.w[on, k] * Cp[on] + lam_next[on])
                 base = base + cpu
-            lam[(app.id, k)] = dag_sweep(base, P)
+            lam[(app.id, k)] = dag_sweep(base, P, state.levels[(app.id, k)])
             lam_next = lam[(app.id, k)]
     return lam
 
@@ -100,8 +100,11 @@ class BlockedSets:
         return {self.nodes[j] for j in np.flatnonzero(row)}
 
 
+_BLOCK_REL = 1e-9
+
+
 def blocked_sets(scenario: Scenario, phi: Strategy, marginals: dict,
-                 rel_tol: float = 1e-9) -> BlockedSets:
+                 state: FlowState | None = None) -> BlockedSets:
     """Destinations each node must not use next slot.
 
     A link destination j is blocked for node i at stage (a,k) when
@@ -110,23 +113,26 @@ def blocked_sets(scenario: Scenario, phi: Strategy, marginals: dict,
     broadcast would piggy-back), or (3) (i,j) is not a link.
 
     Comparisons carry a small relative hysteresis: marginals equal to within
-    rel_tol do not block. Without it, ties at convergence make the improper
-    flags flap and the update sloshes blocked mass forever.
+    _BLOCK_REL do not block. Without it, ties at convergence make the
+    improper flags flap and the update sloshes blocked mass forever. The
+    flags propagate in one pass along the stage levels of `state` (phi's
+    FlowState), which are rebuilt when it is not given.
     """
     comp = compiled(scenario)
     masks = {}
     for key, mat in phi.rows.items():
         lam = marginals[key]
-        slack = rel_tol * np.maximum(1.0, np.abs(lam))
+        slack = _BLOCK_REL * np.maximum(1.0, np.abs(lam))
         higher = lam[None, :] > (lam + slack)[:, None]
         support = mat[:, 1:] > 0
         improper = support & higher
         flag = np.zeros(comp.n, dtype=bool)
-        for _ in range(comp.n + 1):
-            nxt = (support & (improper | flag[None, :])).any(axis=1)
-            if np.array_equal(nxt, flag):
-                break
-            flag = nxt
+        levels = state.levels[key] if state is not None else stage_levels(mat[:, 1:], key)
+        # no improper link, no flag: no stage of a cold GP run on sw-queue
+        # or Abilene has one, so the pass rarely runs there
+        if improper.any():
+            for level in levels:
+                flag[level] = (support[level] & (improper[level] | flag[None, :])).any(axis=1)
         masks[key] = (~comp.adj) | higher | flag[None, :]
     return BlockedSets(nodes=comp.nodes, masks=masks)
 

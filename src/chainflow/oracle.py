@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapacityExceeded, LoopDetected, NoFeasibleStrategy, NotConverged,
-                     TooLarge)
-from .flows import Strategy, _support_is_acyclic, compiled, dag_sweep
+from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
+from .flows import Strategy, compiled, dag_sweep, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -604,14 +603,13 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
             sums = mat.sum(axis=1)
             fix = pos & (sums > 0.5)
             mat[fix] /= sums[fix, None]
-            if not _support_is_acyclic(mat[:, 1:] > 0):
-                raise LoopDetected(f"stage {key} flows around a cycle")
+            levels = stage_levels(mat[:, 1:], key)
             # marginals on the positive part (zero rows contribute nothing yet)
             base = (mat[:, 1:] * (app.L[k] * Dp)).sum(axis=1)
             if k < app.K:
                 on = mat[:, 0] > 0
                 base[on] += mat[on, 0] * (app.w[on, k] * Cp[on] + lam_next[on])
-            lam = dag_sweep(base, mat[:, 1:])
+            lam = dag_sweep(base, mat[:, 1:], levels)
             # fill zero-traffic rows toward the cheapest settled value
             dist = np.where(pos, lam, np.inf)
             choice = np.full(n, -9, dtype=int)

@@ -101,11 +101,13 @@ class TestComputeFlows:
         with pytest.raises(CapacityExceeded):
             compute_flows(s, phi)
 
-    def test_loop_rejected(self, e1, e1_strategy_a):
+    @pytest.mark.parametrize("share", [1.0, 1e-6])
+    def test_loop_rejected(self, e1, e1_strategy_a, share):
+        # a cycle is refused however little of the stage's traffic it carries
         bad = e1_strategy_a.copy()
-        bad.set_row(1, "a", 0, {2: 1.0})
-        bad.set_row(2, "a", 0, {1: 1.0})
-        with pytest.raises(LoopDetected):
+        bad.set_row(1, "a", 0, {"cpu": 1.0 - share, 2: share})
+        bad.set_row(2, "a", 0, {"cpu": 1.0 - share, 1: share})
+        with pytest.raises(LoopDetected, match=r"stage \('a', 0\)"):
             compute_flows(e1, bad)
 
     def test_destination_sink(self, e1, e1_strategy_a):

@@ -33,7 +33,7 @@ def _single_row_case(alpha, deltas, fractions):
     blocked.masks[("a", 0)][:, 0] = True  # self column unused anyway
     blocked.masks[("a", 0)][0, 0] = True
     cfg = GpConfig(stepsize=alpha)
-    nxt, diag = gp_step(s, phi, cfg, state, lam, delta, blocked)
+    nxt = gp_step(s, phi, cfg, state, lam, delta, blocked)
     return nxt.rows[("a", 0)][0, 2], nxt.rows[("a", 0)][0, 3]
 
 
@@ -52,14 +52,14 @@ class TestGpStep:
         blocked = blocked_sets(e1, e1_strategy_b, lam)
         # force-block node 1's link (1,2) on the data stage
         blocked.masks[("a", 0)][0, 1] = True
-        nxt, _ = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05),
-                         state, lam, delta, blocked)
+        nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05),
+                      state, lam, delta, blocked)
         assert nxt.rows[("a", 0)][0, 2] == 0.0          # zeroed regardless of mass
         assert nxt.rows[("a", 0)][0, 0] == pytest.approx(1.0)
 
     def test_fixed_point_at_sufficient(self, e1, e1_strategy_a):
         assert check_sufficient(e1, e1_strategy_a).holds
-        nxt, _ = gp_step(e1, e1_strategy_a, GpConfig())
+        nxt = gp_step(e1, e1_strategy_a, GpConfig())
         for key, mat in e1_strategy_a.rows.items():
             assert np.array_equal(nxt.rows[key], mat)
 
@@ -67,11 +67,43 @@ class TestGpStep:
         for seed in range(6):
             s = random_scenario(seed)
             phi = random_loopfree_strategy(s, seed + 7)
-            nxt, _ = gp_step(s, phi, GpConfig())
+            nxt = gp_step(s, phi, GpConfig())
             unchanged = all(np.allclose(nxt.rows[k], phi.rows[k], atol=1e-15)
                             for k in phi.rows)
             holds = check_sufficient(s, phi, tol=1e-9).holds
             assert unchanged == holds
+
+    def test_stage_solves_exact_on_random(self):
+        # the draws of test_fixed_point_iff_sufficient_random: every stage's
+        # traffic and marginals satisfy their equations bit for bit, and the
+        # blocked flags do not depend on where the stage levels come from
+        for seed in range(6):
+            s = random_scenario(seed)
+            phi = random_loopfree_strategy(s, seed + 7)
+            comp = compiled(s)
+            state = compute_flows(s, phi)
+            lam = traffic_marginals(s, phi, state)
+            Dp = comp.links.deriv(state.link_bits)
+            Cp = comp.cpus.deriv(state.workload)
+            for app in comp.apps:
+                for k in range(app.K + 1):
+                    key = (app.id, k)
+                    mat = phi.rows[key]
+                    P, c0 = mat[:, 1:], mat[:, 0]
+                    t = state.traffic[key]
+                    inj = app.r if k == 0 else state.cpu_flows[(app.id, k - 1)]
+                    assert np.array_equal(t, inj + P.T @ t)
+                    base = (P * (app.L[k] * Dp)).sum(axis=1)
+                    if k < app.K:
+                        cpu = np.zeros(comp.n)
+                        on = c0 > 0
+                        cpu[on] = c0[on] * (app.w[on, k] * Cp[on] + lam[(app.id, k + 1)][on])
+                        base = base + cpu
+                    assert np.array_equal(lam[key], base + P @ lam[key])
+            plain = blocked_sets(s, phi, lam)
+            shared = blocked_sets(s, phi, lam, state)
+            for key in phi.rows:
+                assert np.array_equal(plain.masks[key], shared.masks[key])
 
 
 class TestRunGp:
@@ -121,6 +153,28 @@ class TestRunGp:
 
 
 class TestAdapt:
+    def test_repair_cycle_rebuilt(self):
+        # removing (2,3) dumps node 2's mass on its only neighbor, node 1,
+        # which forwards to 2: the repair must rebuild the cyclic stage
+        from chainflow import Application, Graph, Linear, Scenario
+        app = Application(id="a", chain_length=0, destination=3, packet_sizes=(1.0,))
+
+        def triangle(edges):
+            g = Graph.from_undirected_edges([1, 2, 3], edges)
+            return Scenario(graph=g, applications=(app,),
+                            link_costs={e: Linear(1.0) for e in g.links},
+                            comp_costs={1: None, 2: None, 3: None},
+                            input_rates={(1, "a"): 1.0})
+
+        s = triangle([(1, 2), (2, 3), (1, 3)])
+        s2 = triangle([(1, 2), (1, 3)])
+        phi = make_strategy(s, {(1, "a", 0): {2: 1.0}, (2, "a", 0): {3: 1.0}})
+        res = adapt(s, s2, phi, GpConfig(tol=1e-8))
+        assert validate_strategy(s2, res.phi) == []
+        assert detect_loops(res.phi) == {}
+        assert res.converged
+        assert res.total_cost == pytest.approx(1.0)
+
     def test_no_change_zero_iterations(self):
         s = random_scenario(3, n=6, num_apps=1, K=1)
         base = run_gp(s, config=GpConfig(tol=1e-7, max_iters=3000))
