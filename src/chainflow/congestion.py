@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,6 +194,7 @@ class CcResult:
     iterations: int = 0
     converged: bool = False
     final_gap: float = float("inf")
+    history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize, halvings
 
 
 def _virtual_deltas(ext, marginals, admit):
@@ -279,13 +280,13 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
             return None
         return (cand, cand_state, cand_admit), T_cand
 
-    (phi, state, admit), trace, _, iterations, converged, gap = _adaptive_descent(
+    (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
         _cc_start(ext, phi0), config, slot, step)
     admitted = ext.admitted_rates(admit)
     umc = utility_minus_cost(ext, phi, admit)
     return CcResult(phi=phi, admit=admit, admitted=admitted, state=state,
                     utility_minus_cost=umc, trace=trace, iterations=iterations,
-                    converged=converged, final_gap=gap)
+                    converged=converged, final_gap=gap, history=history)
 
 
 def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,

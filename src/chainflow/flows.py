@@ -3,14 +3,22 @@
 A strategy assigns, per (node, stage), a fraction row over {CPU} ∪ neighbors.
 The engine evaluates the induced per-stage traffic, link flows, CPU flows,
 and the total transmission + computation cost. Only loop-free strategies are
-evaluated: per-stage traffic then follows from one pass along the stage's
+evaluated: per-stage traffic then follows from one pass along the stages'
 levels (stage_levels) instead of a cyclic linear system.
+
+The engine works on one layout, the stage stack (_Stack): a directed edge
+index of the graph and every stage of every application stacked on one
+axis. A strategy is an (S, n+E) array of direction fractions there, so the
+work of a GP slot scales with E * S, not n^2 * S. The dense per-stage
+blocks of the public API are views built from it on access.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -45,18 +53,22 @@ class _Compiled:
         self.nodes = tuple(scenario.graph.nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
+        nodes = self.nodes
 
         self.links = CostArray(
             (n, n), (((self.index[u], self.index[v]), cost)
                      for (u, v), cost in scenario.link_costs.items()),
-            "link flow at or above queue capacity")
+            "link flow at or above queue capacity",
+            lambda i, j: f"link {(nodes[i], nodes[j])!r}")
         self.adj = self.links.kind != ABSENT
         self.cpus = CostArray(n, ((self.index[node], cost)
                                   for node, cost in scenario.comp_costs.items()),
-                              "workload at or above CPU capacity")
+                              "workload at or above CPU capacity",
+                              lambda i: f"CPU of node {nodes[i]!r}")
         self.has_cpu = self.cpus.kind != ABSENT
 
         self.apps = []
+        rates = dict(scenario.input_rates)
         for app in scenario.applications:
             K = app.chain_length
             w = np.full((n, K), np.inf)
@@ -67,16 +79,23 @@ class _Compiled:
                     w[i, k] = app.weight(node, k)
             r = np.zeros(n)
             for i, node in enumerate(self.nodes):
-                r[i] = scenario.rate(node, app.id)
+                r[i] = rates.get((node, app.id), 0.0)
             if app.destination not in self.index:
                 raise ValueError(f"destination {app.destination!r} not in graph")
             self.apps.append(_CompiledApp(app.id, K, self.index[app.destination],
                                           np.asarray(app.packet_sizes, dtype=float), w, r))
         self.stage_keys = [(a.id, k) for a in self.apps for k in range(a.K + 1)]
 
+    @cached_property
+    def stack(self) -> "_Stack":
+        """The engine's layout, built on first use."""
+        return _Stack(self)
+
     def cost_total(self, F, G) -> float:
-        """Total link cost of bit rates F plus CPU cost of workloads G."""
-        total = self.links.total(F) + self.cpus.total(G)
+        """Total link cost of bit rates F plus CPU cost of workloads G. F is
+        dense (n, n) or one entry per edge of the stage stack's index."""
+        links = self.links if F.ndim == 2 else self.stack.links
+        total = links.total(F) + self.cpus.total(G)
         if np.any(G[~self.has_cpu] > 0):
             raise CapacityExceeded("workload on a node without CPU")
         return total
@@ -101,6 +120,178 @@ def compiled(scenario: Scenario) -> _Compiled:
 
 
 # ---------------------------------------------------------------------------
+# the stage stack: edge index, stacked stages and dense views
+# ---------------------------------------------------------------------------
+
+class _Stack:
+    """The engine's layout of a compiled scenario.
+
+    Edges are the directed links in row-major (u, v) order, as np.nonzero
+    of the adjacency gives them. Directions are CPU columns and edges: node
+    i owns the segment of n + E directions starting at seg[i], its CPU
+    column first and then its out-links, so no segment is ever empty and
+    per-row minima, sums and counts are reduceat over `seg`. Stage s is
+    comp.stage_keys[s]; the per-stage arrays give its packet size L, the
+    workloads w of its task (inf at final stages and where the task cannot
+    run), its input rates, the previous and next stage of its application
+    (-1 at the ends), its position k in the chain, and which rows must sum
+    to one (`active`: all but the destination's final-stage row).
+    """
+
+    def __init__(self, comp: _Compiled):
+        n = self.n = comp.n
+        self.nodes = comp.nodes
+        self.keys = comp.stage_keys
+        self.index = {key: s for s, key in enumerate(self.keys)}
+        self.src, self.dst = np.nonzero(comp.adj)
+        E = self.E = len(self.src)
+        outdeg = np.bincount(self.src, minlength=n)
+        self.seg = np.concatenate(([0], np.cumsum(outdeg + 1)[:-1]))
+        self.edge_pos = self.src + np.arange(E) + 1
+        self.dnode = np.repeat(np.arange(n), outdeg + 1)
+        col = np.zeros(n + E, dtype=int)
+        col[self.edge_pos] = 1 + self.dst
+        self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
+        self.edge_flat = self.src * n + self.dst      # edge -> (n, n) flat
+        nodes = comp.nodes
+        self.links = CostArray(
+            E, ((e, comp.scenario.link_costs[(nodes[u], nodes[v])])
+                for e, (u, v) in enumerate(zip(self.src, self.dst))),
+            comp.links.overflow,
+            lambda e: f"link {(nodes[self.src[e]], nodes[self.dst[e]])!r}")
+
+        S = len(self.keys)
+        self.L = np.zeros(S)
+        self.w = np.full((S, n), np.inf)
+        self.r = np.zeros((S, n))
+        self.prev = np.full(S, -1)
+        self.next = np.full(S, -1)
+        self.k = np.zeros(S, dtype=int)
+        self.active = np.ones((S, n), dtype=bool)
+        s = 0
+        for app in comp.apps:
+            for k in range(app.K + 1):
+                self.L[s], self.k[s] = app.L[k], k
+                if k < app.K:
+                    self.w[s] = app.w[:, k]
+                    self.next[s] = s + 1
+                else:
+                    self.active[s, app.dest] = False
+                if k == 0:
+                    self.r[s] = app.r
+                else:
+                    self.prev[s] = s - 1
+                s += 1
+        self.final = self.next < 0
+        self.groups = [np.flatnonzero(self.k == k) for k in range(self.k.max(initial=0) + 1)]
+
+    def same_as(self, other: "_Stack") -> bool:
+        """Whether arrays laid out for `other` read the same here."""
+        return other is self or (other.n == self.n and other.keys == self.keys
+                                 and np.array_equal(other.src, self.src)
+                                 and np.array_equal(other.dst, self.dst))
+
+    def rows(self, row_filter=None) -> np.ndarray:
+        """(S, n) mask of the rows to update: the active rows of the stages
+        that `row_filter` accepts."""
+        if row_filter is None:
+            return self.active
+        return self.active & np.array([bool(row_filter(key)) for key in self.keys])[:, None]
+
+    def row_sum(self, a):
+        """Per-node sums of an (S, n+E) direction array."""
+        return np.add.reduceat(a, self.seg, axis=1)
+
+    def row_min(self, a):
+        """Per-node minima of an (S, n+E) direction array."""
+        return np.minimum.reduceat(a, self.seg, axis=1)
+
+    def pack(self, rows) -> np.ndarray:
+        """(S, n+E) direction array of dense blocks {key: (n, n+1)}: row
+        blocks of a strategy, or a modified-marginal table."""
+        if isinstance(rows, DenseView):
+            return rows.stacked(self)
+        X = np.empty((len(self.keys), self.n + self.E))
+        for s, key in enumerate(self.keys):
+            X[s] = rows[key].ravel()[self.dir_flat]
+        return X
+
+    def pack_edges(self, table) -> np.ndarray:
+        """(S, E) edge array of dense link blocks {key: (n, n)}."""
+        if isinstance(table, DenseView):
+            return table.stacked(self)
+        return np.stack([table[key].ravel()[self.edge_flat] for key in self.keys])
+
+    def peel(self, X) -> "StageLevels":
+        """The levels of the direction fractions X, cyclic stages included."""
+        return StageLevels(X[:, self.edge_pos], self.src, self.dst, self.n, self.k)
+
+    def unpack(self, X) -> dict:
+        """Dense row blocks {key: (n, n+1)} of (S, n+E) direction fractions."""
+        return {key: _block(X[s], (self.n, self.n + 1), self.dir_flat, 0.0)
+                for s, key in enumerate(self.keys)}
+
+    def node_view(self, a) -> dict:
+        """{key: row of a} for an (S, n) node array."""
+        return dict(zip(self.keys, a))
+
+    def node_stack(self, table) -> np.ndarray:
+        """(S, n) array of a {key: (n,)} node table."""
+        return np.stack([table[key] for key in self.keys])
+
+    def direction_view(self, a) -> "DenseView":
+        """Dense (n, n+1) blocks of an (S, n+E) direction array, +inf on
+        absent directions."""
+        return DenseView(self, a, (self.n, self.n + 1), self.dir_flat, np.inf)
+
+    def edge_view(self, a, fill) -> "DenseView":
+        """Dense (n, n) blocks of an (S, E) edge array, `fill` off the links."""
+        return DenseView(self, a, (self.n, self.n), self.edge_flat, fill)
+
+
+def _block(row, shape, flat, fill):
+    out = np.full(shape, fill, dtype=row.dtype)
+    out.ravel()[flat] = row
+    return out
+
+
+class DenseView(Mapping):
+    """{(app_id, k): dense block} over a stacked (S, ...) array.
+
+    Each block is built on first access and kept, so edits to it persist;
+    `stacked()` returns the stacked array with those edits read back.
+    """
+
+    def __init__(self, stack: _Stack, a, shape, flat, fill):
+        self._stack, self._a = stack, a
+        self._shape, self._flat, self._fill = shape, flat, fill
+        self._blocks = {}
+
+    def __getitem__(self, key):
+        block = self._blocks.get(key)
+        if block is None:
+            block = _block(self._a[self._stack.index[key]], self._shape, self._flat, self._fill)
+            self._blocks[key] = block
+        return block
+
+    def __iter__(self):
+        return iter(self._stack.keys)
+
+    def __len__(self):
+        return len(self._stack.keys)
+
+    def stacked(self, stack: _Stack) -> np.ndarray:
+        if not stack.same_as(self._stack):
+            raise ValueError("table laid out for another scenario")
+        if not self._blocks:
+            return self._a
+        a = self._a.copy()
+        for key, block in self._blocks.items():
+            a[self._stack.index[key]] = block.ravel()[self._flat]
+        return a
+
+
+# ---------------------------------------------------------------------------
 # strategy
 # ---------------------------------------------------------------------------
 
@@ -110,11 +301,40 @@ class Strategy:
     ``rows[(app_id, k)]`` is an (n, n+1) array: column 0 is the CPU fraction,
     column 1+j the fraction toward the node with index j. Rows sum to 1,
     except the destination's final-stage row which sums to 0.
+
+    A strategy made by the engine holds the (S, n+E) direction array of its
+    stage stack instead of dense rows, and never both: the first access to
+    `rows` unpacks the array into dense blocks and drops it. The engine reads
+    a dense strategy by packing its rows on every use, so edits to `rows`
+    always count.
     """
 
     def __init__(self, nodes, rows):
         self.nodes = tuple(nodes)
-        self.rows = rows
+        self._rows = rows
+        self._packed = None   # (stack, X)
+
+    @classmethod
+    def _stacked(cls, stack: _Stack, X) -> "Strategy":
+        phi = cls(stack.nodes, None)
+        phi._packed = (stack, X)
+        return phi
+
+    @property
+    def rows(self) -> dict:
+        if self._rows is None:
+            stack, X = self._packed
+            self._rows, self._packed = stack.unpack(X), None
+        return self._rows
+
+    def fractions(self, stack: _Stack) -> np.ndarray:
+        """The (S, n+E) direction fractions on `stack`. Do not edit them."""
+        if self._packed is not None:
+            own, X = self._packed
+            if stack.same_as(own):
+                return X
+            return stack.pack(own.unpack(X))
+        return stack.pack(self._rows)
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "Strategy":
@@ -123,7 +343,10 @@ class Strategy:
         return cls(comp.nodes, rows)
 
     def copy(self) -> "Strategy":
-        return Strategy(self.nodes, {k: v.copy() for k, v in self.rows.items()})
+        if self._packed is not None:
+            stack, X = self._packed
+            return Strategy._stacked(stack, X.copy())
+        return Strategy(self.nodes, {k: v.copy() for k, v in self._rows.items()})
 
     def row(self, node, app_id, k: int) -> dict:
         """Fraction row as a mapping {dest: fraction}, dest 'cpu' or a node id."""
@@ -230,24 +453,110 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     return out
 
 
-def stage_levels(P: np.ndarray, key) -> list:
-    """Node masks of stage `key`'s positive-fraction support P, sinks first.
+class StageLevels:
+    """Level numbers of every stage's positive-fraction support, all stages
+    peeled at once.
 
-    Every link of the support leads from a node to one in an earlier level,
-    so solving along the levels, or along them reversed, visits each node
-    after everything it depends on. This is the one loop check: a support
-    that does not peel down to nothing has a cycle, reported as LoopDetected.
+    `xe` (S, E) holds each stage's fractions on the edges (src, dst) of an
+    n-node graph and `group` (S,) the position of each stage in its chain.
+    `level[s, i]` is the length of the longest support path from node i to
+    a sink of stage s, so every support link leads to a lower level. Nodes
+    on or upstream of a cycle keep level -1, and `cyclic` lists their
+    stages: a support that does not peel down to nothing has a cycle.
     """
-    M = P > 0
-    left = np.ones(len(M), dtype=bool)
-    levels = []
-    while left.any():
-        level = left & ~M.any(axis=1)
-        if not level.any():
-            raise LoopDetected(f"stage {key} has a cyclic support")
-        levels.append(level)
-        left &= ~level
-        M[:, level] = False
+
+    def __init__(self, xe, src, dst, n, group):
+        S = len(xe)
+        self.n, self.S, self.group = n, S, group
+        s, e = np.nonzero(xe > 0)
+        gsrc, gdst = s * n + src[e], s * n + dst[e]
+        left = np.bincount(gsrc, minlength=S * n)
+        level = np.where(left == 0, 0, -1)
+        rest = np.arange(len(gsrc))
+        depth = 0
+        while rest.size:
+            done = level[gdst[rest]] >= 0
+            if not done.any():
+                break
+            depth += 1
+            left -= np.bincount(gsrc[rest[done]], minlength=S * n)
+            rest = rest[~done]
+            level[(left == 0) & (level < 0)] = depth
+        self.level = level.reshape(S, n)
+        self.cyclic = np.flatnonzero((self.level < 0).any(axis=1))
+        if self.cyclic.size:
+            return
+        # support edges in (chain position, level of their source) order;
+        # cuts[k] bounds the edges of group k leaving levels 1, 2, ...
+        key = group[s] * (n + 1) + level[gsrc]
+        order = np.argsort(key, kind="stable")
+        self.src, self.dst = gsrc[order], gdst[order]
+        self.x = xe[s, e][order]
+        self.pos = (s * xe.shape[1] + e)[order]
+        steps = np.arange(1, depth + 2)
+        groups = np.arange(group.max(initial=0) + 1)
+        self.cuts = np.searchsorted(key[order], groups[:, None] * (n + 1) + steps[None, :])
+
+    def _levels(self, k, keep_stage=None):
+        """Index sets of group k's support edges, one per level, increasing."""
+        cuts = self.cuts[k]
+        if keep_stage is not None:
+            idx = cuts[0] + np.flatnonzero(keep_stage[self.src[cuts[0]:cuts[-1]] // self.n])
+            c = np.searchsorted(idx, cuts)
+            return [idx[a:b] for a, b in zip(c[:-1], c[1:]) if b > a]
+        return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+
+    def solve(self, x, k, forward: bool):
+        """Solve x = b + A x in place on the stages at chain position k.
+
+        x is (S, n) and holds b on entry. A is each stage's link-fraction
+        matrix P (the reverse marginal recursion x_i = b_i + sum_j P_ij x_j)
+        or, with `forward`, its transpose (flow propagation). Stages whose b
+        is all zero solve to exact zeros and are skipped.
+        """
+        if k >= len(self.cuts):
+            return
+        mine = self.group == k
+        nonzero = x.any(axis=1)
+        if not nonzero[mine].any():
+            return
+        parts = self._levels(k, None if nonzero[mine].all() else nonzero)
+        xf = x.reshape(-1)
+        if forward:
+            for part in reversed(parts):
+                xf += np.bincount(self.dst[part], weights=xf[self.src[part]] * self.x[part],
+                                  minlength=xf.size)
+        else:
+            for part in parts:
+                xf += np.bincount(self.src[part], weights=self.x[part] * xf[self.dst[part]],
+                                  minlength=xf.size)
+
+    def flags(self, improper) -> np.ndarray:
+        """(S, n) flags: some support path of the stage from the node uses
+        a link that the (S, E) edge mask `improper` marks."""
+        flag = np.zeros(self.S * self.n, dtype=bool)
+        hit_edge = improper.reshape(-1)[self.pos]
+        # no improper link, no flag: no stage of a cold GP run on sw-queue
+        # or Abilene has one, so the pass rarely runs there
+        if hit_edge.any():
+            for k in range(len(self.cuts)):
+                for part in self._levels(k):
+                    hit = hit_edge[part] | flag[self.dst[part]]
+                    flag[self.src[part][hit]] = True
+        return flag.reshape(self.S, self.n)
+
+
+def stage_levels(stack: _Stack, X) -> StageLevels:
+    """The levels of every stage of the direction fractions X on `stack`.
+
+    This is the one loop check: it raises LoopDetected naming the first
+    stage, in stage order, whose support has a cycle. Flow propagation, the
+    marginal recursion, hop metrics, strategy_from_flows and the blocked
+    flags all solve along these levels.
+    """
+    levels = stack.peel(X)
+    if levels.cyclic.size:
+        raise LoopDetected(f"stage {stack.keys[levels.cyclic[0]]} has a cyclic support")
     return levels
 
 
@@ -258,15 +567,20 @@ def detect_loops(phi: Strategy) -> dict:
     means the strategy is loop-free. Cycles formed only by concatenating
     different stages are not reported.
     """
+    rows = phi.rows
+    keys = list(rows)
+    if not keys:
+        return {}
+    n = len(phi.nodes)
+    src, dst = np.nonzero(np.logical_or.reduce([rows[key][:, 1:] > 0 for key in keys]))
+    xe = np.stack([rows[key][src, 1 + dst] for key in keys])
+    levels = StageLevels(xe, src, dst, n, np.zeros(len(keys), dtype=int))
     out = {}
-    for key, mat in phi.rows.items():
-        try:
-            stage_levels(mat[:, 1:], key)
-        except LoopDetected:
-            g = nx.DiGraph()
-            g.add_nodes_from(range(len(mat)))
-            g.add_edges_from(zip(*np.nonzero(mat[:, 1:] > 0)))
-            out[key] = [[phi.nodes[i] for i in cyc] for cyc in nx.simple_cycles(g)]
+    for s in levels.cyclic:
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(src[xe[s] > 0], dst[xe[s] > 0]))
+        out[keys[s]] = [[phi.nodes[i] for i in cyc] for cyc in nx.simple_cycles(g)]
     return out
 
 
@@ -274,18 +588,47 @@ def detect_loops(phi: Strategy) -> dict:
 # flow evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class FlowState:
-    """Per-stage traffic and flows plus network totals for one strategy."""
+    """Per-stage traffic and flows plus network totals for one strategy.
 
-    nodes: tuple
-    traffic: dict          # (app_id, k) -> (n,) packets/sec
-    link_flows: dict       # (app_id, k) -> (n, n) packets/sec
-    cpu_flows: dict        # (app_id, k) -> (n,) packets/sec
-    link_bits: np.ndarray  # (n, n) total bits/sec F_ij
-    workload: np.ndarray   # (n,) total workload G_i
+    The engine's arrays are stacked over the stage stack `stack`:
+    `traffic_stack` and `cpu_stack` (S, n) and `edge_flows` (S, E) in
+    packets/sec, `edge_bits` (E,) the total bits/sec F per edge and
+    `workload` (n,) the total workload G; `levels` are the stage_levels of
+    the strategy. The dense views `traffic`, `cpu_flows` ({(app_id, k):
+    (n,)}), `link_flows` ({(app_id, k): (n, n)}) and `link_bits` ((n, n)
+    F_ij) are built on first access.
+    """
+
+    stack: _Stack
+    traffic_stack: np.ndarray
+    cpu_stack: np.ndarray
+    edge_flows: np.ndarray
+    edge_bits: np.ndarray
+    workload: np.ndarray
     total_cost: float
-    levels: dict           # (app_id, k) -> stage_levels of the strategy's rows
+    levels: StageLevels
+
+    @property
+    def nodes(self) -> tuple:
+        return self.stack.nodes
+
+    @cached_property
+    def traffic(self) -> dict:
+        return self.stack.node_view(self.traffic_stack)
+
+    @cached_property
+    def cpu_flows(self) -> dict:
+        return self.stack.node_view(self.cpu_stack)
+
+    @cached_property
+    def link_flows(self) -> DenseView:
+        return self.stack.edge_view(self.edge_flows, 0.0)
+
+    @cached_property
+    def link_bits(self) -> np.ndarray:
+        return _block(self.edge_bits, (self.stack.n, self.stack.n), self.stack.edge_flat, 0.0)
 
     def t(self, node, app_id, k: int) -> float:
         return float(self.traffic[(app_id, k)][self.nodes.index(node)])
@@ -303,20 +646,6 @@ class FlowState:
         return float(self.workload[self.nodes.index(node)])
 
 
-def dag_sweep(b: np.ndarray, A: np.ndarray, levels) -> np.ndarray:
-    """Solve x = b + A x in one pass over a stage's levels.
-
-    Pass the levels sinks first when A is the stage's fraction matrix P (the
-    reverse marginal recursion) and reversed when A = P.T (forward flow and
-    hop-mass propagation). Each level takes its rows of the full product
-    A @ x: the rows of A[level] @ x can round differently.
-    """
-    x = np.zeros_like(b)
-    for level in levels:
-        x[level] = (b + A @ x)[level]
-    return x
-
-
 def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | None = None,
                   rates: dict | None = None) -> FlowState:
     """Evaluate a loop-free strategy into a :class:`FlowState`.
@@ -327,48 +656,42 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     {(node, app_id): rate}.
     """
     comp = compiled(scenario)
-    n = comp.n
-    extra = extra_injections or {}
-    traffic, link_flows, cpu_flows, levels = {}, {}, {}, {}
-    F = np.zeros((n, n))
-    G = np.zeros(n)
-    for app in comp.apps:
-        g_prev = None
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            mat = phi.rows[key]
-            P, c0 = mat[:, 1:], mat[:, 0]
-            levels[key] = stage_levels(P, key)
-            if k == 0:
-                if rates is None:
-                    inj = app.r.copy()
-                else:
-                    inj = np.zeros(n)
-                    for i, node in enumerate(comp.nodes):
-                        inj[i] = rates.get((node, app.id), 0.0)
-            else:
-                inj = g_prev.copy()
-            for (node, stage), rate in extra.items():
-                if stage == key:
-                    inj[comp.index[node]] += rate
-            t = dag_sweep(inj, P.T, levels[key][::-1])
-            f = t[:, None] * P
-            g = t * c0
-            if np.any(t < 0):
-                raise ValueError("negative traffic (bad injections?)")
-            traffic[key], link_flows[key], cpu_flows[key] = t, f, g
-            F += app.L[k] * f
-            if k < app.K:
-                active = g > 0
-                if np.any(active & ~np.isfinite(app.w[:, k])):
-                    raise CapacityExceeded(
-                        f"stage {key} sends flow to a CPU that cannot run the task")
-                G[active] += app.w[active, k] * g[active]
-            g_prev = g
+    st = comp.stack
+    X = phi.fractions(st)
+    levels = stage_levels(st, X)
+    inj = st.r
+    if rates is not None:
+        inj = np.zeros_like(st.r)
+        for s in st.groups[0]:
+            app_id = st.keys[s][0]
+            inj[s] = [rates.get((node, app_id), 0.0) for node in comp.nodes]
+    extra = None
+    if extra_injections:
+        extra = np.zeros_like(st.r)
+        for (node, stage), rate in extra_injections.items():
+            if stage in st.index:
+                extra[st.index[stage], comp.index[node]] += rate
+    c0 = X[:, st.seg]
+    t = np.zeros_like(st.r)
+    for k, group in enumerate(st.groups):
+        prev = st.prev[group]
+        b = inj[group] if k == 0 else t[prev] * c0[prev]
+        t[group] = b if extra is None else b + extra[group]
+        levels.solve(t, k, forward=True)
+    if np.any(t < 0):
+        raise ValueError("negative traffic (bad injections?)")
+    g = t * c0
+    fe = t[:, st.src] * X[:, st.edge_pos]
+    F = (st.L[:, None] * fe).sum(axis=0)
+    on = (g > 0) & ~st.final[:, None]
+    cannot = (on & ~np.isfinite(st.w)).any(axis=1)
+    if cannot.any():
+        raise CapacityExceeded(f"stage {st.keys[np.argmax(cannot)]} sends flow to a CPU "
+                               "that cannot run the task")
+    G = np.where(on, st.w, 0.0) * g
+    G = G.sum(axis=0)
     total = comp.cost_total(F, G)
-    return FlowState(nodes=comp.nodes, traffic=traffic, link_flows=link_flows,
-                     cpu_flows=cpu_flows, link_bits=F, workload=G, total_cost=total,
-                     levels=levels)
+    return FlowState(st, t, g, fe, F, G, total, levels)
 
 
 def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowState,

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
-                    stage_levels, tree_rows, validate_strategy, _successor_tree)
-from .marginals import (BlockedSets, _active_rows, blocked_sets, modified_marginals,
-                        traffic_marginals)
+                    tree_rows, validate_strategy, _successor_tree)
+from .marginals import BlockedSets, blocked_sets, modified_marginals, traffic_marginals
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -51,32 +50,30 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta: dict, tol_mass: float,
+def sufficient_gap(comp, phi: Strategy, delta, tol_mass: float,
                    row_filter=None) -> float:
     """Largest modified-marginal gap over positive-fraction directions; the
     convergence measure (0 at a point satisfying the sufficient condition)."""
-    worst = 0.0
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            mat, d = phi.rows[key], delta[key]
-            active = _active_rows(comp, app, k, row_filter)
-            if not active.any():
-                continue
-            with np.errstate(invalid="ignore"):
-                dmin = np.min(np.where(np.isfinite(d), d, np.inf), axis=1)
-                gap = np.where(mat > tol_mass, d - dmin[:, None], 0.0)
-            gap = gap[active]
-            if gap.size:
-                worst = max(worst, float(np.max(gap)))
-    return worst
+    st = comp.stack
+    X = phi.fractions(st)
+    d = st.pack(delta)
+    with np.errstate(invalid="ignore"):
+        dmin = st.row_min(np.where(np.isfinite(d), d, np.inf))
+        gap = np.where(X > tol_mass, d - dmin[:, st.dnode], 0.0)
+    gap = gap[st.rows(row_filter)[:, st.dnode]]
+    return max(0.0, float(np.max(gap))) if gap.size else 0.0
 
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             state: FlowState | None = None, marginals: dict | None = None,
-            delta: dict | None = None, blocked: BlockedSets | None = None) -> Strategy:
-    """One synchronous slot update. Returns the next strategy."""
+            delta=None, blocked: BlockedSets | None = None) -> Strategy:
+    """One synchronous slot update. Returns the next strategy.
+
+    Every row of every stage moves at once on the stage stack; row minima,
+    sums and counts are reductions over the nodes' direction segments.
+    """
     comp = compiled(scenario)
+    st = comp.stack
     if state is None:
         state = compute_flows(scenario, phi)
     if marginals is None:
@@ -87,37 +84,28 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
         blocked = blocked_sets(scenario, phi, marginals, state)
 
     alpha = config.stepsize
-    out = phi.copy()
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            mat = out.rows[key]
-            d = delta[key]
-            n = comp.n
-            B = np.zeros((n, n + 1), dtype=bool)
-            B[:, 1:] = blocked.masks[key]
-            avail = ~B & np.isfinite(d)
-            with np.errstate(invalid="ignore"):
-                dmin = np.min(np.where(avail, d, np.inf), axis=1)
-                rows = _active_rows(comp, app, k, config.row_filter) & np.isfinite(dmin)
-                e = np.clip(d - dmin[:, None], 0.0, None)
-                tie = _TIE_REL * np.maximum(1.0, np.abs(dmin))[:, None]
-                minimal = avail & (e <= tie)
-                shrink = ~B & ~minimal
-                red = np.where(B, mat, 0.0) \
-                    + np.where(shrink, np.minimum(mat, alpha * e), 0.0)
-            red[~rows] = 0.0
-            S = red.sum(axis=1)
-            N = minimal.sum(axis=1)
-            new = mat - red
-            give = np.zeros(n)
-            give[rows] = S[rows] / N[rows]
-            new += minimal * give[:, None]
-            sums = new.sum(axis=1)
-            norm = rows & (sums > 0)
-            new[norm] /= sums[norm, None]
-            out.rows[key] = np.where(rows[:, None], new, mat)
-    return out
+    X = phi.fractions(st)
+    d = st.pack(delta)
+    B = np.zeros(X.shape, dtype=bool)
+    B[:, st.edge_pos] = st.pack_edges(blocked.masks)
+    avail = ~B & np.isfinite(d)
+    with np.errstate(invalid="ignore"):
+        dmin = st.row_min(np.where(avail, d, np.inf))
+        rows = st.rows(config.row_filter) & np.isfinite(dmin)
+        e = np.clip(d - dmin[:, st.dnode], 0.0, None)
+        tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, st.dnode]
+        minimal = avail & (e <= tie)
+        shrink = ~B & ~minimal
+        red = np.where(B, X, 0.0) + np.where(shrink, np.minimum(X, alpha * e), 0.0)
+    on = rows[:, st.dnode]
+    red[~on] = 0.0
+    give = np.zeros(rows.shape)
+    give[rows] = st.row_sum(red)[rows] / st.row_sum(minimal.astype(int))[rows]
+    new = X - red
+    new += minimal * give[:, st.dnode]
+    sums = st.row_sum(new)
+    new /= np.where(rows & (sums > 0), sums, 1.0)[:, st.dnode]
+    return Strategy._stacked(st, np.where(on, new, X))
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -145,7 +133,7 @@ class GpResult:
     phi: Strategy
     state: FlowState
     trace: list                       # total cost per slot (slot 0 = start)
-    history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize
+    history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize, halvings
     iterations: int = 0               # accepted (productive) slots
     converged: bool = False
     final_gap: float = float("inf")
@@ -157,10 +145,10 @@ class GpResult:
     def write_trace_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["iter", "T", "max_gap", "stepsize"])
+            w.writerow(["iter", "T", "max_gap", "stepsize", "halvings"])
             for row in self.history:
                 w.writerow([row["iter"], repr(row["T"]), repr(row["max_gap"]),
-                            repr(row["stepsize"])])
+                            repr(row["stepsize"]), row["halvings"]])
 
 
 def _adaptive_descent(start, config: GpConfig, slot, step):
@@ -175,8 +163,9 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     when the candidate cannot be evaluated (capacity or loop). A candidate
     that does not raise the cost is accepted; else the slot is retried at
     half the stepsize, and a stepsize below its floor ends the run at the
-    current iterate. Returns (point, trace, history, iterations, converged,
-    gap).
+    current iterate. Each slot's history row counts its retries at half the
+    stepsize as `halvings`. Returns (point, trace, history, iterations,
+    converged, gap).
     """
     (point, cost), start = start, None
     step_cfg = replace(config)
@@ -190,7 +179,9 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
         config.on_iterate(0, point[0], point[1])
     for slot_index in range(config.max_iters):
         gap, tables = slot(point)
-        history.append({"iter": slot_index, "T": cost, "max_gap": gap, "stepsize": alpha})
+        row = {"iter": slot_index, "T": cost, "max_gap": gap, "stepsize": alpha,
+               "halvings": 0}
+        history.append(row)
         if gap <= config.tol:
             converged = True
             break
@@ -208,6 +199,7 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
             if alpha < alpha_floor:
                 cand = None
                 break
+            row["halvings"] += 1
         if cand is None:
             break  # stepsize exhausted: keep current iterate
         point, cost = cand
@@ -293,10 +285,11 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
         raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
 
     phi = Strategy.zeros(new_scenario)
+    fresh_rows = {}
     for app in comp_new.apps:
         for k in range(app.K + 1):
             key = (app.id, k)
-            fresh = _fresh_rows(comp_new, app, k)
+            fresh = fresh_rows[key] = _fresh_rows(comp_new, app, k)
             mat = phi.rows[key]
             old_mat = phi_prev.rows.get(key)
             d_old = delta_old.get(key)
@@ -342,11 +335,10 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
                 if s > 0:
                     row /= s
                 mat[i] = row
-            # repairs can stitch kept rows into a cycle: rebuild such stages
-            try:
-                stage_levels(mat[:, 1:], key)
-            except LoopDetected:
-                phi.rows[key] = fresh
+    # repairs can stitch kept rows into a cycle: rebuild such stages
+    st = comp_new.stack
+    for s in st.peel(st.pack(phi.rows)).cyclic:
+        phi.rows[st.keys[s]] = fresh_rows[st.keys[s]]
     return phi
 
 

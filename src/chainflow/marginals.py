@@ -6,7 +6,8 @@ distributed marginal-cost broadcast would run: stage K first, then k = K-1
 down to 0, each stage solved along its levels (stage_levels), sinks first.
 A node only ever combines its own measured link/CPU marginals with the
 values of its downstream neighbors, so the computation ports mechanically
-to real message passing.
+to real message passing. The tables are computed on the stage stack (all
+applications' stage k at once) and returned as per-stage views.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroTrafficNode
-from .flows import FlowState, Strategy, compiled, compute_flows, dag_sweep, stage_levels
+from .flows import FlowState, Strategy, compiled, compute_flows, stage_levels
 from .network import Scenario
 from .oracle import FlowVector, flow_cost
 
@@ -36,46 +37,47 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     from dT/dt = 0 at the destination's final stage.
     """
     comp = compiled(scenario)
-    Dp = comp.links.deriv(state.link_bits)
+    st = comp.stack
+    X = phi.fractions(st)
+    Dp = st.links.deriv(state.edge_bits)
     Cp = comp.cpus.deriv(state.workload)
-    lam = {}
-    for app in comp.apps:
-        lam_next = None
-        for k in range(app.K, -1, -1):
-            mat = phi.rows[(app.id, k)]
-            P, c0 = mat[:, 1:], mat[:, 0]
-            base = (P * (app.L[k] * Dp)).sum(axis=1)
-            if k < app.K:
-                cpu = np.zeros(comp.n)
-                on = c0 > 0
-                cpu[on] = c0[on] * (app.w[on, k] * Cp[on] + lam_next[on])
-                base = base + cpu
-            lam[(app.id, k)] = dag_sweep(base, P, state.levels[(app.id, k)])
-            lam_next = lam[(app.id, k)]
-    return lam
+    link = np.zeros_like(X)
+    link[:, st.edge_pos] = X[:, st.edge_pos] * (st.L[:, None] * Dp)
+    link = st.row_sum(link)
+    c0 = X[:, st.seg]
+    lam = np.zeros_like(link)
+    for k in reversed(range(len(st.groups))):
+        group = st.groups[k]
+        lam[group] = link[group]
+        mid = group[~st.final[group]]
+        if mid.size:
+            on = c0[mid] > 0
+            with np.errstate(invalid="ignore"):
+                cpu = c0[mid] * (st.w[mid] * Cp + lam[st.next[mid]])
+            lam[mid] += np.where(on, cpu, 0.0)
+        state.levels.solve(lam, k, forward=False)
+    return st.node_view(lam)
 
 
-def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict) -> dict:
+def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
     """Per-direction modified marginals, {(app_id, k): (n, n+1) array}.
 
     Column 0 is the CPU direction, column 1+j the link toward node j; absent
     directions (non-links, CPU at the final stage, non-performable tasks)
-    carry +inf.
+    carry +inf. The blocks are dense views of the stage stack's (S, n+E)
+    direction array, built on access.
     """
     comp = compiled(scenario)
-    Dp = comp.links.deriv(state.link_bits)
+    st = comp.stack
+    lam = st.node_stack(marginals)
+    Dp = st.links.deriv(state.edge_bits)
     Cp = comp.cpus.deriv(state.workload)
-    delta = {}
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            d = np.full((comp.n, comp.n + 1), np.inf)
-            if k < app.K:
-                ok = np.isfinite(app.w[:, k])
-                d[ok, 0] = app.w[ok, k] * Cp[ok] + marginals[(app.id, k + 1)][ok]
-            link = app.L[k] * Dp + marginals[(app.id, k)][None, :]
-            d[:, 1:] = np.where(comp.adj, link, np.inf)
-            delta[(app.id, k)] = d
-    return delta
+    d = np.empty((len(st.keys), st.n + st.E))
+    d[:, st.edge_pos] = st.L[:, None] * Dp + lam[:, st.dst]
+    # w is inf at final stages, where st.next points nowhere
+    with np.errstate(invalid="ignore"):
+        d[:, st.seg] = np.where(np.isfinite(st.w), st.w * Cp + lam[st.next], np.inf)
+    return st.direction_view(d)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +86,14 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict) ->
 
 @dataclass
 class BlockedSets:
-    """Forbidden link destinations per (node, stage). CPU is never blocked."""
+    """Forbidden link destinations per (node, stage). CPU is never blocked.
+
+    `masks` are dense (n, n) views of the stage stack's (S, E) edge flags,
+    True = blocked; absent links read as blocked.
+    """
 
     nodes: tuple
-    masks: dict  # (app_id, k) -> (n, n) bool, True = blocked
+    masks: object  # (app_id, k) -> (n, n) bool
 
     def is_blocked(self, node, app_id, k: int, dest) -> bool:
         i = self.nodes.index(node)
@@ -119,22 +125,13 @@ def blocked_sets(scenario: Scenario, phi: Strategy, marginals: dict,
     FlowState), which are rebuilt when it is not given.
     """
     comp = compiled(scenario)
-    masks = {}
-    for key, mat in phi.rows.items():
-        lam = marginals[key]
-        slack = _BLOCK_REL * np.maximum(1.0, np.abs(lam))
-        higher = lam[None, :] > (lam + slack)[:, None]
-        support = mat[:, 1:] > 0
-        improper = support & higher
-        flag = np.zeros(comp.n, dtype=bool)
-        levels = state.levels[key] if state is not None else stage_levels(mat[:, 1:], key)
-        # no improper link, no flag: no stage of a cold GP run on sw-queue
-        # or Abilene has one, so the pass rarely runs there
-        if improper.any():
-            for level in levels:
-                flag[level] = (support[level] & (improper[level] | flag[None, :])).any(axis=1)
-        masks[key] = (~comp.adj) | higher | flag[None, :]
-    return BlockedSets(nodes=comp.nodes, masks=masks)
+    st = comp.stack
+    lam = st.node_stack(marginals)
+    slack = _BLOCK_REL * np.maximum(1.0, np.abs(lam))
+    higher = lam[:, st.dst] > (lam + slack)[:, st.src]
+    levels = state.levels if state is not None else stage_levels(st, phi.fractions(st))
+    flag = levels.flags(higher)
+    return BlockedSets(nodes=comp.nodes, masks=st.edge_view(higher | flag[:, st.dst], True))
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +145,6 @@ class CheckResult:
 
     def to_jsonable(self) -> dict:
         return {"holds": self.holds, "violations": self.violations}
-
-
-def _active_rows(comp, app, k, row_filter=None):
-    """Node mask of the rows that must sum to one at stage (app, k): all but
-    the destination's final-stage row, and none when `row_filter` rejects
-    the stage."""
-    active = np.ones(comp.n, dtype=bool)
-    if k == app.K:
-        active[app.dest] = False
-    if row_filter is not None and not row_filter((app.id, k)):
-        active[:] = False
-    return active
 
 
 def _tables(scenario, phi, state):
@@ -177,6 +162,7 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     satisfy the condition vacuously."""
     comp = compiled(scenario)
     state, marg, delta = _tables(scenario, phi, state)
+    active = comp.stack.node_view(comp.stack.active)
     violations = []
     for app in comp.apps:
         for k in range(app.K + 1):
@@ -184,7 +170,7 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
             t = state.traffic[key]
             d = delta[key]
             mat = phi.rows[key]
-            for i in np.flatnonzero(_active_rows(comp, app, k) & (t > tol_mass)):
+            for i in np.flatnonzero(active[key] & (t > tol_mass)):
                 grad = t[i] * d[i]
                 row_min = np.min(grad)
                 for j in np.flatnonzero(mat[i] > tol_mass):
@@ -204,13 +190,14 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
     zero-traffic ones."""
     comp = compiled(scenario)
     state, marg, delta = _tables(scenario, phi, state)
+    active = comp.stack.node_view(comp.stack.active)
     violations = []
     for app in comp.apps:
         for k in range(app.K + 1):
             key = (app.id, k)
             d = delta[key]
             mat = phi.rows[key]
-            for i in np.flatnonzero(_active_rows(comp, app, k)):
+            for i in np.flatnonzero(active[key]):
                 row_min = np.min(d[i])
                 for j in np.flatnonzero(mat[i] > tol_mass):
                     if d[i, j] > row_min + tol:

@@ -4,7 +4,7 @@ H_data is the expected number of link hops a raw data packet travels from its
 injection point to the node that runs the first task on it; H_result the
 expected hops of a final-result packet from where it was generated to the
 destination. Both are computed by forward accumulation of hop mass along the
-stage's levels, weighted by the actual flows.
+stages' levels, weighted by the actual flows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowState, Strategy, compiled, dag_sweep
+from .flows import FlowState, Strategy, compiled
 from .network import Scenario
 
 
@@ -29,29 +29,29 @@ class Metrics:
                 "H_result": self.H_result, "iterations": self.iterations}
 
 
-def _hop_mass(P: np.ndarray, f: np.ndarray, levels) -> np.ndarray:
-    """Solution of M = P^T M + inflow: total (rate x hops) arriving at each
-    node, where packets enter their stage with zero hops."""
-    return dag_sweep(f.sum(axis=0), P.T, levels[::-1])
-
-
 def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
                 iterations: int = 0) -> Metrics:
     comp = compiled(scenario)
+    st = comp.stack
+    S, n = len(st.keys), st.n
+    # hop mass M = inflow + P^T M: total (rate x hops) arriving at each
+    # node, where packets enter their stage with zero hops
+    into = (np.arange(S)[:, None] * n + st.dst).ravel()
+    M = np.bincount(into, weights=state.edge_flows.ravel(), minlength=S * n).reshape(S, n)
+    for k in range(len(st.groups)):
+        state.levels.solve(M, k, forward=True)
+    c0 = phi.fractions(st)[:, st.seg]
     data_num = data_den = 0.0
     res_num = res_den = 0.0
+    s = 0
     for app in comp.apps:
-        key0 = (app.id, 0)
-        mat0 = phi.rows[key0]
         if app.K > 0:
-            M = _hop_mass(mat0[:, 1:], state.link_flows[key0], state.levels[key0])
-            data_num += float(np.sum(mat0[:, 0] * M))
-            data_den += float(state.cpu_flows[key0].sum())
-        keyK = (app.id, app.K)
-        matK = phi.rows[keyK]
-        M = _hop_mass(matK[:, 1:], state.link_flows[keyK], state.levels[keyK])
-        res_num += float(M[app.dest])
-        res_den += float(state.traffic[keyK][app.dest])
+            data_num += float(np.sum(c0[s] * M[s]))
+            data_den += float(state.cpu_stack[s].sum())
+        s += app.K
+        res_num += float(M[s, app.dest])
+        res_den += float(state.traffic_stack[s, app.dest])
+        s += 1
     return Metrics(total_cost=state.total_cost,
                    H_data=data_num / data_den if data_den > 0 else 0.0,
                    H_result=res_num / res_den if res_den > 0 else 0.0,

@@ -9,8 +9,10 @@ a set of service-chain applications, and exogenous input rates.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 import networkx as nx
 import numpy as np
@@ -80,10 +82,11 @@ class CostArray:
     evaluates costs goes through it or through the queue_* formulas above.
     `kind` holds LINEAR, QUEUE or ABSENT per entry and `param` the slope or
     capacity. `overflow` is the message of the CapacityExceeded raised when
-    a load reaches a queue capacity.
+    a load reaches a queue capacity; when `label` is given, the message also
+    names the most overloaded entry, label(index), and its load over capacity.
     """
 
-    def __init__(self, shape, costs, overflow: str):
+    def __init__(self, shape, costs, overflow: str, label=None):
         """`costs` yields (index, cost function or None) pairs."""
         self.kind = np.full(shape, ABSENT, dtype=np.int8)
         self.param = np.zeros(shape)
@@ -95,6 +98,7 @@ class CostArray:
         self.lin = self.kind == LINEAR
         self.que = self.kind == QUEUE
         self.overflow = overflow
+        self.label = label
 
     def saturated(self, x, margin: float) -> bool:
         """Whether some queue load reaches (1 - margin) of its capacity."""
@@ -102,7 +106,14 @@ class CostArray:
 
     def check(self, x):
         if self.saturated(x, 0.0):
-            raise CapacityExceeded(self.overflow)
+            raise CapacityExceeded(self._overflow_message(x))
+
+    def _overflow_message(self, x) -> str:
+        if self.label is None:
+            return self.overflow
+        ratio = np.where(self.que, x, 0.0) / np.where(self.que, self.param, 1.0)
+        worst = np.unravel_index(np.argmax(ratio), ratio.shape)
+        return f"{self.overflow}: {self.label(*worst)} at {ratio[worst]:.6g} x capacity"
 
     def total(self, x) -> float:
         """Summed cost of the loads x. Raises CapacityExceeded outside the domain."""
@@ -401,34 +412,42 @@ def _make_cost(kind: str, value: float) -> CostFunction:
     return Queue(capacity=value) if kind == "queue" else Linear(slope=value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A complete problem instance. Treated as immutable after construction.
+    """A complete problem instance, immutable after construction.
 
     Applications with no positive input rate are dropped. `comp_costs` maps a
     node to its CPU cost function, or None for nodes without a CPU.
+    `link_costs`, `comp_costs` and `input_rates` are kept as read-only
+    copies of the given mappings, and the fields cannot be reassigned, so
+    the compiled arrays cached on a scenario never go stale; derive a
+    changed scenario with `with_rates` or a new constructor call instead.
     """
 
     graph: Graph
     applications: tuple
-    link_costs: dict
-    comp_costs: dict
-    input_rates: dict
+    link_costs: Mapping
+    comp_costs: Mapping
+    input_rates: Mapping
     seed: int = 0
     name: str = ""
 
     def __post_init__(self):
+        link_costs, rates = dict(self.link_costs), dict(self.input_rates)
         for link in self.graph.links:
-            if link not in self.link_costs:
+            if link not in link_costs:
                 raise ValueError(f"missing cost function for link {link}")
-        for (node, app_id), r in self.input_rates.items():
+        for (node, app_id), r in rates.items():
             if r < 0:
                 raise ValueError(f"negative input rate at {(node, app_id)}")
-        kept = []
-        for app in self.applications:
-            if any(self.input_rates.get((v, app.id), 0.0) > 0 for v in self.graph.nodes):
-                kept.append(app)
-        self.applications = tuple(kept)
+        nodes = set(self.graph.nodes)
+        fed = {app_id for (node, app_id), r in rates.items() if r > 0 and node in nodes}
+        # the dataclass is frozen: fields are set once, here
+        object.__setattr__(self, "link_costs", MappingProxyType(link_costs))
+        object.__setattr__(self, "comp_costs", MappingProxyType(dict(self.comp_costs)))
+        object.__setattr__(self, "input_rates", MappingProxyType(rates))
+        object.__setattr__(self, "applications",
+                           tuple(app for app in self.applications if app.id in fed))
         ids = [a.id for a in self.applications]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate application ids")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, compiled, dag_sweep, stage_levels
+from .flows import Strategy, compiled, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -578,14 +578,15 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     loops. The result is meaningful to check_sufficient everywhere.
     """
     comp = compiled(scenario)
+    st = comp.stack
     n = comp.n
     F, G = _totals(comp, fv)
     Dp = comp.links.deriv(F)
     Cp = comp.cpus.deriv(G)
     phi = Strategy.zeros(scenario)
+    positive = {}
     for app in comp.apps:
-        lam_next = None
-        for k in range(app.K, -1, -1):
+        for k in range(app.K + 1):
             key = (app.id, k)
             f = fv.link_flows[key].copy()
             g = fv.cpu_flows[key].copy()
@@ -603,13 +604,23 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
             sums = mat.sum(axis=1)
             fix = pos & (sums > 0.5)
             mat[fix] /= sums[fix, None]
-            levels = stage_levels(mat[:, 1:], key)
+            positive[key] = pos
+    levels = stage_levels(st, st.pack(phi.rows))
+    first = 0
+    for app in comp.apps:
+        lam_next = None
+        for k in range(app.K, -1, -1):
+            key = (app.id, k)
+            mat, pos = phi.rows[key], positive[key]
             # marginals on the positive part (zero rows contribute nothing yet)
             base = (mat[:, 1:] * (app.L[k] * Dp)).sum(axis=1)
             if k < app.K:
                 on = mat[:, 0] > 0
                 base[on] += mat[on, 0] * (app.w[on, k] * Cp[on] + lam_next[on])
-            lam = dag_sweep(base, mat[:, 1:], levels)
+            x = np.zeros((len(st.keys), n))
+            x[first + k] = base
+            levels.solve(x, k, forward=False)
+            lam = x[first + k]
             # fill zero-traffic rows toward the cheapest settled value
             dist = np.where(pos, lam, np.inf)
             choice = np.full(n, -9, dtype=int)
@@ -648,4 +659,5 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
                         f"cannot route zero-traffic node {comp.nodes[i]} at stage {key}")
                 lam[i] = dist[i]
             lam_next = lam
+        first += app.K + 1
     return phi

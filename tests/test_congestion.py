@@ -153,6 +153,9 @@ class TestRunGpCc:
             assert len(res.trace) == res.iterations + 1 > 1
             for a, b in zip(res.trace, res.trace[1:]):
                 assert b <= a + 1e-12 * max(1.0, abs(a))
+            # the shared loop's per-slot history, stepsize halvings included
+            assert [row["T"] for row in res.history] == res.trace[:len(res.history)]
+            assert all(row["halvings"] >= 0 for row in res.history)
 
     def test_reject_all_with_zero_utility_holds(self):
         ext = _two_node_line(u_slope=0.0)

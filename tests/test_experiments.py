@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,11 @@ class TestRunExperiment:
         with open(tmp_path / "records.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert "capacity" in rows[0]["reason"]
+        # the reason names the most overloaded link or CPU and its load ratio
+        found = re.search(r"(link \(.+\)|CPU of node .+) at ([0-9.e+]+) x capacity$",
+                          rows[0]["reason"])
+        assert found is not None
+        assert float(found.group(2)) >= 1.0
 
     def test_table_row_lookup(self):
         row = table_row("abilene")

@@ -73,38 +73,6 @@ class TestGpStep:
             holds = check_sufficient(s, phi, tol=1e-9).holds
             assert unchanged == holds
 
-    def test_stage_solves_exact_on_random(self):
-        # the draws of test_fixed_point_iff_sufficient_random: every stage's
-        # traffic and marginals satisfy their equations bit for bit, and the
-        # blocked flags do not depend on where the stage levels come from
-        for seed in range(6):
-            s = random_scenario(seed)
-            phi = random_loopfree_strategy(s, seed + 7)
-            comp = compiled(s)
-            state = compute_flows(s, phi)
-            lam = traffic_marginals(s, phi, state)
-            Dp = comp.links.deriv(state.link_bits)
-            Cp = comp.cpus.deriv(state.workload)
-            for app in comp.apps:
-                for k in range(app.K + 1):
-                    key = (app.id, k)
-                    mat = phi.rows[key]
-                    P, c0 = mat[:, 1:], mat[:, 0]
-                    t = state.traffic[key]
-                    inj = app.r if k == 0 else state.cpu_flows[(app.id, k - 1)]
-                    assert np.array_equal(t, inj + P.T @ t)
-                    base = (P * (app.L[k] * Dp)).sum(axis=1)
-                    if k < app.K:
-                        cpu = np.zeros(comp.n)
-                        on = c0 > 0
-                        cpu[on] = c0[on] * (app.w[on, k] * Cp[on] + lam[(app.id, k + 1)][on])
-                        base = base + cpu
-                    assert np.array_equal(lam[key], base + P @ lam[key])
-            plain = blocked_sets(s, phi, lam)
-            shared = blocked_sets(s, phi, lam, state)
-            for key in phi.rows:
-                assert np.array_equal(plain.masks[key], shared.masks[key])
-
 
 class TestRunGp:
     def test_e1_from_b_converges_to_optimum(self, e1, e1_strategy_b):
@@ -119,6 +87,22 @@ class TestRunGp:
             res = run_gp(s, config=GpConfig(max_iters=300, tol=1e-5))
             diffs = np.diff(res.trace)
             assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(res.trace[:-1])))
+
+    def test_history_counts_halvings(self, tmp_path):
+        # on tight capacities a unit stepsize overshoots: such slots are
+        # retried at half the stepsize, and each retry is counted
+        s = random_scenario(1, link_bound=10.0, comp_bound=10.0)
+        res = run_gp(s, config=GpConfig(stepsize=1.0, max_iters=40, tol=1e-9))
+        assert sum(row["halvings"] for row in res.history) > 0
+        for row, nxt in zip(res.history, res.history[1:]):
+            halved = row["stepsize"] * 0.5 ** row["halvings"]
+            assert nxt["stepsize"] in (halved, 2 * halved)
+        res.write_trace_csv(tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "iter,T,max_gap,stepsize,halvings"
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == \
+            [row["halvings"] for row in res.history]
 
     def test_every_iterate_feasible_and_loop_free(self):
         s = random_scenario(2)

@@ -187,3 +187,22 @@ class TestScenario:
         from chainflow.serialize import scenario_from_jsonable, scenario_to_jsonable
         again = scenario_from_jsonable(scenario_to_jsonable(prop1))
         assert scenario_bytes(again) == scenario_bytes(prop1)
+
+    def test_immutable_after_construction(self, e1):
+        import dataclasses
+
+        from chainflow import compute_flows, init_strategy
+        cost = compute_flows(e1, init_strategy(e1)).total_cost   # compiles and caches
+        with pytest.raises(TypeError):
+            e1.input_rates[(1, "a")] = 1.5
+        with pytest.raises(TypeError):
+            e1.link_costs[(1, 2)] = Linear(5.0)
+        with pytest.raises(TypeError):
+            e1.comp_costs[1] = None
+        for name, value in (("input_rates", {(1, "a"): 1.5}), ("link_costs", {}),
+                            ("applications", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e1, name, value)
+        assert compute_flows(e1, init_strategy(e1)).total_cost == cost
+        faster = e1.with_rates({(1, "a"): 1.5})
+        assert compute_flows(faster, init_strategy(faster)).total_cost > cost

@@ -1,11 +1,14 @@
 """Print a fingerprint of chainflow's results, one line per result.
 
-Each line is the repr of costs, a GP cost trace or its per-slot gaps, or a
-sha256 of strategy rows, so two checkouts whose results must agree bit for
-bit are compared by diffing their outputs:
+Each line holds the repr of costs, a GP cost trace or its per-slot gaps, or
+a numeric summary of strategy rows: per stage, a fixed-weight dot product
+of the stage's dense row block. Two checkouts whose results must agree are
+compared with tools/fpdiff.py, which wants counts, flags and oracle lines
+equal and every other number equal to 1e-12 relative:
 
+    PYTHONPATH=/path/to/parent/src python3 tools/fingerprint.py > before.txt
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
-    cmp before.txt after.txt
+    python3 tools/fpdiff.py before.txt after.txt
 
 It covers cold GP at the benchmark-study settings (tol 1e-4, 1000 slots) on
 sw-queue draws 1 and 3 with their hop metrics; the oracle, its
@@ -16,8 +19,6 @@ some of them. Takes no options; about 30 s on one core of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import networkx as nx
 import numpy as np
@@ -32,19 +33,23 @@ PATTERN = ("rate", "rate", "down", "rate", "rate", "up")
 ADMIT_AFTER = (1, 4)
 
 
-def rows_hash(phi) -> str:
-    h = hashlib.sha256()
+def rows_summary(phi) -> str:
+    """Per stage, in key order, the dot product of its row block with fixed
+    weights in [1, 2): equal rows give equal numbers, whatever order the
+    engine summed in."""
+    out = []
     for key in sorted(phi.rows, key=repr):
-        h.update(repr(key).encode())
-        h.update(np.ascontiguousarray(phi.rows[key]).tobytes())
-    return h.hexdigest()
+        mat = phi.rows[key]
+        weights = np.random.default_rng(len(out)).uniform(1.0, 2.0, size=mat.shape)
+        out.append(float(np.sum(mat * weights)))
+    return repr(out)
 
 
 def gp_lines(tag, res):
     print(tag, "trace", repr(res.trace))
     print(tag, "gaps", repr([row["max_gap"] for row in res.history]))
     print(tag, "result", repr((res.iterations, res.converged, res.final_gap)),
-          rows_hash(res.phi))
+          rows_summary(res.phi))
 
 
 def sw_queue():
@@ -57,11 +62,10 @@ def sw_queue():
     s = build_scenario(table_row("sw-queue"), 1)
     opt = solve_flow_domain(s, tol=1e-6)
     print("sw-queue/1 oracle", repr((opt.total_cost, opt.iterations, opt.gap)))
-    print("sw-queue/1 strategy_from_flows", rows_hash(strategy_from_flows(s, opt.flows)))
+    print("sw-queue/1 strategy_from_flows", rows_summary(strategy_from_flows(s, opt.flows)))
     for name in ("spoc", "lcof", "lpr-sc"):
         res = BASELINES[name](s)
-        digest = rows_hash(res.phi) if res.feasible else res.reason
-        print(f"sw-queue/1 {name}", repr(res.total_cost), digest)
+        print(f"sw-queue/1 {name}", repr(res.total_cost), rows_summary(res.phi))
 
 
 def without_link(s, base, link, present):
@@ -120,7 +124,7 @@ def abilene():
             ext = extend_scenario(cur, caps, {k: AlphaFair(1.0, cap=c) for k, c in caps.items()})
             cc = run_gp_cc(ext, cfg)
             print(tag, "admission", repr(cc.trace), repr(cc.utility_minus_cost),
-                  repr((cc.iterations, cc.converged, cc.final_gap)), rows_hash(cc.phi))
+                  repr((cc.iterations, cc.converged, cc.final_gap)), rows_summary(cc.phi))
 
 
 if __name__ == "__main__":
