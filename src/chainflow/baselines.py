@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, LocalComputationInfeasible, NoFeasibleStrategy
-from .flows import (FlowState, Strategy, _successor_tree, compiled, compute_flows,
-                    init_strategy, tree_rows)
+from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy, tree_rows
 from .gp import GpConfig, run_gp
 from .network import Scenario
 from .oracle import solve_flow_domain, strategy_from_flows
@@ -45,16 +44,12 @@ def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> Basel
     the admissible links limited to the tree edges.
     """
     comp = compiled(scenario)
-    metric = comp.zero_flow_link_metric()
     masks = {}
     for app in comp.apps:
-        targets = np.zeros(comp.n, dtype=bool)
-        targets[app.dest] = True
-        _, succ = _successor_tree(comp, metric, targets)
+        _, succ = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
         mask = np.zeros((comp.n, comp.n), dtype=bool)
-        for i in range(comp.n):
-            if succ[i] >= 0:
-                mask[i, succ[i]] = True
+        on = succ >= 0
+        mask[on, succ[on]] = True
         masks[app.id] = mask
     try:
         res = solve_flow_domain(scenario, tol=tol, max_iters=max_iters,
@@ -106,18 +101,13 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     infinite-cost result.
     """
     comp = compiled(scenario)
-    metric = comp.zero_flow_link_metric()
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     n = comp.n
     # all-pairs zero-flow distances and per-target successor trees
     dist_to = np.zeros((n, n))   # dist_to[u, v]: cost u -> v
     succ_to = np.zeros((n, n), dtype=int)
     for v in range(n):
-        targets = np.zeros(n, dtype=bool)
-        targets[v] = True
-        d, s = _successor_tree(comp, metric, targets)
-        dist_to[:, v] = d
-        succ_to[:, v] = s
+        dist_to[:, v], succ_to[:, v] = comp.zero_flow_tree(np.arange(n) == v)
     phi = Strategy.zeros(scenario)
     for app in comp.apps:
         rate_total = float(app.r.sum())

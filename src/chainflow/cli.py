@@ -92,8 +92,9 @@ def _cmd_check(args) -> int:
             print("no scenario reference in strategy file; pass --config", file=sys.stderr)
             return 1
     scenario = _load_scenario_config(config, args.seed)
-    kkt = check_kkt(scenario, phi, tol=args.tol or 1e-6)
-    suff = check_sufficient(scenario, phi, tol=args.tol or 1e-6)
+    tol = 1e-6 if args.tol is None else args.tol
+    kkt = check_kkt(scenario, phi, tol=tol)
+    suff = check_sufficient(scenario, phi, tol=tol)
     report = {"kkt": kkt.to_jsonable(), "sufficient": suff.to_jsonable()}
     print(json.dumps(report, indent=1))
     return 0 if suff.holds else 1
@@ -102,7 +103,7 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = _load_scenario_config(args.config, args.seed)
     try:
-        res = solve_flow_domain(scenario, tol=args.tol or 1e-6)
+        res = solve_flow_domain(scenario, tol=1e-6 if args.tol is None else args.tol)
     except NotConverged as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -146,8 +147,9 @@ def _cmd_run(args) -> int:
 def _cmd_cc(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    seed = args.seed if args.seed is not None else data.get("seed", 0)
     scenario = (scenario_from_jsonable(data["scenario"]) if "nodes" in data.get("scenario", {})
-                else build_scenario(data["scenario"], args.seed or data.get("seed", 0)))
+                else build_scenario(data["scenario"], seed))
     cap_scale = float(data.get("cap_scale", 1.0))
     caps = {pair: cap_scale * rate for pair, rate in scenario.input_rates.items()}
     uspec = data.get("utility", {"kind": "alpha_fair", "alpha": 1.0, "eps": 0.1})

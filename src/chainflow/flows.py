@@ -85,6 +85,7 @@ class _Compiled:
             self.apps.append(_CompiledApp(app.id, K, self.index[app.destination],
                                           np.asarray(app.packet_sizes, dtype=float), w, r))
         self.stage_keys = [(a.id, k) for a in self.apps for k in range(a.K + 1)]
+        self._trees = {}
 
     @cached_property
     def stack(self) -> "_Stack":
@@ -100,15 +101,30 @@ class _Compiled:
             raise CapacityExceeded("workload on a node without CPU")
         return total
 
-    def zero_flow_link_metric(self):
-        """Marginal link cost at zero flow, +inf on absent links."""
-        links = self.links
-        M = np.full((self.n, self.n), np.inf)
-        M[links.lin] = links.param[links.lin]
+    @cached_property
+    def zero_flow_metric(self) -> np.ndarray:
+        """Marginal cost of every edge of the stage stack at zero flow."""
+        links = self.stack.links
+        M = links.param.copy()
         # 1/c rather than queue_prime(c, 0) = c/c^2, which can round
         # differently and would change how initial strategies break ties
         M[links.que] = 1.0 / links.param[links.que]
         return M
+
+    def zero_flow_tree(self, targets):
+        """(dist, succ) of the cheapest zero-flow paths to the nodes flagged
+        in `targets`: succ[i] is node i's next node, -1 at targets and -2
+        where no path leads. Built once per target set and read-only."""
+        key = targets.tobytes()
+        tree = self._trees.get(key)
+        if tree is None:
+            dist = np.where(targets, 0.0, np.inf)
+            succ = np.where(targets, -1, -2)
+            cheapest_to_go(self.stack, self.zero_flow_metric[None], dist[None], succ[None])
+            tree = self._trees[key] = (dist, succ)
+            for a in tree:
+                a.flags.writeable = False
+        return tree
 
 
 def compiled(scenario: Scenario) -> _Compiled:
@@ -130,7 +146,9 @@ class _Stack:
     of the adjacency gives them. Directions are CPU columns and edges: node
     i owns the segment of n + E directions starting at seg[i], its CPU
     column first and then its out-links, so no segment is ever empty and
-    per-row minima, sums and counts are reduceat over `seg`. Stage s is
+    per-row minima, sums and counts are reduceat over `seg`. `into[v]` lists
+    node v's in-edges as (source, edge) pairs of Python ints, sources
+    increasing, for cheapest_to_go. Stage s is
     comp.stage_keys[s]; the per-stage arrays give its packet size L, the
     workloads w of its task (inf at final stages and where the task cannot
     run), its input rates, the previous and next stage of its application
@@ -153,6 +171,9 @@ class _Stack:
         col[self.edge_pos] = 1 + self.dst
         self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
         self.edge_flat = self.src * n + self.dst      # edge -> (n, n) flat
+        self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
+        for e, (u, v) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
+            self.into[v].append((u, e))
         nodes = comp.nodes
         self.links = CostArray(
             E, ((e, comp.scenario.link_costs[(nodes[u], nodes[v])])
@@ -247,6 +268,48 @@ class _Stack:
     def edge_view(self, a, fill) -> "DenseView":
         """Dense (n, n) blocks of an (S, E) edge array, `fill` off the links."""
         return DenseView(self, a, (self.n, self.n), self.edge_flat, fill)
+
+
+def cheapest_to_go(stack: _Stack, link_w, dist, succ, cpu_w=None, fixed=None):
+    """Backward Dijkstra over layers of the stack's edge index, in place.
+
+    dist[k, v] becomes the cheapest cost from node v in layer k to a seed:
+    a link hop (u, v) in layer k costs link_w[k, e] for its edge e, and the
+    step from (k, v) to (k+1, v) costs cpu_w[k, v]. Non-finite costs mark
+    unusable steps; costs must be nonnegative. Finite entries of `dist` on
+    entry are the seeds, and rows flagged in the boolean `fixed` (dist's
+    shape) keep their seed labels. Whenever a label improves, `succ` takes
+    the next node, or -1 for the step to the next layer; other entries keep
+    what the caller put there.
+
+    Tie rule: a label changes only on strict improvement, and the one heap
+    of all layers pops in (cost, layer, node) order, so of two exactly equal
+    offers the one from the label settled first wins.
+    """
+    into = stack.into
+    D, S, W = dist.tolist(), succ.tolist(), link_w.tolist()
+    C = None if cpu_w is None else cpu_w.tolist()
+    Fx = [[False] * stack.n] * len(D) if fixed is None else fixed.tolist()
+    ks, vs = np.nonzero(np.isfinite(dist))
+    heap = [(D[k][v], k, v) for k, v in zip(ks.tolist(), vs.tolist())]
+    heapq.heapify(heap)
+    while heap:
+        d, k, v = heapq.heappop(heap)
+        if d > D[k][v]:
+            continue
+        Dk, Sk, Wk, Fk = D[k], S[k], W[k], Fx[k]
+        for u, e in into[v]:
+            cand = d + Wk[e]
+            if cand < Dk[u] and not Fk[u]:
+                Dk[u], Sk[u] = cand, v
+                heapq.heappush(heap, (cand, k, u))
+        if k and C is not None:
+            cand = d + C[k - 1][v]
+            if cand < D[k - 1][v] and not Fx[k - 1][v]:
+                D[k - 1][v], S[k - 1][v] = cand, -1
+                heapq.heappush(heap, (cand, k - 1, v))
+    dist[...] = D
+    succ[...] = S
 
 
 def _block(row, shape, flat, fill):
@@ -719,35 +782,6 @@ def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowStat
 # initial strategies
 # ---------------------------------------------------------------------------
 
-def _successor_tree(comp: _Compiled, metric: np.ndarray, targets: np.ndarray):
-    """Cheapest next hop toward the target set under the given link metric.
-
-    Returns (dist, succ) with succ[i] = -1 at targets. Deterministic: ties
-    break toward the smaller node index.
-    """
-    n = comp.n
-    dist = np.full(n, np.inf)
-    succ = np.full(n, -2, dtype=int)
-    heap = []
-    for i in np.flatnonzero(targets):
-        dist[i] = 0.0
-        succ[i] = -1
-        heapq.heappush(heap, (0.0, int(i)))
-    seen = np.zeros(n, dtype=bool)
-    while heap:
-        d, j = heapq.heappop(heap)
-        if seen[j] or d > dist[j]:
-            continue
-        seen[j] = True
-        for i in np.flatnonzero(comp.adj[:, j]):
-            nd = d + metric[i, j]
-            if nd < dist[i] - 1e-15 or (abs(nd - dist[i]) <= 1e-15 and succ[i] > j >= 0):
-                dist[i] = nd
-                succ[i] = j
-                heapq.heappush(heap, (nd, int(i)))
-    return dist, succ
-
-
 def tree_rows(comp: _Compiled, app, k: int, succ, compute_at=None) -> np.ndarray:
     """Row block of stage (app, k) that forwards along the successor tree
     `succ`; nodes flagged in `compute_at` send everything to their CPU
@@ -779,12 +813,10 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
         raise ValueError(f"unknown init mode {mode!r}")
     comp = compiled(scenario)
     n = comp.n
-    metric = comp.zero_flow_link_metric()
     phi = Strategy.zeros(scenario)
     for app in comp.apps:
-        dest_targets = np.zeros(n, dtype=bool)
-        dest_targets[app.dest] = True
-        _, succ_dest = _successor_tree(comp, metric, dest_targets)
+        dest_targets = np.arange(n) == app.dest
+        _, succ_dest = comp.zero_flow_tree(dest_targets)
         for k in range(app.K + 1):
             key = (app.id, k)
             if k == app.K:
@@ -798,7 +830,7 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
                 phi.rows[key] = tree_rows(comp, app, k, succ_dest, compute_at=dest_targets)
                 continue
             # compute locally where possible, else head to the nearest capable node
-            _, succ_cap = _successor_tree(comp, metric, capable)
+            _, succ_cap = comp.zero_flow_tree(capable)
             phi.rows[key] = tree_rows(comp, app, k, succ_cap, compute_at=capable)
     if require_finite:
         try:

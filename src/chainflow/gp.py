@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
-                    tree_rows, validate_strategy, _successor_tree)
+                    tree_rows, validate_strategy)
 from .marginals import BlockedSets, blocked_sets, modified_marginals, traffic_marginals
 from .network import Scenario
 
@@ -262,16 +262,11 @@ def _fresh_rows(comp, app, k):
     """Row block used where rows must be rebuilt from scratch: compute at
     capable nodes, else follow zero-flow shortest paths to the nearest
     capable node (to the destination at the final stage)."""
-    metric = comp.zero_flow_link_metric()
     if k < app.K:
         capable = np.isfinite(app.w[:, k]) & comp.has_cpu
         if capable.any():
-            _, succ = _successor_tree(comp, metric, capable)
-            return tree_rows(comp, app, k, succ, compute_at=capable)
-    targets = np.zeros(comp.n, dtype=bool)
-    targets[app.dest] = True
-    _, succ = _successor_tree(comp, metric, targets)
-    return tree_rows(comp, app, k, succ)
+            return tree_rows(comp, app, k, comp.zero_flow_tree(capable)[1], compute_at=capable)
+    return tree_rows(comp, app, k, comp.zero_flow_tree(np.arange(comp.n) == app.dest)[1])
 
 
 def _repair_strategy(old_scenario, new_scenario, phi_prev):

@@ -16,13 +16,12 @@ simplices; it shares no solver machinery with the conditional-gradient route.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, compiled, stage_levels
+from .flows import Strategy, cheapest_to_go, compiled, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -92,42 +91,25 @@ def _add_path(fv: FlowVector, app_id, path, amount: float):
 
 
 def cheapest_extended_paths(comp, app, Dp, Cp, adj=None):
-    """Backward Dijkstra over the stage-layered graph.
+    """Cheapest cost-to-go over the stage-layered graph (cheapest_to_go).
 
     Returns (dist, succ) where dist[k, v] is the cheapest cost-to-go from
     (stage k, node v) to (stage K, destination), succ[k, v] = -1 for the CPU
-    transition, j >= 0 for the link to node j, and -2 at the terminal.
-    `adj` optionally restricts the admissible links (used by baselines that
-    pin routing to fixed paths).
+    transition, j >= 0 for the link to node j, -2 at the terminal and -3
+    where the destination is out of reach. `adj` optionally restricts the
+    admissible links (used by baselines that pin routing to fixed paths).
     """
-    K, n = app.K, comp.n
-    if adj is None:
-        adj = comp.adj
+    K, n, st = app.K, comp.n, comp.stack
+    link_w = np.outer(app.L, Dp[st.src, st.dst])
+    if adj is not None:
+        link_w[:, ~adj[st.src, st.dst]] = np.inf
+    with np.errstate(invalid="ignore"):
+        cpu_w = app.w.T * Cp          # nan (unusable) where inf * 0
     dist = np.full((K + 1, n), np.inf)
     succ = np.full((K + 1, n), -3, dtype=int)
     dist[K, app.dest] = 0.0
     succ[K, app.dest] = -2
-    heap = [(0.0, K, app.dest)]
-    settled = np.zeros((K + 1, n), dtype=bool)
-    while heap:
-        d, k, v = heapq.heappop(heap)
-        if settled[k, v] or d > dist[k, v]:
-            continue
-        settled[k, v] = True
-        # relax intra-layer link edges (u, v)
-        for u in np.flatnonzero(adj[:, v]):
-            cand = d + app.L[k] * Dp[u, v]
-            if cand < dist[k, u] - 1e-18:
-                dist[k, u] = cand
-                succ[k, u] = v
-                heapq.heappush(heap, (cand, k, int(u)))
-        # relax the computation edge from layer k-1 at the same node
-        if k > 0 and np.isfinite(app.w[v, k - 1]):
-            cand = d + app.w[v, k - 1] * Cp[v]
-            if cand < dist[k - 1, v] - 1e-18:
-                dist[k - 1, v] = cand
-                succ[k - 1, v] = -1
-                heapq.heappush(heap, (cand, k - 1, int(v)))
+    cheapest_to_go(st, link_w, dist, succ, cpu_w)
     return dist, succ
 
 
@@ -626,29 +608,13 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
             choice = np.full(n, -9, dtype=int)
             if k == app.K:
                 dist[app.dest] = 0.0
-            heap = [(float(dist[i]), int(i)) for i in np.flatnonzero(pos)]
-            for i in np.flatnonzero(~pos):
-                if k < app.K and np.isfinite(app.w[i, k]):
-                    cand = app.w[i, k] * Cp[i] + lam_next[i]
-                    if cand < dist[i]:
-                        dist[i] = cand
-                        choice[i] = -1  # CPU
-                        heap.append((float(cand), int(i)))
-            heapq.heapify(heap)
-            settled = np.zeros(n, dtype=bool)
-            while heap:
-                d, j = heapq.heappop(heap)
-                if settled[j] or d > dist[j]:
-                    continue
-                settled[j] = True
-                for i in np.flatnonzero(comp.adj[:, j]):
-                    if pos[i] or settled[i]:
-                        continue
-                    cand = d + app.L[k] * Dp[i, j]
-                    if cand < dist[i]:
-                        dist[i] = cand
-                        choice[i] = j
-                        heapq.heappush(heap, (float(cand), int(i)))
+            else:
+                with np.errstate(invalid="ignore"):
+                    cpu = app.w[:, k] * Cp + lam_next
+                on = ~pos & (cpu < dist)
+                dist[on], choice[on] = cpu[on], -1
+            cheapest_to_go(st, (app.L[k] * Dp[st.src, st.dst])[None], dist[None],
+                           choice[None], fixed=pos[None])
             for i in np.flatnonzero(~pos):
                 if choice[i] == -1:
                     mat[i, 0] = 1.0

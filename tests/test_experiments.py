@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from chainflow import (ExperimentConfig, compute_flows, hop_metrics,
+from chainflow import (ExperimentConfig, NotConverged, compute_flows, hop_metrics,
                        run_experiment, table_row, trend_inversions)
 from chainflow.cli import main as cli_main
 from chainflow.serialize import load_scenario, load_strategy
@@ -170,6 +170,51 @@ class TestCli:
         cfg.write_text(json.dumps(exp))
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_zero_tol_reaches_check_and_oracle(self, tmp_path, monkeypatch, e1,
+                                               e1_strategy_b):
+        # an explicit --tol 0 must not fall back to the 1e-6 default
+        import chainflow.cli as cli
+        from chainflow.serialize import dump_scenario, dump_strategy
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args, tol, **kw):
+                seen.append((fn.__name__, tol))
+                return fn(*args, tol=tol, **kw)
+            return wrapped
+
+        def oracle_stub(scenario, tol):
+            seen.append(("solve_flow_domain", tol))
+            raise NotConverged("stub")
+
+        monkeypatch.setattr(cli, "check_kkt", recording(cli.check_kkt))
+        monkeypatch.setattr(cli, "check_sufficient", recording(cli.check_sufficient))
+        monkeypatch.setattr(cli, "solve_flow_domain", oracle_stub)
+        scen = tmp_path / "e1.json"
+        strat = tmp_path / "phi.json"
+        dump_scenario(e1, scen)
+        dump_strategy(e1_strategy_b, strat, scenario_path=scen)
+        assert cli_main(["check", str(strat), "--tol", "0"]) == 1
+        assert cli_main(["oracle", "--config", str(scen), "--tol", "0"]) == 2
+        assert seen == [("check_kkt", 0.0), ("check_sufficient", 0.0),
+                        ("solve_flow_domain", 0.0)]
+
+    def test_cc_seed_zero_overrides_config(self, tmp_path, monkeypatch):
+        # an explicit --seed 0 must win over the config's seed
+        import chainflow.cli as cli
+        seen = []
+
+        def build_stub(spec, seed):
+            seen.append(seed)
+            raise NotConverged("stub")
+
+        monkeypatch.setattr(cli, "build_scenario", build_stub)
+        cfg = tmp_path / "cc.json"
+        cfg.write_text(json.dumps({"scenario": {"topology": {"kind": "abilene"}}, "seed": 5}))
+        assert cli_main(["cc", "--config", str(cfg), "--seed", "0"]) == 2
+        assert cli_main(["cc", "--config", str(cfg)]) == 2
+        assert seen == [0, 5]
 
     def test_cc_command(self, tmp_path):
         cc = {"scenario": {"name": "mini",

@@ -5,7 +5,7 @@ from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetecte
                        NoFeasibleStrategy, Queue, Scenario, Strategy, compute_flows,
                        detect_loops, init_strategy, max_conservation_residual,
                        validate_strategy)
-from chainflow.flows import INIT_MODES
+from chainflow.flows import INIT_MODES, compiled
 
 from conftest import make_strategy, random_loopfree_strategy, random_scenario
 
@@ -177,6 +177,52 @@ class TestInitStrategy:
         phi = init_strategy(prop1, mode="shortest_path_comp_at_destination")
         st = compute_flows(prop1, phi)
         assert st.total_cost == pytest.approx(0.3)
+
+
+class TestZeroFlowTree:
+    def test_multi_target_distances_match_networkx(self):
+        import networkx as nx
+        for seed in range(8):
+            s = random_scenario(seed, n=9, link_kind="linear" if seed % 2 else "queue")
+            comp = compiled(s)
+            st, metric = comp.stack, comp.zero_flow_metric
+            g = nx.DiGraph()   # reversed links: distances from the targets
+            g.add_nodes_from(range(comp.n))
+            for e, (u, v) in enumerate(zip(st.src, st.dst)):
+                g.add_edge(int(v), int(u), weight=float(metric[e]))
+            rng = np.random.default_rng(seed)
+            for size in (1, 2, 3):
+                targets = np.zeros(comp.n, dtype=bool)
+                targets[rng.choice(comp.n, size=size, replace=False)] = True
+                dist, succ = comp.zero_flow_tree(targets)
+                expect = nx.multi_source_dijkstra_path_length(
+                    g, {int(i) for i in np.flatnonzero(targets)})
+                for i in range(comp.n):
+                    assert dist[i] == pytest.approx(expect[i], rel=1e-12, abs=0.0)
+                    if targets[i]:
+                        assert succ[i] == -1
+                    else:
+                        j = int(succ[i])
+                        assert comp.adj[i, j]
+                        assert dist[i] == dist[j] + metric[st.edge_flat == i * comp.n + j][0]
+
+    @pytest.mark.parametrize("src, middle, dest", [(1, (2, 3), 4), (4, (2, 3), 1),
+                                                    (2, (1, 4), 3)])
+    def test_diamond_tie_takes_smaller_index(self, src, middle, dest):
+        # src reaches dest at exactly the same zero-flow cost through either
+        # middle node; the one with the smaller index settles first and wins
+        g = Graph.from_undirected_edges([1, 2, 3, 4], [(src, m) for m in middle]
+                                        + [(m, dest) for m in middle])
+        app = Application(id="a", chain_length=1, destination=dest, packet_sizes=(1.0, 1.0))
+        s = Scenario(graph=g, applications=(app,),
+                     link_costs={e: Queue(10.0) for e in g.links},
+                     comp_costs={v: Queue(10.0) if v == dest else None for v in g.nodes},
+                     input_rates={(src, "a"): 1.0})
+        comp = compiled(s)
+        _, succ = comp.zero_flow_tree(np.arange(4) == comp.index[dest])
+        assert comp.nodes[succ[comp.index[src]]] == min(middle)
+        phi = init_strategy(s)
+        assert phi.row(src, "a", 1) == {min(middle): 1.0}
 
 
 class TestStrategySerialization:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from chainflow import (GpConfig, LoopDetected, TooLarge, check_sufficient, compute_flows,
-                       enumerate_bruteforce, run_gp, solve_flow_domain,
-                       strategy_from_flows, validate_strategy)
+                       enumerate_bruteforce, modified_marginals, run_gp, solve_flow_domain,
+                       strategy_from_flows, traffic_marginals, validate_strategy)
 from chainflow.flows import compiled
 from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
                               _extract_path, _greedy_start, _sparse_line_search, _totals,
-                              cheapest_extended_paths, enumerate_extended_paths, flow_cost)
+                              cheapest_extended_paths, enumerate_extended_paths, flow_cost,
+                              path_cost)
 
 from conftest import random_loopfree_strategy, random_scenario
 
@@ -113,6 +114,39 @@ class TestBruteforce:
             assert sum(1 for st in p if st[0] == "C") == 1
 
 
+class TestCheapestExtendedPaths:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_enumeration(self, masked):
+        # the draws of test_cross_oracle_agreement_random, priced at the flows
+        # of a random strategy; masked, each application may only use the
+        # links of its zero-flow tree to the destination, as in SPOC
+        for seed in range(6):
+            s = random_scenario(seed, n=5, num_apps=2, K=1, R=2,
+                                link_bound=40.0, comp_bound=30.0)
+            comp = compiled(s)
+            state = compute_flows(s, random_loopfree_strategy(s, seed))
+            Dp, Cp = comp.links.deriv(state.link_bits), comp.cpus.deriv(state.workload)
+            for app in comp.apps:
+                adj = None
+                if masked:
+                    _, succ = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
+                    adj = np.zeros((comp.n, comp.n), dtype=bool)
+                    on = succ >= 0
+                    adj[on, succ[on]] = True
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, adj=adj)
+                for src in range(comp.n):
+                    costs = [path_cost(comp, app, p, Dp, Cp)
+                             for p in enumerate_extended_paths(s, app.id, src, 5000)
+                             if adj is None or all(adj[st[2], st[3]] for st in p if st[0] == "L")]
+                    best = min(costs, default=np.inf)
+                    if not np.isfinite(best):
+                        assert dist[0, src] == np.inf and succ[0, src] == -3
+                        continue
+                    assert dist[0, src] == pytest.approx(best, rel=1e-12, abs=0.0)
+                    path = _extract_path(app, succ, src)
+                    assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(best, rel=1e-12)
+
+
 class TestStrategyFromFlows:
     def test_e1_recovers_strategy_a(self, e1, e1_strategy_a):
         res = solve_flow_domain(e1, tol=1e-10)
@@ -170,6 +204,58 @@ class TestStrategyFromFlows:
             F, G = _totals(comp, res.flows)
             assert np.max(np.abs(st.link_bits - F)) <= 1e-9
             assert np.max(np.abs(st.workload - G)) <= 1e-9
+
+    def test_positive_traffic_rows_untouched(self):
+        # rows of nodes that carry traffic are the flows over the traffic;
+        # only zero-traffic rows are filled, each with one unit direction
+        for seed in range(4):
+            s = random_scenario(seed, n=6, num_apps=2, K=2)
+            res = solve_flow_domain(s, tol=1e-6)
+            phi = strategy_from_flows(s, res.flows)
+            comp = compiled(s)
+            for app in comp.apps:
+                for k in range(app.K + 1):
+                    key = (app.id, k)
+                    f = np.where(res.flows.link_flows[key] < 1e-12, 0.0,
+                                 res.flows.link_flows[key])
+                    g = np.where(res.flows.cpu_flows[key] < 1e-12, 0.0,
+                                 res.flows.cpu_flows[key])
+                    inj = app.r if k == 0 else res.flows.cpu_flows[(app.id, k - 1)]
+                    t = f.sum(axis=0) + inj
+                    mat = phi.rows[key]
+                    for i in range(comp.n):
+                        if k == app.K and i == app.dest:
+                            assert not mat[i].any()
+                        elif t[i] > 1e-12:
+                            row = np.concatenate(([g[i]], f[i])) / t[i]
+                            assert np.allclose(mat[i], row / row.sum(), rtol=0, atol=1e-12)
+                        else:
+                            assert sorted(mat[i][mat[i] != 0]) == [1.0]
+
+    def test_zero_traffic_rows_take_cheapest_direction(self):
+        # flows of random strategies are far from optimal, so a traffic
+        # carrying node's marginal is often above what a zero-traffic detour
+        # through it would offer; filled rows must still point at a minimal
+        # modified marginal of the returned strategy
+        filled = 0
+        for seed in range(6):
+            s = random_scenario(seed, n=10, num_apps=2, K=1 + seed % 2)
+            state = compute_flows(s, random_loopfree_strategy(s, seed))
+            fv = FlowVector(state.nodes, dict(state.link_flows), dict(state.cpu_flows))
+            phi = strategy_from_flows(s, fv)
+            new_state = compute_flows(s, phi)
+            delta = modified_marginals(s, new_state, traffic_marginals(s, phi, new_state))
+            comp = compiled(s)
+            for app in comp.apps:
+                for k in range(app.K + 1):
+                    key = (app.id, k)
+                    for i in np.flatnonzero(state.traffic[key] <= 1e-12):
+                        if k == app.K and i == app.dest:
+                            continue
+                        row, d = phi.rows[key][i], delta[key][i]
+                        assert d[row == 1.0][0] <= d.min() + 1e-12 * max(1.0, abs(d.min()))
+                        filled += 1
+        assert filled >= 50
 
     def test_oracle_strategy_satisfies_sufficient(self):
         for seed in range(3):

@@ -15,7 +15,10 @@ sw-queue draws 1 and 3 with their hop metrics; the oracle, its
 strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; and a fixed
 sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
-some of them. Takes no options; about 30 s on one core of a 2-core Xeon VM.
+some of them. It also covers the zero-flow shortest-path trees: both
+init_strategy modes and the LPR-SC rows on every TABLE_ROWS row at seeds
+1-5, and SPOC on Abilene draw 1. Takes no options; about 20 s on one core
+of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from chainflow import (BASELINES, AlphaFair, ChainflowError, GpConfig, Graph, Scenario,
-                       adapt, build_scenario, extend_scenario, hop_metrics, run_gp,
-                       run_gp_cc, solve_flow_domain, strategy_from_flows, table_row)
+from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, ChainflowError, GpConfig, Graph,
+                       Scenario, adapt, build_scenario, extend_scenario, hop_metrics,
+                       init_strategy, lpr_sc, run_gp, run_gp_cc, solve_flow_domain, spoc,
+                       strategy_from_flows, table_row)
 
 GP = dict(tol=1e-4, max_iters=1000)
 EVENT_CYCLES = 8
@@ -127,6 +131,31 @@ def abilene():
                   repr((cc.iterations, cc.converged, cc.final_gap)), rows_summary(cc.phi))
 
 
+def trees():
+    """Strategies built on zero-flow shortest-path trees, whose ties the
+    search breaks: they must match row for row."""
+    for row in TABLE_ROWS:
+        for seed in range(1, 6):
+            s = build_scenario(dict(row), seed)
+            tag = f"trees {row['name']}/{seed}"
+            for mode in ("shortest_path_then_local_comp", "shortest_path_comp_at_destination"):
+                try:
+                    phi = init_strategy(s, mode=mode, require_finite=False)
+                except ChainflowError as err:
+                    print(tag, mode, "raised", type(err).__name__)
+                else:
+                    print(tag, mode, rows_summary(phi))
+            try:
+                res = lpr_sc(s)
+            except ChainflowError as err:
+                print(tag, "lpr-sc raised", type(err).__name__)
+            else:
+                print(tag, "lpr-sc", repr(res.total_cost), rows_summary(res.phi))
+    res = spoc(build_scenario(table_row("abilene"), 1))
+    print("trees abilene/1 spoc", repr(res.total_cost), rows_summary(res.phi))
+
+
 if __name__ == "__main__":
     sw_queue()
     abilene()
+    trees()
