@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, LocalComputationInfeasible, NoFeasibleStrategy
-from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy, tree_rows
+from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, run_gp
 from .network import Scenario
 from .oracle import solve_flow_domain, strategy_from_flows
@@ -101,6 +101,7 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     infinite-cost result.
     """
     comp = compiled(scenario)
+    st = comp.stack
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     n = comp.n
     # all-pairs zero-flow distances and per-target successor trees
@@ -108,11 +109,12 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     succ_to = np.zeros((n, n), dtype=int)
     for v in range(n):
         dist_to[:, v], succ_to[:, v] = comp.zero_flow_tree(np.arange(n) == v)
-    phi = Strategy.zeros(scenario)
+    # integral routing: stage k of an application heads for the node that
+    # runs task k+1 and computes there, its final stage for the destination
+    target = st.dest.copy()
     for app in comp.apps:
         rate_total = float(app.r.sum())
         if app.K == 0:
-            phi.rows[(app.id, 0)] = tree_rows(comp, app, 0, succ_to[:, app.dest])
             continue
         # DP over task placements; layer k holds the best cost of finishing
         # tasks 1..k+1 with task k+1 at node v
@@ -138,15 +140,9 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
         for k in range(app.K - 1, 0, -1):
             sites.append(int(back[k][sites[-1]]))
         sites.reverse()   # sites[k] hosts task k+1
-        # integral routing: stage k heads for sites[k], final stage for dest
-        for k in range(app.K + 1):
-            target = app.dest if k == app.K else sites[k]
-            compute_at = None
-            if k < app.K:
-                compute_at = np.zeros(n, dtype=bool)
-                compute_at[sites[k]] = True
-            phi.rows[(app.id, k)] = tree_rows(comp, app, k, succ_to[:, target],
-                                              compute_at=compute_at)
+        first = st.index[(app.id, 0)]
+        target[first:first + app.K] = sites
+    phi = Strategy._stacked(st, st.trees(succ_to[:, target].T))
     try:
         state = compute_flows(scenario, phi)
     except CapacityExceeded as err:

@@ -208,16 +208,21 @@ def _virtual_deltas(ext, marginals, admit):
     return out
 
 
-def _virtual_gap(ext, deltas, admit, tol_mass):
-    worst = 0.0
+def _gateway_sides(deltas, admit, tol_mass):
+    """The admission rule's operands: (pair, side, own, other) for each
+    gateway side, admit or reject, that carries more than tol_mass of the
+    offered rate. The sufficient condition asks own <= other."""
     for pair, (d_admit, d_reject) in deltas.items():
-        lo = min(d_admit, d_reject)
         a = admit.get(pair, 0.0)
         if a > tol_mass:
-            worst = max(worst, d_admit - lo)
+            yield pair, "admit", d_admit, d_reject
         if 1.0 - a > tol_mass:
-            worst = max(worst, d_reject - lo)
-    return worst
+            yield pair, "reject", d_reject, d_admit
+
+
+def _virtual_gap(deltas, admit, tol_mass):
+    return max((own - min(own, other) for _, _, own, other
+                in _gateway_sides(deltas, admit, tol_mass)), default=0.0)
 
 
 def _cc_start(ext, phi0):
@@ -255,7 +260,7 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
         blocked = blocked_sets(ext.base, phi, marg, state)
         vdelta = _virtual_deltas(ext, marg, admit)
         gap = max(sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter),
-                  _virtual_gap(ext, vdelta, admit, config.tol_mass))
+                  _virtual_gap(vdelta, admit, config.tol_mass))
         return gap, (marg, delta, blocked, vdelta)
 
     def step(point, tables, step_cfg):
@@ -298,14 +303,11 @@ def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,
     state = compute_flows(ext.base, phi, rates=rates)
     physical = check_sufficient(ext.base, phi, tol=tol, tol_mass=tol_mass, state=state)
     violations = list(physical.violations)
-    marg = traffic_marginals(ext.base, phi, state)
-    for pair, (d_admit, d_reject) in _virtual_deltas(ext, marg, admit).items():
-        a = admit.get(pair, 0.0)
-        if a > tol_mass and d_admit > d_reject + tol:
-            violations.append({"gateway": list(pair), "side": "admit",
-                               "network_marginal": d_admit, "utility_marginal": d_reject})
-        if 1.0 - a > tol_mass and d_reject > d_admit + tol:
-            violations.append({"gateway": list(pair), "side": "reject",
+    deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit)
+    for pair, side, own, other in _gateway_sides(deltas, admit, tol_mass):
+        if own > other + tol:
+            d_admit, d_reject = deltas[pair]
+            violations.append({"gateway": list(pair), "side": side,
                                "network_marginal": d_admit, "utility_marginal": d_reject})
     return CheckResult(holds=not violations, violations=violations)
 

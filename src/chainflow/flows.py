@@ -146,14 +146,15 @@ class _Stack:
     of the adjacency gives them. Directions are CPU columns and edges: node
     i owns the segment of n + E directions starting at seg[i], its CPU
     column first and then its out-links, so no segment is ever empty and
-    per-row minima, sums and counts are reduceat over `seg`. `into[v]` lists
-    node v's in-edges as (source, edge) pairs of Python ints, sources
-    increasing, for cheapest_to_go. Stage s is
-    comp.stage_keys[s]; the per-stage arrays give its packet size L, the
-    workloads w of its task (inf at final stages and where the task cannot
-    run), its input rates, the previous and next stage of its application
-    (-1 at the ends), its position k in the chain, and which rows must sum
-    to one (`active`: all but the destination's final-stage row).
+    per-row minima, sums and counts are reduceat over `seg`. `eid[u, v]` is
+    the edge of link (u, v), -1 off the links, and `into[v]` lists node v's
+    in-edges as (source, edge) pairs of Python ints, sources increasing, for
+    cheapest_to_go. Stage s is comp.stage_keys[s]; the per-stage arrays give
+    its packet size L, the workloads w of its task (inf at final stages and
+    where the task cannot run), its input rates, its application's
+    destination, the previous and next stage of its application (-1 at the
+    ends), its position k in the chain, and which rows must sum to one
+    (`active`: all but the destination's final-stage row).
     """
 
     def __init__(self, comp: _Compiled):
@@ -171,6 +172,8 @@ class _Stack:
         col[self.edge_pos] = 1 + self.dst
         self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
         self.edge_flat = self.src * n + self.dst      # edge -> (n, n) flat
+        self.eid = np.full((n, n), -1)
+        self.eid[self.src, self.dst] = np.arange(E)
         self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
         for e, (u, v) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
             self.into[v].append((u, e))
@@ -185,6 +188,7 @@ class _Stack:
         self.L = np.zeros(S)
         self.w = np.full((S, n), np.inf)
         self.r = np.zeros((S, n))
+        self.dest = np.zeros(S, dtype=int)
         self.prev = np.full(S, -1)
         self.next = np.full(S, -1)
         self.k = np.zeros(S, dtype=int)
@@ -192,7 +196,7 @@ class _Stack:
         s = 0
         for app in comp.apps:
             for k in range(app.K + 1):
-                self.L[s], self.k[s] = app.L[k], k
+                self.L[s], self.k[s], self.dest[s] = app.L[k], k, app.dest
                 if k < app.K:
                     self.w[s] = app.w[:, k]
                     self.next[s] = s + 1
@@ -212,7 +216,7 @@ class _Stack:
                                  and np.array_equal(other.src, self.src)
                                  and np.array_equal(other.dst, self.dst))
 
-    def rows(self, row_filter=None) -> np.ndarray:
+    def row_mask(self, row_filter=None) -> np.ndarray:
         """(S, n) mask of the rows to update: the active rows of the stages
         that `row_filter` accepts."""
         if row_filter is None:
@@ -227,6 +231,40 @@ class _Stack:
         """Per-node minima of an (S, n+E) direction array."""
         return np.minimum.reduceat(a, self.seg, axis=1)
 
+    def inputs(self, rates=None) -> np.ndarray:
+        """(S, n) exogenous input rates: the scenario's, or those given as
+        {(node, app_id): rate}."""
+        if rates is None:
+            return self.r
+        inj = np.zeros_like(self.r)
+        for s in self.groups[0]:
+            inj[s] = [rates.get((node, self.keys[s][0]), 0.0) for node in self.nodes]
+        return inj
+
+    def inflow(self, fe) -> np.ndarray:
+        """(S, n) per-node sums of an (S, E) edge array over the in-edges,
+        added in edge order."""
+        S = len(fe)
+        into = (np.arange(S)[:, None] * self.n + self.dst).ravel()
+        return np.bincount(into, weights=fe.ravel(), minlength=S * self.n).reshape(S, self.n)
+
+    def point(self, X, s, i, nxt):
+        """Give rows (s, i) of the direction array X a unit fraction toward
+        node nxt, or toward their CPU where nxt is negative, in place."""
+        cpu = nxt < 0
+        X[s[cpu], self.seg[i[cpu]]] = 1.0
+        X[s[~cpu], self.edge_pos[self.eid[i[~cpu], nxt[~cpu]]]] = 1.0
+
+    def trees(self, succ) -> np.ndarray:
+        """(S, n+E) fractions along per-stage successor trees (S, n), as
+        _Compiled.zero_flow_tree gives them: each active row sends
+        everything to its next node, and a tree's targets (-1) send it to
+        their CPU."""
+        X = np.zeros((len(succ), self.n + self.E))
+        s, i = np.nonzero(self.active)
+        self.point(X, s, i, succ[s, i])
+        return X
+
     def pack(self, rows) -> np.ndarray:
         """(S, n+E) direction array of dense blocks {key: (n, n+1)}: row
         blocks of a strategy, or a modified-marginal table."""
@@ -234,7 +272,11 @@ class _Stack:
             return rows.stacked(self)
         X = np.empty((len(self.keys), self.n + self.E))
         for s, key in enumerate(self.keys):
-            X[s] = rows[key].ravel()[self.dir_flat]
+            block = rows[key]
+            if block.shape != (self.n, self.n + 1):
+                raise ValueError(f"stage {key} block has shape {block.shape}, "
+                                 f"not {(self.n, self.n + 1)}")
+            X[s] = block.ravel()[self.dir_flat]
         return X
 
     def pack_edges(self, table) -> np.ndarray:
@@ -365,11 +407,16 @@ class Strategy:
     column 1+j the fraction toward the node with index j. Rows sum to 1,
     except the destination's final-stage row which sums to 0.
 
-    A strategy made by the engine holds the (S, n+E) direction array of its
-    stage stack instead of dense rows, and never both: the first access to
-    `rows` unpacks the array into dense blocks and drops it. The engine reads
-    a dense strategy by packing its rows on every use, so edits to `rows`
-    always count.
+    Every strategy the package makes (init_strategy, run_gp, adapt, the
+    baselines, strategy_from_flows) holds the (S, n+E) direction array of
+    its stage stack instead. The dense blocks are the public form, for
+    strategies built by hand (`zeros` and `set_row`), for inspection and
+    for JSON; inside the package only these methods and detect_loops,
+    which has no scenario to lay a stack out on, read `rows`. A strategy
+    holds one form, never both: the first access to `rows` unpacks the
+    array into dense blocks and drops it, and the engine packs a dense
+    strategy's rows on every use, so edits to `rows` always count. A
+    strategy is evaluated only on a scenario with the same node tuple.
     """
 
     def __init__(self, nodes, rows):
@@ -391,7 +438,12 @@ class Strategy:
         return self._rows
 
     def fractions(self, stack: _Stack) -> np.ndarray:
-        """The (S, n+E) direction fractions on `stack`. Do not edit them."""
+        """The (S, n+E) direction fractions on `stack`. Do not edit them.
+        Raises ValueError for a strategy on other nodes or with a block
+        that is not (n, n+1)."""
+        if self.nodes != stack.nodes:
+            raise ValueError(f"strategy for nodes {self.nodes!r} evaluated on a scenario "
+                             f"with nodes {stack.nodes!r}")
         if self._packed is not None:
             own, X = self._packed
             if stack.same_as(own):
@@ -475,44 +527,52 @@ class Strategy:
 def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     """Check conservation row sums, support, and fraction ranges.
 
-    Returns a list of violation dicts; an empty list means the strategy is
-    valid. Nothing is raised.
+    Returns a list of violation dicts, stage by stage; an empty list means
+    the strategy is valid. Nothing is raised. The checks read the
+    directions the engine evaluates; a dense strategy's blocks are also
+    checked for their shape and for mass on absent links, which the engine
+    ignores.
     """
     comp = compiled(scenario)
-    out = []
+    st = comp.stack
+    if phi.nodes != comp.nodes:
+        return [{"error": f"strategy for nodes {phi.nodes!r}, scenario has {comp.nodes!r}"}]
     tol = 1e-9
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            mat = phi.rows.get(key)
-            if mat is None or mat.shape != (comp.n, comp.n + 1):
-                out.append({"stage": key, "error": "missing or misshaped row block"})
-                continue
-            if np.any(mat < -tol) or np.any(mat > 1 + tol):
-                bad = np.argwhere((mat < -tol) | (mat > 1 + tol))
-                for i, j in bad:
-                    out.append({"stage": key, "node": comp.nodes[i],
-                                "error": "fraction outside [0, 1]",
-                                "value": float(mat[i, j])})
-            sums = mat.sum(axis=1)
-            for i in range(comp.n):
-                want = 0.0 if (k == app.K and i == app.dest) else 1.0
-                if abs(sums[i] - want) > 1e-6:
-                    out.append({"stage": key, "node": comp.nodes[i],
-                                "error": f"row sums to {sums[i]:.9f}, expected {want}"})
-            off_support = (mat[:, 1:] > tol) & ~comp.adj
-            for i, j in np.argwhere(off_support):
-                out.append({"stage": key, "node": comp.nodes[i],
-                            "dest": comp.nodes[j], "error": "fraction on absent link"})
-            if k == app.K:
-                for i in np.flatnonzero(mat[:, 0] > tol):
-                    out.append({"stage": key, "node": comp.nodes[i],
-                                "error": "CPU fraction at final stage"})
-            else:
-                bad_cpu = (mat[:, 0] > tol) & ~np.isfinite(app.w[:, k])
-                for i in np.flatnonzero(bad_cpu):
-                    out.append({"stage": key, "node": comp.nodes[i],
-                                "error": "CPU fraction where task not performable"})
+    misshaped, absent = set(), {}
+    if phi._rows is None:
+        X = phi.fractions(st)
+    else:
+        blocks = {}
+        for key in st.keys:
+            mat = phi._rows.get(key)
+            if mat is None or mat.shape != (st.n, st.n + 1):
+                misshaped.add(key)
+                mat = np.zeros((st.n, st.n + 1))
+            blocks[key] = mat
+            absent[key] = [{"stage": key, "node": comp.nodes[i], "dest": comp.nodes[j],
+                            "error": "fraction on absent link"}
+                           for i, j in np.argwhere((mat[:, 1:] > tol) & ~comp.adj)]
+        X = st.pack(blocks)
+    outside = (X < -tol) | (X > 1 + tol)
+    sums = st.row_sum(X)
+    want = st.active.astype(float)
+    bad_cpu = (X[:, st.seg] > tol) & ~np.isfinite(st.w)
+    out = []
+    for s, key in enumerate(st.keys):
+        if key in misshaped:
+            out.append({"stage": key, "error": "missing or misshaped row block"})
+            continue
+        for p in np.flatnonzero(outside[s]):
+            out.append({"stage": key, "node": comp.nodes[st.dnode[p]],
+                        "error": "fraction outside [0, 1]", "value": float(X[s, p])})
+        for i in np.flatnonzero(np.abs(sums[s] - want[s]) > 1e-6):
+            out.append({"stage": key, "node": comp.nodes[i],
+                        "error": f"row sums to {sums[s, i]:.9f}, expected {want[s, i]}"})
+        out += absent.get(key, [])
+        for i in np.flatnonzero(bad_cpu[s]):
+            out.append({"stage": key, "node": comp.nodes[i],
+                        "error": "CPU fraction at final stage" if st.final[s]
+                        else "CPU fraction where task not performable"})
     return out
 
 
@@ -623,6 +683,37 @@ def stage_levels(stack: _Stack, X) -> StageLevels:
     return levels
 
 
+def marginal_sweep(st: _Stack, X, Dp, Cp, levels: StageLevels, settle=None) -> np.ndarray:
+    """(S, n) marginal costs dT/dt of the direction fractions X on st.
+
+    Dp holds the links' marginal costs per edge, Cp the CPUs' per node, and
+    `levels` are X's stage_levels. The recursion runs over chain positions
+    in decreasing order, all applications' stage k together, each solved
+    along its levels, sinks first, from dT/dt = 0 at the destination's
+    final stage. `settle(k, lam)`, when given, runs once position k is
+    solved and may change that position's rows of lam before the position
+    below reads them.
+    """
+    link = np.zeros_like(X)
+    link[:, st.edge_pos] = X[:, st.edge_pos] * (st.L[:, None] * Dp)
+    link = st.row_sum(link)
+    c0 = X[:, st.seg]
+    lam = np.zeros_like(link)
+    for k in reversed(range(len(st.groups))):
+        group = st.groups[k]
+        lam[group] = link[group]
+        mid = group[~st.final[group]]
+        if mid.size:
+            on = c0[mid] > 0
+            with np.errstate(invalid="ignore"):
+                cpu = c0[mid] * (st.w[mid] * Cp + lam[st.next[mid]])
+            lam[mid] += np.where(on, cpu, 0.0)
+        levels.solve(lam, k, forward=False)
+        if settle is not None:
+            settle(k, lam)
+    return lam
+
+
 def detect_loops(phi: Strategy) -> dict:
     """Directed cycles among positive-fraction links, per stage.
 
@@ -722,12 +813,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     st = comp.stack
     X = phi.fractions(st)
     levels = stage_levels(st, X)
-    inj = st.r
-    if rates is not None:
-        inj = np.zeros_like(st.r)
-        for s in st.groups[0]:
-            app_id = st.keys[s][0]
-            inj[s] = [rates.get((node, app_id), 0.0) for node in comp.nodes]
+    inj = st.inputs(rates)
     extra = None
     if extra_injections:
         extra = np.zeros_like(st.r)
@@ -760,41 +846,32 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
 def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowState,
                               rates: dict | None = None) -> float:
     """Largest absolute violation of per-(node, stage) flow conservation."""
-    comp = compiled(scenario)
-    worst = 0.0
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            inflow = state.link_flows[key].sum(axis=0)
-            if k == 0:
-                if rates is None:
-                    inflow = inflow + app.r
-                else:
-                    for i, node in enumerate(comp.nodes):
-                        inflow[i] += rates.get((node, app.id), 0.0)
-            else:
-                inflow = inflow + state.cpu_flows[(app.id, k - 1)]
-            worst = max(worst, float(np.max(np.abs(state.traffic[key] - inflow))))
-    return worst
+    st = compiled(scenario).stack
+    inflow = st.inflow(state.edge_flows) + st.inputs(rates)
+    later = st.prev >= 0
+    inflow[later] += state.cpu_stack[st.prev[later]]
+    return float(np.max(np.abs(state.traffic_stack - inflow), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # initial strategies
 # ---------------------------------------------------------------------------
 
-def tree_rows(comp: _Compiled, app, k: int, succ, compute_at=None) -> np.ndarray:
-    """Row block of stage (app, k) that forwards along the successor tree
-    `succ`; nodes flagged in `compute_at` send everything to their CPU
-    instead."""
-    mat = np.zeros((comp.n, comp.n + 1))
-    for i in range(comp.n):
-        if k == app.K and i == app.dest:
-            continue
-        if compute_at is not None and compute_at[i]:
-            mat[i, 0] = 1.0
-        else:
-            mat[i, 1 + succ[i]] = 1.0
-    return mat
+def tree_fractions(comp: _Compiled, at_destination: bool = False) -> np.ndarray:
+    """(S, n+E) fractions on zero-flow shortest-path trees: each task runs
+    where its data sits when that node can run it, else at the nearest node
+    that can (with `at_destination`, at the destination when it can run
+    the task). Final results, and stages that no node can run, head for
+    the destination."""
+    st = comp.stack
+    succ = np.empty((len(st.keys), st.n), dtype=int)
+    for s in range(len(st.keys)):
+        dest = np.arange(st.n) == st.dest[s]
+        capable = np.isfinite(st.w[s])
+        if at_destination and capable[st.dest[s]]:
+            capable = dest
+        succ[s] = comp.zero_flow_tree(capable if capable.any() else dest)[1]
+    return st.trees(succ)
 
 
 def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp",
@@ -812,26 +889,12 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
     if mode not in INIT_MODES:
         raise ValueError(f"unknown init mode {mode!r}")
     comp = compiled(scenario)
-    n = comp.n
-    phi = Strategy.zeros(scenario)
-    for app in comp.apps:
-        dest_targets = np.arange(n) == app.dest
-        _, succ_dest = comp.zero_flow_tree(dest_targets)
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            if k == app.K:
-                phi.rows[key] = tree_rows(comp, app, k, succ_dest)
-                continue
-            capable = np.isfinite(app.w[:, k]) & comp.has_cpu
-            if not capable.any():
-                raise NoFeasibleStrategy(
-                    f"no node can perform task {k + 1} of {app.id}")
-            if mode == "shortest_path_comp_at_destination" and capable[app.dest]:
-                phi.rows[key] = tree_rows(comp, app, k, succ_dest, compute_at=dest_targets)
-                continue
-            # compute locally where possible, else head to the nearest capable node
-            _, succ_cap = comp.zero_flow_tree(capable)
-            phi.rows[key] = tree_rows(comp, app, k, succ_cap, compute_at=capable)
+    st = comp.stack
+    for s in np.flatnonzero(~st.final):
+        if not np.isfinite(st.w[s]).any():
+            app_id, k = st.keys[s]
+            raise NoFeasibleStrategy(f"no node can perform task {k + 1} of {app_id}")
+    phi = Strategy._stacked(st, tree_fractions(comp, mode == INIT_MODES[1]))
     if require_finite:
         try:
             compute_flows(scenario, phi)

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
-                    tree_rows, validate_strategy)
-from .marginals import BlockedSets, blocked_sets, modified_marginals, traffic_marginals
+                    tree_fractions, validate_strategy)
+from .marginals import (BlockedSets, blocked_sets, direction_minima, modified_marginals,
+                        traffic_marginals)
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -55,12 +56,10 @@ def sufficient_gap(comp, phi: Strategy, delta, tol_mass: float,
     """Largest modified-marginal gap over positive-fraction directions; the
     convergence measure (0 at a point satisfying the sufficient condition)."""
     st = comp.stack
-    X = phi.fractions(st)
     d = st.pack(delta)
+    lo, on = direction_minima(st, phi.fractions(st), d, tol_mass)
     with np.errstate(invalid="ignore"):
-        dmin = st.row_min(np.where(np.isfinite(d), d, np.inf))
-        gap = np.where(X > tol_mass, d - dmin[:, st.dnode], 0.0)
-    gap = gap[st.rows(row_filter)[:, st.dnode]]
+        gap = np.where(on, d - lo, 0.0)[st.row_mask(row_filter)[:, st.dnode]]
     return max(0.0, float(np.max(gap))) if gap.size else 0.0
 
 
@@ -91,7 +90,7 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     avail = ~B & np.isfinite(d)
     with np.errstate(invalid="ignore"):
         dmin = st.row_min(np.where(avail, d, np.inf))
-        rows = st.rows(config.row_filter) & np.isfinite(dmin)
+        rows = st.row_mask(config.row_filter) & np.isfinite(dmin)
         e = np.clip(d - dmin[:, st.dnode], 0.0, None)
         tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, st.dnode]
         minimal = avail & (e <= tie)
@@ -258,93 +257,72 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 # adaptation to input / topology changes
 # ---------------------------------------------------------------------------
 
-def _fresh_rows(comp, app, k):
-    """Row block used where rows must be rebuilt from scratch: compute at
-    capable nodes, else follow zero-flow shortest paths to the nearest
-    capable node (to the destination at the final stage)."""
-    if k < app.K:
-        capable = np.isfinite(app.w[:, k]) & comp.has_cpu
-        if capable.any():
-            return tree_rows(comp, app, k, comp.zero_flow_tree(capable)[1], compute_at=capable)
-    return tree_rows(comp, app, k, comp.zero_flow_tree(np.arange(comp.n) == app.dest)[1])
-
-
 def _repair_strategy(old_scenario, new_scenario, phi_prev):
-    comp_old = compiled(old_scenario)
-    comp_new = compiled(new_scenario)
+    """phi_prev carried over to the new scenario's stage stack.
+
+    A row keeps its fractions on the directions that still exist; a CPU
+    keeps its own only where it can still run the task. The freed mass goes
+    to the first remaining direction, CPU first, with the smallest previous
+    modified marginal, and the row is renormalized. New nodes and stages,
+    and rows whose freed mass finds no such direction, get fresh rows
+    (tree_fractions); stages that the repair leaves cyclic are rebuilt
+    fresh.
+    """
+    comp_old, comp_new = compiled(old_scenario), compiled(new_scenario)
+    old, st = comp_old.stack, comp_new.stack
     try:
         state_old = compute_flows(old_scenario, phi_prev)
         lam_old = traffic_marginals(old_scenario, phi_prev, state_old)
-        delta_old = modified_marginals(old_scenario, state_old, lam_old)
+        d_old = old.pack(modified_marginals(old_scenario, state_old, lam_old))
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
+    X_old = phi_prev.fractions(old)
 
-    phi = Strategy.zeros(new_scenario)
-    fresh_rows = {}
-    for app in comp_new.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            fresh = fresh_rows[key] = _fresh_rows(comp_new, app, k)
-            mat = phi.rows[key]
-            old_mat = phi_prev.rows.get(key)
-            d_old = delta_old.get(key)
-            for i, node in enumerate(comp_new.nodes):
-                if k == app.K and i == app.dest:
-                    continue
-                oi = comp_old.index.get(node) if old_mat is not None else None
-                if oi is None:
-                    mat[i] = fresh[i]   # new node: fresh conservation-satisfying row
-                    continue
-                row = np.zeros(comp_new.n + 1)
-                freed = 0.0
-                keep_cpu = k < app.K and np.isfinite(app.w[i, k])
-                if old_mat[oi, 0] > 0 and keep_cpu:
-                    row[0] = old_mat[oi, 0]
-                else:
-                    freed += old_mat[oi, 0]
-                for oj, onode in enumerate(comp_old.nodes):
-                    frac = old_mat[oi, 1 + oj]
-                    if frac <= 0:
-                        continue
-                    nj = comp_new.index.get(onode)
-                    if nj is not None and comp_new.adj[i, nj]:
-                        row[1 + nj] = frac
-                    else:
-                        freed += frac   # removed link or removed node
-                if freed > 0:
-                    # dump freed mass on the remaining direction with the
-                    # smallest old modified marginal
-                    best, best_val = None, np.inf
-                    if keep_cpu and np.isfinite(d_old[oi, 0]):
-                        best, best_val = 0, d_old[oi, 0]
-                    for nj in np.flatnonzero(comp_new.adj[i]):
-                        onj = comp_old.index.get(comp_new.nodes[nj])
-                        val = d_old[oi, 1 + onj] if onj is not None else np.inf
-                        if val < best_val:
-                            best, best_val = 1 + nj, val
-                    if best is None:
-                        row[:] = fresh[i]
-                    else:
-                        row[best] += freed
-                s = row.sum()
-                if s > 0:
-                    row /= s
-                mat[i] = row
-    # repairs can stitch kept rows into a cycle: rebuild such stages
-    st = comp_new.stack
-    for s in st.peel(st.pack(phi.rows)).cyclic:
-        phi.rows[st.keys[s]] = fresh_rows[st.keys[s]]
-    return phi
+    # the old stage, node and direction behind each new one, -1 for none
+    so = np.array([old.index.get(key, -1) for key in st.keys], dtype=int)
+    oi = np.array([comp_old.index.get(v, -1) for v in st.nodes], dtype=int)
+    op = np.full(st.n + st.E, -1)
+    op[st.seg[oi >= 0]] = old.seg[oi[oi >= 0]]
+    ou, ov = oi[st.src], oi[st.dst]
+    oe = np.where((ou >= 0) & (ov >= 0), old.eid[ou, ov], -1)
+    op[st.edge_pos[oe >= 0]] = old.edge_pos[oe[oe >= 0]]
+    has = (so >= 0)[:, None] & (op >= 0)[None, :] & st.active[:, st.dnode]
+    has[:, st.seg] &= np.isfinite(st.w)
+    X = np.where(has, X_old[so][:, op], 0.0)
+    marginal = np.where(has, d_old[so][:, op], np.inf)
+
+    # mass on old directions that were not carried over goes to the first
+    # direction, in segment order, with the smallest old modified marginal
+    carried = np.zeros((len(st.keys), X_old.shape[1]), dtype=bool)
+    s, p = np.nonzero(has)
+    carried[s, op[p]] = True
+    freed = old.row_sum(np.where(carried, 0.0, X_old[so]))[:, oi]
+    lo = st.row_min(marginal)
+    moved = (freed > 0) & np.isfinite(lo)
+    first = np.where(marginal == lo[:, st.dnode], np.arange(st.n + st.E), st.n + st.E)
+    s, i = np.nonzero(moved)
+    X[s, np.minimum.reduceat(first, st.seg, axis=1)[s, i]] += freed[s, i]
+    sums = st.row_sum(X)
+    X /= np.where(sums > 0, sums, 1.0)[:, st.dnode]
+
+    renew = ((so < 0)[:, None] | (oi < 0)[None, :] | (freed > 0) & ~moved) & st.active
+    if renew.any():
+        X = np.where(renew[:, st.dnode], tree_fractions(comp_new), X)
+    cyclic = st.peel(X).cyclic
+    if cyclic.size:
+        X[cyclic] = tree_fractions(comp_new)[cyclic]
+    return Strategy._stacked(st, X)
 
 
 def adapt(old_scenario: Scenario, new_scenario: Scenario, phi_prev: Strategy,
           config: GpConfig | None = None) -> GpResult:
     """Warm-started re-optimization after input-rate or topology changes.
 
-    Removed links lose their fractions (mass goes to the remaining direction
-    with the smallest previous modified marginal); new links start at zero;
-    new nodes get fresh rows. Raises NoFeasibleStrategy when the repaired
-    strategy has no finite cost.
+    Removed links, and CPUs that can no longer run a task, lose their
+    fractions (mass goes to the remaining direction with the smallest
+    previous modified marginal); new links start at zero; new nodes get
+    fresh rows. Raises NoFeasibleStrategy when the repaired strategy has no
+    finite cost.
     """
     phi0 = _repair_strategy(old_scenario, new_scenario, phi_prev)
     try:

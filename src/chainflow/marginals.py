@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroTrafficNode
-from .flows import FlowState, Strategy, compiled, compute_flows, stage_levels
+from .flows import FlowState, Strategy, compiled, compute_flows, marginal_sweep, stage_levels
 from .network import Scenario
 from .oracle import FlowVector, flow_cost
 
@@ -38,25 +38,8 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     """
     comp = compiled(scenario)
     st = comp.stack
-    X = phi.fractions(st)
-    Dp = st.links.deriv(state.edge_bits)
-    Cp = comp.cpus.deriv(state.workload)
-    link = np.zeros_like(X)
-    link[:, st.edge_pos] = X[:, st.edge_pos] * (st.L[:, None] * Dp)
-    link = st.row_sum(link)
-    c0 = X[:, st.seg]
-    lam = np.zeros_like(link)
-    for k in reversed(range(len(st.groups))):
-        group = st.groups[k]
-        lam[group] = link[group]
-        mid = group[~st.final[group]]
-        if mid.size:
-            on = c0[mid] > 0
-            with np.errstate(invalid="ignore"):
-                cpu = c0[mid] * (st.w[mid] * Cp + lam[st.next[mid]])
-            lam[mid] += np.where(on, cpu, 0.0)
-        state.levels.solve(lam, k, forward=False)
-    return st.node_view(lam)
+    return st.node_view(marginal_sweep(st, phi.fractions(st), st.links.deriv(state.edge_bits),
+                                       comp.cpus.deriv(state.workload), state.levels))
 
 
 def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
@@ -147,12 +130,37 @@ class CheckResult:
         return {"holds": self.holds, "violations": self.violations}
 
 
+def direction_minima(st, X, d, tol_mass: float):
+    """(lo, on) for values d on the (S, n+E) directions of the stage stack
+    st: lo holds each direction's row minimum of d, and `on` flags the
+    directions whose fraction in X exceeds tol_mass. The sufficient
+    condition asks d to sit at lo on every flagged direction; run_gp's gap
+    and both checkers measure how far it does not."""
+    return st.row_min(d)[:, st.dnode], X > tol_mass
+
+
 def _tables(scenario, phi, state):
+    """The stage stack, phi's FlowState and its stacked modified marginals."""
+    st = compiled(scenario).stack
     if state is None:
         state = compute_flows(scenario, phi)
     marg = traffic_marginals(scenario, phi, state)
-    delta = modified_marginals(scenario, state, marg)
-    return state, marg, delta
+    return st, state, st.pack(modified_marginals(scenario, state, marg))
+
+
+def _check(st, X, g, rows, tol, tol_mass, name) -> CheckResult:
+    """Directions of the (S, n) rows `rows` carrying more than tol_mass
+    whose value in g exceeds the row minimum by more than tol, stage by
+    stage, node by node, CPU first."""
+    with np.errstate(invalid="ignore"):
+        lo, on = direction_minima(st, X, g, tol_mass)
+        bad = on & (g > lo + tol) & rows[:, st.dnode]
+    col = st.dir_flat % (st.n + 1)
+    violations = [{"node": st.nodes[st.dnode[p]], "stage": list(st.keys[s]),
+                   "dest": "cpu" if col[p] == 0 else st.nodes[col[p] - 1],
+                   name: float(g[s, p]), "row_min": float(lo[s, p])}
+                  for s, p in zip(*np.nonzero(bad))]
+    return CheckResult(holds=not violations, violations=violations)
 
 
 def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
@@ -160,26 +168,12 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     """KKT stationarity on dT/dphi = t * delta: every positive-fraction
     direction must achieve the row minimum within tol. Rows with zero traffic
     satisfy the condition vacuously."""
-    comp = compiled(scenario)
-    state, marg, delta = _tables(scenario, phi, state)
-    active = comp.stack.node_view(comp.stack.active)
-    violations = []
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            t = state.traffic[key]
-            d = delta[key]
-            mat = phi.rows[key]
-            for i in np.flatnonzero(active[key] & (t > tol_mass)):
-                grad = t[i] * d[i]
-                row_min = np.min(grad)
-                for j in np.flatnonzero(mat[i] > tol_mass):
-                    if grad[j] > row_min + tol:
-                        violations.append({
-                            "node": comp.nodes[i], "stage": list(key),
-                            "dest": "cpu" if j == 0 else comp.nodes[j - 1],
-                            "value": float(grad[j]), "row_min": float(row_min)})
-    return CheckResult(holds=not violations, violations=violations)
+    st, state, d = _tables(scenario, phi, state)
+    t = state.traffic_stack
+    with np.errstate(invalid="ignore"):
+        grad = t[:, st.dnode] * d
+    return _check(st, phi.fractions(st), grad, st.active & (t > tol_mass), tol, tol_mass,
+                  "value")
 
 
 def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
@@ -188,24 +182,8 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
     """Global-optimality sufficient condition: positive-fraction directions
     achieve the row-minimum modified marginal, at every node including
     zero-traffic ones."""
-    comp = compiled(scenario)
-    state, marg, delta = _tables(scenario, phi, state)
-    active = comp.stack.node_view(comp.stack.active)
-    violations = []
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            d = delta[key]
-            mat = phi.rows[key]
-            for i in np.flatnonzero(active[key]):
-                row_min = np.min(d[i])
-                for j in np.flatnonzero(mat[i] > tol_mass):
-                    if d[i, j] > row_min + tol:
-                        violations.append({
-                            "node": comp.nodes[i], "stage": list(key),
-                            "dest": "cpu" if j == 0 else comp.nodes[j - 1],
-                            "delta": float(d[i, j]), "row_min": float(row_min)})
-    return CheckResult(holds=not violations, violations=violations)
+    st, state, d = _tables(scenario, phi, state)
+    return _check(st, phi.fractions(st), d, st.active, tol, tol_mass, "delta")
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,9 @@ def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
                 iterations: int = 0) -> Metrics:
     comp = compiled(scenario)
     st = comp.stack
-    S, n = len(st.keys), st.n
     # hop mass M = inflow + P^T M: total (rate x hops) arriving at each
     # node, where packets enter their stage with zero hops
-    into = (np.arange(S)[:, None] * n + st.dst).ravel()
-    M = np.bincount(into, weights=state.edge_flows.ravel(), minlength=S * n).reshape(S, n)
+    M = st.inflow(state.edge_flows)
     for k in range(len(st.groups)):
         state.levels.solve(M, k, forward=True)
     c0 = phi.fractions(st)[:, st.seg]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, cheapest_to_go, compiled, stage_levels
+from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -561,69 +561,43 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     """
     comp = compiled(scenario)
     st = comp.stack
-    n = comp.n
     F, G = _totals(comp, fv)
-    Dp = comp.links.deriv(F)
+    Dp = comp.links.deriv(F)[st.src, st.dst]
     Cp = comp.cpus.deriv(G)
-    phi = Strategy.zeros(scenario)
-    positive = {}
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            key = (app.id, k)
-            f = fv.link_flows[key].copy()
-            g = fv.cpu_flows[key].copy()
-            f[f < prune] = 0.0
-            g[g < prune] = 0.0
-            inj = app.r if k == 0 else fv.cpu_flows[(app.id, k - 1)]
-            t = f.sum(axis=0) + inj
-            pos = t > prune
-            mat = phi.rows[key]
-            mat[pos, 1:] = f[pos] / t[pos, None]
-            mat[pos, 0] = g[pos] / t[pos]
-            if k == app.K:
-                mat[app.dest, :] = 0.0
-                pos[app.dest] = True
-            sums = mat.sum(axis=1)
-            fix = pos & (sums > 0.5)
-            mat[fix] /= sums[fix, None]
-            positive[key] = pos
-    levels = stage_levels(st, st.pack(phi.rows))
-    first = 0
-    for app in comp.apps:
-        lam_next = None
-        for k in range(app.K, -1, -1):
-            key = (app.id, k)
-            mat, pos = phi.rows[key], positive[key]
-            # marginals on the positive part (zero rows contribute nothing yet)
-            base = (mat[:, 1:] * (app.L[k] * Dp)).sum(axis=1)
-            if k < app.K:
-                on = mat[:, 0] > 0
-                base[on] += mat[on, 0] * (app.w[on, k] * Cp[on] + lam_next[on])
-            x = np.zeros((len(st.keys), n))
-            x[first + k] = base
-            levels.solve(x, k, forward=False)
-            lam = x[first + k]
-            # fill zero-traffic rows toward the cheapest settled value
-            dist = np.where(pos, lam, np.inf)
-            choice = np.full(n, -9, dtype=int)
-            if k == app.K:
-                dist[app.dest] = 0.0
-            else:
-                with np.errstate(invalid="ignore"):
-                    cpu = app.w[:, k] * Cp + lam_next
-                on = ~pos & (cpu < dist)
-                dist[on], choice[on] = cpu[on], -1
-            cheapest_to_go(st, (app.L[k] * Dp[st.src, st.dst])[None], dist[None],
-                           choice[None], fixed=pos[None])
-            for i in np.flatnonzero(~pos):
-                if choice[i] == -1:
-                    mat[i, 0] = 1.0
-                elif choice[i] >= 0:
-                    mat[i, 1 + choice[i]] = 1.0
-                else:
-                    raise NoFeasibleStrategy(
-                        f"cannot route zero-traffic node {comp.nodes[i]} at stage {key}")
-                lam[i] = dist[i]
-            lam_next = lam
-        first += app.K + 1
-    return phi
+    fe = st.pack_edges(fv.link_flows)
+    g = st.node_stack(fv.cpu_flows)
+    inj = st.r.copy()
+    inj[st.prev >= 0] = g[st.prev[st.prev >= 0]]
+    fe[fe < prune] = 0.0
+    g[g < prune] = 0.0
+    t = st.inflow(fe) + inj
+    on = (t > prune) & st.active
+    X = np.zeros((len(st.keys), st.n + st.E))
+    X[:, st.edge_pos] = np.divide(fe, t[:, st.src], out=np.zeros_like(fe), where=on[:, st.src])
+    X[:, st.seg] = np.divide(g, t, out=np.zeros_like(g), where=on)
+    pos = on | ~st.active
+    sums = st.row_sum(X)
+    X /= np.where(pos & (sums > 0.5), sums, 1.0)[:, st.dnode]
+    link_w = st.L[:, None] * Dp
+
+    def settle(k, lam):
+        # fill zero-traffic rows toward the cheapest settled value
+        group = st.groups[k]
+        fixed = pos[group]
+        dist = np.where(fixed, lam[group], np.inf)
+        choice = np.full(dist.shape, -9)
+        with np.errstate(invalid="ignore"):
+            cpu = st.w[group] * Cp + lam[st.next[group]]
+        via_cpu = ~fixed & (cpu < dist)
+        dist[via_cpu], choice[via_cpu] = cpu[via_cpu], -1
+        cheapest_to_go(st, link_w[group], dist, choice, fixed=fixed)
+        r, i = np.nonzero(~fixed)
+        stuck = np.flatnonzero(choice[r, i] < -1)
+        if stuck.size:
+            raise NoFeasibleStrategy(f"cannot route zero-traffic node {comp.nodes[i[stuck[0]]]} "
+                                     f"at stage {st.keys[group[r[stuck[0]]]]}")
+        st.point(X, group[r], i, choice[r, i])
+        lam[group[r], i] = dist[r, i]
+
+    marginal_sweep(st, X, Dp, Cp, stage_levels(st, X), settle)
+    return Strategy._stacked(st, X)

@@ -143,6 +143,16 @@ class TestCli:
         dump_strategy(e1_strategy_b, strat, scenario_path=scen)
         assert cli_main(["check", str(strat)]) == 1
 
+    def test_check_strategy_for_other_nodes_exit_1(self, tmp_path, capsys):
+        from chainflow import init_strategy
+        from chainflow.serialize import dump_scenario, dump_strategy
+        from test_flows import path_scenario
+        small, big = tmp_path / "small.json", tmp_path / "big_phi.json"
+        dump_scenario(path_scenario([1, 2, 3, 4]), small)
+        dump_strategy(init_strategy(path_scenario([1, 2, 3, 4, 5])), big)
+        assert cli_main(["check", str(big), "--config", str(small)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"topology\": {\"kind\": \"banana\"}}")

@@ -10,6 +10,17 @@ from chainflow.flows import INIT_MODES, compiled
 from conftest import make_strategy, random_loopfree_strategy, random_scenario
 
 
+def path_scenario(nodes):
+    """Routing only (no task) along a path of unit-slope links, from the
+    first node to the last, at unit rate: the only route costs len - 1."""
+    g = Graph(nodes=tuple(nodes), links=frozenset(
+        l for u, v in zip(sorted(nodes), sorted(nodes)[1:]) for l in ((u, v), (v, u))))
+    app = Application(id="a", chain_length=0, destination=max(nodes), packet_sizes=(1.0,))
+    return Scenario(graph=g, applications=(app,),
+                    link_costs={l: Linear(1.0) for l in g.links},
+                    comp_costs={v: None for v in nodes}, input_rates={(1, "a"): 1.0})
+
+
 class TestValidate:
     def test_e1_strategy_a_ok(self, e1, e1_strategy_a):
         assert validate_strategy(e1, e1_strategy_a) == []
@@ -38,6 +49,18 @@ class TestValidate:
         bad.set_row(1, "p", 0, {3: 1.0})  # (1,3) is not a link
         errors = validate_strategy(prop1, bad)
         assert any(v["error"] == "fraction on absent link" for v in errors)
+
+    def test_absent_link_mass_is_not_row_mass(self, prop1, prop1_kkt_strategy):
+        # the engine never reads (1,3), so the row it evaluates is empty
+        bad = prop1_kkt_strategy.copy()
+        bad.set_row(1, "p", 0, {3: 1.0})
+        errors = [v["error"] for v in validate_strategy(prop1, bad)]
+        assert errors == ["row sums to 0.000000000, expected 1.0", "fraction on absent link"]
+
+    def test_other_node_set_reported(self):
+        phi = init_strategy(path_scenario([1, 2, 3, 4, 5]))
+        errors = validate_strategy(path_scenario([1, 2, 3, 4]), phi)
+        assert len(errors) == 1 and "nodes" in errors[0]["error"]
 
     def test_cpu_where_not_performable(self, prop1, prop1_kkt_strategy):
         bad = prop1_kkt_strategy.copy()
@@ -137,6 +160,23 @@ class TestComputeFlows:
         st = compute_flows(e1, e1_strategy_a, extra_injections={(2, ("a", 0)): 0.5})
         # injected data at node 2 is computed there (cost 3 * 0.5)
         assert st.total_cost == pytest.approx(2.0 + 1.5)
+
+    @pytest.mark.parametrize("made_for, evaluated_on", [
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4]), ([1, 2, 3, 4], [1, 2, 3, 4, 5]),
+        ([1, 2, 3, 4], [4, 3, 2, 1])])
+    def test_strategy_for_other_nodes_rejected(self, made_for, evaluated_on):
+        # read by position, the 5-node path's strategy would cost 1.0 on
+        # the 4-node path, whose only route costs 3.0
+        phi = init_strategy(path_scenario(made_for))
+        for strategy in (phi, Strategy.from_jsonable(phi.to_jsonable())):
+            with pytest.raises(ValueError, match="nodes"):
+                compute_flows(path_scenario(evaluated_on), strategy)
+
+    def test_misshaped_block_rejected(self, e1, e1_strategy_a):
+        bad = e1_strategy_a.copy()
+        bad.rows[("a", 1)] = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="shape"):
+            compute_flows(e1, bad)
 
     def test_zero_traffic_rows_tolerated(self, prop1, prop1_kkt_strategy):
         st = compute_flows(prop1, prop1_kkt_strategy)

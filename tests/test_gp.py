@@ -216,3 +216,120 @@ class TestAdapt:
             drift.append(dmax)
         assert drift[2] <= drift[1] + 1e-9
         assert drift[1] <= drift[0] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# adapt's repair: the start it hands to run_gp (max_iters=0 runs no slot)
+# ---------------------------------------------------------------------------
+
+def _chain_scenario(nodes, edges, slopes=None, cpus=None):
+    """One task, then results to node 3; unit input at node 1, unit packet
+    sizes and workloads, Linear links (slope 1 unless given) and CPUs."""
+    from chainflow import Application, Graph, Linear, Scenario
+    g = Graph.from_undirected_edges(nodes, edges)
+    slopes = slopes or {}
+    app = Application(id="a", chain_length=1, destination=3, packet_sizes=(1.0, 1.0))
+    return Scenario(graph=g, applications=(app,),
+                    link_costs={(u, v): Linear(slopes.get(frozenset((u, v)), 1.0))
+                                for (u, v) in g.links},
+                    comp_costs={v: Linear(1.0) for v in nodes} if cpus is None else cpus,
+                    input_rates={(1, "a"): 1.0})
+
+
+def _repaired(old, new, phi):
+    return adapt(old, new, phi, GpConfig(max_iters=0)).phi
+
+
+class TestRepair:
+    ROWS = {(1, "a", 0): {"cpu": 1.0}, (2, "a", 0): {"cpu": 1.0}, (3, "a", 0): {"cpu": 1.0},
+            (1, "a", 1): {2: 1.0}, (2, "a", 1): {3: 1.0}}
+
+    def _rows(self, phi, nodes):
+        return {(v, "a", k): phi.row(v, "a", k) for v in nodes for k in (0, 1)
+                if (v, k) != (3, 1)}
+
+    def test_node_added_gets_fresh_rows(self):
+        old = _chain_scenario([1, 2, 3], [(1, 2), (2, 3)])
+        new = _chain_scenario([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)])
+        phi = _repaired(old, new, make_strategy(old, self.ROWS))
+        # node 4 computes where its data sits and sends results toward 3
+        assert self._rows(phi, [1, 2, 3, 4]) == {**self.ROWS, (4, "a", 0): {"cpu": 1.0},
+                                                  (4, "a", 1): {2: 1.0}}
+
+    def test_node_removed_frees_its_share(self):
+        old = _chain_scenario([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)])
+        rows = {**self.ROWS, (4, "a", 0): {"cpu": 1.0}, (4, "a", 1): {3: 1.0},
+                (2, "a", 1): {3: 0.5, 4: 0.5}}
+        new = _chain_scenario([1, 2, 3], [(1, 2), (2, 3)])
+        phi = _repaired(old, new, make_strategy(old, rows))
+        # the half sent to 4 joins the cheaper remaining link (2,3)
+        assert self._rows(phi, [1, 2, 3]) == self.ROWS
+
+    def test_cpu_lost_moves_mass_to_cheapest_link(self):
+        from chainflow import Linear
+        slopes = {frozenset((1, 3)): 5.0}
+        edges = [(1, 2), (2, 3), (1, 3)]
+        old = _chain_scenario([1, 2, 3], edges, slopes)
+        rows = {**self.ROWS, (1, "a", 0): {"cpu": 0.6, 3: 0.4}, (1, "a", 1): {3: 1.0}}
+        new = _chain_scenario([1, 2, 3], edges, slopes,
+                              cpus={1: None, 2: Linear(1.0), 3: Linear(1.0)})
+        phi = _repaired(old, new, make_strategy(old, rows))
+        # stage-0 modified marginals at node 1: (1,2) costs 1 + (1 + 1) = 3,
+        # (1,3) costs 5 + 1 = 6, so the CPU's 0.6 goes to node 2
+        assert self._rows(phi, [1, 2, 3]) == {**rows, (1, "a", 0): {2: 0.6, 3: 0.4}}
+
+    def test_freed_mass_tie_goes_to_first_direction(self):
+        # without the diagonal (1,3), node 1's results can go via 2 or via 4
+        # at exactly equal modified marginals, 1 + 1 = 2: the first wins
+        edges = [(1, 2), (2, 3), (3, 4), (4, 1)]
+        old = _chain_scenario([1, 2, 3, 4], edges + [(1, 3)])
+        rows = {**self.ROWS, (4, "a", 0): {"cpu": 1.0}, (1, "a", 1): {3: 1.0},
+                (4, "a", 1): {3: 1.0}}
+        new = _chain_scenario([1, 2, 3, 4], edges)
+        phi = _repaired(old, new, make_strategy(old, rows))
+        assert self._rows(phi, [1, 2, 3, 4]) == {**rows, (1, "a", 1): {2: 1.0}}
+
+    def test_link_added_starts_empty(self):
+        old = _chain_scenario([1, 2, 3], [(1, 2), (2, 3)])
+        new = _chain_scenario([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+        phi = _repaired(old, new, make_strategy(old, self.ROWS))
+        assert self._rows(phi, [1, 2, 3]) == self.ROWS
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_random_removals(self, seed):
+        import networkx as nx
+        from chainflow import Graph, Scenario
+        s = random_scenario(seed, n=7, num_apps=2, K=1)
+        base = run_gp(s, config=GpConfig(tol=1e-4, max_iters=300))
+        rng = np.random.default_rng(seed)
+        # remove a node, a link that keeps the rest connected, and a CPU
+        g = nx.Graph(list(s.graph.links))
+        dests = {a.destination for a in s.applications}
+        movable = [v for v in s.graph.nodes if v not in dests
+                   and nx.is_connected(g.subgraph(set(g) - {v}))]
+        gone = movable[rng.integers(len(movable))]
+        g.remove_node(gone)
+        bridges = {tuple(sorted(b)) for b in nx.bridges(g)}
+        cut = sorted({tuple(sorted(l)) for l in g.edges} - bridges)
+        down = cut[rng.integers(len(cut))] if cut else None
+        nodes = tuple(v for v in s.graph.nodes if v != gone)
+        no_cpu = nodes[rng.integers(len(nodes))]
+        removed = {down, down[::-1]} if down else set()
+        kept = frozenset(l for l in s.graph.links
+                         if l not in removed and gone not in l)
+        s2 = Scenario(graph=Graph(nodes=nodes, links=kept), applications=s.applications,
+                      link_costs={l: s.link_costs[l] for l in kept},
+                      comp_costs={v: None if v == no_cpu else s.comp_costs[v] for v in nodes},
+                      input_rates={p: r for p, r in s.input_rates.items() if p[0] != gone},
+                      seed=s.seed)
+        for cfg in (GpConfig(max_iters=0), GpConfig(tol=1e-4, max_iters=200)):
+            res = adapt(s, s2, base.phi, cfg)
+            assert validate_strategy(s2, res.phi) == []
+            assert detect_loops(res.phi) == {}
+            assert np.isfinite(res.total_cost)
+            assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+            for (app_id, k), mat in res.phi.rows.items():
+                i = nodes.index(no_cpu)
+                assert mat[i, 0] == 0.0
+                for u, v in removed:
+                    assert mat[nodes.index(u), 1 + nodes.index(v)] == 0.0

@@ -156,6 +156,18 @@ class TestCheckers:
         assert check_sufficient(e1, e1_strategy_a).holds
         assert check_kkt(e1, e1_strategy_a).holds
 
+    def test_checkers_keep_the_engine_layout(self):
+        # the checkers and validate_strategy read run_gp's strategy as the
+        # engine stores it, without unpacking dense row blocks
+        from chainflow import GpConfig, max_conservation_residual, run_gp, validate_strategy
+        s = random_scenario(2, n=6, num_apps=1, K=1)
+        res = run_gp(s, config=GpConfig(tol=1e-4, max_iters=300))
+        check_kkt(s, res.phi)
+        check_sufficient(s, res.phi)
+        assert validate_strategy(s, res.phi) == []
+        assert max_conservation_residual(s, res.phi, res.state) <= 1e-12
+        assert res.phi._rows is None
+
     def test_marginals_nonincreasing_along_support_at_optimum(self):
         # with the sufficient condition satisfied, dT/dt never increases along
         # a positive-fraction link, strictly decreasing where traffic flows

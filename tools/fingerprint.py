@@ -17,8 +17,14 @@ sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
 some of them. It also covers the zero-flow shortest-path trees: both
 init_strategy modes and the LPR-SC rows on every TABLE_ROWS row at seeds
-1-5, and SPOC on Abilene draw 1. Takes no options; about 20 s on one core
-of a 2-core Xeon VM.
+1-5, and SPOC on Abilene draw 1. The optimality checkers print their
+verdicts and full violation lists at GP slot 0 and at the final slot on
+sw-queue draw 1 and Abilene draw 1, and on random loop-free strategies of
+small random scenarios, which also give max_conservation_residual (with and
+without a rate override) and validate_strategy on perturbed copies. Last
+come adapt's repaired starts (max_iters=0) on Abilene draw 1 after a link
+goes down, a node is removed, a node loses its CPU and a node is added.
+Takes no options; about 12 s on one core of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -26,10 +32,13 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, ChainflowError, GpConfig, Graph,
-                       Scenario, adapt, build_scenario, extend_scenario, hop_metrics,
-                       init_strategy, lpr_sc, run_gp, run_gp_cc, solve_flow_domain, spoc,
-                       strategy_from_flows, table_row)
+from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, ChainflowError, CostSpec, GpConfig,
+                       Graph, Linear, Queue, Scenario, Strategy, adapt, build_scenario,
+                       check_kkt, check_sufficient, compute_flows, extend_scenario,
+                       generate_topology, hop_metrics, init_strategy, lpr_sc,
+                       max_conservation_residual, run_gp, run_gp_cc, sample_scenario,
+                       solve_flow_domain, spoc, strategy_from_flows, table_row,
+                       validate_strategy)
 
 GP = dict(tol=1e-4, max_iters=1000)
 EVENT_CYCLES = 8
@@ -56,10 +65,35 @@ def gp_lines(tag, res):
           rows_summary(res.phi))
 
 
+def checker_lines(tag, s, phi):
+    """Verdicts and full violation lists of both optimality checkers."""
+    for name, check in (("kkt", check_kkt), ("sufficient", check_sufficient)):
+        res = check(s, phi)
+        print(tag, name, repr(res.holds), repr(res.violations))
+
+
+def checked_gp(tag, s):
+    """Cold GP with the checkers run on its slot-0 and final strategies."""
+    starts = []
+
+    def keep_start(slot, phi, state):
+        if slot == 0:
+            starts.append(phi)
+
+    res = run_gp(s, config=GpConfig(**GP, on_iterate=keep_start))
+    checker_lines(f"{tag} slot 0", s, starts[0])
+    checker_lines(f"{tag} final", s, res.phi)
+    print(tag, "residual", repr(max_conservation_residual(s, res.phi, res.state)))
+    return res
+
+
 def sw_queue():
     for draw in (1, 3):
         s = build_scenario(table_row("sw-queue"), draw)
-        res = run_gp(s, config=GpConfig(**GP))
+        if draw == 1:
+            res = checked_gp(f"sw-queue/{draw} gp", s)
+        else:
+            res = run_gp(s, config=GpConfig(**GP))
         gp_lines(f"sw-queue/{draw} gp", res)
         m = hop_metrics(s, res.phi, res.state)
         print(f"sw-queue/{draw} hops", repr((m.H_data, m.H_result)))
@@ -100,7 +134,7 @@ def busiest_removable_link(s, state):
 def abilene():
     base = build_scenario(table_row("abilene"), 1)
     cfg = GpConfig(**GP)
-    res = run_gp(base, config=cfg)
+    res = checked_gp("abilene cold", base)
     gp_lines("abilene cold", res)
     rng = np.random.default_rng(2)
     keys = sorted(base.input_rates, key=repr)
@@ -155,7 +189,135 @@ def trees():
     print("trees abilene/1 spoc", repr(res.total_cost), rows_summary(res.phi))
 
 
+def random_loopfree(s, rng, full_support):
+    """Random loop-free strategy built through the public API: per stage,
+    fractions only follow a random order that puts every node after some
+    neighbour closer to the destination, so the support is a DAG."""
+    g = nx.DiGraph(list(s.graph.links))
+    g.add_nodes_from(s.graph.nodes)
+    phi = Strategy.zeros(s)
+    for app in s.applications:
+        hops = nx.shortest_path_length(g.reverse(), app.destination)
+        for k in range(app.chain_length + 1):
+            jitter = dict(zip(s.graph.nodes, rng.random(len(s.graph.nodes))))
+            order = sorted(s.graph.nodes, key=lambda v: (-hops[v], jitter[v], repr(v)))
+            pos = {v: p for p, v in enumerate(order)}
+            for v in s.graph.nodes:
+                if k == app.chain_length and v == app.destination:
+                    continue
+                dests = [u for u in sorted(g.successors(v), key=pos.get) if pos[u] > pos[v]]
+                if (k < app.chain_length and s.comp_costs.get(v) is not None
+                        and np.isfinite(app.weight(v, k))):
+                    dests.insert(0, "cpu")
+                w = rng.uniform(0.2, 1.0, size=len(dests))
+                if not full_support and len(dests) > 1 and rng.random() < 0.5:
+                    w[rng.choice(len(dests), size=int(rng.integers(1, len(dests))),
+                                 replace=False)] = 0.0
+                phi.set_row(v, app.id, k, {d: f for d, f in zip(dests, w / w.sum()) if f > 0})
+    return phi
+
+
+def perturbed(s, phi):
+    """(name, copy of phi with one defect) for each defect validate_strategy
+    reports on directions the scenario has."""
+    app = s.applications[0]
+    final = (app.id, app.chain_length)
+    dest = app.destination
+    v = next(u for u in s.graph.nodes if u != dest)
+    to_v = sorted(u for (w, u) in s.graph.links if w == v)[0]
+    to_dest = sorted(u for (w, u) in s.graph.links if w == dest)[0]
+    edits = {
+        "negative": lambda p: p.set_row(v, app.id, 0, {"cpu": 1.5, to_v: -0.5}),
+        "short": lambda p: p.set_row(v, app.id, 0, {to_v: 0.7}),
+        "final cpu": lambda p: p.set_row(v, *final, {"cpu": 0.25, to_v: 0.75}),
+        "destination row": lambda p: p.set_row(dest, *final, {to_dest: 1.0}),
+        "missing": lambda p: p.rows.pop((app.id, 0)),
+        "misshaped": lambda p: p.rows.__setitem__(final, np.zeros((2, 2))),
+    }
+    out = []
+    for name, edit in edits.items():
+        bad = phi.copy()
+        edit(bad)
+        out.append((name, bad))
+    return out
+
+
+def random_checks():
+    """Checkers, conservation residuals and validation on random loop-free
+    strategies of small random scenarios."""
+    rng = np.random.default_rng(11)
+    for seed in range(1, 7):
+        topo = generate_topology("connected_er", {"n": 8, "p": 0.3}, seed=seed)
+        s = sample_scenario(topo, 2, 2, 2, (0.5, 1.5),
+                            CostSpec(link_bound=60.0, comp_bound=40.0), seed=seed)
+        rates = {pair: 0.5 * r for pair, r in s.input_rates.items()}
+        for full in (False, True):
+            tag = f"random {seed} full={full}"
+            phi = random_loopfree(s, rng, full)
+            try:
+                checker_lines(tag, s, phi)
+                print(tag, "residual", repr(max_conservation_residual(
+                    s, phi, compute_flows(s, phi))), repr(max_conservation_residual(
+                        s, phi, compute_flows(s, phi, rates=rates), rates=rates)))
+            except ChainflowError as err:
+                print(tag, "raised", type(err).__name__)
+            print(tag, "valid", repr(validate_strategy(s, phi)))
+            for name, bad in perturbed(s, phi):
+                print(tag, name, repr(validate_strategy(s, bad)))
+
+
+def edited(s, nodes=None, links=None, comp_costs=None):
+    """Copy of s with the given nodes, links or CPU costs. Links and input
+    rates of removed nodes go too; a new link costs Linear(1) and a new
+    node's CPU Queue(8)."""
+    nodes = tuple(s.graph.nodes if nodes is None else nodes)
+    links = frozenset(l for l in (s.graph.links if links is None else links)
+                      if l[0] in nodes and l[1] in nodes)
+    comp = dict(s.comp_costs if comp_costs is None else comp_costs)
+    return Scenario(graph=Graph(nodes=nodes, links=links), applications=s.applications,
+                    link_costs={l: s.link_costs.get(l, Linear(1.0)) for l in links},
+                    comp_costs={v: comp.get(v, Queue(8.0)) for v in nodes},
+                    input_rates={p: r for p, r in s.input_rates.items() if p[0] in nodes},
+                    seed=s.seed, name=s.name)
+
+
+def repairs():
+    """adapt's repaired starts after topology events on Abilene draw 1."""
+    base = build_scenario(table_row("abilene"), 1)
+    res = run_gp(base, config=GpConfig(**GP))
+    state = res.state
+    dests = {a.destination for a in base.applications}
+    g = nx.Graph(list(base.graph.links))
+    down = busiest_removable_link(base, state)
+    by_load = sorted(base.graph.nodes, key=lambda v: (-state.G(v), repr(v)))
+    gone = next(v for v in by_load
+                if v not in dests and nx.is_connected(g.subgraph(set(g) - {v})))
+    light = [v for v in by_load if state.G(v) > 0][-1]
+    added = "Boston"
+    near = sorted(base.graph.nodes)[:2]
+    events = {
+        "link down": edited(base, links=base.graph.links - {down, down[::-1]}),
+        "node removed": edited(base, nodes=[v for v in base.graph.nodes if v != gone]),
+        "cpu lost": edited(base, comp_costs={**base.comp_costs, light: None}),
+        "node added": edited(base, nodes=sorted(base.graph.nodes + (added,)),
+                             links=base.graph.links | {(added, u) for u in near}
+                             | {(u, added) for u in near}),
+    }
+    for name, s in events.items():
+        tag = f"repair abilene/1 {name}"
+        try:
+            start = adapt(base, s, res.phi, GpConfig(**dict(GP, max_iters=0)))
+        except ChainflowError as err:
+            print(tag, "raised", type(err).__name__)
+            continue
+        print(tag, "trace", repr(start.trace), repr(validate_strategy(s, start.phi)),
+              rows_summary(start.phi))
+        checker_lines(tag, s, start.phi)
+
+
 if __name__ == "__main__":
     sw_queue()
     abilene()
     trees()
+    random_checks()
+    repairs()
