@@ -55,12 +55,9 @@ class _Compiled:
         n = self.n = len(self.nodes)
         nodes = self.nodes
 
-        self.links = CostArray(
-            (n, n), (((self.index[u], self.index[v]), cost)
-                     for (u, v), cost in scenario.link_costs.items()),
-            "link flow at or above queue capacity",
-            lambda i, j: f"link {(nodes[i], nodes[j])!r}")
-        self.adj = self.links.kind != ABSENT
+        self.adj = np.zeros((n, n), dtype=bool)
+        for (u, v), cost in scenario.link_costs.items():
+            self.adj[self.index[u], self.index[v]] = cost is not None
         self.cpus = CostArray(n, ((self.index[node], cost)
                                   for node, cost in scenario.comp_costs.items()),
                               "workload at or above CPU capacity",
@@ -93,10 +90,9 @@ class _Compiled:
         return _Stack(self)
 
     def cost_total(self, F, G) -> float:
-        """Total link cost of bit rates F plus CPU cost of workloads G. F is
-        dense (n, n) or one entry per edge of the stage stack's index."""
-        links = self.links if F.ndim == 2 else self.stack.links
-        total = links.total(F) + self.cpus.total(G)
+        """Total link cost of bit rates F, one per edge of the stage stack,
+        plus CPU cost of workloads G."""
+        total = self.stack.links.total(F) + self.cpus.total(G)
         if np.any(G[~self.has_cpu] > 0):
             raise CapacityExceeded("workload on a node without CPU")
         return total
@@ -181,7 +177,7 @@ class _Stack:
         self.links = CostArray(
             E, ((e, comp.scenario.link_costs[(nodes[u], nodes[v])])
                 for e, (u, v) in enumerate(zip(self.src, self.dst))),
-            comp.links.overflow,
+            "link flow at or above queue capacity",
             lambda e: f"link {(nodes[self.src[e]], nodes[self.dst[e]])!r}")
 
         S = len(self.keys)
@@ -240,6 +236,19 @@ class _Stack:
         for s in self.groups[0]:
             inj[s] = [rates.get((node, self.keys[s][0]), 0.0) for node in self.nodes]
         return inj
+
+    def totals(self, fe, g):
+        """Link bits F per edge and CPU workloads G per node of (S, E) link
+        flows and (S, n) CPU flows, each added stage by stage. This is the
+        one accumulation of F and G. Raises CapacityExceeded for CPU flow
+        where the stage's task cannot run."""
+        F = (self.L[:, None] * fe).sum(axis=0)
+        on = (g > 0) & ~self.final[:, None]
+        cannot = (on & ~np.isfinite(self.w)).any(axis=1)
+        if cannot.any():
+            raise CapacityExceeded(f"stage {self.keys[np.argmax(cannot)]} sends flow to a CPU "
+                                   "that cannot run the task")
+        return F, (np.where(on, self.w, 0.0) * g).sum(axis=0)
 
     def inflow(self, fe) -> np.ndarray:
         """(S, n) per-node sums of an (S, E) edge array over the in-edges,
@@ -300,6 +309,8 @@ class _Stack:
 
     def node_stack(self, table) -> np.ndarray:
         """(S, n) array of a {key: (n,)} node table."""
+        if isinstance(table, DenseView):
+            return table.stacked(self)
         return np.stack([table[key] for key in self.keys])
 
     def direction_view(self, a) -> "DenseView":
@@ -439,17 +450,29 @@ class Strategy:
 
     def fractions(self, stack: _Stack) -> np.ndarray:
         """The (S, n+E) direction fractions on `stack`. Do not edit them.
-        Raises ValueError for a strategy on other nodes or with a block
-        that is not (n, n+1)."""
+        Raises ValueError for a strategy on other nodes, with a block that
+        is not (n, n+1) or with mass on a link the scenario lacks."""
         if self.nodes != stack.nodes:
             raise ValueError(f"strategy for nodes {self.nodes!r} evaluated on a scenario "
                              f"with nodes {stack.nodes!r}")
-        if self._packed is not None:
-            own, X = self._packed
-            if stack.same_as(own):
-                return X
-            return stack.pack(own.unpack(X))
-        return stack.pack(self._rows)
+        rows = self._foreign_rows(stack)
+        if rows is None:
+            return self._packed[1]
+        X = stack.pack(rows)
+        s, i, j = np.nonzero([(rows[key][:, 1:] != 0) & (stack.eid < 0) for key in stack.keys])
+        if s.size:
+            u, v = self.nodes[i[0]], self.nodes[j[0]]
+            raise ValueError(f"stage {stack.keys[s[0]]}: node {u!r} sends mass over link "
+                             f"{(u, v)!r}, which the scenario lacks")
+        return X
+
+    def _foreign_rows(self, stack: _Stack):
+        """None when the strategy holds an array laid out on `stack`, else
+        its dense row blocks (without unpacking the strategy)."""
+        if self._packed is None:
+            return self._rows
+        own, X = self._packed
+        return None if stack.same_as(own) else own.unpack(X)
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "Strategy":
@@ -529,9 +552,9 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
 
     Returns a list of violation dicts, stage by stage; an empty list means
     the strategy is valid. Nothing is raised. The checks read the
-    directions the engine evaluates; a dense strategy's blocks are also
-    checked for their shape and for mass on absent links, which the engine
-    ignores.
+    directions the engine evaluates; the blocks of a strategy not laid out
+    on the scenario's stage stack are also checked for their shape and for
+    mass on absent links, which the engine refuses.
     """
     comp = compiled(scenario)
     st = comp.stack
@@ -539,12 +562,13 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
         return [{"error": f"strategy for nodes {phi.nodes!r}, scenario has {comp.nodes!r}"}]
     tol = 1e-9
     misshaped, absent = set(), {}
-    if phi._rows is None:
+    rows = phi._foreign_rows(st)
+    if rows is None:
         X = phi.fractions(st)
     else:
         blocks = {}
         for key in st.keys:
-            mat = phi._rows.get(key)
+            mat = rows.get(key)
             if mat is None or mat.shape != (st.n, st.n + 1):
                 misshaped.add(key)
                 mat = np.zeros((st.n, st.n + 1))
@@ -831,14 +855,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
         raise ValueError("negative traffic (bad injections?)")
     g = t * c0
     fe = t[:, st.src] * X[:, st.edge_pos]
-    F = (st.L[:, None] * fe).sum(axis=0)
-    on = (g > 0) & ~st.final[:, None]
-    cannot = (on & ~np.isfinite(st.w)).any(axis=1)
-    if cannot.any():
-        raise CapacityExceeded(f"stage {st.keys[np.argmax(cannot)]} sends flow to a CPU "
-                               "that cannot run the task")
-    G = np.where(on, st.w, 0.0) * g
-    G = G.sum(axis=0)
+    F, G = st.totals(fe, g)
     total = comp.cost_total(F, G)
     return FlowState(st, t, g, fe, F, G, total, levels)
 

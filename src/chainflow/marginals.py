@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ZeroTrafficNode
 from .flows import FlowState, Strategy, compiled, compute_flows, marginal_sweep, stage_levels
 from .network import Scenario
-from .oracle import FlowVector, flow_cost
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TOL_MASS = 1e-9
@@ -207,13 +206,11 @@ def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
         for key, t in s.traffic.items():
             if np.any(t <= 0):
                 raise ZeroTrafficNode(f"zero traffic at stage {key}")
+    comp, st = compiled(scenario), s1.stack
     worst = -np.inf
     for t in np.linspace(0.0, 1.0, n_samples):
-        fv = FlowVector(s1.nodes,
-                        {key: (1 - t) * f + t * s2.link_flows[key]
-                         for key, f in s1.link_flows.items()},
-                        {key: (1 - t) * g + t * s2.cpu_flows[key]
-                         for key, g in s1.cpu_flows.items()})
+        F, G = st.totals((1 - t) * s1.edge_flows + t * s2.edge_flows,
+                         (1 - t) * s1.cpu_stack + t * s2.cpu_stack)
         chord = (1 - t) * s1.total_cost + t * s2.total_cost
-        worst = max(worst, flow_cost(scenario, fv) - chord)
+        worst = max(worst, comp.cost_total(F, G) - chord)
     return float(worst)

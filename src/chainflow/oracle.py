@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
+from .flows import (DenseView, Strategy, cheapest_to_go, compiled, marginal_sweep,
+                    stage_levels)
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -29,31 +30,36 @@ from .network import Scenario, queue_prime, queue_room
 # flow vectors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FlowVector:
-    """Per-stage link and CPU flows (packets/sec)."""
+    """Per-stage flows (packets/sec): `link_flows` maps each stage (app_id,
+    k) to its (n, n) link flows and `cpu_flows` to its (n,) CPU flows.
 
-    nodes: tuple
-    link_flows: dict   # (app_id, k) -> (n, n)
-    cpu_flows: dict    # (app_id, k) -> (n,)
+    The oracle's flow vectors hold the (S, E) link and (S, n) CPU flows of
+    the stage stack; the maps are views, blocks built on access and edits
+    read back. Dense dicts given to the constructor are packed on every
+    engine use, as a dense Strategy's rows are."""
 
-    def copy(self) -> "FlowVector":
-        return FlowVector(self.nodes,
-                          {k: v.copy() for k, v in self.link_flows.items()},
-                          {k: v.copy() for k, v in self.cpu_flows.items()})
+    def __init__(self, nodes, link_flows, cpu_flows):
+        self.nodes = tuple(nodes)
+        self.link_flows, self.cpu_flows = link_flows, cpu_flows
+
+    @classmethod
+    def _on(cls, st, fe, g) -> "FlowVector":
+        return cls(st.nodes, st.edge_view(fe, 0.0),
+                   DenseView(st, g, (st.n,), np.arange(st.n), 0.0))
+
+    def arrays(self, st):
+        """(S, E) link flows and (S, n) CPU flows on the stage stack st:
+        the oracle's own arrays, which it edits in place, until a view
+        block is built."""
+        if self.nodes != st.nodes:
+            raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {st.nodes!r}")
+        return st.pack_edges(self.link_flows), st.node_stack(self.cpu_flows)
 
 
 def _totals(comp, fv: FlowVector):
-    F = np.zeros((comp.n, comp.n))
-    G = np.zeros(comp.n)
-    for app in comp.apps:
-        for k in range(app.K + 1):
-            F += app.L[k] * fv.link_flows[(app.id, k)]
-            if k < app.K:
-                g = fv.cpu_flows[(app.id, k)]
-                on = g > 0
-                G[on] += app.w[on, k] * g[on]
-    return F, G
+    """Link bits per edge and CPU workloads per node of a flow vector."""
+    return comp.stack.totals(*fv.arrays(comp.stack))
 
 
 def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
@@ -67,27 +73,32 @@ def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
 # ---------------------------------------------------------------------------
 # A path is a tuple of steps: ("L", k, u, v) for a stage-k hop on link (u, v)
 # and ("C", k, v) for running task k+1 at node v (consuming stage-k packets).
+# Link marginals Dp are per edge of the stage stack, CPU marginals Cp per node.
 
 def path_cost(comp, app, path, Dp, Cp) -> float:
+    eid = comp.stack.eid
     c = 0.0
     for step in path:
         if step[0] == "L":
             _, k, u, v = step
-            c += app.L[k] * Dp[u, v]
+            c += app.L[k] * Dp[eid[u, v]]
         else:
             _, k, v = step
             c += app.w[v, k] * Cp[v]
     return float(c)
 
 
-def _add_path(fv: FlowVector, app_id, path, amount: float):
+def _add_path(comp, fv: FlowVector, app, path, amount: float):
+    st = comp.stack
+    fe, g = fv.arrays(st)
+    s0 = st.index[(app.id, 0)]
     for step in path:
         if step[0] == "L":
             _, k, u, v = step
-            fv.link_flows[(app_id, k)][u, v] += amount
+            fe[s0 + k, st.eid[u, v]] += amount
         else:
             _, k, v = step
-            fv.cpu_flows[(app_id, k)][v] += amount
+            g[s0 + k, v] += amount
 
 
 def cheapest_extended_paths(comp, app, Dp, Cp, adj=None):
@@ -100,7 +111,7 @@ def cheapest_extended_paths(comp, app, Dp, Cp, adj=None):
     admissible links (used by baselines that pin routing to fixed paths).
     """
     K, n, st = app.K, comp.n, comp.stack
-    link_w = np.outer(app.L, Dp[st.src, st.dst])
+    link_w = np.outer(app.L, Dp)
     if adj is not None:
         link_w[:, ~adj[st.src, st.dst]] = np.inf
     with np.errstate(invalid="ignore"):
@@ -145,17 +156,12 @@ class OracleResult:
 
 
 def _zero_flows(comp) -> FlowVector:
-    return FlowVector(comp.nodes,
-                      {key: np.zeros((comp.n, comp.n)) for key in comp.stage_keys},
-                      {key: np.zeros(comp.n) for key in comp.stage_keys})
+    st = comp.stack
+    return FlowVector._on(st, np.zeros((len(st.keys), st.E)), np.zeros((len(st.keys), st.n)))
 
 
 def _blocks(comp):
-    out = []
-    for app in comp.apps:
-        for s in np.flatnonzero(app.r > 0):
-            out.append((app, int(s), float(app.r[s])))
-    return out
+    return [(app, int(s), float(app.r[s])) for app in comp.apps for s in np.flatnonzero(app.r > 0)]
 
 
 def _rebuild(comp, registry) -> FlowVector:
@@ -163,7 +169,7 @@ def _rebuild(comp, registry) -> FlowVector:
     for (app, src, rate), atoms in registry.items():
         for path, wgt in atoms.items():
             if wgt > 0:
-                _add_path(fv, app.id, path, wgt * rate)
+                _add_path(comp, fv, app, path, wgt * rate)
     return fv
 
 
@@ -188,26 +194,34 @@ def _bisect(deriv, hi: float) -> float:
 
 
 def _exact_line_search(comp, F, G, dF, dG):
-    """Step in [0, 1] along the dense direction (dF, dG) that minimizes the
-    total cost, kept inside the queue domains."""
-    hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+    """Step in [0, 1] along the direction (dF, dG), per edge and per node,
+    that minimizes the total cost, kept inside the queue domains. The link
+    terms of the derivative are summed as an (n, n) table, zero off the
+    links: that sum's rounding steers the trajectory (see
+    _sparse_line_search), and a sum over the edges adds in another order."""
+    st = comp.stack
+    hi = min(1.0, st.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+    table = np.zeros(st.n * st.n)
 
     def deriv(gamma):
-        Dp = comp.links.deriv(F + gamma * dF)
+        table[st.edge_flat] = st.links.deriv(F + gamma * dF) * dF
         Cp = comp.cpus.deriv(G + gamma * dG)
-        return float(np.sum(Dp * dF) + np.sum(Cp * dG))
+        return float(np.sum(table) + np.sum(Cp * dG))
 
     return _bisect(deriv, hi)
 
 
-def _delta_entries(app, path_plus, path_minus):
-    """Sparse bit/workload deltas of a unit-rate swap path_minus -> path_plus."""
+def _delta_entries(comp, app, path_plus, path_minus):
+    """Sparse bit/workload deltas, per edge and per node, of a unit-rate swap
+    path_minus -> path_plus."""
+    eid = comp.stack.eid
     ef, eg = {}, {}
     for sign, path in ((1.0, path_plus), (-1.0, path_minus)):
         for step in path:
             if step[0] == "L":
                 _, k, u, v = step
-                ef[(u, v)] = ef.get((u, v), 0.0) + sign * app.L[k]
+                e = int(eid[u, v])
+                ef[e] = ef.get(e, 0.0) + sign * app.L[k]
             else:
                 _, k, v = step
                 eg[v] = eg.get(v, 0.0) + sign * app.w[v, k]
@@ -223,7 +237,7 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     be vectorized: a numpy sum adds in another order and squares arrays by
     multiplication where scalars use pow.
     """
-    links, cpus = comp.links, comp.cpus
+    links, cpus = comp.stack.links, comp.cpus
     entries = [(links.que[e], float(links.param[e]), float(F[e]), float(d))
                for e, d in ef.items()]
     entries += [(cpus.que[v], float(cpus.param[v]), float(G[v]), float(d))
@@ -245,51 +259,46 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
 def _apply_swap(comp, app, fv, F, G, target, worst, amount):
     """Shift `amount` packets/sec from path `worst` to `target`, updating the
     flow vector and network totals in place."""
-    _add_path(fv, app.id, target, amount)
-    _add_path(fv, app.id, worst, -amount)
-    ef, eg = _delta_entries(app, target, worst)
-    for (u, v), d in ef.items():
-        F[u, v] += amount * d
+    _add_path(comp, fv, app, target, amount)
+    _add_path(comp, fv, app, worst, -amount)
+    ef, eg = _delta_entries(comp, app, target, worst)
+    for e, d in ef.items():
+        F[e] += amount * d
     for v, d in eg.items():
         G[v] += amount * d
 
 
 def _greedy_start(comp, registry, masks=None):
-    """Load blocks one at a time on currently-cheapest extended paths,
-    splitting a block when a whole placement would blow a capacity."""
+    """Load the blocks of `registry`, which have no atoms yet, one at a time
+    on currently-cheapest extended paths, splitting a block when a whole
+    placement would blow a capacity."""
     masks = masks or {}
+    st, cpus = comp.stack, comp.cpus
     fv = _rebuild(comp, registry)
+    F, G = _totals(comp, fv)
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
         app, src, rate = block
         for chunks in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            trial = {p: w for p, w in registry[block].items()}
-            ok = True
+            # a trial loads copies of the flow arrays; a rejected one is dropped
+            trial = dict(registry[block])
             part = rate / chunks
-            fv_try = fv.copy()
+            fv_try, F_try, G_try = FlowVector._on(st, *(a.copy() for a in fv.arrays(st))), F, G
             for _ in range(chunks):
-                F, G = _totals(comp, fv_try)
-                try:
-                    Dp = comp.links.deriv(F)
-                    Cp = comp.cpus.deriv(G)
-                except CapacityExceeded:
-                    ok = False
-                    break
-                _, succ = cheapest_extended_paths(comp, app, Dp, Cp,
-                                                  adj=masks.get(app.id))
+                # the totals are zero or passed the saturation check below
+                _, succ = cheapest_extended_paths(comp, app, st.links.deriv(F_try),
+                                                  cpus.deriv(G_try), adj=masks.get(app.id))
                 try:
                     path = _extract_path(app, succ, src)
                 except NoFeasibleStrategy:
-                    ok = False
                     break
-                _add_path(fv_try, app.id, path, part)
-                F, G = _totals(comp, fv_try)
-                if comp.links.saturated(F, 1e-12) or comp.cpus.saturated(G, 1e-12):
-                    ok = False
+                _add_path(comp, fv_try, app, path, part)
+                F_try, G_try = _totals(comp, fv_try)
+                if st.links.saturated(F_try, 1e-12) or cpus.saturated(G_try, 1e-12):
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
-            if ok:
+            else:
                 registry[block] = trial
-                fv = fv_try
+                fv, F, G = fv_try, F_try, G_try
                 break
         else:
             raise NoFeasibleStrategy(
@@ -313,13 +322,14 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     if not registry:
         return OracleResult(0.0, _zero_flows(comp), 0.0, True, 0)
     fv = _greedy_start(comp, registry, app_link_masks)
+    links = comp.stack.links
     cost_trace, gap_trace = [], []
     for it in range(max_iters):
         if it and it % 25 == 0:
             fv = _rebuild(comp, registry)  # shed float drift from in-place moves
         F, G = _totals(comp, fv)
         T = comp.cost_total(F, G)
-        Dp = comp.links.deriv(F)
+        Dp = links.deriv(F)
         Cp = comp.cpus.deriv(G)
         best = {}
         lower = 0.0
@@ -347,7 +357,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         # classic conditional-gradient step toward the all-best-paths vertex
         sv = _zero_flows(comp)
         for block, path in best.items():
-            _add_path(sv, block[0].id, path, block[2])
+            _add_path(comp, sv, block[0], path, block[2])
         sF, sG = _totals(comp, sv)
         gamma = _exact_line_search(comp, F, G, sF - F, sG - G)
         if gamma > 0:
@@ -363,14 +373,11 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             # toward the target path; line searches stay exact on the live
             # totals, so every move is a descent step
             F, G = _totals(comp, fv)
-            by_app = {}
-            for block in registry:
-                by_app.setdefault(block[0].id, []).append(block)
             for app in comp.apps:
-                blocks_here = sorted(by_app.get(app.id, []), key=lambda b: b[1])
+                blocks_here = sorted((b for b in registry if b[0] is app), key=lambda b: b[1])
                 if not blocks_here:
                     continue
-                Dp = comp.links.deriv(F)
+                Dp = links.deriv(F)
                 Cp = comp.cpus.deriv(G)
                 dist, succ = cheapest_extended_paths(
                     comp, app, Dp, Cp,
@@ -385,7 +392,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                     target = _extract_path(app, succ, src)
                     if target == worst or costs[worst] - dist[0, src] <= 0:
                         continue
-                    ef, eg = _delta_entries(app, target, worst)
+                    ef, eg = _delta_entries(comp, app, target, worst)
                     move = _sparse_line_search(
                         comp, F, G,
                         {e: rate * d for e, d in ef.items()},
@@ -487,7 +494,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
         for block, plist in paths.items():
             for p, amount in zip(plist, x[block]):
                 if amount > 0:
-                    _add_path(fv, block[0].id, p, amount)
+                    _add_path(comp, fv, block[0], p, amount)
         return fv
 
     def cost_of(x):
@@ -496,7 +503,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
 
     # start: everything on the zero-flow cheapest path, else spread uniformly
     x = {}
-    Dp0 = comp.links.deriv(np.zeros((comp.n, comp.n)))
+    Dp0 = comp.stack.links.deriv(np.zeros(comp.stack.E))
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     for block, plist in paths.items():
         app, src, rate = block
@@ -517,7 +524,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
     gap = np.inf
     for it in range(max_iters):
         F, G = _totals(comp, flows_from(x))
-        Dp = comp.links.deriv(F)
+        Dp = comp.stack.links.deriv(F)
         Cp = comp.cpus.deriv(G)
         grad = {block: np.array([path_cost(comp, block[0], p, Dp, Cp)
                                  for p in paths[block]]) for block in paths}
@@ -562,14 +569,13 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     comp = compiled(scenario)
     st = comp.stack
     F, G = _totals(comp, fv)
-    Dp = comp.links.deriv(F)[st.src, st.dst]
+    Dp = st.links.deriv(F)
     Cp = comp.cpus.deriv(G)
-    fe = st.pack_edges(fv.link_flows)
-    g = st.node_stack(fv.cpu_flows)
+    fe, g = fv.arrays(st)
     inj = st.r.copy()
     inj[st.prev >= 0] = g[st.prev[st.prev >= 0]]
-    fe[fe < prune] = 0.0
-    g[g < prune] = 0.0
+    fe = np.where(fe < prune, 0.0, fe)
+    g = np.where(g < prune, 0.0, g)
     t = st.inflow(fe) + inj
     on = (t > prune) & st.active
     X = np.zeros((len(st.keys), st.n + st.E))

@@ -135,6 +135,34 @@ class TestCli:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["sufficient_holds"]
 
+    def test_oracle_export_reproduces_totals(self, tmp_path):
+        from chainflow import solve_flow_domain
+        from chainflow.cli import _load_scenario_config
+        from chainflow.flows import compiled
+        from chainflow.oracle import _totals
+        cfg = self._scenario_config(tmp_path / "scenario.json")
+        assert cli_main(["oracle", "--config", cfg, "--out", str(tmp_path),
+                         "--tol", "1e-7"]) == 0
+        s = _load_scenario_config(cfg)
+        comp = compiled(s)
+        F, G = _totals(comp, solve_flow_domain(s, tol=1e-7).flows)
+        apps = {app.id: app for app in comp.apps}
+        index = {str(v): i for i, v in enumerate(comp.nodes)}
+        F_csv, G_csv = np.zeros_like(F), np.zeros_like(G)
+        kinds = set()
+        with open(tmp_path / "flows.csv", newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                app, k, flow = apps[row["app"]], int(row["stage"]), float(row["flow"])
+                i = index[row["from"]]
+                kinds.add(row["kind"])
+                if row["kind"] == "link":
+                    F_csv[comp.stack.eid[i, index[row["to"]]]] += app.L[k] * flow
+                else:
+                    G_csv[i] += app.w[i, k] * flow
+        assert kinds == {"link", "cpu"}
+        assert np.max(np.abs(F_csv - F)) <= 1e-12 * max(1.0, np.max(F))
+        assert np.max(np.abs(G_csv - G)) <= 1e-12 * max(1.0, np.max(G))
+
     def test_check_rejects_suboptimal(self, tmp_path, e1, e1_strategy_b):
         from chainflow.serialize import dump_scenario, dump_strategy
         scen = tmp_path / "e1.json"

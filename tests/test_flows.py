@@ -57,6 +57,24 @@ class TestValidate:
         errors = [v["error"] for v in validate_strategy(prop1, bad)]
         assert errors == ["row sums to 0.000000000, expected 1.0", "fraction on absent link"]
 
+    def test_mass_on_missing_link_refused(self):
+        # node 1 sends everything over (1, 3); evaluated on the triangle
+        # without that link, the mass must not vanish from the cost
+        def triangle(links):
+            g = Graph.from_undirected_edges([1, 2, 3], links)
+            app = Application(id="a", chain_length=0, destination=3, packet_sizes=(1.0,))
+            return Scenario(graph=g, applications=(app,),
+                            link_costs={l: Linear(1.0) for l in g.links},
+                            comp_costs={v: None for v in g.nodes},
+                            input_rates={(1, "a"): 1.0})
+        full, cut = triangle([(1, 2), (2, 3), (1, 3)]), triangle([(1, 2), (2, 3)])
+        dense = init_strategy(full)
+        assert dense.row(1, "a", 0) == {3: 1.0}   # row() unpacks it to dense blocks
+        for phi in (dense, init_strategy(full)):
+            with pytest.raises(ValueError, match=r"stage \('a', 0\): node 1 .*\(1, 3\)"):
+                compute_flows(cut, phi)
+            assert "fraction on absent link" in [v["error"] for v in validate_strategy(cut, phi)]
+
     def test_other_node_set_reported(self):
         phi = init_strategy(path_scenario([1, 2, 3, 4, 5]))
         errors = validate_strategy(path_scenario([1, 2, 3, 4]), phi)

@@ -6,11 +6,12 @@ from chainflow import (GpConfig, LoopDetected, TooLarge, check_sufficient, compu
                        strategy_from_flows, traffic_marginals, validate_strategy)
 from chainflow.flows import compiled
 from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
-                              _extract_path, _greedy_start, _sparse_line_search, _totals,
-                              cheapest_extended_paths, enumerate_extended_paths, flow_cost,
-                              path_cost)
+                              _extract_path, _greedy_start, _rebuild, _sparse_line_search,
+                              _totals, cheapest_extended_paths, enumerate_extended_paths,
+                              flow_cost, path_cost)
 
 from conftest import random_loopfree_strategy, random_scenario
+from test_acceptance import _loaded_scenario
 
 
 class TestSolveFlowDomain:
@@ -37,10 +38,28 @@ class TestSolveFlowDomain:
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(res.cost_trace[:-1])))
 
 
+class TestGreedyStart:
+    def test_split_block_flows_match_registry(self):
+        # on this tight-CPU draw one block only fits in two halves, so a
+        # whole placement was tried and rejected first; none of its flow may
+        # stay in the returned vector
+        s = _loaded_scenario(25)
+        comp = compiled(s)
+        st = comp.stack
+        registry = {block: {} for block in _blocks(comp)}
+        fv = _greedy_start(comp, registry)
+        assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
+        for got, want in zip(fv.arrays(st), _rebuild(comp, registry).arrays(st)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        F, G = _totals(comp, fv)
+        assert not st.links.saturated(F, 1e-12)
+        assert not comp.cpus.saturated(G, 1e-12)
+
+
 class TestLineSearches:
     def test_exact_and_sparse_agree_on_swaps(self):
-        # both searches bisect the same 1-D convex cost, one over dense
-        # (n, n) deltas and one over the touched entries only
+        # both searches bisect the same 1-D convex cost, one over deltas on
+        # every edge and node and one over the touched entries only
         interior = 0
         for seed in range(6):
             s = random_scenario(seed, n=6, num_apps=2, K=1, link_bound=20.0,
@@ -48,12 +67,12 @@ class TestLineSearches:
             comp = compiled(s)
             registry = {block: {} for block in _blocks(comp)}
             F, G = _totals(comp, _greedy_start(comp, registry))
-            Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
+            Dp, Cp = comp.stack.links.deriv(F), comp.cpus.deriv(G)
             for (app, src, rate), atoms in registry.items():
                 _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
                 target = _extract_path(app, succ, src)
                 for worst in atoms:
-                    ef, eg = _delta_entries(app, target, worst)
+                    ef, eg = _delta_entries(comp, app, target, worst)
                     ef = {e: rate * d for e, d in ef.items()}
                     eg = {v: rate * d for v, d in eg.items()}
                     dF, dG = np.zeros_like(F), np.zeros_like(G)
@@ -125,7 +144,7 @@ class TestCheapestExtendedPaths:
                                 link_bound=40.0, comp_bound=30.0)
             comp = compiled(s)
             state = compute_flows(s, random_loopfree_strategy(s, seed))
-            Dp, Cp = comp.links.deriv(state.link_bits), comp.cpus.deriv(state.workload)
+            Dp, Cp = comp.stack.links.deriv(state.edge_bits), comp.cpus.deriv(state.workload)
             for app in comp.apps:
                 adj = None
                 if masked:
@@ -202,7 +221,7 @@ class TestStrategyFromFlows:
             comp = compiled(s)
             from chainflow.oracle import _totals
             F, G = _totals(comp, res.flows)
-            assert np.max(np.abs(st.link_bits - F)) <= 1e-9
+            assert np.max(np.abs(st.edge_bits - F)) <= 1e-9
             assert np.max(np.abs(st.workload - G)) <= 1e-9
 
     def test_positive_traffic_rows_untouched(self):
