@@ -101,7 +101,6 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     infinite-cost result.
     """
     comp = compiled(scenario)
-    st = comp.stack
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     n = comp.n
     # all-pairs zero-flow distances and per-target successor trees
@@ -111,7 +110,7 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
         dist_to[:, v], succ_to[:, v] = comp.zero_flow_tree(np.arange(n) == v)
     # integral routing: stage k of an application heads for the node that
     # runs task k+1 and computes there, its final stage for the destination
-    target = st.dest.copy()
+    target = comp.dest.copy()
     for app in comp.apps:
         rate_total = float(app.r.sum())
         if app.K == 0:
@@ -140,9 +139,8 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
         for k in range(app.K - 1, 0, -1):
             sites.append(int(back[k][sites[-1]]))
         sites.reverse()   # sites[k] hosts task k+1
-        first = st.index[(app.id, 0)]
-        target[first:first + app.K] = sites
-    phi = Strategy._stacked(st, st.trees(succ_to[:, target].T))
+        target[app.s0:app.s0 + app.K] = sites
+    phi = Strategy._stacked(comp, comp.trees(succ_to[:, target].T))
     try:
         state = compute_flows(scenario, phi)
     except CapacityExceeded as err:

@@ -6,8 +6,9 @@ and the total transmission + computation cost. Only loop-free strategies are
 evaluated: per-stage traffic then follows from one pass along the stages'
 levels (stage_levels) instead of a cyclic linear system.
 
-The engine works on one layout, the stage stack (_Stack): a directed edge
-index of the graph and every stage of every application stacked on one
+The engine works on one layout, the stage stack, which compiled() builds
+once per scenario: a directed edge index of the graph, the cost arrays of
+its links and CPUs, and every stage of every application stacked on one
 axis. A strategy is an (S, n+E) array of direction fractions there, so the
 work of a GP slot scales with E * S, not n^2 * S. The dense per-stage
 blocks of the public API are views built from it on access.
@@ -30,81 +31,122 @@ INIT_MODES = ("shortest_path_then_local_comp", "shortest_path_comp_at_destinatio
 
 
 # ---------------------------------------------------------------------------
-# compiled scenario (internal arrays, cached on the scenario object)
+# compiled scenario: the stage stack (internal arrays, cached on the scenario)
 # ---------------------------------------------------------------------------
 
-class _CompiledApp:
-    __slots__ = ("id", "K", "dest", "L", "w", "r")
+class _App:
+    """An application's stages s0 .. s0 + K of a compiled scenario. L
+    (K+1,), w (n, K) and r (n,) are views of the stage arrays."""
 
-    def __init__(self, app_id, K, dest, L, w, r):
-        self.id = app_id
-        self.K = K
-        self.dest = dest      # node index
-        self.L = L            # (K+1,) packet sizes
-        self.w = w            # (n, K) workloads, inf where not performable
-        self.r = r            # (n,) exogenous input rates
+    __slots__ = ("id", "K", "dest", "s0", "L", "w", "r")
+
+    def __init__(self, comp: "_Compiled", app_id, K: int, dest: int, s0: int):
+        self.id, self.K, self.dest, self.s0 = app_id, K, dest, s0
+        self.L = comp.L[s0:s0 + K + 1]
+        self.w = comp.w[s0:s0 + K].T
+        self.r = comp.r[s0]
 
 
 class _Compiled:
-    """Array view of a scenario: node indexing, adjacency, cost parameters."""
+    """The engine's layout of a scenario: the stage stack.
+
+    Nodes are numbered in graph order (`index`) and `adj` is the (n, n)
+    adjacency. Edges are the directed links in row-major (u, v) order, as
+    np.nonzero of the adjacency gives them; `links` holds their cost
+    functions, one per edge, and `cpus` the nodes'. Directions are CPU
+    columns and edges: node i owns the segment of n + E directions starting
+    at seg[i], its CPU column first and then its out-links, so no segment is
+    ever empty and per-row minima, sums and counts are reduceat over `seg`.
+    `eid[u, v]` is the edge of link (u, v), -1 off the links, and `into[v]`
+    lists node v's in-edges as (source, edge) pairs of Python ints, sources
+    increasing, for cheapest_to_go. Stage s is keys[s], every stage of every
+    application on one axis; the per-stage arrays give its packet size L,
+    the workloads w of its task (inf at final stages and where the task
+    cannot run), its input rates r, its application's destination, the
+    previous and next stage of its application (-1 at the ends), its
+    position k in the chain, and which rows must sum to one (`active`: all
+    but the destination's final-stage row). `apps` holds each application's
+    slice of the stages.
+    """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.nodes = tuple(scenario.graph.nodes)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        n = self.n = len(self.nodes)
-        nodes = self.nodes
-
+        nodes = self.nodes = tuple(scenario.graph.nodes)
+        index = self.index = {v: i for i, v in enumerate(nodes)}
+        n = self.n = len(nodes)
         self.adj = np.zeros((n, n), dtype=bool)
         for (u, v), cost in scenario.link_costs.items():
-            self.adj[self.index[u], self.index[v]] = cost is not None
-        self.cpus = CostArray(n, ((self.index[node], cost)
-                                  for node, cost in scenario.comp_costs.items()),
+            self.adj[index[u], index[v]] = cost is not None
+        self.cpus = CostArray(n, ((index[v], cost) for v, cost in scenario.comp_costs.items()),
                               "workload at or above CPU capacity",
                               lambda i: f"CPU of node {nodes[i]!r}")
         self.has_cpu = self.cpus.kind != ABSENT
 
+        src, dst = self.src, self.dst = np.nonzero(self.adj)
+        E = self.E = len(src)
+        self.links = CostArray(
+            E, ((e, scenario.link_costs[(nodes[u], nodes[v])])
+                for e, (u, v) in enumerate(zip(src, dst))),
+            "link flow at or above queue capacity",
+            lambda e: f"link {(nodes[src[e]], nodes[dst[e]])!r}")
+        outdeg = np.bincount(src, minlength=n)
+        self.seg = np.concatenate(([0], np.cumsum(outdeg + 1)[:-1]))
+        self.edge_pos = src + np.arange(E) + 1
+        self.dnode = np.repeat(np.arange(n), outdeg + 1)
+        col = np.zeros(n + E, dtype=int)
+        col[self.edge_pos] = 1 + dst
+        self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
+        self.edge_flat = src * n + dst                # edge -> (n, n) flat
+        self.kinds = {"direction": ((n, n + 1), self.dir_flat),
+                      "edge": ((n, n), self.edge_flat), "node": ((n,), np.arange(n))}
+        self.eid = np.full((n, n), -1)
+        self.eid[src, dst] = np.arange(E)
+        self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
+        for e, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+            self.into[v].append((u, e))
+
+        self.keys = [(a.id, k) for a in scenario.applications for k in range(a.chain_length + 1)]
+        self.stage_index = {key: s for s, key in enumerate(self.keys)}
+        S = len(self.keys)
+        self.L, self.w, self.r = np.zeros(S), np.full((S, n), np.inf), np.zeros((S, n))
+        self.dest, self.k = np.zeros(S, dtype=int), np.zeros(S, dtype=int)
+        self.prev, self.next = np.full(S, -1), np.full(S, -1)
+        self.active = np.ones((S, n), dtype=bool)
         self.apps = []
-        rates = dict(scenario.input_rates)
+        s = 0
         for app in scenario.applications:
-            K = app.chain_length
-            w = np.full((n, K), np.inf)
-            for i, node in enumerate(self.nodes):
-                if not self.has_cpu[i]:
-                    continue
-                for k in range(K):
-                    w[i, k] = app.weight(node, k)
-            r = np.zeros(n)
-            for i, node in enumerate(self.nodes):
-                r[i] = rates.get((node, app.id), 0.0)
-            if app.destination not in self.index:
+            if app.destination not in index:
                 raise ValueError(f"destination {app.destination!r} not in graph")
-            self.apps.append(_CompiledApp(app.id, K, self.index[app.destination],
-                                          np.asarray(app.packet_sizes, dtype=float), w, r))
-        self.stage_keys = [(a.id, k) for a in self.apps for k in range(a.K + 1)]
+            K, d = app.chain_length, index[app.destination]
+            self.L[s:s + K + 1] = app.packet_sizes
+            self.dest[s:s + K + 1] = d
+            self.k[s:s + K + 1] = np.arange(K + 1)
+            self.next[s:s + K] = np.arange(s + 1, s + K + 1)
+            self.prev[s + 1:s + K + 1] = np.arange(s, s + K)
+            self.active[s + K, d] = False
+            for i in np.flatnonzero(self.has_cpu):
+                self.w[s:s + K, i] = [app.weight(nodes[i], k) for k in range(K)]
+            self.r[s] = [scenario.input_rates.get((v, app.id), 0.0) for v in nodes]
+            self.apps.append(_App(self, app.id, K, d, s))
+            s += K + 1
+        self.final = self.next < 0
+        self.groups = [np.flatnonzero(self.k == k) for k in range(self.k.max(initial=0) + 1)]
         self._trees = {}
 
-    @cached_property
-    def stack(self) -> "_Stack":
-        """The engine's layout, built on first use."""
-        return _Stack(self)
-
     def cost_total(self, F, G) -> float:
-        """Total link cost of bit rates F, one per edge of the stage stack,
-        plus CPU cost of workloads G."""
-        total = self.stack.links.total(F) + self.cpus.total(G)
+        """Total link cost of bit rates F, one per edge, plus CPU cost of
+        workloads G."""
+        total = self.links.total(F) + self.cpus.total(G)
         if np.any(G[~self.has_cpu] > 0):
             raise CapacityExceeded("workload on a node without CPU")
         return total
 
     @cached_property
     def zero_flow_metric(self) -> np.ndarray:
-        """Marginal cost of every edge of the stage stack at zero flow."""
-        links = self.stack.links
-        M = links.param.copy()
+        """Marginal cost of every edge at zero flow."""
+        M = self.links.param.copy()
         # 1/c rather than queue_prime(c, 0) = c/c^2, which can round
         # differently and would change how initial strategies break ties
-        M[links.que] = 1.0 / links.param[links.que]
+        M[self.links.que] = 1.0 / self.links.param[self.links.que]
         return M
 
     def zero_flow_tree(self, targets):
@@ -116,97 +158,13 @@ class _Compiled:
         if tree is None:
             dist = np.where(targets, 0.0, np.inf)
             succ = np.where(targets, -1, -2)
-            cheapest_to_go(self.stack, self.zero_flow_metric[None], dist[None], succ[None])
+            cheapest_to_go(self, self.zero_flow_metric[None], dist[None], succ[None])
             tree = self._trees[key] = (dist, succ)
             for a in tree:
                 a.flags.writeable = False
         return tree
 
-
-def compiled(scenario: Scenario) -> _Compiled:
-    cache = scenario.__dict__.get("_compiled")
-    if cache is None:
-        cache = _Compiled(scenario)
-        scenario.__dict__["_compiled"] = cache
-    return cache
-
-
-# ---------------------------------------------------------------------------
-# the stage stack: edge index, stacked stages and dense views
-# ---------------------------------------------------------------------------
-
-class _Stack:
-    """The engine's layout of a compiled scenario.
-
-    Edges are the directed links in row-major (u, v) order, as np.nonzero
-    of the adjacency gives them. Directions are CPU columns and edges: node
-    i owns the segment of n + E directions starting at seg[i], its CPU
-    column first and then its out-links, so no segment is ever empty and
-    per-row minima, sums and counts are reduceat over `seg`. `eid[u, v]` is
-    the edge of link (u, v), -1 off the links, and `into[v]` lists node v's
-    in-edges as (source, edge) pairs of Python ints, sources increasing, for
-    cheapest_to_go. Stage s is comp.stage_keys[s]; the per-stage arrays give
-    its packet size L, the workloads w of its task (inf at final stages and
-    where the task cannot run), its input rates, its application's
-    destination, the previous and next stage of its application (-1 at the
-    ends), its position k in the chain, and which rows must sum to one
-    (`active`: all but the destination's final-stage row).
-    """
-
-    def __init__(self, comp: _Compiled):
-        n = self.n = comp.n
-        self.nodes = comp.nodes
-        self.keys = comp.stage_keys
-        self.index = {key: s for s, key in enumerate(self.keys)}
-        self.src, self.dst = np.nonzero(comp.adj)
-        E = self.E = len(self.src)
-        outdeg = np.bincount(self.src, minlength=n)
-        self.seg = np.concatenate(([0], np.cumsum(outdeg + 1)[:-1]))
-        self.edge_pos = self.src + np.arange(E) + 1
-        self.dnode = np.repeat(np.arange(n), outdeg + 1)
-        col = np.zeros(n + E, dtype=int)
-        col[self.edge_pos] = 1 + self.dst
-        self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
-        self.edge_flat = self.src * n + self.dst      # edge -> (n, n) flat
-        self.eid = np.full((n, n), -1)
-        self.eid[self.src, self.dst] = np.arange(E)
-        self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
-        for e, (u, v) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
-            self.into[v].append((u, e))
-        nodes = comp.nodes
-        self.links = CostArray(
-            E, ((e, comp.scenario.link_costs[(nodes[u], nodes[v])])
-                for e, (u, v) in enumerate(zip(self.src, self.dst))),
-            "link flow at or above queue capacity",
-            lambda e: f"link {(nodes[self.src[e]], nodes[self.dst[e]])!r}")
-
-        S = len(self.keys)
-        self.L = np.zeros(S)
-        self.w = np.full((S, n), np.inf)
-        self.r = np.zeros((S, n))
-        self.dest = np.zeros(S, dtype=int)
-        self.prev = np.full(S, -1)
-        self.next = np.full(S, -1)
-        self.k = np.zeros(S, dtype=int)
-        self.active = np.ones((S, n), dtype=bool)
-        s = 0
-        for app in comp.apps:
-            for k in range(app.K + 1):
-                self.L[s], self.k[s], self.dest[s] = app.L[k], k, app.dest
-                if k < app.K:
-                    self.w[s] = app.w[:, k]
-                    self.next[s] = s + 1
-                else:
-                    self.active[s, app.dest] = False
-                if k == 0:
-                    self.r[s] = app.r
-                else:
-                    self.prev[s] = s - 1
-                s += 1
-        self.final = self.next < 0
-        self.groups = [np.flatnonzero(self.k == k) for k in range(self.k.max(initial=0) + 1)]
-
-    def same_as(self, other: "_Stack") -> bool:
+    def same_as(self, other: "_Compiled") -> bool:
         """Whether arrays laid out for `other` read the same here."""
         return other is self or (other.n == self.n and other.keys == self.keys
                                  and np.array_equal(other.src, self.src)
@@ -266,65 +224,51 @@ class _Stack:
 
     def trees(self, succ) -> np.ndarray:
         """(S, n+E) fractions along per-stage successor trees (S, n), as
-        _Compiled.zero_flow_tree gives them: each active row sends
-        everything to its next node, and a tree's targets (-1) send it to
-        their CPU."""
+        zero_flow_tree gives them: each active row sends everything to its
+        next node, and a tree's targets (-1) send it to their CPU."""
         X = np.zeros((len(succ), self.n + self.E))
         s, i = np.nonzero(self.active)
         self.point(X, s, i, succ[s, i])
         return X
 
-    def pack(self, rows) -> np.ndarray:
-        """(S, n+E) direction array of dense blocks {key: (n, n+1)}: row
-        blocks of a strategy, or a modified-marginal table."""
-        if isinstance(rows, DenseView):
-            return rows.stacked(self)
-        X = np.empty((len(self.keys), self.n + self.E))
-        for s, key in enumerate(self.keys):
-            block = rows[key]
-            if block.shape != (self.n, self.n + 1):
-                raise ValueError(f"stage {key} block has shape {block.shape}, "
-                                 f"not {(self.n, self.n + 1)}")
-            X[s] = block.ravel()[self.dir_flat]
-        return X
-
-    def pack_edges(self, table) -> np.ndarray:
-        """(S, E) edge array of dense link blocks {key: (n, n)}."""
-        if isinstance(table, DenseView):
-            return table.stacked(self)
-        return np.stack([table[key].ravel()[self.edge_flat] for key in self.keys])
-
     def peel(self, X) -> "StageLevels":
         """The levels of the direction fractions X, cyclic stages included."""
         return StageLevels(X[:, self.edge_pos], self.src, self.dst, self.n, self.k)
 
-    def unpack(self, X) -> dict:
-        """Dense row blocks {key: (n, n+1)} of (S, n+E) direction fractions."""
-        return {key: _block(X[s], (self.n, self.n + 1), self.dir_flat, 0.0)
-                for s, key in enumerate(self.keys)}
+    def view(self, a, kind: str, fill=0.0) -> "DenseView":
+        """Dense per-stage blocks of a stacked array: (n, n+1) blocks of an
+        (S, n+E) "direction" array, (n, n) blocks of an (S, E) "edge" array
+        or (n,) rows of an (S, n) "node" array, `fill` where the block has
+        no direction or link."""
+        return DenseView(self, a, kind, fill)
 
-    def node_view(self, a) -> dict:
-        """{key: row of a} for an (S, n) node array."""
-        return dict(zip(self.keys, a))
-
-    def node_stack(self, table) -> np.ndarray:
-        """(S, n) array of a {key: (n,)} node table."""
+    def pack(self, table, kind: str) -> np.ndarray:
+        """The stacked array of a table {key: dense block} of `kind` (see
+        view). Raises ValueError naming the first stage whose block has
+        another shape."""
         if isinstance(table, DenseView):
             return table.stacked(self)
-        return np.stack([table[key] for key in self.keys])
+        shape, flat = self.kinds[kind]
+        rows = []
+        for key in self.keys:
+            block = np.asarray(table[key])
+            if block.shape != shape:
+                raise ValueError(f"stage {key} {kind} block has shape {block.shape}, "
+                                 f"not {shape}")
+            rows.append(block.ravel()[flat])
+        return np.array(rows).reshape(len(self.keys), len(flat))
 
-    def direction_view(self, a) -> "DenseView":
-        """Dense (n, n+1) blocks of an (S, n+E) direction array, +inf on
-        absent directions."""
-        return DenseView(self, a, (self.n, self.n + 1), self.dir_flat, np.inf)
 
-    def edge_view(self, a, fill) -> "DenseView":
-        """Dense (n, n) blocks of an (S, E) edge array, `fill` off the links."""
-        return DenseView(self, a, (self.n, self.n), self.edge_flat, fill)
+def compiled(scenario: Scenario) -> _Compiled:
+    cache = scenario.__dict__.get("_compiled")
+    if cache is None:
+        cache = _Compiled(scenario)
+        scenario.__dict__["_compiled"] = cache
+    return cache
 
 
-def cheapest_to_go(stack: _Stack, link_w, dist, succ, cpu_w=None, fixed=None):
-    """Backward Dijkstra over layers of the stack's edge index, in place.
+def cheapest_to_go(comp: _Compiled, link_w, dist, succ, cpu_w=None, fixed=None):
+    """Backward Dijkstra over layers of the edge index, in place.
 
     dist[k, v] becomes the cheapest cost from node v in layer k to a seed:
     a link hop (u, v) in layer k costs link_w[k, e] for its edge e, and the
@@ -339,10 +283,10 @@ def cheapest_to_go(stack: _Stack, link_w, dist, succ, cpu_w=None, fixed=None):
     of all layers pops in (cost, layer, node) order, so of two exactly equal
     offers the one from the label settled first wins.
     """
-    into = stack.into
+    into = comp.into
     D, S, W = dist.tolist(), succ.tolist(), link_w.tolist()
     C = None if cpu_w is None else cpu_w.tolist()
-    Fx = [[False] * stack.n] * len(D) if fixed is None else fixed.tolist()
+    Fx = [[False] * comp.n] * len(D) if fixed is None else fixed.tolist()
     ks, vs = np.nonzero(np.isfinite(dist))
     heap = [(D[k][v], k, v) for k, v in zip(ks.tolist(), vs.tolist())]
     heapq.heapify(heap)
@@ -365,45 +309,41 @@ def cheapest_to_go(stack: _Stack, link_w, dist, succ, cpu_w=None, fixed=None):
     succ[...] = S
 
 
-def _block(row, shape, flat, fill):
-    out = np.full(shape, fill, dtype=row.dtype)
-    out.ravel()[flat] = row
-    return out
-
-
 class DenseView(Mapping):
-    """{(app_id, k): dense block} over a stacked (S, ...) array.
+    """{(app_id, k): dense block} over a stacked (S, ...) array, of one of
+    the kinds of _Compiled.view.
 
     Each block is built on first access and kept, so edits to it persist;
     `stacked()` returns the stacked array with those edits read back.
     """
 
-    def __init__(self, stack: _Stack, a, shape, flat, fill):
-        self._stack, self._a = stack, a
-        self._shape, self._flat, self._fill = shape, flat, fill
+    def __init__(self, comp: _Compiled, a, kind: str, fill):
+        self._comp, self._a, self._fill = comp, a, fill
+        self._shape, self._flat = comp.kinds[kind]
         self._blocks = {}
 
     def __getitem__(self, key):
         block = self._blocks.get(key)
         if block is None:
-            block = _block(self._a[self._stack.index[key]], self._shape, self._flat, self._fill)
+            block = np.full(self._shape, self._fill, dtype=self._a.dtype)
+            block.ravel()[self._flat] = self._a[self._comp.stage_index[key]]
             self._blocks[key] = block
         return block
 
     def __iter__(self):
-        return iter(self._stack.keys)
+        return iter(self._comp.keys)
 
     def __len__(self):
-        return len(self._stack.keys)
+        return len(self._comp.keys)
 
-    def stacked(self, stack: _Stack) -> np.ndarray:
-        if not stack.same_as(self._stack):
+    def stacked(self, comp: _Compiled) -> np.ndarray:
+        if not comp.same_as(self._comp):
             raise ValueError("table laid out for another scenario")
         if not self._blocks:
             return self._a
         a = self._a.copy()
         for key, block in self._blocks.items():
-            a[self._stack.index[key]] = block.ravel()[self._flat]
+            a[self._comp.stage_index[key]] = block.ravel()[self._flat]
         return a
 
 
@@ -433,57 +373,57 @@ class Strategy:
     def __init__(self, nodes, rows):
         self.nodes = tuple(nodes)
         self._rows = rows
-        self._packed = None   # (stack, X)
+        self._packed = None   # (comp, X)
 
     @classmethod
-    def _stacked(cls, stack: _Stack, X) -> "Strategy":
-        phi = cls(stack.nodes, None)
-        phi._packed = (stack, X)
+    def _stacked(cls, comp: _Compiled, X) -> "Strategy":
+        phi = cls(comp.nodes, None)
+        phi._packed = (comp, X)
         return phi
 
     @property
     def rows(self) -> dict:
         if self._rows is None:
-            stack, X = self._packed
-            self._rows, self._packed = stack.unpack(X), None
+            comp, X = self._packed
+            self._rows, self._packed = dict(comp.view(X, "direction")), None
         return self._rows
 
-    def fractions(self, stack: _Stack) -> np.ndarray:
-        """The (S, n+E) direction fractions on `stack`. Do not edit them.
+    def fractions(self, comp: _Compiled) -> np.ndarray:
+        """The (S, n+E) direction fractions on `comp`. Do not edit them.
         Raises ValueError for a strategy on other nodes, with a block that
         is not (n, n+1) or with mass on a link the scenario lacks."""
-        if self.nodes != stack.nodes:
+        if self.nodes != comp.nodes:
             raise ValueError(f"strategy for nodes {self.nodes!r} evaluated on a scenario "
-                             f"with nodes {stack.nodes!r}")
-        rows = self._foreign_rows(stack)
+                             f"with nodes {comp.nodes!r}")
+        rows = self._foreign_rows(comp)
         if rows is None:
             return self._packed[1]
-        X = stack.pack(rows)
-        s, i, j = np.nonzero([(rows[key][:, 1:] != 0) & (stack.eid < 0) for key in stack.keys])
+        X = comp.pack(rows, "direction")
+        s, i, j = np.nonzero([(rows[key][:, 1:] != 0) & (comp.eid < 0) for key in comp.keys])
         if s.size:
             u, v = self.nodes[i[0]], self.nodes[j[0]]
-            raise ValueError(f"stage {stack.keys[s[0]]}: node {u!r} sends mass over link "
+            raise ValueError(f"stage {comp.keys[s[0]]}: node {u!r} sends mass over link "
                              f"{(u, v)!r}, which the scenario lacks")
         return X
 
-    def _foreign_rows(self, stack: _Stack):
-        """None when the strategy holds an array laid out on `stack`, else
+    def _foreign_rows(self, comp: _Compiled):
+        """None when the strategy holds an array laid out on `comp`, else
         its dense row blocks (without unpacking the strategy)."""
         if self._packed is None:
             return self._rows
         own, X = self._packed
-        return None if stack.same_as(own) else own.unpack(X)
+        return None if comp.same_as(own) else dict(own.view(X, "direction"))
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "Strategy":
         comp = compiled(scenario)
-        rows = {key: np.zeros((comp.n, comp.n + 1)) for key in comp.stage_keys}
+        rows = {key: np.zeros((comp.n, comp.n + 1)) for key in comp.keys}
         return cls(comp.nodes, rows)
 
     def copy(self) -> "Strategy":
         if self._packed is not None:
-            stack, X = self._packed
-            return Strategy._stacked(stack, X.copy())
+            comp, X = self._packed
+            return Strategy._stacked(comp, X.copy())
         return Strategy(self.nodes, {k: v.copy() for k, v in self._rows.items()})
 
     def row(self, node, app_id, k: int) -> dict:
@@ -557,37 +497,36 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     mass on absent links, which the engine refuses.
     """
     comp = compiled(scenario)
-    st = comp.stack
     if phi.nodes != comp.nodes:
         return [{"error": f"strategy for nodes {phi.nodes!r}, scenario has {comp.nodes!r}"}]
     tol = 1e-9
     misshaped, absent = set(), {}
-    rows = phi._foreign_rows(st)
+    rows = phi._foreign_rows(comp)
     if rows is None:
-        X = phi.fractions(st)
+        X = phi.fractions(comp)
     else:
         blocks = {}
-        for key in st.keys:
+        for key in comp.keys:
             mat = rows.get(key)
-            if mat is None or mat.shape != (st.n, st.n + 1):
+            if mat is None or mat.shape != (comp.n, comp.n + 1):
                 misshaped.add(key)
-                mat = np.zeros((st.n, st.n + 1))
+                mat = np.zeros((comp.n, comp.n + 1))
             blocks[key] = mat
             absent[key] = [{"stage": key, "node": comp.nodes[i], "dest": comp.nodes[j],
                             "error": "fraction on absent link"}
                            for i, j in np.argwhere((mat[:, 1:] > tol) & ~comp.adj)]
-        X = st.pack(blocks)
+        X = comp.pack(blocks, "direction")
     outside = (X < -tol) | (X > 1 + tol)
-    sums = st.row_sum(X)
-    want = st.active.astype(float)
-    bad_cpu = (X[:, st.seg] > tol) & ~np.isfinite(st.w)
+    sums = comp.row_sum(X)
+    want = comp.active.astype(float)
+    bad_cpu = (X[:, comp.seg] > tol) & ~np.isfinite(comp.w)
     out = []
-    for s, key in enumerate(st.keys):
+    for s, key in enumerate(comp.keys):
         if key in misshaped:
             out.append({"stage": key, "error": "missing or misshaped row block"})
             continue
         for p in np.flatnonzero(outside[s]):
-            out.append({"stage": key, "node": comp.nodes[st.dnode[p]],
+            out.append({"stage": key, "node": comp.nodes[comp.dnode[p]],
                         "error": "fraction outside [0, 1]", "value": float(X[s, p])})
         for i in np.flatnonzero(np.abs(sums[s] - want[s]) > 1e-6):
             out.append({"stage": key, "node": comp.nodes[i],
@@ -595,7 +534,7 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
         out += absent.get(key, [])
         for i in np.flatnonzero(bad_cpu[s]):
             out.append({"stage": key, "node": comp.nodes[i],
-                        "error": "CPU fraction at final stage" if st.final[s]
+                        "error": "CPU fraction at final stage" if comp.final[s]
                         else "CPU fraction where task not performable"})
     return out
 
@@ -693,22 +632,22 @@ class StageLevels:
         return flag.reshape(self.S, self.n)
 
 
-def stage_levels(stack: _Stack, X) -> StageLevels:
-    """The levels of every stage of the direction fractions X on `stack`.
+def stage_levels(comp: _Compiled, X) -> StageLevels:
+    """The levels of every stage of the direction fractions X on `comp`.
 
     This is the one loop check: it raises LoopDetected naming the first
     stage, in stage order, whose support has a cycle. Flow propagation, the
     marginal recursion, hop metrics, strategy_from_flows and the blocked
     flags all solve along these levels.
     """
-    levels = stack.peel(X)
+    levels = comp.peel(X)
     if levels.cyclic.size:
-        raise LoopDetected(f"stage {stack.keys[levels.cyclic[0]]} has a cyclic support")
+        raise LoopDetected(f"stage {comp.keys[levels.cyclic[0]]} has a cyclic support")
     return levels
 
 
-def marginal_sweep(st: _Stack, X, Dp, Cp, levels: StageLevels, settle=None) -> np.ndarray:
-    """(S, n) marginal costs dT/dt of the direction fractions X on st.
+def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None) -> np.ndarray:
+    """(S, n) marginal costs dT/dt of the direction fractions X on comp.
 
     Dp holds the links' marginal costs per edge, Cp the CPUs' per node, and
     `levels` are X's stage_levels. The recursion runs over chain positions
@@ -719,18 +658,18 @@ def marginal_sweep(st: _Stack, X, Dp, Cp, levels: StageLevels, settle=None) -> n
     below reads them.
     """
     link = np.zeros_like(X)
-    link[:, st.edge_pos] = X[:, st.edge_pos] * (st.L[:, None] * Dp)
-    link = st.row_sum(link)
-    c0 = X[:, st.seg]
+    link[:, comp.edge_pos] = X[:, comp.edge_pos] * (comp.L[:, None] * Dp)
+    link = comp.row_sum(link)
+    c0 = X[:, comp.seg]
     lam = np.zeros_like(link)
-    for k in reversed(range(len(st.groups))):
-        group = st.groups[k]
+    for k in reversed(range(len(comp.groups))):
+        group = comp.groups[k]
         lam[group] = link[group]
-        mid = group[~st.final[group]]
+        mid = group[~comp.final[group]]
         if mid.size:
             on = c0[mid] > 0
             with np.errstate(invalid="ignore"):
-                cpu = c0[mid] * (st.w[mid] * Cp + lam[st.next[mid]])
+                cpu = c0[mid] * (comp.w[mid] * Cp + lam[comp.next[mid]])
             lam[mid] += np.where(on, cpu, 0.0)
         levels.solve(lam, k, forward=False)
         if settle is not None:
@@ -770,7 +709,7 @@ def detect_loops(phi: Strategy) -> dict:
 class FlowState:
     """Per-stage traffic and flows plus network totals for one strategy.
 
-    The engine's arrays are stacked over the stage stack `stack`:
+    The engine's arrays are stacked over the stage stack of `comp`:
     `traffic_stack` and `cpu_stack` (S, n) and `edge_flows` (S, E) in
     packets/sec, `edge_bits` (E,) the total bits/sec F per edge and
     `workload` (n,) the total workload G; `levels` are the stage_levels of
@@ -779,7 +718,7 @@ class FlowState:
     F_ij) are built on first access.
     """
 
-    stack: _Stack
+    comp: _Compiled
     traffic_stack: np.ndarray
     cpu_stack: np.ndarray
     edge_flows: np.ndarray
@@ -790,23 +729,25 @@ class FlowState:
 
     @property
     def nodes(self) -> tuple:
-        return self.stack.nodes
+        return self.comp.nodes
 
     @cached_property
-    def traffic(self) -> dict:
-        return self.stack.node_view(self.traffic_stack)
+    def traffic(self) -> DenseView:
+        return self.comp.view(self.traffic_stack, "node")
 
     @cached_property
-    def cpu_flows(self) -> dict:
-        return self.stack.node_view(self.cpu_stack)
+    def cpu_flows(self) -> DenseView:
+        return self.comp.view(self.cpu_stack, "node")
 
     @cached_property
     def link_flows(self) -> DenseView:
-        return self.stack.edge_view(self.edge_flows, 0.0)
+        return self.comp.view(self.edge_flows, "edge")
 
     @cached_property
     def link_bits(self) -> np.ndarray:
-        return _block(self.edge_bits, (self.stack.n, self.stack.n), self.stack.edge_flat, 0.0)
+        F = np.zeros((self.comp.n, self.comp.n))
+        F[self.comp.src, self.comp.dst] = self.edge_bits
+        return F
 
     def t(self, node, app_id, k: int) -> float:
         return float(self.traffic[(app_id, k)][self.nodes.index(node)])
@@ -834,39 +775,38 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     {(node, app_id): rate}.
     """
     comp = compiled(scenario)
-    st = comp.stack
-    X = phi.fractions(st)
-    levels = stage_levels(st, X)
-    inj = st.inputs(rates)
+    X = phi.fractions(comp)
+    levels = stage_levels(comp, X)
+    inj = comp.inputs(rates)
     extra = None
     if extra_injections:
-        extra = np.zeros_like(st.r)
+        extra = np.zeros_like(comp.r)
         for (node, stage), rate in extra_injections.items():
-            if stage in st.index:
-                extra[st.index[stage], comp.index[node]] += rate
-    c0 = X[:, st.seg]
-    t = np.zeros_like(st.r)
-    for k, group in enumerate(st.groups):
-        prev = st.prev[group]
+            if stage in comp.stage_index:
+                extra[comp.stage_index[stage], comp.index[node]] += rate
+    c0 = X[:, comp.seg]
+    t = np.zeros_like(comp.r)
+    for k, group in enumerate(comp.groups):
+        prev = comp.prev[group]
         b = inj[group] if k == 0 else t[prev] * c0[prev]
         t[group] = b if extra is None else b + extra[group]
         levels.solve(t, k, forward=True)
     if np.any(t < 0):
         raise ValueError("negative traffic (bad injections?)")
     g = t * c0
-    fe = t[:, st.src] * X[:, st.edge_pos]
-    F, G = st.totals(fe, g)
+    fe = t[:, comp.src] * X[:, comp.edge_pos]
+    F, G = comp.totals(fe, g)
     total = comp.cost_total(F, G)
-    return FlowState(st, t, g, fe, F, G, total, levels)
+    return FlowState(comp, t, g, fe, F, G, total, levels)
 
 
 def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowState,
                               rates: dict | None = None) -> float:
     """Largest absolute violation of per-(node, stage) flow conservation."""
-    st = compiled(scenario).stack
-    inflow = st.inflow(state.edge_flows) + st.inputs(rates)
-    later = st.prev >= 0
-    inflow[later] += state.cpu_stack[st.prev[later]]
+    comp = compiled(scenario)
+    inflow = comp.inflow(state.edge_flows) + comp.inputs(rates)
+    later = comp.prev >= 0
+    inflow[later] += state.cpu_stack[comp.prev[later]]
     return float(np.max(np.abs(state.traffic_stack - inflow), initial=0.0))
 
 
@@ -880,15 +820,14 @@ def tree_fractions(comp: _Compiled, at_destination: bool = False) -> np.ndarray:
     that can (with `at_destination`, at the destination when it can run
     the task). Final results, and stages that no node can run, head for
     the destination."""
-    st = comp.stack
-    succ = np.empty((len(st.keys), st.n), dtype=int)
-    for s in range(len(st.keys)):
-        dest = np.arange(st.n) == st.dest[s]
-        capable = np.isfinite(st.w[s])
-        if at_destination and capable[st.dest[s]]:
+    succ = np.empty((len(comp.keys), comp.n), dtype=int)
+    for s in range(len(comp.keys)):
+        dest = np.arange(comp.n) == comp.dest[s]
+        capable = np.isfinite(comp.w[s])
+        if at_destination and capable[comp.dest[s]]:
             capable = dest
         succ[s] = comp.zero_flow_tree(capable if capable.any() else dest)[1]
-    return st.trees(succ)
+    return comp.trees(succ)
 
 
 def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp",
@@ -906,12 +845,11 @@ def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp
     if mode not in INIT_MODES:
         raise ValueError(f"unknown init mode {mode!r}")
     comp = compiled(scenario)
-    st = comp.stack
-    for s in np.flatnonzero(~st.final):
-        if not np.isfinite(st.w[s]).any():
-            app_id, k = st.keys[s]
+    for s in np.flatnonzero(~comp.final):
+        if not np.isfinite(comp.w[s]).any():
+            app_id, k = comp.keys[s]
             raise NoFeasibleStrategy(f"no node can perform task {k + 1} of {app_id}")
-    phi = Strategy._stacked(st, tree_fractions(comp, mode == INIT_MODES[1]))
+    phi = Strategy._stacked(comp, tree_fractions(comp, mode == INIT_MODES[1]))
     if require_finite:
         try:
             compute_flows(scenario, phi)

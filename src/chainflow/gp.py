@@ -55,11 +55,10 @@ def sufficient_gap(comp, phi: Strategy, delta, tol_mass: float,
                    row_filter=None) -> float:
     """Largest modified-marginal gap over positive-fraction directions; the
     convergence measure (0 at a point satisfying the sufficient condition)."""
-    st = comp.stack
-    d = st.pack(delta)
-    lo, on = direction_minima(st, phi.fractions(st), d, tol_mass)
+    d = comp.pack(delta, "direction")
+    lo, on = direction_minima(comp, phi.fractions(comp), d, tol_mass)
     with np.errstate(invalid="ignore"):
-        gap = np.where(on, d - lo, 0.0)[st.row_mask(row_filter)[:, st.dnode]]
+        gap = np.where(on, d - lo, 0.0)[comp.row_mask(row_filter)[:, comp.dnode]]
     return max(0.0, float(np.max(gap))) if gap.size else 0.0
 
 
@@ -72,7 +71,6 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     sums and counts are reductions over the nodes' direction segments.
     """
     comp = compiled(scenario)
-    st = comp.stack
     if state is None:
         state = compute_flows(scenario, phi)
     if marginals is None:
@@ -83,28 +81,28 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
         blocked = blocked_sets(scenario, phi, marginals, state)
 
     alpha = config.stepsize
-    X = phi.fractions(st)
-    d = st.pack(delta)
+    X = phi.fractions(comp)
+    d = comp.pack(delta, "direction")
     B = np.zeros(X.shape, dtype=bool)
-    B[:, st.edge_pos] = st.pack_edges(blocked.masks)
+    B[:, comp.edge_pos] = comp.pack(blocked.masks, "edge")
     avail = ~B & np.isfinite(d)
     with np.errstate(invalid="ignore"):
-        dmin = st.row_min(np.where(avail, d, np.inf))
-        rows = st.row_mask(config.row_filter) & np.isfinite(dmin)
-        e = np.clip(d - dmin[:, st.dnode], 0.0, None)
-        tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, st.dnode]
+        dmin = comp.row_min(np.where(avail, d, np.inf))
+        rows = comp.row_mask(config.row_filter) & np.isfinite(dmin)
+        e = np.clip(d - dmin[:, comp.dnode], 0.0, None)
+        tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
         minimal = avail & (e <= tie)
         shrink = ~B & ~minimal
         red = np.where(B, X, 0.0) + np.where(shrink, np.minimum(X, alpha * e), 0.0)
-    on = rows[:, st.dnode]
+    on = rows[:, comp.dnode]
     red[~on] = 0.0
     give = np.zeros(rows.shape)
-    give[rows] = st.row_sum(red)[rows] / st.row_sum(minimal.astype(int))[rows]
+    give[rows] = comp.row_sum(red)[rows] / comp.row_sum(minimal.astype(int))[rows]
     new = X - red
-    new += minimal * give[:, st.dnode]
-    sums = st.row_sum(new)
-    new /= np.where(rows & (sums > 0), sums, 1.0)[:, st.dnode]
-    return Strategy._stacked(st, np.where(on, new, X))
+    new += minimal * give[:, comp.dnode]
+    sums = comp.row_sum(new)
+    new /= np.where(rows & (sums > 0), sums, 1.0)[:, comp.dnode]
+    return Strategy._stacked(comp, np.where(on, new, X))
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -268,50 +266,49 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     (tree_fractions); stages that the repair leaves cyclic are rebuilt
     fresh.
     """
-    comp_old, comp_new = compiled(old_scenario), compiled(new_scenario)
-    old, st = comp_old.stack, comp_new.stack
+    old, new = compiled(old_scenario), compiled(new_scenario)
     try:
         state_old = compute_flows(old_scenario, phi_prev)
         lam_old = traffic_marginals(old_scenario, phi_prev, state_old)
-        d_old = old.pack(modified_marginals(old_scenario, state_old, lam_old))
+        d_old = old.pack(modified_marginals(old_scenario, state_old, lam_old), "direction")
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
     X_old = phi_prev.fractions(old)
 
     # the old stage, node and direction behind each new one, -1 for none
-    so = np.array([old.index.get(key, -1) for key in st.keys], dtype=int)
-    oi = np.array([comp_old.index.get(v, -1) for v in st.nodes], dtype=int)
-    op = np.full(st.n + st.E, -1)
-    op[st.seg[oi >= 0]] = old.seg[oi[oi >= 0]]
-    ou, ov = oi[st.src], oi[st.dst]
+    so = np.array([old.stage_index.get(key, -1) for key in new.keys], dtype=int)
+    oi = np.array([old.index.get(v, -1) for v in new.nodes], dtype=int)
+    op = np.full(new.n + new.E, -1)
+    op[new.seg[oi >= 0]] = old.seg[oi[oi >= 0]]
+    ou, ov = oi[new.src], oi[new.dst]
     oe = np.where((ou >= 0) & (ov >= 0), old.eid[ou, ov], -1)
-    op[st.edge_pos[oe >= 0]] = old.edge_pos[oe[oe >= 0]]
-    has = (so >= 0)[:, None] & (op >= 0)[None, :] & st.active[:, st.dnode]
-    has[:, st.seg] &= np.isfinite(st.w)
+    op[new.edge_pos[oe >= 0]] = old.edge_pos[oe[oe >= 0]]
+    has = (so >= 0)[:, None] & (op >= 0)[None, :] & new.active[:, new.dnode]
+    has[:, new.seg] &= np.isfinite(new.w)
     X = np.where(has, X_old[so][:, op], 0.0)
     marginal = np.where(has, d_old[so][:, op], np.inf)
 
     # mass on old directions that were not carried over goes to the first
     # direction, in segment order, with the smallest old modified marginal
-    carried = np.zeros((len(st.keys), X_old.shape[1]), dtype=bool)
+    carried = np.zeros((len(new.keys), X_old.shape[1]), dtype=bool)
     s, p = np.nonzero(has)
     carried[s, op[p]] = True
     freed = old.row_sum(np.where(carried, 0.0, X_old[so]))[:, oi]
-    lo = st.row_min(marginal)
+    lo = new.row_min(marginal)
     moved = (freed > 0) & np.isfinite(lo)
-    first = np.where(marginal == lo[:, st.dnode], np.arange(st.n + st.E), st.n + st.E)
+    first = np.where(marginal == lo[:, new.dnode], np.arange(new.n + new.E), new.n + new.E)
     s, i = np.nonzero(moved)
-    X[s, np.minimum.reduceat(first, st.seg, axis=1)[s, i]] += freed[s, i]
-    sums = st.row_sum(X)
-    X /= np.where(sums > 0, sums, 1.0)[:, st.dnode]
+    X[s, np.minimum.reduceat(first, new.seg, axis=1)[s, i]] += freed[s, i]
+    sums = new.row_sum(X)
+    X /= np.where(sums > 0, sums, 1.0)[:, new.dnode]
 
-    renew = ((so < 0)[:, None] | (oi < 0)[None, :] | (freed > 0) & ~moved) & st.active
+    renew = ((so < 0)[:, None] | (oi < 0)[None, :] | (freed > 0) & ~moved) & new.active
     if renew.any():
-        X = np.where(renew[:, st.dnode], tree_fractions(comp_new), X)
-    cyclic = st.peel(X).cyclic
+        X = np.where(renew[:, new.dnode], tree_fractions(new), X)
+    cyclic = new.peel(X).cyclic
     if cyclic.size:
-        X[cyclic] = tree_fractions(comp_new)[cyclic]
-    return Strategy._stacked(st, X)
+        X[cyclic] = tree_fractions(new)[cyclic]
+    return Strategy._stacked(new, X)
 
 
 def adapt(old_scenario: Scenario, new_scenario: Scenario, phi_prev: Strategy,
@@ -326,7 +323,7 @@ def adapt(old_scenario: Scenario, new_scenario: Scenario, phi_prev: Strategy,
     """
     phi0 = _repair_strategy(old_scenario, new_scenario, phi_prev)
     try:
-        compute_flows(new_scenario, phi0)
+        # run_gp evaluates the start; its descent catches these per candidate
+        return run_gp(new_scenario, phi0, config)
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"repair could not restore finite cost: {err}") from err
-    return run_gp(new_scenario, phi0, config)

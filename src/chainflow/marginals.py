@@ -36,9 +36,9 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     from dT/dt = 0 at the destination's final stage.
     """
     comp = compiled(scenario)
-    st = comp.stack
-    return st.node_view(marginal_sweep(st, phi.fractions(st), st.links.deriv(state.edge_bits),
-                                       comp.cpus.deriv(state.workload), state.levels))
+    lam = marginal_sweep(comp, phi.fractions(comp), comp.links.deriv(state.edge_bits),
+                         comp.cpus.deriv(state.workload), state.levels)
+    return comp.view(lam, "node")
 
 
 def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
@@ -50,16 +50,15 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
     direction array, built on access.
     """
     comp = compiled(scenario)
-    st = comp.stack
-    lam = st.node_stack(marginals)
-    Dp = st.links.deriv(state.edge_bits)
+    lam = comp.pack(marginals, "node")
+    Dp = comp.links.deriv(state.edge_bits)
     Cp = comp.cpus.deriv(state.workload)
-    d = np.empty((len(st.keys), st.n + st.E))
-    d[:, st.edge_pos] = st.L[:, None] * Dp + lam[:, st.dst]
-    # w is inf at final stages, where st.next points nowhere
+    d = np.empty((len(comp.keys), comp.n + comp.E))
+    d[:, comp.edge_pos] = comp.L[:, None] * Dp + lam[:, comp.dst]
+    # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, st.seg] = np.where(np.isfinite(st.w), st.w * Cp + lam[st.next], np.inf)
-    return st.direction_view(d)
+        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * Cp + lam[comp.next], np.inf)
+    return comp.view(d, "direction", np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +106,13 @@ def blocked_sets(scenario: Scenario, phi: Strategy, marginals: dict,
     FlowState), which are rebuilt when it is not given.
     """
     comp = compiled(scenario)
-    st = comp.stack
-    lam = st.node_stack(marginals)
+    lam = comp.pack(marginals, "node")
     slack = _BLOCK_REL * np.maximum(1.0, np.abs(lam))
-    higher = lam[:, st.dst] > (lam + slack)[:, st.src]
-    levels = state.levels if state is not None else stage_levels(st, phi.fractions(st))
+    higher = lam[:, comp.dst] > (lam + slack)[:, comp.src]
+    levels = state.levels if state is not None else stage_levels(comp, phi.fractions(comp))
     flag = levels.flags(higher)
-    return BlockedSets(nodes=comp.nodes, masks=st.edge_view(higher | flag[:, st.dst], True))
+    masks = comp.view(higher | flag[:, comp.dst], "edge", True)
+    return BlockedSets(nodes=comp.nodes, masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +128,35 @@ class CheckResult:
         return {"holds": self.holds, "violations": self.violations}
 
 
-def direction_minima(st, X, d, tol_mass: float):
-    """(lo, on) for values d on the (S, n+E) directions of the stage stack
-    st: lo holds each direction's row minimum of d, and `on` flags the
+def direction_minima(comp, X, d, tol_mass: float):
+    """(lo, on) for values d on the (S, n+E) directions of the compiled
+    scenario comp: lo holds each direction's row minimum of d, and `on` flags the
     directions whose fraction in X exceeds tol_mass. The sufficient
     condition asks d to sit at lo on every flagged direction; run_gp's gap
     and both checkers measure how far it does not."""
-    return st.row_min(d)[:, st.dnode], X > tol_mass
+    return comp.row_min(d)[:, comp.dnode], X > tol_mass
 
 
 def _tables(scenario, phi, state):
-    """The stage stack, phi's FlowState and its stacked modified marginals."""
-    st = compiled(scenario).stack
+    """The compiled scenario, phi's FlowState and its stacked modified
+    marginals."""
+    comp = compiled(scenario)
     if state is None:
         state = compute_flows(scenario, phi)
     marg = traffic_marginals(scenario, phi, state)
-    return st, state, st.pack(modified_marginals(scenario, state, marg))
+    return comp, state, comp.pack(modified_marginals(scenario, state, marg), "direction")
 
 
-def _check(st, X, g, rows, tol, tol_mass, name) -> CheckResult:
+def _check(comp, X, g, rows, tol, tol_mass, name) -> CheckResult:
     """Directions of the (S, n) rows `rows` carrying more than tol_mass
     whose value in g exceeds the row minimum by more than tol, stage by
     stage, node by node, CPU first."""
     with np.errstate(invalid="ignore"):
-        lo, on = direction_minima(st, X, g, tol_mass)
-        bad = on & (g > lo + tol) & rows[:, st.dnode]
-    col = st.dir_flat % (st.n + 1)
-    violations = [{"node": st.nodes[st.dnode[p]], "stage": list(st.keys[s]),
-                   "dest": "cpu" if col[p] == 0 else st.nodes[col[p] - 1],
+        lo, on = direction_minima(comp, X, g, tol_mass)
+        bad = on & (g > lo + tol) & rows[:, comp.dnode]
+    col = comp.dir_flat % (comp.n + 1)
+    violations = [{"node": comp.nodes[comp.dnode[p]], "stage": list(comp.keys[s]),
+                   "dest": "cpu" if col[p] == 0 else comp.nodes[col[p] - 1],
                    name: float(g[s, p]), "row_min": float(lo[s, p])}
                   for s, p in zip(*np.nonzero(bad))]
     return CheckResult(holds=not violations, violations=violations)
@@ -167,11 +167,11 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     """KKT stationarity on dT/dphi = t * delta: every positive-fraction
     direction must achieve the row minimum within tol. Rows with zero traffic
     satisfy the condition vacuously."""
-    st, state, d = _tables(scenario, phi, state)
+    comp, state, d = _tables(scenario, phi, state)
     t = state.traffic_stack
     with np.errstate(invalid="ignore"):
-        grad = t[:, st.dnode] * d
-    return _check(st, phi.fractions(st), grad, st.active & (t > tol_mass), tol, tol_mass,
+        grad = t[:, comp.dnode] * d
+    return _check(comp, phi.fractions(comp), grad, comp.active & (t > tol_mass), tol, tol_mass,
                   "value")
 
 
@@ -181,8 +181,8 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
     """Global-optimality sufficient condition: positive-fraction directions
     achieve the row-minimum modified marginal, at every node including
     zero-traffic ones."""
-    st, state, d = _tables(scenario, phi, state)
-    return _check(st, phi.fractions(st), d, st.active, tol, tol_mass, "delta")
+    comp, state, d = _tables(scenario, phi, state)
+    return _check(comp, phi.fractions(comp), d, comp.active, tol, tol_mass, "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,10 @@ def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
         for key, t in s.traffic.items():
             if np.any(t <= 0):
                 raise ZeroTrafficNode(f"zero traffic at stage {key}")
-    comp, st = compiled(scenario), s1.stack
+    comp = compiled(scenario)
     worst = -np.inf
     for t in np.linspace(0.0, 1.0, n_samples):
-        F, G = st.totals((1 - t) * s1.edge_flows + t * s2.edge_flows,
+        F, G = comp.totals((1 - t) * s1.edge_flows + t * s2.edge_flows,
                          (1 - t) * s1.cpu_stack + t * s2.cpu_stack)
         chord = (1 - t) * s1.total_cost + t * s2.total_cost
         worst = max(worst, comp.cost_total(F, G) - chord)

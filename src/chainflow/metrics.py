@@ -32,24 +32,21 @@ class Metrics:
 def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
                 iterations: int = 0) -> Metrics:
     comp = compiled(scenario)
-    st = comp.stack
     # hop mass M = inflow + P^T M: total (rate x hops) arriving at each
     # node, where packets enter their stage with zero hops
-    M = st.inflow(state.edge_flows)
-    for k in range(len(st.groups)):
+    M = comp.inflow(state.edge_flows)
+    for k in range(len(comp.groups)):
         state.levels.solve(M, k, forward=True)
-    c0 = phi.fractions(st)[:, st.seg]
+    c0 = phi.fractions(comp)[:, comp.seg]
     data_num = data_den = 0.0
     res_num = res_den = 0.0
-    s = 0
     for app in comp.apps:
+        s = app.s0
         if app.K > 0:
             data_num += float(np.sum(c0[s] * M[s]))
             data_den += float(state.cpu_stack[s].sum())
-        s += app.K
-        res_num += float(M[s, app.dest])
-        res_den += float(state.traffic_stack[s, app.dest])
-        s += 1
+        res_num += float(M[s + app.K, app.dest])
+        res_den += float(state.traffic_stack[s + app.K, app.dest])
     return Metrics(total_cost=state.total_cost,
                    H_data=data_num / data_den if data_den > 0 else 0.0,
                    H_result=res_num / res_den if res_den > 0 else 0.0,

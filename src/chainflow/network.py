@@ -199,9 +199,6 @@ class Graph:
             links.add((v, u))
         return cls(nodes=_sorted_nodes(nodes), links=frozenset(links))
 
-    def neighbors(self, i):
-        return sorted((v for (u, v) in self.links if u == i), key=str)
-
     @property
     def num_undirected_edges(self) -> int:
         return len(self.links) // 2
@@ -465,10 +462,6 @@ class Scenario:
         return Scenario(graph=self.graph, applications=self.applications,
                         link_costs=self.link_costs, comp_costs=self.comp_costs,
                         input_rates=dict(input_rates), seed=self.seed, name=self.name)
-
-    @property
-    def stages(self):
-        return [(a.id, k) for a in self.applications for k in range(a.chain_length + 1)]
 
 
 def sample_scenario(topology: Graph, num_apps: int, chain_length: int,

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import (DenseView, Strategy, cheapest_to_go, compiled, marginal_sweep,
-                    stage_levels)
+from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -44,22 +43,22 @@ class FlowVector:
         self.link_flows, self.cpu_flows = link_flows, cpu_flows
 
     @classmethod
-    def _on(cls, st, fe, g) -> "FlowVector":
-        return cls(st.nodes, st.edge_view(fe, 0.0),
-                   DenseView(st, g, (st.n,), np.arange(st.n), 0.0))
+    def _on(cls, comp, fe, g) -> "FlowVector":
+        return cls(comp.nodes, comp.view(fe, "edge"), comp.view(g, "node"))
 
-    def arrays(self, st):
-        """(S, E) link flows and (S, n) CPU flows on the stage stack st:
-        the oracle's own arrays, which it edits in place, until a view
-        block is built."""
-        if self.nodes != st.nodes:
-            raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {st.nodes!r}")
-        return st.pack_edges(self.link_flows), st.node_stack(self.cpu_flows)
+    def arrays(self, comp):
+        """(S, E) link flows and (S, n) CPU flows on the compiled scenario
+        comp: the oracle's own arrays, which it edits in place, until a view
+        block is built. Raises ValueError for flows on other nodes or with
+        a misshaped block."""
+        if self.nodes != comp.nodes:
+            raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {comp.nodes!r}")
+        return comp.pack(self.link_flows, "edge"), comp.pack(self.cpu_flows, "node")
 
 
 def _totals(comp, fv: FlowVector):
     """Link bits per edge and CPU workloads per node of a flow vector."""
-    return comp.stack.totals(*fv.arrays(comp.stack))
+    return comp.totals(*fv.arrays(comp))
 
 
 def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
@@ -73,10 +72,10 @@ def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
 # ---------------------------------------------------------------------------
 # A path is a tuple of steps: ("L", k, u, v) for a stage-k hop on link (u, v)
 # and ("C", k, v) for running task k+1 at node v (consuming stage-k packets).
-# Link marginals Dp are per edge of the stage stack, CPU marginals Cp per node.
+# Link marginals Dp are per edge, CPU marginals Cp per node.
 
 def path_cost(comp, app, path, Dp, Cp) -> float:
-    eid = comp.stack.eid
+    eid = comp.eid
     c = 0.0
     for step in path:
         if step[0] == "L":
@@ -89,13 +88,12 @@ def path_cost(comp, app, path, Dp, Cp) -> float:
 
 
 def _add_path(comp, fv: FlowVector, app, path, amount: float):
-    st = comp.stack
-    fe, g = fv.arrays(st)
-    s0 = st.index[(app.id, 0)]
+    fe, g = fv.arrays(comp)
+    s0 = app.s0
     for step in path:
         if step[0] == "L":
             _, k, u, v = step
-            fe[s0 + k, st.eid[u, v]] += amount
+            fe[s0 + k, comp.eid[u, v]] += amount
         else:
             _, k, v = step
             g[s0 + k, v] += amount
@@ -110,17 +108,17 @@ def cheapest_extended_paths(comp, app, Dp, Cp, adj=None):
     where the destination is out of reach. `adj` optionally restricts the
     admissible links (used by baselines that pin routing to fixed paths).
     """
-    K, n, st = app.K, comp.n, comp.stack
+    K, n = app.K, comp.n
     link_w = np.outer(app.L, Dp)
     if adj is not None:
-        link_w[:, ~adj[st.src, st.dst]] = np.inf
+        link_w[:, ~adj[comp.src, comp.dst]] = np.inf
     with np.errstate(invalid="ignore"):
         cpu_w = app.w.T * Cp          # nan (unusable) where inf * 0
     dist = np.full((K + 1, n), np.inf)
     succ = np.full((K + 1, n), -3, dtype=int)
     dist[K, app.dest] = 0.0
     succ[K, app.dest] = -2
-    cheapest_to_go(st, link_w, dist, succ, cpu_w)
+    cheapest_to_go(comp, link_w, dist, succ, cpu_w)
     return dist, succ
 
 
@@ -156,8 +154,8 @@ class OracleResult:
 
 
 def _zero_flows(comp) -> FlowVector:
-    st = comp.stack
-    return FlowVector._on(st, np.zeros((len(st.keys), st.E)), np.zeros((len(st.keys), st.n)))
+    S = len(comp.keys)
+    return FlowVector._on(comp, np.zeros((S, comp.E)), np.zeros((S, comp.n)))
 
 
 def _blocks(comp):
@@ -199,12 +197,11 @@ def _exact_line_search(comp, F, G, dF, dG):
     terms of the derivative are summed as an (n, n) table, zero off the
     links: that sum's rounding steers the trajectory (see
     _sparse_line_search), and a sum over the edges adds in another order."""
-    st = comp.stack
-    hi = min(1.0, st.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
-    table = np.zeros(st.n * st.n)
+    hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+    table = np.zeros(comp.n * comp.n)
 
     def deriv(gamma):
-        table[st.edge_flat] = st.links.deriv(F + gamma * dF) * dF
+        table[comp.edge_flat] = comp.links.deriv(F + gamma * dF) * dF
         Cp = comp.cpus.deriv(G + gamma * dG)
         return float(np.sum(table) + np.sum(Cp * dG))
 
@@ -214,7 +211,7 @@ def _exact_line_search(comp, F, G, dF, dG):
 def _delta_entries(comp, app, path_plus, path_minus):
     """Sparse bit/workload deltas, per edge and per node, of a unit-rate swap
     path_minus -> path_plus."""
-    eid = comp.stack.eid
+    eid = comp.eid
     ef, eg = {}, {}
     for sign, path in ((1.0, path_plus), (-1.0, path_minus)):
         for step in path:
@@ -237,7 +234,7 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     be vectorized: a numpy sum adds in another order and squares arrays by
     multiplication where scalars use pow.
     """
-    links, cpus = comp.stack.links, comp.cpus
+    links, cpus = comp.links, comp.cpus
     entries = [(links.que[e], float(links.param[e]), float(F[e]), float(d))
                for e, d in ef.items()]
     entries += [(cpus.que[v], float(cpus.param[v]), float(G[v]), float(d))
@@ -256,12 +253,12 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     return _bisect(deriv, hi)
 
 
-def _apply_swap(comp, app, fv, F, G, target, worst, amount):
+def _apply_swap(comp, app, fv, F, G, target, worst, amount, ef, eg):
     """Shift `amount` packets/sec from path `worst` to `target`, updating the
-    flow vector and network totals in place."""
+    flow vector and network totals in place; (ef, eg) are the swap's unit
+    deltas from _delta_entries."""
     _add_path(comp, fv, app, target, amount)
     _add_path(comp, fv, app, worst, -amount)
-    ef, eg = _delta_entries(comp, app, target, worst)
     for e, d in ef.items():
         F[e] += amount * d
     for v, d in eg.items():
@@ -273,7 +270,7 @@ def _greedy_start(comp, registry, masks=None):
     on currently-cheapest extended paths, splitting a block when a whole
     placement would blow a capacity."""
     masks = masks or {}
-    st, cpus = comp.stack, comp.cpus
+    links, cpus = comp.links, comp.cpus
     fv = _rebuild(comp, registry)
     F, G = _totals(comp, fv)
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
@@ -282,10 +279,10 @@ def _greedy_start(comp, registry, masks=None):
             # a trial loads copies of the flow arrays; a rejected one is dropped
             trial = dict(registry[block])
             part = rate / chunks
-            fv_try, F_try, G_try = FlowVector._on(st, *(a.copy() for a in fv.arrays(st))), F, G
+            fv_try, F_try, G_try = FlowVector._on(comp, *(a.copy() for a in fv.arrays(comp))), F, G
             for _ in range(chunks):
                 # the totals are zero or passed the saturation check below
-                _, succ = cheapest_extended_paths(comp, app, st.links.deriv(F_try),
+                _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
                                                   cpus.deriv(G_try), adj=masks.get(app.id))
                 try:
                     path = _extract_path(app, succ, src)
@@ -293,7 +290,7 @@ def _greedy_start(comp, registry, masks=None):
                     break
                 _add_path(comp, fv_try, app, path, part)
                 F_try, G_try = _totals(comp, fv_try)
-                if st.links.saturated(F_try, 1e-12) or cpus.saturated(G_try, 1e-12):
+                if links.saturated(F_try, 1e-12) or cpus.saturated(G_try, 1e-12):
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
             else:
@@ -322,7 +319,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     if not registry:
         return OracleResult(0.0, _zero_flows(comp), 0.0, True, 0)
     fv = _greedy_start(comp, registry, app_link_masks)
-    links = comp.stack.links
+    links = comp.links
     cost_trace, gap_trace = [], []
     for it in range(max_iters):
         if it and it % 25 == 0:
@@ -400,7 +397,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                         hi_cap=atoms[worst])
                     if move <= 0:
                         continue
-                    _apply_swap(comp, app, fv, F, G, target, worst, move * rate)
+                    _apply_swap(comp, app, fv, F, G, target, worst, move * rate, ef, eg)
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move
                     registry[block] = {p: w for p, w in atoms.items() if w > 1e-15}
@@ -503,7 +500,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
 
     # start: everything on the zero-flow cheapest path, else spread uniformly
     x = {}
-    Dp0 = comp.stack.links.deriv(np.zeros(comp.stack.E))
+    Dp0 = comp.links.deriv(np.zeros(comp.E))
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     for block, plist in paths.items():
         app, src, rate = block
@@ -524,7 +521,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
     gap = np.inf
     for it in range(max_iters):
         F, G = _totals(comp, flows_from(x))
-        Dp = comp.stack.links.deriv(F)
+        Dp = comp.links.deriv(F)
         Cp = comp.cpus.deriv(G)
         grad = {block: np.array([path_cost(comp, block[0], p, Dp, Cp)
                                  for p in paths[block]]) for block in paths}
@@ -567,43 +564,43 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     loops. The result is meaningful to check_sufficient everywhere.
     """
     comp = compiled(scenario)
-    st = comp.stack
     F, G = _totals(comp, fv)
-    Dp = st.links.deriv(F)
+    Dp = comp.links.deriv(F)
     Cp = comp.cpus.deriv(G)
-    fe, g = fv.arrays(st)
-    inj = st.r.copy()
-    inj[st.prev >= 0] = g[st.prev[st.prev >= 0]]
+    fe, g = fv.arrays(comp)
+    inj = comp.r.copy()
+    inj[comp.prev >= 0] = g[comp.prev[comp.prev >= 0]]
     fe = np.where(fe < prune, 0.0, fe)
     g = np.where(g < prune, 0.0, g)
-    t = st.inflow(fe) + inj
-    on = (t > prune) & st.active
-    X = np.zeros((len(st.keys), st.n + st.E))
-    X[:, st.edge_pos] = np.divide(fe, t[:, st.src], out=np.zeros_like(fe), where=on[:, st.src])
-    X[:, st.seg] = np.divide(g, t, out=np.zeros_like(g), where=on)
-    pos = on | ~st.active
-    sums = st.row_sum(X)
-    X /= np.where(pos & (sums > 0.5), sums, 1.0)[:, st.dnode]
-    link_w = st.L[:, None] * Dp
+    t = comp.inflow(fe) + inj
+    on = (t > prune) & comp.active
+    X = np.zeros((len(comp.keys), comp.n + comp.E))
+    X[:, comp.edge_pos] = np.divide(fe, t[:, comp.src], out=np.zeros_like(fe),
+                                    where=on[:, comp.src])
+    X[:, comp.seg] = np.divide(g, t, out=np.zeros_like(g), where=on)
+    pos = on | ~comp.active
+    sums = comp.row_sum(X)
+    X /= np.where(pos & (sums > 0.5), sums, 1.0)[:, comp.dnode]
+    link_w = comp.L[:, None] * Dp
 
     def settle(k, lam):
         # fill zero-traffic rows toward the cheapest settled value
-        group = st.groups[k]
+        group = comp.groups[k]
         fixed = pos[group]
         dist = np.where(fixed, lam[group], np.inf)
         choice = np.full(dist.shape, -9)
         with np.errstate(invalid="ignore"):
-            cpu = st.w[group] * Cp + lam[st.next[group]]
+            cpu = comp.w[group] * Cp + lam[comp.next[group]]
         via_cpu = ~fixed & (cpu < dist)
         dist[via_cpu], choice[via_cpu] = cpu[via_cpu], -1
-        cheapest_to_go(st, link_w[group], dist, choice, fixed=fixed)
+        cheapest_to_go(comp, link_w[group], dist, choice, fixed=fixed)
         r, i = np.nonzero(~fixed)
         stuck = np.flatnonzero(choice[r, i] < -1)
         if stuck.size:
             raise NoFeasibleStrategy(f"cannot route zero-traffic node {comp.nodes[i[stuck[0]]]} "
-                                     f"at stage {st.keys[group[r[stuck[0]]]]}")
-        st.point(X, group[r], i, choice[r, i])
+                                     f"at stage {comp.keys[group[r[stuck[0]]]]}")
+        comp.point(X, group[r], i, choice[r, i])
         lam[group[r], i] = dist[r, i]
 
-    marginal_sweep(st, X, Dp, Cp, stage_levels(st, X), settle)
-    return Strategy._stacked(st, X)
+    marginal_sweep(comp, X, Dp, Cp, stage_levels(comp, X), settle)
+    return Strategy._stacked(comp, X)

@@ -278,7 +278,7 @@ class TestDenseReference:
             row = phi.rows[key][i]
             row *= 0.99
             row[1 + j] += 0.01
-        assert len(comp.stage_keys) == 6
+        assert len(comp.keys) == 6
         with pytest.raises(LoopDetected, match=re.escape(f"stage {key!r}")):
             compute_flows(s, phi)
         assert list(detect_loops(phi)) == [key]

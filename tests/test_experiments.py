@@ -156,7 +156,7 @@ class TestCli:
                 i = index[row["from"]]
                 kinds.add(row["kind"])
                 if row["kind"] == "link":
-                    F_csv[comp.stack.eid[i, index[row["to"]]]] += app.L[k] * flow
+                    F_csv[comp.eid[i, index[row["to"]]]] += app.L[k] * flow
                 else:
                     G_csv[i] += app.w[i, k] * flow
         assert kinds == {"link", "cpu"}

@@ -243,10 +243,10 @@ class TestZeroFlowTree:
         for seed in range(8):
             s = random_scenario(seed, n=9, link_kind="linear" if seed % 2 else "queue")
             comp = compiled(s)
-            st, metric = comp.stack, comp.zero_flow_metric
+            metric = comp.zero_flow_metric
             g = nx.DiGraph()   # reversed links: distances from the targets
             g.add_nodes_from(range(comp.n))
-            for e, (u, v) in enumerate(zip(st.src, st.dst)):
+            for e, (u, v) in enumerate(zip(comp.src, comp.dst)):
                 g.add_edge(int(v), int(u), weight=float(metric[e]))
             rng = np.random.default_rng(seed)
             for size in (1, 2, 3):
@@ -262,7 +262,7 @@ class TestZeroFlowTree:
                     else:
                         j = int(succ[i])
                         assert comp.adj[i, j]
-                        assert dist[i] == dist[j] + metric[st.edge_flat == i * comp.n + j][0]
+                        assert dist[i] == dist[j] + metric[comp.edge_flat == i * comp.n + j][0]
 
     @pytest.mark.parametrize("src, middle, dest", [(1, (2, 3), 4), (4, (2, 3), 1),
                                                     (2, (1, 4), 3)])
@@ -281,6 +281,44 @@ class TestZeroFlowTree:
         assert comp.nodes[succ[comp.index[src]]] == min(middle)
         phi = init_strategy(s)
         assert phi.row(src, "a", 1) == {min(middle): 1.0}
+
+
+class TestCompiledLayout:
+    def test_stage_arrays_on_edge_inputs(self):
+        # node 2 has no CPU, node 3 cannot run task 2 of "c", "c" sends
+        # zero-size packets at stage 1 and "z" is a chain of length 0
+        from chainflow import solve_flow_domain, strategy_from_flows
+        g = Graph.from_undirected_edges([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
+        apps = (Application("z", 0, 4, (2.0,)),
+                Application("c", 2, 1, (3.0, 0.0, 1.0), comp_weights={3: (1.0, np.inf)}))
+        s = Scenario(graph=g, applications=apps,
+                     link_costs={e: Queue(12.0) for e in g.links},
+                     comp_costs={1: Queue(9.0), 2: None, 3: Queue(8.0), 4: Linear(2.0)},
+                     input_rates={(1, "z"): 0.5, (2, "c"): 0.3, (3, "c"): 0.4})
+        comp = compiled(s)
+        inf = np.inf
+        assert comp.keys == [("z", 0), ("c", 0), ("c", 1), ("c", 2)]
+        assert comp.L.tolist() == [2.0, 3.0, 0.0, 1.0]
+        assert comp.w.tolist() == [[inf, inf, inf, inf], [1.0, inf, 1.0, 1.0],
+                                   [1.0, inf, inf, 1.0], [inf, inf, inf, inf]]
+        assert comp.r.tolist() == [[0.5, 0, 0, 0], [0, 0.3, 0.4, 0], [0] * 4, [0] * 4]
+        assert comp.dest.tolist() == [3, 0, 0, 0]
+        assert comp.k.tolist() == [0, 0, 1, 2]
+        assert comp.prev.tolist() == [-1, -1, 1, 2]
+        assert comp.next.tolist() == [-1, 2, 3, -1]
+        assert comp.final.tolist() == [True, False, False, True]
+        assert np.argwhere(~comp.active).tolist() == [[0, 3], [3, 0]]
+        # an application's packet sizes, workloads and rates are views of
+        # the stage arrays, stored once
+        app = comp.apps[1]
+        assert (app.id, app.K, app.dest, app.s0) == ("c", 2, 0, 1)
+        for view, whole in ((app.L, comp.L), (app.w, comp.w), (app.r, comp.r)):
+            assert np.shares_memory(view, whole)
+        assert np.array_equal(app.w, comp.w[1:3].T)
+
+        res = solve_flow_domain(s, tol=1e-10)
+        phi = strategy_from_flows(s, res.flows)
+        assert compute_flows(s, phi).total_cost == pytest.approx(res.total_cost, rel=1e-9)
 
 
 class TestStrategySerialization:

@@ -159,6 +159,21 @@ class TestAdapt:
         assert res.converged
         assert res.total_cost == pytest.approx(1.0)
 
+    def test_start_without_finite_cost_refused(self):
+        # the only route of the new scenario's rate overflows its link
+        from chainflow import Application, Graph, NoFeasibleStrategy, Queue, Scenario
+        g = Graph.from_undirected_edges([1, 2], [(1, 2)])
+        app = Application(id="a", chain_length=0, destination=2, packet_sizes=(1.0,))
+
+        def at(rate):
+            return Scenario(graph=g, applications=(app,),
+                            link_costs={e: Queue(2.0) for e in g.links},
+                            comp_costs={1: None, 2: None}, input_rates={(1, "a"): rate})
+
+        s = at(1.0)
+        with pytest.raises(NoFeasibleStrategy, match="repair could not restore finite cost"):
+            adapt(s, at(3.0), run_gp(s).phi)
+
     def test_no_change_zero_iterations(self):
         s = random_scenario(3, n=6, num_apps=1, K=1)
         base = run_gp(s, config=GpConfig(tol=1e-7, max_iters=3000))

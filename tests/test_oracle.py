@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ class TestSolveFlowDomain:
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(res.cost_trace[:-1])))
 
 
+class TestFlowVector:
+    @pytest.mark.parametrize("kind", ["link", "cpu"])
+    def test_misshaped_blocks_refused(self, kind):
+        # one extra zero column or entry per block must not be read by position
+        s = random_scenario(1, n=6, num_apps=2, K=1)
+        res = solve_flow_domain(s, tol=1e-6)
+        links, cpus = dict(res.flows.link_flows), dict(res.flows.cpu_flows)
+        if kind == "link":
+            links = {key: np.pad(block, ((0, 0), (0, 1))) for key, block in links.items()}
+        else:
+            cpus = {key: np.append(block, 0.0) for key, block in cpus.items()}
+        fv = FlowVector(res.flows.nodes, links, cpus)
+        first = next(iter(links))
+        with pytest.raises(ValueError, match=re.escape(f"stage {first!r}")):
+            flow_cost(s, fv)
+        with pytest.raises(ValueError, match="block has shape"):
+            strategy_from_flows(s, fv)
+
+
 class TestGreedyStart:
     def test_split_block_flows_match_registry(self):
         # on this tight-CPU draw one block only fits in two halves, so a
@@ -45,14 +66,13 @@ class TestGreedyStart:
         # stay in the returned vector
         s = _loaded_scenario(25)
         comp = compiled(s)
-        st = comp.stack
         registry = {block: {} for block in _blocks(comp)}
         fv = _greedy_start(comp, registry)
         assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
-        for got, want in zip(fv.arrays(st), _rebuild(comp, registry).arrays(st)):
+        for got, want in zip(fv.arrays(comp), _rebuild(comp, registry).arrays(comp)):
             assert np.max(np.abs(got - want)) <= 1e-12
         F, G = _totals(comp, fv)
-        assert not st.links.saturated(F, 1e-12)
+        assert not comp.links.saturated(F, 1e-12)
         assert not comp.cpus.saturated(G, 1e-12)
 
 
@@ -67,7 +87,7 @@ class TestLineSearches:
             comp = compiled(s)
             registry = {block: {} for block in _blocks(comp)}
             F, G = _totals(comp, _greedy_start(comp, registry))
-            Dp, Cp = comp.stack.links.deriv(F), comp.cpus.deriv(G)
+            Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
             for (app, src, rate), atoms in registry.items():
                 _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
                 target = _extract_path(app, succ, src)
@@ -144,7 +164,7 @@ class TestCheapestExtendedPaths:
                                 link_bound=40.0, comp_bound=30.0)
             comp = compiled(s)
             state = compute_flows(s, random_loopfree_strategy(s, seed))
-            Dp, Cp = comp.stack.links.deriv(state.edge_bits), comp.cpus.deriv(state.workload)
+            Dp, Cp = comp.links.deriv(state.edge_bits), comp.cpus.deriv(state.workload)
             for app in comp.apps:
                 adj = None
                 if masked:
@@ -176,8 +196,8 @@ class TestStrategyFromFlows:
     def test_uniform_split_normalization(self, e1):
         comp = compiled(e1)
         fv = FlowVector(comp.nodes,
-                        {k: np.zeros((2, 2)) for k in comp.stage_keys},
-                        {k: np.zeros(2) for k in comp.stage_keys})
+                        {k: np.zeros((2, 2)) for k in comp.keys},
+                        {k: np.zeros(2) for k in comp.keys})
         # half computed at 1, half shipped and computed at 2
         fv.cpu_flows[("a", 0)][0] = 0.5
         fv.link_flows[("a", 0)][0, 1] = 0.5
@@ -201,8 +221,8 @@ class TestStrategyFromFlows:
                      input_rates={(1, "a"): 1.0})
         comp = compiled(s)
         fv = FlowVector(comp.nodes,
-                        {k: np.zeros((6, 6)) for k in comp.stage_keys},
-                        {k: np.zeros(6) for k in comp.stage_keys})
+                        {k: np.zeros((6, 6)) for k in comp.keys},
+                        {k: np.zeros(6) for k in comp.keys})
         fv.link_flows[("a", 0)][0, 1] = 1.0 + circling
         fv.link_flows[("a", 0)][1, 0] = circling
         fv.cpu_flows[("a", 0)][1] = 1.0
