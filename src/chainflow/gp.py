@@ -1,11 +1,15 @@
 """Distributed gradient projection on forwarding fractions.
 
-Each slot, every (node, stage) row moves mass away from blocked and
+Each slot, every (node, stage) row moves mass away from its
 higher-marginal directions onto its minimum-marginal ones:
 
-- blocked destinations are zeroed outright,
 - a direction with marginal gap e > 0 loses min(phi, alpha * e),
 - the removed mass is split equally over the N minimal directions.
+
+Only a direction that carries no mass is blocked, as in Gallager's (1977)
+minimum-delay routing (Bertsekas & Gallager, Data Networks, sec. 5.7): it
+receives none. Mass on a link that blocked_sets flags leaves it at the
+stepsize rate, like mass on any other non-minimal direction.
 
 The update is synchronous (all rows move on the same slot's marginal tables),
 keeps rows on their simplices, and preserves loop-freedom through the blocked
@@ -85,6 +89,7 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     d = comp.pack(delta, "direction")
     B = np.zeros(X.shape, dtype=bool)
     B[:, comp.edge_pos] = comp.pack(blocked.masks, "edge")
+    B &= X <= 0.0
     avail = ~B & np.isfinite(d)
     with np.errstate(invalid="ignore"):
         dmin = comp.row_min(np.where(avail, d, np.inf))
@@ -92,8 +97,7 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
         e = np.clip(d - dmin[:, comp.dnode], 0.0, None)
         tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
         minimal = avail & (e <= tie)
-        shrink = ~B & ~minimal
-        red = np.where(B, X, 0.0) + np.where(shrink, np.minimum(X, alpha * e), 0.0)
+        red = np.where(minimal, 0.0, np.minimum(X, alpha * e))
     on = rows[:, comp.dnode]
     red[~on] = 0.0
     give = np.zeros(rows.shape)

@@ -133,8 +133,9 @@ def reference_slot(s, phi, ref, alpha, row_filter=None):
         rowgap = np.where(mat > 1e-9, d - dmin[:, None], 0.0)[active]
         if rowgap.size:
             gap = max(gap, float(np.max(rowgap)))
+        # only a direction without mass is blocked (Gallager 1977)
         B = np.zeros((n, n + 1), dtype=bool)
-        B[:, 1:] = masks[key]
+        B[:, 1:] = masks[key] & (mat[:, 1:] <= 0)
         avail = ~B & np.isfinite(d)
         new = mat.copy()
         for i in np.flatnonzero(active):
@@ -143,8 +144,7 @@ def reference_slot(s, phi, ref, alpha, row_filter=None):
                 continue
             e = np.clip(d[i] - dm, 0.0, None)
             minimal = avail[i] & (e <= TIE_REL * max(1.0, abs(dm)))
-            red = np.where(B[i], mat[i], 0.0) \
-                + np.where(~B[i] & ~minimal, np.minimum(mat[i], alpha * e), 0.0)
+            red = np.where(~minimal, np.minimum(mat[i], alpha * e), 0.0)
             row = mat[i] - red + minimal * (red.sum() / minimal.sum())
             new[i] = row / row.sum() if row.sum() > 0 else row
         nxt[key] = new

@@ -10,9 +10,10 @@ from chainflow.marginals import (blocked_sets, modified_marginals,
 from conftest import make_strategy, random_loopfree_strategy, random_scenario
 
 
-def _single_row_case(alpha, deltas, fractions):
+def _single_row_case(alpha, deltas, fractions, blocked_to=None):
     """Drive gp_step on a 3-node star where node 0's final-stage row has the
-    given deltas: done via a synthetic delta table on a real scenario."""
+    given deltas: done via a synthetic delta table on a real scenario.
+    `blocked_to` names a node whose link from node 0 is flagged blocked."""
     from chainflow import Application, Graph, Linear, Scenario
     g = Graph.from_undirected_edges([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     app = Application(id="a", chain_length=0, destination=1, packet_sizes=(1.0,))
@@ -32,6 +33,8 @@ def _single_row_case(alpha, deltas, fractions):
     blocked.masks[("a", 0)][:] = False
     blocked.masks[("a", 0)][:, 0] = True  # self column unused anyway
     blocked.masks[("a", 0)][0, 0] = True
+    if blocked_to is not None:
+        blocked.masks[("a", 0)][0, blocked_to] = True
     cfg = GpConfig(stepsize=alpha)
     nxt = gp_step(s, phi, cfg, state, lam, delta, blocked)
     return nxt.rows[("a", 0)][0, 2], nxt.rows[("a", 0)][0, 3]
@@ -46,6 +49,11 @@ class TestGpStep:
         assert f2 == pytest.approx(0.9)
 
     def test_blocked_direction_zeroed(self, e1, e1_strategy_b):
+        # a flagged direction without mass is blocked and stays at zero,
+        # even with the row's minimum marginal (Gallager 1977)
+        assert _single_row_case(0.1, (2.0, 5.0), (0.0, 1.0), blocked_to=1) == (0.0, 1.0)
+        # a flagged direction with mass is not blocked: its mass leaves at
+        # the stepsize rate, like that of any other non-minimal direction
         state = compute_flows(e1, e1_strategy_b)
         lam = traffic_marginals(e1, e1_strategy_b, state)
         delta = modified_marginals(e1, state, lam)
@@ -54,8 +62,11 @@ class TestGpStep:
         blocked.masks[("a", 0)][0, 1] = True
         nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05),
                       state, lam, delta, blocked)
-        assert nxt.rows[("a", 0)][0, 2] == 0.0          # zeroed regardless of mass
-        assert nxt.rows[("a", 0)][0, 0] == pytest.approx(1.0)
+        d = delta[("a", 0)][0]
+        move = 0.05 * (d[2] - d[0])
+        assert 0.0 < move < 1.0
+        assert nxt.rows[("a", 0)][0, 2] == pytest.approx(1.0 - move)
+        assert nxt.rows[("a", 0)][0, 0] == pytest.approx(move)
 
     def test_fixed_point_at_sufficient(self, e1, e1_strategy_a):
         assert check_sufficient(e1, e1_strategy_a).holds
@@ -231,6 +242,70 @@ class TestAdapt:
             drift.append(dmax)
         assert drift[2] <= drift[1] + 1e-9
         assert drift[1] <= drift[0] + 1e-9
+
+
+def _without(s, nodes=(), links=()):
+    """s without the given nodes, their links and the given undirected links."""
+    from chainflow import Graph, Scenario
+    gone = {l for link in links for l in (link, link[::-1])}
+    gone |= {l for l in s.graph.links if l[0] in nodes or l[1] in nodes}
+    keep = tuple(v for v in s.graph.nodes if v not in nodes)
+    g = Graph(nodes=keep, links=frozenset(s.graph.links - gone))
+    return Scenario(graph=g, applications=s.applications,
+                    link_costs={l: c for l, c in s.link_costs.items() if l not in gone},
+                    comp_costs={v: c for v, c in s.comp_costs.items() if v in keep},
+                    input_rates={key: r for key, r in s.input_rates.items() if key[0] in keep})
+
+
+class TestAdaptRobustness:
+    CFG = GpConfig(tol=1e-6, max_iters=3000)
+
+    def _check(self, s, s2, phi, nodes=(), links=()):
+        from chainflow import solve_flow_domain
+        res = adapt(s, s2, phi, self.CFG)
+        assert res.converged
+        assert validate_strategy(s2, res.phi) == []
+        assert detect_loops(res.phi) == {}
+        optimum = solve_flow_domain(s2, tol=1e-10).total_cost
+        assert res.total_cost == pytest.approx(optimum, rel=1e-9)
+        comp = compiled(s2)
+        assert not any(v in comp.index for v in nodes)
+        for u, v in links:
+            i, j = comp.index[u], comp.index[v]
+            assert all(m[i, 1 + j] == 0 and m[j, 1 + i] == 0 for m in res.phi.rows.values())
+
+    def test_link_down_does_not_stall(self):
+        # removing the second-busiest link leaves mass on two links that
+        # blocked_sets flags; zeroing that mass in one move raised the cost
+        # at every stepsize, so the run stopped at slot 0, 8% above the
+        # optimum
+        s = random_scenario(21, n=7, num_apps=2, K=1)
+        self._check(s, _without(s, links=[(0, 5)]), run_gp(s, config=self.CFG).phi,
+                    links=[(0, 5)])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_link_removal(self, seed):
+        import networkx as nx
+        s = random_scenario(seed, n=7, num_apps=2, K=1)
+        base = run_gp(s, config=self.CFG)
+        F, index, g = base.state.link_bits, compiled(s).index, nx.Graph(list(s.graph.links))
+        loaded = sorted((u, v) for u, v in g.edges
+                        if F[index[u], index[v]] + F[index[v], index[u]] > 0
+                        and nx.is_connected(nx.restricted_view(g, [], [(u, v)])))
+        link = loaded[int(np.random.default_rng(seed).integers(len(loaded)))]
+        self._check(s, _without(s, links=[link]), base.phi, links=[link])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_node_removal(self, seed):
+        import networkx as nx
+        s = random_scenario(seed, n=7, num_apps=2, K=1)
+        base = run_gp(s, config=self.CFG)
+        g = nx.Graph(list(s.graph.links))
+        dests = {a.destination for a in s.applications}
+        spare = sorted(v for v in g.nodes if v not in dests
+                       and nx.is_connected(nx.restricted_view(g, [v], [])))
+        node = spare[int(np.random.default_rng(seed).integers(len(spare)))]
+        self._check(s, _without(s, nodes=[node]), base.phi, nodes=[node])
 
 
 # ---------------------------------------------------------------------------
