@@ -112,6 +112,7 @@ class _Compiled:
         self.prev, self.next = np.full(S, -1), np.full(S, -1)
         self.active = np.ones((S, n), dtype=bool)
         self.apps = []
+        has_cpu = self.has_cpu.tolist()
         s = 0
         for app in scenario.applications:
             if app.destination not in index:
@@ -123,8 +124,9 @@ class _Compiled:
             self.next[s:s + K] = np.arange(s + 1, s + K + 1)
             self.prev[s + 1:s + K + 1] = np.arange(s, s + K)
             self.active[s + K, d] = False
-            for i in np.flatnonzero(self.has_cpu):
-                self.w[s:s + K, i] = [app.weight(nodes[i], k) for k in range(K)]
+            for k in range(K):
+                self.w[s + k] = [app.weight(v, k) if cpu else np.inf
+                                 for v, cpu in zip(nodes, has_cpu)]
             self.r[s] = [scenario.input_rates.get((v, app.id), 0.0) for v in nodes]
             self.apps.append(_App(self, app.id, K, d, s))
             s += K + 1
