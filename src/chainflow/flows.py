@@ -16,6 +16,7 @@ blocks of the public API are views built from it on access.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -55,39 +56,40 @@ class _Compiled:
     np.nonzero of the adjacency gives them; `links` holds their cost
     functions, one per edge, and `cpus` the nodes'. Directions are CPU
     columns and edges: node i owns the segment of n + E directions starting
-    at seg[i], its CPU column first and then its out-links, so no segment is
-    ever empty and per-row minima, sums and counts are reduceat over `seg`.
-    `eid[u, v]` is the edge of link (u, v), -1 off the links, and `into[v]`
-    lists node v's in-edges as (source, edge) pairs of Python ints, sources
-    increasing, for cheapest_to_go. Stage s is keys[s], every stage of every
-    application on one axis; the per-stage arrays give its packet size L,
-    the workloads w of its task (inf at final stages and where the task
-    cannot run), its input rates r, its application's destination, the
-    previous and next stage of its application (-1 at the ends), its
-    position k in the chain, and which rows must sum to one (`active`: all
-    but the destination's final-stage row). `apps` holds each application's
-    slice of the stages.
+    at seg[i], its CPU column first and then its out-links, so no segment
+    is ever empty and per-row minima, sums and counts are reduceat over
+    `seg`. `eid[u, v]` is the edge of link (u, v), -1 off the links, and
+    `into[v]` lists node v's in-edges as (source, edge) pairs of Python
+    ints, sources increasing, for cheapest_to_go. Stage s is keys[s], every
+    stage of every application on one axis; the per-stage arrays give its
+    packet size L, the workloads w of its task (inf at final stages and
+    where the task cannot run), its input rates r, its application's
+    destination, the previous and next stage of its application (-1 at the
+    ends), its position k in the chain, and which rows must sum to one
+    (`active`: all but the destination's final-stage row). `apps` holds
+    each application's slice of the stages.
     """
 
     def __init__(self, scenario: Scenario):
         nodes = self.nodes = tuple(scenario.graph.nodes)
         index = self.index = {v: i for i, v in enumerate(nodes)}
         n = self.n = len(nodes)
-        self.adj = np.zeros((n, n), dtype=bool)
-        for (u, v), cost in scenario.link_costs.items():
-            self.adj[index[u], index[v]] = cost is not None
         self.cpus = CostArray(n, ((index[v], cost) for v, cost in scenario.comp_costs.items()),
                               "workload at or above CPU capacity",
                               lambda i: f"CPU of node {nodes[i]!r}")
         self.has_cpu = self.cpus.kind != ABSENT
 
-        src, dst = self.src, self.dst = np.nonzero(self.adj)
-        E = self.E = len(src)
-        self.links = CostArray(
-            E, ((e, scenario.link_costs[(nodes[u], nodes[v])])
-                for e, (u, v) in enumerate(zip(src, dst))),
-            "link flow at or above queue capacity",
-            lambda e: f"link {(nodes[src[e]], nodes[dst[e]])!r}")
+        # edges in row-major (u, v) order, as np.nonzero of the adjacency
+        edges = sorted((index[u], index[v], cost)
+                       for (u, v), cost in scenario.link_costs.items() if cost is not None)
+        src = self.src = np.array([u for u, _, _ in edges], dtype=int)
+        dst = self.dst = np.array([v for _, v, _ in edges], dtype=int)
+        E = self.E = len(edges)
+        self.adj = np.zeros((n, n), dtype=bool)
+        self.adj[src, dst] = True
+        self.links = CostArray(E, enumerate(cost for _, _, cost in edges),
+                               "link flow at or above queue capacity",
+                               lambda e: f"link {(nodes[src[e]], nodes[dst[e]])!r}")
         outdeg = np.bincount(src, minlength=n)
         self.seg = np.concatenate(([0], np.cumsum(outdeg + 1)[:-1]))
         self.edge_pos = src + np.arange(E) + 1
@@ -101,37 +103,37 @@ class _Compiled:
         self.eid = np.full((n, n), -1)
         self.eid[src, dst] = np.arange(E)
         self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
-        for e, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+        for e, (u, v, _) in enumerate(edges):
             self.into[v].append((u, e))
 
-        self.keys = [(a.id, k) for a in scenario.applications for k in range(a.chain_length + 1)]
-        self.stage_index = {key: s for s, key in enumerate(self.keys)}
-        S = len(self.keys)
-        self.L, self.w, self.r = np.zeros(S), np.full((S, n), np.inf), np.zeros((S, n))
-        self.dest, self.k = np.zeros(S, dtype=int), np.zeros(S, dtype=int)
-        self.prev, self.next = np.full(S, -1), np.full(S, -1)
-        self.active = np.ones((S, n), dtype=bool)
-        self.apps = []
+        # the stages, built as lists and converted once
+        self.keys, L, dest, prev, nxt, w, firsts = [], [], [], [], [], [], []
         has_cpu = self.has_cpu.tolist()
-        s = 0
         for app in scenario.applications:
             if app.destination not in index:
                 raise ValueError(f"destination {app.destination!r} not in graph")
-            K, d = app.chain_length, index[app.destination]
-            self.L[s:s + K + 1] = app.packet_sizes
-            self.dest[s:s + K + 1] = d
-            self.k[s:s + K + 1] = np.arange(K + 1)
-            self.next[s:s + K] = np.arange(s + 1, s + K + 1)
-            self.prev[s + 1:s + K + 1] = np.arange(s, s + K)
-            self.active[s + K, d] = False
-            for k in range(K):
-                self.w[s + k] = [app.weight(v, k) if cpu else np.inf
-                                 for v, cpu in zip(nodes, has_cpu)]
-            self.r[s] = [scenario.input_rates.get((v, app.id), 0.0) for v in nodes]
-            self.apps.append(_App(self, app.id, K, d, s))
-            s += K + 1
+            K, d, s = app.chain_length, index[app.destination], len(self.keys)
+            firsts.append((app.id, K, d, s))
+            self.keys += [(app.id, k) for k in range(K + 1)]
+            L += app.packet_sizes
+            dest += [d] * (K + 1)
+            prev += [-1, *range(s, s + K)]
+            nxt += [*range(s + 1, s + K + 1), -1]
+            w += [[app.weight(v, k) if cpu else np.inf for v, cpu in zip(nodes, has_cpu)]
+                  for k in range(K)] + [[np.inf] * n]
+        S = len(self.keys)
+        self.stage_index = {key: s for s, key in enumerate(self.keys)}
+        self.L = np.array(L, dtype=float)
+        self.w = np.array(w, dtype=float).reshape(S, n)
+        self.dest = np.array(dest, dtype=int)
+        self.prev, self.next = np.array(prev, dtype=int), np.array(nxt, dtype=int)
+        self.k = np.array([k for _, k in self.keys], dtype=int)
         self.final = self.next < 0
+        self.active = np.ones((S, n), dtype=bool)
+        self.active[self.final, self.dest[self.final]] = False
         self.groups = [np.flatnonzero(self.k == k) for k in range(self.k.max(initial=0) + 1)]
+        self.r = self.inputs(scenario.input_rates)
+        self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
 
     def cost_total(self, F, G) -> float:
@@ -192,7 +194,7 @@ class _Compiled:
         {(node, app_id): rate}."""
         if rates is None:
             return self.r
-        inj = np.zeros_like(self.r)
+        inj = np.zeros((len(self.keys), self.n))
         for s in self.groups[0]:
             inj[s] = [rates.get((node, self.keys[s][0]), 0.0) for node in self.nodes]
         return inj
@@ -267,6 +269,20 @@ def compiled(scenario: Scenario) -> _Compiled:
         cache = _Compiled(scenario)
         scenario.__dict__["_compiled"] = cache
     return cache
+
+
+def share_compiled(scenario: Scenario, other: Scenario):
+    """Give `other`, a copy of `scenario` with other input rates, the
+    compiled scenario of `scenario` with its input rates replaced, when
+    `scenario` is compiled and `other` keeps all its applications. Every
+    other array, and the zero-flow trees, are shared."""
+    comp = scenario.__dict__.get("_compiled")
+    if comp is None or len(other.applications) != len(comp.apps):
+        return
+    twin = copy.copy(comp)
+    twin.r = comp.inputs(other.input_rates)
+    twin.apps = [_App(twin, app.id, app.K, app.dest, app.s0) for app in comp.apps]
+    other.__dict__["_compiled"] = twin
 
 
 def cheapest_to_go(comp: _Compiled, link_w, dist, succ, cpu_w=None, fixed=None):

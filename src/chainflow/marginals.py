@@ -130,10 +130,10 @@ class CheckResult:
 
 def direction_minima(comp, X, d, tol_mass: float):
     """(lo, on) for values d on the (S, n+E) directions of the compiled
-    scenario comp: lo holds each direction's row minimum of d, and `on` flags the
-    directions whose fraction in X exceeds tol_mass. The sufficient
-    condition asks d to sit at lo on every flagged direction; run_gp's gap
-    and both checkers measure how far it does not."""
+    scenario comp: lo holds each direction's row minimum of d, and `on`
+    flags the directions whose fraction in X exceeds tol_mass. The
+    sufficient condition asks d to sit at lo on every flagged direction;
+    run_gp's gap and both checkers measure how far it does not."""
     return comp.row_min(d)[:, comp.dnode], X > tol_mass
 
 

@@ -459,9 +459,13 @@ class Scenario:
         return self.input_rates.get((node, app_id), 0.0)
 
     def with_rates(self, input_rates: dict) -> "Scenario":
-        return Scenario(graph=self.graph, applications=self.applications,
-                        link_costs=self.link_costs, comp_costs=self.comp_costs,
-                        input_rates=dict(input_rates), seed=self.seed, name=self.name)
+        from .flows import share_compiled  # deferred: flows depends on this module
+
+        new = Scenario(graph=self.graph, applications=self.applications,
+                       link_costs=self.link_costs, comp_costs=self.comp_costs,
+                       input_rates=dict(input_rates), seed=self.seed, name=self.name)
+        share_compiled(self, new)
+        return new
 
 
 def sample_scenario(topology: Graph, num_apps: int, chain_length: int,

@@ -321,6 +321,31 @@ class TestCompiledLayout:
         assert compute_flows(s, phi).total_cost == pytest.approx(res.total_cost, rel=1e-9)
 
 
+    def test_rate_copies_share_the_layout(self):
+        # with_rates keeps the graph, the costs and (here) every application,
+        # so only the input rates are rebuilt; the result reads as a fresh
+        # compile of the same scenario
+        s = random_scenario(2, n=7, num_apps=2, K=1)
+        comp = compiled(s)
+        rates = {key: 1.5 * r for key, r in s.input_rates.items()}
+        copied = s.with_rates(rates)
+        plain = Scenario(graph=s.graph, applications=s.applications,
+                         link_costs=s.link_costs, comp_costs=s.comp_costs, input_rates=rates)
+        twin, fresh = compiled(copied), compiled(plain)
+        for name in ("L", "w", "r", "dest", "prev", "next", "k", "active", "src", "dst",
+                     "seg", "edge_pos", "eid"):
+            assert np.array_equal(getattr(twin, name), getattr(fresh, name)), name
+        assert twin.keys == fresh.keys and twin.src is comp.src
+        assert np.array_equal(twin.r, 1.5 * comp.r)
+        assert all(np.array_equal(a.r, b.r) for a, b in zip(twin.apps, fresh.apps))
+        phi = init_strategy(copied)
+        assert compute_flows(copied, phi).total_cost == compute_flows(plain, phi).total_cost
+        # an application left without input is dropped: a fresh compile
+        kept = s.applications[1].id
+        fewer = compiled(s.with_rates({k: r for k, r in s.input_rates.items() if k[1] == kept}))
+        assert [key[0] for key in fewer.keys] == [kept, kept]
+
+
 class TestStrategySerialization:
     def test_round_trip(self, e1, e1_strategy_a):
         data = e1_strategy_a.to_jsonable()
