@@ -7,8 +7,12 @@ Subcommands:
   run     multi-scenario / multi-seed experiment from a config file
   cc      congestion-control run (utility-based admission) on a scenario
 
+Each subcommand accepts only the flags it reads, and `solve` needs --out.
+
 Exit codes: 0 success, 1 invalid configuration or infeasible instance,
-2 an iterative solver did not converge.
+2 an iterative solver did not converge, or argparse refused the command
+line (an unknown flag, a flag the subcommand does not read, or a missing
+required one).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .baselines import BASELINES
 from .errors import ChainflowError, NotConverged
 from .experiments import ExperimentConfig, build_scenario, run_experiment
 from .gp import GpConfig, run_gp
-from .marginals import check_kkt, check_sufficient
+from .marginals import DEFAULT_TOL, check_kkt, check_sufficient
 from .metrics import hop_metrics
 from .network import Scenario
 from .oracle import solve_flow_domain
@@ -42,14 +46,7 @@ def _load_scenario_config(path, seed=None) -> Scenario:
 
 
 def _gp_config(args) -> GpConfig:
-    kw = {}
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.alpha is not None:
-        kw["stepsize"] = args.alpha
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
-    return GpConfig(**kw)
+    return GpConfig(stepsize=args.alpha, max_iters=args.max_iters, tol=args.tol)
 
 
 def _cmd_solve(args) -> int:
@@ -92,9 +89,8 @@ def _cmd_check(args) -> int:
             print("no scenario reference in strategy file; pass --config", file=sys.stderr)
             return 1
     scenario = _load_scenario_config(config, args.seed)
-    tol = 1e-6 if args.tol is None else args.tol
-    kkt = check_kkt(scenario, phi, tol=tol)
-    suff = check_sufficient(scenario, phi, tol=tol)
+    kkt = check_kkt(scenario, phi, tol=args.tol)
+    suff = check_sufficient(scenario, phi, tol=args.tol)
     report = {"kkt": kkt.to_jsonable(), "sufficient": suff.to_jsonable()}
     print(json.dumps(report, indent=1))
     return 0 if suff.holds else 1
@@ -103,7 +99,7 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = _load_scenario_config(args.config, args.seed)
     try:
-        res = solve_flow_domain(scenario, tol=1e-6 if args.tol is None else args.tol)
+        res = solve_flow_domain(scenario, tol=args.tol)
     except NotConverged as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -176,41 +172,43 @@ def _cmd_cc(args) -> int:
     return 0 if res.converged else 2
 
 
+FLAGS = {
+    "--config": dict(required=True, help="scenario or experiment JSON"),
+    "--seed": dict(type=int, default=None),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="optimality tolerance"),
+    "--alpha": dict(type=float, default=GpConfig.stepsize, help="GP stepsize"),
+    "--max-iters": dict(type=int, default=GpConfig.max_iters),
+    "--out": dict(default=None, help="output directory"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chainflow",
                                 description="service-chain forwarding and offloading optimizer")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, help="scenario or experiment JSON")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None, help="GP stepsize")
-        sp.add_argument("--max-iters", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def command(name, func, text, *flags):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=func)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
+        return sp
 
-    sp = sub.add_parser("solve", help="optimize one scenario and dump the solution")
-    common(sp)
+    sp = command("solve", _cmd_solve, "optimize one scenario and dump the solution",
+                 "--config", "--seed", "--tol", "--alpha", "--max-iters")
+    sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--algo", choices=("gp",) + tuple(BASELINES), default="gp")
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("check", help="verify optimality conditions on a strategy dump")
+    sp = command("check", _cmd_check, "verify optimality conditions on a strategy dump",
+                 "--seed", "--tol")
     sp.add_argument("strategy", help="strategy.json produced by solve")
-    common(sp, config_required=False)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("oracle", help="flow-domain global optimum")
-    common(sp)
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("run", help="experiment from a config file")
-    common(sp)
-    sp.set_defaults(func=_cmd_run)
-
-    sp = sub.add_parser("cc", help="utility-based congestion control run")
-    common(sp)
-    sp.set_defaults(func=_cmd_cc)
+    sp.add_argument("--config", help="scenario JSON (default: the one the strategy names)")
+    command("oracle", _cmd_oracle, "flow-domain global optimum",
+            "--config", "--seed", "--tol", "--out")
+    command("run", _cmd_run, "experiment from a config file",
+            "--config", "--seed", "--out", "--format")
+    command("cc", _cmd_cc, "utility-based congestion control run",
+            "--config", "--seed", "--tol", "--alpha", "--max-iters", "--out")
     return p
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected
-from .flows import FlowState, Strategy, compiled, compute_flows
+from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap
-from .marginals import (CheckResult, blocked_sets, check_sufficient,
-                        modified_marginals, traffic_marginals)
+from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, CheckResult, check_sufficient, excess,
+                        slot_tables, traffic_marginals)
 from .network import Scenario
 
 _PRIME_FLOOR = 1e-9   # derivative of sub-1 fairness is evaluated at >= this rate
@@ -170,9 +170,13 @@ def extended_cost(ext: ExtendedScenario, phi: Strategy, admit: dict):
     return state.total_cost + ext.rejection_cost(admit), state
 
 
-def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict) -> float:
+def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
+                       state: FlowState | None = None) -> float:
+    """Utility of the admitted rates minus the physical cost; `state` is
+    phi's FlowState at those rates, evaluated when not given."""
     rates = ext.admitted_rates(admit)
-    state = compute_flows(ext.base, phi, rates=rates)
+    if state is None:
+        state = compute_flows(ext.base, phi, rates=rates)
     total = -state.total_cost
     for pair in ext.pairs:
         total += utility_eval(ext.utilities[pair], rates[pair])
@@ -198,6 +202,9 @@ class CcResult:
 
 
 def _virtual_deltas(ext, marginals, admit):
+    """{pair: (network, utility) marginal} of each gateway: the marginal
+    cost of its first data stage and the marginal utility at its admitted
+    rate."""
     comp = compiled(ext.base)
     out = {}
     for pair in ext.pairs:
@@ -208,27 +215,19 @@ def _virtual_deltas(ext, marginals, admit):
     return out
 
 
-def _gateway_sides(deltas, admit, tol_mass):
-    """The admission rule's operands: (pair, side, own, other) for each
-    gateway side, admit or reject, that carries more than tol_mass of the
-    offered rate. The sufficient condition asks own <= other."""
-    for pair, (d_admit, d_reject) in deltas.items():
-        a = admit.get(pair, 0.0)
-        if a > tol_mass:
-            yield pair, "admit", d_admit, d_reject
-        if 1.0 - a > tol_mass:
-            yield pair, "reject", d_reject, d_admit
-
-
-def _virtual_gap(deltas, admit, tol_mass):
-    return max((own - min(own, other) for _, _, own, other
-                in _gateway_sides(deltas, admit, tol_mass)), default=0.0)
+def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
+    """marginals.excess on the gateways, in the order of deltas, as a
+    (pairs, 2) array: each gateway is a row of two directions, admit and
+    reject, whose values are its (network, utility) marginals and whose
+    fractions are its admitted and rejected shares of the offered rate."""
+    d = np.array(list(deltas.values()), dtype=float).reshape(1, -1)
+    a = np.array([admit.get(pair, 0.0) for pair in deltas], dtype=float)
+    X = np.stack([a, 1.0 - a], axis=1).reshape(1, -1)
+    return excess(d, X, np.arange(0, d.shape[1], 2), tol_mass=tol_mass)[0].reshape(-1, 2)
 
 
 def _cc_start(ext, phi0):
     """run_gp_cc's start iterate (reject all) and its extended-graph cost."""
-    from .flows import init_strategy
-
     if phi0 is None:
         phi = init_strategy(ext.base, mode="shortest_path_then_local_comp",
                             require_finite=False)
@@ -255,12 +254,10 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
 
     def slot(point):
         phi, state, admit = point
-        marg = traffic_marginals(ext.base, phi, state)
-        delta = modified_marginals(ext.base, state, marg)
-        blocked = blocked_sets(ext.base, phi, marg, state)
+        _, marg, delta, blocked = slot_tables(ext.base, phi, state)
         vdelta = _virtual_deltas(ext, marg, admit)
-        gap = max(sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter),
-                  _virtual_gap(vdelta, admit, config.tol_mass))
+        gap = max(sufficient_gap(comp, phi, delta, config.row_filter),
+                  float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (marg, delta, blocked, vdelta)
 
     def step(point, tables, step_cfg):
@@ -272,13 +269,10 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
         for pair, (d_admit, d_reject) in vdelta.items():
             a = admit[pair]
             if d_admit < d_reject:
-                move = min(1.0 - a, alpha * (d_reject - d_admit))
-                cand_admit[pair] = a + move
+                a += min(1.0 - a, alpha * (d_reject - d_admit))
             elif d_reject < d_admit:
-                move = min(a, alpha * (d_admit - d_reject))
-                cand_admit[pair] = a - move
-            else:
-                cand_admit[pair] = a
+                a -= min(a, alpha * (d_admit - d_reject))
+            cand_admit[pair] = a
         try:
             T_cand, cand_state = extended_cost(ext, cand, cand_admit)
         except (CapacityExceeded, LoopDetected):
@@ -287,43 +281,37 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
 
     (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
         _cc_start(ext, phi0), config, slot, step)
-    admitted = ext.admitted_rates(admit)
-    umc = utility_minus_cost(ext, phi, admit)
-    return CcResult(phi=phi, admit=admit, admitted=admitted, state=state,
-                    utility_minus_cost=umc, trace=trace, iterations=iterations,
-                    converged=converged, final_gap=gap, history=history)
+    return CcResult(phi=phi, admit=admit, admitted=ext.admitted_rates(admit), state=state,
+                    utility_minus_cost=utility_minus_cost(ext, phi, admit, state), trace=trace,
+                    iterations=iterations, converged=converged, final_gap=gap, history=history)
 
 
 def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,
-                        tol: float = 1e-6, tol_mass: float = 1e-9) -> CheckResult:
+                        tol: float = DEFAULT_TOL,
+                        tol_mass: float = DEFAULT_TOL_MASS) -> CheckResult:
     """Sufficient optimality on the extended graph: the physical condition at
     the admitted rates plus, per gateway, admit-mass only when the network
     marginal is (weakly) below the marginal utility and vice versa."""
-    rates = ext.admitted_rates(admit)
-    state = compute_flows(ext.base, phi, rates=rates)
-    physical = check_sufficient(ext.base, phi, tol=tol, tol_mass=tol_mass, state=state)
-    violations = list(physical.violations)
+    state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
+    violations = check_sufficient(ext.base, phi, tol, tol_mass, state).violations
     deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit)
-    for pair, side, own, other in _gateway_sides(deltas, admit, tol_mass):
-        if own > other + tol:
-            d_admit, d_reject = deltas[pair]
-            violations.append({"gateway": list(pair), "side": side,
-                               "network_marginal": d_admit, "utility_marginal": d_reject})
+    for (pair, (d_admit, d_reject)), row in zip(deltas.items(),
+                                                _gateway_excess(deltas, admit, tol_mass)):
+        for side, e in zip(("admit", "reject"), row):
+            if e > tol:
+                violations.append({"gateway": list(pair), "side": side,
+                                   "network_marginal": d_admit, "utility_marginal": d_reject})
     return CheckResult(holds=not violations, violations=violations)
 
 
 def write_admission_report(ext: ExtendedScenario, result: CcResult, path):
     """CSV report: node, app, cap, admitted rate, marginal utility, marginal
     network cost of the first data stage."""
-    comp = compiled(ext.base)
     marg = traffic_marginals(ext.base, result.phi, result.state)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["node", "app", "cap", "admitted", "utility_marginal",
                     "network_marginal"])
-        for pair in ext.pairs:
-            node, app_id = pair
-            r = result.admitted[pair]
-            w.writerow([node, app_id, repr(ext.caps[pair]), repr(r),
-                        repr(utility_prime(ext.utilities[pair], r)),
-                        repr(float(marg[(app_id, 0)][comp.index[node]]))])
+        for pair, (network, utility) in _virtual_deltas(ext, marg, result.admit).items():
+            w.writerow([*pair, repr(ext.caps[pair]), repr(result.admitted[pair]),
+                        repr(utility), repr(network)])

@@ -29,24 +29,22 @@ import numpy as np
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
                     tree_fractions, validate_strategy)
-from .marginals import (BlockedSets, blocked_sets, direction_minima, modified_marginals,
-                        traffic_marginals)
+from .marginals import DEFAULT_TOL, BlockedSets, excess, slot_tables
 from .network import Scenario
 
 _TIE_REL = 1e-11
+# the stepsize always adapts: halved on a rejected slot, never below
+# MIN_STEPSIZE_FACTOR * stepsize (the run then stops), doubled after three
+# accepted slots, never above MAX_STEPSIZE_FACTOR * stepsize
+MIN_STEPSIZE_FACTOR = 2.0 ** -40
+MAX_STEPSIZE_FACTOR = 64.0
 
 
 @dataclass
 class GpConfig:
     stepsize: float = 0.05          # initial fraction moved per unit marginal gap
     max_iters: int = 2000
-    tol: float = 1e-6               # convergence: max positive-mass delta gap
-    tol_mass: float = 1e-9
-    # the stepsize always adapts: halved on a rejected slot, never below
-    # min_stepsize_factor * stepsize (the run then stops), doubled after three
-    # accepted slots, never above max_stepsize_factor * stepsize
-    min_stepsize_factor: float = 2.0 ** -40
-    max_stepsize_factor: float = 64.0
+    tol: float = DEFAULT_TOL        # convergence: check_sufficient holds at tol
     row_filter: object = None       # optional (app_id, k) -> bool (rows to touch)
     on_iterate: object = None       # optional callback(slot, phi, state) per accepted slot
 
@@ -55,15 +53,13 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta, tol_mass: float,
-                   row_filter=None) -> float:
-    """Largest modified-marginal gap over positive-fraction directions; the
-    convergence measure (0 at a point satisfying the sufficient condition)."""
-    d = comp.pack(delta, "direction")
-    lo, on = direction_minima(comp, phi.fractions(comp), d, tol_mass)
-    with np.errstate(invalid="ignore"):
-        gap = np.where(on, d - lo, 0.0)[comp.row_mask(row_filter)[:, comp.dnode]]
-    return max(0.0, float(np.max(gap))) if gap.size else 0.0
+def sufficient_gap(comp, phi: Strategy, delta, row_filter=None) -> float:
+    """Largest excess of the modified marginals delta (marginals.excess) on
+    the rows that row_filter accepts; the convergence measure. With every
+    row accepted, gap <= tol is check_sufficient holding at tol."""
+    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp.seg,
+                  comp.row_mask(row_filter))
+    return float(e.max(initial=0.0))
 
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
@@ -72,17 +68,13 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     """One synchronous slot update. Returns the next strategy.
 
     Every row of every stage moves at once on the stage stack; row minima,
-    sums and counts are reductions over the nodes' direction segments.
+    sums and counts are reductions over the nodes' direction segments. The
+    slot's tables are built from `state` (marginals.slot_tables) unless
+    delta and blocked are both given.
     """
     comp = compiled(scenario)
-    if state is None:
-        state = compute_flows(scenario, phi)
-    if marginals is None:
-        marginals = traffic_marginals(scenario, phi, state)
-    if delta is None:
-        delta = modified_marginals(scenario, state, marginals)
-    if blocked is None:
-        blocked = blocked_sets(scenario, phi, marginals, state)
+    if delta is None or blocked is None:
+        _, _, delta, blocked = slot_tables(scenario, phi, state)
 
     alpha = config.stepsize
     X = phi.fractions(comp)
@@ -171,8 +163,8 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     (point, cost), start = start, None
     step_cfg = replace(config)
     alpha = config.stepsize
-    alpha_floor = config.stepsize * config.min_stepsize_factor
-    alpha_ceil = config.stepsize * config.max_stepsize_factor
+    alpha_floor = config.stepsize * MIN_STEPSIZE_FACTOR
+    alpha_ceil = config.stepsize * MAX_STEPSIZE_FACTOR
     trace, history = [cost], []
     iterations, converged, streak = 0, False, 0
     gap = float("inf")
@@ -234,11 +226,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 
     def slot(point):
         phi, state = point
-        marg = traffic_marginals(scenario, phi, state)
-        delta = modified_marginals(scenario, state, marg)
-        blocked = blocked_sets(scenario, phi, marg, state)
-        gap = sufficient_gap(comp, phi, delta, config.tol_mass, config.row_filter)
-        return gap, (marg, delta, blocked)
+        _, marg, delta, blocked = slot_tables(scenario, phi, state)
+        return sufficient_gap(comp, phi, delta, config.row_filter), (marg, delta, blocked)
 
     def step(point, tables, step_cfg):
         phi, state = point
@@ -272,9 +261,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     """
     old, new = compiled(old_scenario), compiled(new_scenario)
     try:
-        state_old = compute_flows(old_scenario, phi_prev)
-        lam_old = traffic_marginals(old_scenario, phi_prev, state_old)
-        d_old = old.pack(modified_marginals(old_scenario, state_old, lam_old), "direction")
+        d_old = old.pack(slot_tables(old_scenario, phi_prev, blocked=False)[2], "direction")
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
     X_old = phi_prev.fractions(old)

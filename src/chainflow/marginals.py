@@ -81,11 +81,6 @@ class BlockedSets:
         j = self.nodes.index(dest)
         return bool(self.masks[(app_id, k)][i, j])
 
-    def blocked_of(self, node, app_id, k: int) -> set:
-        i = self.nodes.index(node)
-        row = self.masks[(app_id, k)][i]
-        return {self.nodes[j] for j in np.flatnonzero(row)}
-
 
 _BLOCK_REL = 1e-9
 
@@ -128,37 +123,43 @@ class CheckResult:
         return {"holds": self.holds, "violations": self.violations}
 
 
-def direction_minima(comp, X, d, tol_mass: float):
-    """(lo, on) for values d on the (S, n+E) directions of the compiled
-    scenario comp: lo holds each direction's row minimum of d, and `on`
-    flags the directions whose fraction in X exceeds tol_mass. The
-    sufficient condition asks d to sit at lo on every flagged direction;
-    run_gp's gap and both checkers measure how far it does not."""
-    return comp.row_min(d)[:, comp.dnode], X > tol_mass
-
-
-def _tables(scenario, phi, state):
-    """The compiled scenario, phi's FlowState and its stacked modified
-    marginals."""
-    comp = compiled(scenario)
+def slot_tables(scenario: Scenario, phi: Strategy, state: FlowState | None = None,
+                blocked: bool = True):
+    """(state, marginals, delta, blocked sets) of phi: its FlowState
+    (evaluated when not given) and the tables a GP slot reads off it. The
+    blocked sets are None when `blocked` is False."""
     if state is None:
         state = compute_flows(scenario, phi)
     marg = traffic_marginals(scenario, phi, state)
-    return comp, state, comp.pack(modified_marginals(scenario, state, marg), "direction")
+    delta = modified_marginals(scenario, state, marg)
+    return state, marg, delta, blocked_sets(scenario, phi, marg, state) if blocked else None
 
 
-def _check(comp, X, g, rows, tol, tol_mass, name) -> CheckResult:
-    """Directions of the (S, n) rows `rows` carrying more than tol_mass
-    whose value in g exceeds the row minimum by more than tol, stage by
-    stage, node by node, CPU first."""
-    with np.errstate(invalid="ignore"):
-        lo, on = direction_minima(comp, X, g, tol_mass)
-        bad = on & (g > lo + tol) & rows[:, comp.dnode]
+def excess(d, X, seg, rows=None, tol_mass: float = DEFAULT_TOL_MASS):
+    """The sufficient condition's one rule, on values d over the directions
+    of rows that start at columns `seg` (the compiled scenario's (S, n+E)
+    layout or the gateways' two-direction rows). Returns (e, lo): lo holds
+    each direction's row minimum of d, and e how far d exceeds it on the
+    directions whose fraction in X exceeds tol_mass, in the rows flagged in
+    `rows` (all when None), and 0 elsewhere. The condition holds at tol
+    when no entry of e exceeds tol; run_gp's gap is the largest entry."""
+    size = np.concatenate((seg[1:], [d.shape[1]])) - seg
+    lo = np.repeat(np.minimum.reduceat(d, seg, axis=1), size, axis=1)
+    on = X > tol_mass
+    if rows is not None:
+        on &= np.repeat(rows, size, axis=1)
+    return np.subtract(d, lo, out=np.zeros_like(d), where=on), lo
+
+
+def _check(comp, phi, g, rows, tol, tol_mass, name) -> CheckResult:
+    """Directions of the (S, n) rows `rows` whose excess in g is above tol,
+    stage by stage, node by node, CPU first."""
+    e, lo = excess(g, phi.fractions(comp), comp.seg, rows, tol_mass)
     col = comp.dir_flat % (comp.n + 1)
     violations = [{"node": comp.nodes[comp.dnode[p]], "stage": list(comp.keys[s]),
                    "dest": "cpu" if col[p] == 0 else comp.nodes[col[p] - 1],
                    name: float(g[s, p]), "row_min": float(lo[s, p])}
-                  for s, p in zip(*np.nonzero(bad))]
+                  for s, p in zip(*np.nonzero(e > tol))]
     return CheckResult(holds=not violations, violations=violations)
 
 
@@ -167,12 +168,12 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     """KKT stationarity on dT/dphi = t * delta: every positive-fraction
     direction must achieve the row minimum within tol. Rows with zero traffic
     satisfy the condition vacuously."""
-    comp, state, d = _tables(scenario, phi, state)
+    comp = compiled(scenario)
+    state, _, delta, _ = slot_tables(scenario, phi, state, blocked=False)
     t = state.traffic_stack
-    with np.errstate(invalid="ignore"):
-        grad = t[:, comp.dnode] * d
-    return _check(comp, phi.fractions(comp), grad, comp.active & (t > tol_mass), tol, tol_mass,
-                  "value")
+    with np.errstate(invalid="ignore"):     # 0 * inf on absent directions
+        grad = t[:, comp.dnode] * comp.pack(delta, "direction")
+    return _check(comp, phi, grad, comp.active & (t > tol_mass), tol, tol_mass, "value")
 
 
 def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
@@ -181,8 +182,9 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
     """Global-optimality sufficient condition: positive-fraction directions
     achieve the row-minimum modified marginal, at every node including
     zero-traffic ones."""
-    comp, state, d = _tables(scenario, phi, state)
-    return _check(comp, phi.fractions(comp), d, comp.active, tol, tol_mass, "delta")
+    comp = compiled(scenario)
+    delta = slot_tables(scenario, phi, state, blocked=False)[2]
+    return _check(comp, phi, comp.pack(delta, "direction"), comp.active, tol, tol_mass, "delta")
 
 
 # ---------------------------------------------------------------------------

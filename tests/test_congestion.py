@@ -157,6 +157,22 @@ class TestRunGpCc:
             assert [row["T"] for row in res.history] == res.trace[:len(res.history)]
             assert all(row["halvings"] >= 0 for row in res.history)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_converged_means_check_sufficient_cc_holds_at_tol(self, seed):
+        # the gateway rows share the physical rows' excess rule: the run's
+        # gap is exactly the tolerance at which check_sufficient_cc turns
+        s = random_scenario(seed, link_bound=15.0, comp_bound=10.0)
+        caps = {p: 3 * r for p, r in s.input_rates.items()}
+        utils = {p: AlphaFair(alpha=1.0, cap=c) for p, c in caps.items()}
+        ext = extend_scenario(s, caps, utils)
+        res = run_gp_cc(ext, GpConfig(tol=1e-6, max_iters=3000))
+        assert res.converged and res.iterations > 0
+        assert all(0.0 < a < 1.0 for a in res.admit.values())
+        assert check_sufficient_cc(ext, res.phi, res.admit, tol=1e-6).holds
+        assert check_sufficient_cc(ext, res.phi, res.admit, tol=res.final_gap).holds
+        below = np.nextafter(res.final_gap, 0.0)
+        assert not check_sufficient_cc(ext, res.phi, res.admit, tol=below).holds
+
     def test_reject_all_with_zero_utility_holds(self):
         ext = _two_node_line(u_slope=0.0)
         from chainflow import init_strategy

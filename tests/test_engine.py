@@ -259,7 +259,7 @@ class TestDenseReference:
                 assert np.array_equal(np.isfinite(d[key]), finite)
                 assert_close(d[key][finite], delta[key][finite])
                 assert np.array_equal(blocked.masks[key], masks[key])
-            got = sufficient_gap(compiled(s), phi, d, 1e-9, row_filter)
+            got = sufficient_gap(compiled(s), phi, d, row_filter)
             assert got == pytest.approx(gap, rel=1e-9, abs=1e-12)
             out = gp_step(s, phi, GpConfig(stepsize=0.05, row_filter=row_filter),
                           state, lam, d, blocked)

@@ -186,6 +186,26 @@ class TestCli:
         bad.write_text("{\"topology\": {\"kind\": \"banana\"}}")
         assert cli_main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--tol", "1e-6"], ["run", "--alpha", "0.1"], ["run", "--max-iters", "5"],
+        ["check", "--out", "o"], ["check", "--alpha", "0.1"], ["check", "--max-iters", "5"],
+        ["check", "--format", "json"], ["oracle", "--alpha", "0.1"],
+        ["oracle", "--max-iters", "5"], ["oracle", "--format", "json"],
+        ["solve", "--out", "o", "--format", "json"], ["cc", "--format", "json"]])
+    def test_flag_the_subcommand_does_not_read_refused(self, argv, capsys):
+        # each subcommand accepts only the flags it reads
+        extra = ["strategy.json"] if argv[0] == "check" else ["--config", "c.json"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_solve_without_out_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--config", "c.json"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_run_command(self, tmp_path):
         exp = {"scenarios": [{"name": "mini",
                               "topology": {"kind": "balanced_tree", "depth": 3},
@@ -200,7 +220,8 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "records.csv").exists()
 
-    @pytest.mark.parametrize("key", ["tolerance", "adaptive_stepsize"])
+    @pytest.mark.parametrize("key", ["tolerance", "adaptive_stepsize", "tol_mass",
+                                     "min_stepsize_factor", "max_stepsize_factor"])
     def test_run_unknown_gp_setting_exit_1(self, tmp_path, capsys, key):
         exp = {"scenarios": ["abilene"], "seeds": [1], "algorithms": ["gp"],
                "gp": {key: 1e-4}}

@@ -135,6 +135,21 @@ class TestRunGp:
             assert res.converged
             assert check_sufficient(s, res.phi, tol=1e-5).holds
 
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_converged_means_check_sufficient_holds_at_tol(self, seed):
+        # the GP gap and check_sufficient are one rule: converged at tol is
+        # check_sufficient holding at tol, and the gap is the checker's edge
+        s = random_scenario(seed, link_bound=15.0, comp_bound=10.0)
+        phi0 = random_loopfree_strategy(s, seed, full_support=True)
+        assert not check_sufficient(s, phi0, tol=1e-6).holds
+        res = run_gp(s, phi0, GpConfig(tol=1e-6, max_iters=3000))
+        assert res.converged and res.iterations > 0
+        assert check_sufficient(s, res.phi, tol=1e-6).holds
+        assert check_sufficient(s, res.phi, tol=res.final_gap).holds
+        if res.final_gap > 0:
+            below = np.nextafter(res.final_gap, 0.0)
+            assert not check_sufficient(s, res.phi, tol=below).holds
+
     def test_row_filter_restricts_updates(self):
         s = random_scenario(1)
         phi0 = random_loopfree_strategy(s, 11)
