@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected
-from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy
+from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap
 from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, CheckResult, check_sufficient, excess,
                         slot_tables, traffic_marginals)
@@ -223,7 +223,8 @@ def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
     d = np.array(list(deltas.values()), dtype=float).reshape(1, -1)
     a = np.array([admit.get(pair, 0.0) for pair in deltas], dtype=float)
     X = np.stack([a, 1.0 - a], axis=1).reshape(1, -1)
-    return excess(d, X, np.arange(0, d.shape[1], 2), tol_mass=tol_mass)[0].reshape(-1, 2)
+    pairs = Segments(np.arange(0, d.shape[1], 2), d.shape[1])
+    return excess(d, X, pairs, tol_mass=tol_mass)[0].reshape(-1, 2)
 
 
 def _cc_start(ext, phi0):

@@ -48,7 +48,39 @@ class _App:
         self.r = comp.r[s0]
 
 
-class _Compiled:
+class Segments:
+    """Rows of an array laid out in column segments: segment i starts at
+    column seg[i] and runs up to the next one, and dnode[j] is the segment
+    of column j (the node, on the compiled scenario). Segments are never
+    empty.
+
+    Per-segment sums are np.add.reduceat. Per-segment minima give what
+    np.minimum.reduceat gives, but through `pad`, an (segments, widest
+    segment) column index that repeats each segment's last column: one
+    gather and one .min(axis=2) instead of one call per segment. When a
+    few wide segments would make that block more than four times the size
+    of a row, `pad` is None and reduceat is used.
+    """
+
+    def __init__(self, seg, size: int):
+        self.seg = seg
+        length = np.diff(seg, append=size)
+        self.dnode = np.repeat(np.arange(len(seg)), length)
+        pad = seg[:, None] + np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1)
+        self.pad = pad if pad.size <= 4 * size else None
+
+    def row_sum(self, a):
+        """Per-segment sums of the rows of a."""
+        return np.add.reduceat(a, self.seg, axis=1)
+
+    def row_min(self, a):
+        """Per-segment minima of the rows of a."""
+        if self.pad is None:
+            return np.minimum.reduceat(a, self.seg, axis=1)
+        return a[:, self.pad].min(axis=2)
+
+
+class _Compiled(Segments):
     """The engine's layout of a scenario: the stage stack.
 
     Nodes are numbered in graph order (`index`) and `adj` is the (n, n)
@@ -57,8 +89,8 @@ class _Compiled:
     functions, one per edge, and `cpus` the nodes'. Directions are CPU
     columns and edges: node i owns the segment of n + E directions starting
     at seg[i], its CPU column first and then its out-links, so no segment
-    is ever empty and per-row minima, sums and counts are reduceat over
-    `seg`. `eid[u, v]` is the edge of link (u, v), -1 off the links, and
+    is ever empty and per-row minima and sums are those of Segments.
+    `eid[u, v]` is the edge of link (u, v), -1 off the links, and
     `into[v]` lists node v's in-edges as (source, edge) pairs of Python
     ints, sources increasing, for cheapest_to_go. Stage s is keys[s], every
     stage of every application on one axis; the per-stage arrays give its
@@ -91,9 +123,8 @@ class _Compiled:
                                "link flow at or above queue capacity",
                                lambda e: f"link {(nodes[src[e]], nodes[dst[e]])!r}")
         outdeg = np.bincount(src, minlength=n)
-        self.seg = np.concatenate(([0], np.cumsum(outdeg + 1)[:-1]))
+        super().__init__(np.concatenate(([0], np.cumsum(outdeg + 1)[:-1])), n + E)
         self.edge_pos = src + np.arange(E) + 1
-        self.dnode = np.repeat(np.arange(n), outdeg + 1)
         col = np.zeros(n + E, dtype=int)
         col[self.edge_pos] = 1 + dst
         self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
@@ -108,7 +139,6 @@ class _Compiled:
 
         # the stages, built as lists and converted once
         self.keys, L, dest, prev, nxt, w, firsts = [], [], [], [], [], [], []
-        has_cpu = self.has_cpu.tolist()
         for app in scenario.applications:
             if app.destination not in index:
                 raise ValueError(f"destination {app.destination!r} not in graph")
@@ -119,12 +149,11 @@ class _Compiled:
             dest += [d] * (K + 1)
             prev += [-1, *range(s, s + K)]
             nxt += [*range(s + 1, s + K + 1), -1]
-            w += [[app.weight(v, k) if cpu else np.inf for v, cpu in zip(nodes, has_cpu)]
-                  for k in range(K)] + [[np.inf] * n]
+            w.append(self._workloads(app))
         S = len(self.keys)
         self.stage_index = {key: s for s, key in enumerate(self.keys)}
         self.L = np.array(L, dtype=float)
-        self.w = np.array(w, dtype=float).reshape(S, n)
+        self.w = np.concatenate(w) if w else np.empty((0, n))
         self.dest = np.array(dest, dtype=int)
         self.prev, self.next = np.array(prev, dtype=int), np.array(nxt, dtype=int)
         self.k = np.array([k for _, k in self.keys], dtype=int)
@@ -135,6 +164,22 @@ class _Compiled:
         self.r = self.inputs(scenario.input_rates)
         self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
+        self._peeled = None     # (support, levels) of the last peel
+
+    def _workloads(self, app) -> np.ndarray:
+        """(K+1, n) workloads of the application's stages: w_i(a, k) of its
+        tasks (Application.weight), inf where a node has no CPU and at the
+        final stage."""
+        K, weights = app.chain_length, app.comp_weights
+        w = np.full((K + 1, self.n), np.inf)
+        if np.isscalar(weights):
+            w[:K, self.has_cpu] = float(weights)
+        else:
+            seqs = [weights.get(v) for v, cpu in zip(self.nodes, self.has_cpu) if cpu]
+            cols = [[1.0] * K if seq is None else [float(seq[k]) for k in range(K)]
+                    for seq in seqs]
+            w[:K, self.has_cpu] = np.array(cols, dtype=float).reshape(len(cols), K).T
+        return w
 
     def cost_total(self, F, G) -> float:
         """Total link cost of bit rates F, one per edge, plus CPU cost of
@@ -180,14 +225,6 @@ class _Compiled:
         if row_filter is None:
             return self.active
         return self.active & np.array([bool(row_filter(key)) for key in self.keys])[:, None]
-
-    def row_sum(self, a):
-        """Per-node sums of an (S, n+E) direction array."""
-        return np.add.reduceat(a, self.seg, axis=1)
-
-    def row_min(self, a):
-        """Per-node minima of an (S, n+E) direction array."""
-        return np.minimum.reduceat(a, self.seg, axis=1)
 
     def inputs(self, rates=None) -> np.ndarray:
         """(S, n) exogenous input rates: the scenario's, or those given as
@@ -236,8 +273,18 @@ class _Compiled:
         return X
 
     def peel(self, X) -> "StageLevels":
-        """The levels of the direction fractions X, cyclic stages included."""
-        return StageLevels(X[:, self.edge_pos], self.src, self.dst, self.n, self.k)
+        """The levels of the direction fractions X, cyclic stages included.
+
+        The levels depend on X only through its support: the last support
+        peeled and its levels are kept, and a repeated support gets them
+        back with X's fractions read through `pos`."""
+        xe = X[:, self.edge_pos]
+        support = xe > 0
+        if self._peeled is not None and np.array_equal(self._peeled[0], support):
+            return self._peeled[1].reread(xe)
+        levels = StageLevels(xe, self.src, self.dst, self.n, self.k)
+        self._peeled = (support, levels)
+        return levels
 
     def view(self, a, kind: str, fill=0.0) -> "DenseView":
         """Dense per-stage blocks of a stacked array: (n, n+1) blocks of an
@@ -601,6 +648,15 @@ class StageLevels:
         groups = np.arange(group.max(initial=0) + 1)
         self.cuts = np.searchsorted(key[order], groups[:, None] * (n + 1) + steps[None, :])
 
+    def reread(self, xe) -> "StageLevels":
+        """These levels with the fractions of `xe`, which has the same
+        support."""
+        if self.cyclic.size:
+            return self
+        levels = copy.copy(self)
+        levels.x = xe.reshape(-1)[self.pos]
+        return levels
+
     def _levels(self, k, keep_stage=None):
         """Index sets of group k's support edges, one per level, increasing."""
         cuts = self.cuts[k]
@@ -733,7 +789,9 @@ class FlowState:
     `workload` (n,) the total workload G; `levels` are the stage_levels of
     the strategy. The dense views `traffic`, `cpu_flows` ({(app_id, k):
     (n,)}), `link_flows` ({(app_id, k): (n, n)}) and `link_bits` ((n, n)
-    F_ij) are built on first access.
+    F_ij) are built on first access, and so are the marginal costs of the
+    links and CPUs at these totals, `link_marginals` (E,) and
+    `cpu_marginals` (n,), which the marginal tables share.
     """
 
     comp: _Compiled
@@ -760,6 +818,16 @@ class FlowState:
     @cached_property
     def link_flows(self) -> DenseView:
         return self.comp.view(self.edge_flows, "edge")
+
+    @cached_property
+    def link_marginals(self) -> np.ndarray:
+        """(E,) marginal cost of every link at its bits F."""
+        return self.comp.links.deriv(self.edge_bits)
+
+    @cached_property
+    def cpu_marginals(self) -> np.ndarray:
+        """(n,) marginal cost of every CPU at its workload G."""
+        return self.comp.cpus.deriv(self.workload)
 
     @cached_property
     def link_bits(self) -> np.ndarray:

@@ -16,7 +16,9 @@ keeps rows on their simplices, and preserves loop-freedom through the blocked
 sets. The stepsize is always adaptive, so the cost trace is nonincreasing: a
 slot that would raise the cost (or blow a capacity) is retried with alpha
 halved, and alpha doubles after three accepted slots in a row. run_gp and the
-congestion-control solver share that stepsize loop (_adaptive_descent).
+congestion-control solver share that stepsize loop (_adaptive_descent). What
+a slot's update does not owe to alpha is one UpdatePlan, which its candidate
+stepsizes share.
 """
 
 from __future__ import annotations
@@ -57,9 +59,76 @@ def sufficient_gap(comp, phi: Strategy, delta, row_filter=None) -> float:
     """Largest excess of the modified marginals delta (marginals.excess) on
     the rows that row_filter accepts; the convergence measure. With every
     row accepted, gap <= tol is check_sufficient holding at tol."""
-    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp.seg,
+    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp,
                   comp.row_mask(row_filter))
     return float(e.max(initial=0.0))
+
+
+class UpdatePlan:
+    """The stepsize-independent half of one slot update.
+
+    Built once per slot from the strategy's fractions X, its modified
+    marginals d, the blocked link flags and the rows to update: blocked
+    directions (flagged and massless), each row's smallest available
+    marginal, each direction's gap e above it, the minimal directions
+    (within the tie tolerance) and the rows that move. Only the entries of
+    moving rows that carry mass or are minimal can change, so the plan
+    keeps those, by flat index, and `apply` moves just them for a stepsize.
+    """
+
+    def __init__(self, comp, X, d, blocked, row_mask):
+        B = np.zeros(X.shape, dtype=bool)
+        B[:, comp.edge_pos] = blocked
+        B &= X <= 0.0
+        avail = ~B & np.isfinite(d)
+        with np.errstate(invalid="ignore"):
+            dmin = comp.row_min(np.where(avail, d, np.inf))
+            rows = row_mask & np.isfinite(dmin)
+            e = np.maximum(d - dmin[:, comp.dnode], 0.0)
+            tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
+            minimal = avail & (e <= tie)
+        self.comp, self.X = comp, X
+        self.idx = np.flatnonzero(rows[:, comp.dnode] & (minimal | (X != 0.0)))
+        self.x, self.e = X.reshape(-1)[self.idx], e.reshape(-1)[self.idx]
+        self.minimal = minimal.reshape(-1)[self.idx]
+        s, p = np.divmod(self.idx, X.shape[1])
+        self.row = s * comp.n + comp.dnode[p]
+        self.count = np.bincount(self.row[self.minimal], minlength=rows.size)[self.row]
+        self.buf = np.zeros(X.shape)      # zero off the entries
+
+    def row_sums(self, v) -> np.ndarray:
+        """Each entry's row sum of the values v on the entries, zero
+        elsewhere: row_sum itself, so the sums round as for full rows."""
+        self.buf.reshape(-1)[self.idx] = v
+        return self.comp.row_sum(self.buf).reshape(-1)[self.row]
+
+    def apply(self, alpha: float) -> np.ndarray:
+        """The next fractions at stepsize alpha: each entry with gap e loses
+        min(x, alpha * e), its row's minimal entries share what the row lost
+        equally, and the row is renormalized."""
+        red = np.where(self.minimal, 0.0, np.minimum(self.x, alpha * self.e))
+        new = self.x - red
+        new += self.minimal * (self.row_sums(red) / self.count)
+        total = self.row_sums(new)
+        new /= np.where(total > 0, total, 1.0)
+        out = self.X.copy()
+        out.reshape(-1)[self.idx] = new
+        return out
+
+
+def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets, row_filter=None) -> UpdatePlan:
+    """The UpdatePlan of phi's slot on the tables delta and blocked, for the
+    rows that row_filter accepts. The plan is kept on `blocked` with the
+    arrays it was built from, so every candidate stepsize of a slot shares
+    one, and an edited table or another strategy gets a new one."""
+    key = (phi.fractions(comp), comp.pack(delta, "direction"),
+           comp.pack(blocked.masks, "edge"), row_filter)
+    memo = blocked._plan
+    if memo is not None and all(a is b for a, b in zip(memo[0], key)):
+        return memo[1]
+    plan = UpdatePlan(comp, *key[:3], comp.row_mask(row_filter))
+    blocked._plan = (key, plan)
+    return plan
 
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
@@ -67,38 +136,16 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             delta=None, blocked: BlockedSets | None = None) -> Strategy:
     """One synchronous slot update. Returns the next strategy.
 
-    Every row of every stage moves at once on the stage stack; row minima,
-    sums and counts are reductions over the nodes' direction segments. The
-    slot's tables are built from `state` (marginals.slot_tables) unless
-    delta and blocked are both given.
+    Every row of every stage moves at once on the stage stack. The slot's
+    tables are built from `state` (marginals.slot_tables) unless delta and
+    blocked are both given; the update applies config.stepsize to the
+    slot's UpdatePlan, which the candidates of one slot share.
     """
     comp = compiled(scenario)
     if delta is None or blocked is None:
         _, _, delta, blocked = slot_tables(scenario, phi, state)
-
-    alpha = config.stepsize
-    X = phi.fractions(comp)
-    d = comp.pack(delta, "direction")
-    B = np.zeros(X.shape, dtype=bool)
-    B[:, comp.edge_pos] = comp.pack(blocked.masks, "edge")
-    B &= X <= 0.0
-    avail = ~B & np.isfinite(d)
-    with np.errstate(invalid="ignore"):
-        dmin = comp.row_min(np.where(avail, d, np.inf))
-        rows = comp.row_mask(config.row_filter) & np.isfinite(dmin)
-        e = np.clip(d - dmin[:, comp.dnode], 0.0, None)
-        tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
-        minimal = avail & (e <= tie)
-        red = np.where(minimal, 0.0, np.minimum(X, alpha * e))
-    on = rows[:, comp.dnode]
-    red[~on] = 0.0
-    give = np.zeros(rows.shape)
-    give[rows] = comp.row_sum(red)[rows] / comp.row_sum(minimal.astype(int))[rows]
-    new = X - red
-    new += minimal * give[:, comp.dnode]
-    sums = comp.row_sum(new)
-    new /= np.where(rows & (sums > 0), sums, 1.0)[:, comp.dnode]
-    return Strategy._stacked(comp, np.where(on, new, X))
+    plan = update_plan(comp, phi, delta, blocked, config.row_filter)
+    return Strategy._stacked(comp, plan.apply(config.stepsize))
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -289,7 +336,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     moved = (freed > 0) & np.isfinite(lo)
     first = np.where(marginal == lo[:, new.dnode], np.arange(new.n + new.E), new.n + new.E)
     s, i = np.nonzero(moved)
-    X[s, np.minimum.reduceat(first, new.seg, axis=1)[s, i]] += freed[s, i]
+    X[s, new.row_min(first)[s, i]] += freed[s, i]
     sums = new.row_sum(X)
     X /= np.where(sums > 0, sums, 1.0)[:, new.dnode]
 

@@ -36,8 +36,8 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     from dT/dt = 0 at the destination's final stage.
     """
     comp = compiled(scenario)
-    lam = marginal_sweep(comp, phi.fractions(comp), comp.links.deriv(state.edge_bits),
-                         comp.cpus.deriv(state.workload), state.levels)
+    lam = marginal_sweep(comp, phi.fractions(comp), state.link_marginals, state.cpu_marginals,
+                         state.levels)
     return comp.view(lam, "node")
 
 
@@ -51,13 +51,12 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
     """
     comp = compiled(scenario)
     lam = comp.pack(marginals, "node")
-    Dp = comp.links.deriv(state.edge_bits)
-    Cp = comp.cpus.deriv(state.workload)
     d = np.empty((len(comp.keys), comp.n + comp.E))
-    d[:, comp.edge_pos] = comp.L[:, None] * Dp + lam[:, comp.dst]
+    d[:, comp.edge_pos] = comp.L[:, None] * state.link_marginals + lam[:, comp.dst]
     # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * Cp + lam[comp.next], np.inf)
+        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * state.cpu_marginals
+                                  + lam[comp.next], np.inf)
     return comp.view(d, "direction", np.inf)
 
 
@@ -70,11 +69,13 @@ class BlockedSets:
     """Forbidden link destinations per (node, stage). CPU is never blocked.
 
     `masks` are dense (n, n) views of the stage stack's (S, E) edge flags,
-    True = blocked; absent links read as blocked.
+    True = blocked; absent links read as blocked. gp.update_plan keeps the
+    slot's update plan here, so that it lives as long as the slot's tables.
     """
 
     nodes: tuple
     masks: object  # (app_id, k) -> (n, n) bool
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def is_blocked(self, node, app_id, k: int, dest) -> bool:
         i = self.nodes.index(node)
@@ -135,26 +136,26 @@ def slot_tables(scenario: Scenario, phi: Strategy, state: FlowState | None = Non
     return state, marg, delta, blocked_sets(scenario, phi, marg, state) if blocked else None
 
 
-def excess(d, X, seg, rows=None, tol_mass: float = DEFAULT_TOL_MASS):
+def excess(d, X, segs, rows=None, tol_mass: float = DEFAULT_TOL_MASS):
     """The sufficient condition's one rule, on values d over the directions
-    of rows that start at columns `seg` (the compiled scenario's (S, n+E)
-    layout or the gateways' two-direction rows). Returns (e, lo): lo holds
-    each direction's row minimum of d, and e how far d exceeds it on the
-    directions whose fraction in X exceeds tol_mass, in the rows flagged in
-    `rows` (all when None), and 0 elsewhere. The condition holds at tol
-    when no entry of e exceeds tol; run_gp's gap is the largest entry."""
-    size = np.concatenate((seg[1:], [d.shape[1]])) - seg
-    lo = np.repeat(np.minimum.reduceat(d, seg, axis=1), size, axis=1)
+    of rows laid out as the Segments `segs` (the compiled scenario's
+    (S, n+E) layout or the gateways' two-direction rows). Returns (e, lo):
+    lo holds each direction's row minimum of d, and e how far d exceeds it
+    on the directions whose fraction in X exceeds tol_mass, in the rows
+    flagged in `rows` (all when None), and 0 elsewhere. The condition holds
+    at tol when no entry of e exceeds tol; run_gp's gap is the largest
+    entry."""
+    lo = segs.row_min(d)[:, segs.dnode]
     on = X > tol_mass
     if rows is not None:
-        on &= np.repeat(rows, size, axis=1)
+        on &= rows[:, segs.dnode]
     return np.subtract(d, lo, out=np.zeros_like(d), where=on), lo
 
 
 def _check(comp, phi, g, rows, tol, tol_mass, name) -> CheckResult:
     """Directions of the (S, n) rows `rows` whose excess in g is above tol,
     stage by stage, node by node, CPU first."""
-    e, lo = excess(g, phi.fractions(comp), comp.seg, rows, tol_mass)
+    e, lo = excess(g, phi.fractions(comp), comp, rows, tol_mass)
     col = comp.dir_flat % (comp.n + 1)
     violations = [{"node": comp.nodes[comp.dnode[p]], "stage": list(comp.keys[s]),
                    "dest": "cpu" if col[p] == 0 else comp.nodes[col[p] - 1],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetecte
                        NoFeasibleStrategy, Queue, Scenario, Strategy, compute_flows,
                        detect_loops, init_strategy, max_conservation_residual,
                        validate_strategy)
-from chainflow.flows import INIT_MODES, compiled
+from chainflow.flows import INIT_MODES, Segments, StageLevels, compiled
 
 from conftest import make_strategy, random_loopfree_strategy, random_scenario
 
@@ -344,6 +346,111 @@ class TestCompiledLayout:
         kept = s.applications[1].id
         fewer = compiled(s.with_rates({k: r for k, r in s.input_rates.items() if k[1] == kept}))
         assert [key[0] for key in fewer.keys] == [kept, kept]
+
+
+class TestLevelMemo:
+    """The compiled scenario keeps the last support it peeled and its levels."""
+
+    FIELDS = ("level", "src", "dst", "x", "pos", "cuts", "cyclic")
+
+    @staticmethod
+    def fresh(comp, X):
+        return StageLevels(X[:, comp.edge_pos], comp.src, comp.dst, comp.n, comp.k)
+
+    def assert_same(self, levels, fresh):
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(levels, name), getattr(fresh, name)), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_support_other_values(self, seed):
+        s = random_scenario(seed)
+        comp = compiled(s)
+        X = random_loopfree_strategy(s, seed).fractions(comp)
+        first = comp.peel(X)
+        Y = X * np.random.default_rng(seed).uniform(0.5, 1.5, X.shape)
+        again = comp.peel(Y)
+        assert again.level is first.level           # the memo served it
+        self.assert_same(again, self.fresh(comp, Y))
+        self.assert_same(first, self.fresh(comp, X))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_other_support_rebuilds(self, seed):
+        s = random_scenario(seed)
+        comp = compiled(s)
+        X = random_loopfree_strategy(s, seed).fractions(comp)
+        first = comp.peel(X)
+        other = random_loopfree_strategy(s, seed + 10).fractions(comp)
+        assert not np.array_equal(other[:, comp.edge_pos] > 0, X[:, comp.edge_pos] > 0)
+        fewer = X.copy()                        # one support link fewer
+        stage, e = np.argwhere(X[:, comp.edge_pos] > 0)[0]
+        fewer[stage, comp.edge_pos[e]] = 0.0
+        for Y in (other, fewer):
+            levels = comp.peel(Y)
+            assert levels.level is not first.level
+            self.assert_same(levels, self.fresh(comp, Y))
+
+    def test_cyclic_support_raises_on_every_call(self):
+        s = random_scenario(3)
+        phi = random_loopfree_strategy(s, 10)
+        comp = compiled(s)
+        app = comp.apps[1]
+        key = (app.id, 1)
+        u = next(i for i in range(comp.n) if i != app.dest)
+        v = next(j for j in np.flatnonzero(comp.adj[u]) if j != app.dest)
+        for i, j in ((u, v), (v, u)):
+            row = phi.rows[key][i]
+            row *= 0.99
+            row[1 + j] += 0.01
+        for _ in range(2):      # the second call finds the cyclic support kept
+            with pytest.raises(LoopDetected, match=re.escape(f"stage {key!r} has")):
+                compute_flows(s, phi)
+        assert comp.peel(phi.fractions(comp)).cyclic.tolist() == [comp.stage_index[key]]
+
+    def test_rate_copy_evaluates_as_fresh_compile(self):
+        # a with_rates copy shares the compiled scenario, its kept levels
+        # included, and evaluates as a fresh compile of the same scenario
+        s = random_scenario(2, n=7, num_apps=2, K=1)
+        phi = random_loopfree_strategy(s, 2)
+        compute_flows(s, phi)
+        rates = {key: 1.5 * r for key, r in s.input_rates.items()}
+        copied = s.with_rates(rates)
+        plain = Scenario(graph=s.graph, applications=s.applications,
+                         link_costs=s.link_costs, comp_costs=s.comp_costs, input_rates=rates)
+        a, b = compute_flows(copied, phi), compute_flows(plain, phi)
+        assert compiled(copied)._peeled is compiled(s)._peeled
+        for name in ("traffic_stack", "cpu_stack", "edge_flows", "edge_bits", "workload"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.total_cost == b.total_cost
+        self.assert_same(a.levels, b.levels)
+
+
+class TestSegments:
+    @staticmethod
+    def draw(rng, shape):
+        a = rng.normal(size=shape)
+        a[rng.random(shape) < 0.2] = np.inf
+        a[rng.random(shape) < 0.05] = -np.inf
+        a[rng.random(shape) < 0.05] = np.nan
+        return a
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_min_matches_reduceat(self, seed):
+        comp = compiled(random_scenario(seed, n=10))
+        a = self.draw(np.random.default_rng(seed), (len(comp.keys), comp.n + comp.E))
+        want = np.minimum.reduceat(a, comp.seg, axis=1)
+        assert np.array_equal(comp.row_min(a), want, equal_nan=True)
+
+    @pytest.mark.parametrize("lengths", [[1, 3, 9, 2, 1, 7], [300] + [2] * 100, [5]])
+    def test_segments_match_reduceat(self, lengths):
+        # the second layout has one wide segment, where padding would cost
+        # more than reduceat's call per segment
+        seg = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        segs = Segments(seg, sum(lengths))
+        assert (segs.pad is None) == (lengths[0] == 300)
+        a = self.draw(np.random.default_rng(len(lengths)), (6, sum(lengths)))
+        want = np.minimum.reduceat(a, seg, axis=1)
+        assert np.array_equal(segs.row_min(a), want, equal_nan=True)
+        assert np.array_equal(segs.dnode, np.repeat(np.arange(len(seg)), lengths))
 
 
 class TestStrategySerialization:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, Strategy, adapt, check_sufficient, compute_flows,
-                       detect_loops, gp_step, run_gp, validate_strategy)
+from chainflow import (AlphaFair, GpConfig, Strategy, adapt, check_sufficient, compute_flows,
+                       detect_loops, extend_scenario, gp, gp_step, run_gp, validate_strategy)
 from chainflow.flows import compiled
-from chainflow.marginals import (blocked_sets, modified_marginals,
+from chainflow.gp import update_plan
+from chainflow.marginals import (blocked_sets, modified_marginals, slot_tables,
                                  traffic_marginals)
 
 from conftest import make_strategy, random_loopfree_strategy, random_scenario
@@ -83,6 +84,118 @@ class TestGpStep:
                             for k in phi.rows)
             holds = check_sufficient(s, phi, tol=1e-9).holds
             assert unchanged == holds
+
+
+def _full_array_step(comp, X, d, blocked, row_mask, alpha):
+    """The slot update written on whole (S, n+E) arrays: every direction of
+    every row, with row minima, sums and counts by np.*.reduceat."""
+    B = np.zeros(X.shape, dtype=bool)
+    B[:, comp.edge_pos] = blocked
+    B &= X <= 0.0
+    avail = ~B & np.isfinite(d)
+    with np.errstate(invalid="ignore"):
+        dmin = np.minimum.reduceat(np.where(avail, d, np.inf), comp.seg, axis=1)
+        rows = row_mask & np.isfinite(dmin)
+        e = np.clip(d - dmin[:, comp.dnode], 0.0, None)
+        tie = (1e-11 * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
+        minimal = avail & (e <= tie)
+        red = np.where(minimal, 0.0, np.minimum(X, alpha * e))
+    on = rows[:, comp.dnode]
+    red[~on] = 0.0
+    give = np.zeros(rows.shape)
+    give[rows] = (np.add.reduceat(red, comp.seg, axis=1)[rows]
+                  / np.add.reduceat(minimal.astype(int), comp.seg, axis=1)[rows])
+    new = X - red
+    new += minimal * give[:, comp.dnode]
+    sums = np.add.reduceat(new, comp.seg, axis=1)
+    new /= np.where(rows & (sums > 0), sums, 1.0)[:, comp.dnode]
+    return np.where(on, new, X)
+
+
+class TestUpdatePlan:
+    """One slot's UpdatePlan serves every candidate stepsize of the slot."""
+
+    @staticmethod
+    def assert_plan_matches(s, phi, tables, row_filter=None):
+        # the plan is kept for the strategy's own array, as the iterates of
+        # run_gp hold it; a dense strategy is packed on every use
+        comp = compiled(s)
+        phi = Strategy._stacked(comp, phi.fractions(comp))
+        state, lam, delta, blocked = tables
+        plan = update_plan(comp, phi, delta, blocked, row_filter)
+        assert update_plan(comp, phi, delta, blocked, row_filter) is plan
+        X = phi.fractions(comp)
+        moved = False
+        for alpha in (0.2, 0.1, 0.05):
+            got = plan.apply(alpha)
+            want = _full_array_step(comp, X, comp.pack(delta, "direction"),
+                                    comp.pack(blocked.masks, "edge"),
+                                    comp.row_mask(row_filter), alpha)
+            assert np.array_equal(got, want)
+            # gp_step from its state alone: new tables, a new plan
+            cfg = GpConfig(stepsize=alpha, row_filter=row_filter)
+            assert np.array_equal(gp_step(s, phi, cfg, state).fractions(comp), got)
+            moved |= not np.array_equal(got, X)
+        assert moved
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plan_matches_full_array_update(self, seed):
+        s = random_scenario(seed)
+        phi = random_loopfree_strategy(s, seed, full_support=seed % 2 == 1)
+        self.assert_plan_matches(s, phi, slot_tables(s, phi))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_final_stage_row_filter(self, seed):
+        # LCOF's filter: only the final stages' rows move
+        s = random_scenario(seed)
+        phi = random_loopfree_strategy(s, seed)
+        finals = {(app.id, app.chain_length) for app in s.applications}
+        self.assert_plan_matches(s, phi, slot_tables(s, phi), lambda key: key in finals)
+
+    def test_admission_slot(self):
+        # run_gp_cc's slot: the state at the admitted rates
+        s = random_scenario(1, link_bound=15.0, comp_bound=10.0)
+        caps = {p: 3 * r for p, r in s.input_rates.items()}
+        ext = extend_scenario(s, caps, {p: AlphaFair(alpha=1.0, cap=c) for p, c in caps.items()})
+        phi = random_loopfree_strategy(ext.base, 5, full_support=True)
+        admit = {pair: 0.4 for pair in ext.pairs}
+        state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
+        self.assert_plan_matches(ext.base, phi, slot_tables(ext.base, phi, state))
+
+    def test_other_filter_or_edited_table_gets_a_new_plan(self):
+        s = random_scenario(0)
+        comp = compiled(s)
+        phi = Strategy._stacked(comp, random_loopfree_strategy(s, 0).fractions(comp))
+        X = phi.fractions(comp)
+        tables = state, lam, delta, blocked = slot_tables(s, phi)
+        finals = {(app.id, app.chain_length) for app in s.applications}
+        seen = []
+        for row_filter in (None, lambda key: key in finals, None):
+            if len(seen) == 2:      # edit the modified marginals in place
+                delta[comp.keys[0]][:, 0] *= 0.5
+            got = gp_step(s, phi, GpConfig(stepsize=0.2, row_filter=row_filter), *tables)
+            want = _full_array_step(comp, X, comp.pack(delta, "direction"),
+                                    comp.pack(blocked.masks, "edge"),
+                                    comp.row_mask(row_filter), 0.2)
+            assert np.array_equal(got.fractions(comp), want)
+            assert not any(np.array_equal(want, other) for other in seen)
+            seen.append(want)
+
+    def test_one_plan_per_slot(self, monkeypatch):
+        # the retries of a slot at half the stepsize reuse its plan
+        built = []
+
+        class Counted(gp.UpdatePlan):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(gp, "UpdatePlan", Counted)
+        s = random_scenario(1, link_bound=10.0, comp_bound=10.0)
+        res = run_gp(s, config=GpConfig(stepsize=1.0, max_iters=40, tol=1e-9))
+        halvings = sum(row["halvings"] for row in res.history)
+        assert halvings > 0
+        assert len(built) == len(res.history) - res.converged
 
 
 class TestRunGp:
