@@ -13,6 +13,7 @@ one more packet.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -215,6 +216,12 @@ def _virtual_deltas(ext, marginals, admit):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _gateway_rows(count: int) -> Segments:
+    """`count` gateways as rows of two directions, admit and reject."""
+    return Segments(np.arange(0, 2 * count, 2), 2 * count)
+
+
 def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
     """marginals.excess on the gateways, in the order of deltas, as a
     (pairs, 2) array: each gateway is a row of two directions, admit and
@@ -223,8 +230,7 @@ def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
     d = np.array(list(deltas.values()), dtype=float).reshape(1, -1)
     a = np.array([admit.get(pair, 0.0) for pair in deltas], dtype=float)
     X = np.stack([a, 1.0 - a], axis=1).reshape(1, -1)
-    pairs = Segments(np.arange(0, d.shape[1], 2), d.shape[1])
-    return excess(d, X, pairs, tol_mass=tol_mass)[0].reshape(-1, 2)
+    return excess(d, X, _gateway_rows(len(a)), tol_mass=tol_mass)[0].reshape(-1, 2)
 
 
 def _cc_start(ext, phi0):

@@ -68,17 +68,18 @@ class UpdatePlan:
     """The stepsize-independent half of one slot update.
 
     Built once per slot from the strategy's fractions X, its modified
-    marginals d, the blocked link flags and the rows to update: blocked
-    directions (flagged and massless), each row's smallest available
-    marginal, each direction's gap e above it, the minimal directions
-    (within the tie tolerance) and the rows that move. Only the entries of
-    moving rows that carry mass or are minimal can change, so the plan
-    keeps those, by flat index, and `apply` moves just them for a stepsize.
+    marginals d, the (S, E) link flags of its blocked sets and the rows to
+    update: blocked directions (flagged and massless), each row's smallest
+    available marginal, each direction's gap e above it, the minimal
+    directions (within the tie tolerance) and the rows that move. Only the
+    entries of moving rows that carry mass or are minimal can change, so
+    the plan keeps those, by flat index, and `apply` moves just them for a
+    stepsize.
     """
 
-    def __init__(self, comp, X, d, blocked, row_mask):
+    def __init__(self, comp, X, d, flagged, row_mask):
         B = np.zeros(X.shape, dtype=bool)
-        B[:, comp.edge_pos] = blocked
+        B[:, comp.edge_pos] = flagged
         B &= X <= 0.0
         avail = ~B & np.isfinite(d)
         with np.errstate(invalid="ignore"):
