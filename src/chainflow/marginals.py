@@ -51,12 +51,12 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
     """
     comp = compiled(scenario)
     lam = comp.pack(marginals, "node")
+    Dp, Cp = state.link_marginals, state.cpu_marginals
     d = np.empty((len(comp.keys), comp.n + comp.E))
-    d[:, comp.edge_pos] = comp.L[:, None] * state.link_marginals + lam[:, comp.dst]
+    d[:, comp.edge_pos] = comp.L[:, None] * Dp + lam[:, comp.dst]
     # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * state.cpu_marginals
-                                  + lam[comp.next], np.inf)
+        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * Cp + lam[comp.next], np.inf)
     return comp.view(d, "direction", np.inf)
 
 
