@@ -44,13 +44,11 @@ def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> Basel
     the admissible links limited to the tree edges.
     """
     comp = compiled(scenario)
+    _, succ = comp.zero_flow_tree(np.arange(comp.n) == comp.dest[[a.s0 for a in comp.apps], None])
     masks = {}
-    for app in comp.apps:
-        _, succ = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
-        mask = np.zeros((comp.n, comp.n), dtype=bool)
-        on = succ >= 0
-        mask[on, succ[on]] = True
-        masks[app.id] = mask
+    for app, nxt in zip(comp.apps, succ):
+        masks[app.id] = np.zeros((comp.n, comp.n), dtype=bool)
+        masks[app.id][nxt >= 0, nxt[nxt >= 0]] = True
     try:
         res = solve_flow_domain(scenario, tol=tol, max_iters=max_iters,
                                 app_link_masks=masks, strict=False)
@@ -103,11 +101,8 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
     comp = compiled(scenario)
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
     n = comp.n
-    # all-pairs zero-flow distances and per-target successor trees
-    dist_to = np.zeros((n, n))   # dist_to[u, v]: cost u -> v
-    succ_to = np.zeros((n, n), dtype=int)
-    for v in range(n):
-        dist_to[:, v], succ_to[:, v] = comp.zero_flow_tree(np.arange(n) == v)
+    # zero-flow trees to every node: dist_to[u, v] is the cost u -> v
+    dist_to, succ_to = (a.T for a in comp.zero_flow_tree(np.eye(n, dtype=bool)))
     # integral routing: stage k of an application heads for the node that
     # runs task k+1 and computes there, its final stage for the destination
     target = comp.dest.copy()

@@ -17,7 +17,6 @@ blocks of the public API are views built from it on access.
 from __future__ import annotations
 
 import copy
-import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,13 +35,14 @@ INIT_MODES = ("shortest_path_then_local_comp", "shortest_path_comp_at_destinatio
 # ---------------------------------------------------------------------------
 
 class _App:
-    """An application's stages s0 .. s0 + K of a compiled scenario. L
-    (K+1,), w (n, K) and r (n,) are views of the stage arrays."""
+    """An application's stages s0 .. s0 + K, the slice `stages`, of a compiled
+    scenario. L (K+1,), w (n, K) and r (n,) are views of the stage arrays."""
 
-    __slots__ = ("id", "K", "dest", "s0", "L", "w", "r")
+    __slots__ = ("id", "K", "dest", "s0", "stages", "L", "w", "r")
 
     def __init__(self, comp: "_Compiled", app_id, K: int, dest: int, s0: int):
         self.id, self.K, self.dest, self.s0 = app_id, K, dest, s0
+        self.stages = slice(s0, s0 + K + 1)
         self.L = comp.L[s0:s0 + K + 1]
         self.w = comp.w[s0:s0 + K].T
         self.r = comp.r[s0]
@@ -54,10 +54,10 @@ class Segments:
     of column j (the node, on the compiled scenario). Segments are never
     empty.
 
-    Per-segment sums are np.add.reduceat. Per-segment minima give what
-    np.minimum.reduceat gives, but through `pad`, an (segments, widest
-    segment) column index that repeats each segment's last column: one
-    gather and one .min(axis=2) instead of one call per segment. When a
+    Per-segment sums are np.add.reduceat. Per-segment minima (what
+    np.minimum.reduceat gives) and argmins go through `pad`, an (segments,
+    widest segment) column index that repeats each segment's last column:
+    one gather and one reduction instead of one call per segment. When a
     few wide segments would make that block more than four times the size
     of a row, `pad` is None and reduceat is used.
     """
@@ -79,6 +79,15 @@ class Segments:
             return np.minimum.reduceat(a, self.seg, axis=1)
         return a[:, self.pad].min(axis=2)
 
+    def row_argmin(self, a):
+        """Per-segment argmins of the rows of a, which hold no nan: the
+        column of each segment's first minimum."""
+        if self.pad is None:
+            cols = np.arange(a.shape[1])
+            first = np.where(a == self.row_min(a)[:, self.dnode], cols, len(cols))
+            return np.minimum.reduceat(first, self.seg, axis=1)
+        return self.pad[np.arange(len(self.seg)), a[:, self.pad].argmin(axis=2)]
+
 
 class _Compiled(Segments):
     """The engine's layout of a scenario: the stage stack.
@@ -91,15 +100,14 @@ class _Compiled(Segments):
     at seg[i], its CPU column first and then its out-links, so no segment
     is ever empty and per-row minima and sums are those of Segments.
     `eid[u, v]` is the edge of link (u, v), -1 off the links, and
-    `into[v]` lists node v's in-edges as (source, edge) pairs of Python
-    ints, sources increasing, for cheapest_to_go. Stage s is keys[s], every
-    stage of every application on one axis; the per-stage arrays give its
-    packet size L, the workloads w of its task (inf at final stages and
-    where the task cannot run), its input rates r, its application's
-    destination, the previous and next stage of its application (-1 at the
-    ends), its position k in the chain, and which rows must sum to one
-    (`active`: all but the destination's final-stage row). `apps` holds
-    each application's slice of the stages.
+    `toward[p]` the node that direction p leads to, -1 on CPU columns.
+    Stage s is keys[s], every stage of every application on one axis; the
+    per-stage arrays give its packet size L, the workloads w of its task
+    (inf at final stages and where the task cannot run), its input rates
+    r, its application's destination, the previous and next stage of its
+    application (-1 at the ends), its position k in the chain, and which
+    rows must sum to one (`active`: all but the destination's final-stage
+    row). `apps` holds each application's slice of the stages.
     """
 
     def __init__(self, scenario: Scenario):
@@ -127,15 +135,13 @@ class _Compiled(Segments):
         self.edge_pos = src + np.arange(E) + 1
         col = np.zeros(n + E, dtype=int)
         col[self.edge_pos] = 1 + dst
+        self.toward = col - 1
         self.dir_flat = self.dnode * (n + 1) + col    # direction -> (n, n+1) flat
         self.edge_flat = src * n + dst                # edge -> (n, n) flat
         self.kinds = {"direction": ((n, n + 1), self.dir_flat),
                       "edge": ((n, n), self.edge_flat), "node": ((n,), np.arange(n))}
         self.eid = np.full((n, n), -1)
         self.eid[src, dst] = np.arange(E)
-        self.into = [[] for _ in range(n)]            # node -> [(source, edge)]
-        for e, (u, v, _) in enumerate(edges):
-            self.into[v].append((u, e))
 
         # the stages, built as lists and converted once
         self.keys, L, dest, prev, nxt, w, firsts = [], [], [], [], [], [], []
@@ -201,17 +207,21 @@ class _Compiled(Segments):
     def zero_flow_tree(self, targets):
         """(dist, succ) of the cheapest zero-flow paths to the nodes flagged
         in `targets`: succ[i] is node i's next node, -1 at targets and -2
-        where no path leads. Built once per target set and read-only."""
-        key = targets.tobytes()
-        tree = self._trees.get(key)
-        if tree is None:
-            dist = np.where(targets, 0.0, np.inf)
-            succ = np.where(targets, -1, -2)
-            cheapest_to_go(self, self.zero_flow_metric[None], dist[None], succ[None])
-            tree = self._trees[key] = (dist, succ)
-            for a in tree:
-                a.flags.writeable = False
-        return tree
+        where no path leads. Rows of stacked target sets get rows of dist
+        and succ. Each set is solved once, the new sets of a call in one
+        sweep, and kept read-only; a single set gets the kept arrays."""
+        sets = np.atleast_2d(targets)
+        new = {t.tobytes(): t for t in sets if t.tobytes() not in self._trees}
+        if new:
+            todo = np.array(list(new.values()))
+            dist, succ = np.where(todo, 0.0, np.inf), np.where(todo, -1, -2)
+            cheapest_to_go(self, self.zero_flow_metric, dist, succ)
+            dist.flags.writeable = succ.flags.writeable = False
+            self._trees.update(zip(new, zip(dist, succ)))
+        trees = [self._trees[t.tobytes()] for t in sets]
+        if targets.ndim == 1:
+            return trees[0]
+        return tuple(np.reshape([tree[i] for tree in trees], (len(trees), self.n)) for i in (0, 1))
 
     def same_as(self, other: "_Compiled") -> bool:
         """Whether arrays laid out for `other` read the same here."""
@@ -332,46 +342,44 @@ def share_compiled(scenario: Scenario, other: Scenario):
     other.__dict__["_compiled"] = twin
 
 
-def cheapest_to_go(comp: _Compiled, link_w, dist, succ, cpu_w=None, fixed=None):
-    """Backward Dijkstra over layers of the edge index, in place.
+def cheapest_to_go(comp: _Compiled, link_w, dist, succ, offer=None, fixed=None):
+    """Cheapest costs to go over independent rows of the edge index, in
+    place, by min-plus sweeps (Bellman-Ford).
 
-    dist[k, v] becomes the cheapest cost from node v in layer k to a seed:
-    a link hop (u, v) in layer k costs link_w[k, e] for its edge e, and the
-    step from (k, v) to (k+1, v) costs cpu_w[k, v]. Non-finite costs mark
-    unusable steps; costs must be nonnegative. Finite entries of `dist` on
-    entry are the seeds, and rows flagged in the boolean `fixed` (dist's
-    shape) keep their seed labels. Whenever a label improves, `succ` takes
-    the next node, or -1 for the step to the next layer; other entries keep
-    what the caller put there.
+    dist[r, v] becomes the cheapest cost from node v to a seed of row r: a
+    link hop (v, u) costs link_w[r, e] for its edge e (nonnegative, inf if
+    unusable; one row of link_w may serve all), and the step to v's CPU
+    costs offer[r, v] all the way (nan or inf if none). Finite entries of
+    `dist` on entry are the seeds, and entries flagged in the boolean
+    `fixed` keep them. The CPU offers join the seeds, then Jacobi sweeps of
+    dist = min(dist, row_min(cand)), cand = link_w + dist[dst] on each
+    out-link, run until nothing changes. An improved label's `succ` is its
+    next node, or -1 for the CPU; other entries keep what the caller put
+    there.
 
-    Tie rule: a label changes only on strict improvement, and the one heap
-    of all layers pops in (cost, layer, node) order, so of two exactly equal
-    offers the one from the label settled first wins.
+    Tie rule: a label changes only on strict improvement, and only then
+    does its successor change, to the first minimal direction of its
+    segment (row_argmin: the CPU, then out-links by head node). That
+    successor was labelled in an earlier sweep, so the successors form
+    trees even where links cost zero.
     """
-    into = comp.into
-    D, S, W = dist.tolist(), succ.tolist(), link_w.tolist()
-    C = None if cpu_w is None else cpu_w.tolist()
-    Fx = [[False] * comp.n] * len(D) if fixed is None else fixed.tolist()
-    ks, vs = np.nonzero(np.isfinite(dist))
-    heap = [(D[k][v], k, v) for k, v in zip(ks.tolist(), vs.tolist())]
-    heapq.heapify(heap)
-    while heap:
-        d, k, v = heapq.heappop(heap)
-        if d > D[k][v]:
-            continue
-        Dk, Sk, Wk, Fk = D[k], S[k], W[k], Fx[k]
-        for u, e in into[v]:
-            cand = d + Wk[e]
-            if cand < Dk[u] and not Fk[u]:
-                Dk[u], Sk[u] = cand, v
-                heapq.heappush(heap, (cand, k, u))
-        if k and C is not None:
-            cand = d + C[k - 1][v]
-            if cand < D[k - 1][v] and not Fx[k - 1][v]:
-                D[k - 1][v], S[k - 1][v] = cand, -1
-                heapq.heappush(heap, (cand, k - 1, v))
-    dist[...] = D
-    succ[...] = S
+    free = True if fixed is None else ~fixed
+    if offer is not None:
+        take = (offer < dist) & free
+        dist[take], succ[take] = offer[take], -1
+    W = np.full((len(dist), comp.n + comp.E), np.inf)
+    W[:, comp.edge_pos] = link_w
+    flat = np.arange(len(dist))[:, None] * W.shape[1]
+    while True:
+        # CPU columns read node -1's label through toward, and stay inf
+        cand = W + dist[:, comp.toward]
+        col = comp.row_argmin(cand)
+        m = cand.ravel()[col + flat]
+        better = (m < dist) & free
+        if not better.any():
+            return
+        np.copyto(succ, comp.toward[col], where=better)
+        np.copyto(dist, m, where=better)
 
 
 class DenseView(Mapping):
@@ -906,14 +914,12 @@ def tree_fractions(comp: _Compiled, at_destination: bool = False) -> np.ndarray:
     that can (with `at_destination`, at the destination when it can run
     the task). Final results, and stages that no node can run, head for
     the destination."""
-    succ = np.empty((len(comp.keys), comp.n), dtype=int)
-    for s in range(len(comp.keys)):
-        dest = np.arange(comp.n) == comp.dest[s]
-        capable = np.isfinite(comp.w[s])
-        if at_destination and capable[comp.dest[s]]:
-            capable = dest
-        succ[s] = comp.zero_flow_tree(capable if capable.any() else dest)[1]
-    return comp.trees(succ)
+    dest = np.arange(comp.n) == comp.dest[:, None]
+    capable = np.isfinite(comp.w)
+    if at_destination:
+        capable = np.where(capable[dest][:, None], dest, capable)
+    targets = np.where(capable.any(axis=1)[:, None], capable, dest)
+    return comp.trees(comp.zero_flow_tree(targets)[1])
 
 
 def init_strategy(scenario: Scenario, mode: str = "shortest_path_then_local_comp",

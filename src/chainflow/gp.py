@@ -335,9 +335,8 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     freed = old.row_sum(np.where(carried, 0.0, X_old[so]))[:, oi]
     lo = new.row_min(marginal)
     moved = (freed > 0) & np.isfinite(lo)
-    first = np.where(marginal == lo[:, new.dnode], np.arange(new.n + new.E), new.n + new.E)
     s, i = np.nonzero(moved)
-    X[s, new.row_min(first)[s, i]] += freed[s, i]
+    X[s, new.row_argmin(marginal)[s, i]] += freed[s, i]
     sums = new.row_sum(X)
     X /= np.where(sums > 0, sums, 1.0)[:, new.dnode]
 

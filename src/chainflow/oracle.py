@@ -99,34 +99,42 @@ def _add_path(comp, fv: FlowVector, app, path, amount: float):
             g[s0 + k, v] += amount
 
 
-def cheapest_extended_paths(comp, app, Dp, Cp, adj=None):
-    """Cheapest cost-to-go over the stage-layered graph (cheapest_to_go).
+def cheapest_extended_paths(comp, app, Dp, Cp, masks=None):
+    """Cheapest cost-to-go over the stage-layered graph of one application,
+    or of every application when `app` is None: one cheapest_to_go per
+    chain position, the last first, over the stages there.
 
-    Returns (dist, succ) where dist[k, v] is the cheapest cost-to-go from
-    (stage k, node v) to (stage K, destination), succ[k, v] = -1 for the CPU
-    transition, j >= 0 for the link to node j, -2 at the terminal and -3
-    where the destination is out of reach. `adj` optionally restricts the
-    admissible links (used by baselines that pin routing to fixed paths).
+    Returns (dist, succ) with a row per stage, the application's or the
+    stack's: dist[k, v] is the cheapest cost-to-go from (stage k, node v)
+    to (stage K, destination), succ[k, v] = -1 for the CPU transition,
+    j >= 0 for the link to node j, -2 at the terminal and -3 where the
+    destination is out of reach. `masks` optionally maps application ids
+    to their admissible (n, n) links (used by baselines that pin routing
+    to fixed paths).
     """
-    K, n = app.K, comp.n
-    link_w = np.outer(app.L, Dp)
-    if adj is not None:
-        link_w[:, ~adj[comp.src, comp.dst]] = np.inf
+    stages, base = (slice(None), 0) if app is None else (app.stages, app.s0)
+    link_w = comp.L[stages, None] * Dp
+    for a in comp.apps if app is None else [app]:
+        if (masks or {}).get(a.id) is not None:
+            link_w[a.s0 - base:a.s0 - base + a.K + 1, ~masks[a.id][comp.src, comp.dst]] = np.inf
     with np.errstate(invalid="ignore"):
-        cpu_w = app.w.T * Cp          # nan (unusable) where inf * 0
-    dist = np.full((K + 1, n), np.inf)
-    succ = np.full((K + 1, n), -3, dtype=int)
-    dist[K, app.dest] = 0.0
-    succ[K, app.dest] = -2
-    cheapest_to_go(comp, link_w, dist, succ, cpu_w)
+        cpu_w = comp.w[stages] * Cp          # nan (unusable) where inf * 0
+    terminal = ~comp.active[stages]
+    dist, succ = np.where(terminal, 0.0, np.inf), np.where(terminal, -2, -3)
+    # a final stage's CPU step is unusable, whatever row follows it
+    nxt = np.minimum(np.arange(1, len(dist) + 1), len(dist) - 1)
+    for j in reversed(range(len(comp.groups) if app is None else app.K + 1)):
+        rows = comp.groups[j] if app is None else slice(j, j + 1)
+        d, s = dist[rows], succ[rows]
+        cheapest_to_go(comp, link_w[rows], d, s, cpu_w[rows] + dist[nxt[rows]])
+        dist[rows], succ[rows] = d, s
     return dist, succ
 
 
 def _extract_path(app, succ, src) -> tuple:
     steps = []
     k, v = 0, src
-    while not (k == app.K and succ[k, v] == -2):
-        s = succ[k, v]
+    while (s := succ[k, v]) != -2:
         if s == -3:
             raise NoFeasibleStrategy("no extended path reaches the destination")
         if s == -1:
@@ -269,7 +277,6 @@ def _greedy_start(comp, registry, masks=None):
     """Load the blocks of `registry`, which have no atoms yet, one at a time
     on currently-cheapest extended paths, splitting a block when a whole
     placement would blow a capacity."""
-    masks = masks or {}
     links, cpus = comp.links, comp.cpus
     fv = _rebuild(comp, registry)
     F, G = _totals(comp, fv)
@@ -283,7 +290,7 @@ def _greedy_start(comp, registry, masks=None):
             for _ in range(chunks):
                 # the totals are zero or passed the saturation check below
                 _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
-                                                  cpus.deriv(G_try), adj=masks.get(app.id))
+                                                  cpus.deriv(G_try), masks)
                 try:
                     path = _extract_path(app, succ, src)
                 except NoFeasibleStrategy:
@@ -331,17 +338,11 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         best = {}
         lower = 0.0
         inner = 0.0
-        for app in comp.apps:
-            dist, succ = cheapest_extended_paths(
-                comp, app, Dp, Cp,
-                adj=None if app_link_masks is None else app_link_masks.get(app.id))
-            for block in registry:
-                if block[0] is app:
-                    path = _extract_path(app, succ, block[1])
-                    best[block] = path
-                    lower += block[2] * dist[0, block[1]]
+        dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks)
         for block, atoms in registry.items():
             app, src, rate = block
+            best[block] = _extract_path(app, succ[app.stages], src)
+            lower += rate * dist[app.s0, src]
             for path, wgt in atoms.items():
                 if wgt > 0:
                     inner += wgt * rate * path_cost(comp, app, path, Dp, Cp)
@@ -376,9 +377,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                     continue
                 Dp = links.deriv(F)
                 Cp = comp.cpus.deriv(G)
-                dist, succ = cheapest_extended_paths(
-                    comp, app, Dp, Cp,
-                    adj=None if app_link_masks is None else app_link_masks.get(app.id))
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks)
                 for block in blocks_here:
                     _, src, rate = block
                     atoms = registry[block]
@@ -560,8 +559,9 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
 
     Positive-traffic rows are f/t; zero-traffic rows get a unit fraction on
     the direction with the smallest modified marginal evaluated at the flow
-    solution, settled in a Dijkstra order so the filled rows cannot form
-    loops. The result is meaningful to check_sufficient everywhere.
+    solution, one cheapest_to_go per chain position with the positive-traffic
+    rows fixed, whose tie rule keeps the filled rows free of loops. The
+    result is meaningful to check_sufficient everywhere.
     """
     comp = compiled(scenario)
     F, G = _totals(comp, fv)
@@ -591,9 +591,7 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
         choice = np.full(dist.shape, -9)
         with np.errstate(invalid="ignore"):
             cpu = comp.w[group] * Cp + lam[comp.next[group]]
-        via_cpu = ~fixed & (cpu < dist)
-        dist[via_cpu], choice[via_cpu] = cpu[via_cpu], -1
-        cheapest_to_go(comp, link_w[group], dist, choice, fixed=fixed)
+        cheapest_to_go(comp, link_w[group], dist, choice, cpu, fixed)
         r, i = np.nonzero(~fixed)
         stuck = np.flatnonzero(choice[r, i] < -1)
         if stuck.size:

@@ -141,3 +141,39 @@ def random_loopfree_strategy(scenario, seed, full_support=False):
                     w = w * mask
                 mat[i, dests] = w / w.sum()
     return phi
+
+
+def hub_scenario(seed, n=30):
+    """Random scenario on a hub: node 0 links to every other node and a few
+    chords join the rest. The hub's direction segment is so wide that the
+    compiled scenario keeps no padded segment index (Segments.pad is None)."""
+    rng = np.random.default_rng(seed)
+    chords = [(int(u), int(v)) for u, v in rng.choice(np.arange(1, n), size=(n // 3, 2)) if u != v]
+    topo = Graph.from_undirected_edges(range(n), [(0, v) for v in range(1, n)] + chords)
+    spec = CostSpec(link_kind="queue", link_bound=60.0, comp_kind="queue", comp_bound=40.0)
+    return sample_scenario(topo, 2, 2, 3, (0.5, 1.5), spec, seed=seed)
+
+
+def layered_dijkstra(comp, link_w, seeds, cpu_w=None, fixed=None):
+    """Reference labels for the cheapest-path searches: networkx's Dijkstra
+    from a virtual source over the explicit graph of (row, node) pairs of a
+    compiled scenario. The source joins every finite seed at its label, and
+    the steps are reversed: link (u, v) of row r costs link_w[r, e] for its
+    edge e, and the CPU step from (r, v) to (r+1, v) costs cpu_w[r, v].
+    Non-finite costs leave a step out, and so does a `fixed` start."""
+    import networkx as nx
+
+    R, n = seeds.shape
+    fixed = np.zeros(seeds.shape, dtype=bool) if fixed is None else fixed
+    g = nx.DiGraph()
+    for r, v in zip(*np.nonzero(np.isfinite(seeds))):
+        g.add_edge("source", (r, v), weight=float(seeds[r, v]))
+    for r in range(R):
+        for e, (u, v) in enumerate(zip(comp.src, comp.dst)):
+            if np.isfinite(link_w[r, e]) and not fixed[r, u]:
+                g.add_edge((r, v), (r, u), weight=float(link_w[r, e]))
+        for v in range(n):
+            if cpu_w is not None and r + 1 < R and np.isfinite(cpu_w[r, v]) and not fixed[r, v]:
+                g.add_edge((r + 1, v), (r, v), weight=float(cpu_w[r, v]))
+    label = nx.single_source_dijkstra_path_length(g, "source") if g else {}
+    return np.array([[label.get((r, v), np.inf) for v in range(n)] for r in range(R)])

@@ -7,9 +7,10 @@ from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetecte
                        NoFeasibleStrategy, Queue, Scenario, Strategy, compute_flows,
                        detect_loops, init_strategy, max_conservation_residual,
                        validate_strategy)
-from chainflow.flows import INIT_MODES, Segments, StageLevels, compiled
+from chainflow.flows import INIT_MODES, Segments, StageLevels, cheapest_to_go, compiled
 
-from conftest import make_strategy, random_loopfree_strategy, random_scenario
+from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
+                      random_scenario)
 
 
 def path_scenario(nodes):
@@ -251,10 +252,15 @@ class TestZeroFlowTree:
             for e, (u, v) in enumerate(zip(comp.src, comp.dst)):
                 g.add_edge(int(v), int(u), weight=float(metric[e]))
             rng = np.random.default_rng(seed)
-            for size in (1, 2, 3):
-                targets = np.zeros(comp.n, dtype=bool)
+            sets = np.zeros((3, comp.n), dtype=bool)
+            for size, targets in zip((1, 2, 3), sets):
                 targets[rng.choice(comp.n, size=size, replace=False)] = True
+            # the three sets are solved in one sweep; single sets read them back
+            stacked = comp.zero_flow_tree(sets)
+            for row, targets in enumerate(sets):
                 dist, succ = comp.zero_flow_tree(targets)
+                assert np.array_equal(stacked[0][row], dist)
+                assert np.array_equal(stacked[1][row], succ)
                 expect = nx.multi_source_dijkstra_path_length(
                     g, {int(i) for i in np.flatnonzero(targets)})
                 for i in range(comp.n):
@@ -270,7 +276,8 @@ class TestZeroFlowTree:
                                                     (2, (1, 4), 3)])
     def test_diamond_tie_takes_smaller_index(self, src, middle, dest):
         # src reaches dest at exactly the same zero-flow cost through either
-        # middle node; the one with the smaller index settles first and wins
+        # middle node; both offers arrive in the same sweep, and the first
+        # minimal direction, toward the smaller index, wins
         g = Graph.from_undirected_edges([1, 2, 3, 4], [(src, m) for m in middle]
                                         + [(m, dest) for m in middle])
         app = Application(id="a", chain_length=1, destination=dest, packet_sizes=(1.0, 1.0))
@@ -283,6 +290,48 @@ class TestZeroFlowTree:
         assert comp.nodes[succ[comp.index[src]]] == min(middle)
         phi = init_strategy(s)
         assert phi.row(src, "a", 1) == {min(middle): 1.0}
+
+
+class TestCheapestToGo:
+    @pytest.mark.parametrize("draw", ["random", "hub"])
+    def test_labels_match_layered_dijkstra(self, draw):
+        # masked (inf) links, CPU offers that are nan (no CPU) or inf, and
+        # fixed entries, which keep their seeds and the caller's successors
+        for seed in range(4):
+            s = random_scenario(seed, n=9) if draw == "random" else hub_scenario(seed)
+            comp = compiled(s)
+            assert (comp.pad is None) == (draw == "hub")
+            rng = np.random.default_rng(seed)
+            shape = (5, comp.n)
+            link_w = rng.uniform(0.0, 1.0, (shape[0], comp.E))
+            link_w[rng.random(link_w.shape) < 0.2] = np.inf
+            seeds = np.where(rng.random(shape) < 0.15, rng.uniform(0.0, 2.0, shape), np.inf)
+            offer = rng.uniform(0.5, 3.0, shape)
+            offer[rng.random(shape) < 0.3] = np.nan
+            offer[rng.random(shape) < 0.2] = np.inf
+            fixed = rng.random(shape) < 0.2
+            dist, succ = seeds.copy(), np.where(fixed, 77, -5)
+            cheapest_to_go(comp, link_w, dist, succ, offer, fixed)
+            joined = np.where(fixed, seeds, np.fmin(seeds, offer))
+            assert np.array_equal(dist, layered_dijkstra(comp, link_w, joined, fixed=fixed))
+            assert np.array_equal(dist[fixed], seeds[fixed]) and (succ[fixed] == 77).all()
+            assert (succ[~fixed & (dist == seeds)] == -5).all()
+            # an improved label is its step's cost plus the label it leads
+            # to, and following successors ends at a CPU, a seed or a fixed
+            # entry
+            for r, v in zip(*np.nonzero(~fixed & (dist < seeds))):
+                for _ in range(comp.n):
+                    j = succ[r, v]
+                    if j == -1:
+                        assert dist[r, v] == offer[r, v]
+                        break
+                    if j in (-5, 77):
+                        break
+                    assert comp.adj[v, j]
+                    assert dist[r, v] == link_w[r, comp.eid[v, j]] + dist[r, j]
+                    v = j
+                else:
+                    pytest.fail("successors loop")
 
 
 class TestCompiledLayout:
@@ -451,6 +500,12 @@ class TestSegments:
         want = np.minimum.reduceat(a, seg, axis=1)
         assert np.array_equal(segs.row_min(a), want, equal_nan=True)
         assert np.array_equal(segs.dnode, np.repeat(np.arange(len(seg)), lengths))
+        # argmins: the first minimum of each segment, on rows without nan
+        a[np.isnan(a)] = np.inf
+        a[:, :2] = -np.inf      # ties at the minimum
+        want = [[b + np.argmin(row[b:e]) for b, e in zip(seg, np.append(seg[1:], a.shape[1]))]
+                for row in a]
+        assert np.array_equal(segs.row_argmin(a), want)
 
 
 class TestStrategySerialization:

@@ -3,16 +3,17 @@ import re
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, LoopDetected, TooLarge, check_sufficient, compute_flows,
-                       enumerate_bruteforce, modified_marginals, run_gp, solve_flow_domain,
-                       strategy_from_flows, traffic_marginals, validate_strategy)
+from chainflow import (GpConfig, LoopDetected, Scenario, TooLarge, build_scenario,
+                       check_sufficient, compute_flows, enumerate_bruteforce, modified_marginals,
+                       run_gp, solve_flow_domain, strategy_from_flows, table_row,
+                       traffic_marginals, validate_strategy)
 from chainflow.flows import compiled
 from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
                               _extract_path, _greedy_start, _rebuild, _sparse_line_search,
                               _totals, cheapest_extended_paths, enumerate_extended_paths,
                               flow_cost, path_cost)
 
-from conftest import random_loopfree_strategy, random_scenario
+from conftest import hub_scenario, layered_dijkstra, random_loopfree_strategy, random_scenario
 from test_acceptance import _loaded_scenario
 
 
@@ -172,7 +173,7 @@ class TestCheapestExtendedPaths:
                     adj = np.zeros((comp.n, comp.n), dtype=bool)
                     on = succ >= 0
                     adj[on, succ[on]] = True
-                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, adj=adj)
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, {app.id: adj})
                 for src in range(comp.n):
                     costs = [path_cost(comp, app, p, Dp, Cp)
                              for p in enumerate_extended_paths(s, app.id, src, 5000)
@@ -184,6 +185,84 @@ class TestCheapestExtendedPaths:
                     assert dist[0, src] == pytest.approx(best, rel=1e-12, abs=0.0)
                     path = _extract_path(app, succ, src)
                     assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(best, rel=1e-12)
+
+
+    @pytest.mark.parametrize("draw", ["random", "hub"])
+    def test_matches_layered_dijkstra(self, draw):
+        # every third node has no CPU, so its CPU steps cost inf * 0 = nan;
+        # odd seeds also mask a random half of each application's links
+        for seed in range(3):
+            base = random_scenario(seed, n=9) if draw == "random" else hub_scenario(seed)
+            s = Scenario(graph=base.graph, applications=base.applications,
+                         link_costs=base.link_costs, input_rates=base.input_rates,
+                         comp_costs={v: None if i % 3 == 0 else cost
+                                     for i, (v, cost) in enumerate(base.comp_costs.items())})
+            comp = compiled(s)
+            rng = np.random.default_rng(seed)
+            Dp = rng.uniform(0.1, 1.0, comp.E)
+            Cp = rng.uniform(0.1, 1.0, comp.n) * comp.has_cpu
+            masks = {app.id: rng.random((comp.n, comp.n)) < 0.5 for app in comp.apps}
+            masks = masks if seed % 2 else None
+            for app in comp.apps:
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, masks)
+                link_w = np.outer(app.L, Dp)
+                if masks:
+                    link_w[:, ~masks[app.id][comp.src, comp.dst]] = np.inf
+                with np.errstate(invalid="ignore"):
+                    cpu_w = app.w.T * Cp
+                seeds = np.full(dist.shape, np.inf)
+                seeds[app.K, app.dest] = 0.0
+                assert np.array_equal(dist, layered_dijkstra(comp, link_w, seeds, cpu_w))
+                assert (succ[np.isinf(dist)] == -3).all()
+                for src in np.flatnonzero(np.isfinite(dist[0])):
+                    path = _extract_path(app, succ, src)
+                    assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(dist[0, src],
+                                                                                rel=1e-12)
+
+    def test_zero_size_final_stage_gives_trees(self):
+        # default packet sizes (10, 5, 0): every final-stage link costs 0
+        # and all final-stage labels tie at 0; a successor is taken only on
+        # strict improvement, so the final-stage successors still form a
+        # tree into the destination and every source's path ends
+        for seed in range(4):
+            s = random_scenario(seed, n=10, K=2)
+            comp = compiled(s)
+            state = compute_flows(s, random_loopfree_strategy(s, seed))
+            Dp, Cp = comp.links.deriv(state.edge_bits), comp.cpus.deriv(state.workload)
+            for app in comp.apps:
+                assert app.L[app.K] == 0.0
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp)
+                assert (dist[app.K] == 0.0).all()
+                for v in range(comp.n):
+                    for _ in range(comp.n):
+                        if v == app.dest:
+                            break
+                        v = succ[app.K, v]
+                    assert v == app.dest
+                for src in range(comp.n):
+                    path = _extract_path(app, succ, src)
+                    assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(dist[0, src],
+                                                                                rel=1e-12)
+
+    def test_all_applications_at_once_match_per_application(self):
+        # the oracle's gap loop searches every application in one call; on
+        # sw-queue draw 1 at the greedy start's marginals, unmasked and with
+        # SPOC's tree masks, its rows are bit-equal to per-application calls
+        s = build_scenario(table_row("sw-queue"), 1)
+        comp = compiled(s)
+        F, G = _totals(comp, _greedy_start(comp, {block: {} for block in _blocks(comp)}))
+        Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
+        masks = {}
+        for app in comp.apps:
+            _, nxt = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
+            masks[app.id] = np.zeros((comp.n, comp.n), dtype=bool)
+            masks[app.id][nxt >= 0, nxt[nxt >= 0]] = True
+        for m in (None, masks):
+            dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, m)
+            for app in comp.apps:
+                one = cheapest_extended_paths(comp, app, Dp, Cp, m)
+                assert np.array_equal(dist[app.stages], one[0])
+                assert np.array_equal(succ[app.stages], one[1])
 
 
 class TestStrategyFromFlows:
@@ -302,6 +381,15 @@ class TestStrategyFromFlows:
             res = solve_flow_domain(s, tol=1e-9)
             phi = strategy_from_flows(s, res.flows)
             assert check_sufficient(s, phi, tol=1e-4).holds
+
+    def test_scenario_without_input(self):
+        # no application has a positive input rate, so the scenario keeps
+        # none: the oracle's flows are empty, and so is their strategy
+        base = random_scenario(0, n=6, num_apps=2, K=1)
+        s = Scenario(graph=base.graph, applications=base.applications,
+                     link_costs=base.link_costs, comp_costs=base.comp_costs, input_rates={})
+        phi = strategy_from_flows(s, solve_flow_domain(s).flows)
+        assert validate_strategy(s, phi) == [] and compute_flows(s, phi).total_cost == 0.0
 
 
 class TestTwoSidedOptimality:
