@@ -34,14 +34,15 @@ class BaselineResult:
         return self.state.total_cost if self.feasible else float("inf")
 
 
-def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> BaselineResult:
+def spoc(scenario: Scenario) -> BaselineResult:
     """Shortest Path, Optimal Computation placement.
 
     Routing is frozen to the per-application shortest-path tree toward the
     destination under zero-flow marginal link costs; the only freedom left is
     how much each on-path node computes. That restriction is a convex flow
     problem on the tree, solved by the conditional-gradient machinery with
-    the admissible links limited to the tree edges.
+    the admissible links limited to the tree edges, to tol 1e-8 within 20,000
+    iterations.
     """
     comp = compiled(scenario)
     _, succ = comp.zero_flow_tree(np.arange(comp.n) == comp.dest[[a.s0 for a in comp.apps], None])
@@ -50,7 +51,7 @@ def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> Basel
         masks[app.id] = np.zeros((comp.n, comp.n), dtype=bool)
         masks[app.id][nxt >= 0, nxt[nxt >= 0]] = True
     try:
-        res = solve_flow_domain(scenario, tol=tol, max_iters=max_iters,
+        res = solve_flow_domain(scenario, tol=1e-8, max_iters=20000,
                                 app_link_masks=masks, strict=False)
         phi = strategy_from_flows(scenario, res.flows)
         state = compute_flows(scenario, phi)
@@ -59,14 +60,13 @@ def spoc(scenario: Scenario, tol: float = 1e-8, max_iters: int = 20000) -> Basel
     return BaselineResult(name="spoc", phi=phi, state=state, feasible=True)
 
 
-def lcof(scenario: Scenario, config: GpConfig | None = None) -> BaselineResult:
+def lcof(scenario: Scenario) -> BaselineResult:
     """Local Computation, Optimal Forwarding.
 
     Every source runs the full chain locally; only the final-result
-    forwarding rows are then optimized by gradient projection.
+    forwarding rows are then optimized by gradient projection, to tol 1e-7
+    within 4,000 slots.
     """
-    import dataclasses
-
     comp = compiled(scenario)
     for app in comp.apps:
         sources = np.flatnonzero(app.r > 0)
@@ -82,9 +82,8 @@ def lcof(scenario: Scenario, config: GpConfig | None = None) -> BaselineResult:
         raise LocalComputationInfeasible(
             f"local computation saturates a capacity: {err}") from err
     finals = {(a.id, a.K) for a in comp.apps}
-    cfg = config or GpConfig(tol=1e-7, max_iters=4000)
-    cfg = dataclasses.replace(cfg, row_filter=lambda key: key in finals)
-    res = run_gp(scenario, phi, cfg)
+    res = run_gp(scenario, phi, GpConfig(tol=1e-7, max_iters=4000,
+                                         row_filter=lambda key: key in finals))
     return BaselineResult(name="lcof", phi=res.phi, state=res.state, feasible=True)
 
 

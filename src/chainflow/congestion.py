@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, LoopDetected
 from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap
-from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, CheckResult, check_sufficient, excess,
-                        slot_tables, traffic_marginals)
+from .marginals import (DEFAULT_TOL, CheckResult, check_sufficient, excess, slot_tables,
+                        traffic_marginals)
 from .network import Scenario
 
 _PRIME_FLOOR = 1e-9   # derivative of sub-1 fairness is evaluated at >= this rate
@@ -222,7 +221,7 @@ def _gateway_rows(count: int) -> Segments:
     return Segments(np.arange(0, 2 * count, 2), 2 * count)
 
 
-def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
+def _gateway_excess(deltas, admit):
     """marginals.excess on the gateways, in the order of deltas, as a
     (pairs, 2) array: each gateway is a row of two directions, admit and
     reject, whose values are its (network, utility) marginals and whose
@@ -230,23 +229,18 @@ def _gateway_excess(deltas, admit, tol_mass=DEFAULT_TOL_MASS):
     d = np.array(list(deltas.values()), dtype=float).reshape(1, -1)
     a = np.array([admit.get(pair, 0.0) for pair in deltas], dtype=float)
     X = np.stack([a, 1.0 - a], axis=1).reshape(1, -1)
-    return excess(d, X, _gateway_rows(len(a)), tol_mass=tol_mass)[0].reshape(-1, 2)
+    return excess(d, X, _gateway_rows(len(a)))[0].reshape(-1, 2)
 
 
-def _cc_start(ext, phi0):
+def _cc_start(ext):
     """run_gp_cc's start iterate (reject all) and its extended-graph cost."""
-    if phi0 is None:
-        phi = init_strategy(ext.base, mode="shortest_path_then_local_comp",
-                            require_finite=False)
-    else:
-        phi = phi0.copy()
+    phi = init_strategy(ext.base, mode="shortest_path_then_local_comp", require_finite=False)
     admit = {pair: 0.0 for pair in ext.pairs}
     T_ext, state = extended_cost(ext, phi, admit)
     return (phi, state, admit), T_ext
 
 
-def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
-              phi0: Strategy | None = None) -> CcResult:
+def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult:
     """Joint admission control and forwarding optimization.
 
     Starts from reject-all (always feasible with zero cost) and runs the same
@@ -280,30 +274,26 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None,
             elif d_reject < d_admit:
                 a -= min(a, alpha * (d_admit - d_reject))
             cand_admit[pair] = a
-        try:
-            T_cand, cand_state = extended_cost(ext, cand, cand_admit)
-        except (CapacityExceeded, LoopDetected):
-            return None
+        T_cand, cand_state = extended_cost(ext, cand, cand_admit)
         return (cand, cand_state, cand_admit), T_cand
 
     (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
-        _cc_start(ext, phi0), config, slot, step)
+        _cc_start(ext), config, slot, step)
     return CcResult(phi=phi, admit=admit, admitted=ext.admitted_rates(admit), state=state,
                     utility_minus_cost=utility_minus_cost(ext, phi, admit, state), trace=trace,
                     iterations=iterations, converged=converged, final_gap=gap, history=history)
 
 
 def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,
-                        tol: float = DEFAULT_TOL,
-                        tol_mass: float = DEFAULT_TOL_MASS) -> CheckResult:
+                        tol: float = DEFAULT_TOL) -> CheckResult:
     """Sufficient optimality on the extended graph: the physical condition at
     the admitted rates plus, per gateway, admit-mass only when the network
     marginal is (weakly) below the marginal utility and vice versa."""
     state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
-    violations = check_sufficient(ext.base, phi, tol, tol_mass, state).violations
+    violations = check_sufficient(ext.base, phi, tol, state).violations
     deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit)
     for (pair, (d_admit, d_reject)), row in zip(deltas.items(),
-                                                _gateway_excess(deltas, admit, tol_mass)):
+                                                _gateway_excess(deltas, admit)):
         for side, e in zip(("admit", "reject"), row):
             if e > tol:
                 violations.append({"gateway": list(pair), "side": side,

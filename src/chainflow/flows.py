@@ -189,11 +189,8 @@ class _Compiled(Segments):
 
     def cost_total(self, F, G) -> float:
         """Total link cost of bit rates F, one per edge, plus CPU cost of
-        workloads G."""
-        total = self.links.total(F) + self.cpus.total(G)
-        if np.any(G[~self.has_cpu] > 0):
-            raise CapacityExceeded("workload on a node without CPU")
-        return total
+        workloads G (from totals, so zero on nodes without a CPU)."""
+        return self.links.total(F) + self.cpus.total(G)
 
     @cached_property
     def zero_flow_metric(self) -> np.ndarray:
@@ -472,7 +469,8 @@ class Strategy:
         if rows is None:
             return self._packed[1]
         X = comp.pack(rows, "direction")
-        s, i, j = np.nonzero([(rows[key][:, 1:] != 0) & (comp.eid < 0) for key in comp.keys])
+        lost = [(rows[key][:, 1:] != 0) & (comp.eid < 0) for key in comp.keys]
+        s, i, j = np.nonzero(np.reshape(lost, (len(lost), comp.n, comp.n)))
         if s.size:
             u, v = self.nodes[i[0]], self.nodes[j[0]]
             raise ValueError(f"stage {comp.keys[s[0]]}: node {u!r} sends mass over link "
@@ -957,5 +955,5 @@ def feasible_start(scenario: Scenario) -> Strategy:
         try:
             return init_strategy(scenario, mode=mode)
         except NoFeasibleStrategy as err:
-            last = err
-    raise NoFeasibleStrategy(str(last))
+            last = str(err)     # not err: its traceback holds this frame, a cycle
+    raise NoFeasibleStrategy(last)

@@ -200,8 +200,8 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     as a temporary, so that the start is freed once the descent moves on.
     Each slot, slot(point) returns (gap, tables) and the loop stops once
     gap <= config.tol. Otherwise step(point, tables, step_cfg) returns a
-    candidate (iterate, cost) for the stepsize step_cfg.stepsize, or None
-    when the candidate cannot be evaluated (capacity or loop). A candidate
+    candidate (iterate, cost) for the stepsize step_cfg.stepsize; one whose
+    step raises CapacityExceeded or LoopDetected is rejected. A candidate
     that does not raise the cost is accepted; else the slot is retried at
     half the stepsize, and a stepsize below its floor ends the run at the
     current iterate. Each slot's history row counts its retries at half the
@@ -228,7 +228,10 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
             break
         while True:
             step_cfg.stepsize = alpha
-            cand = step(point, tables, step_cfg)
+            try:
+                cand = step(point, tables, step_cfg)
+            except (CapacityExceeded, LoopDetected):
+                cand = None     # cannot be evaluated: rejected like a cost rise
             if cand is not None and cand[1] <= cost + 1e-12 * max(1.0, abs(cost)):
                 streak += 1
                 if streak >= 3 and alpha < alpha_ceil:
@@ -280,10 +283,7 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
     def step(point, tables, step_cfg):
         phi, state = point
         cand = gp_step(scenario, phi, step_cfg, state, *tables)
-        try:
-            cand_state = compute_flows(scenario, cand)
-        except (CapacityExceeded, LoopDetected):
-            return None
+        cand_state = compute_flows(scenario, cand)
         return (cand, cand_state), cand_state.total_cost
 
     (phi, state), trace, history, iterations, converged, gap = _adaptive_descent(

@@ -136,26 +136,26 @@ def slot_tables(scenario: Scenario, phi: Strategy, state: FlowState | None = Non
     return state, marg, delta, blocked_sets(scenario, phi, marg, state) if blocked else None
 
 
-def excess(d, X, segs, rows=None, tol_mass: float = DEFAULT_TOL_MASS):
+def excess(d, X, segs, rows=None):
     """The sufficient condition's one rule, on values d over the directions
     of rows laid out as the Segments `segs` (the compiled scenario's
     (S, n+E) layout or the gateways' two-direction rows). Returns (e, lo):
     lo holds each direction's row minimum of d, and e how far d exceeds it
-    on the directions whose fraction in X exceeds tol_mass, in the rows
-    flagged in `rows` (all when None), and 0 elsewhere. The condition holds
-    at tol when no entry of e exceeds tol; run_gp's gap is the largest
+    on the directions whose fraction in X exceeds DEFAULT_TOL_MASS, in the
+    rows flagged in `rows` (all when None), and 0 elsewhere. The condition
+    holds at tol when no entry of e exceeds tol; run_gp's gap is the largest
     entry."""
     lo = segs.row_min(d)[:, segs.dnode]
-    on = X > tol_mass
+    on = X > DEFAULT_TOL_MASS
     if rows is not None:
         on &= rows[:, segs.dnode]
     return np.subtract(d, lo, out=np.zeros_like(d), where=on), lo
 
 
-def _check(comp, phi, g, rows, tol, tol_mass, name) -> CheckResult:
+def _check(comp, phi, g, rows, tol, name) -> CheckResult:
     """Directions of the (S, n) rows `rows` whose excess in g is above tol,
     stage by stage, node by node, CPU first."""
-    e, lo = excess(g, phi.fractions(comp), comp, rows, tol_mass)
+    e, lo = excess(g, phi.fractions(comp), comp, rows)
     col = comp.dir_flat % (comp.n + 1)
     violations = [{"node": comp.nodes[comp.dnode[p]], "stage": list(comp.keys[s]),
                    "dest": "cpu" if col[p] == 0 else comp.nodes[col[p] - 1],
@@ -165,7 +165,7 @@ def _check(comp, phi, g, rows, tol, tol_mass, name) -> CheckResult:
 
 
 def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
-              tol_mass: float = DEFAULT_TOL_MASS, state: FlowState | None = None) -> CheckResult:
+              state: FlowState | None = None) -> CheckResult:
     """KKT stationarity on dT/dphi = t * delta: every positive-fraction
     direction must achieve the row minimum within tol. Rows with zero traffic
     satisfy the condition vacuously."""
@@ -174,30 +174,28 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     t = state.traffic_stack
     with np.errstate(invalid="ignore"):     # 0 * inf on absent directions
         grad = t[:, comp.dnode] * comp.pack(delta, "direction")
-    return _check(comp, phi, grad, comp.active & (t > tol_mass), tol, tol_mass, "value")
+    return _check(comp, phi, grad, comp.active & (t > DEFAULT_TOL_MASS), tol, "value")
 
 
 def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
-                     tol_mass: float = DEFAULT_TOL_MASS,
                      state: FlowState | None = None) -> CheckResult:
     """Global-optimality sufficient condition: positive-fraction directions
     achieve the row-minimum modified marginal, at every node including
     zero-traffic ones."""
     comp = compiled(scenario)
     delta = slot_tables(scenario, phi, state, blocked=False)[2]
-    return _check(comp, phi, comp.pack(delta, "direction"), comp.active, tol, tol_mass, "delta")
+    return _check(comp, phi, comp.pack(delta, "direction"), comp.active, tol, "delta")
 
 
 # ---------------------------------------------------------------------------
 # geodesic convexity probe
 # ---------------------------------------------------------------------------
 
-def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
-                   n_samples: int = 11) -> float:
+def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy) -> float:
     """Largest violation of midpoint convexity along the flow-domain geodesic.
 
     Maps both strategies to flow space, interpolates linearly, and evaluates
-    the total cost along the segment (which is the cost of the geodesic
+    the total cost at 11 points of the segment (the cost of the geodesic
     strategy, by the strategy/flow bijection at strictly positive traffic).
     Returns max_t T(gamma(t)) - [(1-t) T(phi1) + t T(phi2)]; a convex
     objective keeps this <= 0 up to roundoff. Refuses scenarios where any
@@ -211,7 +209,7 @@ def geodesic_probe(scenario: Scenario, phi1: Strategy, phi2: Strategy,
                 raise ZeroTrafficNode(f"zero traffic at stage {key}")
     comp = compiled(scenario)
     worst = -np.inf
-    for t in np.linspace(0.0, 1.0, n_samples):
+    for t in np.linspace(0.0, 1.0, 11):
         F, G = comp.totals((1 - t) * s1.edge_flows + t * s2.edge_flows,
                          (1 - t) * s1.cpu_stack + t * s2.cpu_stack)
         chord = (1 - t) * s1.total_cost + t * s2.total_cost

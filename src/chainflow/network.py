@@ -470,17 +470,17 @@ class Scenario:
 
 def sample_scenario(topology: Graph, num_apps: int, chain_length: int,
                     sources_per_app: int, rate_range, cost_spec: CostSpec,
-                    seed: int = 0, packet_sizes=None, comp_weights=1.0,
-                    max_redraws: int = 25, name: str = "") -> Scenario:
+                    seed: int = 0, packet_sizes=None, name: str = "") -> Scenario:
     """Draw a random scenario on the given topology.
 
     Each application gets `sources_per_app` distinct sources with rates
     uniform in `rate_range`; cost parameters are uniform in
-    [0.5 * bound, bound] per link / node. The draw is redone (deterministically)
-    until an initial strategy with finite cost exists, so the returned
-    scenario always lies in the stability region.
+    [0.5 * bound, bound] per link / node. The draw is redone
+    (deterministically), up to 25 times, until flows.feasible_start finds a
+    strategy with finite cost, so the returned scenario always lies in the
+    stability region.
     """
-    from .flows import init_strategy  # deferred: flows depends on this module
+    from .flows import feasible_start  # deferred: flows depends on this module
 
     n = len(topology.nodes)
     if sources_per_app > n:
@@ -494,8 +494,7 @@ def sample_scenario(topology: Graph, num_apps: int, chain_length: int,
     rng = np.random.default_rng(seed)
     undirected = sorted({(min(u, v, key=str), max(u, v, key=str)) for (u, v) in topology.links},
                         key=str)
-    last_err = None
-    for _ in range(max_redraws):
+    for _ in range(25):
         link_costs = {}
         for (u, v) in undirected:
             value = rng.uniform(0.5 * cost_spec.link_bound, cost_spec.link_bound)
@@ -510,18 +509,16 @@ def sample_scenario(topology: Graph, num_apps: int, chain_length: int,
             dest = topology.nodes[int(rng.integers(n))]
             applications.append(Application(
                 id=f"app{a}", chain_length=chain_length, destination=dest,
-                packet_sizes=tuple(packet_sizes), comp_weights=comp_weights))
+                packet_sizes=tuple(packet_sizes)))
             src_idx = rng.choice(n, size=sources_per_app, replace=False)
             for idx in sorted(src_idx):
                 input_rates[(topology.nodes[int(idx)], f"app{a}")] = float(rng.uniform(lo, hi))
         scenario = Scenario(graph=topology, applications=tuple(applications),
                             link_costs=link_costs, comp_costs=comp_costs,
                             input_rates=input_rates, seed=seed, name=name)
-        for mode in ("shortest_path_then_local_comp", "shortest_path_comp_at_destination"):
-            try:
-                init_strategy(scenario, mode=mode)
-                return scenario
-            except (NoFeasibleStrategy, CapacityExceeded) as err:
-                last_err = err
-    raise NoFeasibleStrategy(
-        f"no finite-cost draw found in {max_redraws} attempts: {last_err}")
+        try:
+            feasible_start(scenario)
+            return scenario
+        except NoFeasibleStrategy as err:
+            last_err = str(err)     # not err: its traceback holds this frame, a cycle
+    raise NoFeasibleStrategy(f"no finite-cost draw found in 25 attempts: {last_err}")

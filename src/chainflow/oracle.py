@@ -201,17 +201,12 @@ def _bisect(deriv, hi: float) -> float:
 
 def _exact_line_search(comp, F, G, dF, dG):
     """Step in [0, 1] along the direction (dF, dG), per edge and per node,
-    that minimizes the total cost, kept inside the queue domains. The link
-    terms of the derivative are summed as an (n, n) table, zero off the
-    links: that sum's rounding steers the trajectory (see
-    _sparse_line_search), and a sum over the edges adds in another order."""
+    that minimizes the total cost, kept inside the queue domains."""
     hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
-    table = np.zeros(comp.n * comp.n)
 
     def deriv(gamma):
-        table[comp.edge_flat] = comp.links.deriv(F + gamma * dF) * dF
-        Cp = comp.cpus.deriv(G + gamma * dG)
-        return float(np.sum(table) + np.sum(Cp * dG))
+        return float(np.sum(comp.links.deriv(F + gamma * dF) * dF)
+                     + np.sum(comp.cpus.deriv(G + gamma * dG) * dG))
 
     return _bisect(deriv, hi)
 
@@ -353,10 +348,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             return OracleResult(T, fv, gap, True, it, cost_trace, gap_trace)
 
         # classic conditional-gradient step toward the all-best-paths vertex
-        sv = _zero_flows(comp)
-        for block, path in best.items():
-            _add_path(comp, sv, block[0], path, block[2])
-        sF, sG = _totals(comp, sv)
+        sF, sG = _totals(comp, _rebuild(comp, {block: {path: 1.0}
+                                               for block, path in best.items()}))
         gamma = _exact_line_search(comp, F, G, sF - F, sG - G)
         if gamma > 0:
             for block, atoms in registry.items():
@@ -462,13 +455,14 @@ class BruteResult:
 
 
 def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
-                         max_iters: int = 50000, max_paths: int = 200) -> BruteResult:
+                         max_paths: int = 200) -> BruteResult:
     """Exhaustive extended-path optimizer for tiny instances.
 
     Enumerates every extended path per (application, source) and minimizes the
     convex cost over the product of path-flow simplices by projected gradient
-    with backtracking. Instances beyond ~6 nodes / K > 2 / 2 apps or with more
-    than `max_paths` paths are refused with TooLarge.
+    with backtracking, for at most 50,000 iterations. Instances beyond ~6
+    nodes / K > 2 / 2 apps or with more than `max_paths` paths are refused
+    with TooLarge.
     """
     comp = compiled(scenario)
     if comp.n > 6 or len(comp.apps) > 2 or any(a.K > 2 for a in comp.apps):
@@ -518,7 +512,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
 
     eta = 0.1
     gap = np.inf
-    for it in range(max_iters):
+    for it in range(50000):
         F, G = _totals(comp, flows_from(x))
         Dp = comp.links.deriv(F)
         Cp = comp.cpus.deriv(G)
@@ -553,8 +547,10 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
 # flows -> strategy
 # ---------------------------------------------------------------------------
 
-def strategy_from_flows(scenario: Scenario, fv: FlowVector,
-                        prune: float = 1e-12) -> Strategy:
+_PRUNE = 1e-12   # strategy_from_flows counts flows and traffic below this as zero
+
+
+def strategy_from_flows(scenario: Scenario, fv: FlowVector) -> Strategy:
     """Normalize a conserving flow vector into forwarding fractions.
 
     Positive-traffic rows are f/t; zero-traffic rows get a unit fraction on
@@ -570,10 +566,10 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector,
     fe, g = fv.arrays(comp)
     inj = comp.r.copy()
     inj[comp.prev >= 0] = g[comp.prev[comp.prev >= 0]]
-    fe = np.where(fe < prune, 0.0, fe)
-    g = np.where(g < prune, 0.0, g)
+    fe = np.where(fe < _PRUNE, 0.0, fe)
+    g = np.where(g < _PRUNE, 0.0, g)
     t = comp.inflow(fe) + inj
-    on = (t > prune) & comp.active
+    on = (t > _PRUNE) & comp.active
     X = np.zeros((len(comp.keys), comp.n + comp.E))
     X[:, comp.edge_pos] = np.divide(fe, t[:, comp.src], out=np.zeros_like(fe),
                                     where=on[:, comp.src])

@@ -5,7 +5,7 @@ import pytest
 
 from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetected,
                        NoFeasibleStrategy, Queue, Scenario, Strategy, compute_flows,
-                       detect_loops, init_strategy, max_conservation_residual,
+                       detect_loops, init_strategy, max_conservation_residual, run_gp,
                        validate_strategy)
 from chainflow.flows import INIT_MODES, Segments, StageLevels, cheapest_to_go, compiled
 
@@ -203,6 +203,13 @@ class TestComputeFlows:
         st = compute_flows(prop1, prop1_kkt_strategy)
         assert st.total_cost == pytest.approx(1.0)
         assert st.t(2, "p", 0) == 0.0
+
+    def test_dense_strategy_without_applications(self):
+        s = random_scenario(0, n=6, num_apps=2, K=1)
+        empty = Scenario(graph=s.graph, applications=s.applications, link_costs=s.link_costs,
+                         comp_costs=s.comp_costs, input_rates={})
+        assert compute_flows(empty, Strategy.zeros(empty)).total_cost == 0.0
+        assert run_gp(empty, Strategy.zeros(empty)).converged
 
 
 class TestInitStrategy:

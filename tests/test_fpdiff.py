@@ -15,8 +15,14 @@ class TestLineDifferences:
     def test_oracle_lines_byte_for_byte(self):
         line = "sw-queue/1 oracle 7.563118024585214"
         assert fpdiff.line_differences(line, line) == []
-        assert fpdiff.line_differences(line, line[:-1] + "5") == ["oracle line differs"]
-        assert fpdiff.line_differences(line, line + " ") == ["oracle line differs"]
+        assert fpdiff.line_differences(line, line[:-1] + "5") == [
+            "oracle line differs", "7.563118024585214 vs 7.563118024585215 (1.2e-16 relative)"]
+        assert fpdiff.line_differences(line, line + " ") == ["oracle line differs", "'' != ' '"]
+        before = "sw-queue/1 oracle (58.69850838840792, 11, np.float64(1.59e-05))"
+        after = "sw-queue/1 oracle (58.69850838651436, 12, np.float64(1.59e-05))"
+        assert fpdiff.line_differences(before, after) == [
+            "oracle line differs", "58.69850838840792 vs 58.69850838651436 (3.2e-11 relative)",
+            "'11' != '12'"]
 
     @pytest.mark.parametrize("before, after, same", [
         ("T 1000.0", "T 1000.0000000009", True),          # 9e-13 relative

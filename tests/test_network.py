@@ -1,3 +1,4 @@
+import gc
 import math
 
 import networkx as nx
@@ -157,6 +158,19 @@ class TestSampleScenario:
         topo = generate_topology("balanced_tree", {"depth": 2})
         with pytest.raises(ValueError):
             sample_scenario(topo, 1, 1, 2, (1.5, 0.5), CostSpec(), seed=1)
+
+    def test_rejected_draw_leaves_no_reference_cycle(self):
+        # seed 7 redraws once; the rejected draw's error must not hold its
+        # frames in a cycle that only the garbage collector frees (the first
+        # call warms one-time caches)
+        self._abilene_scenario(seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            self._abilene_scenario(seed=7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_same_seed_identical_bytes(self):
         a = self._abilene_scenario(seed=11)

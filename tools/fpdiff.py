@@ -7,8 +7,9 @@ other line the text between numbers (flags included) and the integers
 (counts) must match exactly, and floats x, y must agree to 1e-12 relative,
 |x - y| <= 1e-12 * max(1, |x|, |y|): the floor of 1 is the scale of the
 marginals whose differences the GP gaps are, as in the GP's own cost
-acceptance rule. Prints each difference and exits 1 when there is one,
-else exits 0.
+acceptance rule. Prints each difference, a float pair with its relative
+difference (for an oracle line, every value that moved), and exits 1 when
+there is one, else exits 0.
 """
 
 import math
@@ -27,20 +28,30 @@ def floats_agree(a: str, b: str) -> bool:
     return math.isfinite(x) and math.isfinite(y) and abs(x - y) <= REL * max(1.0, abs(x), abs(y))
 
 
+def relative(a: str, b: str) -> str:
+    """' (<relative difference> relative)' of two finite floats, else ''."""
+    x, y = float(a), float(b)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return ""
+    return f" ({abs(x - y) / max(1.0, abs(x), abs(y)):.2g} relative)"
+
+
 def line_differences(before: str, after: str) -> list:
-    if " oracle " in before or " oracle " in after:
-        return [] if before == after else ["oracle line differs"]
+    oracle = " oracle " in before or " oracle " in after
+    if oracle and before == after:
+        return []
     parts_b, parts_a = NUMBER.split(before), NUMBER.split(after)
-    if len(parts_b) != len(parts_a):
-        return ["different number of values"]
     out = []
-    for i, (b, a) in enumerate(zip(parts_b, parts_a)):
-        if i % 2 == 0 or INTEGER.fullmatch(b) or INTEGER.fullmatch(a):
-            if b != a:
-                out.append(f"{b!r} != {a!r}")
-        elif not floats_agree(b, a):
-            out.append(f"{b} vs {a}")
-    return out
+    if len(parts_b) != len(parts_a):
+        out.append("different number of values")
+    else:
+        for i, (b, a) in enumerate(zip(parts_b, parts_a)):
+            if i % 2 == 0 or INTEGER.fullmatch(b) or INTEGER.fullmatch(a):
+                if b != a:
+                    out.append(f"{b!r} != {a!r}")
+            elif b != a if oracle else not floats_agree(b, a):
+                out.append(f"{b} vs {a}{relative(b, a)}")
+    return ["oracle line differs", *out] if oracle else out
 
 
 def main(before_path, after_path) -> int:
