@@ -126,20 +126,6 @@ class ExtendedScenario:
     def pairs(self):
         return sorted((p for p in self.caps if self.caps[p] > 0), key=str)
 
-    @property
-    def num_extended_nodes(self) -> int:
-        return 2 * len(self.base.graph.nodes)
-
-    def virtual_links(self):
-        """(gateway, target) pairs: one admission and one rejection link per
-        gateway with positive offered rate."""
-        out = []
-        for (node, app_id) in self.pairs:
-            dest = self.base.app(app_id).destination
-            out.append((f"{node}^V", node))
-            out.append((f"{node}^V", dest))
-        return out
-
     def admitted_rates(self, admit: dict) -> dict:
         return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in self.pairs}
 
@@ -259,12 +245,12 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         vdelta = _virtual_deltas(ext, marg, admit)
         gap = max(sufficient_gap(comp, phi, delta, config.row_filter),
                   float(_gateway_excess(vdelta, admit).max(initial=0.0)))
-        return gap, (marg, delta, blocked, vdelta)
+        return gap, (delta, blocked, vdelta)
 
     def step(point, tables, step_cfg):
         phi, state, admit = point
-        marg, delta, blocked, vdelta = tables
-        cand = gp_step(ext.base, phi, step_cfg, state, marg, delta, blocked)
+        delta, blocked, vdelta = tables
+        cand = gp_step(ext.base, phi, step_cfg, state, delta, blocked)
         alpha = step_cfg.stepsize
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():

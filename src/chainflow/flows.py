@@ -247,9 +247,9 @@ class _Compiled(Segments):
         """Link bits F per edge and CPU workloads G per node of (S, E) link
         flows and (S, n) CPU flows, each added stage by stage. This is the
         one accumulation of F and G. Raises CapacityExceeded for CPU flow
-        where the stage's task cannot run."""
+        where the stage's task cannot run, final stages included."""
         F = (self.L[:, None] * fe).sum(axis=0)
-        on = (g > 0) & ~self.final[:, None]
+        on = g > 0
         cannot = (on & ~np.isfinite(self.w)).any(axis=1)
         if cannot.any():
             raise CapacityExceeded(f"stage {self.keys[np.argmax(cannot)]} sends flow to a CPU "
@@ -262,6 +262,16 @@ class _Compiled(Segments):
         S = len(fe)
         into = (np.arange(S)[:, None] * self.n + self.dst).ravel()
         return np.bincount(into, weights=fe.ravel(), minlength=S * self.n).reshape(S, self.n)
+
+    def refuse_lost(self, blocks, what: str):
+        """Raises ValueError naming the first stage whose (n, n) block, one
+        per stage in `blocks`, puts `what` on a link the scenario lacks."""
+        lost = [(np.asarray(block) != 0) & (self.eid < 0) for block in blocks]
+        s, i, j = np.nonzero(np.reshape(lost, (len(self.keys), self.n, self.n)))
+        if s.size:
+            u, v = self.nodes[i[0]], self.nodes[j[0]]
+            raise ValueError(f"stage {self.keys[s[0]]}: node {u!r} sends {what} over link "
+                             f"{(u, v)!r}, which the scenario lacks")
 
     def point(self, X, s, i, nxt):
         """Give rows (s, i) of the direction array X a unit fraction toward
@@ -469,12 +479,7 @@ class Strategy:
         if rows is None:
             return self._packed[1]
         X = comp.pack(rows, "direction")
-        lost = [(rows[key][:, 1:] != 0) & (comp.eid < 0) for key in comp.keys]
-        s, i, j = np.nonzero(np.reshape(lost, (len(lost), comp.n, comp.n)))
-        if s.size:
-            u, v = self.nodes[i[0]], self.nodes[j[0]]
-            raise ValueError(f"stage {comp.keys[s[0]]}: node {u!r} sends mass over link "
-                             f"{(u, v)!r}, which the scenario lacks")
+        comp.refuse_lost([rows[key][:, 1:] for key in comp.keys], "mass")
         return X
 
     def _foreign_rows(self, comp: _Compiled):
@@ -520,20 +525,13 @@ class Strategy:
         self.rows[(app_id, k)][i] = row
 
     def to_jsonable(self) -> dict:
-        rows = {}
-        for (app_id, k), mat in sorted(self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            for i in range(mat.shape[0]):
-                entry = {}
-                if mat[i, 0] != 0:
-                    entry["cpu"] = mat[i, 0]
-                for j in range(mat.shape[0]):
-                    if mat[i, 1 + j] != 0:
-                        entry[str(j)] = mat[i, 1 + j]
-                if entry:
-                    rows[f"{i}/{app_id}/{k}"] = entry
-        return {"nodes": list(self.nodes),
-                "stages": [[app_id, k] for (app_id, k) in sorted(self.rows)],
-                "rows": rows}
+        stages, rows = sorted(self.rows), {}
+        for app_id, k in stages:
+            mat = self.rows[(app_id, k)]
+            for i, c in zip(*np.nonzero(mat)):
+                entry = rows.setdefault(f"{i}/{app_id}/{k}", {})
+                entry["cpu" if c == 0 else str(c - 1)] = mat[i, c]
+        return {"nodes": list(self.nodes), "stages": [list(key) for key in stages], "rows": rows}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Strategy":
@@ -680,8 +678,6 @@ class StageLevels:
         or, with `forward`, its transpose (flow propagation). Stages whose b
         is all zero solve to exact zeros and are skipped.
         """
-        if k >= len(self.cuts):
-            return
         mine = self.group == k
         nonzero = x.any(axis=1)
         if not nonzero[mine].any():
@@ -869,19 +865,15 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     comp = compiled(scenario)
     X = phi.fractions(comp)
     levels = stage_levels(comp, X)
-    inj = comp.inputs(rates)
-    extra = None
-    if extra_injections:
-        extra = np.zeros_like(comp.r)
-        for (node, stage), rate in extra_injections.items():
-            if stage in comp.stage_index:
-                extra[comp.stage_index[stage], comp.index[node]] += rate
+    t = comp.inputs(rates).copy()
+    for (node, stage), rate in (extra_injections or {}).items():
+        if stage in comp.stage_index:
+            t[comp.stage_index[stage], comp.index[node]] += rate
     c0 = X[:, comp.seg]
-    t = np.zeros_like(comp.r)
     for k, group in enumerate(comp.groups):
-        prev = comp.prev[group]
-        b = inj[group] if k == 0 else t[prev] * c0[prev]
-        t[group] = b if extra is None else b + extra[group]
+        if k:
+            prev = comp.prev[group]
+            t[group] += t[prev] * c0[prev]
         levels.solve(t, k, forward=True)
     if np.any(t < 0):
         raise ValueError("negative traffic (bad injections?)")
@@ -892,7 +884,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     return FlowState(comp, t, g, fe, F, G, total, levels)
 
 
-def max_conservation_residual(scenario: Scenario, phi: Strategy, state: FlowState,
+def max_conservation_residual(scenario: Scenario, state: FlowState,
                               rates: dict | None = None) -> float:
     """Largest absolute violation of per-(node, stage) flow conservation."""
     comp = compiled(scenario)

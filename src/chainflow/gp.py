@@ -133,8 +133,8 @@ def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets, row_filter=Non
 
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
-            state: FlowState | None = None, marginals: dict | None = None,
-            delta=None, blocked: BlockedSets | None = None) -> Strategy:
+            state: FlowState | None = None, delta=None,
+            blocked: BlockedSets | None = None) -> Strategy:
     """One synchronous slot update. Returns the next strategy.
 
     Every row of every stage moves at once on the stage stack. The slot's
@@ -277,8 +277,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 
     def slot(point):
         phi, state = point
-        _, marg, delta, blocked = slot_tables(scenario, phi, state)
-        return sufficient_gap(comp, phi, delta, config.row_filter), (marg, delta, blocked)
+        _, _, delta, blocked = slot_tables(scenario, phi, state)
+        return sufficient_gap(comp, phi, delta, config.row_filter), (delta, blocked)
 
     def step(point, tables, step_cfg):
         phi, state = point

@@ -156,9 +156,8 @@ def _check(comp, phi, g, rows, tol, name) -> CheckResult:
     """Directions of the (S, n) rows `rows` whose excess in g is above tol,
     stage by stage, node by node, CPU first."""
     e, lo = excess(g, phi.fractions(comp), comp, rows)
-    col = comp.dir_flat % (comp.n + 1)
     violations = [{"node": comp.nodes[comp.dnode[p]], "stage": list(comp.keys[s]),
-                   "dest": "cpu" if col[p] == 0 else comp.nodes[col[p] - 1],
+                   "dest": "cpu" if comp.toward[p] < 0 else comp.nodes[comp.toward[p]],
                    name: float(g[s, p]), "row_min": float(lo[s, p])}
                   for s, p in zip(*np.nonzero(e > tol))]
     return CheckResult(holds=not violations, violations=violations)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
+from .flows import DenseView, Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -49,11 +49,14 @@ class FlowVector:
     def arrays(self, comp):
         """(S, E) link flows and (S, n) CPU flows on the compiled scenario
         comp: the oracle's own arrays, which it edits in place, until a view
-        block is built. Raises ValueError for flows on other nodes or with
-        a misshaped block."""
+        block is built. Raises ValueError for flows on other nodes, with a
+        misshaped block or on a link the scenario lacks."""
         if self.nodes != comp.nodes:
             raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {comp.nodes!r}")
-        return comp.pack(self.link_flows, "edge"), comp.pack(self.cpu_flows, "node")
+        fe = comp.pack(self.link_flows, "edge")
+        if not isinstance(self.link_flows, DenseView):
+            comp.refuse_lost([self.link_flows[key] for key in comp.keys], "flow")
+        return fe, comp.pack(self.cpu_flows, "node")
 
 
 def _totals(comp, fv: FlowVector):
@@ -131,7 +134,7 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None):
     return dist, succ
 
 
-def _extract_path(app, succ, src) -> tuple:
+def _extract_path(succ, src) -> tuple:
     steps = []
     k, v = 0, src
     while (s := succ[k, v]) != -2:
@@ -287,7 +290,7 @@ def _greedy_start(comp, registry, masks=None):
                 _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
                                                   cpus.deriv(G_try), masks)
                 try:
-                    path = _extract_path(app, succ, src)
+                    path = _extract_path(succ, src)
                 except NoFeasibleStrategy:
                     break
                 _add_path(comp, fv_try, app, path, part)
@@ -336,7 +339,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks)
         for block, atoms in registry.items():
             app, src, rate = block
-            best[block] = _extract_path(app, succ[app.stages], src)
+            best[block] = _extract_path(succ[app.stages], src)
             lower += rate * dist[app.s0, src]
             for path, wgt in atoms.items():
                 if wgt > 0:
@@ -365,20 +368,15 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             # totals, so every move is a descent step
             F, G = _totals(comp, fv)
             for app in comp.apps:
-                blocks_here = sorted((b for b in registry if b[0] is app), key=lambda b: b[1])
-                if not blocks_here:
-                    continue
                 Dp = links.deriv(F)
                 Cp = comp.cpus.deriv(G)
                 dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks)
-                for block in blocks_here:
+                for block in sorted((b for b in registry if b[0] is app), key=lambda b: b[1]):
                     _, src, rate = block
                     atoms = registry[block]
-                    if not atoms:
-                        continue
                     costs = {p: path_cost(comp, app, p, Dp, Cp) for p in atoms}
                     worst = max(costs, key=lambda p: (costs[p], p))
-                    target = _extract_path(app, succ, src)
+                    target = _extract_path(succ, src)
                     if target == worst or costs[worst] - dist[0, src] <= 0:
                         continue
                     ef, eg = _delta_entries(comp, app, target, worst)

@@ -58,15 +58,6 @@ def _two_node_line(u_slope, d_slope=1.0, cap=1.0):
 
 
 class TestExtendScenario:
-    def test_node_count_doubles(self):
-        from chainflow import generate_topology, sample_scenario, CostSpec
-        topo = generate_topology("abilene")
-        s = random_scenario(1, n=8)
-        ext = extend_scenario(s, {p: r for p, r in s.input_rates.items()},
-                              {p: LinearUtility(1.0, cap=r)
-                               for p, r in s.input_rates.items()})
-        assert ext.num_extended_nodes == 2 * len(s.graph.nodes)
-
     def test_zero_rejection_cost_at_full_admission(self):
         ext = _two_node_line(u_slope=2.0)
         assert ext.rejection_cost({(1, "a"): 1.0}) == pytest.approx(0.0)
@@ -87,11 +78,6 @@ class TestExtendScenario:
             T_ext, _ = extended_cost(ext, phi, admit)
             umc = utility_minus_cost(ext, phi, admit)
             assert abs(umc - (total_u_cap - T_ext)) <= 1e-9
-
-    def test_virtual_links_listed(self):
-        ext = _two_node_line(u_slope=2.0)
-        assert ("1^V", 1) in ext.virtual_links()
-        assert ("1^V", 2) in ext.virtual_links()
 
 
 class TestRunGpCc:

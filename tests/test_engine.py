@@ -262,7 +262,7 @@ class TestDenseReference:
             got = sufficient_gap(compiled(s), phi, d, row_filter)
             assert got == pytest.approx(gap, rel=1e-9, abs=1e-12)
             out = gp_step(s, phi, GpConfig(stepsize=0.05, row_filter=row_filter),
-                          state, lam, d, blocked)
+                          state, d, blocked)
             for key, expected in nxt.items():
                 np.testing.assert_allclose(out.rows[key], expected, rtol=0, atol=REL)
 

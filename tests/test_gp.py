@@ -37,7 +37,7 @@ def _single_row_case(alpha, deltas, fractions, blocked_to=None):
     if blocked_to is not None:
         blocked.masks[("a", 0)][0, blocked_to] = True
     cfg = GpConfig(stepsize=alpha)
-    nxt = gp_step(s, phi, cfg, state, lam, delta, blocked)
+    nxt = gp_step(s, phi, cfg, state, delta, blocked)
     return nxt.rows[("a", 0)][0, 2], nxt.rows[("a", 0)][0, 3]
 
 
@@ -61,8 +61,7 @@ class TestGpStep:
         blocked = blocked_sets(e1, e1_strategy_b, lam)
         # force-block node 1's link (1,2) on the data stage
         blocked.masks[("a", 0)][0, 1] = True
-        nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05),
-                      state, lam, delta, blocked)
+        nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05), state, delta, blocked)
         d = delta[("a", 0)][0]
         move = 0.05 * (d[2] - d[0])
         assert 0.0 < move < 1.0
@@ -167,13 +166,14 @@ class TestUpdatePlan:
         comp = compiled(s)
         phi = Strategy._stacked(comp, random_loopfree_strategy(s, 0).fractions(comp))
         X = phi.fractions(comp)
-        tables = state, lam, delta, blocked = slot_tables(s, phi)
+        state, _, delta, blocked = slot_tables(s, phi)
         finals = {(app.id, app.chain_length) for app in s.applications}
         seen = []
         for row_filter in (None, lambda key: key in finals, None):
             if len(seen) == 2:      # edit the modified marginals in place
                 delta[comp.keys[0]][:, 0] *= 0.5
-            got = gp_step(s, phi, GpConfig(stepsize=0.2, row_filter=row_filter), *tables)
+            got = gp_step(s, phi, GpConfig(stepsize=0.2, row_filter=row_filter),
+                          state, delta, blocked)
             want = _full_array_step(comp, X, comp.pack(delta, "direction"),
                                     comp.pack(blocked.masks, "edge"),
                                     comp.row_mask(row_filter), 0.2)
@@ -204,6 +204,31 @@ class TestRunGp:
         assert res.converged
         assert res.total_cost == pytest.approx(2.0, abs=1e-3)
         assert check_sufficient(e1, res.phi).holds
+
+    def test_invalid_start_refused(self, e1, e1_strategy_a):
+        bad = e1_strategy_a.copy()
+        bad.set_row(1, "a", 0, {"cpu": 0.5})
+        with pytest.raises(ValueError, match="initial strategy invalid"):
+            run_gp(e1, bad)
+
+    def test_stepsize_floor_keeps_current_iterate(self):
+        # every candidate raises the cost: the slot halves the stepsize down
+        # to its floor, 2**-40 of the initial one, and the run stops there
+        start, calls, seen = ("phi", "state"), [], []
+
+        def step(point, tables, cfg):
+            calls.append(cfg.stepsize)
+            return ("worse", "state"), 2.0
+
+        config = GpConfig(stepsize=0.5, on_iterate=lambda *args: seen.append(args))
+        point, trace, history, iterations, converged, gap = gp._adaptive_descent(
+            (start, 1.0), config, lambda point: (3.0, None), step)
+        assert point is start and trace == [1.0] and iterations == 0
+        assert not converged and gap == 3.0
+        assert calls == [0.5 * 2.0 ** -m for m in range(41)]
+        assert history == [{"iter": 0, "T": 1.0, "max_gap": 3.0, "stepsize": 0.5,
+                            "halvings": 40}]
+        assert seen == [(0, "phi", "state")]
 
     def test_trace_nonincreasing_adaptive(self):
         for seed in range(4):

@@ -165,7 +165,7 @@ class TestCheckers:
         check_kkt(s, res.phi)
         check_sufficient(s, res.phi)
         assert validate_strategy(s, res.phi) == []
-        assert max_conservation_residual(s, res.phi, res.state) <= 1e-12
+        assert max_conservation_residual(s, res.state) <= 1e-12
         assert res.phi._rows is None
 
     def test_marginals_nonincreasing_along_support_at_optimum(self):

@@ -202,6 +202,22 @@ class TestScenario:
         again = scenario_from_jsonable(scenario_to_jsonable(prop1))
         assert scenario_bytes(again) == scenario_bytes(prop1)
 
+    def test_per_node_weights_round_trip(self, e1):
+        import json
+
+        from chainflow import Application, compute_flows, init_strategy
+        from chainflow.serialize import scenario_from_jsonable, scenario_to_jsonable
+        app = Application(id="a", chain_length=1, destination=2, packet_sizes=(2.0, 1.0),
+                          comp_weights={1: (2.5,)})   # node 2 keeps the default 1.0
+        s = Scenario(graph=e1.graph, applications=(app,), link_costs=e1.link_costs,
+                     comp_costs=e1.comp_costs, input_rates=e1.input_rates)
+        again = scenario_from_jsonable(json.loads(json.dumps(scenario_to_jsonable(s))))
+        assert again.applications[0].comp_weights == {1: (2.5,)}
+        assert scenario_bytes(again) == scenario_bytes(s)
+        cost = compute_flows(s, init_strategy(s)).total_cost
+        assert cost == 2.5 + 1.0     # computed at node 1 at weight 2.5, one result hop
+        assert compute_flows(again, init_strategy(again)).total_cost == cost
+
     def test_immutable_after_construction(self, e1):
         import dataclasses
 

@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, LoopDetected, Scenario, TooLarge, build_scenario,
-                       check_sufficient, compute_flows, enumerate_bruteforce, modified_marginals,
-                       run_gp, solve_flow_domain, strategy_from_flows, table_row,
-                       traffic_marginals, validate_strategy)
+from chainflow import (GpConfig, LoopDetected, NotConverged, Scenario, TooLarge,
+                       build_scenario, check_sufficient, compute_flows, enumerate_bruteforce,
+                       modified_marginals, run_gp, solve_flow_domain, strategy_from_flows,
+                       table_row, traffic_marginals, validate_strategy)
 from chainflow.flows import compiled
 from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
                               _extract_path, _greedy_start, _rebuild, _sparse_line_search,
@@ -34,6 +34,18 @@ class TestSolveFlowDomain:
         assert res.gap <= 1e-6 * max(1.0, res.total_cost)
         assert res.gap_trace[-1] == res.gap
 
+    def test_iteration_budget(self):
+        # two iterations do not reach tol 1e-10 on this tight draw (it needs 6)
+        s = random_scenario(1, n=8, num_apps=2, K=2, link_bound=15.0, comp_bound=10.0)
+        with pytest.raises(NotConverged, match="after 2 iterations"):
+            solve_flow_domain(s, tol=1e-10, max_iters=2)
+        res = solve_flow_domain(s, tol=1e-10, max_iters=2, strict=False)
+        assert not res.converged and res.iterations == 2
+        assert len(res.cost_trace) == len(res.gap_trace) == 2
+        assert res.total_cost == res.cost_trace[-1]
+        assert res.gap == res.gap_trace[-1] > 1e-10 * res.total_cost
+        assert flow_cost(s, res.flows) <= res.total_cost
+
     def test_cost_trace_nonincreasing(self):
         s = random_scenario(6, n=7, num_apps=2, K=2)
         res = solve_flow_domain(s, tol=1e-6)
@@ -42,21 +54,28 @@ class TestSolveFlowDomain:
 
 
 class TestFlowVector:
-    @pytest.mark.parametrize("kind", ["link", "cpu"])
+    @pytest.mark.parametrize("kind", ["link", "cpu", "absent link"])
     def test_misshaped_blocks_refused(self, kind):
-        # one extra zero column or entry per block must not be read by position
+        # one extra zero column or entry per block must not be read by
+        # position, and flow on a link the scenario lacks must not vanish
         s = random_scenario(1, n=6, num_apps=2, K=1)
         res = solve_flow_domain(s, tol=1e-6)
         links, cpus = dict(res.flows.link_flows), dict(res.flows.cpu_flows)
+        refusal = "block has shape"
         if kind == "link":
             links = {key: np.pad(block, ((0, 0), (0, 1))) for key, block in links.items()}
-        else:
+        elif kind == "cpu":
             cpus = {key: np.append(block, 0.0) for key, block in cpus.items()}
+        else:
+            links = {key: block.copy() for key, block in links.items()}
+            u, v = next((u, v) for u, v in np.argwhere(~compiled(s).adj) if u != v)
+            links[next(iter(links))][u, v] = 5.0
+            refusal = "which the scenario lacks"
         fv = FlowVector(res.flows.nodes, links, cpus)
         first = next(iter(links))
         with pytest.raises(ValueError, match=re.escape(f"stage {first!r}")):
             flow_cost(s, fv)
-        with pytest.raises(ValueError, match="block has shape"):
+        with pytest.raises(ValueError, match=refusal):
             strategy_from_flows(s, fv)
 
 
@@ -91,7 +110,7 @@ class TestLineSearches:
             Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
             for (app, src, rate), atoms in registry.items():
                 _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
-                target = _extract_path(app, succ, src)
+                target = _extract_path(succ, src)
                 for worst in atoms:
                     ef, eg = _delta_entries(comp, app, target, worst)
                     ef = {e: rate * d for e, d in ef.items()}
@@ -183,7 +202,7 @@ class TestCheapestExtendedPaths:
                         assert dist[0, src] == np.inf and succ[0, src] == -3
                         continue
                     assert dist[0, src] == pytest.approx(best, rel=1e-12, abs=0.0)
-                    path = _extract_path(app, succ, src)
+                    path = _extract_path(succ, src)
                     assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(best, rel=1e-12)
 
 
@@ -215,7 +234,7 @@ class TestCheapestExtendedPaths:
                 assert np.array_equal(dist, layered_dijkstra(comp, link_w, seeds, cpu_w))
                 assert (succ[np.isinf(dist)] == -3).all()
                 for src in np.flatnonzero(np.isfinite(dist[0])):
-                    path = _extract_path(app, succ, src)
+                    path = _extract_path(succ, src)
                     assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(dist[0, src],
                                                                                 rel=1e-12)
 
@@ -240,7 +259,7 @@ class TestCheapestExtendedPaths:
                         v = succ[app.K, v]
                     assert v == app.dest
                 for src in range(comp.n):
-                    path = _extract_path(app, succ, src)
+                    path = _extract_path(succ, src)
                     assert path_cost(comp, app, path, Dp, Cp) == pytest.approx(dist[0, src],
                                                                                 rel=1e-12)
 

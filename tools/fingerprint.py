@@ -83,7 +83,7 @@ def checked_gp(tag, s):
     res = run_gp(s, config=GpConfig(**GP, on_iterate=keep_start))
     checker_lines(f"{tag} slot 0", s, starts[0])
     checker_lines(f"{tag} final", s, res.phi)
-    print(tag, "residual", repr(max_conservation_residual(s, res.phi, res.state)))
+    print(tag, "residual", repr(max_conservation_residual(s, res.state)))
     return res
 
 
@@ -257,8 +257,8 @@ def random_checks():
             try:
                 checker_lines(tag, s, phi)
                 print(tag, "residual", repr(max_conservation_residual(
-                    s, phi, compute_flows(s, phi))), repr(max_conservation_residual(
-                        s, phi, compute_flows(s, phi, rates=rates), rates=rates)))
+                    s, compute_flows(s, phi))), repr(max_conservation_residual(
+                        s, compute_flows(s, phi, rates=rates), rates=rates)))
             except ChainflowError as err:
                 print(tag, "raised", type(err).__name__)
             print(tag, "valid", repr(validate_strategy(s, phi)))
