@@ -52,7 +52,7 @@ class Segments:
     """Rows of an array laid out in column segments: segment i starts at
     column seg[i] and runs up to the next one, and dnode[j] is the segment
     of column j (the node, on the compiled scenario). Segments are never
-    empty.
+    empty; segment i has width[i] columns.
 
     Per-segment sums are np.add.reduceat. Per-segment minima (what
     np.minimum.reduceat gives) and argmins go through `pad`, an (segments,
@@ -64,7 +64,7 @@ class Segments:
 
     def __init__(self, seg, size: int):
         self.seg = seg
-        length = np.diff(seg, append=size)
+        length = self.width = np.diff(seg, append=size)
         self.dnode = np.repeat(np.arange(len(seg)), length)
         pad = seg[:, None] + np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1)
         self.pad = pad if pad.size <= 4 * size else None
@@ -72,6 +72,17 @@ class Segments:
     def row_sum(self, a):
         """Per-segment sums of the rows of a."""
         return np.add.reduceat(a, self.seg, axis=1)
+
+    def spans(self, rows, segs):
+        """(flat, starts): the flat indices into a C-ordered array of rows
+        of every column of segment segs[j] of row rows[j], span after span,
+        and where each span starts in `flat`. np.add.reduceat over `starts`
+        of values gathered through `flat` adds each segment's columns in
+        their order, so its sums round as row_sum's."""
+        width = self.width[segs]
+        starts = np.cumsum(width) - width
+        offset = rows * len(self.dnode) + self.seg[segs] - starts
+        return np.repeat(offset, width) + np.arange(width.sum()), starts
 
     def row_min(self, a):
         """Per-segment minima of the rows of a."""
@@ -103,11 +114,11 @@ class _Compiled(Segments):
     `toward[p]` the node that direction p leads to, -1 on CPU columns.
     Stage s is keys[s], every stage of every application on one axis; the
     per-stage arrays give its packet size L, the workloads w of its task
-    (inf at final stages and where the task cannot run), its input rates
-    r, its application's destination, the previous and next stage of its
-    application (-1 at the ends), its position k in the chain, and which
-    rows must sum to one (`active`: all but the destination's final-stage
-    row). `apps` holds each application's slice of the stages.
+    (inf at final stages and where the task cannot run: `cannot_run`), its
+    input rates r, its application's destination, the previous and next
+    stage of its application (-1 at the ends), its position k in the chain,
+    and which rows must sum to one (`active`: all but the destination's
+    final-stage row). `apps` holds each application's slice of the stages.
     """
 
     def __init__(self, scenario: Scenario):
@@ -160,6 +171,7 @@ class _Compiled(Segments):
         self.stage_index = {key: s for s, key in enumerate(self.keys)}
         self.L = np.array(L, dtype=float)
         self.w = np.concatenate(w) if w else np.empty((0, n))
+        self.cannot_run = ~np.isfinite(self.w)
         self.dest = np.array(dest, dtype=int)
         self.prev, self.next = np.array(prev, dtype=int), np.array(nxt, dtype=int)
         self.k = np.array([k for _, k in self.keys], dtype=int)
@@ -233,6 +245,12 @@ class _Compiled(Segments):
             return self.active
         return self.active & np.array([bool(row_filter(key)) for key in self.keys])[:, None]
 
+    def on_directions(self, a) -> np.ndarray:
+        """The per-edge values a on an (n+E,) direction row, 0 on CPU columns."""
+        row = np.zeros(self.n + self.E)
+        row[self.edge_pos] = a
+        return row
+
     def inputs(self, rates=None) -> np.ndarray:
         """(S, n) exogenous input rates: the scenario's, or those given as
         {(node, app_id): rate}."""
@@ -250,7 +268,7 @@ class _Compiled(Segments):
         where the stage's task cannot run, final stages included."""
         F = (self.L[:, None] * fe).sum(axis=0)
         on = g > 0
-        cannot = (on & ~np.isfinite(self.w)).any(axis=1)
+        cannot = (on & self.cannot_run).any(axis=1)
         if cannot.any():
             raise CapacityExceeded(f"stage {self.keys[np.argmax(cannot)]} sends flow to a CPU "
                                    "that cannot run the task")
@@ -289,13 +307,13 @@ class _Compiled(Segments):
         self.point(X, s, i, succ[s, i])
         return X
 
-    def peel(self, X) -> "StageLevels":
-        """The levels of the direction fractions X, cyclic stages included.
+    def peel(self, xe) -> "StageLevels":
+        """The levels of the (S, E) edge fractions xe, X[:, edge_pos] of
+        direction fractions X, cyclic stages included.
 
-        The levels depend on X only through its support: the last support
+        The levels depend on xe only through its support: the last support
         peeled and its levels are kept, and a repeated support gets them
-        back with X's fractions read through `pos`."""
-        xe = X[:, self.edge_pos]
+        back with xe's fractions read through `pos`."""
         support = xe > 0
         if self._peeled is not None and np.array_equal(self._peeled[0], support):
             return self._peeled[1].reread(xe)
@@ -588,7 +606,7 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     outside = (X < -tol) | (X > 1 + tol)
     sums = comp.row_sum(X)
     want = comp.active.astype(float)
-    bad_cpu = (X[:, comp.seg] > tol) & ~np.isfinite(comp.w)
+    bad_cpu = (X[:, comp.seg] > tol) & comp.cannot_run
     out = []
     for s, key in enumerate(comp.keys):
         if key in misshaped:
@@ -708,15 +726,16 @@ class StageLevels:
         return flag.reshape(self.S, self.n)
 
 
-def stage_levels(comp: _Compiled, X) -> StageLevels:
-    """The levels of every stage of the direction fractions X on `comp`.
+def stage_levels(comp: _Compiled, xe) -> StageLevels:
+    """The levels of every stage of the edge fractions xe on `comp`, the
+    columns X[:, comp.edge_pos] of direction fractions X.
 
     This is the one loop check: it raises LoopDetected naming the first
     stage, in stage order, whose support has a cycle. Flow propagation, the
     marginal recursion, hop metrics, strategy_from_flows and the blocked
     flags all solve along these levels.
     """
-    levels = comp.peel(X)
+    levels = comp.peel(xe)
     if levels.cyclic.size:
         raise LoopDetected(f"stage {comp.keys[levels.cyclic[0]]} has a cyclic support")
     return levels
@@ -733,9 +752,7 @@ def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None)
     solved and may change that position's rows of lam before the position
     below reads them.
     """
-    link = np.zeros_like(X)
-    link[:, comp.edge_pos] = X[:, comp.edge_pos] * (comp.L[:, None] * Dp)
-    link = comp.row_sum(link)
+    link = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
     c0 = X[:, comp.seg]
     lam = np.zeros_like(link)
     for k in reversed(range(len(comp.groups))):
@@ -864,7 +881,8 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     """
     comp = compiled(scenario)
     X = phi.fractions(comp)
-    levels = stage_levels(comp, X)
+    xe = X[:, comp.edge_pos]
+    levels = stage_levels(comp, xe)
     t = comp.inputs(rates).copy()
     for (node, stage), rate in (extra_injections or {}).items():
         if stage in comp.stage_index:
@@ -878,7 +896,7 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
     if np.any(t < 0):
         raise ValueError("negative traffic (bad injections?)")
     g = t * c0
-    fe = t[:, comp.src] * X[:, comp.edge_pos]
+    fe = t[:, comp.src] * xe
     F, G = comp.totals(fe, g)
     total = comp.cost_total(F, G)
     return FlowState(comp, t, g, fe, F, G, total, levels)

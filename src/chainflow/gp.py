@@ -71,10 +71,14 @@ class UpdatePlan:
     marginals d, the (S, E) link flags of its blocked sets and the rows to
     update: blocked directions (flagged and massless), each row's smallest
     available marginal, each direction's gap e above it, the minimal
-    directions (within the tie tolerance) and the rows that move. Only the
-    entries of moving rows that carry mass or are minimal can change, so
-    the plan keeps those, by flat index, and `apply` moves just them for a
-    stepsize.
+    directions (within the tie tolerance) and the rows that move. A row
+    with no mass off its minimal directions loses nothing and gains
+    nothing, so the update only renormalizes it, which leaves it as it is
+    when it sums to exactly 1. The plan keeps the other rows: those with
+    mass on a non-minimal direction and those whose sum is not exactly 1.
+    It holds every column of their segments, one span per row
+    (`Segments.spans`), so that its row sums round as row_sum's on whole
+    rows, and `apply` moves just these entries for a stepsize.
     """
 
     def __init__(self, comp, X, d, flagged, row_mask):
@@ -84,36 +88,37 @@ class UpdatePlan:
         avail = ~B & np.isfinite(d)
         with np.errstate(invalid="ignore"):
             dmin = comp.row_min(np.where(avail, d, np.inf))
-            rows = row_mask & np.isfinite(dmin)
-            e = np.maximum(d - dmin[:, comp.dnode], 0.0)
+            gap = d - dmin[:, comp.dnode]
             tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
-            minimal = avail & (e <= tie)
-        self.comp, self.X = comp, X
-        self.idx = np.flatnonzero(rows[:, comp.dnode] & (minimal | (X != 0.0)))
-        self.x, self.e = X.reshape(-1)[self.idx], e.reshape(-1)[self.idx]
-        self.minimal = minimal.reshape(-1)[self.idx]
-        s, p = np.divmod(self.idx, X.shape[1])
-        self.row = s * comp.n + comp.dnode[p]
-        self.count = np.bincount(self.row[self.minimal], minlength=rows.size)[self.row]
-        self.buf = np.zeros(X.shape)      # zero off the entries
+            minimal = avail & (gap <= tie)
+        moves = (X != 0.0) & ~minimal
+        # a moving entry makes its row's sum nan, which is not 1 either
+        keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
+        s, i = np.nonzero(keep & row_mask & np.isfinite(dmin))
+        self.X = X
+        self.flat, self.starts = comp.spans(s, i)
+        self.width, self.x = comp.width[i], X.take(self.flat)
+        self.minimal, self.moves = minimal.take(self.flat), moves.take(self.flat)
+        self.e = np.where(self.moves, np.maximum(gap.take(self.flat), 0.0), 0.0)
+        self.count = np.add.reduceat(self.minimal, self.starts, dtype=int)
 
     def row_sums(self, v) -> np.ndarray:
-        """Each entry's row sum of the values v on the entries, zero
-        elsewhere: row_sum itself, so the sums round as for full rows."""
-        self.buf.reshape(-1)[self.idx] = v
-        return self.comp.row_sum(self.buf).reshape(-1)[self.row]
+        """The row sums of the values v on the plan's entries, one per kept
+        row, added as row_sum adds whole rows."""
+        return np.add.reduceat(v, self.starts)
 
     def apply(self, alpha: float) -> np.ndarray:
         """The next fractions at stepsize alpha: each entry with gap e loses
         min(x, alpha * e), its row's minimal entries share what the row lost
         equally, and the row is renormalized."""
-        red = np.where(self.minimal, 0.0, np.minimum(self.x, alpha * self.e))
+        red = np.where(self.moves, np.minimum(self.x, alpha * self.e), 0.0)
         new = self.x - red
-        new += self.minimal * (self.row_sums(red) / self.count)
+        give = np.repeat(self.row_sums(red) / self.count, self.width)
+        np.add(new, give, out=new, where=self.minimal)
         total = self.row_sums(new)
-        new /= np.where(total > 0, total, 1.0)
+        new /= np.repeat(np.where(total > 0, total, 1.0), self.width)
         out = self.X.copy()
-        out.reshape(-1)[self.idx] = new
+        np.put(out, self.flat, new)
         return out
 
 
@@ -343,7 +348,7 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     renew = ((so < 0)[:, None] | (oi < 0)[None, :] | (freed > 0) & ~moved) & new.active
     if renew.any():
         X = np.where(renew[:, new.dnode], tree_fractions(new), X)
-    cyclic = new.peel(X).cyclic
+    cyclic = new.peel(X[:, new.edge_pos]).cyclic
     if cyclic.size:
         X[cyclic] = tree_fractions(new)[cyclic]
     return Strategy._stacked(new, X)

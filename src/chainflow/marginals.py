@@ -51,12 +51,12 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
     """
     comp = compiled(scenario)
     lam = comp.pack(marginals, "node")
-    Dp, Cp = state.link_marginals, state.cpu_marginals
-    d = np.empty((len(comp.keys), comp.n + comp.E))
-    d[:, comp.edge_pos] = comp.L[:, None] * Dp + lam[:, comp.dst]
+    # the CPU columns read node -1 through toward until they are overwritten
+    d = comp.L[:, None] * comp.on_directions(state.link_marginals) + lam[:, comp.toward]
     # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, comp.seg] = np.where(np.isfinite(comp.w), comp.w * Cp + lam[comp.next], np.inf)
+        d[:, comp.seg] = np.where(comp.cannot_run, np.inf,
+                                  comp.w * state.cpu_marginals + lam[comp.next])
     return comp.view(d, "direction", np.inf)
 
 
@@ -105,7 +105,8 @@ def blocked_sets(scenario: Scenario, phi: Strategy, marginals: dict,
     lam = comp.pack(marginals, "node")
     slack = _BLOCK_REL * np.maximum(1.0, np.abs(lam))
     higher = lam[:, comp.dst] > (lam + slack)[:, comp.src]
-    levels = state.levels if state is not None else stage_levels(comp, phi.fractions(comp))
+    levels = (state.levels if state is not None
+              else stage_levels(comp, phi.fractions(comp)[:, comp.edge_pos]))
     flag = levels.flags(higher)
     masks = comp.view(higher | flag[:, comp.dst], "edge", True)
     return BlockedSets(nodes=comp.nodes, masks=masks)

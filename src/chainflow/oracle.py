@@ -317,12 +317,15 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     `app_link_masks` optionally restricts each application's admissible links
     (boolean (n, n) per app id). Raises NoFeasibleStrategy when no finite-cost
     loading exists and NotConverged when the iteration budget runs out
-    (strict=False returns the best iterate instead).
+    (strict=False returns the last iterate evaluated instead, with its cost
+    and gap) or allows no iteration.
     """
     comp = compiled(scenario)
     registry = {block: {} for block in _blocks(comp)}
     if not registry:
         return OracleResult(0.0, _zero_flows(comp), 0.0, True, 0)
+    if max_iters < 1:
+        raise NotConverged(f"flow-domain solver: max_iters {max_iters} allows no iteration")
     fv = _greedy_start(comp, registry, app_link_masks)
     links = comp.links
     cost_trace, gap_trace = [], []
@@ -349,6 +352,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         gap_trace.append(gap)
         if gap <= tol * max(1.0, abs(T)):
             return OracleResult(T, fv, gap, True, it, cost_trace, gap_trace)
+        if it == max_iters - 1:
+            break       # budget spent: no step that would go unevaluated
 
         # classic conditional-gradient step toward the all-best-paths vertex
         sF, sG = _totals(comp, _rebuild(comp, {block: {path: 1.0}
@@ -594,5 +599,5 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector) -> Strategy:
         comp.point(X, group[r], i, choice[r, i])
         lam[group[r], i] = dist[r, i]
 
-    marginal_sweep(comp, X, Dp, Cp, stage_levels(comp, X), settle)
+    marginal_sweep(comp, X, Dp, Cp, stage_levels(comp, X[:, comp.edge_pos]), settle)
     return Strategy._stacked(comp, X)

@@ -451,9 +451,9 @@ class TestLevelMemo:
         s = random_scenario(seed)
         comp = compiled(s)
         X = random_loopfree_strategy(s, seed).fractions(comp)
-        first = comp.peel(X)
+        first = comp.peel(X[:, comp.edge_pos])
         Y = X * np.random.default_rng(seed).uniform(0.5, 1.5, X.shape)
-        again = comp.peel(Y)
+        again = comp.peel(Y[:, comp.edge_pos])
         assert again.level is first.level           # the memo served it
         self.assert_same(again, self.fresh(comp, Y))
         self.assert_same(first, self.fresh(comp, X))
@@ -463,14 +463,14 @@ class TestLevelMemo:
         s = random_scenario(seed)
         comp = compiled(s)
         X = random_loopfree_strategy(s, seed).fractions(comp)
-        first = comp.peel(X)
+        first = comp.peel(X[:, comp.edge_pos])
         other = random_loopfree_strategy(s, seed + 10).fractions(comp)
         assert not np.array_equal(other[:, comp.edge_pos] > 0, X[:, comp.edge_pos] > 0)
         fewer = X.copy()                        # one support link fewer
         stage, e = np.argwhere(X[:, comp.edge_pos] > 0)[0]
         fewer[stage, comp.edge_pos[e]] = 0.0
         for Y in (other, fewer):
-            levels = comp.peel(Y)
+            levels = comp.peel(Y[:, comp.edge_pos])
             assert levels.level is not first.level
             self.assert_same(levels, self.fresh(comp, Y))
 
@@ -489,7 +489,8 @@ class TestLevelMemo:
         for _ in range(2):      # the second call finds the cyclic support kept
             with pytest.raises(LoopDetected, match=re.escape(f"stage {key!r} has")):
                 compute_flows(s, phi)
-        assert comp.peel(phi.fractions(comp)).cyclic.tolist() == [comp.stage_index[key]]
+        xe = phi.fractions(comp)[:, comp.edge_pos]
+        assert comp.peel(xe).cyclic.tolist() == [comp.stage_index[key]]
 
     def test_rate_copy_evaluates_as_fresh_compile(self):
         # a with_rates copy shares the compiled scenario, its kept levels

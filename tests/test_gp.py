@@ -3,12 +3,12 @@ import pytest
 
 from chainflow import (AlphaFair, GpConfig, Strategy, adapt, check_sufficient, compute_flows,
                        detect_loops, extend_scenario, gp, gp_step, run_gp, validate_strategy)
-from chainflow.flows import compiled
+from chainflow.flows import compiled, tree_fractions
 from chainflow.gp import update_plan
 from chainflow.marginals import (blocked_sets, modified_marginals, slot_tables,
                                  traffic_marginals)
 
-from conftest import make_strategy, random_loopfree_strategy, random_scenario
+from conftest import hub_scenario, make_strategy, random_loopfree_strategy, random_scenario
 
 
 def _single_row_case(alpha, deltas, fractions, blocked_to=None):
@@ -160,6 +160,57 @@ class TestUpdatePlan:
         admit = {pair: 0.4 for pair in ext.pairs}
         state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
         self.assert_plan_matches(ext.base, phi, slot_tables(ext.base, phi, state))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hub_row_wider_than_eight(self, seed):
+        # reduceat adds a segment of more than 8 columns in 8 interleaved
+        # partial sums, so the plan's row sums must see every column of the
+        # hub's row in its place
+        s = hub_scenario(seed)
+        comp = compiled(s)
+        X = tree_fractions(comp)
+        # the hub spreads its first stage over every second one of its
+        # neighbors that run the task themselves, so that zeros lie between
+        stage = comp.stage_index[(s.applications[0].id, 0)]
+        cols = np.arange(comp.seg[0] + 1, comp.seg[1])
+        spread = cols[X[stage, comp.seg[comp.toward[cols]]] == 1.0][::2]
+        weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=spread.size)
+        X[stage, comp.seg[0]:comp.seg[1]] = 0.0
+        X[stage, spread] = weights / weights.sum()
+        assert spread.size > 8
+        phi = Strategy._stacked(comp, X)
+        self.assert_plan_matches(s, phi, slot_tables(s, phi))
+
+    @pytest.mark.parametrize("off", [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+    def test_still_row_an_ulp_off_one_is_renormalized(self, off):
+        # a row whose mass sits whole on a minimal direction does not move,
+        # but the update renormalizes it all the same
+        s = random_scenario(0)
+        comp = compiled(s)
+        phi = random_loopfree_strategy(s, 0)
+        X = phi.fractions(comp).copy()
+        d = comp.pack(slot_tables(s, phi)[2], "direction")
+        still = (X == 1.0) & (d == comp.row_min(d)[:, comp.dnode]) & comp.active[:, comp.dnode]
+        k, p = np.argwhere(still)[0]
+        X[k, p] = off
+        phi = Strategy._stacked(comp, X)
+        state, _, delta, blocked = tables = slot_tables(s, phi)
+        self.assert_plan_matches(s, phi, tables)
+        got = update_plan(comp, phi, delta, blocked).apply(0.1)
+        assert got[k, p] == 1.0
+
+    def test_converged_strategy_gets_an_empty_plan(self, e1, e1_strategy_a):
+        # every row sums to exactly 1 and holds mass only on minimal
+        # directions: nothing can change
+        comp = compiled(e1)
+        phi = Strategy._stacked(comp, e1_strategy_a.fractions(comp))
+        X = phi.fractions(comp)
+        assert np.array_equal(comp.row_sum(X), comp.active.astype(float))
+        _, _, delta, blocked = slot_tables(e1, phi)
+        plan = update_plan(comp, phi, delta, blocked)
+        assert plan.flat.size == 0
+        for alpha in (0.2, 3.2):
+            assert np.array_equal(plan.apply(alpha), X)
 
     def test_other_filter_or_edited_table_gets_a_new_plan(self):
         s = random_scenario(0)

@@ -44,7 +44,11 @@ class TestSolveFlowDomain:
         assert len(res.cost_trace) == len(res.gap_trace) == 2
         assert res.total_cost == res.cost_trace[-1]
         assert res.gap == res.gap_trace[-1] > 1e-10 * res.total_cost
-        assert flow_cost(s, res.flows) <= res.total_cost
+        # the flows returned are the ones whose cost and gap were evaluated
+        assert flow_cost(s, res.flows) == res.total_cost
+        for strict in (True, False):
+            with pytest.raises(NotConverged, match="allows no iteration"):
+                solve_flow_domain(s, tol=1e-10, max_iters=0, strict=strict)
 
     def test_cost_trace_nonincreasing(self):
         s = random_scenario(6, n=7, num_apps=2, K=2)
