@@ -18,7 +18,7 @@ from .errors import CapacityExceeded, LocalComputationInfeasible, NoFeasibleStra
 from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, run_gp
 from .network import Scenario
-from .oracle import solve_flow_domain, strategy_from_flows
+from .oracle import _extract_path, cheapest_extended_paths, solve_flow_domain, strategy_from_flows
 
 
 @dataclass
@@ -92,48 +92,38 @@ def lpr_sc(scenario: Scenario) -> BaselineResult:
 
     Per application, one computation node per task is chosen by minimizing a
     linear, congestion-blind estimate: zero-flow link marginals along
-    shortest paths for every chain segment plus w * C'(0) per task. Routing
+    shortest paths for every chain segment plus w * C'(0) per task, which
+    after the first task is a cheapest extended path of the oracle. Routing
     is integral along those shortest paths. The resulting plan is evaluated
     with the true nonlinear costs; a blown capacity is reported as an
     infinite-cost result.
     """
     comp = compiled(scenario)
     Cp0 = comp.cpus.deriv(np.zeros(comp.n))
-    n = comp.n
     # zero-flow trees to every node: dist_to[u, v] is the cost u -> v
-    dist_to, succ_to = (a.T for a in comp.zero_flow_tree(np.eye(n, dtype=bool)))
+    dist_to, succ_to = (a.T for a in comp.zero_flow_tree(np.eye(comp.n, dtype=bool)))
+    # per-packet estimate from every (stage, node) on: cheapest extended paths
+    togo, succ = cheapest_extended_paths(comp, None, comp.zero_flow_metric, Cp0)
     # integral routing: stage k of an application heads for the node that
     # runs task k+1 and computes there, its final stage for the destination
     target = comp.dest.copy()
     for app in comp.apps:
-        rate_total = float(app.r.sum())
         if app.K == 0:
             continue
-        # DP over task placements; layer k holds the best cost of finishing
-        # tasks 1..k+1 with task k+1 at node v
-        def task_cost(k):
-            with np.errstate(invalid="ignore"):
-                return np.where(np.isfinite(app.w[:, k]),
-                                app.w[:, k] * Cp0, np.inf) * rate_total
-
-        data = np.zeros(n)
+        s0, rate_total = app.s0, float(app.r.sum())
+        # the first site gathers every source's data, the later ones follow
+        # the cheapest extended path from there
+        first = np.zeros(comp.n)
         for s in np.flatnonzero(app.r > 0):
-            data += app.r[s] * app.L[0] * dist_to[s, :]
-        best = data + task_cost(0)
-        back = np.full((app.K, n), -1, dtype=int)
-        for k in range(1, app.K):
-            hop = rate_total * app.L[k] * dist_to   # (u, v)
-            cand = best[:, None] + hop
-            back[k] = np.argmin(cand, axis=0)
-            best = cand[back[k], np.arange(n)] + task_cost(k)
-        final = best + rate_total * app.L[app.K] * dist_to[:, app.dest]
-        if not np.isfinite(final).any():
+            first += app.r[s] * app.L[0] * dist_to[s, :]
+        with np.errstate(invalid="ignore"):
+            first += np.where(comp.cannot_run[s0], np.inf, app.w[:, 0] * Cp0) * rate_total
+        first += rate_total * togo[s0 + 1]
+        if not np.isfinite(first).any():
             raise NoFeasibleStrategy(f"no placement can run the chain of {app.id}")
-        sites = [int(np.argmin(final))]
-        for k in range(app.K - 1, 0, -1):
-            sites.append(int(back[k][sites[-1]]))
-        sites.reverse()   # sites[k] hosts task k+1
-        target[app.s0:app.s0 + app.K] = sites
+        site = int(np.argmin(first))
+        path = _extract_path(succ[s0 + 1:s0 + app.K + 1], site)
+        target[s0:s0 + app.K] = [site] + [step[2] for step in path if step[0] == "C"]
     phi = Strategy._stacked(comp, comp.trees(succ_to[:, target].T))
     try:
         state = compute_flows(scenario, phi)

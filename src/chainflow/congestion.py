@@ -192,10 +192,11 @@ def _virtual_deltas(ext, marginals, admit):
     cost of its first data stage and the marginal utility at its admitted
     rate."""
     comp = compiled(ext.base)
+    lam = comp.pack(marginals, "node")
     out = {}
     for pair in ext.pairs:
         node, app_id = pair
-        lam0 = marginals[(app_id, 0)][comp.index[node]]
+        lam0 = lam[comp.stage_index[(app_id, 0)], comp.index[node]]
         uprime = utility_prime(ext.utilities[pair], ext.caps[pair] * admit.get(pair, 0.0))
         out[pair] = (float(lam0), float(uprime))
     return out

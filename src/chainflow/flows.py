@@ -411,21 +411,19 @@ class DenseView(Mapping):
     """{(app_id, k): dense block} over a stacked (S, ...) array, of one of
     the kinds of _Compiled.view.
 
-    Each block is built on first access and kept, so edits to it persist;
-    `stacked()` returns the stacked array with those edits read back.
+    Each access builds a read-only snapshot of the stage's block, so an
+    edit raises ValueError instead of changing nothing; `stacked()` returns
+    the stacked array itself.
     """
 
     def __init__(self, comp: _Compiled, a, kind: str, fill):
         self._comp, self._a, self._fill = comp, a, fill
         self._shape, self._flat = comp.kinds[kind]
-        self._blocks = {}
 
     def __getitem__(self, key):
-        block = self._blocks.get(key)
-        if block is None:
-            block = np.full(self._shape, self._fill, dtype=self._a.dtype)
-            block.ravel()[self._flat] = self._a[self._comp.stage_index[key]]
-            self._blocks[key] = block
+        block = np.full(self._shape, self._fill, dtype=self._a.dtype)
+        block.ravel()[self._flat] = self._a[self._comp.stage_index[key]]
+        block.flags.writeable = False
         return block
 
     def __iter__(self):
@@ -437,12 +435,7 @@ class DenseView(Mapping):
     def stacked(self, comp: _Compiled) -> np.ndarray:
         if not comp.same_as(self._comp):
             raise ValueError("table laid out for another scenario")
-        if not self._blocks:
-            return self._a
-        a = self._a.copy()
-        for key, block in self._blocks.items():
-            a[self._comp.stage_index[key]] = block.ravel()[self._flat]
-        return a
+        return self._a
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +476,8 @@ class Strategy:
     def rows(self) -> dict:
         if self._rows is None:
             comp, X = self._packed
-            self._rows, self._packed = dict(comp.view(X, "direction")), None
+            rows = {key: block.copy() for key, block in comp.view(X, "direction").items()}
+            self._rows, self._packed = rows, None
         return self._rows
 
     def fractions(self, comp: _Compiled) -> np.ndarray:
@@ -679,13 +673,9 @@ class StageLevels:
         levels.x = xe.reshape(-1)[self.pos]
         return levels
 
-    def _levels(self, k, keep_stage=None):
-        """Index sets of group k's support edges, one per level, increasing."""
+    def _levels(self, k):
+        """Slices of group k's support edges, one per level, increasing."""
         cuts = self.cuts[k]
-        if keep_stage is not None:
-            idx = cuts[0] + np.flatnonzero(keep_stage[self.src[cuts[0]:cuts[-1]] // self.n])
-            c = np.searchsorted(idx, cuts)
-            return [idx[a:b] for a, b in zip(c[:-1], c[1:]) if b > a]
         return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
     def solve(self, x, k, forward: bool):
@@ -693,14 +683,13 @@ class StageLevels:
 
         x is (S, n) and holds b on entry. A is each stage's link-fraction
         matrix P (the reverse marginal recursion x_i = b_i + sum_j P_ij x_j)
-        or, with `forward`, its transpose (flow propagation). Stages whose b
-        is all zero solve to exact zeros and are skipped.
+        or, with `forward`, its transpose (flow propagation). A position
+        whose b is all zero solves to exact zeros and is skipped; otherwise
+        every stage there is solved, its zero stages adding exact zeros.
         """
-        mine = self.group == k
-        nonzero = x.any(axis=1)
-        if not nonzero[mine].any():
+        if not x[self.group == k].any():
             return
-        parts = self._levels(k, None if nonzero[mine].all() else nonzero)
+        parts = self._levels(k)
         xf = x.reshape(-1)
         if forward:
             for part in reversed(parts):

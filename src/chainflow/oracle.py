@@ -34,9 +34,9 @@ class FlowVector:
     k) to its (n, n) link flows and `cpu_flows` to its (n,) CPU flows.
 
     The oracle's flow vectors hold the (S, E) link and (S, n) CPU flows of
-    the stage stack; the maps are views, blocks built on access and edits
-    read back. Dense dicts given to the constructor are packed on every
-    engine use, as a dense Strategy's rows are."""
+    the stage stack; the maps are views whose blocks are read-only
+    snapshots built on access. Dense dicts given to the constructor are
+    packed on every engine use, as a dense Strategy's rows are."""
 
     def __init__(self, nodes, link_flows, cpu_flows):
         self.nodes = tuple(nodes)
@@ -48,9 +48,9 @@ class FlowVector:
 
     def arrays(self, comp):
         """(S, E) link flows and (S, n) CPU flows on the compiled scenario
-        comp: the oracle's own arrays, which it edits in place, until a view
-        block is built. Raises ValueError for flows on other nodes, with a
-        misshaped block or on a link the scenario lacks."""
+        comp: the oracle's own arrays, which it edits in place. Raises
+        ValueError for flows on other nodes, with a misshaped block or on a
+        link the scenario lacks."""
         if self.nodes != comp.nodes:
             raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {comp.nodes!r}")
         fe = comp.pack(self.link_flows, "edge")

@@ -1,9 +1,11 @@
+import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, LocalComputationInfeasible, lcof, lpr_sc,
+from chainflow import (GpConfig, LocalComputationInfeasible, eval_cost_prime, lcof, lpr_sc,
                        run_gp, spoc, validate_strategy)
 from chainflow.baselines import BASELINES
 
@@ -92,6 +94,38 @@ class TestLprSc:
             s = random_scenario(seed)
             res = lpr_sc(s)
             assert validate_strategy(s, res.phi) == []
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_sites_minimize_the_linear_estimate(self, K):
+        # reference: the estimate of every one of the n^K site tuples, on
+        # networkx's zero-flow distances; a tie may pick either tuple, so
+        # estimates are compared, not sites
+        for seed in range(6):
+            s = random_scenario(seed, n=6, num_apps=2, K=K,
+                                packet_sizes=(4.0, 1.5, 2.5, 1.0)[:K + 1])
+            g = nx.DiGraph()
+            g.add_weighted_edges_from((u, v, eval_cost_prime(c, 0.0))
+                                      for (u, v), c in s.link_costs.items() if c is not None)
+            dist = dict(nx.all_pairs_dijkstra_path_length(g))
+            res = lpr_sc(s)
+            for app in s.applications:
+                rates = {v: r for (v, a), r in s.input_rates.items() if a == app.id and r > 0}
+                R, L = sum(rates.values()), app.packet_sizes
+
+                def estimate(sites):
+                    est = sum(r * L[0] * dist[v][sites[0]] for v, r in rates.items())
+                    for k, v in enumerate(sites):
+                        cpu = s.comp_costs[v]
+                        est += R * (math.inf if cpu is None
+                                    else app.weight(v, k) * eval_cost_prime(cpu, 0.0))
+                        est += R * L[k + 1] * dist[v][(*sites, app.destination)[k + 1]]
+                    return est
+
+                picked = [s.graph.nodes[i] for k in range(K)
+                          for i in np.flatnonzero(res.phi.rows[(app.id, k)][:, 0] == 1.0)]
+                assert len(picked) == K
+                best = min(map(estimate, itertools.product(s.graph.nodes, repeat=K)))
+                assert estimate(picked) == pytest.approx(best, rel=1e-12, abs=0)
 
 
 class TestDominance:

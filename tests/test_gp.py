@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from chainflow import (AlphaFair, GpConfig, Strategy, adapt, check_sufficient, compute_flows,
-                       detect_loops, extend_scenario, gp, gp_step, run_gp, validate_strategy)
+from chainflow import (AlphaFair, Application, GpConfig, Graph, Linear, NoFeasibleStrategy,
+                       Queue, Scenario, Strategy, adapt, check_sufficient, compute_flows,
+                       detect_loops, extend_scenario, feasible_start, gp, gp_step, run_gp,
+                       solve_flow_domain, validate_strategy)
 from chainflow.flows import compiled, tree_fractions
 from chainflow.gp import update_plan
 from chainflow.marginals import (blocked_sets, modified_marginals, slot_tables,
                                  traffic_marginals)
 
 from conftest import hub_scenario, make_strategy, random_loopfree_strategy, random_scenario
+
+
+def _editable(table):
+    """A plain-dict copy of a table of read-only view blocks, for editing."""
+    return {key: block.copy() for key, block in table.items()}
 
 
 def _single_row_case(alpha, deltas, fractions, blocked_to=None):
@@ -26,11 +33,12 @@ def _single_row_case(alpha, deltas, fractions, blocked_to=None):
                             (2, "a", 0): {1: 1.0}})
     state = compute_flows(s, phi)
     lam = traffic_marginals(s, phi, state)
-    delta = modified_marginals(s, state, lam)
+    delta = _editable(modified_marginals(s, state, lam))
     d = delta[("a", 0)]
     d[0, 2] = deltas[0]   # toward node 1
     d[0, 3] = deltas[1]   # toward node 2
     blocked = blocked_sets(s, phi, lam)
+    blocked.masks = _editable(blocked.masks)
     blocked.masks[("a", 0)][:] = False
     blocked.masks[("a", 0)][:, 0] = True  # self column unused anyway
     blocked.masks[("a", 0)][0, 0] = True
@@ -60,6 +68,7 @@ class TestGpStep:
         delta = modified_marginals(e1, state, lam)
         blocked = blocked_sets(e1, e1_strategy_b, lam)
         # force-block node 1's link (1,2) on the data stage
+        blocked.masks = _editable(blocked.masks)
         blocked.masks[("a", 0)][0, 1] = True
         nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05), state, delta, blocked)
         d = delta[("a", 0)][0]
@@ -221,7 +230,8 @@ class TestUpdatePlan:
         finals = {(app.id, app.chain_length) for app in s.applications}
         seen = []
         for row_filter in (None, lambda key: key in finals, None):
-            if len(seen) == 2:      # edit the modified marginals in place
+            if len(seen) == 2:      # an edited copy of the modified marginals
+                delta = _editable(delta)
                 delta[comp.keys[0]][:, 0] *= 0.5
             got = gp_step(s, phi, GpConfig(stepsize=0.2, row_filter=row_filter),
                           state, delta, blocked)
@@ -255,6 +265,27 @@ class TestRunGp:
         assert res.converged
         assert res.total_cost == pytest.approx(2.0, abs=1e-3)
         assert check_sufficient(e1, res.phi).holds
+
+    def test_greedy_start_where_no_init_mode_fits(self):
+        # line 1-2-3 with CPUs of capacity 0.8 at both ends: running all of
+        # the unit rate at the source or at the destination saturates a
+        # CPU, so run_gp starts from robust_start's greedy loading
+        g = Graph.from_undirected_edges([1, 2, 3], [(1, 2), (2, 3)])
+        app = Application(id="a", chain_length=1, destination=3, packet_sizes=(1.0, 1.0))
+        s = Scenario(graph=g, applications=(app,),
+                     link_costs={e: Linear(1.0) for e in g.links},
+                     comp_costs={1: Queue(0.8), 2: None, 3: Queue(0.8)},
+                     input_rates={(1, "a"): 1.0})
+        with pytest.raises(NoFeasibleStrategy):
+            feasible_start(s)
+        start = gp.robust_start(s)
+        assert validate_strategy(s, start) == []
+        res = run_gp(s, config=GpConfig(tol=1e-8))
+        assert res.converged
+        assert res.trace[0] == compute_flows(s, start).total_cost
+        assert res.total_cost == pytest.approx(solve_flow_domain(s, tol=1e-10).total_cost,
+                                               rel=1e-6)
+        assert validate_strategy(s, res.phi) == []
 
     def test_invalid_start_refused(self, e1, e1_strategy_a):
         bad = e1_strategy_a.copy()

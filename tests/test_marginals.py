@@ -107,6 +107,7 @@ class TestBlockedSets:
         phi = make_strategy(s, {(1, "a", 0): {2: 1.0}, (2, "a", 0): {3: 1.0}})
         lam = traffic_marginals(s, phi, compute_flows(s, phi))
         assert not blocked_sets(s, phi, lam).is_blocked(1, "a", 0, 2)
+        lam = {key: block.copy() for key, block in lam.items()}
         lam[("a", 0)][2] = 9.0  # pretend node 3 got expensive: (2,3) now improper
         blocked = blocked_sets(s, phi, lam)
         assert blocked.is_blocked(1, "a", 0, 2)   # rule 2, flag propagated upstream

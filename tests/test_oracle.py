@@ -82,6 +82,27 @@ class TestFlowVector:
         with pytest.raises(ValueError, match=refusal):
             strategy_from_flows(s, fv)
 
+    def test_view_blocks_are_read_only(self):
+        # an edit to a view block, on the layout or off it, raises instead
+        # of changing the engine's arrays or vanishing
+        s = random_scenario(1, n=6, num_apps=1, K=1)
+        res = solve_flow_domain(s, tol=1e-6)
+        cost = flow_cost(s, res.flows)
+        phi = strategy_from_flows(s, res.flows)
+        state = compute_flows(s, phi)
+        delta = modified_marginals(s, state, traffic_marginals(s, phi, state))
+        key = next(iter(res.flows.link_flows))
+        u, v = next((u, v) for u, v in np.argwhere(~compiled(s).adj) if u != v)
+        i, j = np.argwhere(compiled(s).adj)[0]
+        for block, at in [(res.flows.link_flows[key], (u, v)), (res.flows.link_flows[key], (i, j)),
+                          (res.flows.cpu_flows[key], 0), (state.traffic[key], 0),
+                          (delta[key], (0, 0))]:
+            with pytest.raises(ValueError, match="read-only"):
+                block[at] += 5.0
+        assert flow_cost(s, res.flows) == cost
+        assert flow_cost(s, FlowVector(s.graph.nodes, dict(res.flows.link_flows),
+                                       dict(res.flows.cpu_flows))) == cost
+
 
 class TestGreedyStart:
     def test_split_block_flows_match_registry(self):
