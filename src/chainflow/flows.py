@@ -21,7 +21,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
@@ -775,6 +774,8 @@ def detect_loops(phi: Strategy) -> dict:
     xe = np.stack([rows[key][src, 1 + dst] for key in keys])
     levels = StageLevels(xe, src, dst, n, np.zeros(len(keys), dtype=int))
     out = {}
+    if levels.cyclic.size:
+        import networkx as nx     # only to list the cycles of a looping strategy
     for s in levels.cyclic:
         g = nx.DiGraph()
         g.add_nodes_from(range(n))
@@ -797,9 +798,9 @@ class FlowState:
     `workload` (n,) the total workload G; `levels` are the stage_levels of
     the strategy. The dense views `traffic`, `cpu_flows` ({(app_id, k):
     (n,)}), `link_flows` ({(app_id, k): (n, n)}) and `link_bits` ((n, n)
-    F_ij) are built on first access, and so are the marginal costs of the
-    links and CPUs at these totals, `link_marginals` (E,) and
-    `cpu_marginals` (n,), which the marginal tables share.
+    F_ij) are read-only; they are built on first access, and so are the
+    marginal costs of the links and CPUs at these totals, `link_marginals`
+    (E,) and `cpu_marginals` (n,), which the marginal tables share.
     """
 
     comp: _Compiled
@@ -841,6 +842,7 @@ class FlowState:
     def link_bits(self) -> np.ndarray:
         F = np.zeros((self.comp.n, self.comp.n))
         F[self.comp.src, self.comp.dst] = self.edge_bits
+        F.flags.writeable = False
         return F
 
     def t(self, node, app_id, k: int) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
-import networkx as nx
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy
@@ -177,18 +176,23 @@ class Graph:
     links: frozenset
 
     def __post_init__(self):
-        node_set = set(self.nodes)
+        adj = {u: [] for u in self.nodes}
         for (u, v) in self.links:
             if u == v:
                 raise ValueError(f"self-link {u}->{v} not allowed")
-            if u not in node_set or v not in node_set:
+            if u not in adj or v not in adj:
                 raise ValueError(f"link {u}->{v} references unknown node")
             if (v, u) not in self.links:
                 raise ValueError(f"link {u}->{v} has no reverse link")
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.links)
-        if len(self.nodes) > 1 and not nx.is_connected(g):
+            adj[u].append(v)
+        reached = list(self.nodes[:1])     # breadth-first from nodes[0]
+        seen = set(reached)
+        for u in reached:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    reached.append(v)
+        if len(self.nodes) > 1 and len(seen) < len(adj):
             raise ValueError("graph is not connected")
 
     @classmethod

@@ -184,8 +184,9 @@ def _rebuild(comp, registry) -> FlowVector:
 
 def _bisect(deriv, hi: float) -> float:
     """Exact line search on [0, hi] for a convex cost with nondecreasing
-    derivative `deriv`: the step where the derivative crosses zero, by 100
-    bisections, or an end point when it does not change sign."""
+    derivative `deriv`: the step where the derivative crosses zero, by up to
+    100 bisections, or an end point when it does not change sign. Once the
+    midpoint rounds to an end the bracket can no longer move, so it stops."""
     if hi <= 0:
         return 0.0
     if deriv(0.0) >= 0:
@@ -195,6 +196,8 @@ def _bisect(deriv, hi: float) -> float:
     lo, up = 0.0, hi
     for _ in range(100):
         mid = 0.5 * (lo + up)
+        if mid == lo or mid == up:
+            break
         if deriv(mid) <= 0:
             lo = mid
         else:

@@ -240,6 +240,21 @@ class TestComputeFlows:
         assert compute_flows(empty, Strategy.zeros(empty)).total_cost == 0.0
         assert run_gp(empty, Strategy.zeros(empty)).converged
 
+    def test_link_bits_read_only(self):
+        # an edit would make F(u, v) disagree with edge_bits and total_cost
+        s = random_scenario(1, n=6, num_apps=1, K=1)
+        state = compute_flows(s, init_strategy(s))
+        comp = compiled(s)
+        i, j = int(comp.src[0]), int(comp.dst[0])
+        u, v = comp.nodes[i], comp.nodes[j]
+        before = (state.F(u, v), state.edge_bits.copy(), state.total_cost)
+        with pytest.raises(ValueError):
+            state.link_bits[i, j] += 5.0
+        assert state.F(u, v) == before[0] == state.edge_bits[0]
+        assert np.array_equal(state.edge_bits, before[1])
+        assert state.total_cost == before[2] == (comp.links.total(state.edge_bits)
+                                                 + comp.cpus.total(state.workload))
+
 
 class TestInitStrategy:
     def test_e1_both_modes_finite(self, e1):

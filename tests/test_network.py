@@ -89,6 +89,63 @@ class TestTopologies:
             generate_topology("from_file", {"path": bad})
 
 
+def _accepted(nodes, links) -> bool:
+    """Whether Graph accepts the bidirectional `links`; a refusal must be
+    the connectivity error."""
+    try:
+        Graph(nodes=tuple(nodes), links=frozenset(links))
+    except ValueError as exc:
+        assert str(exc) == "graph is not connected"
+        return False
+    return True
+
+
+def _nx_connected(nodes, links) -> bool:
+    ug = nx.Graph()
+    ug.add_nodes_from(nodes)
+    ug.add_edges_from(links)
+    return len(ug) <= 1 or nx.is_connected(ug)
+
+
+GRAPHS = ([(kind, seed) for kind in ("connected_er", "balanced_tree", "fog", "small_world")
+           for seed in range(5)]
+          + [(kind, 0) for kind in ("abilene", "lhc", "geant")])
+
+
+class TestConnectivity:
+    """Graph's own breadth-first check against networkx.is_connected."""
+
+    @pytest.mark.parametrize("kind,seed", GRAPHS, ids=[f"{k}-{s}" for k, s in GRAPHS])
+    def test_agrees_with_networkx_under_link_removal(self, kind, seed):
+        g = generate_topology(kind, seed=seed)
+        assert _accepted(g.nodes, g.links)
+        edges = sorted({tuple(sorted(l, key=str)) for l in g.links}, key=str)
+        if len(edges) > 40:     # the large graphs: a seeded sample of 20 links
+            rng = np.random.default_rng(seed)
+            edges = [edges[i] for i in rng.choice(len(edges), size=20, replace=False)]
+        refused = 0
+        for (u, v) in edges:
+            links = g.links - {(u, v), (v, u)}
+            connected = _nx_connected(g.nodes, links)
+            assert _accepted(g.nodes, links) == connected, (u, v)
+            refused += not connected
+        if kind == "balanced_tree":     # every link of a tree is a bridge
+            assert refused == len(edges)
+
+    @pytest.mark.parametrize("nodes,edges,ok", [
+        ((1,), [], True),
+        ((1, 2), [], False),
+        ((1, 2, 3), [(1, 2)], False),            # isolated node
+        ((3, 1, 2), [(1, 2)], False),            # the search starts at the isolated node
+        ((1, 2, 3, 4), [(1, 2), (3, 4)], False),  # two components
+        ((1, 2, 3, 4), [(1, 2), (3, 4), (2, 3)], True),
+    ])
+    def test_explicit_cases(self, nodes, edges, ok):
+        links = {l for (u, v) in edges for l in ((u, v), (v, u))}
+        assert _nx_connected(nodes, links) == ok
+        assert _accepted(nodes, links) == ok
+
+
 class TestCosts:
     def test_queue_value(self):
         assert eval_cost(Queue(2.0), 1.0) == pytest.approx(1.0)

@@ -8,7 +8,7 @@ from chainflow import (GpConfig, LoopDetected, NotConverged, Scenario, TooLarge,
                        modified_marginals, run_gp, solve_flow_domain, strategy_from_flows,
                        table_row, traffic_marginals, validate_strategy)
 from chainflow.flows import compiled
-from chainflow.oracle import (FlowVector, _blocks, _delta_entries, _exact_line_search,
+from chainflow.oracle import (FlowVector, _bisect, _blocks, _delta_entries, _exact_line_search,
                               _extract_path, _greedy_start, _rebuild, _sparse_line_search,
                               _totals, cheapest_extended_paths, enumerate_extended_paths,
                               flow_cost, path_cost)
@@ -150,6 +150,53 @@ class TestLineSearches:
                     assert abs(dense - sparse) <= 1e-12
                     interior += 0.0 < sparse < 1.0
         assert interior >= 5
+
+
+def _bisect_100(deriv, hi):
+    """`_bisect` without its early stop: always 100 bisections."""
+    if hi <= 0:
+        return 0.0
+    if deriv(0.0) >= 0:
+        return 0.0
+    if deriv(hi) <= 0:
+        return hi
+    lo, up = 0.0, hi
+    for _ in range(100):
+        mid = 0.5 * (lo + up)
+        if deriv(mid) <= 0:
+            lo = mid
+        else:
+            up = mid
+    return lo
+
+
+class TestBisect:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_early_stop_returns_the_100_step_result(self, seed):
+        # derivatives of M/M/1 sums along a direction, shifted so that the
+        # root lies at `where` * hi: near 0, mid-interval and near hi
+        rng = np.random.default_rng(seed)
+        for where in (1e-12, 1e-6, rng.uniform(0.2, 0.8), 1 - 1e-6, 1 - 1e-12):
+            hi = rng.uniform(0.1, 1.0)
+            c = rng.uniform(1.0, 10.0, 8)
+            x = rng.uniform(0.1, 0.4, 8) * c
+            d = rng.uniform(-0.1, 0.5, 8) * c / hi      # x + hi * d <= 0.9 c
+
+            def mm1(gamma):
+                return float(np.sum(d * c / (c - x - gamma * d) ** 2))
+
+            shift, calls = mm1(where * hi), []
+
+            def counted(gamma):
+                calls.append(gamma)
+                return mm1(gamma) - shift
+
+            got = _bisect(counted, hi)
+            early = len(calls)
+            assert got == _bisect_100(counted, hi)
+            assert early < len(calls) - early
+            if 1e-6 <= where <= 1 - 1e-6:
+                assert 0.0 < got < hi
 
 
 class TestBruteforce:
