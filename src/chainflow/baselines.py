@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityExceeded, LocalComputationInfeasible, NoFeasibleStrategy
 from .flows import FlowState, Strategy, compiled, compute_flows, init_strategy
 from .gp import GpConfig, run_gp
-from .network import Scenario
+from .network import Application, Scenario
 from .oracle import _extract_path, cheapest_extended_paths, solve_flow_domain, strategy_from_flows
 
 
@@ -63,9 +63,10 @@ def spoc(scenario: Scenario) -> BaselineResult:
 def lcof(scenario: Scenario) -> BaselineResult:
     """Local Computation, Optimal Forwarding.
 
-    Every source runs the full chain locally; only the final-result
-    forwarding rows are then optimized by gradient projection, to tol 1e-7
-    within 4,000 slots.
+    Every source runs the full chain locally, so no link carries an earlier
+    stage. Forwarding the final results is then minimum-delay routing with
+    fixed injections (Gallager 1977), which run_gp solves on a results-only
+    scenario to tol 1e-7 within 4,000 slots.
     """
     comp = compiled(scenario)
     for app in comp.apps:
@@ -81,10 +82,17 @@ def lcof(scenario: Scenario) -> BaselineResult:
     except NoFeasibleStrategy as err:
         raise LocalComputationInfeasible(
             f"local computation saturates a capacity: {err}") from err
-    finals = {(a.id, a.K) for a in comp.apps}
-    res = run_gp(scenario, phi, GpConfig(tol=1e-7, max_iters=4000,
-                                         row_filter=lambda key: key in finals))
-    return BaselineResult(name="lcof", phi=res.phi, state=res.state, feasible=True)
+    # each chain reduced to its final results, injected at its sources
+    apps = tuple(Application(a.id, 0, comp.nodes[a.dest], (float(a.L[a.K]),)) for a in comp.apps)
+    results = Scenario(scenario.graph, apps, scenario.link_costs, scenario.comp_costs,
+                       scenario.input_rates)
+    X = phi.fractions(comp).copy()
+    res = run_gp(results, Strategy._stacked(compiled(results), X[comp.final]),
+                 GpConfig(tol=1e-7, max_iters=4000))
+    X[comp.final] = res.phi.fractions(compiled(results))
+    phi = Strategy._stacked(comp, X)
+    return BaselineResult(name="lcof", phi=phi, state=compute_flows(scenario, phi),
+                          feasible=True)
 
 
 def lpr_sc(scenario: Scenario) -> BaselineResult:

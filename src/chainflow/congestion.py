@@ -244,7 +244,7 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         phi, state, admit = point
         _, marg, delta, blocked = slot_tables(ext.base, phi, state)
         vdelta = _virtual_deltas(ext, marg, admit)
-        gap = max(sufficient_gap(comp, phi, delta, config.row_filter),
+        gap = max(sufficient_gap(comp, phi, delta),
                   float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (delta, blocked, vdelta)
 

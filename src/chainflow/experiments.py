@@ -179,7 +179,7 @@ def run_algorithm(name: str, scenario: Scenario, gp_cfg: GpConfig) -> dict:
                       H_data=m.H_data, H_result=m.H_result, _phi=phi)
     except (NoFeasibleStrategy, LocalComputationInfeasible, CapacityExceeded,
             NotConverged) as err:
-        record["reason"] = type(err).__name__
+        record["reason"] = f"{type(err).__name__}: {err}"
     return record
 
 

@@ -237,13 +237,6 @@ class _Compiled(Segments):
                                  and np.array_equal(other.src, self.src)
                                  and np.array_equal(other.dst, self.dst))
 
-    def row_mask(self, row_filter=None) -> np.ndarray:
-        """(S, n) mask of the rows to update: the active rows of the stages
-        that `row_filter` accepts."""
-        if row_filter is None:
-            return self.active
-        return self.active & np.array([bool(row_filter(key)) for key in self.keys])[:, None]
-
     def on_directions(self, a) -> np.ndarray:
         """The per-edge values a on an (n+E,) direction row, 0 on CPU columns."""
         row = np.zeros(self.n + self.E)

@@ -47,7 +47,6 @@ class GpConfig:
     stepsize: float = 0.05          # initial fraction moved per unit marginal gap
     max_iters: int = 2000
     tol: float = DEFAULT_TOL        # convergence: check_sufficient holds at tol
-    row_filter: object = None       # optional (app_id, k) -> bool (rows to touch)
     on_iterate: object = None       # optional callback(slot, phi, state) per accepted slot
 
     def __post_init__(self):
@@ -55,12 +54,10 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta, row_filter=None) -> float:
-    """Largest excess of the modified marginals delta (marginals.excess) on
-    the rows that row_filter accepts; the convergence measure. With every
-    row accepted, gap <= tol is check_sufficient holding at tol."""
-    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp,
-                  comp.row_mask(row_filter))
+def sufficient_gap(comp, phi: Strategy, delta) -> float:
+    """Largest excess (marginals.excess) of the modified marginals delta on
+    the active rows: gap <= tol is check_sufficient holding at tol."""
+    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp, comp.active)
     return float(e.max(initial=0.0))
 
 
@@ -68,10 +65,10 @@ class UpdatePlan:
     """The stepsize-independent half of one slot update.
 
     Built once per slot from the strategy's fractions X, its modified
-    marginals d, the (S, E) link flags of its blocked sets and the rows to
-    update: blocked directions (flagged and massless), each row's smallest
-    available marginal, each direction's gap e above it, the minimal
-    directions (within the tie tolerance) and the rows that move. A row
+    marginals d and the (S, E) link flags of its blocked sets: blocked
+    directions (flagged and massless), each row's smallest available
+    marginal, each direction's gap e above it, the minimal directions
+    (within the tie tolerance) and the rows that move. A row
     with no mass off its minimal directions loses nothing and gains
     nothing, so the update only renormalizes it, which leaves it as it is
     when it sums to exactly 1. The plan keeps the other rows: those with
@@ -81,7 +78,7 @@ class UpdatePlan:
     rows, and `apply` moves just these entries for a stepsize.
     """
 
-    def __init__(self, comp, X, d, flagged, row_mask):
+    def __init__(self, comp, X, d, flagged):
         B = np.zeros(X.shape, dtype=bool)
         B[:, comp.edge_pos] = flagged
         B &= X <= 0.0
@@ -94,7 +91,7 @@ class UpdatePlan:
         moves = (X != 0.0) & ~minimal
         # a moving entry makes its row's sum nan, which is not 1 either
         keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
-        s, i = np.nonzero(keep & row_mask & np.isfinite(dmin))
+        s, i = np.nonzero(keep & comp.active & np.isfinite(dmin))
         self.X = X
         self.flat, self.starts = comp.spans(s, i)
         self.width, self.x = comp.width[i], X.take(self.flat)
@@ -122,17 +119,16 @@ class UpdatePlan:
         return out
 
 
-def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets, row_filter=None) -> UpdatePlan:
-    """The UpdatePlan of phi's slot on the tables delta and blocked, for the
-    rows that row_filter accepts. The plan is kept on `blocked` with the
-    arrays it was built from, so every candidate stepsize of a slot shares
-    one, and an edited table or another strategy gets a new one."""
+def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets) -> UpdatePlan:
+    """The UpdatePlan of phi's slot on the tables delta and blocked, kept on
+    `blocked` with the arrays it was built from: every candidate stepsize of
+    a slot shares one, and an edited table or another strategy gets a new one."""
     key = (phi.fractions(comp), comp.pack(delta, "direction"),
-           comp.pack(blocked.masks, "edge"), row_filter)
+           comp.pack(blocked.masks, "edge"))
     memo = blocked._plan
     if memo is not None and all(a is b for a, b in zip(memo[0], key)):
         return memo[1]
-    plan = UpdatePlan(comp, *key[:3], comp.row_mask(row_filter))
+    plan = UpdatePlan(comp, *key)
     blocked._plan = (key, plan)
     return plan
 
@@ -150,7 +146,7 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     comp = compiled(scenario)
     if delta is None or blocked is None:
         _, _, delta, blocked = slot_tables(scenario, phi, state)
-    plan = update_plan(comp, phi, delta, blocked, config.row_filter)
+    plan = update_plan(comp, phi, delta, blocked)
     return Strategy._stacked(comp, plan.apply(config.stepsize))
 
 
@@ -283,7 +279,7 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
     def slot(point):
         phi, state = point
         _, _, delta, blocked = slot_tables(scenario, phi, state)
-        return sufficient_gap(comp, phi, delta, config.row_filter), (delta, blocked)
+        return sufficient_gap(comp, phi, delta), (delta, blocked)
 
     def step(point, tables, step_cfg):
         phi, state = point

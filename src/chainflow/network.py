@@ -366,7 +366,8 @@ class Application:
     k=chain_length final results). `comp_weights` gives the workload
     w_i(a,k) for node i to run task k+1 on one stage-k packet: either a
     scalar applied everywhere or a mapping node -> sequence of length K.
-    Use math.inf to mark a task as not performable at a node.
+    Use math.inf to mark a task as not performable at a node. Both are kept
+    as read-only copies: later edits to the caller's objects do not reach it.
     """
 
     id: str
@@ -376,6 +377,10 @@ class Application:
     comp_weights: object = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "packet_sizes", tuple(float(x) for x in self.packet_sizes))
+        if not np.isscalar(self.comp_weights):
+            object.__setattr__(self, "comp_weights", MappingProxyType(
+                {node: tuple(seq) for node, seq in self.comp_weights.items()}))
         if self.chain_length < 0:
             raise ValueError("chain_length must be >= 0")
         if len(self.packet_sizes) != self.chain_length + 1:

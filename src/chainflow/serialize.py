@@ -66,12 +66,10 @@ def scenario_from_jsonable(d: dict) -> Scenario:
     apps = []
     for a in d["applications"]:
         weights = a["comp_weights"]
-        if isinstance(weights, list):
-            weights = {node: tuple(seq) for node, seq in weights}
         apps.append(Application(id=a["id"], chain_length=a["chain_length"],
-                                destination=a["destination"],
-                                packet_sizes=tuple(a["packet_sizes"]),
-                                comp_weights=weights))
+                                destination=a["destination"], packet_sizes=a["packet_sizes"],
+                                comp_weights=dict(weights) if isinstance(weights, list)
+                                else weights))
     rates = {(node, app_id): rate for node, app_id, rate in d["input_rates"]}
     return Scenario(graph=graph, applications=tuple(apps), link_costs=link_costs,
                     comp_costs=comp_costs, input_rates=rates,

@@ -5,8 +5,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, LocalComputationInfeasible, eval_cost_prime, lcof, lpr_sc,
-                       run_gp, spoc, validate_strategy)
+from chainflow import (GpConfig, LocalComputationInfeasible, build_scenario, eval_cost_prime,
+                       lcof, lpr_sc, run_gp, spoc, table_row, validate_strategy)
 from chainflow.baselines import BASELINES
 
 from conftest import random_scenario
@@ -45,6 +45,31 @@ class TestLcof:
         from chainflow import init_strategy
         start = init_strategy(s, "shortest_path_then_local_comp")
         res = lcof(s)
+        for key, mat in res.phi.rows.items():
+            if key[1] < s.app(key[0]).chain_length:
+                assert np.array_equal(mat, start.rows[key])
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_scenario(0, packet_sizes=(4.0, 2.0, 1.5)),
+        lambda: build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2),
+    ], ids=["random-0", "abilene-2"])
+    def test_forwards_results_optimally(self, make):
+        # nonzero result sizes: LCOF has results to forward, and its cost is
+        # the local computation's plus the optimal forwarding of the results
+        from chainflow import (Application, Scenario, compute_flows, eval_cost,
+                               init_strategy, solve_flow_domain)
+        s = make()
+        start = init_strategy(s, "shortest_path_then_local_comp")
+        local = compute_flows(s, start)
+        cpu = sum(eval_cost(c, local.G(v)) for v, c in s.comp_costs.items() if c is not None)
+        results = Scenario(graph=s.graph, link_costs=s.link_costs, comp_costs=s.comp_costs,
+                           input_rates=s.input_rates, applications=tuple(
+                               Application(a.id, 0, a.destination, a.packet_sizes[-1:])
+                               for a in s.applications))
+        forward = solve_flow_domain(results, tol=1e-10).total_cost
+        res = lcof(s)
+        assert res.total_cost < local.total_cost
+        assert res.total_cost == pytest.approx(cpu + forward, rel=1e-9)
         for key, mat in res.phi.rows.items():
             if key[1] < s.app(key[0]).chain_length:
                 assert np.array_equal(mat, start.rows[key])

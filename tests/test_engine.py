@@ -99,7 +99,7 @@ def reference(s, phi, rates=None, extra=None):
                 marginals=lam, Dp=Dp, Cp=Cp)
 
 
-def reference_slot(s, phi, ref, alpha, row_filter=None):
+def reference_slot(s, phi, ref, alpha):
     """Modified marginals, blocked masks, sufficient gap and next rows."""
     nodes = list(s.graph.nodes)
     n = len(nodes)
@@ -127,8 +127,6 @@ def reference_slot(s, phi, ref, alpha, row_filter=None):
         active = np.ones(n, dtype=bool)
         if w is None:
             active[nodes.index(app.destination)] = False
-        if row_filter is not None and not row_filter(key):
-            active[:] = False
         dmin = np.min(d, axis=1)
         rowgap = np.where(mat > 1e-9, d - dmin[:, None], 0.0)[active]
         if rowgap.size:
@@ -245,11 +243,10 @@ class TestDenseReference:
             for key in phi.rows:
                 assert np.array_equal(plain.masks[key], shared.masks[key])
 
-    @pytest.mark.parametrize("row_filter", [None, lambda key: key[1] == 0])
-    def test_slot_update(self, row_filter):
+    def test_slot_update(self):
         for s, phi, rates, extra in cases():
             ref = reference(s, phi, rates, extra)
-            delta, masks, gap, nxt = reference_slot(s, phi, ref, 0.05, row_filter)
+            delta, masks, gap, nxt = reference_slot(s, phi, ref, 0.05)
             state = compute_flows(s, phi, extra_injections=extra, rates=rates)
             lam = traffic_marginals(s, phi, state)
             d = modified_marginals(s, state, lam)
@@ -259,10 +256,9 @@ class TestDenseReference:
                 assert np.array_equal(np.isfinite(d[key]), finite)
                 assert_close(d[key][finite], delta[key][finite])
                 assert np.array_equal(blocked.masks[key], masks[key])
-            got = sufficient_gap(compiled(s), phi, d, row_filter)
+            got = sufficient_gap(compiled(s), phi, d)
             assert got == pytest.approx(gap, rel=1e-9, abs=1e-12)
-            out = gp_step(s, phi, GpConfig(stepsize=0.05, row_filter=row_filter),
-                          state, d, blocked)
+            out = gp_step(s, phi, GpConfig(stepsize=0.05), state, d, blocked)
             for key, expected in nxt.items():
                 np.testing.assert_allclose(out.rows[key], expected, rtol=0, atol=REL)
 

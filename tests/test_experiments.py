@@ -98,6 +98,15 @@ class TestRunExperiment:
         assert found is not None
         assert float(found.group(2)) >= 1.0
 
+    def test_raised_error_keeps_its_message(self, prop1):
+        # LCOF needs every source to run the chain; prop1's source has no CPU
+        from chainflow import GpConfig
+        from chainflow.experiments import run_algorithm
+        rec = run_algorithm("lcof", prop1, GpConfig())
+        assert not rec["feasible"]
+        assert rec["reason"].startswith("LocalComputationInfeasible: ")
+        assert "cannot run task" in rec["reason"]
+
     def test_table_row_lookup(self):
         row = table_row("abilene")
         assert row["num_apps"] == 3

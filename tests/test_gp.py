@@ -94,7 +94,7 @@ class TestGpStep:
             assert unchanged == holds
 
 
-def _full_array_step(comp, X, d, blocked, row_mask, alpha):
+def _full_array_step(comp, X, d, blocked, alpha):
     """The slot update written on whole (S, n+E) arrays: every direction of
     every row, with row minima, sums and counts by np.*.reduceat."""
     B = np.zeros(X.shape, dtype=bool)
@@ -103,7 +103,7 @@ def _full_array_step(comp, X, d, blocked, row_mask, alpha):
     avail = ~B & np.isfinite(d)
     with np.errstate(invalid="ignore"):
         dmin = np.minimum.reduceat(np.where(avail, d, np.inf), comp.seg, axis=1)
-        rows = row_mask & np.isfinite(dmin)
+        rows = comp.active & np.isfinite(dmin)
         e = np.clip(d - dmin[:, comp.dnode], 0.0, None)
         tie = (1e-11 * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
         minimal = avail & (e <= tie)
@@ -124,24 +124,23 @@ class TestUpdatePlan:
     """One slot's UpdatePlan serves every candidate stepsize of the slot."""
 
     @staticmethod
-    def assert_plan_matches(s, phi, tables, row_filter=None):
+    def assert_plan_matches(s, phi, tables):
         # the plan is kept for the strategy's own array, as the iterates of
         # run_gp hold it; a dense strategy is packed on every use
         comp = compiled(s)
         phi = Strategy._stacked(comp, phi.fractions(comp))
         state, lam, delta, blocked = tables
-        plan = update_plan(comp, phi, delta, blocked, row_filter)
-        assert update_plan(comp, phi, delta, blocked, row_filter) is plan
+        plan = update_plan(comp, phi, delta, blocked)
+        assert update_plan(comp, phi, delta, blocked) is plan
         X = phi.fractions(comp)
         moved = False
         for alpha in (0.2, 0.1, 0.05):
             got = plan.apply(alpha)
             want = _full_array_step(comp, X, comp.pack(delta, "direction"),
-                                    comp.pack(blocked.masks, "edge"),
-                                    comp.row_mask(row_filter), alpha)
+                                    comp.pack(blocked.masks, "edge"), alpha)
             assert np.array_equal(got, want)
             # gp_step from its state alone: new tables, a new plan
-            cfg = GpConfig(stepsize=alpha, row_filter=row_filter)
+            cfg = GpConfig(stepsize=alpha)
             assert np.array_equal(gp_step(s, phi, cfg, state).fractions(comp), got)
             moved |= not np.array_equal(got, X)
         assert moved
@@ -151,14 +150,6 @@ class TestUpdatePlan:
         s = random_scenario(seed)
         phi = random_loopfree_strategy(s, seed, full_support=seed % 2 == 1)
         self.assert_plan_matches(s, phi, slot_tables(s, phi))
-
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_final_stage_row_filter(self, seed):
-        # LCOF's filter: only the final stages' rows move
-        s = random_scenario(seed)
-        phi = random_loopfree_strategy(s, seed)
-        finals = {(app.id, app.chain_length) for app in s.applications}
-        self.assert_plan_matches(s, phi, slot_tables(s, phi), lambda key: key in finals)
 
     def test_admission_slot(self):
         # run_gp_cc's slot: the state at the admitted rates
@@ -221,23 +212,19 @@ class TestUpdatePlan:
         for alpha in (0.2, 3.2):
             assert np.array_equal(plan.apply(alpha), X)
 
-    def test_other_filter_or_edited_table_gets_a_new_plan(self):
+    def test_other_strategy_or_edited_table_gets_a_new_plan(self):
         s = random_scenario(0)
         comp = compiled(s)
-        phi = Strategy._stacked(comp, random_loopfree_strategy(s, 0).fractions(comp))
-        X = phi.fractions(comp)
+        phi, other = (Strategy._stacked(comp, random_loopfree_strategy(s, seed).fractions(comp))
+                      for seed in (0, 1))
         state, _, delta, blocked = slot_tables(s, phi)
-        finals = {(app.id, app.chain_length) for app in s.applications}
+        edited = _editable(delta)      # an edited copy of the modified marginals
+        edited[comp.keys[0]][:, 0] *= 0.5
         seen = []
-        for row_filter in (None, lambda key: key in finals, None):
-            if len(seen) == 2:      # an edited copy of the modified marginals
-                delta = _editable(delta)
-                delta[comp.keys[0]][:, 0] *= 0.5
-            got = gp_step(s, phi, GpConfig(stepsize=0.2, row_filter=row_filter),
-                          state, delta, blocked)
-            want = _full_array_step(comp, X, comp.pack(delta, "direction"),
-                                    comp.pack(blocked.masks, "edge"),
-                                    comp.row_mask(row_filter), 0.2)
+        for p, d in ((phi, delta), (phi, edited), (other, edited)):
+            got = gp_step(s, p, GpConfig(stepsize=0.2), state, d, blocked)
+            want = _full_array_step(comp, p.fractions(comp), comp.pack(d, "direction"),
+                                    comp.pack(blocked.masks, "edge"), 0.2)
             assert np.array_equal(got.fractions(comp), want)
             assert not any(np.array_equal(want, other) for other in seen)
             seen.append(want)
@@ -369,17 +356,6 @@ class TestRunGp:
         if res.final_gap > 0:
             below = np.nextafter(res.final_gap, 0.0)
             assert not check_sufficient(s, res.phi, tol=below).holds
-
-    def test_row_filter_restricts_updates(self):
-        s = random_scenario(1)
-        phi0 = random_loopfree_strategy(s, 11)
-        final = s.applications[0].chain_length
-        keep = {k: v.copy() for k, v in phi0.rows.items()}
-        res = run_gp(s, phi0, GpConfig(max_iters=40, tol=1e-9,
-                                       row_filter=lambda key: key[1] == final))
-        for key, mat in res.phi.rows.items():
-            if key[1] != final:
-                assert np.array_equal(mat, keep[key])
 
 
 class TestAdapt:

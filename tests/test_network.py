@@ -293,3 +293,24 @@ class TestScenario:
         assert compute_flows(e1, init_strategy(e1)).total_cost == cost
         faster = e1.with_rates({(1, "a"): 1.5})
         assert compute_flows(faster, init_strategy(faster)).total_cost > cost
+
+    def test_application_keeps_its_own_sizes_and_weights(self, e1):
+        from chainflow import Application, compute_flows, init_strategy
+        weights, sizes = {1: [2.0], 2: [3.0]}, [2.0, 1.0]
+        app = Application(id="a", chain_length=1, destination=2, packet_sizes=sizes,
+                          comp_weights=weights)
+        s = Scenario(graph=e1.graph, applications=(app,), link_costs=e1.link_costs,
+                     comp_costs=e1.comp_costs, input_rates=e1.input_rates)
+        phi = init_strategy(s)
+        cost = compute_flows(s, phi).total_cost    # compiles and caches
+        weights[1][0] = 5.0
+        sizes[1] = 9.0
+        assert app.weight(1, 0) == 2.0
+        assert app.packet_sizes == (2.0, 1.0)
+        with pytest.raises(TypeError):
+            app.comp_weights[1] = (5.0,)
+        # the cached compile and a fresh one of the same application agree
+        fresh = Scenario(graph=s.graph, applications=(app,), link_costs=s.link_costs,
+                         comp_costs=s.comp_costs, input_rates=s.input_rates)
+        assert compute_flows(s, phi).total_cost == cost
+        assert compute_flows(fresh, phi).total_cost == cost

@@ -12,18 +12,21 @@ equal and every other number equal to 1e-12 relative:
 
 It covers cold GP at the benchmark-study settings (tol 1e-4, 1000 slots) on
 sw-queue draws 1 and 3 with their hop metrics; the oracle, its
-strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; and a fixed
+strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; a fixed
 sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
-some of them. It also covers the zero-flow shortest-path trees: both
-init_strategy modes and the LPR-SC rows on every TABLE_ROWS row at seeds
-1-5, and SPOC on Abilene draw 1. The optimality checkers print their
-verdicts and full violation lists at GP slot 0 and at the final slot on
-sw-queue draw 1 and Abilene draw 1, and on random loop-free strategies of
-small random scenarios, which also give max_conservation_residual (with and
-without a rate override) and validate_strategy on perturbed copies. Last
-come adapt's repaired starts (max_iters=0) on Abilene draw 1 after a link
-goes down, a node is removed, a node loses its CPU and a node is added.
+some of them; and LCOF on Abilene draw 2 with packet sizes (3, 2, 1), whose
+final results cost something to forward, so that its GP run moves rows (on
+the table rows LCOF returns its start). It also covers the zero-flow
+shortest-path trees: both init_strategy modes and the LPR-SC rows on every
+TABLE_ROWS row at seeds 1-5, and SPOC on Abilene draw 1. The optimality
+checkers print their verdicts and full violation lists at GP slot 0 and at
+the final slot on sw-queue draw 1 and Abilene draw 1, and on random
+loop-free strategies of small random scenarios, which also give
+max_conservation_residual (with and without a rate override) and
+validate_strategy on perturbed copies. Last come adapt's repaired starts
+(max_iters=0) on Abilene draw 1 after a link goes down, a node is removed,
+a node loses its CPU and a node is added.
 Takes no options; about 12 s on one core of a 2-core Xeon VM.
 """
 
@@ -35,7 +38,7 @@ import numpy as np
 from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, ChainflowError, CostSpec, GpConfig,
                        Graph, Linear, Queue, Scenario, Strategy, adapt, build_scenario,
                        check_kkt, check_sufficient, compute_flows, extend_scenario,
-                       generate_topology, hop_metrics, init_strategy, lpr_sc,
+                       generate_topology, hop_metrics, init_strategy, lcof, lpr_sc,
                        max_conservation_residual, run_gp, run_gp_cc, sample_scenario,
                        solve_flow_domain, spoc, strategy_from_flows, table_row,
                        validate_strategy)
@@ -163,6 +166,8 @@ def abilene():
             cc = run_gp_cc(ext, cfg)
             print(tag, "admission", repr(cc.trace), repr(cc.utility_minus_cost),
                   repr((cc.iterations, cc.converged, cc.final_gap)), rows_summary(cc.phi))
+    res = lcof(build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2))
+    print("abilene/2 sizes 3,2,1 lcof", repr(res.total_cost), rows_summary(res.phi))
 
 
 def trees():
