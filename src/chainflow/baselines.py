@@ -28,6 +28,7 @@ class BaselineResult:
     state: FlowState | None
     feasible: bool
     reason: str = ""
+    converged: bool = True    # False when the baseline's solver ran out of iterations
 
     @property
     def total_cost(self) -> float:
@@ -57,7 +58,7 @@ def spoc(scenario: Scenario) -> BaselineResult:
         state = compute_flows(scenario, phi)
     except (NoFeasibleStrategy, CapacityExceeded) as err:
         raise NoFeasibleStrategy(f"no feasible on-path placement: {err}") from err
-    return BaselineResult(name="spoc", phi=phi, state=state, feasible=True)
+    return BaselineResult("spoc", phi, state, feasible=True, converged=res.converged)
 
 
 def lcof(scenario: Scenario) -> BaselineResult:
@@ -91,8 +92,8 @@ def lcof(scenario: Scenario) -> BaselineResult:
                  GpConfig(tol=1e-7, max_iters=4000))
     X[comp.final] = res.phi.fractions(compiled(results))
     phi = Strategy._stacked(comp, X)
-    return BaselineResult(name="lcof", phi=phi, state=compute_flows(scenario, phi),
-                          feasible=True)
+    state = compute_flows(scenario, phi)
+    return BaselineResult("lcof", phi, state, feasible=True, converged=res.converged)
 
 
 def lpr_sc(scenario: Scenario) -> BaselineResult:

@@ -2,7 +2,7 @@
 
 Subcommands:
   solve   optimize a single scenario with a chosen algorithm, dump results
-  check   verify the KKT / sufficient conditions on a dumped strategy
+  check   validate a dumped strategy, then verify the KKT / sufficient conditions
   oracle  flow-domain global optimum with duality-gap certificate
   run     multi-scenario / multi-seed experiment from a config file
   cc      congestion-control run (utility-based admission) on a scenario
@@ -28,6 +28,7 @@ from .congestion import AlphaFair, LinearUtility, extend_scenario, run_gp_cc, \
 from .baselines import BASELINES
 from .errors import ChainflowError, NotConverged
 from .experiments import ExperimentConfig, build_scenario, run_experiment
+from .flows import validate_strategy
 from .gp import GpConfig, run_gp
 from .marginals import DEFAULT_TOL, check_kkt, check_sufficient
 from .metrics import hop_metrics
@@ -65,7 +66,7 @@ def _cmd_solve(args) -> int:
             print(f"{args.algo}: infeasible ({base.reason})", file=sys.stderr)
             return 1
         phi, state = base.phi, base.state
-        iterations, converged = 0, True
+        iterations, converged = 0, base.converged
     dump_strategy(phi, os.path.join(args.out, "strategy.json"), scenario_path=scen_path)
     m = hop_metrics(scenario, phi, state, iterations=iterations)
     payload = m.to_jsonable()
@@ -89,9 +90,13 @@ def _cmd_check(args) -> int:
             print("no scenario reference in strategy file; pass --config", file=sys.stderr)
             return 1
     scenario = _load_scenario_config(config, args.seed)
+    report = {"violations": validate_strategy(scenario, phi)}
+    if report["violations"]:
+        print(json.dumps(report, indent=1, default=str))
+        raise ValueError(f"the strategy fails validation ({len(report['violations'])} violations)")
     kkt = check_kkt(scenario, phi, tol=args.tol)
     suff = check_sufficient(scenario, phi, tol=args.tol)
-    report = {"kkt": kkt.to_jsonable(), "sufficient": suff.to_jsonable()}
+    report.update(kkt=kkt.to_jsonable(), sufficient=suff.to_jsonable())
     print(json.dumps(report, indent=1))
     return 0 if suff.holds else 1
 

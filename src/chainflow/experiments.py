@@ -170,10 +170,10 @@ def run_algorithm(name: str, scenario: Scenario, gp_cfg: GpConfig) -> dict:
         else:
             base = BASELINES[name](scenario)
             if not base.feasible:
-                record.update(converged=True, reason=base.reason)
+                record.update(converged=base.converged, reason=base.reason)
                 return record
             phi, state = base.phi, base.state
-            record.update(converged=True)
+            record.update(converged=base.converged)
         m = hop_metrics(scenario, phi, state)
         record.update(T=state.total_cost, feasible=True,
                       H_data=m.H_data, H_result=m.H_result, _phi=phi)

@@ -273,16 +273,6 @@ class _Compiled(Segments):
         into = (np.arange(S)[:, None] * self.n + self.dst).ravel()
         return np.bincount(into, weights=fe.ravel(), minlength=S * self.n).reshape(S, self.n)
 
-    def refuse_lost(self, blocks, what: str):
-        """Raises ValueError naming the first stage whose (n, n) block, one
-        per stage in `blocks`, puts `what` on a link the scenario lacks."""
-        lost = [(np.asarray(block) != 0) & (self.eid < 0) for block in blocks]
-        s, i, j = np.nonzero(np.reshape(lost, (len(self.keys), self.n, self.n)))
-        if s.size:
-            u, v = self.nodes[i[0]], self.nodes[j[0]]
-            raise ValueError(f"stage {self.keys[s[0]]}: node {u!r} sends {what} over link "
-                             f"{(u, v)!r}, which the scenario lacks")
-
     def point(self, X, s, i, nxt):
         """Give rows (s, i) of the direction array X a unit fraction toward
         node nxt, or toward their CPU where nxt is negative, in place."""
@@ -320,21 +310,46 @@ class _Compiled(Segments):
         no direction or link."""
         return DenseView(self, a, kind, fill)
 
-    def pack(self, table, kind: str) -> np.ndarray:
-        """The stacked array of a table {key: dense block} of `kind` (see
-        view). Raises ValueError naming the first stage whose block has
-        another shape."""
-        if isinstance(table, DenseView):
-            return table.stacked(self)
+    def read(self, table, kind: str, what=None):
+        """(X, faults) of a table {key: dense block} of `kind` (see view):
+        its stacked array X and, in stage order, its faults as (s, i, j).
+        Stage s's block is missing or misshaped where i < 0, and X[s] then
+        reads 0. When `what` names what the table carries (strategies and
+        flows), every nonzero entry off the layout is a fault too, node i's
+        toward node j, which X drops. A view laid out here is its own array,
+        without faults; any other table is read block by block."""
+        if isinstance(table, DenseView) and self.same_as(table._comp):
+            return table._a, []
         shape, flat = self.kinds[kind]
-        rows = []
-        for key in self.keys:
-            block = np.asarray(table[key])
-            if block.shape != shape:
-                raise ValueError(f"stage {key} {kind} block has shape {block.shape}, "
-                                 f"not {shape}")
-            rows.append(block.ravel()[flat])
-        return np.array(rows).reshape(len(self.keys), len(flat))
+        rows, faults = [], []
+        for s, key in enumerate(self.keys):
+            block = table.get(key)
+            if np.shape(block) != shape:
+                faults.append((s, -1, -1))
+                block = np.zeros(shape)
+            rows.append(np.ravel(block)[flat])
+            if what is not None:
+                off = np.asarray(block) != 0
+                off.ravel()[flat] = False
+                faults += [(s, i, j - shape[1] + self.n) for i, j in zip(*np.nonzero(off))]
+        return np.array(rows).reshape(len(self.keys), len(flat)), faults
+
+    def pack(self, table, kind: str, what=None) -> np.ndarray:
+        """The stacked array of a table (see read). Raises ValueError naming
+        the stage of its first fault."""
+        X, faults = self.read(table, kind, what)
+        if not faults:
+            return X
+        s, i, j = faults[0]
+        key = self.keys[s]
+        if i >= 0:
+            u, v = self.nodes[i], self.nodes[j]
+            raise ValueError(f"stage {key}: node {u!r} sends {what} over link {(u, v)!r}, "
+                             "which the scenario lacks")
+        if key not in table:
+            raise ValueError(f"stage {key} has no {kind} block")
+        raise ValueError(f"stage {key} {kind} block has shape {np.shape(table[key])}, "
+                         f"not {self.kinds[kind][0]}")
 
 
 def compiled(scenario: Scenario) -> _Compiled:
@@ -404,8 +419,8 @@ class DenseView(Mapping):
     the kinds of _Compiled.view.
 
     Each access builds a read-only snapshot of the stage's block, so an
-    edit raises ValueError instead of changing nothing; `stacked()` returns
-    the stacked array itself.
+    edit raises ValueError instead of changing nothing. _Compiled.read of a
+    view laid out on its scenario is the stacked array itself.
     """
 
     def __init__(self, comp: _Compiled, a, kind: str, fill):
@@ -424,11 +439,6 @@ class DenseView(Mapping):
     def __len__(self):
         return len(self._comp.keys)
 
-    def stacked(self, comp: _Compiled) -> np.ndarray:
-        if not comp.same_as(self._comp):
-            raise ValueError("table laid out for another scenario")
-        return self._a
-
 
 # ---------------------------------------------------------------------------
 # strategy
@@ -445,54 +455,48 @@ class Strategy:
     baselines, strategy_from_flows) holds the (S, n+E) direction array of
     its stage stack instead. The dense blocks are the public form, for
     strategies built by hand (`zeros` and `set_row`), for inspection and
-    for JSON; inside the package only these methods and detect_loops,
-    which has no scenario to lay a stack out on, read `rows`. A strategy
-    holds one form, never both: the first access to `rows` unpacks the
-    array into dense blocks and drops it, and the engine packs a dense
-    strategy's rows on every use, so edits to `rows` always count. A
-    strategy is evaluated only on a scenario with the same node tuple.
+    for JSON. A strategy holds one form, never both. Reading it (the
+    engine, validate_strategy, `row`, `to_jsonable`, detect_loops) goes
+    through `_table` and leaves it as it is; only `rows`, which hands out
+    blocks to edit, unpacks the array into dense blocks and drops it. The
+    engine packs a dense strategy's rows on every use, so edits to `rows`
+    always count. A strategy is evaluated only on a scenario with the same
+    node tuple.
     """
 
     def __init__(self, nodes, rows):
         self.nodes = tuple(nodes)
         self._rows = rows
-        self._packed = None   # (comp, X)
+        self._view = None   # the direction array, as a view
 
     @classmethod
     def _stacked(cls, comp: _Compiled, X) -> "Strategy":
         phi = cls(comp.nodes, None)
-        phi._packed = (comp, X)
+        phi._view = comp.view(X, "direction")
         return phi
+
+    @property
+    def _table(self):
+        """{key: (n, n+1) block}, without unpacking: the dense rows, or a
+        view of the direction array."""
+        return self._view if self._rows is None else self._rows
 
     @property
     def rows(self) -> dict:
         if self._rows is None:
-            comp, X = self._packed
-            rows = {key: block.copy() for key, block in comp.view(X, "direction").items()}
-            self._rows, self._packed = rows, None
+            self._rows = {key: block.copy() for key, block in self._view.items()}
+            self._view = None
         return self._rows
 
     def fractions(self, comp: _Compiled) -> np.ndarray:
         """The (S, n+E) direction fractions on `comp`. Do not edit them.
         Raises ValueError for a strategy on other nodes, with a block that
-        is not (n, n+1) or with mass on a link the scenario lacks."""
+        is missing or not (n, n+1) or with mass on a link the scenario
+        lacks."""
         if self.nodes != comp.nodes:
             raise ValueError(f"strategy for nodes {self.nodes!r} evaluated on a scenario "
                              f"with nodes {comp.nodes!r}")
-        rows = self._foreign_rows(comp)
-        if rows is None:
-            return self._packed[1]
-        X = comp.pack(rows, "direction")
-        comp.refuse_lost([rows[key][:, 1:] for key in comp.keys], "mass")
-        return X
-
-    def _foreign_rows(self, comp: _Compiled):
-        """None when the strategy holds an array laid out on `comp`, else
-        its dense row blocks (without unpacking the strategy)."""
-        if self._packed is None:
-            return self._rows
-        own, X = self._packed
-        return None if comp.same_as(own) else dict(own.view(X, "direction"))
+        return comp.pack(self._table, "direction", "mass")
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "Strategy":
@@ -501,15 +505,14 @@ class Strategy:
         return cls(comp.nodes, rows)
 
     def copy(self) -> "Strategy":
-        if self._packed is not None:
-            comp, X = self._packed
-            return Strategy._stacked(comp, X.copy())
+        if self._view is not None:
+            return Strategy._stacked(self._view._comp, self._view._a.copy())
         return Strategy(self.nodes, {k: v.copy() for k, v in self._rows.items()})
 
     def row(self, node, app_id, k: int) -> dict:
         """Fraction row as a mapping {dest: fraction}, dest 'cpu' or a node id."""
         i = self.nodes.index(node)
-        raw = self.rows[(app_id, k)][i]
+        raw = self._table[(app_id, k)][i]
         out = {}
         if raw[0] > 0:
             out["cpu"] = float(raw[0])
@@ -529,9 +532,10 @@ class Strategy:
         self.rows[(app_id, k)][i] = row
 
     def to_jsonable(self) -> dict:
-        stages, rows = sorted(self.rows), {}
+        table = self._table
+        stages, rows = sorted(table), {}
         for app_id, k in stages:
-            mat = self.rows[(app_id, k)]
+            mat = table[(app_id, k)]
             for i, c in zip(*np.nonzero(mat)):
                 entry = rows.setdefault(f"{i}/{app_id}/{k}", {})
                 entry["cpu" if c == 0 else str(c - 1)] = mat[i, c]
@@ -539,20 +543,21 @@ class Strategy:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Strategy":
+        """The strategy of to_jsonable's dict. Raises ValueError for a row
+        of a stage that is not listed or naming a node index outside [0, n)."""
         nodes = tuple(data["nodes"])
         n = len(nodes)
         rows = {(app_id, int(k)): np.zeros((n, n + 1)) for app_id, k in data["stages"]}
+
         for key, entry in data["rows"].items():
             # key layout: "<node_idx>/<app_id>/<k>"; app ids may contain '/'
             i_s, rest = key.split("/", 1)
             app_id, k_s = rest.rsplit("/", 1)
-            mat = rows[(app_id, int(k_s))]
-            i = int(i_s)
+            i, mat = int(i_s), rows.get((app_id, int(k_s)))
+            if mat is None or not all(0 <= j < n for j in [i, *map(int, entry.keys() - {"cpu"})]):
+                raise ValueError(f"row {key!r} lies outside the stages listed or nodes [0, {n})")
             for dest, f in entry.items():
-                if dest == "cpu":
-                    mat[i, 0] = f
-                else:
-                    mat[i, 1 + int(dest)] = f
+                mat[i, 0 if dest == "cpu" else 1 + int(dest)] = f
         return cls(nodes, rows)
 
 
@@ -564,38 +569,25 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     """Check conservation row sums, support, and fraction ranges.
 
     Returns a list of violation dicts, stage by stage; an empty list means
-    the strategy is valid. Nothing is raised. The checks read the
-    directions the engine evaluates; the blocks of a strategy not laid out
-    on the scenario's stage stack are also checked for their shape and for
-    mass on absent links, which the engine refuses.
+    the strategy is valid. Nothing is raised. The blocks are read as the
+    engine reads them (_Compiled.read): a missing or misshaped block and
+    every nonzero fraction on a link the scenario lacks, which the engine
+    refuses, are reported, and the other checks read the directions the
+    engine evaluates.
     """
     comp = compiled(scenario)
     if phi.nodes != comp.nodes:
         return [{"error": f"strategy for nodes {phi.nodes!r}, scenario has {comp.nodes!r}"}]
     tol = 1e-9
-    misshaped, absent = set(), {}
-    rows = phi._foreign_rows(comp)
-    if rows is None:
-        X = phi.fractions(comp)
-    else:
-        blocks = {}
-        for key in comp.keys:
-            mat = rows.get(key)
-            if mat is None or mat.shape != (comp.n, comp.n + 1):
-                misshaped.add(key)
-                mat = np.zeros((comp.n, comp.n + 1))
-            blocks[key] = mat
-            absent[key] = [{"stage": key, "node": comp.nodes[i], "dest": comp.nodes[j],
-                            "error": "fraction on absent link"}
-                           for i, j in np.argwhere((mat[:, 1:] > tol) & ~comp.adj)]
-        X = comp.pack(blocks, "direction")
+    X, faults = comp.read(phi._table, "direction", "mass")
     outside = (X < -tol) | (X > 1 + tol)
     sums = comp.row_sum(X)
     want = comp.active.astype(float)
     bad_cpu = (X[:, comp.seg] > tol) & comp.cannot_run
     out = []
     for s, key in enumerate(comp.keys):
-        if key in misshaped:
+        lost = [(i, j) for f, i, j in faults if f == s]
+        if (-1, -1) in lost:
             out.append({"stage": key, "error": "missing or misshaped row block"})
             continue
         for p in np.flatnonzero(outside[s]):
@@ -604,7 +596,8 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
         for i in np.flatnonzero(np.abs(sums[s] - want[s]) > 1e-6):
             out.append({"stage": key, "node": comp.nodes[i],
                         "error": f"row sums to {sums[s, i]:.9f}, expected {want[s, i]}"})
-        out += absent.get(key, [])
+        out += [{"stage": key, "node": comp.nodes[i], "dest": comp.nodes[j],
+                 "error": "fraction on absent link"} for i, j in lost]
         for i in np.flatnonzero(bad_cpu[s]):
             out.append({"stage": key, "node": comp.nodes[i],
                         "error": "CPU fraction at final stage" if comp.final[s]
@@ -758,13 +751,14 @@ def detect_loops(phi: Strategy) -> dict:
     means the strategy is loop-free. Cycles formed only by concatenating
     different stages are not reported.
     """
-    rows = phi.rows
-    keys = list(rows)
+    table = phi._table
+    keys = list(table)
     if not keys:
         return {}
     n = len(phi.nodes)
-    src, dst = np.nonzero(np.logical_or.reduce([rows[key][:, 1:] > 0 for key in keys]))
-    xe = np.stack([rows[key][src, 1 + dst] for key in keys])
+    blocks = [table[key][:, 1:] for key in keys]
+    src, dst = np.nonzero(np.logical_or.reduce([block > 0 for block in blocks]))
+    xe = np.stack([block[src, dst] for block in blocks])
     levels = StageLevels(xe, src, dst, n, np.zeros(len(keys), dtype=int))
     out = {}
     if levels.cyclic.size:

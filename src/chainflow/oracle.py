@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
-from .flows import DenseView, Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
+from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
 from .network import Scenario, queue_prime, queue_room
 
 
@@ -35,8 +35,9 @@ class FlowVector:
 
     The oracle's flow vectors hold the (S, E) link and (S, n) CPU flows of
     the stage stack; the maps are views whose blocks are read-only
-    snapshots built on access. Dense dicts given to the constructor are
-    packed on every engine use, as a dense Strategy's rows are."""
+    snapshots built on access. Any other table, dense dicts or views laid
+    out on another scenario, is read block by block on every engine use,
+    as a Strategy's is (_Compiled.read)."""
 
     def __init__(self, nodes, link_flows, cpu_flows):
         self.nodes = tuple(nodes)
@@ -53,10 +54,7 @@ class FlowVector:
         link the scenario lacks."""
         if self.nodes != comp.nodes:
             raise ValueError(f"flows for nodes {self.nodes!r}, scenario has {comp.nodes!r}")
-        fe = comp.pack(self.link_flows, "edge")
-        if not isinstance(self.link_flows, DenseView):
-            comp.refuse_lost([self.link_flows[key] for key in comp.keys], "flow")
-        return fe, comp.pack(self.cpu_flows, "node")
+        return comp.pack(self.link_flows, "edge", "flow"), comp.pack(self.cpu_flows, "node")
 
 
 def _totals(comp, fv: FlowVector):

@@ -74,6 +74,18 @@ class TestLcof:
             if key[1] < s.app(key[0]).chain_length:
                 assert np.array_equal(mat, start.rows[key])
 
+    def test_unconverged_forwarding_reported(self):
+        # run_gp stops here at its 4,000-slot budget with a gap near 8e-7,
+        # above LCOF's tol 1e-7
+        res = lcof(random_scenario(11, link_bound=15.0, packet_sizes=(2.0, 1.0, 2.0)))
+        assert res.feasible and not res.converged
+
+    def test_unconverged_forwarding_recorded(self):
+        from chainflow.experiments import run_algorithm
+        rec = run_algorithm("lcof", random_scenario(11, link_bound=15.0,
+                                                    packet_sizes=(2.0, 1.0, 2.0)), GpConfig())
+        assert rec["feasible"] and rec["converged"] is False
+
     def test_capacity_infeasible(self):
         from chainflow import Application, Graph, Queue, Scenario
         g = Graph.from_undirected_edges([1, 2], [(1, 2)])

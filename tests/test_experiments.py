@@ -12,7 +12,7 @@ from chainflow import (ExperimentConfig, NotConverged, compute_flows, hop_metric
 from chainflow.cli import main as cli_main
 from chainflow.serialize import load_scenario, load_strategy
 
-from conftest import make_strategy
+from conftest import make_strategy, random_scenario
 
 
 class TestHopMetrics:
@@ -188,6 +188,44 @@ class TestCli:
         dump_scenario(path_scenario([1, 2, 3, 4]), small)
         dump_strategy(init_strategy(path_scenario([1, 2, 3, 4, 5])), big)
         assert cli_main(["check", str(big), "--config", str(small)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_solve_baseline_unconverged_exit_2(self, tmp_path):
+        # LCOF's forwarding stops at its slot budget here (see test_baselines)
+        from chainflow.serialize import dump_scenario
+        scen, out = tmp_path / "s.json", tmp_path / "o"
+        dump_scenario(random_scenario(11, link_bound=15.0, packet_sizes=(2.0, 1.0, 2.0)), scen)
+        assert cli_main(["solve", "--algo", "lcof", "--config", str(scen),
+                         "--out", str(out)]) == 2
+        assert json.loads((out / "metrics.json").read_text())["converged"] is False
+
+    def _path_strategy(self, tmp_path, edit):
+        """A strategy file of the 3-node path's tree strategy, with its
+        JSON rows edited by `edit`, and its scenario file."""
+        from chainflow import init_strategy
+        from chainflow.serialize import dump_scenario
+        from test_flows import path_scenario
+        s = path_scenario([1, 2, 3])
+        scen, strat = tmp_path / "path.json", tmp_path / "phi.json"
+        dump_scenario(s, scen)
+        data = dict(init_strategy(s).to_jsonable(), scenario=str(scen))
+        edit(data["rows"])
+        strat.write_text(json.dumps(data))
+        return str(strat)
+
+    def test_check_reports_lost_traffic_exit_1(self, tmp_path, capsys):
+        # without its source row the strategy sends nothing, at zero cost
+        strat = self._path_strategy(tmp_path, lambda rows: rows.pop("0/a/0"))
+        assert cli_main(["check", strat]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"violations": [{"stage": ["a", 0], "node": 1,
+                                          "error": "row sums to 0.000000000, expected 1.0"}]}
+
+    @pytest.mark.parametrize("key", ["-1/a/0", "9/a/0"])
+    def test_check_row_key_outside_the_layout_exit_1(self, tmp_path, capsys, key):
+        # -1 must not wrap to node 3's row, nor 9 end in a traceback
+        strat = self._path_strategy(tmp_path, lambda rows: rows.update({key: rows.pop("0/a/0")}))
+        assert cli_main(["check", strat]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
     def test_invalid_config_exit_1(self, tmp_path):

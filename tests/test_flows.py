@@ -24,6 +24,16 @@ def path_scenario(nodes):
                     comp_costs={v: None for v in nodes}, input_rates={(1, "a"): 1.0})
 
 
+def triangle(links):
+    """Routing only on the triangle 1, 2, 3 with the given unit-slope
+    links, from node 1 to node 3 at unit rate."""
+    g = Graph.from_undirected_edges([1, 2, 3], links)
+    app = Application(id="a", chain_length=0, destination=3, packet_sizes=(1.0,))
+    return Scenario(graph=g, applications=(app,),
+                    link_costs={l: Linear(1.0) for l in g.links},
+                    comp_costs={v: None for v in g.nodes}, input_rates={(1, "a"): 1.0})
+
+
 class TestValidate:
     def test_e1_strategy_a_ok(self, e1, e1_strategy_a):
         assert validate_strategy(e1, e1_strategy_a) == []
@@ -63,20 +73,46 @@ class TestValidate:
     def test_mass_on_missing_link_refused(self):
         # node 1 sends everything over (1, 3); evaluated on the triangle
         # without that link, the mass must not vanish from the cost
-        def triangle(links):
-            g = Graph.from_undirected_edges([1, 2, 3], links)
-            app = Application(id="a", chain_length=0, destination=3, packet_sizes=(1.0,))
-            return Scenario(graph=g, applications=(app,),
-                            link_costs={l: Linear(1.0) for l in g.links},
-                            comp_costs={v: None for v in g.nodes},
-                            input_rates={(1, "a"): 1.0})
         full, cut = triangle([(1, 2), (2, 3), (1, 3)]), triangle([(1, 2), (2, 3)])
         dense = init_strategy(full)
-        assert dense.row(1, "a", 0) == {3: 1.0}   # row() unpacks it to dense blocks
+        assert dense.rows[("a", 0)][0, 3] == 1.0   # rows unpacks it to dense blocks
+        assert dense.row(1, "a", 0) == {3: 1.0}
         for phi in (dense, init_strategy(full)):
             with pytest.raises(ValueError, match=r"stage \('a', 0\): node 1 .*\(1, 3\)"):
                 compute_flows(cut, phi)
             assert "fraction on absent link" in [v["error"] for v in validate_strategy(cut, phi)]
+
+    def test_strategy_from_scenario_with_one_more_link_read_there(self):
+        # laid out on the triangle with link (1, 3) but sending nothing
+        # over it, a strategy reads on the triangle without it as it is
+        full, cut = triangle([(1, 2), (2, 3), (1, 3)]), triangle([(1, 2), (2, 3)])
+        phi = Strategy._stacked(compiled(full), make_strategy(full, {
+            (1, "a", 0): {2: 1.0}, (2, "a", 0): {3: 1.0}}).fractions(compiled(full)))
+        assert validate_strategy(cut, phi) == []
+        assert compute_flows(cut, phi).total_cost == compute_flows(full, phi).total_cost == 2.0
+
+    @pytest.mark.parametrize("value", [1e-12, -0.5])
+    def test_off_layout_mass_of_any_size_reported(self, prop1, prop1_kkt_strategy, value):
+        # the engine refuses every nonzero fraction off the layout, however
+        # small and of either sign, so validation reports each one
+        bad = prop1_kkt_strategy.copy()
+        bad.rows[("p", 0)][0, 3] = value    # (1, 3) is not a link
+        assert {"stage": ("p", 0), "node": 1, "dest": 3,
+                "error": "fraction on absent link"} in validate_strategy(prop1, bad)
+        with pytest.raises(ValueError, match="which the scenario lacks"):
+            bad.fractions(compiled(prop1))
+
+    def test_reading_leaves_engine_strategy_stacked(self, prop1):
+        # only rows, the edit path, unpacks the engine's array
+        phi = init_strategy(prop1)
+        readers = [detect_loops, lambda p: p.row(1, "p", 0), Strategy.to_jsonable,
+                   lambda p: validate_strategy(prop1, p)]
+        for read in readers:
+            read(phi)
+            assert phi._rows is None
+        cost = compute_flows(prop1, phi).total_cost
+        phi.rows
+        assert phi._view is None and compute_flows(prop1, phi).total_cost == cost
 
     def test_missing_or_misshaped_block_reported(self, e1, e1_strategy_a):
         missing, misshaped = e1_strategy_a.copy(), e1_strategy_a.copy()
@@ -105,6 +141,57 @@ class TestValidate:
         bad.set_row(2, "p", 0, {"cpu": 1.0})  # node 2 has no CPU
         errors = validate_strategy(prop1, bad)
         assert any("not performable" in v["error"] for v in errors)
+
+
+class TestValidationAgreesWithEngine:
+    """validate_strategy reports a block or an entry the engine cannot read
+    exactly when Strategy.fractions raises ValueError."""
+
+    REFUSALS = {"fraction on absent link", "missing or misshaped row block"}
+
+    def _refused(self, s, phi) -> bool:
+        reported = bool(self.REFUSALS & {v["error"] for v in validate_strategy(s, phi)})
+        try:
+            phi.fractions(compiled(s))
+        except ValueError:
+            assert reported
+            return True
+        assert not reported
+        return False
+
+    def _defects(self, s, phi, rng):
+        comp = compiled(s)
+        key = comp.keys[rng.integers(len(comp.keys))]
+        i, j = rng.permutation(np.argwhere(~comp.adj))[0]
+        for value in (1e-12, -0.5, 1.0):
+            bad = phi.copy()
+            bad.rows[key][i, 1 + j] = value
+            yield bad
+        missing, misshaped = phi.copy(), phi.copy()
+        del missing.rows[key]
+        misshaped.rows[key] = np.zeros((comp.n, comp.n))
+        yield from (missing, misshaped)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_defects(self, seed):
+        from test_gp import _without
+        rng = np.random.default_rng(seed)
+        s = random_scenario(seed, n=6, K=1)
+        comp = compiled(s)
+        dense = random_loopfree_strategy(s, seed)
+        for phi in (dense, Strategy._stacked(comp, dense.fractions(comp))):
+            assert not self._refused(s, phi)
+            for bad in self._defects(s, phi, rng):
+                assert self._refused(s, bad)
+        # a strategy laid out on s, read on s without one of its links:
+        # refused exactly when it sends mass over that link either way
+        u, v = s.graph.nodes[comp.src[0]], s.graph.nodes[comp.dst[0]]
+        cut = _without(s, links=[(u, v)])
+        for phi in (init_strategy(s), random_loopfree_strategy(s, seed, full_support=True)):
+            stacked = Strategy._stacked(comp, phi.fractions(comp))
+            lost = any(phi.row(a, *key).get(b, 0.0) > 0
+                       for key in comp.keys for a, b in ((u, v), (v, u)))
+            assert self._refused(cut, stacked) == lost
 
 
 class TestDetectLoops:
@@ -566,3 +653,15 @@ class TestStrategySerialization:
         back = Strategy.from_jsonable(data)
         for key, mat in e1_strategy_a.rows.items():
             assert np.array_equal(back.rows[key], mat)
+
+    @pytest.mark.parametrize("key, entry", [
+        ("-1/a/0", {"cpu": 1.0}), ("9/a/0", {"cpu": 1.0}), ("0/a/0", {"2": 1.0}),
+        ("0/a/0", {"-1": 1.0}), ("0/a/5", {"cpu": 1.0}), ("0/b/0", {"cpu": 1.0}),
+    ], ids=["negative node", "node past n", "destination past n", "negative destination",
+            "unlisted k", "unlisted app"])
+    def test_row_keys_outside_the_layout_refused(self, e1_strategy_a, key, entry):
+        # a negative index must not wrap to another node's row or column
+        data = e1_strategy_a.to_jsonable()
+        data["rows"][key] = entry
+        with pytest.raises(ValueError, match=re.escape(f"row {key!r} lies outside")):
+            Strategy.from_jsonable(data)

@@ -13,7 +13,8 @@ from chainflow.oracle import (FlowVector, _bisect, _blocks, _delta_entries, _exa
                               _totals, cheapest_extended_paths, enumerate_extended_paths,
                               flow_cost, path_cost)
 
-from conftest import hub_scenario, layered_dijkstra, random_loopfree_strategy, random_scenario
+from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
+                      random_scenario)
 from test_acceptance import _loaded_scenario
 
 
@@ -81,6 +82,22 @@ class TestFlowVector:
             flow_cost(s, fv)
         with pytest.raises(ValueError, match=refusal):
             strategy_from_flows(s, fv)
+
+    def test_view_from_scenario_with_one_more_link_read_block_by_block(self):
+        # flows laid out on the triangle with link (1, 3) read on the
+        # triangle without it when they carry nothing there, as a strategy
+        # does, and are refused when they do
+        from test_flows import triangle
+        full, cut = triangle([(1, 2), (2, 3), (1, 3)]), triangle([(1, 2), (2, 3)])
+        comp = compiled(full)
+        around = compute_flows(full, make_strategy(full, {(1, "a", 0): {2: 1.0},
+                                                          (2, "a", 0): {3: 1.0}}))
+        fv = FlowVector._on(comp, around.edge_flows, around.cpu_stack)
+        assert flow_cost(cut, fv) == flow_cost(full, fv) == 2.0
+        direct = solve_flow_domain(full, tol=1e-9).flows
+        assert direct.link_flows[("a", 0)][0, 2] > 0
+        with pytest.raises(ValueError, match=r"node 1 .*\(1, 3\), which the scenario lacks"):
+            flow_cost(cut, direct)
 
     def test_view_blocks_are_read_only(self):
         # an edit to a view block, on the layout or off it, raises instead
