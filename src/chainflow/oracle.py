@@ -16,6 +16,7 @@ simplices; it shares no solver machinery with the conditional-gradient route.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +58,14 @@ class FlowVector:
         return comp.pack(self.link_flows, "edge", "flow"), comp.pack(self.cpu_flows, "node")
 
 
-def _totals(comp, fv: FlowVector):
-    """Link bits per edge and CPU workloads per node of a flow vector."""
-    return comp.totals(*fv.arrays(comp))
+def _totals(comp, fe, g):
+    """Link bits per edge and CPU workloads per node of (S, E) and (S, n) flows."""
+    return comp.totals(fe, g)
 
 
 def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
     comp = compiled(scenario)
-    F, G = _totals(comp, fv)
+    F, G = _totals(comp, *fv.arrays(comp))
     return comp.cost_total(F, G)
 
 
@@ -88,8 +89,7 @@ def path_cost(comp, app, path, Dp, Cp) -> float:
     return float(c)
 
 
-def _add_path(comp, fv: FlowVector, app, path, amount: float):
-    fe, g = fv.arrays(comp)
+def _add_path(comp, fe, g, app, path, amount: float):
     s0 = app.s0
     for step in path:
         if step[0] == "L":
@@ -100,7 +100,7 @@ def _add_path(comp, fv: FlowVector, app, path, amount: float):
             g[s0 + k, v] += amount
 
 
-def cheapest_extended_paths(comp, app, Dp, Cp, masks=None):
+def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
     """Cheapest cost-to-go over the stage-layered graph of one application,
     or of every application when `app` is None: one cheapest_to_go per
     chain position, the last first, over the stages there.
@@ -112,6 +112,10 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None):
     destination is out of reach. `masks` optionally maps application ids
     to their admissible (n, n) links (used by baselines that pin routing
     to fixed paths).
+
+    `memo`, a dict kept for one set of masks, holds per `app` the rows of a
+    chain position of final stages with packet size 0: whatever Dp and Cp,
+    its links weigh 0 (inf where masked) and its CPU steps are unusable.
     """
     stages, base = (slice(None), 0) if app is None else (app.stages, app.s0)
     link_w = comp.L[stages, None] * Dp
@@ -126,9 +130,15 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None):
     nxt = np.minimum(np.arange(1, len(dist) + 1), len(dist) - 1)
     for j in reversed(range(len(comp.groups) if app is None else app.K + 1)):
         rows = comp.groups[j] if app is None else slice(j, j + 1)
+        keep = memo is not None and (comp.final[stages] & (comp.L[stages] == 0))[rows].all()
+        if keep and app in memo:
+            dist[rows], succ[rows] = memo[app]
+            continue
         d, s = dist[rows], succ[rows]
         cheapest_to_go(comp, link_w[rows], d, s, cpu_w[rows] + dist[nxt[rows]])
         dist[rows], succ[rows] = d, s
+        if keep:
+            memo[app] = d.copy(), s.copy()
     return dist, succ
 
 
@@ -160,24 +170,20 @@ class OracleResult:
     iterations: int
     cost_trace: list = field(default_factory=list)
     gap_trace: list = field(default_factory=list)
-
-
-def _zero_flows(comp) -> FlowVector:
-    S = len(comp.keys)
-    return FlowVector._on(comp, np.zeros((S, comp.E)), np.zeros((S, comp.n)))
+    time_trace: list = field(default_factory=list)  # seconds since the last record (or start)
 
 
 def _blocks(comp):
     return [(app, int(s), float(app.r[s])) for app in comp.apps for s in np.flatnonzero(app.r > 0)]
 
 
-def _rebuild(comp, registry) -> FlowVector:
-    fv = _zero_flows(comp)
+def _rebuild(comp, registry):
+    fe, g = np.zeros((len(comp.keys), comp.E)), np.zeros((len(comp.keys), comp.n))
     for (app, src, rate), atoms in registry.items():
         for path, wgt in atoms.items():
             if wgt > 0:
-                _add_path(comp, fv, app, path, wgt * rate)
-    return fv
+                _add_path(comp, fe, g, app, path, wgt * rate)
+    return fe, g
 
 
 def _bisect(deriv, hi: float) -> float:
@@ -260,53 +266,59 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     return _bisect(deriv, hi)
 
 
-def _apply_swap(comp, app, fv, F, G, target, worst, amount, ef, eg):
+def _apply_swap(comp, app, fe, g, F, G, target, worst, amount, ef, eg):
     """Shift `amount` packets/sec from path `worst` to `target`, updating the
-    flow vector and network totals in place; (ef, eg) are the swap's unit
-    deltas from _delta_entries."""
-    _add_path(comp, fv, app, target, amount)
-    _add_path(comp, fv, app, worst, -amount)
+    flows and network totals in place; (ef, eg) are the swap's unit deltas
+    from _delta_entries."""
+    _add_path(comp, fe, g, app, target, amount)
+    _add_path(comp, fe, g, app, worst, -amount)
     for e, d in ef.items():
         F[e] += amount * d
     for v, d in eg.items():
         G[v] += amount * d
 
 
-def _greedy_start(comp, registry, masks=None):
+def _greedy_start(comp, registry, masks=None, memo=None):
     """Load the blocks of `registry`, which have no atoms yet, one at a time
     on currently-cheapest extended paths, splitting a block when a whole
-    placement would blow a capacity."""
+    placement would blow a capacity. A trial loads the flows and totals in
+    place; a rejected one puts back the columns it changed."""
     links, cpus = comp.links, comp.cpus
-    fv = _rebuild(comp, registry)
-    F, G = _totals(comp, fv)
+    fe, g = _rebuild(comp, registry)
+    F, G = _totals(comp, fe, g)
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
         app, src, rate = block
         for chunks in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            # a trial loads copies of the flow arrays; a rejected one is dropped
-            trial = dict(registry[block])
-            part = rate / chunks
-            fv_try, F_try, G_try = FlowVector._on(comp, *(a.copy() for a in fv.arrays(comp))), F, G
+            trial, part, undo = dict(registry[block]), rate / chunks, []
             for _ in range(chunks):
                 # the totals are zero or passed the saturation check below
-                _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
-                                                  cpus.deriv(G_try), masks)
+                _, succ = cheapest_extended_paths(comp, app, links.deriv(F), cpus.deriv(G),
+                                                  masks, memo)
                 try:
                     path = _extract_path(succ, src)
                 except NoFeasibleStrategy:
                     break
-                _add_path(comp, fv_try, app, path, part)
-                F_try, G_try = _totals(comp, fv_try)
-                if links.saturated(F_try, 1e-12) or cpus.saturated(G_try, 1e-12):
+                e = sorted({comp.eid[step[2], step[3]] for step in path if step[0] == "L"})
+                v = sorted({step[2] for step in path if step[0] == "C"})
+                undo.append((e, fe[:, e], F[e], v, g[:, v], G[v]))
+                _add_path(comp, fe, g, app, path, part)
+                # sequential column sums round as comp.totals' sums over all columns do
+                F[e] = np.cumsum(comp.L[:, None] * fe[:, e], axis=0)[-1]
+                if (g[:, v] > 0)[comp.cannot_run[:, v]].any():
+                    comp.totals(fe, g)      # raises CapacityExceeded naming the stage
+                G[v] = np.cumsum(np.where(g[:, v] > 0, comp.w[:, v], 0.0) * g[:, v], axis=0)[-1]
+                if links.saturated(F, 1e-12) or cpus.saturated(G, 1e-12):
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
             else:
                 registry[block] = trial
-                fv, F, G = fv_try, F_try, G_try
                 break
+            for e, fe_e, F_e, v, g_v, G_v in reversed(undo):
+                fe[:, e], F[e], g[:, v], G[v] = fe_e, F_e, g_v, G_v
         else:
             raise NoFeasibleStrategy(
                 f"could not load source {comp.nodes[src]} of {app.id} within capacities")
-    return fv
+    return FlowVector._on(comp, fe, g)
 
 
 def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20000,
@@ -321,26 +333,28 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     (strict=False returns the last iterate evaluated instead, with its cost
     and gap) or allows no iteration.
     """
+    clock = time.perf_counter()
     comp = compiled(scenario)
     registry = {block: {} for block in _blocks(comp)}
     if not registry:
-        return OracleResult(0.0, _zero_flows(comp), 0.0, True, 0)
+        return OracleResult(0.0, FlowVector._on(comp, *_rebuild(comp, registry)), 0.0, True, 0)
     if max_iters < 1:
         raise NotConverged(f"flow-domain solver: max_iters {max_iters} allows no iteration")
-    fv = _greedy_start(comp, registry, app_link_masks)
+    memo = {}       # cheapest_extended_paths' zero-size final positions, for these masks
+    fe, g = _greedy_start(comp, registry, app_link_masks, memo).arrays(comp)
     links = comp.links
-    cost_trace, gap_trace = [], []
+    cost_trace, gap_trace, time_trace = traces = [], [], []
     for it in range(max_iters):
         if it and it % 25 == 0:
-            fv = _rebuild(comp, registry)  # shed float drift from in-place moves
-        F, G = _totals(comp, fv)
+            fe, g = _rebuild(comp, registry)  # shed float drift from in-place moves
+        F, G = _totals(comp, fe, g)
         T = comp.cost_total(F, G)
         Dp = links.deriv(F)
         Cp = comp.cpus.deriv(G)
         best = {}
         lower = 0.0
         inner = 0.0
-        dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks)
+        dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks, memo)
         for block, atoms in registry.items():
             app, src, rate = block
             best[block] = _extract_path(succ[app.stages], src)
@@ -351,32 +365,33 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         gap = inner - lower
         cost_trace.append(T)
         gap_trace.append(gap)
+        time_trace.append(-clock + (clock := time.perf_counter()))
         if gap <= tol * max(1.0, abs(T)):
-            return OracleResult(T, fv, gap, True, it, cost_trace, gap_trace)
+            return OracleResult(T, FlowVector._on(comp, fe, g), gap, True, it, *traces)
         if it == max_iters - 1:
             break       # budget spent: no step that would go unevaluated
 
         # classic conditional-gradient step toward the all-best-paths vertex
-        sF, sG = _totals(comp, _rebuild(comp, {block: {path: 1.0}
-                                               for block, path in best.items()}))
+        sF, sG = _totals(comp, *_rebuild(comp, {block: {path: 1.0}
+                                                for block, path in best.items()}))
         gamma = _exact_line_search(comp, F, G, sF - F, sG - G)
         if gamma > 0:
             for block, atoms in registry.items():
                 scaled = {p: w * (1 - gamma) for p, w in atoms.items()}
                 scaled[best[block]] = scaled.get(best[block], 0.0) + gamma
                 registry[block] = {p: w for p, w in scaled.items() if w > 1e-15}
-            fv = _rebuild(comp, registry)
+            fe, g = _rebuild(comp, registry)
 
         if pairwise:
             # per application: one marginal refresh and one cheapest-path
             # search, then shift mass from each of its sources' worst atoms
             # toward the target path; line searches stay exact on the live
             # totals, so every move is a descent step
-            F, G = _totals(comp, fv)
+            F, G = _totals(comp, fe, g)
             for app in comp.apps:
                 Dp = links.deriv(F)
                 Cp = comp.cpus.deriv(G)
-                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks)
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks, memo)
                 for block in sorted((b for b in registry if b[0] is app), key=lambda b: b[1]):
                     _, src, rate = block
                     atoms = registry[block]
@@ -393,13 +408,13 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                         hi_cap=atoms[worst])
                     if move <= 0:
                         continue
-                    _apply_swap(comp, app, fv, F, G, target, worst, move * rate, ef, eg)
+                    _apply_swap(comp, app, fe, g, F, G, target, worst, move * rate, ef, eg)
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move
                     registry[block] = {p: w for p, w in atoms.items() if w > 1e-15}
     if strict:
         raise NotConverged(f"flow-domain solver: gap {gap:.3e} after {max_iters} iterations")
-    return OracleResult(T, fv, gap, False, max_iters, cost_trace, gap_trace)
+    return OracleResult(T, FlowVector._on(comp, fe, g), gap, False, max_iters, *traces)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +499,15 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
         paths[(app, src, rate)] = plist
 
     def flows_from(x):
-        fv = _zero_flows(comp)
+        fe, g = _rebuild(comp, {})
         for block, plist in paths.items():
             for p, amount in zip(plist, x[block]):
                 if amount > 0:
-                    _add_path(comp, fv, block[0], p, amount)
-        return fv
+                    _add_path(comp, fe, g, block[0], p, amount)
+        return fe, g
 
     def cost_of(x):
-        F, G = _totals(comp, flows_from(x))
+        F, G = _totals(comp, *flows_from(x))
         return comp.cost_total(F, G)
 
     # start: everything on the zero-flow cheapest path, else spread uniformly
@@ -517,7 +532,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
     eta = 0.1
     gap = np.inf
     for it in range(50000):
-        F, G = _totals(comp, flows_from(x))
+        F, G = _totals(comp, *flows_from(x))
         Dp = comp.links.deriv(F)
         Cp = comp.cpus.deriv(G)
         grad = {block: np.array([path_cost(comp, block[0], p, Dp, Cp)
@@ -564,10 +579,10 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector) -> Strategy:
     result is meaningful to check_sufficient everywhere.
     """
     comp = compiled(scenario)
-    F, G = _totals(comp, fv)
+    fe, g = fv.arrays(comp)
+    F, G = _totals(comp, fe, g)
     Dp = comp.links.deriv(F)
     Cp = comp.cpus.deriv(G)
-    fe, g = fv.arrays(comp)
     inj = comp.r.copy()
     inj[comp.prev >= 0] = g[comp.prev[comp.prev >= 0]]
     fe = np.where(fe < _PRUNE, 0.0, fe)

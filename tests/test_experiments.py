@@ -154,7 +154,7 @@ class TestCli:
                          "--tol", "1e-7"]) == 0
         s = _load_scenario_config(cfg)
         comp = compiled(s)
-        F, G = _totals(comp, solve_flow_domain(s, tol=1e-7).flows)
+        F, G = _totals(comp, *solve_flow_domain(s, tol=1e-7).flows.arrays(comp))
         apps = {app.id: app for app in comp.apps}
         index = {str(v): i for i, v in enumerate(comp.nodes)}
         F_csv, G_csv = np.zeros_like(F), np.zeros_like(G)

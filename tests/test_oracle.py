@@ -1,21 +1,34 @@
 import re
+import time
 
 import numpy as np
 import pytest
 
-from chainflow import (GpConfig, LoopDetected, NotConverged, Scenario, TooLarge,
-                       build_scenario, check_sufficient, compute_flows, enumerate_bruteforce,
-                       modified_marginals, run_gp, solve_flow_domain, strategy_from_flows,
-                       table_row, traffic_marginals, validate_strategy)
+from chainflow import (CapacityExceeded, GpConfig, LoopDetected, NoFeasibleStrategy,
+                       NotConverged, Scenario, TooLarge, build_scenario, check_sufficient,
+                       compute_flows, enumerate_bruteforce, modified_marginals, oracle, run_gp,
+                       solve_flow_domain, strategy_from_flows, table_row, traffic_marginals,
+                       validate_strategy)
 from chainflow.flows import compiled
-from chainflow.oracle import (FlowVector, _bisect, _blocks, _delta_entries, _exact_line_search,
-                              _extract_path, _greedy_start, _rebuild, _sparse_line_search,
-                              _totals, cheapest_extended_paths, enumerate_extended_paths,
-                              flow_cost, path_cost)
+from chainflow.oracle import (FlowVector, _add_path, _bisect, _blocks, _delta_entries,
+                              _exact_line_search, _extract_path, _greedy_start, _rebuild,
+                              _sparse_line_search, _totals, cheapest_extended_paths,
+                              enumerate_extended_paths, flow_cost, path_cost)
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
                       random_scenario)
 from test_acceptance import _loaded_scenario
+
+
+def _spoc_masks(comp):
+    """SPOC's admissible links: each application's zero-flow tree toward its
+    destination."""
+    masks = {}
+    for app in comp.apps:
+        _, nxt = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
+        masks[app.id] = np.zeros((comp.n, comp.n), dtype=bool)
+        masks[app.id][nxt >= 0, nxt[nxt >= 0]] = True
+    return masks
 
 
 class TestSolveFlowDomain:
@@ -50,6 +63,20 @@ class TestSolveFlowDomain:
         for strict in (True, False):
             with pytest.raises(NotConverged, match="allows no iteration"):
                 solve_flow_domain(s, tol=1e-10, max_iters=0, strict=strict)
+
+    def test_time_trace_has_a_time_per_record(self):
+        # one time per iteration whose cost and gap were recorded, whether
+        # the solve converges (6 iterations) or runs out of budget (2); the
+        # times are successive, so they add up to less than the call's wall
+        s = random_scenario(1, n=8, num_apps=2, K=2, link_bound=15.0, comp_bound=10.0)
+        for max_iters in (2, 100):
+            start = time.perf_counter()
+            res = solve_flow_domain(s, tol=1e-10, max_iters=max_iters, strict=False)
+            wall = time.perf_counter() - start
+            assert res.converged == (max_iters == 100)
+            assert len(res.time_trace) == len(res.cost_trace) == len(res.gap_trace)
+            assert all(t > 0.0 for t in res.time_trace)
+            assert sum(res.time_trace) <= wall
 
     def test_cost_trace_nonincreasing(self):
         s = random_scenario(6, n=7, num_apps=2, K=2)
@@ -121,7 +148,99 @@ class TestFlowVector:
                                        dict(res.flows.cpu_flows))) == cost
 
 
+def _copy_and_retry_greedy_start(comp, registry, masks=None):
+    """The greedy start as it was before it loaded in place: each trial
+    loads copies of the flow arrays and recomputes the totals from them
+    after every path, and a rejected trial's copies are dropped."""
+    links, cpus = comp.links, comp.cpus
+    fe, g = _rebuild(comp, registry)
+    F, G = comp.totals(fe, g)
+    for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
+        app, src, rate = block
+        for chunks in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            trial = dict(registry[block])
+            part = rate / chunks
+            fe_try, g_try, F_try, G_try = fe.copy(), g.copy(), F, G
+            for _ in range(chunks):
+                _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
+                                                  cpus.deriv(G_try), masks)
+                try:
+                    path = _extract_path(succ, src)
+                except NoFeasibleStrategy:
+                    break
+                _add_path(comp, fe_try, g_try, app, path, part)
+                F_try, G_try = comp.totals(fe_try, g_try)
+                if links.saturated(F_try, 1e-12) or cpus.saturated(G_try, 1e-12):
+                    break
+                trial[path] = trial.get(path, 0.0) + 1.0 / chunks
+            else:
+                registry[block] = trial
+                fe, g, F, G = fe_try, g_try, F_try, G_try
+                break
+        else:
+            raise NoFeasibleStrategy("could not load a source within capacities")
+    return fe, g
+
+
 class TestGreedyStart:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", ["loaded 25", "sw-queue 1",
+                                      *(f"random {i}" for i in range(6))])
+    def test_in_place_loading_equals_copy_and_retry(self, monkeypatch, case, masked):
+        # loading in place, with totals refreshed at the touched columns and
+        # the final position's search reused, must give the flows, atoms and
+        # totals of the copy-and-retry loading bit for bit, and every search
+        # must see the marginals of the full totals of the live flows;
+        # "loaded 25" rejects a whole placement of a block before it fits
+        kind, seed = case.rsplit(" ", 1)
+        s = {"loaded": lambda i: _loaded_scenario(i),
+             "sw-queue": lambda i: build_scenario(table_row("sw-queue"), i),
+             "random": lambda i: random_scenario(i)}[kind](int(seed))
+        comp = compiled(s)
+        masks = _spoc_masks(comp) if masked else None
+        want_registry = {block: {} for block in _blocks(comp)}
+        want = _copy_and_retry_greedy_start(comp, want_registry, masks)
+        add, paths, live = oracle._add_path, oracle.cheapest_extended_paths, []
+
+        def add_seen(comp, fe, g, *rest):
+            live[:] = fe, g
+            return add(comp, fe, g, *rest)
+
+        def search_checked(comp, app, Dp, Cp, *rest):
+            F, G = comp.totals(*live) if live else (np.zeros(comp.E), np.zeros(comp.n))
+            assert Dp.tobytes() == comp.links.deriv(F).tobytes()
+            assert Cp.tobytes() == comp.cpus.deriv(G).tobytes()
+            return paths(comp, app, Dp, Cp, *rest)
+
+        monkeypatch.setattr(oracle, "_add_path", add_seen)
+        monkeypatch.setattr(oracle, "cheapest_extended_paths", search_checked)
+        for memo in (None, {}):
+            registry = {block: {} for block in _blocks(comp)}
+            live.clear()
+            got = _greedy_start(comp, registry, masks, memo).arrays(comp)
+            assert [list(atoms.items()) for atoms in registry.values()] == \
+                [list(atoms.items()) for atoms in want_registry.values()]
+            for a, b in [*zip(got, want), *zip(comp.totals(*got), comp.totals(*want))]:
+                assert a.tobytes() == b.tobytes()
+        if case == "loaded 25" and not masked:
+            assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
+
+    def test_cpu_flow_where_the_task_cannot_run_refused(self, monkeypatch):
+        # the totals are refreshed at the touched columns only, yet a path
+        # that sends CPU flow where the task cannot run (here: the final
+        # stage at the destination) is refused with comp.totals' message
+        s = random_scenario(0)
+        comp = compiled(s)
+        real = oracle._extract_path
+
+        def past_the_end(succ, src):
+            path = real(succ, src)
+            return path + (("C", len(succ) - 1, path[-1][-1]),)
+
+        monkeypatch.setattr(oracle, "_extract_path", past_the_end)
+        with pytest.raises(CapacityExceeded, match="sends flow to a CPU that cannot run the task"):
+            _greedy_start(comp, {block: {} for block in _blocks(comp)})
+
     def test_split_block_flows_match_registry(self):
         # on this tight-CPU draw one block only fits in two halves, so a
         # whole placement was tried and rejected first; none of its flow may
@@ -131,9 +250,9 @@ class TestGreedyStart:
         registry = {block: {} for block in _blocks(comp)}
         fv = _greedy_start(comp, registry)
         assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
-        for got, want in zip(fv.arrays(comp), _rebuild(comp, registry).arrays(comp)):
+        for got, want in zip(fv.arrays(comp), _rebuild(comp, registry)):
             assert np.max(np.abs(got - want)) <= 1e-12
-        F, G = _totals(comp, fv)
+        F, G = _totals(comp, *fv.arrays(comp))
         assert not comp.links.saturated(F, 1e-12)
         assert not comp.cpus.saturated(G, 1e-12)
 
@@ -148,7 +267,7 @@ class TestLineSearches:
                                 comp_bound=10.0)
             comp = compiled(s)
             registry = {block: {} for block in _blocks(comp)}
-            F, G = _totals(comp, _greedy_start(comp, registry))
+            F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
             Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
             for (app, src, rate), atoms in registry.items():
                 _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
@@ -358,19 +477,56 @@ class TestCheapestExtendedPaths:
         # SPOC's tree masks, its rows are bit-equal to per-application calls
         s = build_scenario(table_row("sw-queue"), 1)
         comp = compiled(s)
-        F, G = _totals(comp, _greedy_start(comp, {block: {} for block in _blocks(comp)}))
+        F, G = _totals(comp, *_greedy_start(comp, {block: {} for block in _blocks(comp)})
+                       .arrays(comp))
         Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
-        masks = {}
-        for app in comp.apps:
-            _, nxt = comp.zero_flow_tree(np.arange(comp.n) == app.dest)
-            masks[app.id] = np.zeros((comp.n, comp.n), dtype=bool)
-            masks[app.id][nxt >= 0, nxt[nxt >= 0]] = True
-        for m in (None, masks):
+        for m in (None, _spoc_masks(comp)):
             dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, m)
             for app in comp.apps:
                 one = cheapest_extended_paths(comp, app, Dp, Cp, m)
                 assert np.array_equal(dist[app.stages], one[0])
                 assert np.array_equal(succ[app.stages], one[1])
+
+
+class TestZeroSizeFinalPosition:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", ["sw-queue 1", "abilene 2 sizes 3,2,1"])
+    def test_reused_rows_equal_a_fresh_search(self, monkeypatch, case, masked):
+        # every search of a solve, its own or the greedy start's, must give
+        # what a fresh search on its inputs gives; on sw-queue (sizes 10, 5,
+        # 0) each application and the all-application group search their
+        # final position once and reuse it after, and with a nonzero result
+        # size nothing is reused
+        if case == "sw-queue 1":
+            s = build_scenario(table_row("sw-queue"), 1)
+        else:
+            s = build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2)
+        comp = compiled(s)
+        masks = _spoc_masks(comp) if masked else None
+        search, paths = oracle.cheapest_to_go, oracle.cheapest_extended_paths
+        searched, reused = [], {}
+
+        def counted(*args, **kwargs):
+            searched.append(1)
+            return search(*args, **kwargs)
+
+        def checked(comp, app, Dp, Cp, masks=None, memo=None):
+            searched.clear()
+            dist, succ = paths(comp, app, Dp, Cp, masks, memo)
+            positions = len(comp.groups) if app is None else app.K + 1
+            reused.setdefault(app, []).append(positions - len(searched))
+            fresh = paths(comp, app, Dp, Cp, masks)
+            assert dist.tobytes() == fresh[0].tobytes()
+            assert succ.tobytes() == fresh[1].tobytes()
+            return dist, succ
+
+        monkeypatch.setattr(oracle, "cheapest_to_go", counted)
+        monkeypatch.setattr(oracle, "cheapest_extended_paths", checked)
+        assert solve_flow_domain(s, tol=1e-6, app_link_masks=masks).converged
+        assert set(reused) == {None, *comp.apps}
+        for counts in reused.values():
+            assert counts == ([0] + [1] * (len(counts) - 1) if case == "sw-queue 1"
+                              else [0] * len(counts))
 
 
 class TestStrategyFromFlows:
@@ -427,7 +583,7 @@ class TestStrategyFromFlows:
             st = compute_flows(s, phi)
             comp = compiled(s)
             from chainflow.oracle import _totals
-            F, G = _totals(comp, res.flows)
+            F, G = _totals(comp, *res.flows.arrays(comp))
             assert np.max(np.abs(st.edge_bits - F)) <= 1e-9
             assert np.max(np.abs(st.workload - G)) <= 1e-9
 

@@ -15,9 +15,10 @@ sw-queue draws 1 and 3 with their hop metrics; the oracle, its
 strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; a fixed
 sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
-some of them; and LCOF on Abilene draw 2 with packet sizes (3, 2, 1), whose
-final results cost something to forward, so that its GP run moves rows (on
-the table rows LCOF returns its start). It also covers the zero-flow
+some of them; and LCOF, the oracle and SPOC on Abilene draw 2 with packet
+sizes (3, 2, 1), whose final results cost something to forward, so that
+LCOF's GP run moves rows (on the table rows LCOF returns its start) and the
+oracle's searches reuse no final-position result. It also covers the zero-flow
 shortest-path trees: both init_strategy modes and the LPR-SC rows on every
 TABLE_ROWS row at seeds 1-5, and SPOC on Abilene draw 1. The optimality
 checkers print their verdicts and full violation lists at GP slot 0 and at
@@ -166,8 +167,13 @@ def abilene():
             cc = run_gp_cc(ext, cfg)
             print(tag, "admission", repr(cc.trace), repr(cc.utility_minus_cost),
                   repr((cc.iterations, cc.converged, cc.final_gap)), rows_summary(cc.phi))
-    res = lcof(build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2))
+    s = build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2)
+    res = lcof(s)
     print("abilene/2 sizes 3,2,1 lcof", repr(res.total_cost), rows_summary(res.phi))
+    opt = solve_flow_domain(s, tol=1e-6)
+    print("abilene/2 sizes 3,2,1 oracle", repr((opt.total_cost, opt.iterations, opt.gap)))
+    res = spoc(s)
+    print("abilene/2 sizes 3,2,1 spoc", repr(res.total_cost), rows_summary(res.phi))
 
 
 def trees():
