@@ -74,34 +74,35 @@ def queue_room(capacity, x, dx):
 
 
 class CostArray:
-    """The cost functions of a set of links or CPUs, laid out as an array.
+    """The cost functions of a set of links or CPUs, laid out as a vector.
 
     This is the one implementation of the Linear and Queue value,
     derivative, domain check and room to capacity; everything that
     evaluates costs goes through it or through the queue_* formulas above.
-    `kind` holds LINEAR, QUEUE or ABSENT per entry and `param` the slope or
-    capacity. `overflow` is the message of the CapacityExceeded raised when
-    a load reaches a queue capacity; when `label` is given, the message also
-    names the most overloaded entry, label(index), and its load over capacity.
+    `kind` holds LINEAR, QUEUE or ABSENT per entry, `param` the slope or
+    capacity; `lin` and `que` index the Linear and Queue entries in order, as
+    masks would, and `p_lin`, `p_que` are their params. `overflow` is the
+    message of the CapacityExceeded raised at a queue capacity; a `label`
+    adds the most overloaded entry, label(index), and its load over capacity.
     """
 
-    def __init__(self, shape, costs, overflow: str, label=None):
+    def __init__(self, size, costs, overflow: str, label=None):
         """`costs` yields (index, cost function or None) pairs."""
-        self.kind = np.full(shape, ABSENT, dtype=np.int8)
-        self.param = np.zeros(shape)
+        self.kind = np.full(size, ABSENT, dtype=np.int8)
+        self.param = np.zeros(size)
         for index, cost in costs:
             if isinstance(cost, Linear):
                 self.kind[index], self.param[index] = LINEAR, cost.slope
             elif cost is not None:
                 self.kind[index], self.param[index] = QUEUE, cost.capacity
-        self.lin = self.kind == LINEAR
-        self.que = self.kind == QUEUE
+        self.lin, self.que = (np.flatnonzero(self.kind == kind) for kind in (LINEAR, QUEUE))
+        self.p_lin, self.p_que = self.param[self.lin], self.param[self.que]
         self.overflow = overflow
         self.label = label
 
     def saturated(self, x, margin: float) -> bool:
         """Whether some queue load reaches (1 - margin) of its capacity."""
-        return bool(np.any(x[self.que] >= self.param[self.que] * (1 - margin)))
+        return bool((x[self.que] >= self.p_que * (1 - margin)).any())
 
     def check(self, x):
         if self.saturated(x, 0.0):
@@ -110,31 +111,32 @@ class CostArray:
     def _overflow_message(self, x) -> str:
         if self.label is None:
             return self.overflow
-        ratio = np.where(self.que, x, 0.0) / np.where(self.que, self.param, 1.0)
-        worst = np.unravel_index(np.argmax(ratio), ratio.shape)
-        return f"{self.overflow}: {self.label(*worst)} at {ratio[worst]:.6g} x capacity"
+        que = self.kind == QUEUE
+        worst = int(np.argmax(ratio := np.where(que, x, 0.0) / np.where(que, self.param, 1.0)))
+        return f"{self.overflow}: {self.label(worst)} at {ratio[worst]:.6g} x capacity"
 
     def total(self, x) -> float:
         """Summed cost of the loads x. Raises CapacityExceeded outside the domain."""
         self.check(x)
-        lin, que, p = self.lin, self.que, self.param
-        return float(np.sum(p[lin] * x[lin])) + float(np.sum(queue_value(p[que], x[que])))
+        lin, que = self.lin, self.que
+        return float(np.sum(self.p_lin * x[lin])) + float(np.sum(queue_value(self.p_que, x[que])))
 
     def deriv(self, x):
         """Marginal cost of every entry at loads x (0 on absent entries)."""
-        self.check(x)
+        if ((xq := x[self.que]) >= self.p_que).any():
+            raise CapacityExceeded(self._overflow_message(x))
         D = np.zeros_like(x)
-        D[self.lin] = self.param[self.lin]
-        D[self.que] = queue_prime(self.param[self.que], x[self.que])
+        D[self.lin] = self.p_lin
+        D[self.que] = queue_prime(self.p_que, xq)
         return D
 
     def room(self, x, dx) -> float:
         """Largest step along dx that keeps every queue below capacity
         (inf when no queue load grows)."""
-        grow = self.que & (dx > 0)
+        grow = (d := dx[self.que]) > 0
         if not grow.any():
             return math.inf
-        return float(np.min(queue_room(self.param[grow], x[grow], dx[grow])))
+        return float(np.min(queue_room(self.p_que[grow], x[self.que][grow], d[grow])))
 
 
 def _single(c: CostFunction, x: float) -> CostArray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
 from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
-from .network import Scenario, queue_prime, queue_room
+from .network import QUEUE, Scenario, queue_prime, queue_room
 
 
 # ---------------------------------------------------------------------------
@@ -73,31 +73,54 @@ def flow_cost(scenario: Scenario, fv: FlowVector) -> float:
 # extended paths
 # ---------------------------------------------------------------------------
 # A path is a tuple of steps: ("L", k, u, v) for a stage-k hop on link (u, v)
-# and ("C", k, v) for running task k+1 at node v (consuming stage-k packets).
+# and ("C", k, v) for running task k+1 at node v (consuming stage-k packets),
+# read below as (kind, k, v, *to) with to = [head of the link] or [].
 # Link marginals Dp are per edge, CPU marginals Cp per node.
 
 def path_cost(comp, app, path, Dp, Cp) -> float:
-    eid = comp.eid
     c = 0.0
-    for step in path:
-        if step[0] == "L":
-            _, k, u, v = step
-            c += app.L[k] * Dp[eid[u, v]]
-        else:
-            _, k, v = step
-            c += app.w[v, k] * Cp[v]
+    for _, k, v, *to in path:
+        c += app.L[k] * Dp[comp.eid[v, to[0]]] if to else app.w[v, k] * Cp[v]
     return float(c)
 
 
 def _add_path(comp, fe, g, app, path, amount: float):
-    s0 = app.s0
-    for step in path:
-        if step[0] == "L":
-            _, k, u, v = step
-            fe[s0 + k, comp.eid[u, v]] += amount
+    for _, k, v, *to in path:
+        if to:
+            fe[app.s0 + k, comp.eid[v, to[0]]] += amount
         else:
-            _, k, v = step
-            g[s0 + k, v] += amount
+            g[app.s0 + k, v] += amount
+
+
+class _PathTable:
+    """The extended paths of one solve, interned: `ids` maps (application's
+    first stage, path) to an id, in first-seen order; row id of `cell` and
+    `coef` holds its steps' flat cells on an (S, E+n+1) layout (links, CPUs,
+    a spare column) and their packet sizes or workloads, padded with the
+    spare cell of stage 0 and coefficient 0."""
+
+    def __init__(self, comp):
+        self.comp, self.ids, self.paths, self.width = comp, {}, [], comp.E + comp.n + 1
+        self.cell, self.coef = np.full((64, 16), self.width - 1), np.zeros((64, 16))
+
+    def id(self, app, path) -> int:
+        if (app.s0, path) not in self.ids:
+            comp, pid, (rows, cols) = self.comp, len(self.paths), self.cell.shape
+            if pid == rows or len(path) > cols:
+                grow = ((0, rows * (pid == rows)), (0, max(0, len(path) - cols)))
+                self.cell = np.pad(self.cell, grow, constant_values=self.width - 1)
+                self.coef = np.pad(self.coef, grow)
+            for j, (_, k, v, *to) in enumerate(path):
+                col, coef = (comp.eid[v, to[0]], app.L[k]) if to else (comp.E + v, app.w[v, k])
+                self.cell[pid, j], self.coef[pid, j] = (app.s0 + k) * self.width + col, coef
+            self.ids[app.s0, path] = pid
+            self.paths.append(path)
+        return self.ids[app.s0, path]
+
+    def costs(self, ids, Dp, Cp):
+        """path_cost of each path in ids: np.cumsum adds a row step by step."""
+        D = np.concatenate((Dp, Cp, [0.0]))
+        return np.cumsum(self.coef[ids] * D[self.cell[ids] % self.width], axis=1)[:, -1]
 
 
 def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
@@ -144,15 +167,15 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
 
 def _extract_path(succ, src) -> tuple:
     steps = []
-    k, v = 0, src
-    while (s := succ[k, v]) != -2:
+    k, v = 0, int(src)
+    while (s := succ.item(k, v)) != -2:
         if s == -3:
             raise NoFeasibleStrategy("no extended path reaches the destination")
         if s == -1:
-            steps.append(("C", k, int(v)))
+            steps.append(("C", k, v))
             k += 1
         else:
-            steps.append(("L", k, int(v), int(s)))
+            steps.append(("L", k, v, s))
             v = s
     return tuple(steps)
 
@@ -177,13 +200,31 @@ def _blocks(comp):
     return [(app, int(s), float(app.r[s])) for app in comp.apps for s in np.flatnonzero(app.r > 0)]
 
 
-def _rebuild(comp, registry):
-    fe, g = np.zeros((len(comp.keys), comp.E)), np.zeros((len(comp.keys), comp.n))
-    for (app, src, rate), atoms in registry.items():
-        for path, wgt in atoms.items():
-            if wgt > 0:
-                _add_path(comp, fe, g, app, path, wgt * rate)
-    return fe, g
+def _atoms(registry):
+    """Ids and weight * rate of the registry's atoms, in order, where that is > 0."""
+    ids = np.array([p for atoms in registry.values() for p in atoms], dtype=int)
+    amount = np.array([w * r for (_, _, r), atoms in registry.items() for w in atoms.values()])
+    return ids[amount > 0], amount[amount > 0]
+
+
+def _inner(table, registry, Dp, Cp) -> float:
+    """Sum over the atoms of weight * rate * path cost, added one by one."""
+    ids, amount = _atoms(registry)
+    return float(np.cumsum(np.append(0.0, amount * table.costs(ids, Dp, Cp)))[-1])
+
+
+def _rebuild(comp, registry, table=None):
+    """(S, E) link and (S, n) CPU flows of the registry's atoms, paths or
+    ids of `table`. np.add.at adds in index order, so every cell sums and
+    rounds as adding the atoms one by one with _add_path does."""
+    if table is None:
+        table = _PathTable(comp)
+        registry = {b: {table.id(b[0], p): w for p, w in atoms.items()}
+                    for b, atoms in registry.items()}
+    ids, amount = _atoms(registry)
+    flat = np.zeros((len(comp.keys), table.width))
+    np.add.at(flat.reshape(-1), table.cell[ids].ravel(), np.repeat(amount, table.cell.shape[1]))
+    return flat[:, :comp.E].copy(), flat[:, comp.E:-1].copy()
 
 
 def _bisect(deriv, hi: float) -> float:
@@ -191,9 +232,7 @@ def _bisect(deriv, hi: float) -> float:
     derivative `deriv`: the step where the derivative crosses zero, by up to
     100 bisections, or an end point when it does not change sign. Once the
     midpoint rounds to an end the bracket can no longer move, so it stops."""
-    if hi <= 0:
-        return 0.0
-    if deriv(0.0) >= 0:
+    if hi <= 0 or deriv(0.0) >= 0:
         return 0.0
     if deriv(hi) <= 0:
         return hi
@@ -213,10 +252,20 @@ def _exact_line_search(comp, F, G, dF, dG):
     """Step in [0, 1] along the direction (dF, dG), per edge and per node,
     that minimizes the total cost, kept inside the queue domains."""
     hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+    # derivative times direction, Linear entries set once and Queue entries
+    # where they move, in zero buffers that np.sum adds as the full products
+    parts = []
+    for cost, x, dx in ((comp.links, F, dF), (comp.cpus, G, dG)):
+        que, buf = cost.que[dx[cost.que] != 0], np.zeros_like(x)
+        buf[cost.lin] = cost.p_lin * dx[cost.lin]
+        parts.append((cost, x, dx, buf, que, cost.param[que], x[que], dx[que]))
 
     def deriv(gamma):
-        return float(np.sum(comp.links.deriv(F + gamma * dF) * dF)
-                     + np.sum(comp.cpus.deriv(G + gamma * dG) * dG))
+        for cost, x, dx, buf, que, p, xq, dq in parts:
+            if ((y := xq + gamma * dq) >= p).any():
+                cost.deriv(x + gamma * dx)      # raises CapacityExceeded
+            buf[que] = queue_prime(p, y) * dq
+        return float(np.sum(parts[0][3]) + np.sum(parts[1][3]))
 
     return _bisect(deriv, hi)
 
@@ -224,17 +273,11 @@ def _exact_line_search(comp, F, G, dF, dG):
 def _delta_entries(comp, app, path_plus, path_minus):
     """Sparse bit/workload deltas, per edge and per node, of a unit-rate swap
     path_minus -> path_plus."""
-    eid = comp.eid
     ef, eg = {}, {}
     for sign, path in ((1.0, path_plus), (-1.0, path_minus)):
-        for step in path:
-            if step[0] == "L":
-                _, k, u, v = step
-                e = int(eid[u, v])
-                ef[e] = ef.get(e, 0.0) + sign * app.L[k]
-            else:
-                _, k, v = step
-                eg[v] = eg.get(v, 0.0) + sign * app.w[v, k]
+        for _, k, v, *to in path:
+            d, at, unit = (ef, int(comp.eid[v, to[0]]), app.L[k]) if to else (eg, v, app.w[v, k])
+            d[at] = d.get(at, 0.0) + sign * unit
     return ({e: d for e, d in ef.items() if d != 0.0},
             {v: d for v, d in eg.items() if d != 0.0})
 
@@ -247,20 +290,16 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     be vectorized: a numpy sum adds in another order and squares arrays by
     multiplication where scalars use pow.
     """
-    links, cpus = comp.links, comp.cpus
-    entries = [(links.que[e], float(links.param[e]), float(F[e]), float(d))
-               for e, d in ef.items()]
-    entries += [(cpus.que[v], float(cpus.param[v]), float(G[v]), float(d))
-                for v, d in eg.items()]
-    hi = hi_cap
-    for que, p, x, d in entries:
-        if d > 0 and que:
-            hi = min(hi, queue_room(p, x, d) * (1 - 1e-9))
+    entries = [(int(cost.kind[i]) == QUEUE, float(cost.param[i]), float(x[i]), float(d))
+               for cost, x, delta in ((comp.links, F, ef), (comp.cpus, G, eg))
+               for i, d in delta.items()]
+    hi = min([hi_cap] + [queue_room(p, x, d) * (1 - 1e-9) for que, p, x, d in entries
+                         if d > 0 and que])
 
     def deriv(gamma):
         total = 0.0
         for que, p, x, d in entries:
-            total += (queue_prime(p, x + gamma * d) if que else p) * d
+            total += (p / (p - (x + gamma * d)) ** 2 if que else p) * d   # queue_prime inline
         return total
 
     return _bisect(deriv, hi)
@@ -342,27 +381,23 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         raise NotConverged(f"flow-domain solver: max_iters {max_iters} allows no iteration")
     memo = {}       # cheapest_extended_paths' zero-size final positions, for these masks
     fe, g = _greedy_start(comp, registry, app_link_masks, memo).arrays(comp)
-    links = comp.links
+    table = _PathTable(comp)       # the atoms are path ids from here on
+    registry = {b: {table.id(b[0], p): w for p, w in atoms.items()}
+                for b, atoms in registry.items()}
+    links, paths = comp.links, table.paths
     cost_trace, gap_trace, time_trace = traces = [], [], []
     for it in range(max_iters):
         if it and it % 25 == 0:
-            fe, g = _rebuild(comp, registry)  # shed float drift from in-place moves
+            fe, g = _rebuild(comp, registry, table)  # shed float drift from in-place moves
         F, G = _totals(comp, fe, g)
         T = comp.cost_total(F, G)
-        Dp = links.deriv(F)
-        Cp = comp.cpus.deriv(G)
-        best = {}
-        lower = 0.0
-        inner = 0.0
+        Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
+        best, lower = {}, 0.0
         dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks, memo)
-        for block, atoms in registry.items():
-            app, src, rate = block
-            best[block] = _extract_path(succ[app.stages], src)
+        for app, src, rate in registry:
+            best[app, src, rate] = table.id(app, _extract_path(succ[app.stages], src))
             lower += rate * dist[app.s0, src]
-            for path, wgt in atoms.items():
-                if wgt > 0:
-                    inner += wgt * rate * path_cost(comp, app, path, Dp, Cp)
-        gap = inner - lower
+        gap = _inner(table, registry, Dp, Cp) - lower
         cost_trace.append(T)
         gap_trace.append(gap)
         time_trace.append(-clock + (clock := time.perf_counter()))
@@ -373,14 +408,14 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
 
         # classic conditional-gradient step toward the all-best-paths vertex
         sF, sG = _totals(comp, *_rebuild(comp, {block: {path: 1.0}
-                                                for block, path in best.items()}))
+                                                for block, path in best.items()}, table))
         gamma = _exact_line_search(comp, F, G, sF - F, sG - G)
         if gamma > 0:
             for block, atoms in registry.items():
                 scaled = {p: w * (1 - gamma) for p, w in atoms.items()}
                 scaled[best[block]] = scaled.get(best[block], 0.0) + gamma
                 registry[block] = {p: w for p, w in scaled.items() if w > 1e-15}
-            fe, g = _rebuild(comp, registry)
+            fe, g = _rebuild(comp, registry, table)
 
         if pairwise:
             # per application: one marginal refresh and one cheapest-path
@@ -389,18 +424,19 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             # totals, so every move is a descent step
             F, G = _totals(comp, fe, g)
             for app in comp.apps:
-                Dp = links.deriv(F)
-                Cp = comp.cpus.deriv(G)
+                Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
                 dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks, memo)
-                for block in sorted((b for b in registry if b[0] is app), key=lambda b: b[1]):
+                blocks = sorted((b for b in registry if b[0] is app), key=lambda b: b[1])
+                ids = [p for block in blocks for p in registry[block]]
+                costs = dict(zip(ids, table.costs(ids, Dp, Cp)))
+                for block in blocks:
                     _, src, rate = block
                     atoms = registry[block]
-                    costs = {p: path_cost(comp, app, p, Dp, Cp) for p in atoms}
-                    worst = max(costs, key=lambda p: (costs[p], p))
-                    target = _extract_path(succ, src)
+                    worst = max(atoms, key=lambda p: (costs[p], paths[p]))
+                    target = table.id(app, _extract_path(succ, src))
                     if target == worst or costs[worst] - dist[0, src] <= 0:
                         continue
-                    ef, eg = _delta_entries(comp, app, target, worst)
+                    ef, eg = _delta_entries(comp, app, paths[target], paths[worst])
                     move = _sparse_line_search(
                         comp, F, G,
                         {e: rate * d for e, d in ef.items()},
@@ -408,7 +444,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                         hi_cap=atoms[worst])
                     if move <= 0:
                         continue
-                    _apply_swap(comp, app, fe, g, F, G, target, worst, move * rate, ef, eg)
+                    _apply_swap(comp, app, fe, g, F, G, paths[target], paths[worst],
+                                move * rate, ef, eg)
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move
                     registry[block] = {p: w for p, w in atoms.items() if w > 1e-15}

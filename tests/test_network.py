@@ -8,7 +8,8 @@ import pytest
 from chainflow import (CapacityExceeded, CostSpec, Graph, Linear, Queue,
                        Scenario, eval_cost, eval_cost_prime, generate_topology,
                        sample_scenario, topology_file)
-from chainflow.network import default_packet_sizes
+from chainflow.network import (LINEAR, QUEUE, CostArray, default_packet_sizes,
+                               queue_prime, queue_room, queue_value)
 from chainflow.serialize import scenario_bytes
 
 
@@ -177,6 +178,106 @@ class TestCosts:
                 x1, x2 = sorted(rng.uniform(0, hi, size=2))
                 mid = eval_cost(c, (x1 + x2) / 2)
                 assert mid <= (eval_cost(c, x1) + eval_cost(c, x2)) / 2 + 1e-12
+
+
+class _MaskedCosts:
+    """CostArray's formulas on boolean masks of its kinds, as they were
+    before the index sets: the reference the kernel must equal bit for bit."""
+
+    def __init__(self, costs):
+        self.c, self.lin, self.que = costs, costs.kind == LINEAR, costs.kind == QUEUE
+
+    def saturated(self, x, margin):
+        p = self.c.param
+        return bool(np.any(x[self.que] >= p[self.que] * (1 - margin)))
+
+    def message(self, x):
+        ratio = np.where(self.que, x, 0.0) / np.where(self.que, self.c.param, 1.0)
+        worst = np.unravel_index(np.argmax(ratio), ratio.shape)
+        return f"{self.c.overflow}: {self.c.label(*worst)} at {ratio[worst]:.6g} x capacity"
+
+    def total(self, x):
+        lin, que, p = self.lin, self.que, self.c.param
+        return float(np.sum(p[lin] * x[lin])) + float(np.sum(queue_value(p[que], x[que])))
+
+    def deriv(self, x):
+        D = np.zeros_like(x)
+        D[self.lin] = self.c.param[self.lin]
+        D[self.que] = queue_prime(self.c.param[self.que], x[self.que])
+        return D
+
+    def room(self, x, dx):
+        grow = self.que & (dx > 0)
+        if not grow.any():
+            return math.inf
+        return float(np.min(queue_room(self.c.param[grow], x[grow], dx[grow])))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestCostArray:
+    @staticmethod
+    def _draw(seed, kinds="lqa"):
+        """A CostArray whose entries mix Linear, Queue and absent costs (of
+        the given kinds), loads below every capacity and a direction with
+        zero, growing and shrinking entries."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 300))
+        pick = rng.choice(list(kinds), size=size)
+        slope, cap = rng.uniform(0.0, 3.0, size), rng.uniform(0.5, 50.0, size)
+        slope[rng.random(size) < 0.1] = 0.0
+        costs = CostArray(size, ((i, {"l": Linear(float(slope[i])), "q": Queue(float(cap[i])),
+                                      "a": None}[k]) for i, k in enumerate(pick)),
+                          "load at or above capacity", lambda i: f"entry {i}")
+        x = np.where(pick == "q", cap * rng.uniform(0.0, 0.999, size), rng.uniform(0, 9, size))
+        x[rng.random(size) < 0.2] = 0.0
+        dx = rng.normal(size=size) * (rng.random(size) < 0.6)
+        return costs, x, dx
+
+    @pytest.mark.parametrize("kinds", ["lqa", "q", "l", "a", "la", "qa"])
+    def test_equals_the_mask_formulas(self, kinds):
+        for seed in range(20):
+            costs, x, dx = self._draw(seed, kinds)
+            ref = _MaskedCosts(costs)
+            assert _bits(costs.deriv(x)) == _bits(ref.deriv(x))
+            assert _bits(costs.total(x)) == _bits(ref.total(x))
+            assert _bits(costs.room(x, dx)) == _bits(ref.room(x, dx))
+            assert _bits(costs.room(x, -np.abs(dx))) == _bits(ref.room(x, -np.abs(dx)))
+            for margin in (0.0, 1e-12):
+                assert costs.saturated(x, margin) is ref.saturated(x, margin) is False
+
+    def test_saturation_at_the_margins(self):
+        costs, x, _ = self._draw(3)
+        ref = _MaskedCosts(costs)
+        q = int(np.flatnonzero(costs.kind == QUEUE)[0])
+        cap = costs.param[q]
+        for load in (cap * (1 - 2e-12), cap * (1 - 1e-12), np.nextafter(cap, 0.0), cap):
+            x[q] = load
+            for margin in (0.0, 1e-12):
+                assert costs.saturated(x, margin) is ref.saturated(x, margin)
+        assert costs.saturated(x, 0.0) and costs.saturated(x, 1e-12)
+
+    def test_overflow_names_the_worst_entry(self):
+        for seed in range(10):
+            costs, x, _ = self._draw(seed)
+            ref = _MaskedCosts(costs)
+            que = np.flatnonzero(costs.kind == QUEUE)
+            if len(que) < 2:
+                continue
+            x[que[0]] = costs.param[que[0]] * 1.5
+            x[que[-1]] = costs.param[que[-1]] * (1.75 + seed)
+            for evaluate in (costs.deriv, costs.total, costs.check):
+                with pytest.raises(CapacityExceeded) as err:
+                    evaluate(x)
+                assert str(err.value) == ref.message(x)
+                assert f"entry {que[-1]} at {1.75 + seed:.6g} x capacity" in str(err.value)
+
+    def test_unlabelled_overflow_is_the_bare_message(self):
+        costs = CostArray(2, [(0, Queue(2.0)), (1, Linear(1.0))], "too much")
+        with pytest.raises(CapacityExceeded, match="^too much$"):
+            costs.deriv(np.array([2.0, 0.0]))
 
 
 class TestSampleScenario:

@@ -11,9 +11,10 @@ from chainflow import (CapacityExceeded, GpConfig, LoopDetected, NoFeasibleStrat
                        validate_strategy)
 from chainflow.flows import compiled
 from chainflow.oracle import (FlowVector, _add_path, _bisect, _blocks, _delta_entries,
-                              _exact_line_search, _extract_path, _greedy_start, _rebuild,
-                              _sparse_line_search, _totals, cheapest_extended_paths,
-                              enumerate_extended_paths, flow_cost, path_cost)
+                              _exact_line_search, _extract_path, _greedy_start, _inner,
+                              _PathTable, _rebuild, _sparse_line_search, _totals,
+                              cheapest_extended_paths, enumerate_extended_paths, flow_cost,
+                              path_cost)
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
                       random_scenario)
@@ -257,35 +258,231 @@ class TestGreedyStart:
         assert not comp.cpus.saturated(G, 1e-12)
 
 
+def _rebuild_loop(comp, registry, table=None):
+    """_rebuild as a Python loop: the atoms of weight > 0 added path by path,
+    each step by _add_path."""
+    fe, g = np.zeros((len(comp.keys), comp.E)), np.zeros((len(comp.keys), comp.n))
+    for (app, src, rate), atoms in registry.items():
+        for path, wgt in atoms.items():
+            if wgt > 0:
+                path = path if table is None else table.paths[path]
+                _add_path(comp, fe, g, app, path, wgt * rate)
+    return fe, g
+
+
+def _inner_loop(table, registry, Dp, Cp):
+    """_inner as a Python loop of path_cost sums."""
+    inner = 0.0
+    for (app, src, rate), atoms in registry.items():
+        for pid, wgt in atoms.items():
+            if wgt > 0:
+                inner += wgt * rate * path_cost(table.comp, app, table.paths[pid], Dp, Cp)
+    return inner
+
+
+def _path_cost_loop(table, ids, Dp, Cp):
+    """_PathTable.costs as one path_cost call per id."""
+    apps = {app.s0: app for app in table.comp.apps}
+    key = {pid: s0 for (s0, _), pid in table.ids.items()}
+    return np.array([path_cost(table.comp, apps[key[pid]], table.paths[pid], Dp, Cp)
+                     for pid in ids], dtype=float)
+
+
+def _many_atoms(s, seed):
+    """A greedy start's registry with up to four more atoms per block, on
+    the cheapest paths under random marginals, all with random weights, and
+    one atom of weight 0; the registry of the same atoms as ids of a path
+    table; and the marginals at the greedy start's flows."""
+    comp = compiled(s)
+    rng = np.random.default_rng(seed)
+    registry = {block: {} for block in _blocks(comp)}
+    F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
+    start = comp.links.deriv(F), comp.cpus.deriv(G)
+    for _ in range(4):
+        Dp, Cp = np.exp(rng.normal(0.0, 1.5, comp.E)), np.exp(rng.normal(0.0, 1.5, comp.n))
+        _, succ = cheapest_extended_paths(comp, None, Dp, Cp)
+        for (app, src, rate), atoms in registry.items():
+            atoms.setdefault(_extract_path(succ[app.stages], src), 0.0)
+    for atoms in registry.values():
+        for path in atoms:
+            atoms[path] = float(rng.uniform(0.01, 1.0))
+    atoms = next(a for a in registry.values() if len(a) > 1)
+    atoms[next(iter(atoms))] = 0.0
+    table = _PathTable(comp)
+    ids = {b: {table.id(b[0], p): w for p, w in atoms.items()} for b, atoms in registry.items()}
+    return comp, registry, table, ids, start
+
+
+_TABLE_CASES = ["sw-queue 1", "loaded 25", *(f"random {i}" for i in range(6))]
+
+
+def _table_case(case):
+    kind, seed = case.rsplit(" ", 1)
+    return {"loaded": lambda i: _loaded_scenario(i),
+            "sw-queue": lambda i: build_scenario(table_row("sw-queue"), i),
+            "random": lambda i: random_scenario(i, R=4)}[kind](int(seed))
+
+
+class TestPathTable:
+    @pytest.mark.parametrize("case", _TABLE_CASES)
+    def test_rebuild_equals_the_loop(self, case):
+        # one np.add.at over the table's cells adds in index order, so every
+        # cell sums and rounds as the loop does; here atoms of two sources
+        # of one application share (stage, edge) cells and weights are not
+        # dyadic, so another order of adding would round apart
+        comp, registry, table, ids, _ = _many_atoms(_table_case(case), 1)
+        want = _rebuild_loop(comp, registry)
+        for got in (_rebuild(comp, registry), _rebuild(comp, ids, table),
+                    _rebuild_loop(comp, ids, table)):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        cells = {}
+        for (app, src, _), atoms in registry.items():
+            for path in atoms:
+                for step in path:
+                    if step[0] == "L":
+                        cells.setdefault((app.s0 + step[1], step[2], step[3]), set()).add(src)
+        assert any(len(srcs) > 1 for srcs in cells.values())
+        assert sum(len(atoms) for atoms in registry.values()) > len(registry)
+
+    @pytest.mark.parametrize("case", _TABLE_CASES)
+    def test_costs_and_gap_sum_equal_path_cost_sums(self, case):
+        # a row's np.cumsum adds its steps one by one as path_cost does, and
+        # the gap's sum adds the atoms one by one as its loop did
+        comp, registry, table, ids, start = _many_atoms(_table_case(case), 2)
+        for Dp, Cp in [start, (np.linspace(0.5, 3.0, comp.E), np.linspace(0.25, 4.0, comp.n))]:
+            every = list(range(len(table.paths)))
+            assert table.costs(every, Dp, Cp).tobytes() == \
+                _path_cost_loop(table, every, Dp, Cp).tobytes()
+            got, want = _inner(table, ids, Dp, Cp), _inner_loop(table, ids, Dp, Cp)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        if case == "sw-queue 1":
+            rows, cols = table.cell.shape      # the table grew past its first 64 rows
+            assert rows > 64 and len(table.paths) > 64
+        assert table.costs([], Dp, Cp).shape == (0,)
+        assert _inner(table, {}, Dp, Cp) == 0.0
+
+    def test_ids_follow_first_sight(self):
+        # the table's order is the order paths were first interned, the same
+        # run after run; one path of two applications gets two ids
+        comp, registry, table, ids, _ = _many_atoms(random_scenario(0, R=4), 3)
+        assert list(table.ids.values()) == list(range(len(table.paths)))
+        seen = [(b[0].s0, p) for b, atoms in registry.items() for p in atoms]
+        assert list(table.ids) == list(dict.fromkeys(seen))
+        a, b = comp.apps[:2]
+        path = (("C", 0, 0), ("C", 1, 0))
+        assert table.id(a, path) != table.id(b, path) == table.id(b, path)
+        u, v = int(comp.src[0]), int(comp.dst[0])
+        # a path wider than the table's 16 columns
+        long = tuple(("L", 0, *((u, v), (v, u))[i % 2]) for i in range(40))
+        pid = table.id(a, long)
+        assert table.cell.shape[1] == 40
+        Dp, Cp = np.linspace(0.5, 3.0, comp.E), np.linspace(0.25, 4.0, comp.n)
+        assert table.costs([pid], Dp, Cp).tobytes() == \
+            np.float64(path_cost(comp, a, long, Dp, Cp)).tobytes()
+        assert table.costs([0], Dp, Cp).tobytes() == _path_cost_loop(table, [0], Dp, Cp).tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solves_keep_their_traces_on_the_reference_loops(self, monkeypatch, seed, masked):
+        # a full solve with _rebuild, the gap sum, the atom costs and the
+        # exact line search put back to the Python loops and full arrays
+        # they replaced takes the same trajectory and ends at the same flows
+        s = random_scenario(seed, R=4, link_bound=8.0, comp_bound=6.0)   # 1-35 iterations
+        masks = _spoc_masks(compiled(s)) if masked else None
+        got = solve_flow_domain(s, tol=1e-9, app_link_masks=masks, strict=False)
+        monkeypatch.setattr(oracle, "_rebuild", _rebuild_loop)
+        monkeypatch.setattr(oracle, "_inner", _inner_loop)
+        monkeypatch.setattr(oracle._PathTable, "costs", _path_cost_loop)
+        monkeypatch.setattr(oracle, "_exact_line_search", _full_array_line_search)
+        want = solve_flow_domain(s, tol=1e-9, app_link_masks=masks, strict=False)
+        assert got.iterations == want.iterations >= 1
+        assert repr(got.cost_trace) == repr(want.cost_trace)
+        assert repr(got.gap_trace) == repr(want.gap_trace)
+        comp = compiled(s)
+        for a, b in zip(got.flows.arrays(comp), want.flows.arrays(comp)):
+            assert a.tobytes() == b.tobytes()
+
+
+def _swap_cases():
+    """(comp, F, G, ef, eg, dF, dG) of the swaps from each greedy-start atom
+    to its block's cheapest path on small random scenarios: the sparse
+    deltas of a move at the block's rate and the same deltas as full
+    (E,) and (n,) directions."""
+    for seed in range(6):
+        s = random_scenario(seed, n=6, num_apps=2, K=1, link_bound=20.0,
+                            comp_bound=10.0)
+        comp = compiled(s)
+        registry = {block: {} for block in _blocks(comp)}
+        F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
+        Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
+        for (app, src, rate), atoms in registry.items():
+            _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
+            target = _extract_path(succ, src)
+            for worst in atoms:
+                ef, eg = _delta_entries(comp, app, target, worst)
+                ef = {e: rate * d for e, d in ef.items()}
+                eg = {v: rate * d for v, d in eg.items()}
+                dF, dG = np.zeros_like(F), np.zeros_like(G)
+                for e, d in ef.items():
+                    dF[e] = d
+                for v, d in eg.items():
+                    dG[v] = d
+                yield comp, F, G, ef, eg, dF, dG
+
+
+def _full_array_line_search(comp, F, G, dF, dG):
+    """_exact_line_search as it was before it evaluated the moving entries
+    only: the derivative from CostArray.deriv over every entry."""
+    hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
+
+    def deriv(gamma):
+        return float(np.sum(comp.links.deriv(F + gamma * dF) * dF)
+                     + np.sum(comp.cpus.deriv(G + gamma * dG) * dG))
+
+    return _bisect(deriv, hi)
+
+
 class TestLineSearches:
     def test_exact_and_sparse_agree_on_swaps(self):
         # both searches bisect the same 1-D convex cost, one over deltas on
         # every edge and node and one over the touched entries only
         interior = 0
-        for seed in range(6):
-            s = random_scenario(seed, n=6, num_apps=2, K=1, link_bound=20.0,
-                                comp_bound=10.0)
+        for comp, F, G, ef, eg, dF, dG in _swap_cases():
+            dense = _exact_line_search(comp, F, G, dF, dG)
+            sparse = _sparse_line_search(comp, F, G, ef, eg, 1.0)
+            assert abs(dense - sparse) <= 1e-12
+            interior += 0.0 < sparse < 1.0
+        assert interior >= 5
+
+    def test_exact_equals_the_full_array_search(self):
+        # evaluating the derivative on the moving entries only, in zero
+        # buffers of full length, must give the full-array search's step bit
+        # for bit: on the swaps above and on conditional-gradient directions
+        # toward every block's cheapest path, with Queue, Linear and mixed
+        # link costs
+        cases = [(comp, F, G, dF, dG) for comp, F, G, _, _, dF, dG in _swap_cases()]
+        for s in [random_scenario(seed, link_kind=kind) for seed in range(4)
+                  for kind in ("queue", "linear")] + [build_scenario(table_row("sw-queue"), 1)]:
             comp = compiled(s)
             registry = {block: {} for block in _blocks(comp)}
             F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
-            Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
-            for (app, src, rate), atoms in registry.items():
-                _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
-                target = _extract_path(succ, src)
-                for worst in atoms:
-                    ef, eg = _delta_entries(comp, app, target, worst)
-                    ef = {e: rate * d for e, d in ef.items()}
-                    eg = {v: rate * d for v, d in eg.items()}
-                    dF, dG = np.zeros_like(F), np.zeros_like(G)
-                    for e, d in ef.items():
-                        dF[e] = d
-                    for v, d in eg.items():
-                        dG[v] = d
-                    dense = _exact_line_search(comp, F, G, dF, dG)
-                    sparse = _sparse_line_search(comp, F, G, ef, eg, 1.0)
-                    assert abs(dense - sparse) <= 1e-12
-                    interior += 0.0 < sparse < 1.0
-        assert interior >= 5
+            dist, succ = cheapest_extended_paths(comp, None, comp.links.deriv(F),
+                                                 comp.cpus.deriv(G))
+            best = {(app, src, rate): {_extract_path(succ[app.stages], src): 1.0}
+                    for app, src, rate in registry}
+            sF, sG = _totals(comp, *_rebuild(comp, best))
+            cases += [(comp, F, G, sF - F, sG - G), (comp, F, G, F - sF, G - sG),
+                      (comp, F, G, 0.5 * (sF - F), np.zeros_like(G))]
+        interior = 0
+        for comp, F, G, dF, dG in cases:
+            got = _exact_line_search(comp, F, G, dF, dG)
+            assert np.float64(got).tobytes() == \
+                np.float64(_full_array_line_search(comp, F, G, dF, dG)).tobytes()
+            interior += 0.0 < got < 1.0
+        assert interior >= 10
+        for comp, F, G, dF, dG in cases[-3:]:
+            assert _exact_line_search(comp, F, G, np.zeros_like(F), np.zeros_like(G)) == 0.0
 
 
 def _bisect_100(deriv, hi):

@@ -18,7 +18,8 @@ re-solved by a warm adapt, with an admission-control run_gp_cc solve after
 some of them; and LCOF, the oracle and SPOC on Abilene draw 2 with packet
 sizes (3, 2, 1), whose final results cost something to forward, so that
 LCOF's GP run moves rows (on the table rows LCOF returns its start) and the
-oracle's searches reuse no final-position result. It also covers the zero-flow
+oracle's searches reuse no final-position result. Both oracle solves print
+their whole cost and gap traces. It also covers the zero-flow
 shortest-path trees: both init_strategy modes and the LPR-SC rows on every
 TABLE_ROWS row at seeds 1-5, and SPOC on Abilene draw 1. The optimality
 checkers print their verdicts and full violation lists at GP slot 0 and at
@@ -69,6 +70,16 @@ def gp_lines(tag, res):
           rows_summary(res.phi))
 
 
+def oracle_lines(tag, s):
+    """The oracle's result and its cost and gap traces, on lines tagged
+    " oracle ", which tools/fpdiff.py compares byte for byte: the whole
+    trajectory must repeat, not only where it ends."""
+    opt = solve_flow_domain(s, tol=1e-6)
+    print(tag, "oracle", repr((opt.total_cost, opt.iterations, opt.gap)))
+    print(tag, "oracle trace", repr(opt.cost_trace), repr([float(g) for g in opt.gap_trace]))
+    return opt
+
+
 def checker_lines(tag, s, phi):
     """Verdicts and full violation lists of both optimality checkers."""
     for name, check in (("kkt", check_kkt), ("sufficient", check_sufficient)):
@@ -102,8 +113,7 @@ def sw_queue():
         m = hop_metrics(s, res.phi, res.state)
         print(f"sw-queue/{draw} hops", repr((m.H_data, m.H_result)))
     s = build_scenario(table_row("sw-queue"), 1)
-    opt = solve_flow_domain(s, tol=1e-6)
-    print("sw-queue/1 oracle", repr((opt.total_cost, opt.iterations, opt.gap)))
+    opt = oracle_lines("sw-queue/1", s)
     print("sw-queue/1 strategy_from_flows", rows_summary(strategy_from_flows(s, opt.flows)))
     for name in ("spoc", "lcof", "lpr-sc"):
         res = BASELINES[name](s)
@@ -170,8 +180,7 @@ def abilene():
     s = build_scenario(dict(table_row("abilene"), packet_sizes=[3, 2, 1]), 2)
     res = lcof(s)
     print("abilene/2 sizes 3,2,1 lcof", repr(res.total_cost), rows_summary(res.phi))
-    opt = solve_flow_domain(s, tol=1e-6)
-    print("abilene/2 sizes 3,2,1 oracle", repr((opt.total_cost, opt.iterations, opt.gap)))
+    oracle_lines("abilene/2 sizes 3,2,1", s)
     res = spoc(s)
     print("abilene/2 sizes 3,2,1 spoc", repr(res.total_cost), rows_summary(res.phi))
 
