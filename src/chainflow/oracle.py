@@ -104,8 +104,9 @@ class _PathTable:
         self.cell, self.coef = np.full((64, 16), self.width - 1), np.zeros((64, 16))
 
     def id(self, app, path) -> int:
-        if (app.s0, path) not in self.ids:
-            comp, pid, (rows, cols) = self.comp, len(self.paths), self.cell.shape
+        pid = self.ids.setdefault((app.s0, path), len(self.paths))
+        if pid == len(self.paths):      # first sight
+            comp, (rows, cols) = self.comp, self.cell.shape
             if pid == rows or len(path) > cols:
                 grow = ((0, rows * (pid == rows)), (0, max(0, len(path) - cols)))
                 self.cell = np.pad(self.cell, grow, constant_values=self.width - 1)
@@ -113,9 +114,8 @@ class _PathTable:
             for j, (_, k, v, *to) in enumerate(path):
                 col, coef = (comp.eid[v, to[0]], app.L[k]) if to else (comp.E + v, app.w[v, k])
                 self.cell[pid, j], self.coef[pid, j] = (app.s0 + k) * self.width + col, coef
-            self.ids[app.s0, path] = pid
             self.paths.append(path)
-        return self.ids[app.s0, path]
+        return pid
 
     def costs(self, ids, Dp, Cp):
         """path_cost of each path in ids: np.cumsum adds a row step by step."""
