@@ -16,6 +16,7 @@ blocks of the public API are views built from it on access.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -47,6 +48,22 @@ class _App:
         self.r = comp.r[s0]
 
 
+class _Position:
+    """Chain position k of a compiled scenario, the stages `rows`: their
+    previous stages `prev`, and those that are not final, `mid`, with their
+    workloads `w` and next stages `next`. `inf` says whether one of those
+    workloads is inf, a node that cannot run the task, where the CPU term
+    of the marginal recursion meets 0 * inf."""
+
+    __slots__ = ("rows", "prev", "mid", "w", "next", "inf")
+
+    def __init__(self, comp: "_Compiled", rows):
+        self.rows, self.prev = rows, comp.prev[rows]
+        mid = self.mid = rows[~comp.final[rows]]
+        self.w, self.next = comp.w[mid], comp.next[mid]
+        self.inf = bool(np.isinf(self.w).any())
+
+
 class Segments:
     """Rows of an array laid out in column segments: segment i starts at
     column seg[i] and runs up to the next one, and dnode[j] is the segment
@@ -72,16 +89,15 @@ class Segments:
         """Per-segment sums of the rows of a."""
         return np.add.reduceat(a, self.seg, axis=1)
 
-    def spans(self, rows, segs):
-        """(flat, starts): the flat indices into a C-ordered array of rows
-        of every column of segment segs[j] of row rows[j], span after span,
-        and where each span starts in `flat`. np.add.reduceat over `starts`
-        of values gathered through `flat` adds each segment's columns in
-        their order, so its sums round as row_sum's."""
-        width = self.width[segs]
-        starts = np.cumsum(width) - width
-        offset = rows * len(self.dnode) + self.seg[segs] - starts
-        return np.repeat(offset, width) + np.arange(width.sum()), starts
+    def spans(self, flagged):
+        """(flat, starts, width) of the segments flagged in the (rows,
+        segments) mask `flagged`: the flat indices into a C-ordered array of
+        rows of every column of each, span after span in row-major order,
+        where each span starts in `flat`, and its width. np.add.reduceat over
+        `starts` of values gathered through `flat` adds each segment's
+        columns in their order, so its sums round as row_sum's."""
+        width = self.width[flagged.nonzero()[1]]
+        return flagged[:, self.dnode].ravel().nonzero()[0], width.cumsum() - width, width
 
     def row_min(self, a):
         """Per-segment minima of the rows of a."""
@@ -117,7 +133,9 @@ class _Compiled(Segments):
     input rates r, its application's destination, the previous and next
     stage of its application (-1 at the ends), its position k in the chain,
     and which rows must sum to one (`active`: all but the destination's
-    final-stage row). `apps` holds each application's slice of the stages.
+    final-stage row). `apps` holds each application's slice of the stages,
+    and `positions` each chain position's stages with the constants that
+    the engine reads there.
     """
 
     def __init__(self, scenario: Scenario):
@@ -177,7 +195,8 @@ class _Compiled(Segments):
         self.final = self.next < 0
         self.active = np.ones((S, n), dtype=bool)
         self.active[self.final, self.dest[self.final]] = False
-        self.groups = [np.flatnonzero(self.k == k) for k in range(self.k.max(initial=0) + 1)]
+        self.positions = [_Position(self, np.flatnonzero(self.k == k))
+                          for k in range(self.k.max(initial=0) + 1)]
         self.r = self.inputs(scenario.input_rates)
         self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
@@ -249,7 +268,7 @@ class _Compiled(Segments):
         if rates is None:
             return self.r
         inj = np.zeros((len(self.keys), self.n))
-        for s in self.groups[0]:
+        for s in self.positions[0].rows:
             inj[s] = [rates.get((node, self.keys[s][0]), 0.0) for node in self.nodes]
         return inj
 
@@ -260,10 +279,9 @@ class _Compiled(Segments):
         where the stage's task cannot run, final stages included."""
         F = (self.L[:, None] * fe).sum(axis=0)
         on = g > 0
-        cannot = (on & self.cannot_run).any(axis=1)
-        if cannot.any():
-            raise CapacityExceeded(f"stage {self.keys[np.argmax(cannot)]} sends flow to a CPU "
-                                   "that cannot run the task")
+        if (cannot := on & self.cannot_run).any():
+            raise CapacityExceeded(f"stage {self.keys[np.argmax(cannot.any(axis=1))]} sends "
+                                   "flow to a CPU that cannot run the task")
         return F, (np.where(on, self.w, 0.0) * g).sum(axis=0)
 
     def inflow(self, fe) -> np.ndarray:
@@ -294,10 +312,11 @@ class _Compiled(Segments):
         direction fractions X, cyclic stages included.
 
         The levels depend on xe only through its support: the last support
-        peeled and its levels are kept, and a repeated support gets them
-        back with xe's fractions read through `pos`."""
-        support = xe > 0
-        if self._peeled is not None and np.array_equal(self._peeled[0], support):
+        peeled (its bytes, xe's shape being the scenario's) and its levels
+        are kept, and a repeated support gets them back with xe's fractions
+        read through `pos`."""
+        support = (xe > 0).tobytes()
+        if self._peeled is not None and self._peeled[0] == support:
             return self._peeled[1].reread(xe)
         levels = StageLevels(xe, self.src, self.dst, self.n, self.k)
         self._peeled = (support, levels)
@@ -583,8 +602,11 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
     outside = (X < -tol) | (X > 1 + tol)
     sums = comp.row_sum(X)
     want = comp.active.astype(float)
+    bad_sum = np.abs(sums - want) > 1e-6
     bad_cpu = (X[:, comp.seg] > tol) & comp.cannot_run
     out = []
+    if not (faults or outside.any() or bad_sum.any() or bad_cpu.any()):
+        return out
     for s, key in enumerate(comp.keys):
         lost = [(i, j) for f, i, j in faults if f == s]
         if (-1, -1) in lost:
@@ -593,7 +615,7 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
         for p in np.flatnonzero(outside[s]):
             out.append({"stage": key, "node": comp.nodes[comp.dnode[p]],
                         "error": "fraction outside [0, 1]", "value": float(X[s, p])})
-        for i in np.flatnonzero(np.abs(sums[s] - want[s]) > 1e-6):
+        for i in np.flatnonzero(bad_sum[s]):
             out.append({"stage": key, "node": comp.nodes[i],
                         "error": f"row sums to {sums[s, i]:.9f}, expected {want[s, i]}"})
         out += [{"stage": key, "node": comp.nodes[i], "dest": comp.nodes[j],
@@ -619,7 +641,7 @@ class StageLevels:
 
     def __init__(self, xe, src, dst, n, group):
         S = len(xe)
-        self.n, self.S, self.group = n, S, group
+        self.n, self.S = n, S
         s, e = np.nonzero(xe > 0)
         gsrc, gdst = s * n + src[e], s * n + dst[e]
         left = np.bincount(gsrc, minlength=S * n)
@@ -638,30 +660,34 @@ class StageLevels:
         self.cyclic = np.flatnonzero((self.level < 0).any(axis=1))
         if self.cyclic.size:
             return
-        # support edges in (chain position, level of their source) order;
-        # cuts[k] bounds the edges of group k leaving levels 1, 2, ...
+        # support edges in (chain position, level of their source) order
         key = group[s] * (n + 1) + level[gsrc]
         order = np.argsort(key, kind="stable")
         self.src, self.dst = gsrc[order], gdst[order]
         self.x = xe[s, e][order]
         self.pos = (s * xe.shape[1] + e)[order]
+        # cuts[k] bounds the edges of group k leaving levels 1, 2, ...; the
+        # schedule holds per chain position its stages and, per nonempty
+        # level in increasing order, (edges, their sources, their heads),
+        # the last two views of src and dst
         steps = np.arange(1, depth + 2)
         groups = np.arange(group.max(initial=0) + 1)
-        self.cuts = np.searchsorted(key[order], groups[:, None] * (n + 1) + steps[None, :])
+        cuts = np.searchsorted(key[order], groups[:, None] * (n + 1) + steps[None, :])
+        self.schedule = [(np.flatnonzero(group == k),
+                          [(part, self.src[part], self.dst[part])
+                           for part in map(slice, bounds[:-1], bounds[1:])
+                           if part.stop > part.start])
+                         for k, bounds in enumerate(cuts.tolist())]
 
     def reread(self, xe) -> "StageLevels":
         """These levels with the fractions of `xe`, which has the same
         support."""
         if self.cyclic.size:
             return self
-        levels = copy.copy(self)
+        levels = object.__new__(StageLevels)
+        levels.__dict__.update(self.__dict__)
         levels.x = xe.reshape(-1)[self.pos]
         return levels
-
-    def _levels(self, k):
-        """Slices of group k's support edges, one per level, increasing."""
-        cuts = self.cuts[k]
-        return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
     def solve(self, x, k, forward: bool):
         """Solve x = b + A x in place on the stages at chain position k.
@@ -672,18 +698,16 @@ class StageLevels:
         whose b is all zero solves to exact zeros and is skipped; otherwise
         every stage there is solved, its zero stages adding exact zeros.
         """
-        if not x[self.group == k].any():
+        rows, steps = self.schedule[k]
+        if not np.count_nonzero(x[rows]):     # any(), at a third of its cost
             return
-        parts = self._levels(k)
-        xf = x.reshape(-1)
+        xf, frac = x.reshape(-1), self.x
         if forward:
-            for part in reversed(parts):
-                xf += np.bincount(self.dst[part], weights=xf[self.src[part]] * self.x[part],
-                                  minlength=xf.size)
+            for part, src, dst in reversed(steps):
+                xf += np.bincount(dst, weights=xf[src] * frac[part], minlength=xf.size)
         else:
-            for part in parts:
-                xf += np.bincount(self.src[part], weights=self.x[part] * xf[self.dst[part]],
-                                  minlength=xf.size)
+            for part, src, dst in steps:
+                xf += np.bincount(src, weights=frac[part] * xf[dst], minlength=xf.size)
 
     def flags(self, improper) -> np.ndarray:
         """(S, n) flags: some support path of the stage from the node uses
@@ -693,10 +717,9 @@ class StageLevels:
         # no improper link, no flag: no stage of a cold GP run on sw-queue
         # or Abilene has one, so the pass rarely runs there
         if hit_edge.any():
-            for k in range(len(self.cuts)):
-                for part in self._levels(k):
-                    hit = hit_edge[part] | flag[self.dst[part]]
-                    flag[self.src[part][hit]] = True
+            for _, steps in self.schedule:
+                for part, src, dst in steps:
+                    flag[src[hit_edge[part] | flag[dst]]] = True
         return flag.reshape(self.S, self.n)
 
 
@@ -726,18 +749,17 @@ def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None)
     solved and may change that position's rows of lam before the position
     below reads them.
     """
-    link = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
+    # each position's rows start from their link terms: the solves above
+    # them add exact zeros there
+    lam = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
     c0 = X[:, comp.seg]
-    lam = np.zeros_like(link)
-    for k in reversed(range(len(comp.groups))):
-        group = comp.groups[k]
-        lam[group] = link[group]
-        mid = group[~comp.final[group]]
-        if mid.size:
-            on = c0[mid] > 0
-            with np.errstate(invalid="ignore"):
-                cpu = c0[mid] * (comp.w[mid] * Cp + lam[comp.next[mid]])
-            lam[mid] += np.where(on, cpu, 0.0)
+    for k in reversed(range(len(comp.positions))):
+        at = comp.positions[k]
+        if at.mid.size:
+            c = c0[at.mid]
+            with np.errstate(invalid="ignore") if at.inf else contextlib.nullcontext():
+                cpu = c * (at.w * Cp + lam[at.next])
+            lam[at.mid] += np.where(c > 0, cpu, 0.0)
         levels.solve(lam, k, forward=False)
         if settle is not None:
             settle(k, lam)
@@ -866,12 +888,11 @@ def compute_flows(scenario: Scenario, phi: Strategy, extra_injections: dict | No
         if stage in comp.stage_index:
             t[comp.stage_index[stage], comp.index[node]] += rate
     c0 = X[:, comp.seg]
-    for k, group in enumerate(comp.groups):
+    for k, at in enumerate(comp.positions):
         if k:
-            prev = comp.prev[group]
-            t[group] += t[prev] * c0[prev]
+            t[at.rows] += t[at.prev] * c0[at.prev]
         levels.solve(t, k, forward=True)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("negative traffic (bad injections?)")
     g = t * c0
     fe = t[:, comp.src] * xe

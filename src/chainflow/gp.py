@@ -91,10 +91,9 @@ class UpdatePlan:
         moves = (X != 0.0) & ~minimal
         # a moving entry makes its row's sum nan, which is not 1 either
         keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
-        s, i = np.nonzero(keep & comp.active & np.isfinite(dmin))
         self.X = X
-        self.flat, self.starts = comp.spans(s, i)
-        self.width, self.x = comp.width[i], X.take(self.flat)
+        self.flat, self.starts, self.width = comp.spans(keep & comp.active & np.isfinite(dmin))
+        self.x = X.take(self.flat)
         self.minimal, self.moves = minimal.take(self.flat), moves.take(self.flat)
         self.e = np.where(self.moves, np.maximum(gap.take(self.flat), 0.0), 0.0)
         self.count = np.add.reduceat(self.minimal, self.starts, dtype=int)
@@ -110,12 +109,12 @@ class UpdatePlan:
         equally, and the row is renormalized."""
         red = np.where(self.moves, np.minimum(self.x, alpha * self.e), 0.0)
         new = self.x - red
-        give = np.repeat(self.row_sums(red) / self.count, self.width)
+        give = (self.row_sums(red) / self.count).repeat(self.width)
         np.add(new, give, out=new, where=self.minimal)
         total = self.row_sums(new)
-        new /= np.repeat(np.where(total > 0, total, 1.0), self.width)
+        new /= np.where(total > 0, total, 1.0).repeat(self.width)
         out = self.X.copy()
-        np.put(out, self.flat, new)
+        out.put(self.flat, new)
         return out
 
 

@@ -35,7 +35,7 @@ def hop_metrics(scenario: Scenario, phi: Strategy, state: FlowState,
     # hop mass M = inflow + P^T M: total (rate x hops) arriving at each
     # node, where packets enter their stage with zero hops
     M = comp.inflow(state.edge_flows)
-    for k in range(len(comp.groups)):
+    for k in range(len(comp.positions)):
         state.levels.solve(M, k, forward=True)
     c0 = phi.fractions(comp)[:, comp.seg]
     data_num = data_den = 0.0

@@ -105,8 +105,11 @@ class CostArray:
         return bool((x[self.que] >= self.p_que * (1 - margin)).any())
 
     def check(self, x):
-        if self.saturated(x, 0.0):
+        """The queue loads x[que]. Raises CapacityExceeded when one reaches
+        its capacity."""
+        if np.count_nonzero((xq := x[self.que]) >= self.p_que):
             raise CapacityExceeded(self._overflow_message(x))
+        return xq
 
     def _overflow_message(self, x) -> str:
         if self.label is None:
@@ -117,14 +120,14 @@ class CostArray:
 
     def total(self, x) -> float:
         """Summed cost of the loads x. Raises CapacityExceeded outside the domain."""
-        self.check(x)
-        lin, que = self.lin, self.que
-        return float(np.sum(self.p_lin * x[lin])) + float(np.sum(queue_value(self.p_que, x[que])))
+        xq = self.check(x)
+        # an empty kind sums to 0.0
+        lin = float((self.p_lin * x[self.lin]).sum()) if self.lin.size else 0.0
+        return lin + (float(queue_value(self.p_que, xq).sum()) if xq.size else 0.0)
 
     def deriv(self, x):
         """Marginal cost of every entry at loads x (0 on absent entries)."""
-        if ((xq := x[self.que]) >= self.p_que).any():
-            raise CapacityExceeded(self._overflow_message(x))
+        xq = self.check(x)
         D = np.zeros_like(x)
         D[self.lin] = self.p_lin
         D[self.que] = queue_prime(self.p_que, xq)

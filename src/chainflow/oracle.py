@@ -151,8 +151,8 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
     dist, succ = np.where(terminal, 0.0, np.inf), np.where(terminal, -2, -3)
     # a final stage's CPU step is unusable, whatever row follows it
     nxt = np.minimum(np.arange(1, len(dist) + 1), len(dist) - 1)
-    for j in reversed(range(len(comp.groups) if app is None else app.K + 1)):
-        rows = comp.groups[j] if app is None else slice(j, j + 1)
+    for j in reversed(range(len(comp.positions) if app is None else app.K + 1)):
+        rows = comp.positions[j].rows if app is None else slice(j, j + 1)
         keep = memo is not None and (comp.final[stages] & (comp.L[stages] == 0))[rows].all()
         if keep and app in memo:
             dist[rows], succ[rows] = memo[app]
@@ -637,7 +637,7 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector) -> Strategy:
 
     def settle(k, lam):
         # fill zero-traffic rows toward the cheapest settled value
-        group = comp.groups[k]
+        group = comp.positions[k].rows
         fixed = pos[group]
         dist = np.where(fixed, lam[group], np.inf)
         choice = np.full(dist.shape, -9)

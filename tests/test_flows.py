@@ -7,7 +7,8 @@ from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetecte
                        NoFeasibleStrategy, Queue, Scenario, Strategy, check_kkt,
                        check_sufficient, compute_flows, detect_loops, init_strategy,
                        max_conservation_residual, run_gp, validate_strategy)
-from chainflow.flows import INIT_MODES, Segments, StageLevels, cheapest_to_go, compiled
+from chainflow.flows import (INIT_MODES, Segments, StageLevels, cheapest_to_go, compiled,
+                             stage_levels)
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
                       random_scenario)
@@ -535,10 +536,156 @@ class TestCompiledLayout:
         assert [key[0] for key in fewer.keys] == [kept, kept]
 
 
+def _schedule(levels):
+    """StageLevels.schedule as plain lists, for comparison."""
+    return [(rows.tolist(), [(part.start, part.stop, src.tolist(), dst.tolist())
+                             for part, src, dst in steps])
+            for rows, steps in levels.schedule]
+
+
+def _support_edges(xe, src, dst, n):
+    """(s, e, gsrc, gdst): the support edges of (S, E) fractions xe in
+    (stage, edge) order, with their flat (stage, node) ends."""
+    s, e = np.nonzero(xe > 0)
+    return s, e, s * n + src[e], s * n + dst[e]
+
+
+def reference_solve(levels, xe, src, dst, n, group, x, k, forward):
+    """StageLevels.solve as a loop over `levels.level`: per level, the
+    support edges of the stages at chain position k that leave it, in
+    (stage, edge) order, added by one np.bincount; an all-zero b at k is
+    left as it is."""
+    if not x[group == k].any():
+        return
+    s, e, gsrc, gdst = _support_edges(xe, src, dst, n)
+    lev = levels.level.reshape(-1)[gsrc]
+    xf = x.reshape(-1)
+    order = range(1, lev.max(initial=0) + 1)
+    for L in reversed(order) if forward else order:
+        on = (group[s] == k) & (lev == L)
+        if not on.any():
+            continue
+        frac = xe[s[on], e[on]]
+        if forward:
+            xf += np.bincount(gdst[on], weights=xf[gsrc[on]] * frac, minlength=xf.size)
+        else:
+            xf += np.bincount(gsrc[on], weights=frac * xf[gdst[on]], minlength=xf.size)
+
+
+def reference_flags(levels, xe, src, dst, n, group, improper):
+    """StageLevels.flags as a loop over `levels.level`, chain position by
+    chain position, level by level, increasing."""
+    s, e, gsrc, gdst = _support_edges(xe, src, dst, n)
+    lev = levels.level.reshape(-1)[gsrc]
+    flag = np.zeros(xe.shape[0] * n, dtype=bool)
+    for k in range(group.max(initial=0) + 1):
+        for L in range(1, lev.max(initial=0) + 1):
+            on = (group[s] == k) & (lev == L)
+            hit = improper[s[on], e[on]] | flag[gdst[on]]
+            flag[gsrc[on][hit]] = True
+    return flag.reshape(-1, n)
+
+
+class TestSchedule:
+    """StageLevels.solve and flags walk the schedule built once per peel;
+    they must equal, bit for bit, a loop over the level numbers with one
+    np.bincount per level in the same edge order (np.bincount adds in
+    index order)."""
+
+    @staticmethod
+    def draw(comp, rng, group=None):
+        """Random acyclic fractions on comp's edges (each stage's support
+        descends a random node order) and a chain position per stage."""
+        S = len(comp.keys)
+        rank = rng.permuted(np.tile(np.arange(comp.n), (S, 1)), axis=1)
+        down = (rank[:, comp.src] > rank[:, comp.dst]) & (rng.random((S, comp.E)) < 0.6)
+        xe = np.where(down, rng.uniform(0.05, 1.0, (S, comp.E)), 0.0)
+        return xe, comp.k if group is None else group
+
+    def assert_matches(self, levels, xe, comp, group, rng):
+        S, n = xe.shape[0], comp.n
+        args = (levels, xe, comp.src, comp.dst, n, group)
+        for k in range(group.max(initial=0) + 1):
+            for forward in (True, False):
+                b = rng.exponential(size=(S, n)) * (rng.random((S, n)) < 0.5)
+                got, want = b.copy(), b.copy()
+                levels.solve(got, k, forward)
+                reference_solve(*args, want, k, forward)
+                assert got.tobytes() == want.tobytes()
+        for density in (0.0, 0.02, 0.3):
+            improper = rng.random(xe.shape) < density
+            assert np.array_equal(levels.flags(improper), reference_flags(*args, improper))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        comp = compiled(random_scenario(seed, n=9, K=2 + seed % 2))
+        for group in (None, rng.integers(0, 4, len(comp.keys))):
+            xe, group = self.draw(comp, rng, group)
+            levels = StageLevels(xe, comp.src, comp.dst, comp.n, group)
+            assert not levels.cyclic.size
+            self.assert_matches(levels, xe, comp, group, rng)
+            # the level slices are views of the sorted edge ends
+            for _, steps in levels.schedule:
+                for part, src, dst in steps:
+                    assert src.base is levels.src and dst.base is levels.dst
+                    assert np.array_equal(src, levels.src[part])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reread_on_the_same_support(self, seed):
+        rng = np.random.default_rng(seed)
+        comp = compiled(random_scenario(seed))
+        xe, group = self.draw(comp, rng)
+        first = comp.peel(xe)
+        other = np.where(xe > 0, rng.uniform(0.05, 1.0, xe.shape), 0.0)
+        again = comp.peel(other)
+        assert again.schedule is first.schedule
+        self.assert_matches(again, other, comp, group, rng)
+        self.assert_matches(first, xe, comp, group, rng)
+
+    def test_all_zero_position_is_skipped(self):
+        rng = np.random.default_rng(7)
+        comp = compiled(random_scenario(7, K=2))
+        xe, group = self.draw(comp, rng)
+        levels = StageLevels(xe, comp.src, comp.dst, comp.n, group)
+        for forward in (True, False):
+            for k in range(group.max() + 1):
+                # -0.0 elsewhere would read +0.0 after an exact-zero solve
+                x = np.full((len(comp.keys), comp.n), -0.0)
+                x[group != k] = rng.uniform(0.5, 1.0, (np.sum(group != k), comp.n))
+                x[0, 0] = -0.0
+                before = x.tobytes()
+                levels.solve(x, k, forward)
+                assert x.tobytes() == before
+
+    def test_one_position_as_detect_loops_builds_it(self):
+        # detect_loops peels every stage as chain position 0
+        rng = np.random.default_rng(3)
+        comp = compiled(random_scenario(3))
+        xe, _ = self.draw(comp, rng)
+        group = np.zeros(len(comp.keys), dtype=int)
+        levels = StageLevels(xe, comp.src, comp.dst, comp.n, group)
+        assert len(levels.schedule) == 1
+        assert levels.schedule[0][0].tolist() == list(range(len(comp.keys)))
+        self.assert_matches(levels, xe, comp, group, rng)
+
+    def test_cyclic_support_raises(self):
+        rng = np.random.default_rng(5)
+        comp = compiled(random_scenario(5))
+        xe, _ = self.draw(comp, rng)
+        e = int(np.flatnonzero(xe[1] > 0)[0])
+        back = int(comp.eid[comp.dst[e], comp.src[e]])
+        xe[1, back] = 0.5                   # a two-node cycle at stage 1
+        for _ in range(2):                  # the second call meets the kept support
+            with pytest.raises(LoopDetected, match=re.escape(f"stage {comp.keys[1]!r} has")):
+                stage_levels(comp, xe)
+        assert comp.peel(xe).cyclic.tolist() == [1]
+
+
 class TestLevelMemo:
     """The compiled scenario keeps the last support it peeled and its levels."""
 
-    FIELDS = ("level", "src", "dst", "x", "pos", "cuts", "cyclic")
+    FIELDS = ("level", "src", "dst", "x", "pos", "cyclic")
 
     @staticmethod
     def fresh(comp, X):
@@ -547,6 +694,7 @@ class TestLevelMemo:
     def assert_same(self, levels, fresh):
         for name in self.FIELDS:
             assert np.array_equal(getattr(levels, name), getattr(fresh, name)), name
+        assert _schedule(levels) == _schedule(fresh)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_same_support_other_values(self, seed):

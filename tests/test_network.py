@@ -248,6 +248,33 @@ class TestCostArray:
             for margin in (0.0, 1e-12):
                 assert costs.saturated(x, margin) is ref.saturated(x, margin) is False
 
+    @pytest.mark.parametrize("kinds", ["l", "q", "lqa", "a"])
+    def test_capacity_checks_by_kind(self, kinds):
+        # all-Linear, all-Queue, mixed and absent-only arrays: check returns
+        # the queue loads; an overloaded queue makes total, deriv and check
+        # raise the mask formulas' message; without queues no load is too much
+        for seed in range(10):
+            costs, x, _ = self._draw(seed, kinds)
+            ref = _MaskedCosts(costs)
+            que = np.flatnonzero(costs.kind == QUEUE)
+            assert _bits(costs.check(x)) == _bits(x[que])
+            if not que.size:
+                x = x + 1e6
+                for margin in (0.0, 1e-12):
+                    assert costs.saturated(x, margin) is ref.saturated(x, margin) is False
+                assert _bits(costs.check(x)) == _bits(x[que])
+                assert _bits(costs.total(x)) == _bits(ref.total(x))
+                assert _bits(costs.deriv(x)) == _bits(ref.deriv(x))
+                continue
+            q = que[seed % que.size]
+            x[q] = costs.param[q] * (1.0 + seed)        # exactly at capacity for seed 0
+            for margin in (0.0, 1e-12):
+                assert costs.saturated(x, margin) is ref.saturated(x, margin) is True
+            for evaluate in (costs.total, costs.deriv, costs.check):
+                with pytest.raises(CapacityExceeded) as err:
+                    evaluate(x)
+                assert str(err.value) == ref.message(x)
+
     def test_saturation_at_the_margins(self):
         costs, x, _ = self._draw(3)
         ref = _MaskedCosts(costs)

@@ -710,7 +710,7 @@ class TestZeroSizeFinalPosition:
         def checked(comp, app, Dp, Cp, masks=None, memo=None):
             searched.clear()
             dist, succ = paths(comp, app, Dp, Cp, masks, memo)
-            positions = len(comp.groups) if app is None else app.K + 1
+            positions = len(comp.positions) if app is None else app.K + 1
             reused.setdefault(app, []).append(positions - len(searched))
             fresh = paths(comp, app, Dp, Cp, masks)
             assert dist.tobytes() == fresh[0].tobytes()
