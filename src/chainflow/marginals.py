@@ -150,7 +150,7 @@ def excess(d, X, segs, rows=None):
     on = X > DEFAULT_TOL_MASS
     if rows is not None:
         on &= rows[:, segs.dnode]
-    return np.subtract(d, lo, out=np.zeros_like(d), where=on), lo
+    return np.subtract(d, lo, out=np.zeros(d.shape), where=on), lo
 
 
 def _check(comp, phi, g, rows, tol, name) -> CheckResult:

@@ -128,7 +128,7 @@ class CostArray:
     def deriv(self, x):
         """Marginal cost of every entry at loads x (0 on absent entries)."""
         xq = self.check(x)
-        D = np.zeros_like(x)
+        D = np.zeros(x.shape)
         D[self.lin] = self.p_lin
         D[self.que] = queue_prime(self.p_que, xq)
         return D
