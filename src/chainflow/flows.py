@@ -64,6 +64,69 @@ class _Position:
         self.inf = bool(np.isinf(self.w).any())
 
 
+class _Layer:
+    """Chain position of a cheapest extended path search (see _Layers):
+    its `rows`, those among them that are not final, `mid`, with their
+    workloads `w`, next rows `next` and `inf` as in _Position, and `keep`,
+    whether its rows are final stages of packet size 0, whose search does
+    not depend on the marginals: links weigh 0 and CPU steps are unusable.
+    `mid` is None where every row is final and a slice where none is."""
+
+    __slots__ = ("rows", "mid", "w", "next", "inf", "keep")
+
+    def __init__(self, rows, mid, w, nxt, keep):
+        self.rows, self.mid, self.w, self.next, self.keep = rows, mid, w, nxt, keep
+        self.inf = bool(np.isinf(w).any())
+
+    def offer(self, Cp, dist, shape):
+        """The CPU steps' costs to go from the rows, w * Cp plus the next
+        row's label, inf at final rows; None where every row is final."""
+        if self.mid is None:
+            return None
+        with np.errstate(invalid="ignore") if self.inf else contextlib.nullcontext():
+            cpu = self.w * Cp + dist[self.next]     # nan (unusable) where inf * 0
+        if isinstance(self.mid, slice):
+            return cpu
+        offer = np.full(shape, np.inf)
+        offer[self.mid] = cpu
+        return offer
+
+
+class _Layers:
+    """The set-up of a cheapest extended path search over the stages of one
+    application, or of every application: the `stages` of the stack, their
+    packet sizes `L` as a column, the flat indices of the `terminal` labels
+    on the (rows, n) labels and a _Layer per chain position, the last first.
+    Rows count from the first stage."""
+
+    __slots__ = ("stages", "L", "terminal", "layers")
+
+    def __init__(self, comp: "_Compiled", app=None):
+        stages = self.stages = slice(None) if app is None else app.stages
+        self.L = comp.L[stages, None]
+        self.terminal = np.flatnonzero(~comp.active[stages])
+        free = comp.final & (comp.L == 0)
+        if app is None:
+            self.layers = []
+            for at in reversed(comp.positions):
+                mid = np.flatnonzero(~comp.final[at.rows])
+                mid = None if not mid.size else slice(None) if mid.size == at.rows.size else mid
+                self.layers.append(_Layer(at.rows, mid, at.w, at.next, bool(free[at.rows].all())))
+            return
+        s0, K = app.s0, app.K
+        self.layers = [_Layer(slice(K, K + 1), None, np.empty(0), None, bool(free[s0 + K]))]
+        self.layers += [_Layer(slice(j, j + 1), slice(None), comp.w[s0 + j:s0 + j + 1],
+                               slice(j + 1, j + 2), False) for j in reversed(range(K))]
+
+    def seeds(self, n: int):
+        """Fresh (dist, succ) of the search: 0 and -2 at the terminal labels,
+        inf and -3 elsewhere."""
+        dist, succ = np.full((len(self.L), n), np.inf), np.full((len(self.L), n), -3)
+        dist.put(self.terminal, 0.0)
+        succ.put(self.terminal, -2)
+        return dist, succ
+
+
 class Segments:
     """Rows of an array laid out in column segments: segment i starts at
     column seg[i] and runs up to the next one, and dnode[j] is the segment
@@ -200,6 +263,7 @@ class _Compiled(Segments):
         self.r = self.inputs(scenario.input_rates)
         self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
+        self._layers = {}       # search set-ups by first stage, None for every application
         self._peeled = None     # (support, levels) of the last peel
 
     def _workloads(self, app) -> np.ndarray:
@@ -249,6 +313,14 @@ class _Compiled(Segments):
         if targets.ndim == 1:
             return trees[0]
         return tuple(np.reshape([tree[i] for tree in trees], (len(trees), self.n)) for i in (0, 1))
+
+    def layers(self, app=None) -> _Layers:
+        """The cheapest extended path search set-up of an application, or of
+        every application (None), built on first use."""
+        key = None if app is None else app.s0
+        if key not in self._layers:
+            self._layers[key] = _Layers(self, app)
+        return self._layers[key]
 
     def same_as(self, other: "_Compiled") -> bool:
         """Whether arrays laid out for `other` read the same here."""
@@ -414,10 +486,11 @@ def cheapest_to_go(comp: _Compiled, link_w, dist, succ, offer=None, fixed=None):
     successor was labelled in an earlier sweep, so the successors form
     trees even where links cost zero.
     """
-    free = True if fixed is None else ~fixed
+    free = None if fixed is None else ~fixed
     if offer is not None:
-        take = (offer < dist) & free
-        dist[take], succ[take] = offer[take], -1
+        take = offer < dist if free is None else (offer < dist) & free
+        np.copyto(dist, offer, where=take)
+        np.copyto(succ, -1, where=take)
     W = np.full((len(dist), comp.n + comp.E), np.inf)
     W[:, comp.edge_pos] = link_w
     flat = np.arange(len(dist))[:, None] * W.shape[1]
@@ -426,7 +499,7 @@ def cheapest_to_go(comp: _Compiled, link_w, dist, succ, offer=None, fixed=None):
         cand = W + dist[:, comp.toward]
         col = comp.row_argmin(cand)
         m = cand.ravel()[col + flat]
-        better = (m < dist) & free
+        better = m < dist if free is None else (m < dist) & free
         if not better.any():
             return
         np.copyto(succ, comp.toward[col], where=better)

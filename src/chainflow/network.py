@@ -100,9 +100,17 @@ class CostArray:
         self.overflow = overflow
         self.label = label
 
+    def limit(self, margin: float) -> np.ndarray:
+        """Per entry, the load that saturates it: (1 - margin) of a queue's
+        capacity, inf elsewhere."""
+        lim = np.full(self.param.shape, np.inf)
+        lim[self.que] = self.p_que * (1 - margin)
+        return lim
+
     def saturated(self, x, margin: float) -> bool:
-        """Whether some queue load reaches (1 - margin) of its capacity."""
-        return bool((x[self.que] >= self.p_que * (1 - margin)).any())
+        """Whether some (finite) load reaches its limit: a queue load (1 -
+        margin) of its capacity."""
+        return bool((x >= self.limit(margin)).any())
 
     def check(self, x):
         """The queue loads x[que]. Raises CapacityExceeded when one reaches

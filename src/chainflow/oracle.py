@@ -16,6 +16,7 @@ simplices; it shares no solver machinery with the conditional-gradient route.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -117,9 +118,20 @@ class _PathTable:
             self.paths.append(path)
         return pid
 
+    def steps(self, *ids) -> list:
+        """Per path in ids, its steps as Python scalars, (is a link, stage,
+        edge or node, coefficient), read from its cells."""
+        E, ids, out = self.comp.E, list(ids), []
+        stage, col = np.divmod(self.cell[ids], self.width)
+        for pid, ks, cs, fs in zip(ids, stage.tolist(), col.tolist(), self.coef[ids].tolist()):
+            n = len(self.paths[pid])
+            out.append([(c < E, k, c if c < E else c - E, f)
+                        for k, c, f in zip(ks[:n], cs[:n], fs[:n])])
+        return out
+
     def costs(self, ids, Dp, Cp):
         """path_cost of each path in ids: np.cumsum adds a row step by step."""
-        D = np.concatenate((Dp, Cp, [0.0]))
+        D, ids = np.concatenate((Dp, Cp, [0.0])), np.array(ids, dtype=int)
         return np.cumsum(self.coef[ids] * D[self.cell[ids] % self.width], axis=1)[:, -1]
 
 
@@ -134,35 +146,48 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
     j >= 0 for the link to node j, -2 at the terminal and -3 where the
     destination is out of reach. `masks` optionally maps application ids
     to their admissible (n, n) links (used by baselines that pin routing
-    to fixed paths).
+    to fixed paths), or is their barred_links array.
 
     `memo`, a dict kept for one set of masks, holds per `app` the rows of a
     chain position of final stages with packet size 0: whatever Dp and Cp,
     its links weigh 0 (inf where masked) and its CPU steps are unusable.
+    The search's set-up is built once per compile (_Compiled.layers).
     """
-    stages, base = (slice(None), 0) if app is None else (app.stages, app.s0)
-    link_w = comp.L[stages, None] * Dp
-    for a in comp.apps if app is None else [app]:
-        if (masks or {}).get(a.id) is not None:
-            link_w[a.s0 - base:a.s0 - base + a.K + 1, ~masks[a.id][comp.src, comp.dst]] = np.inf
-    with np.errstate(invalid="ignore"):
-        cpu_w = comp.w[stages] * Cp          # nan (unusable) where inf * 0
-    terminal = ~comp.active[stages]
-    dist, succ = np.where(terminal, 0.0, np.inf), np.where(terminal, -2, -3)
-    # a final stage's CPU step is unusable, whatever row follows it
-    nxt = np.minimum(np.arange(1, len(dist) + 1), len(dist) - 1)
-    for j in reversed(range(len(comp.positions) if app is None else app.K + 1)):
-        rows = comp.positions[j].rows if app is None else slice(j, j + 1)
-        keep = memo is not None and (comp.final[stages] & (comp.L[stages] == 0))[rows].all()
-        if keep and app in memo:
+    layers = comp.layers(app)
+    barred = barred_links(comp, masks) if isinstance(masks, dict) else masks
+    link_w, (dist, succ) = _link_weights(layers, Dp, barred), layers.seeds(comp.n)
+    for at in layers.layers:
+        rows = at.rows
+        if at.keep and memo is not None and app in memo:
             dist[rows], succ[rows] = memo[app]
             continue
         d, s = dist[rows], succ[rows]
-        cheapest_to_go(comp, link_w[rows], d, s, cpu_w[rows] + dist[nxt[rows]])
-        dist[rows], succ[rows] = d, s
-        if keep:
+        cheapest_to_go(comp, link_w[rows], d, s, at.offer(Cp, dist, d.shape))
+        if not isinstance(rows, slice):     # d and s are copies, not views
+            dist[rows], succ[rows] = d, s
+        if at.keep and memo is not None:
             memo[app] = d.copy(), s.copy()
     return dist, succ
+
+
+def barred_links(comp, masks):
+    """(S, E) flags of the links a stage's application may not use under
+    `masks`, which maps application ids to their admissible (n, n) links or
+    None; None where nothing is barred."""
+    barred = np.zeros((len(comp.keys), comp.E), dtype=bool)
+    for a in comp.apps:
+        if (masks or {}).get(a.id) is not None:
+            barred[a.stages] = ~masks[a.id][comp.src, comp.dst]
+    return barred if barred.any() else None
+
+
+def _link_weights(layers, Dp, barred):
+    """The link weights of a search's rows: packet size times marginal, inf
+    on the links `barred` (barred_links) bars."""
+    link_w = layers.L * Dp
+    if barred is not None:
+        np.putmask(link_w, barred[layers.stages], np.inf)
+    return link_w
 
 
 def _extract_path(succ, src) -> tuple:
@@ -227,25 +252,66 @@ def _rebuild(comp, registry, table=None):
     return flat[:, :comp.E].copy(), flat[:, comp.E:-1].copy()
 
 
-def _bisect(deriv, hi: float) -> float:
+def _bisect(deriv, hi: float, newton=None) -> float:
     """Exact line search on [0, hi] for a convex cost with nondecreasing
     derivative `deriv`: the step where the derivative crosses zero, by up to
     100 bisections, or an end point when it does not change sign. Once the
-    midpoint rounds to an end the bracket can no longer move, so it stops."""
-    if hi <= 0 or deriv(0.0) >= 0:
+    midpoint rounds to an end the bracket can no longer move, so it stops.
+
+    `newton`, where given, returns deriv(gamma), the same float, with its
+    own derivative. Newton steps then narrow a bracket [a, b] with
+    deriv(a) <= 0 < deriv(b) first, and the bisections are replayed with
+    deriv evaluated only strictly inside it: outside, deriv's monotonicity
+    gives the sign, so the step is the same."""
+    if hi <= 0:
+        return 0.0
+    d0, c0 = (deriv(0.0), None) if newton is None else newton(0.0)
+    if d0 >= 0:
         return 0.0
     if deriv(hi) <= 0:
         return hi
+    a, b = (0.0, hi) if newton is None else _newton_bracket(newton, hi, d0, c0)
     lo, up = 0.0, hi
     for _ in range(100):
         mid = 0.5 * (lo + up)
         if mid == lo or mid == up:
             break
-        if deriv(mid) <= 0:
+        if mid <= a or (mid < b and deriv(mid) <= 0):
             lo = mid
         else:
             up = mid
     return lo
+
+
+def _newton_bracket(newton, hi: float, d: float, c: float):
+    """[a, b] within [0, hi] with deriv(a) <= 0 < deriv(b), from deriv(0) =
+    d < 0 < deriv(hi) and its derivative c at 0, by Newton steps (at least
+    an ulp) kept inside the bracket, else to its midpoint while one end is
+    still 0 or hi. A step that leaves the sign and at least half the value
+    where it was doubles the next: on a plateau of rounding, Newton alone
+    would crawl. It stops once the bracket is within 16 ulps; when both
+    ends come from steps and the next step would leave it; or at the fifth
+    derivative of exactly 0 inside it, as a plateau of zeros can be wide.
+    From there the bisection does no worse."""
+    a, b, x, grow, zeros = 0.0, hi, 0.0, 1.0, 0
+    for _ in range(60):
+        step = grow * max(abs(d) / c if c > 0 else math.inf, math.ulp(x))
+        nxt = x + step if d <= 0 else x - step
+        if not a < nxt < b:
+            if 0.0 < a and b < hi:
+                break
+            nxt = 0.5 * (a + b)
+        nd, c = newton(nxt)
+        grow = 2.0 * grow if (nd <= 0) == (d <= 0) and abs(nd) >= 0.5 * abs(d) else 1.0
+        if nd <= 0:
+            a = nxt
+        else:
+            b = nxt
+        x, d = nxt, nd
+        zeros += d == 0 and b < hi
+        if b - a <= 16 * math.ulp(b) or zeros > 4:
+            break
+    return a, b
 
 
 def _exact_line_search(comp, F, G, dF, dG):
@@ -267,19 +333,30 @@ def _exact_line_search(comp, F, G, dF, dG):
             buf[que] = queue_prime(p, y) * dq
         return float(np.sum(parts[0][3]) + np.sum(parts[1][3]))
 
-    return _bisect(deriv, hi)
+    def newton(gamma):
+        return deriv(gamma), sum(float(np.sum(2 * p * dq * dq / (p - (xq + gamma * dq)) ** 3))
+                                 for *_, p, xq, dq in parts)
+
+    return _bisect(deriv, hi, newton)
+
+
+def _deltas(plus, minus):
+    """Sparse bit/workload deltas, per edge and per node, of a unit-rate
+    swap from the path of steps `minus` to that of `plus` (_PathTable.steps),
+    each in first-seen order."""
+    ef, eg = {}, {}
+    for sign, steps in ((1.0, plus), (-1.0, minus)):
+        for link, _, i, unit in steps:
+            d = ef if link else eg
+            d[i] = d.get(i, 0.0) + sign * unit
+    return ({e: d for e, d in ef.items() if d != 0.0},
+            {v: d for v, d in eg.items() if d != 0.0})
 
 
 def _delta_entries(comp, app, path_plus, path_minus):
-    """Sparse bit/workload deltas, per edge and per node, of a unit-rate swap
-    path_minus -> path_plus."""
-    ef, eg = {}, {}
-    for sign, path in ((1.0, path_plus), (-1.0, path_minus)):
-        for _, k, v, *to in path:
-            d, at, unit = (ef, int(comp.eid[v, to[0]]), app.L[k]) if to else (eg, v, app.w[v, k])
-            d[at] = d.get(at, 0.0) + sign * unit
-    return ({e: d for e, d in ef.items() if d != 0.0},
-            {v: d for v, d in eg.items() if d != 0.0})
+    """_deltas of a swap between two paths of `app`."""
+    table = _PathTable(comp)
+    return _deltas(*table.steps(table.id(app, path_plus), table.id(app, path_minus)))
 
 
 def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
@@ -290,7 +367,7 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     be vectorized: a numpy sum adds in another order and squares arrays by
     multiplication where scalars use pow.
     """
-    entries = [(int(cost.kind[i]) == QUEUE, float(cost.param[i]), float(x[i]), float(d))
+    entries = [(cost.kind.item(i) == QUEUE, cost.param.item(i), x.item(i), float(d))
                for cost, x, delta in ((comp.links, F, ef), (comp.cpus, G, eg))
                for i, d in delta.items()]
     hi = min([hi_cap] + [queue_room(p, x, d) * (1 - 1e-9) for que, p, x, d in entries
@@ -302,56 +379,132 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
             total += (p / (p - (x + gamma * d)) ** 2 if que else p) * d   # queue_prime inline
         return total
 
-    return _bisect(deriv, hi)
+    def newton(gamma):
+        total = curv = 0.0
+        for que, p, x, d in entries:
+            if que:
+                room = p - (x + gamma * d)
+                total += p / room ** 2 * d      # as deriv adds it
+                curv += 2 * p * d * d / room ** 3
+            else:
+                total += p * d
+        return total, curv
+
+    return _bisect(deriv, hi, newton)
 
 
-def _apply_swap(comp, app, fe, g, F, G, target, worst, amount, ef, eg):
-    """Shift `amount` packets/sec from path `worst` to `target`, updating the
-    flows and network totals in place; (ef, eg) are the swap's unit deltas
-    from _delta_entries."""
-    _add_path(comp, fe, g, app, target, amount)
-    _add_path(comp, fe, g, app, worst, -amount)
+def _apply_swap(fe, g, F, G, plus, minus, amount, ef, eg):
+    """Shift `amount` packets/sec from the path of steps `minus` to that of
+    `plus` (_PathTable.steps), updating the flows step by step as _add_path
+    does and the network totals in place; (ef, eg) are the swap's unit
+    deltas from _deltas."""
+    for steps, a in ((plus, amount), (minus, -amount)):
+        for link, s, i, _ in steps:
+            if link:
+                fe[s, i] += a
+            else:
+                g[s, i] += a
     for e, d in ef.items():
         F[e] += amount * d
     for v, d in eg.items():
         G[v] += amount * d
 
 
+class _Search:
+    """One application's cheapest extended path search at loads (F, G), and
+    when a walk of its `succ` is what a fresh search would give.
+
+    Loads only raise marginals. A walk whose weighted elements (link steps
+    at stages of packet size > 0, CPU steps) keep their marginals, as
+    Linear costs and Queue loads that did not move do, keeps its cost,
+    which was the cheapest, while every other walk costs at least what it
+    did. So the walk stays cheapest, its labels stay, and every other
+    candidate of its nodes costs at least what it did. Where each of its
+    link steps was the unique cheapest candidate of its node (`unique`), a
+    fresh search takes the same steps: the tie rule of cheapest_to_go has
+    nothing to choose, and a CPU step is taken whenever no link is strictly
+    cheaper. A zero-size final position's rows do not depend on the
+    marginals at all. Marginals that fall, as a rolled-back trial's do,
+    void the argument."""
+
+    def __init__(self, comp, app, barred, F, G, memo):
+        self.comp, self.app, self.F, self.G = comp, app, F.copy(), G.copy()
+        Dp = comp.links.deriv(F)
+        dist, self.succ = cheapest_extended_paths(comp, app, Dp, comp.cpus.deriv(G), barred, memo)
+        layers = comp.layers(app)
+        W = np.full((len(dist), comp.n + comp.E), np.inf)
+        W[:, comp.edge_pos] = _link_weights(layers, Dp, barred)
+        # cheapest_to_go's candidates at its labels, and how many reach the label
+        ties = comp.row_sum((W + dist[:, comp.toward] == dist[:, comp.dnode]).astype(int))
+        self.unique = ties == 1
+        self.unique[app.K] |= layers.layers[0].keep
+
+    def walk(self, app, src, F, G):
+        """The path from node src that a fresh search at loads (F, G) would
+        give, when it is known to be this search's; else None."""
+        if app is not self.app:
+            return None
+        try:
+            path = _extract_path(self.succ, src)
+        except NoFeasibleStrategy:
+            return None
+        links, cpus = self.comp.links, self.comp.cpus
+        for _, k, v, *to in path:
+            if to:
+                e = self.comp.eid[v, to[0]]
+                if not self.unique[k, v] or (app.L[k] > 0 and F[e] != self.F[e]
+                                             and links.kind[e] == QUEUE):
+                    return None
+            elif G[v] != self.G[v] and cpus.kind[v] == QUEUE:
+                return None
+        return path
+
+
 def _greedy_start(comp, registry, masks=None, memo=None):
     """Load the blocks of `registry`, which have no atoms yet, one at a time
     on currently-cheapest extended paths, splitting a block when a whole
     placement would blow a capacity. A trial loads the flows and totals in
-    place; a rejected one puts back the columns it changed."""
+    place; a rejected one puts back the columns it changed. A source or
+    chunk takes the path of its application's last search when _Search.walk
+    knows it for the path a fresh search would give."""
     links, cpus = comp.links, comp.cpus
+    barred = barred_links(comp, masks) if isinstance(masks, dict) else masks
     fe, g = _rebuild(comp, registry)
     F, G = _totals(comp, fe, g)
+    # the totals start at 0, below these limits, and a load moves only the
+    # columns it touches, so only those can reach them (links.saturated)
+    F_lim, G_lim = links.limit(1e-12), cpus.limit(1e-12)
+    last = None
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
         app, src, rate = block
         for chunks in (1, 2, 4, 8, 16, 32, 64, 128, 256):
             trial, part, undo = dict(registry[block]), rate / chunks, []
             for _ in range(chunks):
-                # the totals are zero or passed the saturation check below
-                _, succ = cheapest_extended_paths(comp, app, links.deriv(F), cpus.deriv(G),
-                                                  masks, memo)
-                try:
-                    path = _extract_path(succ, src)
-                except NoFeasibleStrategy:
-                    break
+                path = last and last.walk(app, src, F, G)
+                if path is None:
+                    # the totals are zero or passed the saturation check below
+                    last = _Search(comp, app, barred, F, G, memo)
+                    try:
+                        path = _extract_path(last.succ, src)
+                    except NoFeasibleStrategy:
+                        break
                 e = sorted({comp.eid[step[2], step[3]] for step in path if step[0] == "L"})
                 v = sorted({step[2] for step in path if step[0] == "C"})
                 undo.append((e, fe[:, e], F[e], v, g[:, v], G[v]))
                 _add_path(comp, fe, g, app, path, part)
                 # sequential column sums round as comp.totals' sums over all columns do
-                F[e] = np.cumsum(comp.L[:, None] * fe[:, e], axis=0)[-1]
-                if (g[:, v] > 0)[comp.cannot_run[:, v]].any():
+                F[e] = F_e = np.cumsum(comp.L[:, None] * fe[:, e], axis=0)[-1]
+                g_v = g[:, v]
+                if ((on := g_v > 0) & comp.cannot_run[:, v]).any():
                     comp.totals(fe, g)      # raises CapacityExceeded naming the stage
-                G[v] = np.cumsum(np.where(g[:, v] > 0, comp.w[:, v], 0.0) * g[:, v], axis=0)[-1]
-                if links.saturated(F, 1e-12) or cpus.saturated(G, 1e-12):
+                G[v] = G_v = np.cumsum(np.where(on, comp.w[:, v], 0.0) * g_v, axis=0)[-1]
+                if (F_e >= F_lim[e]).any() or (G_v >= G_lim[v]).any():
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
             else:
                 registry[block] = trial
                 break
+            last = None     # the rollback lowers marginals that it saw
             for e, fe_e, F_e, v, g_v, G_v in reversed(undo):
                 fe[:, e], F[e], g[:, v], G[v] = fe_e, F_e, g_v, G_v
         else:
@@ -380,10 +533,14 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     if max_iters < 1:
         raise NotConverged(f"flow-domain solver: max_iters {max_iters} allows no iteration")
     memo = {}       # cheapest_extended_paths' zero-size final positions, for these masks
-    fe, g = _greedy_start(comp, registry, app_link_masks, memo).arrays(comp)
+    barred = barred_links(comp, app_link_masks)
+    fe, g = _greedy_start(comp, registry, barred, memo).arrays(comp)
     table = _PathTable(comp)       # the atoms are path ids from here on
     registry = {b: {table.id(b[0], p): w for p, w in atoms.items()}
                 for b, atoms in registry.items()}
+    blocks_of = {app: [] for app in comp.apps}     # the registry's blocks, fixed from here on
+    for block in registry:                          # (by application, then source)
+        blocks_of[block[0]].append(block)
     links, paths = comp.links, table.paths
     cost_trace, gap_trace, time_trace = traces = [], [], []
     for it in range(max_iters):
@@ -392,11 +549,13 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
         F, G = _totals(comp, fe, g)
         T = comp.cost_total(F, G)
         Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
-        best, lower = {}, 0.0
-        dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, app_link_masks, memo)
-        for app, src, rate in registry:
-            best[app, src, rate] = table.id(app, _extract_path(succ[app.stages], src))
-            lower += rate * dist[app.s0, src]
+        best, lower = {}, np.float64(0.0)
+        dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, barred, memo)
+        for app, blocks in blocks_of.items():
+            rows, to_go = succ[app.stages], dist[app.s0].tolist()
+            for block in blocks:
+                best[block] = table.id(app, _extract_path(rows, block[1]))
+                lower += block[2] * to_go[block[1]]
         gap = _inner(table, registry, Dp, Cp) - lower
         cost_trace.append(T)
         gap_trace.append(gap)
@@ -411,8 +570,9 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                                                 for block, path in best.items()}, table))
         gamma = _exact_line_search(comp, F, G, sF - F, sG - G)
         if gamma > 0:
+            keep = 1 - gamma
             for block, atoms in registry.items():
-                scaled = {p: w * (1 - gamma) for p, w in atoms.items()}
+                scaled = {p: w * keep for p, w in atoms.items()}
                 scaled[best[block]] = scaled.get(best[block], 0.0) + gamma
                 registry[block] = {p: w for p, w in scaled.items() if w > 1e-15}
             fe, g = _rebuild(comp, registry, table)
@@ -423,20 +583,30 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             # toward the target path; line searches stay exact on the live
             # totals, so every move is a descent step
             F, G = _totals(comp, fe, g)
-            for app in comp.apps:
-                Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
-                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, app_link_masks, memo)
-                blocks = sorted((b for b in registry if b[0] is app), key=lambda b: b[1])
-                ids = [p for block in blocks for p in registry[block]]
-                costs = dict(zip(ids, table.costs(ids, Dp, Cp)))
+            Dp = None
+            for app, blocks in blocks_of.items():
+                if Dp is None:      # the totals moved since the last refresh
+                    Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, barred, memo)
+                # a block whose one atom is its target has nothing to move
+                moving = []
                 for block in blocks:
+                    target = table.id(app, _extract_path(succ, block[1]))
+                    if len(registry[block]) > 1 or target not in registry[block]:
+                        moving.append((block, target))
+                if not moving:
+                    continue
+                to_go = dist[0].tolist()
+                ids = [p for block, _ in moving for p in registry[block]]
+                costs = dict(zip(ids, table.costs(ids, Dp, Cp).tolist()))
+                for block, target in moving:
                     _, src, rate = block
                     atoms = registry[block]
                     worst = max(atoms, key=lambda p: (costs[p], paths[p]))
-                    target = table.id(app, _extract_path(succ, src))
-                    if target == worst or costs[worst] - dist[0, src] <= 0:
+                    if target == worst or costs[worst] - to_go[src] <= 0:
                         continue
-                    ef, eg = _delta_entries(comp, app, paths[target], paths[worst])
+                    plus, minus = table.steps(target, worst)
+                    ef, eg = _deltas(plus, minus)
                     move = _sparse_line_search(
                         comp, F, G,
                         {e: rate * d for e, d in ef.items()},
@@ -444,8 +614,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                         hi_cap=atoms[worst])
                     if move <= 0:
                         continue
-                    _apply_swap(comp, app, fe, g, F, G, paths[target], paths[worst],
-                                move * rate, ef, eg)
+                    _apply_swap(fe, g, F, G, plus, minus, move * rate, ef, eg)
+                    Dp = None
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move
                     registry[block] = {p: w for p, w in atoms.items() if w > 1e-15}

@@ -9,12 +9,12 @@ from chainflow import (CapacityExceeded, GpConfig, LoopDetected, NoFeasibleStrat
                        compute_flows, enumerate_bruteforce, modified_marginals, oracle, run_gp,
                        solve_flow_domain, strategy_from_flows, table_row, traffic_marginals,
                        validate_strategy)
-from chainflow.flows import compiled
+from chainflow.flows import cheapest_to_go, compiled
 from chainflow.oracle import (FlowVector, _add_path, _bisect, _blocks, _delta_entries,
                               _exact_line_search, _extract_path, _greedy_start, _inner,
                               _PathTable, _rebuild, _sparse_line_search, _totals,
-                              cheapest_extended_paths, enumerate_extended_paths, flow_cost,
-                              path_cost)
+                              barred_links, cheapest_extended_paths, enumerate_extended_paths,
+                              flow_cost, path_cost)
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
                       random_scenario)
@@ -183,20 +183,75 @@ def _copy_and_retry_greedy_start(comp, registry, masks=None):
     return fe, g
 
 
+def _mixed_chains(seed):
+    """Two applications of chain lengths 1 and 3 on a random scenario's
+    graph and costs, fed at its first three nodes: chain positions 1 and 3
+    hold a final stage of one and a middle stage of the other."""
+    from chainflow import Application
+    base = random_scenario(seed, n=8)
+    one, three = (a.destination for a in base.applications[:2])
+    apps = (Application(id="one", chain_length=1, destination=one, packet_sizes=(2.0, 1.0)),
+            Application(id="three", chain_length=3, destination=three,
+                        packet_sizes=(4.0, 3.0, 2.0, 0.0)))
+    return Scenario(graph=base.graph, applications=apps, link_costs=base.link_costs,
+                    comp_costs=base.comp_costs,
+                    input_rates={(v, a.id): 1.0 for a in apps for v in base.graph.nodes[:3]})
+
+
+def _greedy_case(case):
+    kind, seed = case.rsplit(" ", 1)
+    return {"loaded": lambda i: _loaded_scenario(i),
+            "sw-queue": lambda i: build_scenario(table_row("sw-queue"), i),
+            "sw-linear": lambda i: build_scenario(table_row("sw-linear"), i),
+            "geant": lambda i: build_scenario(table_row("geant"), i),
+            "mixed": _mixed_chains,
+            "random": lambda i: random_scenario(i)}[kind](int(seed))
+
+
+def _line(link_kind, sources, tied=False):
+    """Application "a" on the line 4 - 0 - 1 - 3, destination 3, K = 1 and
+    packet sizes (1, 1), fed at `sources`; with `tied`, node 2 joins 0 and
+    3 too, so two equal routes leave node 0. Links cost Linear(1) or
+    Queue(20), and only the destination has a CPU."""
+    from chainflow import Application, Graph, Linear, Queue, Scenario
+    g = Graph.from_undirected_edges([0, 1, 2, 3, 4] if tied else [0, 1, 3, 4],
+                                    [(4, 0), (0, 1), (1, 3)] + [(0, 2), (2, 3)] * tied)
+    cost = Linear(1.0) if link_kind == "linear" else Queue(20.0)
+    app = Application(id="a", chain_length=1, destination=3, packet_sizes=(1.0, 1.0))
+    return Scenario(graph=g, applications=(app,),
+                    link_costs={e: cost for e in g.links},
+                    comp_costs={v: Linear(1.0) if v == 3 else None for v in g.nodes},
+                    input_rates={(v, "a"): 1.0 for v in sources})
+
+
+def _counted_greedy_start(monkeypatch, comp, masks=None):
+    """The greedy start's registry and the number of searches it ran."""
+    searches, real = [], oracle.cheapest_extended_paths
+
+    def counted(*args):
+        searches.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "cheapest_extended_paths", counted)
+    registry = {block: {} for block in _blocks(comp)}
+    _greedy_start(comp, registry, masks, {})
+    monkeypatch.setattr(oracle, "cheapest_extended_paths", real)
+    return registry, len(searches)
+
+
 class TestGreedyStart:
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("case", ["loaded 25", "sw-queue 1",
-                                      *(f"random {i}" for i in range(6))])
+    @pytest.mark.parametrize("case", ["loaded 25", "sw-queue 1", "sw-linear 1", "geant 3",
+                                      "mixed 3", *(f"random {i}" for i in range(6))])
     def test_in_place_loading_equals_copy_and_retry(self, monkeypatch, case, masked):
-        # loading in place, with totals refreshed at the touched columns and
-        # the final position's search reused, must give the flows, atoms and
-        # totals of the copy-and-retry loading bit for bit, and every search
-        # must see the marginals of the full totals of the live flows;
-        # "loaded 25" rejects a whole placement of a block before it fits
-        kind, seed = case.rsplit(" ", 1)
-        s = {"loaded": lambda i: _loaded_scenario(i),
-             "sw-queue": lambda i: build_scenario(table_row("sw-queue"), i),
-             "random": lambda i: random_scenario(i)}[kind](int(seed))
+        # loading in place, with totals refreshed at the touched columns,
+        # the final position's search reused and a source or chunk taking
+        # its application's last search where _Search.walk allows, must give
+        # the flows, atoms and totals of the copy-and-retry loading, which
+        # searches for every load, bit for bit; every search must see the
+        # marginals of the full totals of the live flows; "loaded 25"
+        # rejects a whole placement of a block before it fits
+        s = _greedy_case(case)
         comp = compiled(s)
         masks = _spoc_masks(comp) if masked else None
         want_registry = {block: {} for block in _blocks(comp)}
@@ -225,6 +280,46 @@ class TestGreedyStart:
                 assert a.tobytes() == b.tobytes()
         if case == "loaded 25" and not masked:
             assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", ["sw-queue 1", "sw-linear 1"])
+    def test_one_search_per_application(self, monkeypatch, case, masked):
+        # 240 blocks of 30 applications: each application's first search
+        # serves all its sources, marginals (Queue) or not (Linear), on the
+        # unmasked graph and on SPOC's trees
+        comp = compiled(_greedy_case(case))
+        registry, searches = _counted_greedy_start(
+            monkeypatch, comp, _spoc_masks(comp) if masked else None)
+        assert len(registry) == 240 and len(comp.apps) == 30
+        assert searches <= 30
+
+    @pytest.mark.parametrize("why", ["tie", "marginal"])
+    def test_declined_walk_searches_again(self, monkeypatch, why):
+        # sources 0 and 4 of one application; 4's walk leaves node 0 as
+        # 0's did. Two equal routes out of node 0 (a tie), or Queue links
+        # that 0's load made dearer (a marginal), decline the walk, and a
+        # search runs for source 4; without either, it is reused
+        walk = oracle._Search.walk
+        for declined in (False, True):
+            if why == "tie":
+                s = _line("linear", (0, 4), tied=declined)
+            else:
+                s = _line("queue" if declined else "linear", (0, 4))
+            comp = compiled(s)
+            walks = []
+
+            def recorded(self, *args):
+                walks.append(walk(self, *args))
+                return walks[-1]
+
+            monkeypatch.setattr(oracle._Search, "walk", recorded)
+            registry, searches = _counted_greedy_start(monkeypatch, comp)
+            assert [w is None for w in walks] == [declined]
+            assert searches == 1 + declined
+            want = {block: {} for block in _blocks(comp)}
+            _copy_and_retry_greedy_start(comp, want)
+            assert [list(a.items()) for a in registry.values()] == \
+                [list(a.items()) for a in want.values()]
 
     def test_cpu_flow_where_the_task_cannot_run_refused(self, monkeypatch):
         # the totals are refreshed at the touched columns only, yet a path
@@ -531,6 +626,63 @@ class TestBisect:
             if 1e-6 <= where <= 1 - 1e-6:
                 assert 0.0 < got < hi
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_newton_bracket_replays_the_100_step_result(self, seed):
+        # the same M/M/1 cases, with the closed-form second derivative: the
+        # bisection replayed inside the Newton bracket gives the 100-step
+        # step, with at most a third of the early-stopping bisection's
+        # evaluations where the root is mid-interval
+        rng = np.random.default_rng(seed)
+        for where in (1e-12, 1e-6, rng.uniform(0.2, 0.8), 1 - 1e-6, 1 - 1e-12):
+            hi = rng.uniform(0.1, 1.0)
+            c = rng.uniform(1.0, 10.0, 8)
+            x = rng.uniform(0.1, 0.4, 8) * c
+            d = rng.uniform(-0.1, 0.5, 8) * c / hi
+
+            def mm1(gamma):
+                return float(np.sum(d * c / (c - x - gamma * d) ** 2))
+
+            shift, calls = mm1(where * hi), []
+
+            def counted(gamma):
+                calls.append(gamma)
+                return mm1(gamma) - shift
+
+            def newton(gamma):
+                calls.append(gamma)
+                return mm1(gamma) - shift, float(np.sum(2 * c * d * d / (c - x - gamma * d) ** 3))
+
+            got, replayed = _bisect(counted, hi, newton), len(calls)
+            calls.clear()
+            plain, bisected = _bisect(counted, hi), len(calls)
+            assert got == plain == _bisect_100(counted, hi)
+            if 0.2 <= where <= 0.8:
+                assert 3 * replayed <= bisected
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 40])
+    def test_plateau_at_zero_around_the_root(self, width):
+        # a derivative that is exactly 0 across `width` ulps on each side of
+        # the root: Newton stalls there, the bracket must still hold the
+        # 100-step result, and the search stays short (the bisection alone
+        # takes 56 to 65 evaluations here)
+        for root, hi in [(0.3, 1.0), (4.5e-5, 0.05), (0.07, 0.9)]:
+            lo_end = root - width * np.spacing(root)
+            up_end = root + width * np.spacing(root)
+            calls = []
+
+            def deriv(gamma):
+                calls.append(gamma)
+                return min(gamma - lo_end, 0.0) + max(gamma - up_end, 0.0)
+
+            def newton(gamma):
+                return deriv(gamma), 1.0
+
+            got, evaluations = _bisect(deriv, hi, newton), len(calls)
+            assert got == _bisect_100(deriv, hi)
+            assert lo_end <= got <= up_end
+            assert evaluations <= 20
+            calls.clear()
+
 
 class TestBruteforce:
     def test_e1_agrees(self, e1):
@@ -683,6 +835,62 @@ class TestCheapestExtendedPaths:
                 one = cheapest_extended_paths(comp, app, Dp, Cp, m)
                 assert np.array_equal(dist[app.stages], one[0])
                 assert np.array_equal(succ[app.stages], one[1])
+
+
+def _masked_search_reference(comp, app, Dp, Cp, masks):
+    """cheapest_extended_paths as it was before the per-solve barred links:
+    each application's (n, n) mask sets its rows' barred link weights to
+    inf, one application at a time, and the seeds and CPU offers are built
+    from the stage arrays on every call."""
+    stages, base = (slice(None), 0) if app is None else (app.stages, app.s0)
+    link_w = comp.L[stages, None] * Dp
+    for a in comp.apps if app is None else [app]:
+        if masks.get(a.id) is not None:
+            link_w[a.s0 - base:a.s0 - base + a.K + 1, ~masks[a.id][comp.src, comp.dst]] = np.inf
+    with np.errstate(invalid="ignore"):
+        cpu_w = comp.w[stages] * Cp
+    terminal = ~comp.active[stages]
+    dist, succ = np.where(terminal, 0.0, np.inf), np.where(terminal, -2, -3)
+    nxt = np.minimum(np.arange(1, len(dist) + 1), len(dist) - 1)
+    for j in reversed(range(len(comp.positions) if app is None else app.K + 1)):
+        rows = comp.positions[j].rows if app is None else slice(j, j + 1)
+        d, s = dist[rows], succ[rows]
+        cheapest_to_go(comp, link_w[rows], d, s, cpu_w[rows] + dist[nxt[rows]])
+        dist[rows], succ[rows] = d, s
+    return dist, succ
+
+
+class TestBarredLinks:
+    @pytest.mark.parametrize("case", ["sw-queue 1", "mixed 3",
+                                      *(f"random {i}" for i in range(4))])
+    def test_barred_array_equals_per_application_masks(self, case):
+        # SPOC's tree masks as one (S, E) barred-link array, built once per
+        # solve, give every search, per application and for all of them at
+        # once, the labels and successors of the masks applied one by one
+        # with the seeds and offers built on every call, and so does the
+        # search without masks; at the greedy start's marginals and at
+        # random ones. "mixed 3" has chain positions of final and middle
+        # stages together.
+        s = _greedy_case(case)
+        comp = compiled(s)
+        masks = _spoc_masks(comp)
+        barred = barred_links(comp, masks)
+        assert barred.shape == (len(comp.keys), comp.E) and barred.any()
+        F, G = _totals(comp, *_greedy_start(comp, {block: {} for block in _blocks(comp)},
+                                            masks).arrays(comp))
+        rng = np.random.default_rng(len(case))
+        for Dp, Cp in [(comp.links.deriv(F), comp.cpus.deriv(G)),
+                       (rng.uniform(0.1, 1.0, comp.E), rng.uniform(0.1, 1.0, comp.n))]:
+            for app in [None, *comp.apps]:
+                for m, searched in ((masks, (barred, masks)), ({}, (None, {}))):
+                    want = _masked_search_reference(comp, app, Dp, Cp, m)
+                    for got in (cheapest_extended_paths(comp, app, Dp, Cp, given)
+                                for given in searched):
+                        assert got[0].tobytes() == want[0].tobytes()
+                        assert got[1].tobytes() == want[1].tobytes()
+        # masks that admit every link bar nothing
+        assert barred_links(comp, {a.id: comp.adj for a in comp.apps}) is None
+        assert barred_links(comp, None) is None
 
 
 class TestZeroSizeFinalPosition:

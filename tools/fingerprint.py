@@ -12,7 +12,9 @@ equal and every other number equal to 1e-12 relative:
 
 It covers cold GP at the benchmark-study settings (tol 1e-4, 1000 slots) on
 sw-queue draws 1 and 3 with their hop metrics; the oracle, its
-strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; a fixed
+strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; the oracle
+and SPOC on sw-linear draw 1, whose Linear costs let the greedy start reuse
+every search after an application's first; a fixed
 sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
 some of them; and LCOF, the oracle and SPOC on Abilene draw 2 with packet
@@ -118,6 +120,16 @@ def sw_queue():
     for name in ("spoc", "lcof", "lpr-sc"):
         res = BASELINES[name](s)
         print(f"sw-queue/1 {name}", repr(res.total_cost), rows_summary(res.phi))
+
+
+def sw_linear():
+    """The oracle and SPOC on sw-linear draw 1. Linear costs keep every
+    marginal, so the greedy start of both reuses each application's first
+    search for all its sources."""
+    s = build_scenario(table_row("sw-linear"), 1)
+    oracle_lines("sw-linear/1", s)
+    res = spoc(s)
+    print("sw-linear/1 spoc", repr(res.total_cost), rows_summary(res.phi))
 
 
 def without_link(s, base, link, present):
@@ -337,6 +349,7 @@ def repairs():
 
 if __name__ == "__main__":
     sw_queue()
+    sw_linear()
     abilene()
     trees()
     random_checks()
