@@ -152,17 +152,16 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
 def robust_start(scenario: Scenario) -> Strategy:
     """Feasible start: shortest-path inits first, then a capacity-aware
     greedy loading of cheapest extended paths for tightly loaded instances."""
-    from .oracle import _blocks, _greedy_start, strategy_from_flows
+    from .oracle import FlowVector, _blocks, _greedy_start, _PathTable, strategy_from_flows
 
     try:
         return feasible_start(scenario)
     except NoFeasibleStrategy:
         pass
     comp = compiled(scenario)
-    registry = {block: {} for block in _blocks(comp)}
-    fv = _greedy_start(comp, registry)
+    fe, g = _greedy_start(comp, {block: {} for block in _blocks(comp)}, _PathTable(comp))
     try:
-        phi = strategy_from_flows(scenario, fv)
+        phi = strategy_from_flows(scenario, FlowVector._on(comp, fe, g))
         compute_flows(scenario, phi)
     except (CapacityExceeded, LoopDetected) as err:
         raise NoFeasibleStrategy(f"greedy start failed: {err}") from err

@@ -135,7 +135,7 @@ class _PathTable:
         return np.cumsum(self.coef[ids] * D[self.cell[ids] % self.width], axis=1)[:, -1]
 
 
-def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
+def cheapest_extended_paths(comp, app, Dp, Cp, barred=None, memo=None):
     """Cheapest cost-to-go over the stage-layered graph of one application,
     or of every application when `app` is None: one cheapest_to_go per
     chain position, the last first, over the stages there.
@@ -144,17 +144,16 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
     stack's: dist[k, v] is the cheapest cost-to-go from (stage k, node v)
     to (stage K, destination), succ[k, v] = -1 for the CPU transition,
     j >= 0 for the link to node j, -2 at the terminal and -3 where the
-    destination is out of reach. `masks` optionally maps application ids
-    to their admissible (n, n) links (used by baselines that pin routing
-    to fixed paths), or is their barred_links array.
+    destination is out of reach. `barred` optionally flags the (S, E) links
+    each stage may not use (barred_links; baselines pin routing to fixed
+    paths with it).
 
-    `memo`, a dict kept for one set of masks, holds per `app` the rows of a
-    chain position of final stages with packet size 0: whatever Dp and Cp,
-    its links weigh 0 (inf where masked) and its CPU steps are unusable.
+    `memo`, a dict kept for one barred-link array, holds per `app` the rows
+    of a chain position of final stages with packet size 0: whatever Dp and
+    Cp, its links weigh 0 (inf where barred) and its CPU steps are unusable.
     The search's set-up is built once per compile (_Compiled.layers).
     """
     layers = comp.layers(app)
-    barred = barred_links(comp, masks) if isinstance(masks, dict) else masks
     link_w, (dist, succ) = _link_weights(layers, Dp, barred), layers.seeds(comp.n)
     for at in layers.layers:
         rows = at.rows
@@ -172,12 +171,15 @@ def cheapest_extended_paths(comp, app, Dp, Cp, masks=None, memo=None):
 
 def barred_links(comp, masks):
     """(S, E) flags of the links a stage's application may not use under
-    `masks`, which maps application ids to their admissible (n, n) links or
-    None; None where nothing is barred."""
+    `masks`, which maps application ids to their admissible links, an (n, n)
+    boolean array (else ValueError) or None; None where nothing is barred."""
     barred = np.zeros((len(comp.keys), comp.E), dtype=bool)
     for a in comp.apps:
-        if (masks or {}).get(a.id) is not None:
-            barred[a.stages] = ~masks[a.id][comp.src, comp.dst]
+        if (mask := (masks or {}).get(a.id)) is not None:
+            if getattr(mask, "dtype", None) != bool or mask.shape != (comp.n, comp.n):
+                raise ValueError(f"link mask of application {a.id!r} is not an "
+                                 f"({comp.n}, {comp.n}) boolean array")
+            barred[a.stages] = ~mask[comp.src, comp.dst]
     return barred if barred.any() else None
 
 
@@ -238,14 +240,10 @@ def _inner(table, registry, Dp, Cp) -> float:
     return float(np.cumsum(np.append(0.0, amount * table.costs(ids, Dp, Cp)))[-1])
 
 
-def _rebuild(comp, registry, table=None):
-    """(S, E) link and (S, n) CPU flows of the registry's atoms, paths or
-    ids of `table`. np.add.at adds in index order, so every cell sums and
-    rounds as adding the atoms one by one with _add_path does."""
-    if table is None:
-        table = _PathTable(comp)
-        registry = {b: {table.id(b[0], p): w for p, w in atoms.items()}
-                    for b, atoms in registry.items()}
+def _rebuild(comp, registry, table):
+    """(S, E) link and (S, n) CPU flows of the registry's atoms, ids of
+    `table`. np.add.at adds in index order, so every cell sums and rounds
+    as adding the atoms one by one with _add_path does."""
     ids, amount = _atoms(registry)
     flat = np.zeros((len(comp.keys), table.width))
     np.add.at(flat.reshape(-1), table.cell[ids].ravel(), np.repeat(amount, table.cell.shape[1]))
@@ -353,12 +351,6 @@ def _deltas(plus, minus):
             {v: d for v, d in eg.items() if d != 0.0})
 
 
-def _delta_entries(comp, app, path_plus, path_minus):
-    """_deltas of a swap between two paths of `app`."""
-    table = _PathTable(comp)
-    return _deltas(*table.steps(table.id(app, path_plus), table.id(app, path_minus)))
-
-
 def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     """Exact line search touching only the entries in (ef, eg).
 
@@ -460,16 +452,16 @@ class _Search:
         return path
 
 
-def _greedy_start(comp, registry, masks=None, memo=None):
+def _greedy_start(comp, registry, table, barred=None, memo=None):
     """Load the blocks of `registry`, which have no atoms yet, one at a time
     on currently-cheapest extended paths, splitting a block when a whole
-    placement would blow a capacity. A trial loads the flows and totals in
-    place; a rejected one puts back the columns it changed. A source or
-    chunk takes the path of its application's last search when _Search.walk
-    knows it for the path a fresh search would give."""
+    placement would blow a capacity; an accepted trial's paths become ids
+    of `table`. A trial loads the (S, E) link and (S, n) CPU flows returned
+    and their totals in place; a rejected one puts back the columns it
+    changed. A source or chunk takes the path of its application's last
+    search when _Search.walk knows it for the path a fresh search would give."""
     links, cpus = comp.links, comp.cpus
-    barred = barred_links(comp, masks) if isinstance(masks, dict) else masks
-    fe, g = _rebuild(comp, registry)
+    fe, g = np.zeros((len(comp.keys), comp.E)), np.zeros((len(comp.keys), comp.n))
     F, G = _totals(comp, fe, g)
     # the totals start at 0, below these limits, and a load moves only the
     # columns it touches, so only those can reach them (links.saturated)
@@ -478,7 +470,7 @@ def _greedy_start(comp, registry, masks=None, memo=None):
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
         app, src, rate = block
         for chunks in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            trial, part, undo = dict(registry[block]), rate / chunks, []
+            trial, part, undo = {}, rate / chunks, []
             for _ in range(chunks):
                 path = last and last.walk(app, src, F, G)
                 if path is None:
@@ -502,7 +494,7 @@ def _greedy_start(comp, registry, masks=None, memo=None):
                     break
                 trial[path] = trial.get(path, 0.0) + 1.0 / chunks
             else:
-                registry[block] = trial
+                registry[block] = {table.id(app, p): w for p, w in trial.items()}
                 break
             last = None     # the rollback lowers marginals that it saw
             for e, fe_e, F_e, v, g_v, G_v in reversed(undo):
@@ -510,7 +502,7 @@ def _greedy_start(comp, registry, masks=None, memo=None):
         else:
             raise NoFeasibleStrategy(
                 f"could not load source {comp.nodes[src]} of {app.id} within capacities")
-    return FlowVector._on(comp, fe, g)
+    return fe, g
 
 
 def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20000,
@@ -528,16 +520,13 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     clock = time.perf_counter()
     comp = compiled(scenario)
     registry = {block: {} for block in _blocks(comp)}
-    if not registry:
-        return OracleResult(0.0, FlowVector._on(comp, *_rebuild(comp, registry)), 0.0, True, 0)
+    if not registry:        # no application has a source, so there is no stage
+        return OracleResult(0.0, FlowVector(comp.nodes, {}, {}), 0.0, True, 0)
     if max_iters < 1:
         raise NotConverged(f"flow-domain solver: max_iters {max_iters} allows no iteration")
-    memo = {}       # cheapest_extended_paths' zero-size final positions, for these masks
-    barred = barred_links(comp, app_link_masks)
-    fe, g = _greedy_start(comp, registry, barred, memo).arrays(comp)
-    table = _PathTable(comp)       # the atoms are path ids from here on
-    registry = {b: {table.id(b[0], p): w for p, w in atoms.items()}
-                for b, atoms in registry.items()}
+    memo = {}       # cheapest_extended_paths' zero-size final positions, for this `barred`
+    barred, table = barred_links(comp, app_link_masks), _PathTable(comp)
+    fe, g = _greedy_start(comp, registry, table, barred, memo)
     blocks_of = {app: [] for app in comp.apps}     # the registry's blocks, fixed from here on
     for block in registry:                          # (by application, then source)
         blocks_of[block[0]].append(block)
@@ -706,7 +695,7 @@ def enumerate_bruteforce(scenario: Scenario, tol: float = 1e-8,
         paths[(app, src, rate)] = plist
 
     def flows_from(x):
-        fe, g = _rebuild(comp, {})
+        fe, g = np.zeros((len(comp.keys), comp.E)), np.zeros((len(comp.keys), comp.n))
         for block, plist in paths.items():
             for p, amount in zip(plist, x[block]):
                 if amount > 0:

@@ -10,7 +10,7 @@ from chainflow import (CapacityExceeded, GpConfig, LoopDetected, NoFeasibleStrat
                        solve_flow_domain, strategy_from_flows, table_row, traffic_marginals,
                        validate_strategy)
 from chainflow.flows import cheapest_to_go, compiled
-from chainflow.oracle import (FlowVector, _add_path, _bisect, _blocks, _delta_entries,
+from chainflow.oracle import (FlowVector, _add_path, _bisect, _blocks, _deltas,
                               _exact_line_search, _extract_path, _greedy_start, _inner,
                               _PathTable, _rebuild, _sparse_line_search, _totals,
                               barred_links, cheapest_extended_paths, enumerate_extended_paths,
@@ -153,8 +153,8 @@ def _copy_and_retry_greedy_start(comp, registry, masks=None):
     """The greedy start as it was before it loaded in place: each trial
     loads copies of the flow arrays and recomputes the totals from them
     after every path, and a rejected trial's copies are dropped."""
-    links, cpus = comp.links, comp.cpus
-    fe, g = _rebuild(comp, registry)
+    links, cpus, barred = comp.links, comp.cpus, barred_links(comp, masks)
+    fe, g = _rebuild_loop(comp, registry)
     F, G = comp.totals(fe, g)
     for block in sorted(registry, key=lambda b: (b[0].id, b[1])):
         app, src, rate = block
@@ -164,7 +164,7 @@ def _copy_and_retry_greedy_start(comp, registry, masks=None):
             fe_try, g_try, F_try, G_try = fe.copy(), g.copy(), F, G
             for _ in range(chunks):
                 _, succ = cheapest_extended_paths(comp, app, links.deriv(F_try),
-                                                  cpus.deriv(G_try), masks)
+                                                  cpus.deriv(G_try), barred)
                 try:
                     path = _extract_path(succ, src)
                 except NoFeasibleStrategy:
@@ -224,8 +224,14 @@ def _line(link_kind, sources, tied=False):
                     input_rates={(v, "a"): 1.0 for v in sources})
 
 
+def _by_path(table, registry):
+    """A registry of path ids of `table` with its atoms keyed by path."""
+    return {b: {table.paths[p]: w for p, w in atoms.items()} for b, atoms in registry.items()}
+
+
 def _counted_greedy_start(monkeypatch, comp, masks=None):
-    """The greedy start's registry and the number of searches it ran."""
+    """The greedy start's registry, keyed by path, and the number of
+    searches it ran."""
     searches, real = [], oracle.cheapest_extended_paths
 
     def counted(*args):
@@ -233,10 +239,10 @@ def _counted_greedy_start(monkeypatch, comp, masks=None):
         return real(*args)
 
     monkeypatch.setattr(oracle, "cheapest_extended_paths", counted)
-    registry = {block: {} for block in _blocks(comp)}
-    _greedy_start(comp, registry, masks, {})
+    registry, table = {block: {} for block in _blocks(comp)}, _PathTable(comp)
+    _greedy_start(comp, registry, table, barred_links(comp, masks), {})
     monkeypatch.setattr(oracle, "cheapest_extended_paths", real)
-    return registry, len(searches)
+    return _by_path(table, registry), len(searches)
 
 
 class TestGreedyStart:
@@ -271,10 +277,10 @@ class TestGreedyStart:
         monkeypatch.setattr(oracle, "_add_path", add_seen)
         monkeypatch.setattr(oracle, "cheapest_extended_paths", search_checked)
         for memo in (None, {}):
-            registry = {block: {} for block in _blocks(comp)}
+            registry, table = {block: {} for block in _blocks(comp)}, _PathTable(comp)
             live.clear()
-            got = _greedy_start(comp, registry, masks, memo).arrays(comp)
-            assert [list(atoms.items()) for atoms in registry.values()] == \
+            got = _greedy_start(comp, registry, table, barred_links(comp, masks), memo)
+            assert [list(atoms.items()) for atoms in _by_path(table, registry).values()] == \
                 [list(atoms.items()) for atoms in want_registry.values()]
             for a, b in [*zip(got, want), *zip(comp.totals(*got), comp.totals(*want))]:
                 assert a.tobytes() == b.tobytes()
@@ -335,7 +341,31 @@ class TestGreedyStart:
 
         monkeypatch.setattr(oracle, "_extract_path", past_the_end)
         with pytest.raises(CapacityExceeded, match="sends flow to a CPU that cannot run the task"):
-            _greedy_start(comp, {block: {} for block in _blocks(comp)})
+            _greedy_start(comp, {block: {} for block in _blocks(comp)}, _PathTable(comp))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", ["loaded 25", "sw-queue 1"])
+    def test_table_holds_the_atoms_in_first_sight_order(self, case, masked):
+        # the greedy start interns a trial's paths when it accepts the
+        # trial, blocks in its (application id, source) order, so the table
+        # holds exactly the atoms' distinct paths of each application, in
+        # that order, also where a trial is rolled back ("loaded 25" rejects
+        # a whole placement first); sw-queue's ids sort apart from the
+        # registry's block order ("app10" before "app2"), so interning after
+        # the greedy start, in registry order, fails here. Through the table
+        # the ids give the copy-and-retry loading's path-keyed registry
+        comp = compiled(_greedy_case(case))
+        masks = _spoc_masks(comp) if masked else None
+        want = {block: {} for block in _blocks(comp)}
+        _copy_and_retry_greedy_start(comp, want, masks)
+        registry, table = {block: {} for block in _blocks(comp)}, _PathTable(comp)
+        _greedy_start(comp, registry, table, barred_links(comp, masks))
+        seen = dict.fromkeys((b[0].s0, path) for b in sorted(want, key=lambda b: (b[0].id, b[1]))
+                             for path in want[b])
+        assert list(table.ids) == list(seen)
+        assert table.paths == [path for _, path in seen]
+        assert [(b, list(atoms.items())) for b, atoms in _by_path(table, registry).items()] == \
+            [(b, list(atoms.items())) for b, atoms in want.items()]
 
     def test_split_block_flows_match_registry(self):
         # on this tight-CPU draw one block only fits in two halves, so a
@@ -343,12 +373,12 @@ class TestGreedyStart:
         # stay in the returned vector
         s = _loaded_scenario(25)
         comp = compiled(s)
-        registry = {block: {} for block in _blocks(comp)}
-        fv = _greedy_start(comp, registry)
+        registry, table = {block: {} for block in _blocks(comp)}, _PathTable(comp)
+        flows = _greedy_start(comp, registry, table)
         assert any(w < 1.0 for atoms in registry.values() for w in atoms.values())
-        for got, want in zip(fv.arrays(comp), _rebuild(comp, registry)):
+        for got, want in zip(flows, _rebuild(comp, registry, table)):
             assert np.max(np.abs(got - want)) <= 1e-12
-        F, G = _totals(comp, *fv.arrays(comp))
+        F, G = _totals(comp, *flows)
         assert not comp.links.saturated(F, 1e-12)
         assert not comp.cpus.saturated(G, 1e-12)
 
@@ -390,8 +420,9 @@ def _many_atoms(s, seed):
     table; and the marginals at the greedy start's flows."""
     comp = compiled(s)
     rng = np.random.default_rng(seed)
-    registry = {block: {} for block in _blocks(comp)}
-    F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
+    registry, greedy = {block: {} for block in _blocks(comp)}, _PathTable(comp)
+    F, G = _totals(comp, *_greedy_start(comp, registry, greedy))
+    registry = _by_path(greedy, registry)
     start = comp.links.deriv(F), comp.cpus.deriv(G)
     for _ in range(4):
         Dp, Cp = np.exp(rng.normal(0.0, 1.5, comp.E)), np.exp(rng.normal(0.0, 1.5, comp.n))
@@ -427,8 +458,7 @@ class TestPathTable:
         # dyadic, so another order of adding would round apart
         comp, registry, table, ids, _ = _many_atoms(_table_case(case), 1)
         want = _rebuild_loop(comp, registry)
-        for got in (_rebuild(comp, registry), _rebuild(comp, ids, table),
-                    _rebuild_loop(comp, ids, table)):
+        for got in (_rebuild(comp, ids, table), _rebuild_loop(comp, ids, table)):
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         cells = {}
@@ -508,14 +538,14 @@ def _swap_cases():
         s = random_scenario(seed, n=6, num_apps=2, K=1, link_bound=20.0,
                             comp_bound=10.0)
         comp = compiled(s)
-        registry = {block: {} for block in _blocks(comp)}
-        F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
+        registry, table = {block: {} for block in _blocks(comp)}, _PathTable(comp)
+        F, G = _totals(comp, *_greedy_start(comp, registry, table))
         Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
         for (app, src, rate), atoms in registry.items():
             _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
             target = _extract_path(succ, src)
             for worst in atoms:
-                ef, eg = _delta_entries(comp, app, target, worst)
+                ef, eg = _deltas(*table.steps(table.id(app, target), worst))
                 ef = {e: rate * d for e, d in ef.items()}
                 eg = {v: rate * d for v, d in eg.items()}
                 dF, dG = np.zeros_like(F), np.zeros_like(G)
@@ -561,12 +591,12 @@ class TestLineSearches:
                   for kind in ("queue", "linear")] + [build_scenario(table_row("sw-queue"), 1)]:
             comp = compiled(s)
             registry = {block: {} for block in _blocks(comp)}
-            F, G = _totals(comp, *_greedy_start(comp, registry).arrays(comp))
+            F, G = _totals(comp, *_greedy_start(comp, registry, _PathTable(comp)))
             dist, succ = cheapest_extended_paths(comp, None, comp.links.deriv(F),
                                                  comp.cpus.deriv(G))
             best = {(app, src, rate): {_extract_path(succ[app.stages], src): 1.0}
                     for app, src, rate in registry}
-            sF, sG = _totals(comp, *_rebuild(comp, best))
+            sF, sG = _totals(comp, *_rebuild_loop(comp, best))
             cases += [(comp, F, G, sF - F, sG - G), (comp, F, G, F - sF, G - sG),
                       (comp, F, G, 0.5 * (sF - F), np.zeros_like(G))]
         interior = 0
@@ -749,7 +779,8 @@ class TestCheapestExtendedPaths:
                     adj = np.zeros((comp.n, comp.n), dtype=bool)
                     on = succ >= 0
                     adj[on, succ[on]] = True
-                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, {app.id: adj})
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp,
+                                                     barred_links(comp, {app.id: adj}))
                 for src in range(comp.n):
                     costs = [path_cost(comp, app, p, Dp, Cp)
                              for p in enumerate_extended_paths(s, app.id, src, 5000)
@@ -780,7 +811,7 @@ class TestCheapestExtendedPaths:
             masks = {app.id: rng.random((comp.n, comp.n)) < 0.5 for app in comp.apps}
             masks = masks if seed % 2 else None
             for app in comp.apps:
-                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, masks)
+                dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, barred_links(comp, masks))
                 link_w = np.outer(app.L, Dp)
                 if masks:
                     link_w[:, ~masks[app.id][comp.src, comp.dst]] = np.inf
@@ -826,10 +857,10 @@ class TestCheapestExtendedPaths:
         # SPOC's tree masks, its rows are bit-equal to per-application calls
         s = build_scenario(table_row("sw-queue"), 1)
         comp = compiled(s)
-        F, G = _totals(comp, *_greedy_start(comp, {block: {} for block in _blocks(comp)})
-                       .arrays(comp))
+        F, G = _totals(comp, *_greedy_start(comp, {block: {} for block in _blocks(comp)},
+                                            _PathTable(comp)))
         Dp, Cp = comp.links.deriv(F), comp.cpus.deriv(G)
-        for m in (None, _spoc_masks(comp)):
+        for m in (None, barred_links(comp, _spoc_masks(comp))):
             dist, succ = cheapest_extended_paths(comp, None, Dp, Cp, m)
             for app in comp.apps:
                 one = cheapest_extended_paths(comp, app, Dp, Cp, m)
@@ -861,6 +892,30 @@ def _masked_search_reference(comp, app, Dp, Cp, masks):
 
 
 class TestBarredLinks:
+    @pytest.mark.parametrize("fault", ["misshaped", "float"])
+    def test_malformed_mask_refused(self, fault):
+        # on Abilene draw 1 an (n - 1, n) mask raised a bare IndexError and a
+        # float 0/1 mask a TypeError from `~`; either is now a ValueError
+        # naming the application, from barred_links and from the solver
+        s = build_scenario(table_row("abilene"), 1)
+        comp = compiled(s)
+        app = comp.apps[1]
+        mask = comp.adj[:-1] if fault == "misshaped" else comp.adj.astype(float)
+        refusal = re.escape(f"link mask of application {app.id!r} is not an (11, 11) boolean")
+        with pytest.raises(ValueError, match=refusal):
+            barred_links(comp, {app.id: mask})
+        with pytest.raises(ValueError, match=refusal):
+            solve_flow_domain(s, app_link_masks={comp.apps[0].id: comp.adj, app.id: mask})
+
+    def test_mask_of_no_application_ignored(self):
+        # Scenario drops applications without a positive rate, so masks may
+        # name ids the compiled scenario lacks; those bar nothing, however
+        # they are shaped
+        comp = compiled(build_scenario(table_row("abilene"), 1))
+        assert barred_links(comp, {"absent": comp.adj[:-1], "gone": np.ones(3)}) is None
+        barred = barred_links(comp, {"absent": None, **_spoc_masks(comp)})
+        assert barred.tobytes() == barred_links(comp, _spoc_masks(comp)).tobytes()
+
     @pytest.mark.parametrize("case", ["sw-queue 1", "mixed 3",
                                       *(f"random {i}" for i in range(4))])
     def test_barred_array_equals_per_application_masks(self, case):
@@ -877,12 +932,13 @@ class TestBarredLinks:
         barred = barred_links(comp, masks)
         assert barred.shape == (len(comp.keys), comp.E) and barred.any()
         F, G = _totals(comp, *_greedy_start(comp, {block: {} for block in _blocks(comp)},
-                                            masks).arrays(comp))
+                                            _PathTable(comp), barred))
         rng = np.random.default_rng(len(case))
         for Dp, Cp in [(comp.links.deriv(F), comp.cpus.deriv(G)),
                        (rng.uniform(0.1, 1.0, comp.E), rng.uniform(0.1, 1.0, comp.n))]:
             for app in [None, *comp.apps]:
-                for m, searched in ((masks, (barred, masks)), ({}, (None, {}))):
+                for m, searched in ((masks, (barred, barred_links(comp, masks))),
+                                    ({}, (None, barred_links(comp, {})))):
                     want = _masked_search_reference(comp, app, Dp, Cp, m)
                     for got in (cheapest_extended_paths(comp, app, Dp, Cp, given)
                                 for given in searched):
@@ -915,12 +971,12 @@ class TestZeroSizeFinalPosition:
             searched.append(1)
             return search(*args, **kwargs)
 
-        def checked(comp, app, Dp, Cp, masks=None, memo=None):
+        def checked(comp, app, Dp, Cp, barred=None, memo=None):
             searched.clear()
-            dist, succ = paths(comp, app, Dp, Cp, masks, memo)
+            dist, succ = paths(comp, app, Dp, Cp, barred, memo)
             positions = len(comp.positions) if app is None else app.K + 1
             reused.setdefault(app, []).append(positions - len(searched))
-            fresh = paths(comp, app, Dp, Cp, masks)
+            fresh = paths(comp, app, Dp, Cp, barred)
             assert dist.tobytes() == fresh[0].tobytes()
             assert succ.tobytes() == fresh[1].tobytes()
             return dist, succ

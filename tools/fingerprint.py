@@ -14,7 +14,10 @@ It covers cold GP at the benchmark-study settings (tol 1e-4, 1000 slots) on
 sw-queue draws 1 and 3 with their hop metrics; the oracle, its
 strategy_from_flows strategy, SPOC, LCOF and LPR-SC on draw 1; the oracle
 and SPOC on sw-linear draw 1, whose Linear costs let the greedy start reuse
-every search after an application's first; a fixed
+every search after an application's first; run_gp started from
+robust_start's greedy loading on a 3-node line where no init_strategy
+mode fits, and the oracle on a tight-CPU random draw whose greedy start
+splits a block, as the greedy paths the rows above never take; a fixed
 sequence of rate, link-down and link-up events on Abilene draw 1, each
 re-solved by a warm adapt, with an admission-control run_gp_cc solve after
 some of them; and LCOF, the oracle and SPOC on Abilene draw 2 with packet
@@ -39,8 +42,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, ChainflowError, CostSpec, GpConfig,
-                       Graph, Linear, Queue, Scenario, Strategy, adapt, build_scenario,
+from chainflow import (BASELINES, TABLE_ROWS, AlphaFair, Application, ChainflowError, CostSpec,
+                       GpConfig, Graph, Linear, Queue, Scenario, Strategy, adapt, build_scenario,
                        check_kkt, check_sufficient, compute_flows, extend_scenario,
                        generate_topology, hop_metrics, init_strategy, lcof, lpr_sc,
                        max_conservation_residual, run_gp, run_gp_cc, sample_scenario,
@@ -130,6 +133,27 @@ def sw_linear():
     oracle_lines("sw-linear/1", s)
     res = spoc(s)
     print("sw-linear/1 spoc", repr(res.total_cost), rows_summary(res.phi))
+
+
+def greedy_splits():
+    """The greedy start where a whole placement of a source does not fit:
+    run_gp from robust_start's greedy loading on the line 1 - 2 - 3 whose
+    two CPUs (Queue(0.8), at the ends) cannot run the unit rate alone, so
+    no init_strategy mode is feasible; and the oracle on the tight-CPU
+    random draw 25 (test_acceptance's loaded-scenario recipe), whose greedy
+    start rejects a whole placement and splits the block."""
+    g = Graph.from_undirected_edges([1, 2, 3], [(1, 2), (2, 3)])
+    app = Application(id="a", chain_length=1, destination=3, packet_sizes=(1.0, 1.0))
+    s = Scenario(graph=g, applications=(app,), link_costs={e: Linear(1.0) for e in g.links},
+                 comp_costs={1: Queue(0.8), 2: None, 3: Queue(0.8)},
+                 input_rates={(1, "a"): 1.0})
+    gp_lines("line 1-2-3 greedy gp", run_gp(s, config=GpConfig(**GP)))
+    rng = np.random.default_rng(1000 + 25)
+    n = int(rng.integers(6, 13))
+    topo = generate_topology("connected_er", {"n": n, "p": 0.3}, seed=25)
+    spec = CostSpec(link_kind="queue", link_bound=18.0, comp_kind="queue", comp_bound=8.0)
+    s = sample_scenario(topo, int(rng.integers(2, 4)), 2, min(3, n), (0.5, 1.5), spec, seed=25)
+    oracle_lines("loaded/25", s)
 
 
 def without_link(s, base, link, present):
@@ -350,6 +374,7 @@ def repairs():
 if __name__ == "__main__":
     sw_queue()
     sw_linear()
+    greedy_splits()
     abilene()
     trees()
     random_checks()
