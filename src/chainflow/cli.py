@@ -38,12 +38,17 @@ from .serialize import (dump_scenario, dump_strategy, load_scenario, load_strate
                         scenario_from_jsonable)
 
 
-def _load_scenario_config(path, seed=None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _scenario(data, seed=None) -> Scenario:
+    """The scenario of `data`, a scenario JSON or a table spec, which is
+    built at `seed`, else at its own seed (0 if it has none)."""
     if "nodes" in data:
         return scenario_from_jsonable(data)
     return build_scenario(data, seed if seed is not None else data.get("seed", 0))
+
+
+def _load_scenario_config(path, seed=None) -> Scenario:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _scenario(json.load(fh), seed)
 
 
 def _gp_config(args) -> GpConfig:
@@ -102,12 +107,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    scenario = _load_scenario_config(args.config, args.seed)
-    try:
-        res = solve_flow_domain(scenario, tol=args.tol)
-    except NotConverged as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    res = solve_flow_domain(_load_scenario_config(args.config, args.seed), tol=args.tol)
     print(f"oracle: T*={res.total_cost:.9g} gap={res.gap:.3e} "
           f"iterations={res.iterations}")
     if args.out:
@@ -149,8 +149,7 @@ def _cmd_cc(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
-    scenario = (scenario_from_jsonable(data["scenario"]) if "nodes" in data.get("scenario", {})
-                else build_scenario(data["scenario"], seed))
+    scenario = _scenario(data["scenario"], seed)
     cap_scale = float(data.get("cap_scale", 1.0))
     caps = {pair: cap_scale * rate for pair, rate in scenario.input_rates.items()}
     uspec = data.get("utility", {"kind": "alpha_fair", "alpha": 1.0, "eps": 0.1})

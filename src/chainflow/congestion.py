@@ -62,11 +62,17 @@ class LinearUtility:
 Utility = AlphaFair | LinearUtility
 
 
-def utility_eval(u: Utility, r: float) -> float:
-    """Utility of admitted rate r, normalized so utility_eval(u, 0) == 0."""
+def _admitted(u: Utility, r: float) -> float:
+    """Admitted rate r clamped to [0, cap]; ValueError where it lies
+    outside by more than rounding."""
     if r < -1e-12 or r > u.cap * (1 + 1e-9) + 1e-12:
         raise ValueError(f"rate {r} outside [0, {u.cap}]")
-    r = min(max(r, 0.0), u.cap)
+    return min(max(r, 0.0), u.cap)
+
+
+def utility_eval(u: Utility, r: float) -> float:
+    """Utility of admitted rate r, normalized so utility_eval(u, 0) == 0."""
+    r = _admitted(u, r)
     if isinstance(u, LinearUtility):
         return u.slope * r
     a = u.alpha
@@ -83,9 +89,7 @@ def utility_prime(u: Utility, r: float) -> float:
     For 0 < alpha < 1 the derivative diverges at r = 0; it is evaluated at
     max(r, 1e-9) so admission updates stay finite.
     """
-    if r < -1e-12 or r > u.cap * (1 + 1e-9) + 1e-12:
-        raise ValueError(f"rate {r} outside [0, {u.cap}]")
-    r = min(max(r, 0.0), u.cap)
+    r = _admitted(u, r)
     if isinstance(u, LinearUtility):
         return u.slope
     a = u.alpha

@@ -49,82 +49,39 @@ class _App:
 
 
 class _Position:
-    """Chain position k of a compiled scenario, the stages `rows`: their
-    previous stages `prev`, and those that are not final, `mid`, with their
-    workloads `w` and next stages `next`. `inf` says whether one of those
-    workloads is inf, a node that cannot run the task, where the CPU term
-    of the marginal recursion meets 0 * inf."""
-
-    __slots__ = ("rows", "prev", "mid", "w", "next", "inf")
-
-    def __init__(self, comp: "_Compiled", rows):
-        self.rows, self.prev = rows, comp.prev[rows]
-        mid = self.mid = rows[~comp.final[rows]]
-        self.w, self.next = comp.w[mid], comp.next[mid]
-        self.inf = bool(np.isinf(self.w).any())
-
-
-class _Layer:
-    """Chain position of a cheapest extended path search (see _Layers):
-    its `rows`, those among them that are not final, `mid`, with their
-    workloads `w`, next rows `next` and `inf` as in _Position, and `keep`,
-    whether its rows are final stages of packet size 0, whose search does
+    """Chain position k of a compiled scenario: its stage `rows`, every
+    application's (an index array) or one application's (a slice counted
+    from its first stage, _Compiled.chain), and of those the rows that are
+    not final, `mid`, counted alike, with their workloads `w` and next
+    stages `next`. `prev` holds the previous stages of every application's
+    rows. `inf` says whether one of the workloads is inf, a node that
+    cannot run the task, where a CPU step meets 0 * inf. `keep` says
+    whether the rows are final stages of packet size 0, whose search does
     not depend on the marginals: links weigh 0 and CPU steps are unusable.
-    `mid` is None where every row is final and a slice where none is."""
+    `part` flags mid among the rows where it is some but not all of them."""
 
-    __slots__ = ("rows", "mid", "w", "next", "inf", "keep")
+    __slots__ = ("rows", "prev", "mid", "w", "next", "inf", "keep", "part")
 
-    def __init__(self, rows, mid, w, nxt, keep):
-        self.rows, self.mid, self.w, self.next, self.keep = rows, mid, w, nxt, keep
+    def __init__(self, rows, prev, mid, w, nxt, keep, part=None):
+        self.rows, self.prev, self.mid, self.w, self.next = rows, prev, mid, w, nxt
+        self.keep, self.part = keep, part
         self.inf = bool(np.isinf(w).any())
 
-    def offer(self, Cp, dist, shape):
-        """The CPU steps' costs to go from the rows, w * Cp plus the next
-        row's label, inf at final rows; None where every row is final."""
-        if self.mid is None:
-            return None
+    def step(self, Cp, lab):
+        """The CPU steps' costs to go from the rows `mid`: w * Cp at CPU
+        marginals Cp plus the next row's label in `lab`; nan (unusable)
+        where an inf workload meets Cp = 0."""
         with np.errstate(invalid="ignore") if self.inf else contextlib.nullcontext():
-            cpu = self.w * Cp + dist[self.next]     # nan (unusable) where inf * 0
-        if isinstance(self.mid, slice):
-            return cpu
-        offer = np.full(shape, np.inf)
-        offer[self.mid] = cpu
+            return self.w * Cp + lab[self.next]
+
+    def offer(self, Cp, lab):
+        """step on every row, inf at final rows; None where every row is
+        final."""
+        if self.part is None:
+            return self.step(Cp, lab) if len(self.w) else None
+        offer = np.full((len(self.part), len(Cp)), np.inf)
+        offer[self.part] = self.step(Cp, lab)
         return offer
-
-
-class _Layers:
-    """The set-up of a cheapest extended path search over the stages of one
-    application, or of every application: the `stages` of the stack, their
-    packet sizes `L` as a column, the flat indices of the `terminal` labels
-    on the (rows, n) labels and a _Layer per chain position, the last first.
-    Rows count from the first stage."""
-
-    __slots__ = ("stages", "L", "terminal", "layers")
-
-    def __init__(self, comp: "_Compiled", app=None):
-        stages = self.stages = slice(None) if app is None else app.stages
-        self.L = comp.L[stages, None]
-        self.terminal = np.flatnonzero(~comp.active[stages])
-        free = comp.final & (comp.L == 0)
-        if app is None:
-            self.layers = []
-            for at in reversed(comp.positions):
-                mid = np.flatnonzero(~comp.final[at.rows])
-                mid = None if not mid.size else slice(None) if mid.size == at.rows.size else mid
-                self.layers.append(_Layer(at.rows, mid, at.w, at.next, bool(free[at.rows].all())))
-            return
-        s0, K = app.s0, app.K
-        self.layers = [_Layer(slice(K, K + 1), None, np.empty(0), None, bool(free[s0 + K]))]
-        self.layers += [_Layer(slice(j, j + 1), slice(None), comp.w[s0 + j:s0 + j + 1],
-                               slice(j + 1, j + 2), False) for j in reversed(range(K))]
-
-    def seeds(self, n: int):
-        """Fresh (dist, succ) of the search: 0 and -2 at the terminal labels,
-        inf and -3 elsewhere."""
-        dist, succ = np.full((len(self.L), n), np.inf), np.full((len(self.L), n), -3)
-        dist.put(self.terminal, 0.0)
-        succ.put(self.terminal, -2)
-        return dist, succ
 
 
 class Segments:
@@ -258,12 +215,18 @@ class _Compiled(Segments):
         self.final = self.next < 0
         self.active = np.ones((S, n), dtype=bool)
         self.active[self.final, self.dest[self.final]] = False
-        self.positions = [_Position(self, np.flatnonzero(self.k == k))
-                          for k in range(self.k.max(initial=0) + 1)]
+        self.positions = []
+        for k in range(self.k.max(initial=0) + 1):
+            rows = (self.k == k).nonzero()[0]
+            on = ~self.final[rows]
+            mid = rows[on]
+            keep = not mid.size and not self.L[rows].any()
+            self.positions.append(_Position(rows, self.prev[rows], mid, self.w[mid], self.next[mid],
+                                            keep, None if mid.size in (0, rows.size) else on))
         self.r = self.inputs(scenario.input_rates)
         self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
-        self._layers = {}       # search set-ups by first stage, None for every application
+        self._chains = {}       # chain(app) by first stage
         self._peeled = None     # (support, levels) of the last peel
 
     def _workloads(self, app) -> np.ndarray:
@@ -314,13 +277,19 @@ class _Compiled(Segments):
             return trees[0]
         return tuple(np.reshape([tree[i] for tree in trees], (len(trees), self.n)) for i in (0, 1))
 
-    def layers(self, app=None) -> _Layers:
-        """The cheapest extended path search set-up of an application, or of
-        every application (None), built on first use."""
-        key = None if app is None else app.s0
-        if key not in self._layers:
-            self._layers[key] = _Layers(self, app)
-        return self._layers[key]
+    def chain(self, app=None) -> list:
+        """The chain positions of an application, rows counted from its
+        first stage, or of every application (None), the last first. An
+        application's are built on its first use and kept."""
+        if app is None:
+            return self.positions[::-1]
+        if (chain := self._chains.get(app.s0)) is None:
+            s0, K = app.s0, app.K
+            chain = self._chains[s0] = [_Position(slice(K, K + 1), None, slice(K, K),
+                                                  self.w[s0 + K:s0 + K], None, not self.L[s0 + K])]
+            chain += [_Position(slice(j, j + 1), None, slice(j, j + 1), self.w[s0 + j:s0 + j + 1],
+                                slice(j + 1, j + 2), False) for j in reversed(range(K))]
+        return chain
 
     def same_as(self, other: "_Compiled") -> bool:
         """Whether arrays laid out for `other` read the same here."""
@@ -826,13 +795,11 @@ def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None)
     # them add exact zeros there
     lam = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
     c0 = X[:, comp.seg]
-    for k in reversed(range(len(comp.positions))):
-        at = comp.positions[k]
+    for k, at in reversed(list(enumerate(comp.positions))):
         if at.mid.size:
             c = c0[at.mid]
             with np.errstate(invalid="ignore") if at.inf else contextlib.nullcontext():
-                cpu = c * (at.w * Cp + lam[at.next])
-            lam[at.mid] += np.where(c > 0, cpu, 0.0)
+                lam[at.mid] += np.where(c > 0, c * at.step(Cp, lam), 0.0)  # 0 * inf where c = 0
         levels.solve(lam, k, forward=False)
         if settle is not None:
             settle(k, lam)

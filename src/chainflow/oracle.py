@@ -151,17 +151,20 @@ def cheapest_extended_paths(comp, app, Dp, Cp, barred=None, memo=None):
     `memo`, a dict kept for one barred-link array, holds per `app` the rows
     of a chain position of final stages with packet size 0: whatever Dp and
     Cp, its links weigh 0 (inf where barred) and its CPU steps are unusable.
-    The search's set-up is built once per compile (_Compiled.layers).
+    The chain positions are built once per compile (_Compiled.chain).
     """
-    layers = comp.layers(app)
-    link_w, (dist, succ) = _link_weights(layers, Dp, barred), layers.seeds(comp.n)
-    for at in layers.layers:
+    stages = slice(None) if app is None else app.stages
+    link_w = _link_weights(comp, stages, Dp, barred)
+    dist, succ = np.full((len(link_w), comp.n), np.inf), np.full((len(link_w), comp.n), -3)
+    terminal = (comp.final, comp.dest[comp.final]) if app is None else (app.K, app.dest)
+    dist[terminal], succ[terminal] = 0.0, -2
+    for at in comp.chain(app):
         rows = at.rows
         if at.keep and memo is not None and app in memo:
             dist[rows], succ[rows] = memo[app]
             continue
         d, s = dist[rows], succ[rows]
-        cheapest_to_go(comp, link_w[rows], d, s, at.offer(Cp, dist, d.shape))
+        cheapest_to_go(comp, link_w[rows], d, s, at.offer(Cp, dist))
         if not isinstance(rows, slice):     # d and s are copies, not views
             dist[rows], succ[rows] = d, s
         if at.keep and memo is not None:
@@ -183,12 +186,12 @@ def barred_links(comp, masks):
     return barred if barred.any() else None
 
 
-def _link_weights(layers, Dp, barred):
-    """The link weights of a search's rows: packet size times marginal, inf
-    on the links `barred` (barred_links) bars."""
-    link_w = layers.L * Dp
+def _link_weights(comp, stages, Dp, barred):
+    """The link weights of a search's `stages`: packet size times marginal,
+    inf on the links `barred` (barred_links) bars."""
+    link_w = comp.L[stages, None] * Dp
     if barred is not None:
-        np.putmask(link_w, barred[layers.stages], np.inf)
+        np.putmask(link_w, barred[stages], np.inf)
     return link_w
 
 
@@ -423,13 +426,12 @@ class _Search:
         self.comp, self.app, self.F, self.G = comp, app, F.copy(), G.copy()
         Dp = comp.links.deriv(F)
         dist, self.succ = cheapest_extended_paths(comp, app, Dp, comp.cpus.deriv(G), barred, memo)
-        layers = comp.layers(app)
         W = np.full((len(dist), comp.n + comp.E), np.inf)
-        W[:, comp.edge_pos] = _link_weights(layers, Dp, barred)
+        W[:, comp.edge_pos] = _link_weights(comp, app.stages, Dp, barred)
         # cheapest_to_go's candidates at its labels, and how many reach the label
         ties = comp.row_sum((W + dist[:, comp.toward] == dist[:, comp.dnode]).astype(int))
         self.unique = ties == 1
-        self.unique[app.K] |= layers.layers[0].keep
+        self.unique[app.K] |= comp.chain(app)[0].keep
 
     def walk(self, app, src, F, G):
         """The path from node src that a fresh search at loads (F, G) would
@@ -796,13 +798,11 @@ def strategy_from_flows(scenario: Scenario, fv: FlowVector) -> Strategy:
 
     def settle(k, lam):
         # fill zero-traffic rows toward the cheapest settled value
-        group = comp.positions[k].rows
-        fixed = pos[group]
+        at = comp.positions[k]
+        group, fixed = at.rows, pos[at.rows]
         dist = np.where(fixed, lam[group], np.inf)
         choice = np.full(dist.shape, -9)
-        with np.errstate(invalid="ignore"):
-            cpu = comp.w[group] * Cp + lam[comp.next[group]]
-        cheapest_to_go(comp, link_w[group], dist, choice, cpu, fixed)
+        cheapest_to_go(comp, link_w[group], dist, choice, at.offer(Cp, lam), fixed)
         r, i = np.nonzero(~fixed)
         stuck = np.flatnonzero(choice[r, i] < -1)
         if stuck.size:

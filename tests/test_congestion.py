@@ -43,6 +43,18 @@ class TestUtilities:
     def test_domain(self):
         with pytest.raises(ValueError):
             utility_eval(LinearUtility(1.0, cap=1.0), 2.0)
+        # both functions refuse a rate past either end by more than the
+        # rounding slack, and read one within it at the nearest end
+        cap = 2.0
+        low, high = -1e-12, cap * (1 + 1e-9) + 1e-12
+        for u in (LinearUtility(1.5, cap=cap), AlphaFair(0.5, cap=cap),
+                  AlphaFair(2.0, eps=0.1, cap=cap)):
+            for f in (utility_eval, utility_prime):
+                for r in (np.nextafter(low, -1.0), np.nextafter(high, 3.0), -1.0, 3.0):
+                    with pytest.raises(ValueError, match="outside"):
+                        f(u, float(r))
+                assert f(u, low) == f(u, 0.0)
+                assert f(u, high) == f(u, cap)
 
 
 def _two_node_line(u_slope, d_slope=1.0, cap=1.0):

@@ -277,7 +277,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
-    def test_zero_tol_reaches_check_and_oracle(self, tmp_path, monkeypatch, e1,
+    def test_zero_tol_reaches_check_and_oracle(self, tmp_path, monkeypatch, capsys, e1,
                                                e1_strategy_b):
         # an explicit --tol 0 must not fall back to the 1e-6 default
         import chainflow.cli as cli
@@ -302,7 +302,9 @@ class TestCli:
         dump_scenario(e1, scen)
         dump_strategy(e1_strategy_b, strat, scenario_path=scen)
         assert cli_main(["check", str(strat), "--tol", "0"]) == 1
+        capsys.readouterr()
         assert cli_main(["oracle", "--config", str(scen), "--tol", "0"]) == 2
+        assert capsys.readouterr().err == "stub\n"     # reported once, by main
         assert seen == [("check_kkt", 0.0), ("check_sufficient", 0.0),
                         ("solve_flow_domain", 0.0)]
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from chainflow import (ZeroTrafficNode, blocked_sets, check_kkt, check_sufficient,
-                       compute_flows, geodesic_probe, modified_marginals,
-                       traffic_marginals)
+from chainflow import (Application, Scenario, ZeroTrafficNode, blocked_sets, build_scenario,
+                       check_kkt, check_sufficient, compute_flows, geodesic_probe, init_strategy,
+                       modified_marginals, table_row, traffic_marginals)
+from chainflow.flows import compiled
 
 from conftest import random_loopfree_strategy, random_scenario
 
@@ -75,6 +76,54 @@ class TestModifiedMarginals:
                 sums = mat.sum(axis=1)
                 err = np.abs(mix - lam[key])[sums > 0.5]
                 assert np.max(err) <= 1e-9
+
+
+def _odd_cpus(seed):
+    """random_scenario(seed)'s graph and costs, its first node without a
+    CPU, and applications of chain lengths 1 and 2, whose first task its
+    second node cannot run, fed at every node: chain position 1 holds a
+    final stage and a middle one."""
+    base = random_scenario(seed, n=8)
+    nodes = base.graph.nodes
+    one, two = (a.destination for a in base.applications[:2])
+    apps = (Application("one", 1, one, (2.0, 1.0)),
+            Application("two", 2, two, (3.0, 2.0, 1.0), comp_weights={nodes[1]: (math.inf, 1.0)}))
+    return Scenario(graph=base.graph, applications=apps, link_costs=base.link_costs,
+                    comp_costs={**base.comp_costs, nodes[0]: None},
+                    input_rates={(v, a.id): 0.2 for a in apps for v in nodes})
+
+
+class TestCpuStep:
+    @pytest.mark.parametrize("case", ["sw-queue 1", "odd cpus 3"])
+    def test_step_is_the_modified_marginals_cpu_column(self, case):
+        # a chain position's CPU step, w * C' plus the next stage's
+        # marginal, is the CPU column of the modified marginals bit for bit
+        # on its rows that are not final, wherever that column is finite;
+        # it is not finite where the task cannot run. An application's own
+        # chain offers what every application's positions offer on its rows.
+        s = (build_scenario(table_row("sw-queue"), 1) if case == "sw-queue 1"
+             else _odd_cpus(int(case.split()[-1])))
+        comp = compiled(s)
+        st, lam, delta = tables(s, init_strategy(s))
+        lam, Cp = comp.pack(lam, "node"), st.cpu_marginals
+        cpu = comp.read(delta, "direction")[0][:, comp.seg]
+        assert case == "sw-queue 1" or (comp.cannot_run & ~comp.final[:, None]).any()
+        for at in comp.positions:
+            got, want = at.step(Cp, lam), cpu[at.mid]
+            finite = np.isfinite(want)
+            assert got[finite].tobytes() == want[finite].tobytes()
+            assert np.array_equal(finite, ~comp.cannot_run[at.mid])
+            assert not np.isfinite(got[~finite]).any()
+        for app in comp.apps:
+            for j, at in zip(reversed(range(app.K + 1)), comp.chain(app)):
+                whole = comp.positions[j]
+                mine = np.flatnonzero(whole.rows == app.s0 + j)
+                want = whole.offer(Cp, lam)
+                got = at.offer(Cp, lam[app.stages])
+                if got is None:
+                    assert j == app.K and (want is None or np.isinf(want[mine]).all())
+                else:
+                    assert got.tobytes() == want[mine].tobytes()
 
 
 class TestBlockedSets:
