@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +242,14 @@ def _inner(table, registry, Dp, Cp) -> float:
     """Sum over the atoms of weight * rate * path cost, added one by one."""
     ids, amount = _atoms(registry)
     return float(np.cumsum(np.append(0.0, amount * table.costs(ids, Dp, Cp)))[-1])
+
+
+def _held_gap(registry, moving, costs, to_go) -> float:
+    """The part of the duality gap that the blocks of `moving`, (block,
+    target) pairs, hold: rate times the sum over the block's atoms of weight
+    * (path cost, `costs` by id, - cheapest cost to go from its source)."""
+    return sum(block[2] * sum(w * (costs[p] - to_go[block[1]]) for p, w in registry[block].items())
+               for block, _ in moving)
 
 
 def _rebuild(comp, registry, table):
@@ -513,6 +522,16 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
     """Conditional gradient with exact line search and per-source pairwise
     mass moves. Terminates when the duality gap is <= tol * max(1, T).
 
+    An iteration is one gap check, then a step toward the all-cheapest-paths
+    vertex, then a pairwise pass. The pass visits each application in turn,
+    searching its cheapest paths and moving each of its sources' worst atoms
+    toward them. A visit that moved mass, where the application held more
+    than its share tol * max(1, T) / A of the gap before the moves (A
+    applications, T the cost at the gap check), queues the application again
+    behind the rest, at most max_iters visits in one pass. `iterations`,
+    `cost_trace`, `gap_trace` and `time_trace` of the result count gap
+    checks, not visits.
+
     `app_link_masks` optionally restricts each application's admissible links
     (boolean (n, n) per app id). Raises NoFeasibleStrategy when no finite-cost
     loading exists and NotConverged when the iteration budget runs out
@@ -569,13 +588,18 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
             fe, g = _rebuild(comp, registry, table)
 
         if pairwise:
-            # per application: one marginal refresh and one cheapest-path
-            # search, then shift mass from each of its sources' worst atoms
-            # toward the target path; line searches stay exact on the live
-            # totals, so every move is a descent step
+            # per visit of an application: one marginal refresh and one
+            # cheapest-path search, then shift mass from each of its sources'
+            # worst atoms toward the target path; line searches stay exact on
+            # the live totals, so every move is a descent step. A visit that
+            # moved, and found its application holding more than its share of
+            # the gap, queues it again behind the others.
             F, G = _totals(comp, fe, g)
-            Dp = None
-            for app, blocks in blocks_of.items():
+            Dp, share = None, tol * max(1.0, abs(T)) / len(blocks_of)
+            queue, visits = deque(blocks_of.items()), dict.fromkeys(blocks_of, 0)
+            while queue:
+                app, blocks = queue.popleft()
+                visits[app] += 1
                 if Dp is None:      # the totals moved since the last refresh
                     Dp, Cp = links.deriv(F), comp.cpus.deriv(G)
                 dist, succ = cheapest_extended_paths(comp, app, Dp, Cp, barred, memo)
@@ -590,6 +614,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                 to_go = dist[0].tolist()
                 ids = [p for block, _ in moving for p in registry[block]]
                 costs = dict(zip(ids, table.costs(ids, Dp, Cp).tolist()))
+                held = _held_gap(registry, moving, costs, to_go)
                 for block, target in moving:
                     _, src, rate = block
                     atoms = registry[block]
@@ -610,6 +635,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move
                     registry[block] = {p: w for p, w in atoms.items() if w > 1e-15}
+                if Dp is None and held > share and visits[app] < max_iters:   # the visit moved
+                    queue.append((app, blocks))
     if strict:
         raise NotConverged(f"flow-domain solver: gap {gap:.3e} after {max_iters} iterations")
     return OracleResult(T, FlowVector._on(comp, fe, g), gap, False, max_iters, *traces)

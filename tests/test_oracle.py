@@ -50,13 +50,14 @@ class TestSolveFlowDomain:
         assert res.gap_trace[-1] == res.gap
 
     def test_iteration_budget(self):
-        # two iterations do not reach tol 1e-10 on this tight draw (it needs 6)
+        # one iteration, the greedy start alone, does not reach tol 1e-10 on
+        # this tight draw (it needs 2 gap checks)
         s = random_scenario(1, n=8, num_apps=2, K=2, link_bound=15.0, comp_bound=10.0)
-        with pytest.raises(NotConverged, match="after 2 iterations"):
-            solve_flow_domain(s, tol=1e-10, max_iters=2)
-        res = solve_flow_domain(s, tol=1e-10, max_iters=2, strict=False)
-        assert not res.converged and res.iterations == 2
-        assert len(res.cost_trace) == len(res.gap_trace) == 2
+        with pytest.raises(NotConverged, match="after 1 iterations"):
+            solve_flow_domain(s, tol=1e-10, max_iters=1)
+        res = solve_flow_domain(s, tol=1e-10, max_iters=1, strict=False)
+        assert not res.converged and res.iterations == 1
+        assert len(res.cost_trace) == len(res.gap_trace) == 1
         assert res.total_cost == res.cost_trace[-1]
         assert res.gap == res.gap_trace[-1] > 1e-10 * res.total_cost
         # the flows returned are the ones whose cost and gap were evaluated
@@ -67,10 +68,10 @@ class TestSolveFlowDomain:
 
     def test_time_trace_has_a_time_per_record(self):
         # one time per iteration whose cost and gap were recorded, whether
-        # the solve converges (6 iterations) or runs out of budget (2); the
+        # the solve converges (2 gap checks) or runs out of budget (1); the
         # times are successive, so they add up to less than the call's wall
         s = random_scenario(1, n=8, num_apps=2, K=2, link_bound=15.0, comp_bound=10.0)
-        for max_iters in (2, 100):
+        for max_iters in (1, 100):
             start = time.perf_counter()
             res = solve_flow_domain(s, tol=1e-10, max_iters=max_iters, strict=False)
             wall = time.perf_counter() - start
@@ -84,6 +85,60 @@ class TestSolveFlowDomain:
         res = solve_flow_domain(s, tol=1e-6)
         diffs = np.diff(res.cost_trace)
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(res.cost_trace[:-1])))
+
+
+def _revisit_cases():
+    yield "sw-queue 1", build_scenario(table_row("sw-queue"), 1)
+    for i in range(6):
+        yield f"random {i}", random_scenario(i, R=4, link_bound=8.0, comp_bound=6.0)
+
+
+class TestRevisits:
+    """The pairwise pass visits an application again while its visit moved
+    mass and it held more than tol * max(1, T) / A of the gap, at most
+    max_iters times in one pass."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", [name for name, _ in _revisit_cases()])
+    def test_same_optimum_in_no_more_iterations(self, monkeypatch, case, masked):
+        # one visit per application and pass (the share check never
+        # requeues) against the rule: each cost is certified by its own gap
+        # as at most that much above the optimum, which the other's cost is
+        # not below; the rule takes no more gap checks
+        s = dict(_revisit_cases())[case]
+        masks, tol = (_spoc_masks(compiled(s)), 1e-8) if masked else (None, 1e-6)
+        rule = solve_flow_domain(s, tol=tol, app_link_masks=masks)
+        monkeypatch.setattr(oracle, "_held_gap", lambda *args: 0.0)
+        once = solve_flow_domain(s, tol=tol, app_link_masks=masks)
+        slack = 1e-12 * once.total_cost     # rounding of the costs and gaps
+        assert rule.total_cost - once.total_cost <= rule.gap + slack
+        assert once.total_cost - rule.total_cost <= once.gap + slack
+        assert rule.iterations <= once.iterations
+
+    @pytest.mark.parametrize("case", ["loaded 25", "tight"])
+    def test_visits_per_pass_within_the_budget(self, monkeypatch, case):
+        # the visits of one application in one pass, counted by its
+        # searches between two all-application searches (the gap checks);
+        # the greedy start's searches come before the first
+        s = _loaded_scenario(25) if case == "loaded 25" else \
+            random_scenario(1, n=8, num_apps=2, K=2, link_bound=15.0, comp_bound=10.0)
+        search, passes = oracle.cheapest_extended_paths, []
+
+        def counted(comp, app, *args, **kwargs):
+            if app is None:
+                passes.append({})
+            elif passes:
+                passes[-1][app.id] = passes[-1].get(app.id, 0) + 1
+            return search(comp, app, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "cheapest_extended_paths", counted)
+        for max_iters in (20000, 3):
+            passes.clear()
+            res = solve_flow_domain(s, tol=1e-6, max_iters=max_iters, strict=False)
+            most = max(max(visits.values(), default=0) for visits in passes)
+            assert 1 < most <= max_iters        # revisited, within the budget
+            assert res.converged or max_iters == 3
+        assert most == 3        # this budget binds
 
 
 class TestFlowVector:
