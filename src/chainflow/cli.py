@@ -180,7 +180,7 @@ FLAGS = {
     "--config": dict(required=True, help="scenario or experiment JSON"),
     "--seed": dict(type=int, default=None),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="optimality tolerance"),
-    "--alpha": dict(type=float, default=GpConfig.stepsize, help="GP stepsize"),
+    "--alpha": dict(type=float, default=GpConfig.stepsize, help="initial GP stepsize"),
     "--max-iters": dict(type=int, default=GpConfig.max_iters),
     "--out": dict(default=None, help="output directory"),
     "--format": dict(choices=("csv", "json"), default="csv"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
-from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap
+from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap, update_plan
 from .marginals import (DEFAULT_TOL, CheckResult, check_sufficient, excess, slot_tables,
                         traffic_marginals)
 from .network import Scenario
@@ -131,11 +131,19 @@ class ExtendedScenario:
         return sorted((p for p in self.caps if self.caps[p] > 0), key=str)
 
     def admitted_rates(self, admit: dict) -> dict:
-        return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in self.pairs}
+        return self._rates(admit, self.pairs)
 
     def rejection_cost(self, admit: dict) -> float:
+        return self._loss(admit, self.pairs)
+
+    # `pairs` sorts the caps on every read: a solve reads it once and
+    # passes it to these
+    def _rates(self, admit, pairs) -> dict:
+        return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in pairs}
+
+    def _loss(self, admit, pairs) -> float:
         total = 0.0
-        for pair in self.pairs:
+        for pair in pairs:
             u = self.utilities[pair]
             r = self.caps[pair] * admit.get(pair, 0.0)
             total += utility_eval(u, u.cap) - utility_eval(u, r)
@@ -152,12 +160,13 @@ def extend_scenario(scenario: Scenario, caps: dict, utilities: dict) -> Extended
     return ExtendedScenario(base=base, caps=dict(caps), utilities=dict(utilities))
 
 
-def extended_cost(ext: ExtendedScenario, phi: Strategy, admit: dict):
+def extended_cost(ext: ExtendedScenario, phi: Strategy, admit: dict, pairs=None):
     """Total cost on the extended graph: physical cost at the admitted rates
-    plus the utility-loss cost on the rejection links."""
-    rates = ext.admitted_rates(admit)
-    state = compute_flows(ext.base, phi, rates=rates)
-    return state.total_cost + ext.rejection_cost(admit), state
+    plus the utility-loss cost on the rejection links. `pairs` is ext.pairs,
+    read here when not given."""
+    pairs = ext.pairs if pairs is None else pairs
+    state = compute_flows(ext.base, phi, rates=ext._rates(admit, pairs))
+    return state.total_cost + ext._loss(admit, pairs), state
 
 
 def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
@@ -167,9 +176,15 @@ def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
     rates = ext.admitted_rates(admit)
     if state is None:
         state = compute_flows(ext.base, phi, rates=rates)
+    return _net_utility(ext, rates, state)
+
+
+def _net_utility(ext, rates, state) -> float:
+    """Utility of the admitted `rates` (ext.admitted_rates) minus the
+    physical cost of their FlowState."""
     total = -state.total_cost
-    for pair in ext.pairs:
-        total += utility_eval(ext.utilities[pair], rates[pair])
+    for pair, r in rates.items():
+        total += utility_eval(ext.utilities[pair], r)
     return total
 
 
@@ -191,14 +206,14 @@ class CcResult:
     history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize, halvings
 
 
-def _virtual_deltas(ext, marginals, admit):
-    """{pair: (network, utility) marginal} of each gateway: the marginal
-    cost of its first data stage and the marginal utility at its admitted
-    rate."""
+def _virtual_deltas(ext, marginals, admit, pairs):
+    """{pair: (network, utility) marginal} of each gateway in `pairs`
+    (ext.pairs): the marginal cost of its first data stage and the marginal
+    utility at its admitted rate."""
     comp = compiled(ext.base)
     lam = comp.pack(marginals, "node")
     out = {}
-    for pair in ext.pairs:
+    for pair in pairs:
         node, app_id = pair
         lam0 = lam[comp.stage_index[(app_id, 0)], comp.index[node]]
         uprime = utility_prime(ext.utilities[pair], ext.caps[pair] * admit.get(pair, 0.0))
@@ -223,11 +238,11 @@ def _gateway_excess(deltas, admit):
     return excess(d, X, _gateway_rows(len(a)))[0].reshape(-1, 2)
 
 
-def _cc_start(ext):
+def _cc_start(ext, pairs):
     """run_gp_cc's start iterate (reject all) and its extended-graph cost."""
     phi = init_strategy(ext.base, mode="shortest_path_then_local_comp", require_finite=False)
-    admit = {pair: 0.0 for pair in ext.pairs}
-    T_ext, state = extended_cost(ext, phi, admit)
+    admit = {pair: 0.0 for pair in pairs}
+    T_ext, state = extended_cost(ext, phi, admit, pairs)
     return (phi, state, admit), T_ext
 
 
@@ -243,11 +258,12 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
     """
     config = config or GpConfig()
     comp = compiled(ext.base)
+    pairs = ext.pairs
 
     def slot(point):
         phi, state, admit = point
         _, marg, delta, blocked = slot_tables(ext.base, phi, state)
-        vdelta = _virtual_deltas(ext, marg, admit)
+        vdelta = _virtual_deltas(ext, marg, admit, pairs)
         gap = max(sufficient_gap(comp, phi, delta),
                   float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (delta, blocked, vdelta)
@@ -256,6 +272,8 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         phi, state, admit = point
         delta, blocked, vdelta = tables
         cand = gp_step(ext.base, phi, step_cfg, state, delta, blocked)
+        g = update_plan(comp, phi, delta, blocked).slope(cand.fractions(comp),
+                                                         state.traffic_stack)
         alpha = step_cfg.stepsize
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():
@@ -265,13 +283,15 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
             elif d_reject < d_admit:
                 a -= min(a, alpha * (d_admit - d_reject))
             cand_admit[pair] = a
-        T_cand, cand_state = extended_cost(ext, cand, cand_admit)
-        return (cand, cand_state, cand_admit), T_cand
+            g += ext.caps[pair] * (d_admit - d_reject) * (a - admit[pair])
+        T_cand, cand_state = extended_cost(ext, cand, cand_admit, pairs)
+        return (cand, cand_state, cand_admit), T_cand, g
 
     (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
-        _cc_start(ext), config, slot, step)
-    return CcResult(phi=phi, admit=admit, admitted=ext.admitted_rates(admit), state=state,
-                    utility_minus_cost=utility_minus_cost(ext, phi, admit, state), trace=trace,
+        _cc_start(ext, pairs), config, slot, step)
+    rates = ext._rates(admit, pairs)
+    return CcResult(phi=phi, admit=admit, admitted=rates, state=state,
+                    utility_minus_cost=_net_utility(ext, rates, state), trace=trace,
                     iterations=iterations, converged=converged, final_gap=gap, history=history)
 
 
@@ -282,7 +302,7 @@ def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,
     marginal is (weakly) below the marginal utility and vice versa."""
     state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
     violations = check_sufficient(ext.base, phi, tol, state).violations
-    deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit)
+    deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit, ext.pairs)
     for (pair, (d_admit, d_reject)), row in zip(deltas.items(),
                                                 _gateway_excess(deltas, admit)):
         for side, e in zip(("admit", "reject"), row):
@@ -300,6 +320,7 @@ def write_admission_report(ext: ExtendedScenario, result: CcResult, path):
         w = csv.writer(fh)
         w.writerow(["node", "app", "cap", "admitted", "utility_marginal",
                     "network_marginal"])
-        for pair, (network, utility) in _virtual_deltas(ext, marg, result.admit).items():
+        for pair, (network, utility) in _virtual_deltas(ext, marg, result.admit,
+                                                        ext.pairs).items():
             w.writerow([*pair, repr(ext.caps[pair]), repr(result.admitted[pair]),
                         repr(utility), repr(network)])

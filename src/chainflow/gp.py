@@ -14,16 +14,23 @@ stepsize rate, like mass on any other non-minimal direction.
 The update is synchronous (all rows move on the same slot's marginal tables),
 keeps rows on their simplices, and preserves loop-freedom through the blocked
 sets. The stepsize is always adaptive, so the cost trace is nonincreasing: a
-slot that would raise the cost (or blow a capacity) is retried with alpha
-halved, and alpha doubles after three accepted slots in a row. run_gp and the
-congestion-control solver share that stepsize loop (_adaptive_descent). What
-a slot's update does not owe to alpha is one UpdatePlan, which its candidate
-stepsizes share.
+slot that would raise the cost (or blow a capacity) is retried at a smaller
+alpha. Each candidate comes with its slope, the first-order cost change
+sum t_i * delta_ij * (phi'_ij - phi_ij) of its move (Gallager's
+dT/dphi_ij = t_i * delta_ij). Where that slope is clearly negative and the
+measured change lies above it, the quadratic through both gives the next
+stepsize: a rejected candidate is retried at alpha * clip(s*, 0.1, 0.5) and
+an accepted one starts the next slot at alpha * clip(s*, 0.5, 2). Otherwise
+alpha is halved on a rejection and doubled after three accepted slots in a
+row. run_gp and the congestion-control solver share that stepsize loop
+(_adaptive_descent). What a slot's update does not owe to alpha is one
+UpdatePlan, which its candidate stepsizes share.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,9 +42,9 @@ from .marginals import DEFAULT_TOL, BlockedSets, excess, slot_tables
 from .network import Scenario
 
 _TIE_REL = 1e-11
-# the stepsize always adapts: halved on a rejected slot, never below
-# MIN_STEPSIZE_FACTOR * stepsize (the run then stops), doubled after three
-# accepted slots, never above MAX_STEPSIZE_FACTOR * stepsize
+# the stepsize always adapts (_adaptive_descent): cut on a rejected slot,
+# never below MIN_STEPSIZE_FACTOR * stepsize (the run then stops), and never
+# raised above MAX_STEPSIZE_FACTOR * stepsize
 MIN_STEPSIZE_FACTOR = 2.0 ** -40
 MAX_STEPSIZE_FACTOR = 64.0
 
@@ -91,9 +98,11 @@ class UpdatePlan:
         moves = (X != 0.0) & ~minimal
         # a moving entry makes its row's sum nan, which is not 1 either
         keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
+        keep &= comp.active & np.isfinite(dmin)
         self.X = X
-        self.flat, self.starts, self.width = comp.spans(keep & comp.active & np.isfinite(dmin))
-        self.x = X.take(self.flat)
+        self.flat, self.starts, self.width = comp.spans(keep)
+        self.rows = keep.ravel().nonzero()[0]   # each kept row's index on (S, n)
+        self.x, self.d = X.take(self.flat), d.take(self.flat)
         self.minimal, self.moves = minimal.take(self.flat), moves.take(self.flat)
         self.e = np.where(self.moves, np.maximum(gap.take(self.flat), 0.0), 0.0)
         self.count = np.add.reduceat(self.minimal, self.starts, dtype=int)
@@ -116,6 +125,18 @@ class UpdatePlan:
         out = self.X.copy()
         out.put(self.flat, new)
         return out
+
+    def slope(self, out, traffic) -> float:
+        """The first-order cost change of moving to the fractions `out` (an
+        `apply` result): sum of t_i * d_ij * (out_ij - x_ij), Gallager's
+        dT/dphi_ij = t_i * d_ij, with t the (S, n) traffic of the plan's
+        strategy. Entries that did not change are left out, so no 0 * inf
+        arises; a moved entry with an infinite marginal gives a slope that
+        is not finite."""
+        dx = out.take(self.flat) - self.x
+        prod = np.zeros_like(dx)
+        np.multiply(self.d, dx, out=prod, where=dx != 0.0)
+        return float(traffic.take(self.rows) @ self.row_sums(prod))
 
 
 def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets) -> UpdatePlan:
@@ -191,6 +212,19 @@ class GpResult:
                             repr(row["stepsize"]), row["halvings"]])
 
 
+def _model_minimizer(cand, cost, slack):
+    """The minimizer s* = -g / (2c), in units of the candidate's stepsize,
+    of the quadratic cost + g*s + c*s**2 that has the candidate's slope g at
+    s = 0 and its cost at s = 1 (Nocedal & Wright, Numerical Optimization,
+    sec. 3.5). None when the candidate (iterate, cost[, slope]) gives no
+    slope, when g is not finite or not below -slack, or when c <= 0."""
+    g = cand[2] if len(cand) > 2 else None
+    if g is None or not math.isfinite(g) or g >= -slack:
+        return None
+    c = (cand[1] - cost) - g
+    return -g / (2.0 * c) if c > 0 else None
+
+
 def _adaptive_descent(start, config: GpConfig, slot, step):
     """The adaptive-stepsize loop shared by run_gp and run_gp_cc.
 
@@ -199,13 +233,22 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     as a temporary, so that the start is freed once the descent moves on.
     Each slot, slot(point) returns (gap, tables) and the loop stops once
     gap <= config.tol. Otherwise step(point, tables, step_cfg) returns a
-    candidate (iterate, cost) for the stepsize step_cfg.stepsize; one whose
-    step raises CapacityExceeded or LoopDetected is rejected. A candidate
-    that does not raise the cost is accepted; else the slot is retried at
-    half the stepsize, and a stepsize below its floor ends the run at the
-    current iterate. Each slot's history row counts its retries at half the
-    stepsize as `halvings`. Returns (point, trace, history, iterations,
-    converged, gap).
+    candidate (iterate, cost) or (iterate, cost, slope) for the stepsize
+    step_cfg.stepsize, where the slope g is the candidate's predicted
+    first-order cost change; one whose step raises CapacityExceeded or
+    LoopDetected is rejected. A candidate that does not raise the cost by
+    more than the slack 1e-12 * max(1, |cost|) is accepted; else the slot is
+    retried at a smaller stepsize, and a stepsize below its floor ends the
+    run at the current iterate.
+
+    The next stepsize comes from the quadratic model along the step
+    (_model_minimizer) when the candidate's g is finite and below -slack
+    and its cost change exceeds g: a retry is made at alpha * clip(s*, 0.1,
+    0.5), and after an accepted candidate the next slot starts at alpha *
+    clip(s*, 0.5, 2), never above the ceiling. Without a model the stepsize
+    halves on a rejection and doubles after three accepted slots in a row.
+    Each slot's history row counts its retries at a smaller stepsize as
+    `halvings`. Returns (point, trace, history, iterations, converged, gap).
     """
     (point, cost), start = start, None
     step_cfg = replace(config)
@@ -225,27 +268,33 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
         if gap <= config.tol:
             converged = True
             break
+        slack = 1e-12 * max(1.0, abs(cost))
         while True:
             step_cfg.stepsize = alpha
             try:
                 cand = step(point, tables, step_cfg)
             except (CapacityExceeded, LoopDetected):
                 cand = None     # cannot be evaluated: rejected like a cost rise
-            if cand is not None and cand[1] <= cost + 1e-12 * max(1.0, abs(cost)):
-                streak += 1
-                if streak >= 3 and alpha < alpha_ceil:
-                    alpha = min(alpha_ceil, 2 * alpha)
+            s = None if cand is None else _model_minimizer(cand, cost, slack)
+            if cand is not None and cand[1] <= cost + slack:
+                if s is not None:
+                    alpha = min(alpha_ceil, alpha * min(max(s, 0.5), 2.0))
                     streak = 0
+                else:
+                    streak += 1
+                    if streak >= 3 and alpha < alpha_ceil:
+                        alpha = min(alpha_ceil, 2 * alpha)
+                        streak = 0
                 break
             streak = 0
-            alpha *= 0.5
+            alpha *= 0.5 if s is None else min(max(s, 0.1), 0.5)
             if alpha < alpha_floor:
                 cand = None
                 break
             row["halvings"] += 1
         if cand is None:
             break  # stepsize exhausted: keep current iterate
-        point, cost = cand
+        point, cost = cand[:2]
         trace.append(cost)
         iterations += 1
         if config.on_iterate is not None:
@@ -269,7 +318,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 
     Returns the best iterate with converged=False when the slot budget runs
     out. Slots whose evaluation fails (capacity) or raises the cost are
-    retried at half the stepsize, so the trace is nonincreasing.
+    retried at a smaller stepsize (_adaptive_descent), so the trace is
+    nonincreasing.
     """
     config = config or GpConfig()
     comp = compiled(scenario)
@@ -283,7 +333,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
         phi, state = point
         cand = gp_step(scenario, phi, step_cfg, state, *tables)
         cand_state = compute_flows(scenario, cand)
-        return (cand, cand_state), cand_state.total_cost
+        g = update_plan(comp, phi, *tables).slope(cand.fractions(comp), state.traffic_stack)
+        return (cand, cand_state), cand_state.total_cost, g
 
     (phi, state), trace, history, iterations, converged, gap = _adaptive_descent(
         _gp_start(scenario, phi0), config, slot, step)

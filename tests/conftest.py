@@ -100,6 +100,13 @@ def random_scenario(seed, topology_kind="connected_er", n=8, num_apps=2, K=2, R=
                            packet_sizes=packet_sizes)
 
 
+def unconverged_lcof_scenario():
+    """A scenario whose LCOF forwarding ends at its slot budget unconverged:
+    the one such case a scan of random_scenario seeds 0-39 with one source
+    per application (R=1, link_bound=10, packet sizes (1, 1, 3)) found."""
+    return random_scenario(13, R=1, link_bound=10.0, packet_sizes=(1.0, 1.0, 3.0))
+
+
 def random_loopfree_strategy(scenario, seed, full_support=False):
     """Random loop-free strategy: per stage, fractions only follow a random
     topological order, so the support is a DAG by construction.

@@ -12,7 +12,7 @@ from chainflow import (ExperimentConfig, NotConverged, compute_flows, hop_metric
 from chainflow.cli import main as cli_main
 from chainflow.serialize import load_scenario, load_strategy
 
-from conftest import make_strategy, random_scenario
+from conftest import make_strategy, random_scenario, unconverged_lcof_scenario
 
 
 class TestHopMetrics:
@@ -194,7 +194,7 @@ class TestCli:
         # LCOF's forwarding stops at its slot budget here (see test_baselines)
         from chainflow.serialize import dump_scenario
         scen, out = tmp_path / "s.json", tmp_path / "o"
-        dump_scenario(random_scenario(11, link_bound=15.0, packet_sizes=(2.0, 1.0, 2.0)), scen)
+        dump_scenario(unconverged_lcof_scenario(), scen)
         assert cli_main(["solve", "--algo", "lcof", "--config", str(scen),
                          "--out", str(out)]) == 2
         assert json.loads((out / "metrics.json").read_text())["converged"] is False
