@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
-from .gp import GpConfig, _adaptive_descent, gp_step, sufficient_gap, update_plan
+from .gp import GpConfig, _adaptive_descent, _sloped_step, sufficient_gap
 from .marginals import (DEFAULT_TOL, CheckResult, check_sufficient, excess, slot_tables,
                         traffic_marginals)
 from .network import Scenario
@@ -111,7 +111,8 @@ class ExtendedScenario:
     `base` carries the offered-rate caps as its input rates (the virtual
     inputs are fixed to the caps); the actually admitted rates are
     cap * admit_fraction and enter the engine as a rate override. `pairs`
-    lists the (node, app_id) combinations that have a gateway row.
+    lists the (node, app_id) combinations that have a gateway row; it is
+    read from `caps` once, so caps are not to be edited afterwards.
     """
 
     base: Scenario
@@ -126,24 +127,16 @@ class ExtendedScenario:
             if abs(u.cap - cap) > 1e-9 * max(1.0, cap):
                 raise ValueError(f"utility cap mismatch at {pair}")
 
-    @property
+    @functools.cached_property
     def pairs(self):
-        return sorted((p for p in self.caps if self.caps[p] > 0), key=str)
+        return tuple(sorted((p for p in self.caps if self.caps[p] > 0), key=str))
 
     def admitted_rates(self, admit: dict) -> dict:
-        return self._rates(admit, self.pairs)
+        return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in self.pairs}
 
     def rejection_cost(self, admit: dict) -> float:
-        return self._loss(admit, self.pairs)
-
-    # `pairs` sorts the caps on every read: a solve reads it once and
-    # passes it to these
-    def _rates(self, admit, pairs) -> dict:
-        return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in pairs}
-
-    def _loss(self, admit, pairs) -> float:
         total = 0.0
-        for pair in pairs:
+        for pair in self.pairs:
             u = self.utilities[pair]
             r = self.caps[pair] * admit.get(pair, 0.0)
             total += utility_eval(u, u.cap) - utility_eval(u, r)
@@ -160,13 +153,12 @@ def extend_scenario(scenario: Scenario, caps: dict, utilities: dict) -> Extended
     return ExtendedScenario(base=base, caps=dict(caps), utilities=dict(utilities))
 
 
-def extended_cost(ext: ExtendedScenario, phi: Strategy, admit: dict, pairs=None):
+def extended_cost(ext: ExtendedScenario, phi: Strategy, admit: dict):
     """Total cost on the extended graph: physical cost at the admitted rates
-    plus the utility-loss cost on the rejection links. `pairs` is ext.pairs,
-    read here when not given."""
-    pairs = ext.pairs if pairs is None else pairs
-    state = compute_flows(ext.base, phi, rates=ext._rates(admit, pairs))
-    return state.total_cost + ext._loss(admit, pairs), state
+    plus the utility-loss cost on the rejection links."""
+    rates = ext.admitted_rates(admit)
+    state = compute_flows(ext.base, phi, rates=rates)
+    return state.total_cost + ext.rejection_cost(admit), state
 
 
 def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
@@ -176,15 +168,9 @@ def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
     rates = ext.admitted_rates(admit)
     if state is None:
         state = compute_flows(ext.base, phi, rates=rates)
-    return _net_utility(ext, rates, state)
-
-
-def _net_utility(ext, rates, state) -> float:
-    """Utility of the admitted `rates` (ext.admitted_rates) minus the
-    physical cost of their FlowState."""
     total = -state.total_cost
-    for pair, r in rates.items():
-        total += utility_eval(ext.utilities[pair], r)
+    for pair in ext.pairs:
+        total += utility_eval(ext.utilities[pair], rates[pair])
     return total
 
 
@@ -206,14 +192,14 @@ class CcResult:
     history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize, halvings
 
 
-def _virtual_deltas(ext, marginals, admit, pairs):
-    """{pair: (network, utility) marginal} of each gateway in `pairs`
-    (ext.pairs): the marginal cost of its first data stage and the marginal
-    utility at its admitted rate."""
+def _virtual_deltas(ext, marginals, admit):
+    """{pair: (network, utility) marginal} of each gateway: the marginal
+    cost of its first data stage and the marginal utility at its admitted
+    rate."""
     comp = compiled(ext.base)
     lam = comp.pack(marginals, "node")
     out = {}
-    for pair in pairs:
+    for pair in ext.pairs:
         node, app_id = pair
         lam0 = lam[comp.stage_index[(app_id, 0)], comp.index[node]]
         uprime = utility_prime(ext.utilities[pair], ext.caps[pair] * admit.get(pair, 0.0))
@@ -238,11 +224,11 @@ def _gateway_excess(deltas, admit):
     return excess(d, X, _gateway_rows(len(a)))[0].reshape(-1, 2)
 
 
-def _cc_start(ext, pairs):
+def _cc_start(ext):
     """run_gp_cc's start iterate (reject all) and its extended-graph cost."""
     phi = init_strategy(ext.base, mode="shortest_path_then_local_comp", require_finite=False)
-    admit = {pair: 0.0 for pair in pairs}
-    T_ext, state = extended_cost(ext, phi, admit, pairs)
+    admit = {pair: 0.0 for pair in ext.pairs}
+    T_ext, state = extended_cost(ext, phi, admit)
     return (phi, state, admit), T_ext
 
 
@@ -258,12 +244,11 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
     """
     config = config or GpConfig()
     comp = compiled(ext.base)
-    pairs = ext.pairs
 
     def slot(point):
         phi, state, admit = point
         _, marg, delta, blocked = slot_tables(ext.base, phi, state)
-        vdelta = _virtual_deltas(ext, marg, admit, pairs)
+        vdelta = _virtual_deltas(ext, marg, admit)
         gap = max(sufficient_gap(comp, phi, delta),
                   float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (delta, blocked, vdelta)
@@ -271,10 +256,8 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
     def step(point, tables, step_cfg):
         phi, state, admit = point
         delta, blocked, vdelta = tables
-        cand = gp_step(ext.base, phi, step_cfg, state, delta, blocked)
-        g = update_plan(comp, phi, delta, blocked).slope(cand.fractions(comp),
-                                                         state.traffic_stack)
         alpha = step_cfg.stepsize
+        cand, g = _sloped_step(comp, phi, alpha, state, delta, blocked)
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():
             a = admit[pair]
@@ -284,14 +267,13 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
                 a -= min(a, alpha * (d_admit - d_reject))
             cand_admit[pair] = a
             g += ext.caps[pair] * (d_admit - d_reject) * (a - admit[pair])
-        T_cand, cand_state = extended_cost(ext, cand, cand_admit, pairs)
+        T_cand, cand_state = extended_cost(ext, cand, cand_admit)
         return (cand, cand_state, cand_admit), T_cand, g
 
     (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
-        _cc_start(ext, pairs), config, slot, step)
-    rates = ext._rates(admit, pairs)
-    return CcResult(phi=phi, admit=admit, admitted=rates, state=state,
-                    utility_minus_cost=_net_utility(ext, rates, state), trace=trace,
+        _cc_start(ext), config, slot, step)
+    return CcResult(phi=phi, admit=admit, admitted=ext.admitted_rates(admit), state=state,
+                    utility_minus_cost=utility_minus_cost(ext, phi, admit, state), trace=trace,
                     iterations=iterations, converged=converged, final_gap=gap, history=history)
 
 
@@ -302,7 +284,7 @@ def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,
     marginal is (weakly) below the marginal utility and vice versa."""
     state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
     violations = check_sufficient(ext.base, phi, tol, state).violations
-    deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit, ext.pairs)
+    deltas = _virtual_deltas(ext, traffic_marginals(ext.base, phi, state), admit)
     for (pair, (d_admit, d_reject)), row in zip(deltas.items(),
                                                 _gateway_excess(deltas, admit)):
         for side, e in zip(("admit", "reject"), row):
@@ -320,7 +302,6 @@ def write_admission_report(ext: ExtendedScenario, result: CcResult, path):
         w = csv.writer(fh)
         w.writerow(["node", "app", "cap", "admitted", "utility_marginal",
                     "network_marginal"])
-        for pair, (network, utility) in _virtual_deltas(ext, marg, result.admit,
-                                                        ext.pairs).items():
+        for pair, (network, utility) in _virtual_deltas(ext, marg, result.admit).items():
             w.writerow([*pair, repr(ext.caps[pair]), repr(result.admitted[pair]),
                         repr(utility), repr(network)])

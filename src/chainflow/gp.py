@@ -42,9 +42,9 @@ from .marginals import DEFAULT_TOL, BlockedSets, excess, slot_tables
 from .network import Scenario
 
 _TIE_REL = 1e-11
-# the stepsize always adapts (_adaptive_descent): cut on a rejected slot,
-# never below MIN_STEPSIZE_FACTOR * stepsize (the run then stops), and never
-# raised above MAX_STEPSIZE_FACTOR * stepsize
+# the stepsize always adapts (_adaptive_descent): it stays within
+# [MIN_STEPSIZE_FACTOR, MAX_STEPSIZE_FACTOR] * stepsize, and a retry that
+# would cut it below the floor ends the run at the current iterate
 MIN_STEPSIZE_FACTOR = 2.0 ** -40
 MAX_STEPSIZE_FACTOR = 64.0
 
@@ -170,6 +170,14 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     return Strategy._stacked(comp, plan.apply(config.stepsize))
 
 
+def _sloped_step(comp, phi: Strategy, alpha, state: FlowState, delta, blocked):
+    """gp_step at stepsize alpha on the slot's tables, with the candidate's
+    slope (UpdatePlan.slope on state's traffic): (candidate, slope)."""
+    plan = update_plan(comp, phi, delta, blocked)
+    out = plan.apply(alpha)
+    return Strategy._stacked(comp, out), plan.slope(out, state.traffic_stack)
+
+
 def robust_start(scenario: Scenario) -> Strategy:
     """Feasible start: shortest-path inits first, then a capacity-aware
     greedy loading of cheapest extended paths for tightly loaded instances."""
@@ -245,8 +253,10 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     (_model_minimizer) when the candidate's g is finite and below -slack
     and its cost change exceeds g: a retry is made at alpha * clip(s*, 0.1,
     0.5), and after an accepted candidate the next slot starts at alpha *
-    clip(s*, 0.5, 2), never above the ceiling. Without a model the stepsize
-    halves on a rejection and doubles after three accepted slots in a row.
+    clip(s*, 0.5, 2), kept between the floor and the ceiling. Without a
+    model the stepsize halves on a rejection and doubles after three
+    accepted slots in a row. A model's retry can cut alpha tenfold, so a
+    slot can reach the floor in 12 retries rather than 40 halvings.
     Each slot's history row counts its retries at a smaller stepsize as
     `halvings`. Returns (point, trace, history, iterations, converged, gap).
     """
@@ -278,7 +288,7 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
             s = None if cand is None else _model_minimizer(cand, cost, slack)
             if cand is not None and cand[1] <= cost + slack:
                 if s is not None:
-                    alpha = min(alpha_ceil, alpha * min(max(s, 0.5), 2.0))
+                    alpha = min(alpha_ceil, max(alpha_floor, alpha * min(max(s, 0.5), 2.0)))
                     streak = 0
                 else:
                     streak += 1
@@ -331,9 +341,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 
     def step(point, tables, step_cfg):
         phi, state = point
-        cand = gp_step(scenario, phi, step_cfg, state, *tables)
+        cand, g = _sloped_step(comp, phi, step_cfg.stepsize, state, *tables)
         cand_state = compute_flows(scenario, cand)
-        g = update_plan(comp, phi, *tables).slope(cand.fractions(comp), state.traffic_stack)
         return (cand, cand_state), cand_state.total_cost, g
 
     (phi, state), trace, history, iterations, converged, gap = _adaptive_descent(

@@ -404,6 +404,21 @@ class TestModelStepsize:
         got, _ = _quadratic_descent(1e-3, max_iters=9)
         assert got == pytest.approx([1e-3 * 2 ** min(m, 6) for m in range(9)], rel=1e-12)
 
+    def test_accepted_stepsize_kept_over_floor(self):
+        # every candidate leaves the cost as it is with slope -1e-6, so
+        # s* = 0.5 halves the stepsize after each accepted slot; it stops at
+        # the floor, 2**-40 of the initial one, and the run goes on stepping
+        tried = []
+
+        def step(point, tables, cfg):
+            tried.append(cfg.stepsize)
+            return point, 1.0, -1e-6
+
+        out = gp._adaptive_descent(((None, None), 1.0), GpConfig(stepsize=1.0, max_iters=50),
+                                   lambda point: (1.0, None), step)
+        assert out[3] == 50 and not out[4]
+        assert tried == [2.0 ** -min(m, 40) for m in range(50)]
+
     @pytest.mark.parametrize("slope", [
         lambda g, dT: None,              # no slope
         lambda g, dT: float("nan"),

@@ -20,11 +20,12 @@ C04 = GpConfig(tol=1e-4, max_iters=1000)
 
 
 def work(res) -> tuple:
-    """(slots with a step, candidate evaluations) of a GP result: every
-    history row but a converged last one made a step, and each of its
-    retries evaluated one more candidate."""
-    slots = len(res.history) - res.converged
-    return slots, slots + sum(row["halvings"] for row in res.history)
+    """(slots with a step, candidate evaluations) of a GP result. Every
+    history row but a converged last one evaluated one candidate and one
+    more per retry; a last row that ran into the stepsize floor made no
+    step, so the slots are res.iterations."""
+    rows = len(res.history) - res.converged
+    return res.iterations, rows + sum(row["halvings"] for row in res.history)
 
 
 def main():
