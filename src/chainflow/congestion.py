@@ -244,12 +244,16 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
     """
     config = config or GpConfig()
     comp = compiled(ext.base)
+    stages = None
 
     def slot(point):
+        nonlocal stages
         phi, state, admit = point
-        _, marg, delta, blocked = slot_tables(ext.base, phi, state)
+        if stages is None:      # once per run, from its start
+            stages = comp.slot_stages(phi.fractions(comp))
+        _, marg, delta, blocked = slot_tables(ext.base, phi, state, stages=stages)
         vdelta = _virtual_deltas(ext, marg, admit)
-        gap = max(sufficient_gap(comp, phi, delta),
+        gap = max(sufficient_gap(comp, phi, delta, stages),
                   float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (delta, blocked, vdelta)
 
@@ -257,7 +261,7 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         phi, state, admit = point
         delta, blocked, vdelta = tables
         alpha = step_cfg.stepsize
-        cand, g = _sloped_step(comp, phi, alpha, state, delta, blocked)
+        cand, g = _sloped_step(comp, phi, alpha, state, delta, blocked, stages)
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():
             a = admit[pair]

@@ -56,7 +56,7 @@ class _Position:
     stages `next`. `prev` holds the previous stages of every application's
     rows. `inf` says whether one of the workloads is inf, a node that
     cannot run the task, where a CPU step meets 0 * inf. `keep` says
-    whether the rows are final stages of packet size 0, whose search does
+    whether the rows are inert stages (_Compiled.inert), whose search does
     not depend on the marginals: links weigh 0 and CPU steps are unusable.
     `part` flags mid among the rows where it is some but not all of them."""
 
@@ -84,22 +84,36 @@ class _Position:
         return offer
 
 
+class _Stages:
+    """Stages of a compiled scenario, their indices `index` in stage order,
+    with the per-stage arrays that a GP slot reads there gathered once: the
+    packet sizes L, the next stages, the workloads w, cannot_run and the
+    active rows (see _Compiled)."""
+
+    __slots__ = ("index", "L", "next", "w", "cannot_run", "active")
+
+    def __init__(self, comp: "_Compiled", index):
+        self.index = index
+        self.L, self.next, self.w = comp.L[index], comp.next[index], comp.w[index]
+        self.cannot_run, self.active = comp.cannot_run[index], comp.active[index]
+
+
 class Segments:
     """Rows of an array laid out in column segments: segment i starts at
     column seg[i] and runs up to the next one, and dnode[j] is the segment
     of column j (the node, on the compiled scenario). Segments are never
-    empty; segment i has width[i] columns.
+    empty; segment i has width[i] columns, and a row has `size`.
 
-    Per-segment sums are np.add.reduceat. Per-segment minima (what
-    np.minimum.reduceat gives) and argmins go through `pad`, an (segments,
-    widest segment) column index that repeats each segment's last column:
-    one gather and one reduction instead of one call per segment. When a
-    few wide segments would make that block more than four times the size
-    of a row, `pad` is None and reduceat is used.
+    Per-segment sums are np.add.reduceat. Per-segment minima and maxima
+    (what np.minimum.reduceat gives) and argmins go through `pad`, an
+    (segments, widest segment) column index that repeats each segment's
+    last column: one gather and one reduction instead of one call per
+    segment. When a few wide segments would make that block more than four
+    times the size of a row, `pad` is None and reduceat is used.
     """
 
     def __init__(self, seg, size: int):
-        self.seg = seg
+        self.seg, self.size = seg, size
         length = self.width = np.diff(seg, append=size)
         self.dnode = np.repeat(np.arange(len(seg)), length)
         pad = seg[:, None] + np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1)
@@ -109,21 +123,30 @@ class Segments:
         """Per-segment sums of the rows of a."""
         return np.add.reduceat(a, self.seg, axis=1)
 
-    def spans(self, flagged):
-        """(flat, starts, width) of the segments flagged in the (rows,
-        segments) mask `flagged`: the flat indices into a C-ordered array of
-        rows of every column of each, span after span in row-major order,
-        where each span starts in `flat`, and its width. np.add.reduceat over
-        `starts` of values gathered through `flat` adds each segment's
-        columns in their order, so its sums round as row_sum's."""
-        width = self.width[flagged.nonzero()[1]]
-        return flagged[:, self.dnode].ravel().nonzero()[0], width.cumsum() - width, width
+    def spans(self, rows, i):
+        """(flat, starts, width) of segment i[k] of row rows[k], for every
+        k: the flat indices into a C-ordered array of rows of every column
+        of each, span after span, where each span starts in `flat`, and its
+        width. np.add.reduceat over `starts` of values gathered through
+        `flat` adds each segment's columns in their order, so its sums
+        round as row_sum's."""
+        width = self.width.take(i)
+        ends = width.cumsum()
+        starts = ends - width
+        first = (rows * self.size + self.seg.take(i) - starts).repeat(width)
+        return first + np.arange(ends[-1] if ends.size else 0), starts, width
 
     def row_min(self, a):
         """Per-segment minima of the rows of a."""
         if self.pad is None:
             return np.minimum.reduceat(a, self.seg, axis=1)
-        return a[:, self.pad].min(axis=2)
+        return np.minimum.reduce(a[:, self.pad], axis=2)
+
+    def row_max(self, a):
+        """Per-segment maxima of the rows of a."""
+        if self.pad is None:
+            return np.maximum.reduceat(a, self.seg, axis=1)
+        return np.maximum.reduce(a[:, self.pad], axis=2)
 
     def row_argmin(self, a):
         """Per-segment argmins of the rows of a, which hold no nan: the
@@ -153,9 +176,12 @@ class _Compiled(Segments):
     input rates r, its application's destination, the previous and next
     stage of its application (-1 at the ends), its position k in the chain,
     and which rows must sum to one (`active`: all but the destination's
-    final-stage row). `apps` holds each application's slice of the stages,
-    and `positions` each chain position's stages with the constants that
-    the engine reads there.
+    final-stage row). The final stages of packet size 0 are `inert`: their
+    results cost nothing to forward, so their marginals are 0 on every link
+    and inf at the CPU, and no GP slot moves their rows; the others are
+    `live`. `apps` holds each application's slice of the stages, and
+    `positions` each chain position's stages with the constants that the
+    engine reads there.
     """
 
     def __init__(self, scenario: Scenario):
@@ -215,14 +241,16 @@ class _Compiled(Segments):
         self.final = self.next < 0
         self.active = np.ones((S, n), dtype=bool)
         self.active[self.final, self.dest[self.final]] = False
+        self.inert = self.final & (self.L == 0)
+        self.live = np.flatnonzero(~self.inert)
         self.positions = []
         for k in range(self.k.max(initial=0) + 1):
             rows = (self.k == k).nonzero()[0]
             on = ~self.final[rows]
             mid = rows[on]
-            keep = not mid.size and not self.L[rows].any()
             self.positions.append(_Position(rows, self.prev[rows], mid, self.w[mid], self.next[mid],
-                                            keep, None if mid.size in (0, rows.size) else on))
+                                            bool(self.inert[rows].all()),
+                                            None if mid.size in (0, rows.size) else on))
         self.r = self.inputs(scenario.input_rates)
         self.apps = [_App(self, *first) for first in firsts]
         self._trees = {}
@@ -286,10 +314,24 @@ class _Compiled(Segments):
         if (chain := self._chains.get(app.s0)) is None:
             s0, K = app.s0, app.K
             chain = self._chains[s0] = [_Position(slice(K, K + 1), None, slice(K, K),
-                                                  self.w[s0 + K:s0 + K], None, not self.L[s0 + K])]
+                                                  self.w[s0 + K:s0 + K], None,
+                                                  bool(self.inert[s0 + K]))]
             chain += [_Position(slice(j, j + 1), None, slice(j, j + 1), self.w[s0 + j:s0 + j + 1],
                                 slice(j + 1, j + 2), False) for j in reversed(range(K))]
         return chain
+
+    def slot_stages(self, X) -> _Stages:
+        """The stages whose rows the GP slots of a run from the direction
+        fractions X visit: the live ones, and an inert one with an active
+        row that holds CPU mass or does not sum to exactly 1, which the slot
+        update moves or renormalizes. An inert stage left out is never
+        changed, so the choice holds for the whole run."""
+        off = ((self.row_sum(X) != 1.0) | (X[:, self.seg] != 0.0)) & self.active
+        return _Stages(self, np.flatnonzero(~self.inert | off.any(axis=1)))
+
+    def every_stage(self) -> _Stages:
+        """All the stages, as slot_stages gives them."""
+        return _Stages(self, np.arange(len(self.keys)))
 
     def same_as(self, other: "_Compiled") -> bool:
         """Whether arrays laid out for `other` read the same here."""
@@ -523,12 +565,18 @@ class Strategy:
     engine packs a dense strategy's rows on every use, so edits to `rows`
     always count. A strategy is evaluated only on a scenario with the same
     node tuple.
+
+    run_gp keeps what its last slot's modified marginals are made of on
+    the strategy it returns, for adapt's repair (`_marginals`); the repair
+    reads them once, `rows`, and so `set_row`, drops them, and a copy does
+    not carry them.
     """
 
     def __init__(self, nodes, rows):
         self.nodes = tuple(nodes)
         self._rows = rows
         self._view = None   # the direction array, as a view
+        self._marginals = None
 
     @classmethod
     def _stacked(cls, comp: _Compiled, X) -> "Strategy":
@@ -544,6 +592,7 @@ class Strategy:
 
     @property
     def rows(self) -> dict:
+        self._marginals = None
         if self._rows is None:
             self._rows = {key: block.copy() for key, block in self._view.items()}
             self._view = None

@@ -25,6 +25,13 @@ alpha is halved on a rejection and doubled after three accepted slots in a
 row. run_gp and the congestion-control solver share that stepsize loop
 (_adaptive_descent). What a slot's update does not owe to alpha is one
 UpdatePlan, which its candidate stepsizes share.
+
+A slot works on the live stack. At a final stage of packet size 0
+(_Compiled.inert) results cost nothing to forward: the marginals are 0 on
+every link and inf at the CPU, the gap is 0 and no row moves. So a run's
+slots build their modified marginals, gap and plan on the stages of
+_Compiled.slot_stages alone, decided once from the start strategy, and
+give the same bits as on the whole stack.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import numpy as np
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
                     tree_fractions, validate_strategy)
-from .marginals import DEFAULT_TOL, BlockedSets, excess, slot_tables
+from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, BlockedSets, direction_marginals,
+                        slot_tables)
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -61,31 +69,45 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta) -> float:
+def sufficient_gap(comp, phi: Strategy, delta, stages=None) -> float:
     """Largest excess (marginals.excess) of the modified marginals delta on
-    the active rows: gap <= tol is check_sufficient holding at tol."""
-    e, _ = excess(comp.pack(delta, "direction"), phi.fractions(comp), comp, comp.active)
-    return float(e.max(initial=0.0))
+    the active rows: gap <= tol is check_sufficient holding at tol. Given
+    `stages` (_Compiled.slot_stages), delta holds the rows of those stages
+    alone (modified_marginals); an inert stage left out has excess 0.
+
+    The gap is taken by rows: a row's largest d on the directions whose
+    fraction exceeds DEFAULT_TOL_MASS less its smallest d. Rounding is
+    monotone, so fl(max_j d_j - lo) is the largest fl(d_j - lo), and the
+    gap is excess's largest entry bit for bit."""
+    if stages is None:
+        stages, delta = comp.every_stage(), comp.pack(delta, "direction")
+    X = phi.fractions(comp).take(stages.index, 0)
+    hi = comp.row_max(np.where(X > DEFAULT_TOL_MASS, delta, -np.inf))
+    gap = (hi - comp.row_min(delta))[stages.active]
+    return float(np.maximum.reduce(gap, initial=0.0))
 
 
 class UpdatePlan:
     """The stepsize-independent half of one slot update.
 
-    Built once per slot from the strategy's fractions X, its modified
-    marginals d and the (S, E) link flags of its blocked sets: blocked
-    directions (flagged and massless), each row's smallest available
-    marginal, each direction's gap e above it, the minimal directions
-    (within the tie tolerance) and the rows that move. A row
-    with no mass off its minimal directions loses nothing and gains
-    nothing, so the update only renormalizes it, which leaves it as it is
-    when it sums to exactly 1. The plan keeps the other rows: those with
-    mass on a non-minimal direction and those whose sum is not exactly 1.
-    It holds every column of their segments, one span per row
-    (`Segments.spans`), so that its row sums round as row_sum's on whole
-    rows, and `apply` moves just these entries for a stepsize.
+    Built once per slot from the strategy's fractions X, the modified
+    marginals d of the stages `stages` and the (S, E) link flags of its
+    blocked sets, on the rows of those stages: blocked directions (flagged
+    and massless), each row's smallest available marginal, each
+    direction's gap e above it, the minimal directions (within the tie
+    tolerance) and the rows that move. A row with no mass off its minimal
+    directions loses nothing and gains nothing, so the update only
+    renormalizes it, which leaves it as it is when it sums to exactly 1.
+    The plan keeps the other rows, in (S, n) order: those with mass on a
+    non-minimal direction and those whose sum is not exactly 1. It holds
+    every column of their segments, one span per row (`Segments.spans`),
+    so that its row sums round as row_sum's on whole rows, and `apply`
+    moves just these entries of X for a stepsize.
     """
 
-    def __init__(self, comp, X, d, flagged):
+    def __init__(self, comp, X, d, flagged, stages):
+        self.X = X
+        X, flagged = X.take(stages.index, 0), flagged.take(stages.index, 0)
         B = np.zeros(X.shape, dtype=bool)
         B[:, comp.edge_pos] = flagged
         B &= X <= 0.0
@@ -98,13 +120,15 @@ class UpdatePlan:
         moves = (X != 0.0) & ~minimal
         # a moving entry makes its row's sum nan, which is not 1 either
         keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
-        keep &= comp.active & np.isfinite(dmin)
-        self.X = X
-        self.flat, self.starts, self.width = comp.spans(keep)
-        self.rows = keep.ravel().nonzero()[0]   # each kept row's index on (S, n)
-        self.x, self.d = X.take(self.flat), d.take(self.flat)
-        self.minimal, self.moves = minimal.take(self.flat), moves.take(self.flat)
-        self.e = np.where(self.moves, np.maximum(gap.take(self.flat), 0.0), 0.0)
+        keep &= stages.active & np.isfinite(dmin)
+        k, i = keep.nonzero()
+        at, self.starts, self.width = comp.spans(k, i)   # on the rows of `stages`
+        s = stages.index.take(k)
+        self.rows = s * comp.n + i      # each kept row's index on (S, n)
+        self.flat = at + ((s - k) * comp.size).repeat(self.width)
+        self.x, self.d = X.take(at), d.take(at)
+        self.minimal, self.moves = minimal.take(at), moves.take(at)
+        self.e = np.where(self.moves, np.maximum(gap.take(at), 0.0), 0.0)
         self.count = np.add.reduceat(self.minimal, self.starts, dtype=int)
 
     def row_sums(self, v) -> np.ndarray:
@@ -139,16 +163,19 @@ class UpdatePlan:
         return float(traffic.take(self.rows) @ self.row_sums(prod))
 
 
-def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets) -> UpdatePlan:
+def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets, stages=None) -> UpdatePlan:
     """The UpdatePlan of phi's slot on the tables delta and blocked, kept on
     `blocked` with the arrays it was built from: every candidate stepsize of
-    a slot shares one, and an edited table or another strategy gets a new one."""
-    key = (phi.fractions(comp), comp.pack(delta, "direction"),
-           comp.pack(blocked.masks, "edge"))
+    a slot shares one, and an edited table or another strategy gets a new
+    one. Given `stages`, delta holds the rows of those stages alone
+    (modified_marginals) and the plan covers just them."""
+    if stages is None:
+        stages, delta = comp.every_stage(), comp.pack(delta, "direction")
+    key = (phi.fractions(comp), delta, comp.pack(blocked.masks, "edge"))
     memo = blocked._plan
     if memo is not None and all(a is b for a, b in zip(memo[0], key)):
         return memo[1]
-    plan = UpdatePlan(comp, *key)
+    plan = UpdatePlan(comp, *key, stages)
     blocked._plan = (key, plan)
     return plan
 
@@ -170,10 +197,11 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
     return Strategy._stacked(comp, plan.apply(config.stepsize))
 
 
-def _sloped_step(comp, phi: Strategy, alpha, state: FlowState, delta, blocked):
-    """gp_step at stepsize alpha on the slot's tables, with the candidate's
-    slope (UpdatePlan.slope on state's traffic): (candidate, slope)."""
-    plan = update_plan(comp, phi, delta, blocked)
+def _sloped_step(comp, phi: Strategy, alpha, state: FlowState, delta, blocked, stages):
+    """gp_step at stepsize alpha on the slot's tables, delta on the stages
+    `stages`, with the candidate's slope (UpdatePlan.slope on state's
+    traffic): (candidate, slope)."""
+    plan = update_plan(comp, phi, delta, blocked, stages)
     out = plan.apply(alpha)
     return Strategy._stacked(comp, out), plan.slope(out, state.traffic_stack)
 
@@ -333,15 +361,20 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
     """
     config = config or GpConfig()
     comp = compiled(scenario)
+    stages = None
 
     def slot(point):
+        nonlocal stages
         phi, state = point
-        _, _, delta, blocked = slot_tables(scenario, phi, state)
-        return sufficient_gap(comp, phi, delta), (delta, blocked)
+        if stages is None:      # once per run, from its start
+            stages = comp.slot_stages(phi.fractions(comp))
+        _, marg, delta, blocked = slot_tables(scenario, phi, state, stages=stages)
+        phi._marginals = (marg, state.link_marginals, state.cpu_marginals)  # for adapt's repair
+        return sufficient_gap(comp, phi, delta, stages), (delta, blocked)
 
     def step(point, tables, step_cfg):
         phi, state = point
-        cand, g = _sloped_step(comp, phi, step_cfg.stepsize, state, *tables)
+        cand, g = _sloped_step(comp, phi, step_cfg.stepsize, state, *tables, stages)
         cand_state = compute_flows(scenario, cand)
         return (cand, cand_state), cand_state.total_cost, g
 
@@ -355,6 +388,19 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 # adaptation to input / topology changes
 # ---------------------------------------------------------------------------
 
+def _last_marginals(comp, phi: Strategy):
+    """The (S, n+E) modified marginals on comp of a strategy that run_gp
+    returned, from what its last slot kept on it (its traffic marginals
+    and marginal costs), or None where phi keeps none for comp. They are
+    read once: phi drops them."""
+    kept = phi._marginals
+    if kept is None or kept[0]._comp is not comp:
+        return None
+    phi._marginals = None
+    marg, Dp, Cp = kept
+    return direction_marginals(comp, marg._a, Dp, Cp, comp.every_stage())
+
+
 def _repair_strategy(old_scenario, new_scenario, phi_prev):
     """phi_prev carried over to the new scenario's stage stack.
 
@@ -367,10 +413,12 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     fresh.
     """
     old, new = compiled(old_scenario), compiled(new_scenario)
-    try:
-        d_old = old.pack(slot_tables(old_scenario, phi_prev, blocked=False)[2], "direction")
-    except (CapacityExceeded, LoopDetected) as err:
-        raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
+    d_old = _last_marginals(old, phi_prev)
+    if d_old is None:
+        try:
+            d_old = old.pack(slot_tables(old_scenario, phi_prev, blocked=False)[2], "direction")
+        except (CapacityExceeded, LoopDetected) as err:
+            raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
     X_old = phi_prev.fractions(old)
 
     # the old stage, node and direction behind each new one, -1 for none

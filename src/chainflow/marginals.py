@@ -41,23 +41,36 @@ def traffic_marginals(scenario: Scenario, phi: Strategy, state: FlowState) -> di
     return comp.view(lam, "node")
 
 
-def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict):
+def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict, stages=None):
     """Per-direction modified marginals, {(app_id, k): (n, n+1) array}.
 
     Column 0 is the CPU direction, column 1+j the link toward node j; absent
     directions (non-links, CPU at the final stage, non-performable tasks)
     carry +inf. The blocks are dense views of the stage stack's (S, n+E)
-    direction array, built on access.
+    direction array (direction_marginals), built on access. Given `stages`
+    (what a GP slot visits, _Compiled.slot_stages), it returns the rows of
+    those stages alone, a (len(stages.index), n+E) array: the inert stages
+    left out read 0 on every link and inf at the CPU.
     """
     comp = compiled(scenario)
-    lam = comp.pack(marginals, "node")
+    d = direction_marginals(comp, comp.pack(marginals, "node"), state.link_marginals,
+                            state.cpu_marginals,
+                            comp.every_stage() if stages is None else stages)
+    return d if stages is not None else comp.view(d, "direction", np.inf)
+
+
+def direction_marginals(comp, lam, Dp, Cp, stages) -> np.ndarray:
+    """The modified marginals of the stages `stages` (flows._Stages) on the
+    direction layout, one row per stage, from the (S, n) traffic marginals
+    lam and the marginal costs of the links (Dp, per edge) and CPUs (Cp,
+    per node)."""
     # the CPU columns read node -1 through toward until they are overwritten
-    d = comp.L[:, None] * comp.on_directions(state.link_marginals) + lam[:, comp.toward]
+    d = stages.L[:, None] * comp.on_directions(Dp) + lam.take(stages.index, 0)[:, comp.toward]
     # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, comp.seg] = np.where(comp.cannot_run, np.inf,
-                                  comp.w * state.cpu_marginals + lam[comp.next])
-    return comp.view(d, "direction", np.inf)
+        d[:, comp.seg] = np.where(stages.cannot_run, np.inf,
+                                  stages.w * Cp + lam.take(stages.next, 0))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +139,15 @@ class CheckResult:
 
 
 def slot_tables(scenario: Scenario, phi: Strategy, state: FlowState | None = None,
-                blocked: bool = True):
+                blocked: bool = True, stages=None):
     """(state, marginals, delta, blocked sets) of phi: its FlowState
     (evaluated when not given) and the tables a GP slot reads off it. The
-    blocked sets are None when `blocked` is False."""
+    blocked sets are None when `blocked` is False. Given `stages`, delta
+    holds the modified marginals of those stages alone (modified_marginals)."""
     if state is None:
         state = compute_flows(scenario, phi)
     marg = traffic_marginals(scenario, phi, state)
-    delta = modified_marginals(scenario, state, marg)
+    delta = modified_marginals(scenario, state, marg, stages)
     return state, marg, delta, blocked_sets(scenario, phi, marg, state) if blocked else None
 
 
@@ -145,7 +159,8 @@ def excess(d, X, segs, rows=None):
     on the directions whose fraction in X exceeds DEFAULT_TOL_MASS, in the
     rows flagged in `rows` (all when None), and 0 elsewhere. The condition
     holds at tol when no entry of e exceeds tol; run_gp's gap is the largest
-    entry."""
+    entry, which gp.sufficient_gap takes row by row, on the stages a slot
+    visits (the inert stages, left out, have excess 0)."""
     lo = segs.row_min(d)[:, segs.dnode]
     on = X > DEFAULT_TOL_MASS
     if rows is not None:

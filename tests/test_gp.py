@@ -6,9 +6,9 @@ from chainflow import (AlphaFair, Application, GpConfig, Graph, Linear, NoFeasib
                        detect_loops, extend_scenario, feasible_start, gp, gp_step, run_gp,
                        solve_flow_domain, validate_strategy)
 from chainflow.flows import compiled, tree_fractions
-from chainflow.gp import update_plan
-from chainflow.marginals import (blocked_sets, modified_marginals, slot_tables,
-                                 traffic_marginals)
+from chainflow.gp import robust_start, sufficient_gap, update_plan
+from chainflow.marginals import (DEFAULT_TOL_MASS, blocked_sets, excess, modified_marginals,
+                                 slot_tables, traffic_marginals)
 
 from conftest import hub_scenario, make_strategy, random_loopfree_strategy, random_scenario
 
@@ -244,6 +244,118 @@ class TestUpdatePlan:
         halvings = sum(row["halvings"] for row in res.history)
         assert halvings > 0
         assert len(built) == len(res.history) - res.converged
+
+    # run_gp's slot visits the stages of _Compiled.slot_stages: it skips the
+    # inert ones (final stages of packet size 0) unless a row there is one
+    # that the update would move or renormalize
+
+    @staticmethod
+    def assert_slot_plan_matches(s, X):
+        # the slot's tables on its stages are the full tables' rows, and its
+        # plan moves X as the full-array update does
+        comp = compiled(s)
+        phi = Strategy._stacked(comp, X)
+        stages = comp.slot_stages(X)
+        state, _, d, blocked = slot_tables(s, phi, stages=stages)
+        full = comp.pack(slot_tables(s, phi, state)[2], "direction")
+        assert np.array_equal(d, full[stages.index])
+        plan = update_plan(comp, phi, d, blocked, stages)
+        moved = False
+        for alpha in (0.2, 0.1, 0.05):
+            got = plan.apply(alpha)
+            want = _full_array_step(comp, X, full, comp.pack(blocked.masks, "edge"), alpha)
+            assert np.array_equal(got, want)
+            moved |= not np.array_equal(got, X)
+        assert moved
+        return stages, plan
+
+    @pytest.mark.parametrize("off", [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+    def test_inert_row_an_ulp_off_one_is_renormalized(self, off):
+        s = random_scenario(0)
+        comp = compiled(s)
+        X = tree_fractions(comp)
+        assert np.array_equal(comp.slot_stages(X).index, comp.live)
+        assert comp.inert.any() and not np.isin(np.flatnonzero(comp.inert), comp.live).any()
+        k, p = np.argwhere((X == 1.0) & (comp.inert[:, None] & comp.active)[:, comp.dnode])[0]
+        X[k, p] = off
+        stages, plan = self.assert_slot_plan_matches(s, X)
+        assert np.array_equal(stages.index, np.union1d(comp.live, [k]))
+        assert plan.apply(0.1)[k, p] == 1.0
+
+    def test_inert_row_with_cpu_mass_moves(self):
+        # a final row without traffic may hold a trace of CPU mass, which
+        # the update moves to its links
+        s = random_scenario(0)
+        comp = compiled(s)
+        X = tree_fractions(comp)
+        state = compute_flows(s, Strategy._stacked(comp, X))
+        k, i = np.argwhere(comp.inert[:, None] & comp.active & (state.traffic_stack == 0.0))[0]
+        X[k, comp.seg[i]] = 1e-12
+        assert validate_strategy(s, Strategy._stacked(comp, X)) == []
+        stages, plan = self.assert_slot_plan_matches(s, X)
+        assert k in stages.index
+        assert plan.apply(0.1)[k, comp.seg[i]] == 0.0
+
+    def test_no_inert_stage(self):
+        # final results that cost something to forward: every stage is live
+        s = random_scenario(1, packet_sizes=(3.0, 2.0, 1.0))
+        comp = compiled(s)
+        X = random_loopfree_strategy(s, 1).fractions(comp)
+        assert not comp.inert.any()
+        stages, _ = self.assert_slot_plan_matches(s, X)
+        assert np.array_equal(stages.index, np.arange(len(comp.keys)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_equals_the_run_on_every_stage(self, seed, monkeypatch):
+        # skipping the inert stages changes no bit of a run, from an exact
+        # start or from one with an inert row an ulp off one
+        s = random_scenario(seed, link_bound=15.0, comp_bound=10.0)
+        comp = compiled(s)
+        X = robust_start(s).fractions(comp)
+        off = X.copy()
+        k, p = np.argwhere((X == 1.0) & (comp.inert[:, None] & comp.active)[:, comp.dnode])[0]
+        off[k, p] = np.nextafter(1.0, 0.0)
+        cfg = GpConfig(stepsize=1.0, max_iters=60, tol=1e-9)
+        runs = []
+        for every in (False, True):
+            if every:
+                monkeypatch.setattr(type(comp), "slot_stages", lambda self, X: self.every_stage())
+            runs.append([run_gp(s, Strategy._stacked(comp, start), cfg) for start in (X, off)])
+        for live, every in zip(*runs):
+            assert np.array_equal(live.phi.fractions(comp), every.phi.fractions(comp))
+            assert live.history == every.history
+            assert live.iterations > 0
+
+
+class TestSufficientGap:
+    """run_gp's gap, taken by rows, is marginals.excess's largest entry."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_is_the_largest_excess(self, seed):
+        s = random_scenario(seed, packet_sizes=None if seed % 2 else (3.0, 2.0, 1.0))
+        comp = compiled(s)
+        rng = np.random.default_rng(seed)
+        X = random_loopfree_strategy(s, seed, full_support=seed % 3 == 0).fractions(comp).copy()
+        d = comp.pack(slot_tables(s, Strategy._stacked(comp, X))[2], "direction").copy()
+        # masses at and next to the mass tolerance, and infinite marginals
+        # on directions with mass
+        some = rng.choice(X.size, size=X.size // 4, replace=False)
+        X.flat[some] = rng.choice([DEFAULT_TOL_MASS, np.nextafter(DEFAULT_TOL_MASS, 0.0),
+                                   np.nextafter(DEFAULT_TOL_MASS, 1.0), 1e-300, 0.0],
+                                  size=some.size)
+        massive = np.flatnonzero((X > DEFAULT_TOL_MASS).ravel())
+        d.flat[rng.choice(massive, size=3, replace=False)] = np.inf
+        phi = Strategy._stacked(comp, X)
+        want = excess(d, X, comp, comp.active)[0].max(initial=0.0)
+        assert sufficient_gap(comp, phi, comp.view(d, "direction", np.inf)) == want
+        stages = comp.slot_stages(X)
+        assert sufficient_gap(comp, phi, d[stages.index], stages) == want
+        if np.isinf(want):
+            # without the infinite marginals: a finite gap, bit for bit
+            d = np.where(np.isinf(d) & (X > 0), 1.0, d)
+            want = excess(d, X, comp, comp.active)[0].max(initial=0.0)
+            assert np.isfinite(want)
+            assert sufficient_gap(comp, phi, d[stages.index], stages) == want
 
 
 class TestRunGp:
@@ -578,6 +690,32 @@ class TestAdapt:
         for key, mat in res.phi.rows.items():
             assert mat[iu, 1 + iv] == 0.0
             assert mat[iv, 1 + iu] == 0.0
+
+    def test_repair_reads_the_last_slot_marginals(self):
+        # run_gp keeps what its last slot's modified marginals are made of
+        # with the strategy it returns; the repair reads them once, inert
+        # stages included, and repairs as from marginals it computes itself
+        s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
+        comp = compiled(s)
+        cfg = GpConfig(tol=1e-6, max_iters=500)
+        res = run_gp(s, config=cfg)
+        want = comp.pack(slot_tables(s, res.phi)[2], "direction")
+        assert gp._last_marginals(compiled(random_scenario(4)), res.phi) is None
+        assert np.array_equal(gp._last_marginals(comp, res.phi), want)
+        assert gp._last_marginals(comp, res.phi) is None
+        loaded = res.state.edge_flows.sum(axis=0)
+        u, v = comp.src[np.argmax(loaded)], comp.dst[np.argmax(loaded)]
+        s2 = _without(s, links=[(comp.nodes[u], comp.nodes[v])])
+        phi = run_gp(s, config=cfg).phi
+        assert phi._marginals is not None and phi.copy()._marginals is None
+        kept = gp._repair_strategy(s, s2, phi)
+        again = gp._repair_strategy(s, s2, phi)
+        assert phi._marginals is None
+        assert np.array_equal(kept.fractions(compiled(s2)), again.fractions(compiled(s2)))
+        phi = run_gp(s, config=cfg).phi
+        node, (app_id, _) = comp.nodes[0], comp.keys[0]
+        phi.set_row(node, app_id, 0, phi.row(node, app_id, 0))
+        assert gp._last_marginals(comp, phi) is None
 
     def test_warm_start_tracks_small_perturbations(self):
         s = random_scenario(7, n=6, num_apps=1, K=1)

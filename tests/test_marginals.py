@@ -77,6 +77,26 @@ class TestModifiedMarginals:
                 err = np.abs(mix - lam[key])[sums > 0.5]
                 assert np.max(err) <= 1e-9
 
+    def test_inert_rows_on_sw_queue(self):
+        # sw-queue draw 1: the final results of its K = 2 chains have size
+        # 0, so 30 of its 90 stages are inert, and there the modified
+        # marginals read exactly 0 on every link and inf at every CPU, at
+        # the start and after a few GP slots; a GP slot's rows are the full
+        # table's rows of its stages
+        from chainflow import GpConfig, run_gp
+        s = build_scenario(table_row("sw-queue"), 1)
+        comp = compiled(s)
+        assert (comp.inert.sum(), len(comp.keys)) == (30, 90)
+        for phi in (init_strategy(s), run_gp(s, config=GpConfig(max_iters=5)).phi):
+            st, lam, delta = tables(s, phi)
+            d = comp.pack(delta, "direction")[comp.inert]
+            assert np.all(d[:, comp.edge_pos] == 0.0) and not np.signbit(d).any()
+            assert np.all(d[:, comp.seg] == math.inf)
+            stages = comp.slot_stages(phi.fractions(comp))
+            assert np.array_equal(stages.index, comp.live)
+            assert np.array_equal(modified_marginals(s, st, lam, stages),
+                                  comp.pack(delta, "direction")[stages.index])
+
 
 def _odd_cpus(seed):
     """random_scenario(seed)'s graph and costs, its first node without a
