@@ -179,7 +179,7 @@ class _Compiled(Segments):
     final-stage row). The final stages of packet size 0 are `inert`: their
     results cost nothing to forward, so their marginals are 0 on every link
     and inf at the CPU, and no GP slot moves their rows; the others are
-    `live`. `apps` holds each application's slice of the stages, and
+    live. `apps` holds each application's slice of the stages, and
     `positions` each chain position's stages with the constants that the
     engine reads there.
     """
@@ -242,7 +242,6 @@ class _Compiled(Segments):
         self.active = np.ones((S, n), dtype=bool)
         self.active[self.final, self.dest[self.final]] = False
         self.inert = self.final & (self.L == 0)
-        self.live = np.flatnonzero(~self.inert)
         self.positions = []
         for k in range(self.k.max(initial=0) + 1):
             rows = (self.k == k).nonzero()[0]

@@ -93,7 +93,7 @@ class TestModifiedMarginals:
             assert np.all(d[:, comp.edge_pos] == 0.0) and not np.signbit(d).any()
             assert np.all(d[:, comp.seg] == math.inf)
             stages = comp.slot_stages(phi.fractions(comp))
-            assert np.array_equal(stages.index, comp.live)
+            assert np.array_equal(stages.index, np.flatnonzero(~comp.inert))
             assert np.array_equal(modified_marginals(s, st, lam, stages),
                                   comp.pack(delta, "direction")[stages.index])
 
