@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
-from .gp import GpConfig, _adaptive_descent, _sloped_step, sufficient_gap
-from .marginals import (DEFAULT_TOL, CheckResult, check_sufficient, excess, slot_tables,
-                        traffic_marginals)
+from .gp import GpConfig, _adaptive_descent, _Slot
+from .marginals import DEFAULT_TOL, CheckResult, check_sufficient, excess, traffic_marginals
 from .network import Scenario
 
 _PRIME_FLOOR = 1e-9   # derivative of sub-1 fairness is evaluated at >= this rate
@@ -244,24 +243,20 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
     """
     config = config or GpConfig()
     comp = compiled(ext.base)
-    stages = None
 
-    def slot(point):
-        nonlocal stages
+    def slot(point, prev):
         phi, state, admit = point
-        if stages is None:      # once per run, from its start
-            stages = comp.slot_stages(phi.fractions(comp))
-        _, marg, delta, blocked = slot_tables(ext.base, phi, state, stages=stages)
-        vdelta = _virtual_deltas(ext, marg, admit)
-        gap = max(sufficient_gap(comp, phi, delta, stages),
-                  float(_gateway_excess(vdelta, admit).max(initial=0.0)))
-        return gap, (delta, blocked, vdelta)
+        # the first slot picks the run's stages from its start
+        tables = _Slot(comp, ext.base, phi, state, None if prev is None else prev[0].stages)
+        vdelta = _virtual_deltas(ext, tables.marginals, admit)
+        gap = max(tables.gap, float(_gateway_excess(vdelta, admit).max(initial=0.0)))
+        return gap, (tables, vdelta)
 
     def step(point, tables, step_cfg):
-        phi, state, admit = point
-        delta, blocked, vdelta = tables
+        _, _, admit = point
+        gp_slot, vdelta = tables
         alpha = step_cfg.stepsize
-        cand, g = _sloped_step(comp, phi, alpha, state, delta, blocked, stages)
+        cand, g = gp_slot.step(alpha)
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():
             a = admit[pair]

@@ -23,8 +23,10 @@ stepsize: a rejected candidate is retried at alpha * clip(s*, 0.1, 0.5) and
 an accepted one starts the next slot at alpha * clip(s*, 0.5, 2). Otherwise
 alpha is halved on a rejection and doubled after three accepted slots in a
 row. run_gp and the congestion-control solver share that stepsize loop
-(_adaptive_descent). What a slot's update does not owe to alpha is one
-UpdatePlan, which its candidate stepsizes share.
+(_adaptive_descent). One slot is one _Slot: the traffic marginals, the
+modified marginals and blocked sets broadcast back to the nodes, the gap,
+and the UpdatePlan (the half of the update that does not owe to alpha)
+that its candidate stepsizes share.
 
 A slot works on the live stack. At a final stage of packet size 0
 (_Compiled.inert) results cost nothing to forward: the marginals are 0 on
@@ -45,8 +47,9 @@ import numpy as np
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
                     tree_fractions, validate_strategy)
-from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, BlockedSets, direction_marginals,
-                        slot_tables)
+from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, BlockedSets, _state_and_delta,
+                        blocked_sets, direction_marginals, modified_marginals,
+                        traffic_marginals)
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -69,18 +72,16 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta, stages=None) -> float:
+def sufficient_gap(comp, phi: Strategy, delta, stages) -> float:
     """Largest excess (marginals.excess) of the modified marginals delta on
-    the active rows: gap <= tol is check_sufficient holding at tol. Given
-    `stages` (_Compiled.slot_stages), delta holds the rows of those stages
-    alone (modified_marginals); an inert stage left out has excess 0.
+    the active rows: gap <= tol is check_sufficient holding at tol. delta
+    holds the rows of the stages `stages` alone (_Compiled.slot_stages, or
+    every_stage for the whole stack); an inert stage left out has excess 0.
 
     The gap is taken by rows: a row's largest d on the directions whose
     fraction exceeds DEFAULT_TOL_MASS less its smallest d. Rounding is
     monotone, so fl(max_j d_j - lo) is the largest fl(d_j - lo), and the
     gap is excess's largest entry bit for bit."""
-    if stages is None:
-        stages, delta = comp.every_stage(), comp.pack(delta, "direction")
     X = phi.fractions(comp).take(stages.index, 0)
     hi = comp.row_max(np.where(X > DEFAULT_TOL_MASS, delta, -np.inf))
     gap = (hi - comp.row_min(delta))[stages.active]
@@ -163,21 +164,36 @@ class UpdatePlan:
         return float(traffic.take(self.rows) @ self.row_sums(prod))
 
 
-def update_plan(comp, phi: Strategy, delta, blocked: BlockedSets, stages=None) -> UpdatePlan:
-    """The UpdatePlan of phi's slot on the tables delta and blocked, kept on
-    `blocked` with the arrays it was built from: every candidate stepsize of
-    a slot shares one, and an edited table or another strategy gets a new
-    one. Given `stages`, delta holds the rows of those stages alone
-    (modified_marginals) and the plan covers just them."""
-    if stages is None:
-        stages, delta = comp.every_stage(), comp.pack(delta, "direction")
-    key = (phi.fractions(comp), delta, comp.pack(blocked.masks, "edge"))
-    memo = blocked._plan
-    if memo is not None and all(a is b for a, b in zip(memo[0], key)):
-        return memo[1]
-    plan = UpdatePlan(comp, *key, stages)
-    blocked._plan = (key, plan)
-    return plan
+class _Slot:
+    """One GP slot at the iterate phi with FlowState `state`, on the stages
+    `stages` (_Compiled.slot_stages(phi) when None): its traffic marginals,
+    the modified marginals of those stages, the blocked sets and the gap,
+    and its UpdatePlan, built on the first candidate and shared by the
+    slot's retries at a smaller stepsize."""
+
+    def __init__(self, comp, scenario: Scenario, phi: Strategy, state: FlowState, stages=None):
+        if stages is None:
+            stages = comp.slot_stages(phi.fractions(comp))
+        self.comp, self.phi, self.state, self.stages = comp, phi, state, stages
+        self.marginals = traffic_marginals(scenario, phi, state)
+        self.delta = modified_marginals(scenario, state, self.marginals, stages)
+        self.blocked = blocked_sets(scenario, phi, self.marginals, state)
+        self.gap = sufficient_gap(comp, phi, self.delta, stages)
+        self._plan = None
+
+    @property
+    def plan(self) -> UpdatePlan:
+        if self._plan is None:
+            self._plan = UpdatePlan(self.comp, self.phi.fractions(self.comp), self.delta,
+                                    self.comp.pack(self.blocked.masks, "edge"), self.stages)
+        return self._plan
+
+    def step(self, alpha: float):
+        """The candidate at stepsize alpha and its slope (UpdatePlan.slope
+        on the slot's traffic): (candidate, slope)."""
+        plan = self.plan
+        out = plan.apply(alpha)
+        return Strategy._stacked(self.comp, out), plan.slope(out, self.state.traffic_stack)
 
 
 def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
@@ -185,25 +201,20 @@ def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
             blocked: BlockedSets | None = None) -> Strategy:
     """One synchronous slot update. Returns the next strategy.
 
-    Every row of every stage moves at once on the stage stack. The slot's
-    tables are built from `state` (marginals.slot_tables) unless delta and
-    blocked are both given; the update applies config.stepsize to the
-    slot's UpdatePlan, which the candidates of one slot share.
+    Every row of every stage moves at once on the stage stack. The update
+    applies config.stepsize to the UpdatePlan of phi's _Slot, built from
+    `state` (evaluated when not given), or to one on every stage built from
+    the tables delta and blocked when both are given.
     """
     comp = compiled(scenario)
     if delta is None or blocked is None:
-        _, _, delta, blocked = slot_tables(scenario, phi, state)
-    plan = update_plan(comp, phi, delta, blocked)
+        if state is None:
+            state = compute_flows(scenario, phi)
+        plan = _Slot(comp, scenario, phi, state).plan
+    else:
+        plan = UpdatePlan(comp, phi.fractions(comp), comp.pack(delta, "direction"),
+                          comp.pack(blocked.masks, "edge"), comp.every_stage())
     return Strategy._stacked(comp, plan.apply(config.stepsize))
-
-
-def _sloped_step(comp, phi: Strategy, alpha, state: FlowState, delta, blocked, stages):
-    """gp_step at stepsize alpha on the slot's tables, delta on the stages
-    `stages`, with the candidate's slope (UpdatePlan.slope on state's
-    traffic): (candidate, slope)."""
-    plan = update_plan(comp, phi, delta, blocked, stages)
-    out = plan.apply(alpha)
-    return Strategy._stacked(comp, out), plan.slope(out, state.traffic_stack)
 
 
 def robust_start(scenario: Scenario) -> Strategy:
@@ -267,7 +278,8 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     An iterate is a tuple that starts with the strategy and its FlowState
     (what config.on_iterate receives); `start` is (iterate, cost). Pass it
     as a temporary, so that the start is freed once the descent moves on.
-    Each slot, slot(point) returns (gap, tables) and the loop stops once
+    Each slot, slot(point, prev) returns (gap, tables), given the previous
+    slot's tables as prev (None at the first slot), and the loop stops once
     gap <= config.tol. Otherwise step(point, tables, step_cfg) returns a
     candidate (iterate, cost) or (iterate, cost, slope) for the stepsize
     step_cfg.stepsize, where the slope g is the candidate's predicted
@@ -295,11 +307,11 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     alpha_ceil = config.stepsize * MAX_STEPSIZE_FACTOR
     trace, history = [cost], []
     iterations, converged, streak = 0, False, 0
-    gap = float("inf")
+    gap, tables = float("inf"), None
     if config.on_iterate is not None:
         config.on_iterate(0, point[0], point[1])
     for slot_index in range(config.max_iters):
-        gap, tables = slot(point)
+        gap, tables = slot(point, tables)
         row = {"iter": slot_index, "T": cost, "max_gap": gap, "stepsize": alpha,
                "halvings": 0}
         history.append(row)
@@ -361,20 +373,17 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
     """
     config = config or GpConfig()
     comp = compiled(scenario)
-    stages = None
 
-    def slot(point):
-        nonlocal stages
+    def slot(point, prev):
         phi, state = point
-        if stages is None:      # once per run, from its start
-            stages = comp.slot_stages(phi.fractions(comp))
-        _, marg, delta, blocked = slot_tables(scenario, phi, state, stages=stages)
-        phi._marginals = (marg, state.link_marginals, state.cpu_marginals)  # for adapt's repair
-        return sufficient_gap(comp, phi, delta, stages), (delta, blocked)
+        # the first slot picks the run's stages from its start
+        tables = _Slot(comp, scenario, phi, state, None if prev is None else prev.stages)
+        # what adapt's repair reads: the makings of the modified marginals
+        phi._marginals = (tables.marginals, state.link_marginals, state.cpu_marginals)
+        return tables.gap, tables
 
     def step(point, tables, step_cfg):
-        phi, state = point
-        cand, g = _sloped_step(comp, phi, step_cfg.stepsize, state, *tables, stages)
+        cand, g = tables.step(step_cfg.stepsize)
         cand_state = compute_flows(scenario, cand)
         return (cand, cand_state), cand_state.total_cost, g
 
@@ -388,19 +397,6 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
 # adaptation to input / topology changes
 # ---------------------------------------------------------------------------
 
-def _last_marginals(comp, phi: Strategy):
-    """The (S, n+E) modified marginals on comp of a strategy that run_gp
-    returned, from what its last slot kept on it (its traffic marginals
-    and marginal costs), or None where phi keeps none for comp. They are
-    read once: phi drops them."""
-    kept = phi._marginals
-    if kept is None or kept[0]._comp is not comp:
-        return None
-    phi._marginals = None
-    marg, Dp, Cp = kept
-    return direction_marginals(comp, marg._a, Dp, Cp, comp.every_stage())
-
-
 def _repair_strategy(old_scenario, new_scenario, phi_prev):
     """phi_prev carried over to the new scenario's stage stack.
 
@@ -413,10 +409,14 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     fresh.
     """
     old, new = compiled(old_scenario), compiled(new_scenario)
-    d_old = _last_marginals(old, phi_prev)
-    if d_old is None:
+    # the previous modified marginals, from what run_gp's last slot kept on
+    # phi_prev (read once) when it is for old, else from phi_prev itself
+    kept, phi_prev._marginals = phi_prev._marginals, None
+    if kept is not None and kept[0]._comp is old:
+        d_old = direction_marginals(old, kept[0]._a, *kept[1:], old.every_stage())
+    else:
         try:
-            d_old = old.pack(slot_tables(old_scenario, phi_prev, blocked=False)[2], "direction")
+            d_old = _state_and_delta(old_scenario, phi_prev)[1]
         except (CapacityExceeded, LoopDetected) as err:
             raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
     X_old = phi_prev.fractions(old)

@@ -82,13 +82,11 @@ class BlockedSets:
     """Forbidden link destinations per (node, stage). CPU is never blocked.
 
     `masks` are dense (n, n) views of the stage stack's (S, E) edge flags,
-    True = blocked; absent links read as blocked. gp.update_plan keeps the
-    slot's update plan here, so that it lives as long as the slot's tables.
+    True = blocked; absent links read as blocked.
     """
 
     nodes: tuple
     masks: object  # (app_id, k) -> (n, n) bool
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def is_blocked(self, node, app_id, k: int, dest) -> bool:
         i = self.nodes.index(node)
@@ -138,17 +136,15 @@ class CheckResult:
         return {"holds": self.holds, "violations": self.violations}
 
 
-def slot_tables(scenario: Scenario, phi: Strategy, state: FlowState | None = None,
-                blocked: bool = True, stages=None):
-    """(state, marginals, delta, blocked sets) of phi: its FlowState
-    (evaluated when not given) and the tables a GP slot reads off it. The
-    blocked sets are None when `blocked` is False. Given `stages`, delta
-    holds the modified marginals of those stages alone (modified_marginals)."""
+def _state_and_delta(scenario: Scenario, phi: Strategy, state: FlowState | None = None):
+    """(state, delta) of phi: its FlowState (evaluated when not given) and
+    its (S, n+E) modified marginals on every stage, which the checkers and
+    adapt's repair read."""
     if state is None:
         state = compute_flows(scenario, phi)
-    marg = traffic_marginals(scenario, phi, state)
-    delta = modified_marginals(scenario, state, marg, stages)
-    return state, marg, delta, blocked_sets(scenario, phi, marg, state) if blocked else None
+    delta = modified_marginals(scenario, state, traffic_marginals(scenario, phi, state),
+                               compiled(scenario).every_stage())
+    return state, delta
 
 
 def excess(d, X, segs, rows=None):
@@ -185,10 +181,10 @@ def check_kkt(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL,
     direction must achieve the row minimum within tol. Rows with zero traffic
     satisfy the condition vacuously."""
     comp = compiled(scenario)
-    state, _, delta, _ = slot_tables(scenario, phi, state, blocked=False)
+    state, delta = _state_and_delta(scenario, phi, state)
     t = state.traffic_stack
     with np.errstate(invalid="ignore"):     # 0 * inf on absent directions
-        grad = t[:, comp.dnode] * comp.pack(delta, "direction")
+        grad = t[:, comp.dnode] * delta
     return _check(comp, phi, grad, comp.active & (t > DEFAULT_TOL_MASS), tol, "value")
 
 
@@ -198,8 +194,8 @@ def check_sufficient(scenario: Scenario, phi: Strategy, tol: float = DEFAULT_TOL
     achieve the row-minimum modified marginal, at every node including
     zero-traffic ones."""
     comp = compiled(scenario)
-    delta = slot_tables(scenario, phi, state, blocked=False)[2]
-    return _check(comp, phi, comp.pack(delta, "direction"), comp.active, tol, "delta")
+    delta = _state_and_delta(scenario, phi, state)[1]
+    return _check(comp, phi, delta, comp.active, tol, "delta")
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,8 @@ class TestDenseReference:
                 assert np.array_equal(np.isfinite(d[key]), finite)
                 assert_close(d[key][finite], delta[key][finite])
                 assert np.array_equal(blocked.masks[key], masks[key])
-            got = sufficient_gap(compiled(s), phi, d)
+            comp = compiled(s)
+            got = sufficient_gap(comp, phi, comp.pack(d, "direction"), comp.every_stage())
             assert got == pytest.approx(gap, rel=1e-9, abs=1e-12)
             out = gp_step(s, phi, GpConfig(stepsize=0.05), state, d, blocked)
             for key, expected in nxt.items():

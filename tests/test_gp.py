@@ -5,10 +5,12 @@ from chainflow import (AlphaFair, Application, GpConfig, Graph, Linear, NoFeasib
                        Queue, Scenario, Strategy, adapt, check_sufficient, compute_flows,
                        detect_loops, extend_scenario, feasible_start, gp, gp_step, run_gp,
                        solve_flow_domain, validate_strategy)
-from chainflow.flows import compiled, tree_fractions
-from chainflow.gp import robust_start, sufficient_gap, update_plan
-from chainflow.marginals import (DEFAULT_TOL_MASS, blocked_sets, excess, modified_marginals,
-                                 slot_tables, traffic_marginals)
+from chainflow import marginals
+from chainflow.flows import DenseView, FlowState, compiled, tree_fractions
+from chainflow.gp import UpdatePlan, robust_start, sufficient_gap
+from chainflow.marginals import (DEFAULT_TOL_MASS, BlockedSets, _state_and_delta, blocked_sets,
+                                 direction_marginals, excess, modified_marginals,
+                                 traffic_marginals)
 
 from conftest import hub_scenario, make_strategy, random_loopfree_strategy, random_scenario
 
@@ -16,6 +18,16 @@ from conftest import hub_scenario, make_strategy, random_loopfree_strategy, rand
 def _editable(table):
     """A plain-dict copy of a table of read-only view blocks, for editing."""
     return {key: block.copy() for key, block in table.items()}
+
+
+def _slot_plan(s, phi, state=None):
+    """(slot, plan): phi's _Slot on every stage, from `state` (evaluated
+    when not given), and the UpdatePlan built from its tables."""
+    comp = compiled(s)
+    slot = gp._Slot(comp, s, phi, compute_flows(s, phi) if state is None else state,
+                    comp.every_stage())
+    return slot, UpdatePlan(comp, phi.fractions(comp), slot.delta,
+                            comp.pack(slot.blocked.masks, "edge"), slot.stages)
 
 
 def _single_row_case(alpha, deltas, fractions, blocked_to=None):
@@ -124,24 +136,22 @@ class TestUpdatePlan:
     """One slot's UpdatePlan serves every candidate stepsize of the slot."""
 
     @staticmethod
-    def assert_plan_matches(s, phi, tables):
-        # the plan is kept for the strategy's own array, as the iterates of
-        # run_gp hold it; a dense strategy is packed on every use
+    def assert_plan_matches(s, phi, state=None):
+        # the plan on every stage, from the tables of phi's slot at `state`
+        # (evaluated when not given), as the iterates of run_gp hold phi
         comp = compiled(s)
         phi = Strategy._stacked(comp, phi.fractions(comp))
-        state, lam, delta, blocked = tables
-        plan = update_plan(comp, phi, delta, blocked)
-        assert update_plan(comp, phi, delta, blocked) is plan
+        slot, plan = _slot_plan(s, phi, state)
         X = phi.fractions(comp)
         moved = False
         for alpha in (0.2, 0.1, 0.05):
             got = plan.apply(alpha)
-            want = _full_array_step(comp, X, comp.pack(delta, "direction"),
-                                    comp.pack(blocked.masks, "edge"), alpha)
+            want = _full_array_step(comp, X, slot.delta,
+                                    comp.pack(slot.blocked.masks, "edge"), alpha)
             assert np.array_equal(got, want)
             # gp_step from its state alone: new tables, a new plan
             cfg = GpConfig(stepsize=alpha)
-            assert np.array_equal(gp_step(s, phi, cfg, state).fractions(comp), got)
+            assert np.array_equal(gp_step(s, phi, cfg, slot.state).fractions(comp), got)
             moved |= not np.array_equal(got, X)
         assert moved
 
@@ -149,7 +159,7 @@ class TestUpdatePlan:
     def test_plan_matches_full_array_update(self, seed):
         s = random_scenario(seed)
         phi = random_loopfree_strategy(s, seed, full_support=seed % 2 == 1)
-        self.assert_plan_matches(s, phi, slot_tables(s, phi))
+        self.assert_plan_matches(s, phi)
 
     def test_admission_slot(self):
         # run_gp_cc's slot: the state at the admitted rates
@@ -159,7 +169,7 @@ class TestUpdatePlan:
         phi = random_loopfree_strategy(ext.base, 5, full_support=True)
         admit = {pair: 0.4 for pair in ext.pairs}
         state = compute_flows(ext.base, phi, rates=ext.admitted_rates(admit))
-        self.assert_plan_matches(ext.base, phi, slot_tables(ext.base, phi, state))
+        self.assert_plan_matches(ext.base, phi, state)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hub_row_wider_than_eight(self, seed):
@@ -179,7 +189,7 @@ class TestUpdatePlan:
         X[stage, spread] = weights / weights.sum()
         assert spread.size > 8
         phi = Strategy._stacked(comp, X)
-        self.assert_plan_matches(s, phi, slot_tables(s, phi))
+        self.assert_plan_matches(s, phi)
 
     @pytest.mark.parametrize("off", [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
     def test_still_row_an_ulp_off_one_is_renormalized(self, off):
@@ -189,14 +199,13 @@ class TestUpdatePlan:
         comp = compiled(s)
         phi = random_loopfree_strategy(s, 0)
         X = phi.fractions(comp).copy()
-        d = comp.pack(slot_tables(s, phi)[2], "direction")
+        d = _state_and_delta(s, phi)[1]
         still = (X == 1.0) & (d == comp.row_min(d)[:, comp.dnode]) & comp.active[:, comp.dnode]
         k, p = np.argwhere(still)[0]
         X[k, p] = off
         phi = Strategy._stacked(comp, X)
-        state, _, delta, blocked = tables = slot_tables(s, phi)
-        self.assert_plan_matches(s, phi, tables)
-        got = update_plan(comp, phi, delta, blocked).apply(0.1)
+        self.assert_plan_matches(s, phi)
+        got = _slot_plan(s, phi)[1].apply(0.1)
         assert got[k, p] == 1.0
 
     def test_converged_strategy_gets_an_empty_plan(self, e1, e1_strategy_a):
@@ -206,8 +215,7 @@ class TestUpdatePlan:
         phi = Strategy._stacked(comp, e1_strategy_a.fractions(comp))
         X = phi.fractions(comp)
         assert np.array_equal(comp.row_sum(X), comp.active.astype(float))
-        _, _, delta, blocked = slot_tables(e1, phi)
-        plan = update_plan(comp, phi, delta, blocked)
+        plan = _slot_plan(e1, phi)[1]
         assert plan.flat.size == 0
         for alpha in (0.2, 3.2):
             assert np.array_equal(plan.apply(alpha), X)
@@ -217,7 +225,9 @@ class TestUpdatePlan:
         comp = compiled(s)
         phi, other = (Strategy._stacked(comp, random_loopfree_strategy(s, seed).fractions(comp))
                       for seed in (0, 1))
-        state, _, delta, blocked = slot_tables(s, phi)
+        state = compute_flows(s, phi)
+        lam = traffic_marginals(s, phi, state)
+        delta, blocked = modified_marginals(s, state, lam), blocked_sets(s, phi, lam, state)
         edited = _editable(delta)      # an edited copy of the modified marginals
         edited[comp.keys[0]][:, 0] *= 0.5
         seen = []
@@ -256,14 +266,14 @@ class TestUpdatePlan:
         comp = compiled(s)
         phi = Strategy._stacked(comp, X)
         stages = comp.slot_stages(X)
-        state, _, d, blocked = slot_tables(s, phi, stages=stages)
-        full = comp.pack(slot_tables(s, phi, state)[2], "direction")
-        assert np.array_equal(d, full[stages.index])
-        plan = update_plan(comp, phi, d, blocked, stages)
+        slot = gp._Slot(comp, s, phi, compute_flows(s, phi), stages)
+        full = _state_and_delta(s, phi, slot.state)[1]
+        assert np.array_equal(slot.delta, full[stages.index])
+        plan = slot.plan
         moved = False
         for alpha in (0.2, 0.1, 0.05):
             got = plan.apply(alpha)
-            want = _full_array_step(comp, X, full, comp.pack(blocked.masks, "edge"), alpha)
+            want = _full_array_step(comp, X, full, comp.pack(slot.blocked.masks, "edge"), alpha)
             assert np.array_equal(got, want)
             moved |= not np.array_equal(got, X)
         assert moved
@@ -327,6 +337,17 @@ class TestUpdatePlan:
             assert live.iterations > 0
 
 
+    def test_first_slot_picks_the_stages_of_the_run(self, monkeypatch):
+        # later slots are handed the stages of the slot before
+        s = random_scenario(1, link_bound=10.0, comp_bound=10.0)
+        comp = compiled(s)
+        picked, real = [], type(comp).slot_stages
+        monkeypatch.setattr(type(comp), "slot_stages",
+                            lambda self, X: picked.append(1) or real(self, X))
+        res = run_gp(s, config=GpConfig(stepsize=1.0, max_iters=40, tol=1e-9))
+        assert len(res.history) > 1 and picked == [1]
+
+
 class TestSufficientGap:
     """run_gp's gap, taken by rows, is marginals.excess's largest entry."""
 
@@ -336,7 +357,7 @@ class TestSufficientGap:
         comp = compiled(s)
         rng = np.random.default_rng(seed)
         X = random_loopfree_strategy(s, seed, full_support=seed % 3 == 0).fractions(comp).copy()
-        d = comp.pack(slot_tables(s, Strategy._stacked(comp, X))[2], "direction").copy()
+        d = _state_and_delta(s, Strategy._stacked(comp, X))[1].copy()
         # masses at and next to the mass tolerance, and infinite marginals
         # on directions with mass
         some = rng.choice(X.size, size=X.size // 4, replace=False)
@@ -347,7 +368,7 @@ class TestSufficientGap:
         d.flat[rng.choice(massive, size=3, replace=False)] = np.inf
         phi = Strategy._stacked(comp, X)
         want = excess(d, X, comp, comp.active)[0].max(initial=0.0)
-        assert sufficient_gap(comp, phi, comp.view(d, "direction", np.inf)) == want
+        assert sufficient_gap(comp, phi, d, comp.every_stage()) == want
         stages = comp.slot_stages(X)
         assert sufficient_gap(comp, phi, d[stages.index], stages) == want
         if np.isinf(want):
@@ -403,7 +424,7 @@ class TestRunGp:
 
         config = GpConfig(stepsize=0.5, on_iterate=lambda *args: seen.append(args))
         point, trace, history, iterations, converged, gap = gp._adaptive_descent(
-            (start, 1.0), config, lambda point: (3.0, None), step)
+            (start, 1.0), config, lambda point, prev: (3.0, None), step)
         assert point is start and trace == [1.0] and iterations == 0
         assert not converged and gap == 3.0
         assert calls == [0.5 * 2.0 ** -m for m in range(41)]
@@ -490,7 +511,7 @@ def _quadratic_descent(stepsize, slope=lambda g, dT: g, max_iters=2):
 
     config = GpConfig(stepsize=stepsize, max_iters=max_iters, tol=1e-12)
     history = gp._adaptive_descent(((1.0, None), 1.0), config,
-                                   lambda point: (abs(2.0 * point[0]), None), step)[2]
+                                   lambda point, prev: (abs(2.0 * point[0]), None), step)[2]
     return tried, history
 
 
@@ -527,7 +548,7 @@ class TestModelStepsize:
             return point, 1.0, -1e-6
 
         out = gp._adaptive_descent(((None, None), 1.0), GpConfig(stepsize=1.0, max_iters=50),
-                                   lambda point: (1.0, None), step)
+                                   lambda point, prev: (1.0, None), step)
         assert out[3] == 50 and not out[4]
         assert tried == [2.0 ** -min(m, 40) for m in range(50)]
 
@@ -552,8 +573,8 @@ class TestModelStepsize:
         s = random_scenario(seed)
         comp = compiled(s)
         phi = random_loopfree_strategy(s, seed, full_support=True)
-        state, _, delta, blocked = slot_tables(s, phi)
-        plan = update_plan(comp, phi, delta, blocked)
+        slot, plan = _slot_plan(s, phi)
+        state = slot.state
         errors = []
         for alpha in (1e-3, 1e-4, 1e-5):
             X = plan.apply(alpha)
@@ -582,7 +603,7 @@ class TestModelStepsize:
         congestion.run_gp_cc(ext, GpConfig(max_iters=3))
         point = probe["point"]
         assert all(0.0 < a < 1.0 for a in point[2].values())
-        tables = probe["slot"](point)[1]
+        tables = probe["slot"](point, None)[1]
         errors = []
         for alpha in (1e-3, 1e-4, 1e-5):
             _, T, g = probe["step"](point, tables, GpConfig(stepsize=alpha))
@@ -691,31 +712,89 @@ class TestAdapt:
             assert mat[iu, 1 + iv] == 0.0
             assert mat[iv, 1 + iu] == 0.0
 
-    def test_repair_reads_the_last_slot_marginals(self):
+    def test_repair_reads_the_last_slot_marginals(self, monkeypatch):
         # run_gp keeps what its last slot's modified marginals are made of
         # with the strategy it returns; the repair reads them once, inert
         # stages included, and repairs as from marginals it computes itself
+        evaluated, real = [], gp._state_and_delta
+        monkeypatch.setattr(gp, "_state_and_delta",
+                            lambda *args: evaluated.append(1) or real(*args))
         s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
         comp = compiled(s)
         cfg = GpConfig(tol=1e-6, max_iters=500)
         res = run_gp(s, config=cfg)
-        want = comp.pack(slot_tables(s, res.phi)[2], "direction")
-        assert gp._last_marginals(compiled(random_scenario(4)), res.phi) is None
-        assert np.array_equal(gp._last_marginals(comp, res.phi), want)
-        assert gp._last_marginals(comp, res.phi) is None
+        want = real(s, res.phi)[1]
+        lam, Dp, Cp = res.phi._marginals
+        assert lam._comp is comp
+        assert np.array_equal(direction_marginals(comp, lam._a, Dp, Cp, comp.every_stage()), want)
         loaded = res.state.edge_flows.sum(axis=0)
         u, v = comp.src[np.argmax(loaded)], comp.dst[np.argmax(loaded)]
         s2 = _without(s, links=[(comp.nodes[u], comp.nodes[v])])
+        # kept for another compiled scenario: not read, and dropped
+        gp._repair_strategy(random_scenario(4, link_bound=15.0, comp_bound=10.0), s2, res.phi)
+        assert evaluated == [1] and res.phi._marginals is None
         phi = run_gp(s, config=cfg).phi
         assert phi._marginals is not None and phi.copy()._marginals is None
         kept = gp._repair_strategy(s, s2, phi)
+        assert evaluated == [1]
         again = gp._repair_strategy(s, s2, phi)
-        assert phi._marginals is None
+        assert phi._marginals is None and evaluated == [1, 1]
         assert np.array_equal(kept.fractions(compiled(s2)), again.fractions(compiled(s2)))
         phi = run_gp(s, config=cfg).phi
         node, (app_id, _) = comp.nodes[0], comp.keys[0]
         phi.set_row(node, app_id, 0, phi.row(node, app_id, 0))
-        assert gp._last_marginals(comp, phi) is None
+        assert phi._marginals is None
+
+    def test_repair_without_kept_marginals_builds_no_slot(self, monkeypatch):
+        # a strategy that keeps nothing (a copy, or one edited by set_row)
+        # is evaluated again for its modified marginals alone: no blocked
+        # sets, gap or plan; it repairs as from the kept marginals
+        s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
+        comp = compiled(s)
+        res = run_gp(s, config=GpConfig(tol=1e-6, max_iters=500))
+        loaded = res.state.edge_flows.sum(axis=0)
+        u, v = comp.src[np.argmax(loaded)], comp.dst[np.argmax(loaded)]
+        s2 = _without(s, links=[(comp.nodes[u], comp.nodes[v])])
+        copy, edited = res.phi.copy(), res.phi.copy()
+        node, (app_id, _) = comp.nodes[0], comp.keys[0]
+        edited.set_row(node, app_id, 0, edited.row(node, app_id, 0))
+        built = []
+        for module, name in ((gp, "blocked_sets"), (marginals, "blocked_sets"),
+                             (gp, "sufficient_gap"), (gp, "UpdatePlan")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                built.append(name) or real(*args))
+        want = gp._repair_strategy(s, s2, res.phi).fractions(compiled(s2))
+        for phi in (copy, edited):
+            assert phi._marginals is None
+            assert np.array_equal(gp._repair_strategy(s, s2, phi).fractions(compiled(s2)), want)
+        assert built == []
+
+    def test_result_keeps_only_the_repair_inputs(self):
+        # the strategy run_gp returns keeps its fractions and, of its last
+        # slot, the (S, n) traffic marginals and the (E,) and (n,) marginal
+        # costs: no slot, plan, blocked sets, FlowState or (S, n+E)
+        # modified-marginal table, which a caller that holds many results
+        # would hold too
+        s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
+        comp = compiled(s)
+        phi = run_gp(s, config=GpConfig(tol=1e-6, max_iters=500)).phi
+        held = []
+
+        def walk(value):
+            assert not isinstance(value, (gp._Slot, UpdatePlan, BlockedSets, FlowState))
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif isinstance(value, DenseView):
+                walk(value._a)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    walk(item)
+
+        for value in vars(phi).values():
+            walk(value)
+        S, n, E = len(comp.keys), comp.n, comp.E
+        assert sum(a.nbytes for a in held) == 8 * (S * (n + E) + S * n + E + n)
 
     def test_warm_start_tracks_small_perturbations(self):
         s = random_scenario(7, n=6, num_apps=1, K=1)

@@ -17,7 +17,7 @@ _spec.loader.exec_module(gp_work)
 def _count_candidates(monkeypatch, fail_after=None):
     """Count run_gp's candidate evaluations; from call `fail_after` on,
     every candidate raises CapacityExceeded, so the run stops at the floor."""
-    calls, real = [], gp._sloped_step
+    calls, real = [], gp._Slot.step
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -25,7 +25,7 @@ def _count_candidates(monkeypatch, fail_after=None):
             raise CapacityExceeded("scripted")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gp, "_sloped_step", counted)
+    monkeypatch.setattr(gp._Slot, "step", counted)
     return calls
 
 
