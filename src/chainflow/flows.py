@@ -344,6 +344,50 @@ class _Compiled(Segments):
         row[self.edge_pos] = a
         return row
 
+    @cached_property
+    def wide(self):
+        """(nodes, cols, starts) of the segments of more than 8 columns:
+        their nodes, all their columns in order, and where each segment
+        starts among those columns; None where every segment is narrower."""
+        nodes = np.flatnonzero(self.width > 8)
+        if not nodes.size:
+            return None
+        width = self.width[nodes]
+        starts = width.cumsum() - width
+        return nodes, (self.seg[nodes] - starts).repeat(width) + np.arange(width.sum()), starts
+
+    def support_sum(self, X, levels, Dp=None) -> np.ndarray:
+        """row_sum(X), bit for bit, taken over X's support: each row's CPU
+        column and its links of positive fraction, which X's StageLevels
+        `levels` hold. With Dp, the links' marginal costs per edge, the
+        sums of X * (L[:, None] * on_directions(Dp)) instead: marginal_sweep's
+        link terms.
+
+        reduceat adds a segment as a0 + (a1 + a2 + ...). Up to 8 columns
+        the sum in parentheses runs left to right from 0, so the zeros off
+        the support drop out exactly, and np.bincount adds each row's
+        links in the same order. Past 8 columns it runs in 8 interleaved
+        partial sums, where the zeros' places count, so those segments
+        (`wide`) are summed whole. A link fraction that is not positive
+        reads as 0, as in the solves along the levels."""
+        x = levels.x
+        if Dp is not None:
+            s, e = np.divmod(levels.pos, self.E)
+            x = x * (self.L[s] * Dp[e])
+        S = X.shape[0]
+        out = np.bincount(levels.src, weights=x, minlength=S * self.n).reshape(S, self.n)
+        if not x.size:          # np.bincount counts in ints without links
+            out = out.astype(float)
+        if Dp is None:
+            out += X.take(self.seg, 1)
+        if self.wide is not None:
+            nodes, cols, starts = self.wide
+            a = X[:, cols]
+            if Dp is not None:
+                a *= self.L[:, None] * self.on_directions(Dp)[cols]
+            out[:, nodes] = np.add.reduceat(a, starts, axis=1)
+        return out
+
     def inputs(self, rates=None) -> np.ndarray:
         """(S, n) exogenous input rates: the scenario's, or those given as
         {(node, app_id): rate}."""
@@ -727,6 +771,11 @@ class StageLevels:
     a sink of stage s, so every support link leads to a lower level. Nodes
     on or upstream of a cycle keep level -1, and `cyclic` lists their
     stages: a support that does not peel down to nothing has a cycle.
+    The support links, cyclic stages included, are listed by chain
+    position and level of their source: `src` and `dst` hold their ends as
+    s * n + i, `x` their fractions and `pos` their places s * E + e in xe.
+    The links of one source keep their edge order there, which is their
+    column order in its row (_Compiled.support_sum).
     """
 
     def __init__(self, xe, src, dst, n, group):
@@ -747,15 +796,15 @@ class StageLevels:
             rest = rest[~done]
             level[(left == 0) & (level < 0)] = depth
         self.level = level.reshape(S, n)
-        self.cyclic = np.flatnonzero((self.level < 0).any(axis=1))
-        if self.cyclic.size:
-            return
         # support edges in (chain position, level of their source) order
         key = group[s] * (n + 1) + level[gsrc]
         order = np.argsort(key, kind="stable")
         self.src, self.dst = gsrc[order], gdst[order]
         self.x = xe[s, e][order]
         self.pos = (s * xe.shape[1] + e)[order]
+        self.cyclic = np.flatnonzero((self.level < 0).any(axis=1))
+        if self.cyclic.size:
+            return
         # cuts[k] bounds the edges of group k leaving levels 1, 2, ...; the
         # schedule holds per chain position its stages and, per nonempty
         # level in increasing order, (edges, their sources, their heads),
@@ -772,8 +821,6 @@ class StageLevels:
     def reread(self, xe) -> "StageLevels":
         """These levels with the fractions of `xe`, which has the same
         support."""
-        if self.cyclic.size:
-            return self
         levels = object.__new__(StageLevels)
         levels.__dict__.update(self.__dict__)
         levels.x = xe.reshape(-1)[self.pos]
@@ -835,13 +882,14 @@ def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None)
     `levels` are X's stage_levels. The recursion runs over chain positions
     in decreasing order, all applications' stage k together, each solved
     along its levels, sinks first, from dT/dt = 0 at the destination's
-    final stage. `settle(k, lam)`, when given, runs once position k is
-    solved and may change that position's rows of lam before the position
-    below reads them.
+    final stage. The link terms sum over X's support (support_sum).
+    `settle(k, lam)`, when given, runs once position k is solved and may
+    change that position's rows of lam before the position below reads
+    them.
     """
     # each position's rows start from their link terms: the solves above
     # them add exact zeros there
-    lam = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
+    lam = comp.support_sum(X, levels, Dp)
     c0 = X[:, comp.seg]
     for k, at in reversed(list(enumerate(comp.positions))):
         if at.mid.size:

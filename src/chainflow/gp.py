@@ -34,6 +34,14 @@ every link and inf at the CPU, the gap is 0 and no row moves. So a run's
 slots build their modified marginals, gap and plan on the stages of
 _Compiled.slot_stages alone, decided once from the start strategy, and
 give the same bits as on the whole stack.
+
+Within those stages a slot passes over whole tables once, for the gap
+(sufficient_gap), which keeps each row's spread. As in the distributed
+algorithm, a node whose mass already sits on its minimum has nothing to
+do, so UpdatePlan tests only the rows that its spread, its fractions or
+its sum single out. The screen is exact: rounding is monotone, and a
+row's minimum over all directions is at most its minimum over the
+available ones.
 """
 
 from __future__ import annotations
@@ -72,20 +80,25 @@ class GpConfig:
             raise ValueError("stepsize and tol must be > 0")
 
 
-def sufficient_gap(comp, phi: Strategy, delta, stages) -> float:
+def sufficient_gap(comp, phi: Strategy, delta, stages, out=None) -> float:
     """Largest excess (marginals.excess) of the modified marginals delta on
     the active rows: gap <= tol is check_sufficient holding at tol. delta
     holds the rows of the stages `stages` alone (_Compiled.slot_stages, or
     every_stage for the whole stack); an inert stage left out has excess 0.
 
-    The gap is taken by rows: a row's largest d on the directions whose
-    fraction exceeds DEFAULT_TOL_MASS less its smallest d. Rounding is
-    monotone, so fl(max_j d_j - lo) is the largest fl(d_j - lo), and the
-    gap is excess's largest entry bit for bit."""
+    The gap is taken by rows, as the largest spread of an active row: its
+    largest d on the directions whose fraction exceeds DEFAULT_TOL_MASS
+    (-inf where none does) less its smallest d. Rounding is monotone, so
+    fl(max_j d_j - lo) is the largest fl(d_j - lo), and the gap is
+    excess's largest entry bit for bit. Given `out`, a (len(stages.index),
+    n) array, every row's spread is written there: the screen of the
+    slot's UpdatePlan, where a spread of at most _TIE_REL, the floor of
+    every tie, leaves no mass above DEFAULT_TOL_MASS off the row's minimal
+    directions."""
     X = phi.fractions(comp).take(stages.index, 0)
     hi = comp.row_max(np.where(X > DEFAULT_TOL_MASS, delta, -np.inf))
-    gap = (hi - comp.row_min(delta))[stages.active]
-    return float(np.maximum.reduce(gap, initial=0.0))
+    spread = np.subtract(hi, comp.row_min(delta), out=out)
+    return float(np.maximum.reduce(spread[stages.active], initial=0.0))
 
 
 class UpdatePlan:
@@ -104,33 +117,78 @@ class UpdatePlan:
     every column of their segments, one span per row (`Segments.spans`),
     so that its row sums round as row_sum's on whole rows, and `apply`
     moves just these entries of X for a stepsize.
+
+    The per-entry tests run on the screened active rows alone, in spans
+    gathered from X, d and the flags; no other row can be kept. A row is
+    screened when
+    - its spread (sufficient_gap's hi - lo) is above _TIE_REL or nan.
+      Else every direction j with a fraction above DEFAULT_TOL_MASS has a
+      finite d_j <= hi and is available, so the row's available minimum
+      dmin is at least lo, and by monotone rounding fl(d_j - dmin) <=
+      fl(hi - lo) <= _TIE_REL, the floor of the tie: j is minimal;
+    - it holds a fraction that is nonzero and not above DEFAULT_TOL_MASS,
+      which `moves` (X != 0) sees and the spread does not: on the CPU
+      column or a support link of X's StageLevels `levels`, or, negative
+      or nan, anywhere;
+    - its sum (support_sum over `levels`, which adds as reduceat does) is
+      not exactly 1.
+    `levels` and `spread` are peeled and taken here when not given;
+    `screened` counts the rows tested.
     """
 
-    def __init__(self, comp, X, d, flagged, stages):
+    def __init__(self, comp, X, d, flagged, stages, levels=None, spread=None):
         self.X = X
-        X, flagged = X.take(stages.index, 0), flagged.take(stages.index, 0)
-        B = np.zeros(X.shape, dtype=bool)
-        B[:, comp.edge_pos] = flagged
-        B &= X <= 0.0
+        if levels is None:
+            levels = comp.peel(X[:, comp.edge_pos])
+        if spread is None:
+            spread = np.empty((stages.index.size, comp.n))
+            sufficient_gap(comp, Strategy._stacked(comp, X), d, stages, spread)
+        # rows with a fraction in (0, DEFAULT_TOL_MASS], on the CPU column
+        # or a support link, or one below 0 or nan (seldom) anywhere
+        cpu = X.take(comp.seg, 1)
+        stray = (cpu > 0.0) != (cpu > DEFAULT_TOL_MASS)
+        stray.flat[levels.src[levels.x <= DEFAULT_TOL_MASS]] = True
+        if not np.minimum.reduce(X, None, initial=0.0) >= 0.0:
+            r, p = (~(X >= 0.0)).nonzero()
+            stray[r, comp.dnode[p]] = True
+        screen = (stray | (comp.support_sum(X, levels) != 1.0)).take(stages.index, 0)
+        screen |= ~(spread <= _TIE_REL)
+        screen &= stages.active
+        k, i = screen.nonzero()
+        self.screened = k.size
+        at, starts, width = comp.spans(k, i)    # on the rows of `stages`
+        own = np.arange(k.size).repeat(width)   # each entry's row, counted in k
+        s = stages.index[k]
+        rows = s * comp.n + i       # each row's index on (S, n)
+        flat = at + ((s - k) * comp.size)[own]
+        x, d = X.take(flat), d.take(at)
+        # column p of node i is edge p - i - 1, so the flag of the entry at
+        # s * (n + E) + p is at s * E + p - i - 1, n * s + i + 1 before it;
+        # the CPU column, which starts each span, is never blocked
+        B = flagged.take(flat - (rows + 1)[own])
+        B[starts] = False
+        B &= x <= 0.0
         avail = ~B & np.isfinite(d)
-        with np.errstate(invalid="ignore"):
-            dmin = comp.row_min(np.where(avail, d, np.inf))
-            gap = d - dmin[:, comp.dnode]
-            tie = (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode]
-            minimal = avail & (gap <= tie)
-        moves = (X != 0.0) & ~minimal
+        dmin = np.minimum.reduceat(np.where(avail, d, np.inf), starts)
+        # a row without an available direction is not kept: its dmin (inf)
+        # reads as 0, so that no inf - inf arises
+        keep = np.isfinite(dmin)
+        dmin[~keep] = 0.0
+        gap = d - dmin[own]
+        minimal = avail & (gap <= (_TIE_REL * np.maximum(1.0, np.abs(dmin)))[own])
+        moves = (x != 0.0) & ~minimal
         # a moving entry makes its row's sum nan, which is not 1 either
-        keep = comp.row_sum(np.where(moves, np.nan, X)) != 1.0
-        keep &= stages.active & np.isfinite(dmin)
-        k, i = keep.nonzero()
-        at, self.starts, self.width = comp.spans(k, i)   # on the rows of `stages`
-        s = stages.index.take(k)
-        self.rows = s * comp.n + i      # each kept row's index on (S, n)
-        self.flat = at + ((s - k) * comp.size).repeat(self.width)
-        self.x, self.d = X.take(at), d.take(at)
-        self.minimal, self.moves = minimal.take(at), moves.take(at)
-        self.e = np.where(self.moves, np.maximum(gap.take(at), 0.0), 0.0)
-        self.count = np.add.reduceat(self.minimal, self.starts, dtype=int)
+        keep &= np.add.reduceat(np.where(moves, np.nan, x), starts) != 1.0
+        if not np.logical_and.reduce(keep):     # seldom: the screen is tight
+            on = keep[own]
+            rows, width = rows[keep], width[keep]
+            starts = width.cumsum() - width
+            own = np.arange(rows.size).repeat(width)
+            flat, x, d, gap, minimal, moves = (a[on] for a in (flat, x, d, gap, minimal, moves))
+        self.rows, self.flat, self.starts, self.own = rows, flat, starts, own
+        self.x, self.d, self.minimal, self.moves = x, d, minimal, moves
+        self.e = np.where(moves, np.maximum(gap, 0.0), 0.0)
+        self.count = np.add.reduceat(minimal, starts, dtype=int)
 
     def row_sums(self, v) -> np.ndarray:
         """The row sums of the values v on the plan's entries, one per kept
@@ -143,10 +201,10 @@ class UpdatePlan:
         equally, and the row is renormalized."""
         red = np.where(self.moves, np.minimum(self.x, alpha * self.e), 0.0)
         new = self.x - red
-        give = (self.row_sums(red) / self.count).repeat(self.width)
+        give = (self.row_sums(red) / self.count)[self.own]
         np.add(new, give, out=new, where=self.minimal)
         total = self.row_sums(new)
-        new /= np.where(total > 0, total, 1.0).repeat(self.width)
+        new /= np.where(total > 0, total, 1.0)[self.own]
         out = self.X.copy()
         out.put(self.flat, new)
         return out
@@ -167,9 +225,10 @@ class UpdatePlan:
 class _Slot:
     """One GP slot at the iterate phi with FlowState `state`, on the stages
     `stages` (_Compiled.slot_stages(phi) when None): its traffic marginals,
-    the modified marginals of those stages, the blocked sets and the gap,
-    and its UpdatePlan, built on the first candidate and shared by the
-    slot's retries at a smaller stepsize."""
+    the modified marginals of those stages, the blocked sets, the gap with
+    each row's spread (the plan's screen), and its UpdatePlan, built on the
+    first candidate from the state's levels and shared by the slot's
+    retries at a smaller stepsize."""
 
     def __init__(self, comp, scenario: Scenario, phi: Strategy, state: FlowState, stages=None):
         if stages is None:
@@ -178,14 +237,16 @@ class _Slot:
         self.marginals = traffic_marginals(scenario, phi, state)
         self.delta = modified_marginals(scenario, state, self.marginals, stages)
         self.blocked = blocked_sets(scenario, phi, self.marginals, state)
-        self.gap = sufficient_gap(comp, phi, self.delta, stages)
+        self.spread = np.empty((stages.index.size, comp.n))
+        self.gap = sufficient_gap(comp, phi, self.delta, stages, self.spread)
         self._plan = None
 
     @property
     def plan(self) -> UpdatePlan:
         if self._plan is None:
             self._plan = UpdatePlan(self.comp, self.phi.fractions(self.comp), self.delta,
-                                    self.comp.pack(self.blocked.masks, "edge"), self.stages)
+                                    self.comp.pack(self.blocked.masks, "edge"), self.stages,
+                                    self.state.levels, self.spread)
         return self._plan
 
     def step(self, alpha: float):

@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from chainflow import (Application, CapacityExceeded, Graph, Linear, LoopDetected,
+from chainflow import (Application, CapacityExceeded, CostSpec, Graph, Linear, LoopDetected,
                        NoFeasibleStrategy, Queue, Scenario, Strategy, check_kkt,
                        check_sufficient, compute_flows, detect_loops, init_strategy,
-                       max_conservation_residual, run_gp, validate_strategy)
-from chainflow.flows import (INIT_MODES, Segments, StageLevels, cheapest_to_go, compiled,
-                             stage_levels)
+                       max_conservation_residual, run_gp, sample_scenario, validate_strategy)
+from chainflow.flows import (INIT_MODES, Segments, StageLevels, _Compiled, cheapest_to_go,
+                             compiled, stage_levels)
+from chainflow.marginals import traffic_marginals
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
                       random_scenario)
@@ -793,6 +794,78 @@ class TestSegments:
         want = [[b + np.argmin(row[b:e]) for b, e in zip(seg, np.append(seg[1:], a.shape[1]))]
                 for row in a]
         assert np.array_equal(segs.row_argmin(a), want)
+
+
+def widths_scenario(seed):
+    """Random scenario on 17 nodes with 1 to 16 links, segments of 2 to 17
+    columns: nodes i < j are linked where i + j >= 16."""
+    topo = Graph.from_undirected_edges(range(17), [(i, j) for i in range(17)
+                                                   for j in range(i + 1, 17) if i + j >= 16])
+    spec = CostSpec(link_kind="queue", link_bound=200.0, comp_kind="queue", comp_bound=100.0)
+    return sample_scenario(topo, 2, 2, 3, (0.5, 1.5), spec, seed=seed)
+
+
+def one_node_scenario():
+    """One node, no links: a segment of 1 column."""
+    app = Application(id="a", chain_length=1, destination=0, packet_sizes=(1.0, 1.0))
+    return Scenario(graph=Graph(nodes=(0,), links=frozenset()), applications=(app,),
+                    link_costs={}, comp_costs={0: Queue(5.0)}, input_rates={(0, "a"): 1.0})
+
+
+class TestSupportSum:
+    """_Compiled.support_sum: row_sum taken over X's support, bit for bit.
+    reduceat adds a segment as a0 + (a1 + a2 + ...), the sum in parentheses
+    in column order up to 8 columns and in 8 interleaved partial sums past
+    them, so segments of 1 to 17 columns are tried."""
+
+    @staticmethod
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_row_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = set()
+        for s in (widths_scenario(seed), one_node_scenario()):
+            comp = compiled(s)
+            widths |= set(comp.width.tolist())
+            for _ in range(5):
+                shape = (len(comp.keys), comp.size)
+                X = rng.uniform(size=shape) * 10.0 ** rng.integers(-12, 2, size=shape)
+                X[rng.random(shape) < 0.5] = 0.0
+                levels = comp.peel(X[:, comp.edge_pos])
+                assert self.same(comp.support_sum(X, levels), comp.row_sum(X))
+                Dp = rng.uniform(0.0, 5.0, size=comp.E)
+                want = comp.row_sum(X * (comp.L[:, None] * comp.on_directions(Dp)))
+                assert self.same(comp.support_sum(X, levels, Dp), want)
+        assert widths == set(range(1, 18))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_traffic_marginals_as_with_dense_link_terms(self, seed, monkeypatch):
+        # the same traffic marginals as with the link terms taken by
+        # row_sum(X * (L * on_directions(Dp))) on whole rows
+        cases = []
+        for s in (random_scenario(seed), hub_scenario(seed), widths_scenario(seed)):
+            phi = random_loopfree_strategy(s, seed, full_support=seed % 2 == 1)
+            state = compute_flows(s, phi)
+            cases.append((s, phi, state, compiled(s).pack(traffic_marginals(s, phi, state), "node")))
+
+        def dense(comp, X, levels, Dp=None):
+            return comp.row_sum(X if Dp is None else X * (comp.L[:, None] * comp.on_directions(Dp)))
+
+        monkeypatch.setattr(_Compiled, "support_sum", dense)
+        for s, phi, state, got in cases:
+            want = compiled(s).pack(traffic_marginals(s, phi, state), "node")
+            assert self.same(got, want)
+
+    def test_run_without_support_links(self):
+        # no link carries mass: np.bincount counts an empty support in ints,
+        # and the sums must still be floats
+        s = one_node_scenario()
+        res = run_gp(s)
+        assert res.converged and res.iterations == 0
+        lam = compiled(s).pack(traffic_marginals(s, res.phi, res.state), "node")
+        assert lam.dtype == float
 
 
 class TestStrategySerialization:

@@ -132,6 +132,47 @@ def _full_array_step(comp, X, d, blocked, alpha):
     return np.where(on, new, X)
 
 
+def _full_array_plan(comp, X, d, blocked, stages):
+    """An UpdatePlan's fields, {field: array}, with every test taken on
+    every entry of the rows of `stages` (d holds those rows alone): the
+    reference that the screened plan must match."""
+    Xs = X[stages.index]
+    B = np.zeros(Xs.shape, dtype=bool)
+    B[:, comp.edge_pos] = blocked[stages.index]
+    B &= Xs <= 0.0
+    avail = ~B & np.isfinite(d)
+    with np.errstate(invalid="ignore"):
+        dmin = np.minimum.reduceat(np.where(avail, d, np.inf), comp.seg, axis=1)
+        gap = d - dmin[:, comp.dnode]
+        minimal = avail & (gap <= (1e-11 * np.maximum(1.0, np.abs(dmin)))[:, comp.dnode])
+    moves = (Xs != 0.0) & ~minimal
+    keep = np.add.reduceat(np.where(moves, np.nan, Xs), comp.seg, axis=1) != 1.0
+    keep &= stages.active & np.isfinite(dmin)
+    out = {name: [] for name in ("flat", "x", "d", "minimal", "moves", "e")}
+    rows, starts, count = [], [], []
+    for k, i in zip(*np.nonzero(keep)):
+        cols = np.arange(comp.seg[i], comp.seg[i] + comp.width[i])
+        rows.append(stages.index[k] * comp.n + i)
+        starts.append(sum(map(len, out["x"])))
+        count.append(int(minimal[k, cols].sum()))
+        out["flat"].append(stages.index[k] * comp.size + cols)
+        out["x"].append(Xs[k, cols])
+        out["d"].append(d[k, cols])
+        out["minimal"].append(minimal[k, cols])
+        out["moves"].append(moves[k, cols])
+        out["e"].append(np.where(moves[k, cols], np.maximum(gap[k, cols], 0.0), 0.0))
+    out = {name: np.concatenate(parts) if parts else np.array([]) for name, parts in out.items()}
+    return dict(out, rows=np.array(rows, dtype=int), starts=np.array(starts, dtype=int),
+                count=np.array(count, dtype=int))
+
+
+def _assert_same_plan(plan, want):
+    # bit for bit: the same bytes, signed zeros included
+    for name, value in want.items():
+        got = getattr(plan, name)
+        assert got.size == value.size and got.tobytes() == value.astype(got.dtype).tobytes(), name
+
+
 class TestUpdatePlan:
     """One slot's UpdatePlan serves every candidate stepsize of the slot."""
 
@@ -143,11 +184,13 @@ class TestUpdatePlan:
         phi = Strategy._stacked(comp, phi.fractions(comp))
         slot, plan = _slot_plan(s, phi, state)
         X = phi.fractions(comp)
+        flagged = comp.pack(slot.blocked.masks, "edge")
+        _assert_same_plan(plan, _full_array_plan(comp, X, slot.delta, flagged, slot.stages))
+        _assert_same_plan(slot.plan, _full_array_plan(comp, X, slot.delta, flagged, slot.stages))
         moved = False
         for alpha in (0.2, 0.1, 0.05):
             got = plan.apply(alpha)
-            want = _full_array_step(comp, X, slot.delta,
-                                    comp.pack(slot.blocked.masks, "edge"), alpha)
+            want = _full_array_step(comp, X, slot.delta, flagged, alpha)
             assert np.array_equal(got, want)
             # gp_step from its state alone: new tables, a new plan
             cfg = GpConfig(stepsize=alpha)
@@ -205,8 +248,11 @@ class TestUpdatePlan:
         X[k, p] = off
         phi = Strategy._stacked(comp, X)
         self.assert_plan_matches(s, phi)
-        got = _slot_plan(s, phi)[1].apply(0.1)
-        assert got[k, p] == 1.0
+        # its sum alone screens the row: its spread is 0
+        slot, plan = _slot_plan(s, phi)
+        i = comp.dnode[p]
+        assert slot.spread[k, i] <= 1e-11 and k * comp.n + i in plan.rows
+        assert plan.apply(0.1)[k, p] == 1.0
 
     def test_converged_strategy_gets_an_empty_plan(self, e1, e1_strategy_a):
         # every row sums to exactly 1 and holds mass only on minimal
@@ -270,10 +316,12 @@ class TestUpdatePlan:
         full = _state_and_delta(s, phi, slot.state)[1]
         assert np.array_equal(slot.delta, full[stages.index])
         plan = slot.plan
+        flagged = comp.pack(slot.blocked.masks, "edge")
+        _assert_same_plan(plan, _full_array_plan(comp, X, slot.delta, flagged, stages))
         moved = False
         for alpha in (0.2, 0.1, 0.05):
             got = plan.apply(alpha)
-            want = _full_array_step(comp, X, full, comp.pack(slot.blocked.masks, "edge"), alpha)
+            want = _full_array_step(comp, X, full, flagged, alpha)
             assert np.array_equal(got, want)
             moved |= not np.array_equal(got, X)
         assert moved
@@ -346,6 +394,158 @@ class TestUpdatePlan:
                             lambda self, X: picked.append(1) or real(self, X))
         res = run_gp(s, config=GpConfig(stepsize=1.0, max_iters=40, tol=1e-9))
         assert len(res.history) > 1 and picked == [1]
+
+    # the screen: the plan tests the entries of the rows that its gap
+    # spread, its fractions or its sum single out, and no others
+
+    @staticmethod
+    def still_rows(s, phi):
+        """(comp, X, d, flagged, still) of phi: its fractions, modified
+        marginals and blocked flags on every stage, as copies to edit, and
+        (stage, column) of each active row's mass where it sits whole on
+        one direction at the row's smallest d."""
+        comp = compiled(s)
+        state, d = _state_and_delta(s, phi)
+        blocked = blocked_sets(s, phi, traffic_marginals(s, phi, state), state)
+        X = phi.fractions(comp).copy()
+        still = (X == 1.0) & (d == comp.row_min(d)[:, comp.dnode]) & comp.active[:, comp.dnode]
+        return comp, X, d.copy(), comp.pack(blocked.masks, "edge").copy(), np.argwhere(still)
+
+    @staticmethod
+    def assert_screen_exact(comp, X, d, flagged, k, i, kept=True):
+        """The plan on every stage has the unscreened plan's fields and
+        steps, bit for bit, and keeps row (k, i) or not, as `kept` says;
+        returns it and the rows' spreads."""
+        stages = comp.every_stage()
+        spread = np.empty((len(comp.keys), comp.n))
+        sufficient_gap(comp, Strategy._stacked(comp, X), d, stages, spread)
+        plan = UpdatePlan(comp, X, d, flagged, stages)
+        _assert_same_plan(plan, _full_array_plan(comp, X, d, flagged, stages))
+        for alpha in (0.2, 0.1, 0.05):
+            want = _full_array_step(comp, X, d, flagged, alpha)
+            assert plan.apply(alpha).tobytes() == want.tobytes()
+        assert (k * comp.n + i in plan.rows) == kept
+        return plan, spread
+
+    @staticmethod
+    def row_cols(comp, i):
+        return np.arange(comp.seg[i], comp.seg[i] + comp.width[i])
+
+    @pytest.mark.parametrize("where", ["cpu", "link"])
+    def test_fraction_up_to_the_mass_tolerance_moves(self, where):
+        # a fraction in (0, DEFAULT_TOL_MASS] lies outside the gap's spread,
+        # but on a direction above the row minimum it moves: its row, whose
+        # other mass sits on the minimum and which sums to exactly 1, is
+        # screened for it
+        s = random_scenario(0)
+        comp, X, d, flagged, still = self.still_rows(s, random_loopfree_strategy(s, 0))
+        for k, p in still:
+            i = comp.dnode[p]
+            cols = self.row_cols(comp, i)
+            above = cols[(X[k, cols] == 0.0) & ~(d[k, cols] <= d[k, p] + 1e-6)]
+            above = above[(above == comp.seg[i]) == (where == "cpu")]
+            if above.size:
+                break
+        q, tiny = above[0], 2.0 ** -31
+        X[k, p], X[k, q] = 1.0 - tiny, tiny
+        assert 0.0 < tiny <= DEFAULT_TOL_MASS and comp.row_sum(X)[k, i] == 1.0
+        spread = self.assert_screen_exact(comp, X, d, flagged, k, i)[1]
+        assert spread[k, i] <= 1e-11
+
+    def test_negative_fraction_moves(self):
+        # validate_strategy lets a fraction down to -1e-9 through; off the
+        # row minimum it moves, though the support and its sum leave it out
+        s = random_scenario(0)
+        comp, X, d, flagged, still = self.still_rows(s, random_loopfree_strategy(s, 0))
+        for k, p in still:
+            i = comp.dnode[p]
+            cols = self.row_cols(comp, i)[1:]
+            above = cols[(X[k, cols] == 0.0) & (d[k, cols] > d[k, p] + 1e-6)]
+            if above.size:
+                break
+        X[k, above[0]] = -(2.0 ** -31)
+        assert validate_strategy(s, Strategy._stacked(comp, X)) == []
+        assert comp.support_sum(X, comp.peel(X[:, comp.edge_pos]))[k, i] == 1.0
+        spread = self.assert_screen_exact(comp, X, d, flagged, k, i)[1]
+        assert spread[k, i] <= 1e-11
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_massless_direction_at_the_row_minimum(self, flag):
+        # a massless direction below the row's mass: blocked, it is not
+        # available, the mass stays on the available minimum and the row
+        # is screened (its spread is 1) but not kept; unblocked, the mass
+        # moves to it
+        s = random_scenario(0)
+        comp, X, d, flagged, still = self.still_rows(s, random_loopfree_strategy(s, 0))
+        for k, p in still:
+            i = comp.dnode[p]
+            cols = self.row_cols(comp, i)[1:]
+            empty = cols[(X[k, cols] == 0.0) & (cols != p)]
+            if empty.size:
+                break
+        q = empty[0]
+        d[k, q] = d[k, p] - 1.0
+        flagged[k, comp.eid[i, comp.toward[q]]] = flag
+        plan, spread = self.assert_screen_exact(comp, X, d, flagged, k, i, kept=not flag)
+        assert spread[k, i] == 1.0
+        if flag:
+            assert plan.screened > plan.rows.size
+
+    def test_infinite_marginal_on_mass(self):
+        # a direction with mass and an infinite marginal is not available:
+        # all of its mass moves, and the row's spread is inf
+        s = random_scenario(0)
+        comp, X, d, flagged, still = self.still_rows(s, random_loopfree_strategy(s, 0))
+        for k, p in still:
+            i = comp.dnode[p]
+            cols = self.row_cols(comp, i)
+            edges = comp.eid[i, comp.toward[cols]]
+            open_ = (comp.toward[cols] < 0) | ~flagged[k, edges]
+            if ((cols != p) & np.isfinite(d[k, cols]) & open_).any():
+                break
+        d[k, p] = np.inf
+        plan, spread = self.assert_screen_exact(comp, X, d, flagged, k, i)
+        assert spread[k, i] == np.inf
+        assert plan.apply(0.5)[k, p] == 0.0
+
+    def test_zero_traffic_row(self):
+        # the strict xfail's row (app1, 1) at node index 3 carries no
+        # traffic; part way through the run it still moves
+        s = _without(random_scenario(10, n=6, num_apps=2, K=1), links=[(4, 5)])
+        res = run_gp(s, config=GpConfig(tol=1e-6, max_iters=30))
+        comp = compiled(s)
+        k, i = comp.stage_index[("app1", 1)], 3
+        assert res.state.traffic_stack[k, i] == 0.0
+        self.assert_plan_matches(s, res.phi, res.state)
+        assert k * comp.n + i in _slot_plan(s, res.phi, res.state)[1].rows
+
+    def test_row_of_nine_columns_off_one(self):
+        # a node with 8 out-links: reduceat adds its 8 link columns in 8
+        # interleaved partial sums, and here they miss 1 where a sum in
+        # column order gives exactly 1, so only a sum as row_sum's screens
+        # the row, which the update renormalizes
+        s = hub_scenario(0, n=9)
+        comp = compiled(s)
+        assert comp.width[0] == 9
+        X = tree_fractions(comp)
+        phi = Strategy._stacked(comp, X.copy())
+        d = _state_and_delta(s, phi)[1].copy()
+        k = np.flatnonzero(comp.active[:, 0])[0]
+        rng = np.random.default_rng(0)
+        while True:
+            w = rng.uniform(0.2, 1.0, size=8)
+            w /= w.sum()
+            in_order = 0.0
+            for v in w:
+                in_order += v
+            row = np.concatenate(([0.0], w))
+            if in_order == 1.0 and np.add.reduceat(row, [0])[0] != 1.0:
+                break
+        X[k, :9] = row
+        d[k, :9] = d[k, 0] if np.isfinite(d[k, 0]) else 1.0
+        flagged = np.zeros((len(comp.keys), comp.E), dtype=bool)
+        spread = self.assert_screen_exact(comp, X, d, flagged, k, 0)[1]
+        assert spread[k, 0] == 0.0 and comp.row_sum(X)[k, 0] != 1.0
 
 
 class TestSufficientGap:
