@@ -14,7 +14,7 @@ from .flows import (FlowState, Strategy, compute_flows, detect_loops,
 from .marginals import (BlockedSets, CheckResult, blocked_sets, check_kkt,
                         check_sufficient, geodesic_probe, modified_marginals,
                         traffic_marginals)
-from .gp import GpConfig, GpResult, adapt, gp_step, run_gp
+from .gp import GpConfig, GpResult, adapt, run_gp
 from .oracle import (BruteResult, FlowVector, OracleResult, enumerate_bruteforce,
                      flow_cost, solve_flow_domain, strategy_from_flows)
 from .baselines import BASELINES, BaselineResult, lcof, lpr_sc, spoc

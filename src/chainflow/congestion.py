@@ -252,10 +252,9 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         gap = max(tables.gap, float(_gateway_excess(vdelta, admit).max(initial=0.0)))
         return gap, (tables, vdelta)
 
-    def step(point, tables, step_cfg):
+    def step(point, tables, alpha):
         _, _, admit = point
         gp_slot, vdelta = tables
-        alpha = step_cfg.stepsize
         cand, g = gp_slot.step(alpha)
         cand_admit = {}
         for pair, (d_admit, d_reject) in vdelta.items():

@@ -733,7 +733,7 @@ def validate_strategy(scenario: Scenario, phi: Strategy) -> list:
         return [{"error": f"strategy for nodes {phi.nodes!r}, scenario has {comp.nodes!r}"}]
     tol = 1e-9
     X, faults = comp.read(phi._table, "direction", "mass")
-    outside = (X < -tol) | (X > 1 + tol)
+    outside = ~((X >= -tol) & (X <= 1 + tol))     # nan too
     sums = comp.row_sum(X)
     want = comp.active.astype(float)
     bad_sum = np.abs(sums - want) > 1e-6

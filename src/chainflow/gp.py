@@ -39,25 +39,22 @@ Within those stages a slot passes over whole tables once, for the gap
 (sufficient_gap), which keeps each row's spread. As in the distributed
 algorithm, a node whose mass already sits on its minimum has nothing to
 do, so UpdatePlan tests only the rows that its spread, its fractions or
-its sum single out. The screen is exact: rounding is monotone, and a
-row's minimum over all directions is at most its minimum over the
-available ones.
+its sum single out; UpdatePlan says why that screen is exact.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
                     tree_fractions, validate_strategy)
-from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, BlockedSets, _state_and_delta,
-                        blocked_sets, direction_marginals, modified_marginals,
-                        traffic_marginals)
+from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, _state_and_delta, blocked_sets,
+                        direction_marginals, modified_marginals, traffic_marginals)
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -92,9 +89,7 @@ def sufficient_gap(comp, phi: Strategy, delta, stages, out=None) -> float:
     fl(max_j d_j - lo) is the largest fl(d_j - lo), and the gap is
     excess's largest entry bit for bit. Given `out`, a (len(stages.index),
     n) array, every row's spread is written there: the screen of the
-    slot's UpdatePlan, where a spread of at most _TIE_REL, the floor of
-    every tie, leaves no mass above DEFAULT_TOL_MASS off the row's minimal
-    directions."""
+    slot's UpdatePlan, which says why it is exact."""
     X = phi.fractions(comp).take(stages.index, 0)
     hi = comp.row_max(np.where(X > DEFAULT_TOL_MASS, delta, -np.inf))
     spread = np.subtract(hi, comp.row_min(delta), out=out)
@@ -132,17 +127,12 @@ class UpdatePlan:
       or nan, anywhere;
     - its sum (support_sum over `levels`, which adds as reduceat does) is
       not exactly 1.
-    `levels` and `spread` are peeled and taken here when not given;
-    `screened` counts the rows tested.
+    `spread` holds the spreads of the rows of `stages`, from
+    sufficient_gap; `screened` counts the rows tested.
     """
 
-    def __init__(self, comp, X, d, flagged, stages, levels=None, spread=None):
+    def __init__(self, comp, X, d, flagged, stages, levels, spread):
         self.X = X
-        if levels is None:
-            levels = comp.peel(X[:, comp.edge_pos])
-        if spread is None:
-            spread = np.empty((stages.index.size, comp.n))
-            sufficient_gap(comp, Strategy._stacked(comp, X), d, stages, spread)
         # rows with a fraction in (0, DEFAULT_TOL_MASS], on the CPU column
         # or a support link, or one below 0 or nan (seldom) anywhere
         cpu = X.take(comp.seg, 1)
@@ -257,27 +247,6 @@ class _Slot:
         return Strategy._stacked(self.comp, out), plan.slope(out, self.state.traffic_stack)
 
 
-def gp_step(scenario: Scenario, phi: Strategy, config: GpConfig,
-            state: FlowState | None = None, delta=None,
-            blocked: BlockedSets | None = None) -> Strategy:
-    """One synchronous slot update. Returns the next strategy.
-
-    Every row of every stage moves at once on the stage stack. The update
-    applies config.stepsize to the UpdatePlan of phi's _Slot, built from
-    `state` (evaluated when not given), or to one on every stage built from
-    the tables delta and blocked when both are given.
-    """
-    comp = compiled(scenario)
-    if delta is None or blocked is None:
-        if state is None:
-            state = compute_flows(scenario, phi)
-        plan = _Slot(comp, scenario, phi, state).plan
-    else:
-        plan = UpdatePlan(comp, phi.fractions(comp), comp.pack(delta, "direction"),
-                          comp.pack(blocked.masks, "edge"), comp.every_stage())
-    return Strategy._stacked(comp, plan.apply(config.stepsize))
-
-
 def robust_start(scenario: Scenario) -> Strategy:
     """Feasible start: shortest-path inits first, then a capacity-aware
     greedy loading of cheapest extended paths for tightly loaded instances."""
@@ -324,10 +293,10 @@ def _model_minimizer(cand, cost, slack):
     """The minimizer s* = -g / (2c), in units of the candidate's stepsize,
     of the quadratic cost + g*s + c*s**2 that has the candidate's slope g at
     s = 0 and its cost at s = 1 (Nocedal & Wright, Numerical Optimization,
-    sec. 3.5). None when the candidate (iterate, cost[, slope]) gives no
-    slope, when g is not finite or not below -slack, or when c <= 0."""
-    g = cand[2] if len(cand) > 2 else None
-    if g is None or not math.isfinite(g) or g >= -slack:
+    sec. 3.5), for a candidate (iterate, cost, slope). None when g is not
+    finite or not below -slack, or when c <= 0."""
+    g = cand[2]
+    if not math.isfinite(g) or g >= -slack:
         return None
     c = (cand[1] - cost) - g
     return -g / (2.0 * c) if c > 0 else None
@@ -341,14 +310,13 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     as a temporary, so that the start is freed once the descent moves on.
     Each slot, slot(point, prev) returns (gap, tables), given the previous
     slot's tables as prev (None at the first slot), and the loop stops once
-    gap <= config.tol. Otherwise step(point, tables, step_cfg) returns a
-    candidate (iterate, cost) or (iterate, cost, slope) for the stepsize
-    step_cfg.stepsize, where the slope g is the candidate's predicted
-    first-order cost change; one whose step raises CapacityExceeded or
-    LoopDetected is rejected. A candidate that does not raise the cost by
-    more than the slack 1e-12 * max(1, |cost|) is accepted; else the slot is
-    retried at a smaller stepsize, and a stepsize below its floor ends the
-    run at the current iterate.
+    gap <= config.tol. Otherwise step(point, tables, alpha) returns the
+    candidate (iterate, cost, slope) at the stepsize alpha, where the slope
+    g is its predicted first-order cost change; one whose step raises
+    CapacityExceeded or LoopDetected is rejected. A candidate that does not
+    raise the cost by more than the slack 1e-12 * max(1, |cost|) is
+    accepted; else the slot is retried at a smaller stepsize, and a
+    stepsize below its floor ends the run at the current iterate.
 
     The next stepsize comes from the quadratic model along the step
     (_model_minimizer) when the candidate's g is finite and below -slack
@@ -362,7 +330,6 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     `halvings`. Returns (point, trace, history, iterations, converged, gap).
     """
     (point, cost), start = start, None
-    step_cfg = replace(config)
     alpha = config.stepsize
     alpha_floor = config.stepsize * MIN_STEPSIZE_FACTOR
     alpha_ceil = config.stepsize * MAX_STEPSIZE_FACTOR
@@ -381,9 +348,8 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
             break
         slack = 1e-12 * max(1.0, abs(cost))
         while True:
-            step_cfg.stepsize = alpha
             try:
-                cand = step(point, tables, step_cfg)
+                cand = step(point, tables, alpha)
             except (CapacityExceeded, LoopDetected):
                 cand = None     # cannot be evaluated: rejected like a cost rise
             s = None if cand is None else _model_minimizer(cand, cost, slack)
@@ -425,7 +391,8 @@ def _gp_start(scenario, phi0):
 
 def run_gp(scenario: Scenario, phi0: Strategy | None = None,
            config: GpConfig | None = None) -> GpResult:
-    """Iterate gp_step until the sufficient-condition gap falls below tol.
+    """Iterate GP slots (_Slot) until the sufficient-condition gap falls
+    below tol.
 
     Returns the best iterate with converged=False when the slot budget runs
     out. Slots whose evaluation fails (capacity) or raises the cost are
@@ -443,8 +410,8 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
         phi._marginals = (tables.marginals, state.link_marginals, state.cpu_marginals)
         return tables.gap, tables
 
-    def step(point, tables, step_cfg):
-        cand, g = tables.step(step_cfg.stepsize)
+    def step(point, tables, alpha):
+        cand, g = tables.step(alpha)
         cand_state = compute_flows(scenario, cand)
         return (cand, cand_state), cand_state.total_cost, g
 

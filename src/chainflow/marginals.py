@@ -157,10 +157,7 @@ def excess(d, X, segs, rows=None):
     holds at tol when no entry of e exceeds tol; run_gp's gap is the largest
     entry, which gp.sufficient_gap takes row by row, on the stages a slot
     visits (the inert stages, left out, have excess 0). A row's largest
-    entry, its spread, bounds the gap e' of each of its directions with a
-    fraction above DEFAULT_TOL_MASS over the row's smallest available d
-    (gp.UpdatePlan): that minimum is at least lo, and rounding is
-    monotone, so fl(d - min) <= fl(d - lo) <= spread."""
+    entry, its spread, is the exact screen of gp.UpdatePlan (see there)."""
     lo = segs.row_min(d)[:, segs.dnode]
     on = X > DEFAULT_TOL_MASS
     if rows is not None:

@@ -3,7 +3,7 @@
 The reference solves every stage on its own, with dense (n, n+1) rows:
 traffic from (I - P^T) t = b and marginals from (I - P) lam = base by
 np.linalg.solve, costs from the cost functions themselves, and the slot
-update (modified marginals, blocked sets, sufficient gap, gp_step) as
+update (modified marginals, blocked sets, sufficient gap, the slot's step) as
 per-stage dense array code. The engine sums in other orders, so results
 agree to 1e-12 relative, not bit for bit.
 """
@@ -13,9 +13,9 @@ import re
 import numpy as np
 import pytest
 
-from chainflow import (Application, GpConfig, Linear, LoopDetected, Queue, Scenario,
-                       blocked_sets, compute_flows, detect_loops, generate_topology, gp_step,
-                       modified_marginals, traffic_marginals)
+from chainflow import (Application, Linear, LoopDetected, Queue, Scenario, blocked_sets,
+                       compute_flows, detect_loops, generate_topology, gp, modified_marginals,
+                       traffic_marginals)
 from chainflow.gp import sufficient_gap
 from chainflow.flows import compiled
 
@@ -259,7 +259,7 @@ class TestDenseReference:
             comp = compiled(s)
             got = sufficient_gap(comp, phi, comp.pack(d, "direction"), comp.every_stage())
             assert got == pytest.approx(gap, rel=1e-9, abs=1e-12)
-            out = gp_step(s, phi, GpConfig(stepsize=0.05), state, d, blocked)
+            out = gp._Slot(comp, s, phi, state).step(0.05)[0]
             for key, expected in nxt.items():
                 np.testing.assert_allclose(out.rows[key], expected, rtol=0, atol=REL)
 

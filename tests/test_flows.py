@@ -133,6 +133,35 @@ class TestValidate:
             compute_flows(prop1, phi)
         assert "fraction on absent link" in [v["error"] for v in validate_strategy(prop1, phi)]
 
+    @staticmethod
+    def nan_strategy(form):
+        """random_scenario(0) and a strategy on it with one fraction that
+        carries mass set to nan, stacked or as dense rows."""
+        s = random_scenario(0)
+        comp = compiled(s)
+        phi = random_loopfree_strategy(s, 0)
+        if form == "stacked":
+            X = phi.fractions(comp).copy()
+            X.flat[np.flatnonzero(X)[0]] = np.nan
+            return s, Strategy._stacked(comp, X)
+        block = phi.rows[comp.keys[0]]
+        block.flat[np.flatnonzero(block)[0]] = np.nan
+        return s, phi
+
+    @pytest.mark.parametrize("form", ["stacked", "rows"])
+    def test_nan_fraction_reported(self, form):
+        # nan is neither below 0 nor above 1, so only a range test that nan
+        # fails sees it; its row sum is nan, which no sum test flags
+        s, bad = self.nan_strategy(form)
+        errors = validate_strategy(s, bad)
+        assert [v["error"] for v in errors] == ["fraction outside [0, 1]"]
+        assert np.isnan(errors[0]["value"])
+
+    def test_nan_start_refused(self):
+        s, bad = self.nan_strategy("rows")
+        with pytest.raises(ValueError, match="initial strategy invalid"):
+            run_gp(s, bad)
+
     def test_other_node_set_reported(self):
         phi = init_strategy(path_scenario([1, 2, 3, 4, 5]))
         errors = validate_strategy(path_scenario([1, 2, 3, 4]), phi)

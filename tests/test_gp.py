@@ -3,7 +3,7 @@ import pytest
 
 from chainflow import (AlphaFair, Application, GpConfig, Graph, Linear, NoFeasibleStrategy,
                        Queue, Scenario, Strategy, adapt, check_sufficient, compute_flows,
-                       detect_loops, extend_scenario, feasible_start, gp, gp_step, run_gp,
+                       detect_loops, extend_scenario, feasible_start, gp, run_gp,
                        solve_flow_domain, validate_strategy)
 from chainflow import marginals
 from chainflow.flows import DenseView, FlowState, compiled, tree_fractions
@@ -20,18 +20,36 @@ def _editable(table):
     return {key: block.copy() for key, block in table.items()}
 
 
+def _plan(comp, X, d, flagged, stages):
+    """The UpdatePlan of the fractions X from the tables d and flagged on
+    the rows of `stages`, with the levels peeled from X and the screen
+    taken by sufficient_gap, as a _Slot would from its own tables."""
+    spread = np.empty((stages.index.size, comp.n))
+    sufficient_gap(comp, Strategy._stacked(comp, X), d, stages, spread)
+    return UpdatePlan(comp, X, d, flagged, stages, comp.peel(X[:, comp.edge_pos]), spread)
+
+
+def _table_step(s, phi, delta, blocked, alpha):
+    """phi after one update at stepsize alpha on every stage, planned from
+    the given (possibly edited) modified marginals delta and blocked sets."""
+    comp = compiled(s)
+    plan = _plan(comp, phi.fractions(comp), comp.pack(delta, "direction"),
+                 comp.pack(blocked.masks, "edge"), comp.every_stage())
+    return Strategy._stacked(comp, plan.apply(alpha))
+
+
 def _slot_plan(s, phi, state=None):
     """(slot, plan): phi's _Slot on every stage, from `state` (evaluated
     when not given), and the UpdatePlan built from its tables."""
     comp = compiled(s)
     slot = gp._Slot(comp, s, phi, compute_flows(s, phi) if state is None else state,
                     comp.every_stage())
-    return slot, UpdatePlan(comp, phi.fractions(comp), slot.delta,
-                            comp.pack(slot.blocked.masks, "edge"), slot.stages)
+    return slot, _plan(comp, phi.fractions(comp), slot.delta,
+                       comp.pack(slot.blocked.masks, "edge"), slot.stages)
 
 
 def _single_row_case(alpha, deltas, fractions, blocked_to=None):
-    """Drive gp_step on a 3-node star where node 0's final-stage row has the
+    """One update on a 3-node star where node 0's final-stage row has the
     given deltas: done via a synthetic delta table on a real scenario.
     `blocked_to` names a node whose link from node 0 is flagged blocked."""
     from chainflow import Application, Graph, Linear, Scenario
@@ -56,8 +74,7 @@ def _single_row_case(alpha, deltas, fractions, blocked_to=None):
     blocked.masks[("a", 0)][0, 0] = True
     if blocked_to is not None:
         blocked.masks[("a", 0)][0, blocked_to] = True
-    cfg = GpConfig(stepsize=alpha)
-    nxt = gp_step(s, phi, cfg, state, delta, blocked)
+    nxt = _table_step(s, phi, delta, blocked, alpha)
     return nxt.rows[("a", 0)][0, 2], nxt.rows[("a", 0)][0, 3]
 
 
@@ -82,7 +99,7 @@ class TestGpStep:
         # force-block node 1's link (1,2) on the data stage
         blocked.masks = _editable(blocked.masks)
         blocked.masks[("a", 0)][0, 1] = True
-        nxt = gp_step(e1, e1_strategy_b, GpConfig(stepsize=0.05), state, delta, blocked)
+        nxt = _table_step(e1, e1_strategy_b, delta, blocked, 0.05)
         d = delta[("a", 0)][0]
         move = 0.05 * (d[2] - d[0])
         assert 0.0 < move < 1.0
@@ -91,7 +108,8 @@ class TestGpStep:
 
     def test_fixed_point_at_sufficient(self, e1, e1_strategy_a):
         assert check_sufficient(e1, e1_strategy_a).holds
-        nxt = gp_step(e1, e1_strategy_a, GpConfig())
+        nxt = gp._Slot(compiled(e1), e1, e1_strategy_a,
+                       compute_flows(e1, e1_strategy_a)).step(GpConfig().stepsize)[0]
         for key, mat in e1_strategy_a.rows.items():
             assert np.array_equal(nxt.rows[key], mat)
 
@@ -99,7 +117,7 @@ class TestGpStep:
         for seed in range(6):
             s = random_scenario(seed)
             phi = random_loopfree_strategy(s, seed + 7)
-            nxt = gp_step(s, phi, GpConfig())
+            nxt = gp._Slot(compiled(s), s, phi, compute_flows(s, phi)).step(GpConfig().stepsize)[0]
             unchanged = all(np.allclose(nxt.rows[k], phi.rows[k], atol=1e-15)
                             for k in phi.rows)
             holds = check_sufficient(s, phi, tol=1e-9).holds
@@ -192,9 +210,10 @@ class TestUpdatePlan:
             got = plan.apply(alpha)
             want = _full_array_step(comp, X, slot.delta, flagged, alpha)
             assert np.array_equal(got, want)
-            # gp_step from its state alone: new tables, a new plan
-            cfg = GpConfig(stepsize=alpha)
-            assert np.array_equal(gp_step(s, phi, cfg, slot.state).fractions(comp), got)
+            # a slot on the stages of a run, from its state alone: new
+            # tables, a new plan
+            nxt = gp._Slot(comp, s, phi, slot.state).step(alpha)[0]
+            assert np.array_equal(nxt.fractions(comp), got)
             moved |= not np.array_equal(got, X)
         assert moved
 
@@ -278,7 +297,7 @@ class TestUpdatePlan:
         edited[comp.keys[0]][:, 0] *= 0.5
         seen = []
         for p, d in ((phi, delta), (phi, edited), (other, edited)):
-            got = gp_step(s, p, GpConfig(stepsize=0.2), state, d, blocked)
+            got = _table_step(s, p, d, blocked, 0.2)
             want = _full_array_step(comp, p.fractions(comp), comp.pack(d, "direction"),
                                     comp.pack(blocked.masks, "edge"), 0.2)
             assert np.array_equal(got.fractions(comp), want)
@@ -419,7 +438,7 @@ class TestUpdatePlan:
         stages = comp.every_stage()
         spread = np.empty((len(comp.keys), comp.n))
         sufficient_gap(comp, Strategy._stacked(comp, X), d, stages, spread)
-        plan = UpdatePlan(comp, X, d, flagged, stages)
+        plan = UpdatePlan(comp, X, d, flagged, stages, comp.peel(X[:, comp.edge_pos]), spread)
         _assert_same_plan(plan, _full_array_plan(comp, X, d, flagged, stages))
         for alpha in (0.2, 0.1, 0.05):
             want = _full_array_step(comp, X, d, flagged, alpha)
@@ -618,9 +637,9 @@ class TestRunGp:
         # to its floor, 2**-40 of the initial one, and the run stops there
         start, calls, seen = ("phi", "state"), [], []
 
-        def step(point, tables, cfg):
-            calls.append(cfg.stepsize)
-            return ("worse", "state"), 2.0
+        def step(point, tables, alpha):
+            calls.append(alpha)
+            return ("worse", "state"), 2.0, float("nan")
 
         config = GpConfig(stepsize=0.5, on_iterate=lambda *args: seen.append(args))
         point, trace, history, iterations, converged, gap = gp._adaptive_descent(
@@ -697,17 +716,15 @@ class TestRunGp:
 def _quadratic_descent(stepsize, slope=lambda g, dT: g, max_iters=2):
     """_adaptive_descent on T(x) = x**2 from x = 1, each candidate stepping
     x - alpha * T'(x) and handing the descent slope(g, dT), where g is the
-    exact first-order change T'(x) * (x' - x) and dT the change in cost; a
-    slope of None hands no slope. Returns the stepsizes tried and the
-    history."""
+    exact first-order change T'(x) * (x' - x) and dT the change in cost.
+    Returns the stepsizes tried and the history."""
     tried = []
 
-    def step(point, tables, cfg):
+    def step(point, tables, alpha):
         x = point[0]
-        tried.append(cfg.stepsize)
-        new = x - cfg.stepsize * 2.0 * x
-        g = slope(2.0 * x * (new - x), new * new - x * x)
-        return ((new, None), new * new) + (() if g is None else (g,))
+        tried.append(alpha)
+        new = x - alpha * 2.0 * x
+        return (new, None), new * new, slope(2.0 * x * (new - x), new * new - x * x)
 
     config = GpConfig(stepsize=stepsize, max_iters=max_iters, tol=1e-12)
     history = gp._adaptive_descent(((1.0, None), 1.0), config,
@@ -743,8 +760,8 @@ class TestModelStepsize:
         # the floor, 2**-40 of the initial one, and the run goes on stepping
         tried = []
 
-        def step(point, tables, cfg):
-            tried.append(cfg.stepsize)
+        def step(point, tables, alpha):
+            tried.append(alpha)
             return point, 1.0, -1e-6
 
         out = gp._adaptive_descent(((None, None), 1.0), GpConfig(stepsize=1.0, max_iters=50),
@@ -753,14 +770,13 @@ class TestModelStepsize:
         assert tried == [2.0 ** -min(m, 40) for m in range(50)]
 
     @pytest.mark.parametrize("slope", [
-        lambda g, dT: None,              # no slope
         lambda g, dT: float("nan"),
         lambda g, dT: float("inf"),
         lambda g, dT: -float("inf"),
         lambda g, dT: -1e-13,            # within the slack 1e-12 * max(1, T)
         lambda g, dT: dT,                # c = dT - g = 0
         lambda g, dT: 0.5 * dT,          # c < 0 on an accepted candidate
-    ], ids=["none", "nan", "inf", "-inf", "noise", "c-zero", "c-negative"])
+    ], ids=["nan", "inf", "-inf", "noise", "c-zero", "c-negative"])
     def test_without_model_halves_and_doubles(self, slope):
         # halved twice from 4 to 1 (x = 1 -> -1, T unchanged); the third
         # accepted slot doubles to 2, which is rejected and halved again
@@ -806,7 +822,7 @@ class TestModelStepsize:
         tables = probe["slot"](point, None)[1]
         errors = []
         for alpha in (1e-3, 1e-4, 1e-5):
-            _, T, g = probe["step"](point, tables, GpConfig(stepsize=alpha))
+            _, T, g = probe["step"](point, tables, alpha)
             assert g < 0
             errors.append(abs(T - probe["cost"] - g) / abs(g))
             assert errors[-1] <= 10 * alpha
