@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .flows import FlowState, Segments, Strategy, compiled, compute_flows, init_strategy
-from .gp import GpConfig, _adaptive_descent, _Slot
+from .gp import GpConfig, GpResult, _adaptive_descent, _Slot
 from .marginals import DEFAULT_TOL, CheckResult, check_sufficient, excess, traffic_marginals
 from .network import Scenario
 
@@ -177,18 +177,13 @@ def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
 # optimization from reject-all
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CcResult:
-    phi: Strategy
+@dataclass(kw_only=True)
+class CcResult(GpResult):
+    """run_gp_cc's GpResult: its `trace` is the extended cost, its `state`
+    and `total_cost` the physical flows and cost at the admitted rates."""
     admit: dict                  # (node, app_id) -> admitted fraction of cap
     admitted: dict               # (node, app_id) -> admitted packets/sec
-    state: FlowState
     utility_minus_cost: float
-    trace: list                  # extended-graph total cost per slot
-    iterations: int = 0
-    converged: bool = False
-    final_gap: float = float("inf")
-    history: list = field(default_factory=list)  # dicts: iter, T, max_gap, stepsize, halvings
 
 
 def _virtual_deltas(ext, marginals, admit):
@@ -268,11 +263,9 @@ def run_gp_cc(ext: ExtendedScenario, config: GpConfig | None = None) -> CcResult
         T_cand, cand_state = extended_cost(ext, cand, cand_admit)
         return (cand, cand_state, cand_admit), T_cand, g
 
-    (phi, state, admit), trace, history, iterations, converged, gap = _adaptive_descent(
-        _cc_start(ext), config, slot, step)
-    return CcResult(phi=phi, admit=admit, admitted=ext.admitted_rates(admit), state=state,
-                    utility_minus_cost=utility_minus_cost(ext, phi, admit, state), trace=trace,
-                    iterations=iterations, converged=converged, final_gap=gap, history=history)
+    (phi, state, admit), res = _adaptive_descent(_cc_start(ext), config, slot, step)
+    return CcResult(**vars(res), admit=admit, admitted=ext.admitted_rates(admit),
+                    utility_minus_cost=utility_minus_cost(ext, phi, admit, state))
 
 
 def check_sufficient_cc(ext: ExtendedScenario, phi: Strategy, admit: dict,

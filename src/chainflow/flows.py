@@ -903,11 +903,14 @@ def marginal_sweep(comp: _Compiled, X, Dp, Cp, levels: StageLevels, settle=None)
 
 
 def detect_loops(phi: Strategy) -> dict:
-    """Directed cycles among positive-fraction links, per stage.
+    """One directed cycle among the positive-fraction links of each stage
+    whose support has one: the peel's cyclic stages (StageLevels).
 
-    Returns {(app_id, k): [cycle, ...]} for stages with loops; an empty dict
+    Returns {(app_id, k): [cycle]}, the cycle in node labels; an empty dict
     means the strategy is loop-free. Cycles formed only by concatenating
-    different stages are not reported.
+    different stages are not reported. A node the peel leaves at level -1
+    has a support link to another such node, or the peel would have
+    reached it, so a walk along such links closes within the stage's nodes.
     """
     table = phi._table
     keys = list(table)
@@ -919,13 +922,15 @@ def detect_loops(phi: Strategy) -> dict:
     xe = np.stack([block[src, dst] for block in blocks])
     levels = StageLevels(xe, src, dst, n, np.zeros(len(keys), dtype=int))
     out = {}
-    if levels.cyclic.size:
-        import networkx as nx     # only to list the cycles of a looping strategy
     for s in levels.cyclic:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(zip(src[xe[s] > 0], dst[xe[s] > 0]))
-        out[keys[s]] = [[phi.nodes[i] for i in cyc] for cyc in nx.simple_cycles(g)]
+        stuck = levels.level[s] < 0
+        on = (xe[s] > 0) & stuck[src] & stuck[dst]
+        nxt = dict(zip(src[on].tolist(), dst[on].tolist()))
+        i, seen = int(np.argmax(stuck)), {}     # seen: the walk, node -> step
+        while i not in seen:
+            seen[i] = len(seen)
+            i = nxt[i]
+        out[keys[s]] = [[phi.nodes[j] for j in list(seen)[seen[i]:]]]
     return out
 
 

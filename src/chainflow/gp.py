@@ -327,7 +327,8 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
     accepted slots in a row. A model's retry can cut alpha tenfold, so a
     slot can reach the floor in 12 retries rather than 40 halvings.
     Each slot's history row counts its retries at a smaller stepsize as
-    `halvings`. Returns (point, trace, history, iterations, converged, gap).
+    `halvings`. Returns (point, record): the last iterate and the run's
+    GpResult, whose phi and state are the iterate's first two items.
     """
     (point, cost), start = start, None
     alpha = config.stepsize
@@ -376,7 +377,7 @@ def _adaptive_descent(start, config: GpConfig, slot, step):
         iterations += 1
         if config.on_iterate is not None:
             config.on_iterate(iterations, point[0], point[1])
-    return point, trace, history, iterations, converged, gap
+    return point, GpResult(point[0], point[1], trace, history, iterations, converged, gap)
 
 
 def _gp_start(scenario, phi0):
@@ -415,10 +416,7 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
         cand_state = compute_flows(scenario, cand)
         return (cand, cand_state), cand_state.total_cost, g
 
-    (phi, state), trace, history, iterations, converged, gap = _adaptive_descent(
-        _gp_start(scenario, phi0), config, slot, step)
-    return GpResult(phi=phi, state=state, trace=trace, history=history,
-                    iterations=iterations, converged=converged, final_gap=gap)
+    return _adaptive_descent(_gp_start(scenario, phi0), config, slot, step)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 
 from chainflow import (Application, CapacityExceeded, CostSpec, Graph, Linear, LoopDetected,
                        NoFeasibleStrategy, Queue, Scenario, Strategy, check_kkt,
-                       check_sufficient, compute_flows, detect_loops, init_strategy,
-                       max_conservation_residual, run_gp, sample_scenario, validate_strategy)
+                       build_scenario, check_sufficient, compute_flows, detect_loops,
+                       init_strategy, max_conservation_residual, run_gp, sample_scenario,
+                       table_row, validate_strategy)
 from chainflow.flows import (INIT_MODES, Segments, StageLevels, _Compiled, cheapest_to_go,
-                             compiled, stage_levels)
+                             compiled, stage_levels, tree_fractions)
 from chainflow.marginals import traffic_marginals
 
 from conftest import (hub_scenario, layered_dijkstra, make_strategy, random_loopfree_strategy,
@@ -254,6 +255,49 @@ class TestDetectLoops:
         assert detect_loops(phi) == {}
         st = compute_flows(s, phi)
         assert st.total_cost == pytest.approx(1.0 + 1.0 + 1.0)
+
+    @staticmethod
+    def _split(comp, stages):
+        """Tree fractions (tree_fractions) with the given stages split
+        evenly over every out-link of each of their active nodes."""
+        X = tree_fractions(comp)
+        deg = np.bincount(comp.src, minlength=comp.n)
+        X[stages] = 0.0
+        X[np.ix_(stages, comp.edge_pos)] = comp.active[stages][:, comp.src] / deg[comp.src]
+        return X
+
+    @staticmethod
+    def _assert_cycles(phi, loops):
+        # each reported cycle is simple and closed, on links with positive
+        # fraction in its stage
+        for key, cycles in loops.items():
+            assert len(cycles) == 1
+            cycle = cycles[0]
+            assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert phi.row(u, *key).get(v, 0.0) > 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_cycle_per_stage_the_peel_finds_cyclic(self, seed):
+        s = random_scenario(seed)
+        comp = compiled(s)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            X = self._split(comp, np.flatnonzero(rng.random(len(comp.keys)) < 0.5))
+            phi = Strategy._stacked(comp, X)
+            loops = detect_loops(phi)
+            cyclic = comp.peel(X[:, comp.edge_pos]).cyclic
+            assert list(loops) == [comp.keys[i] for i in cyclic]
+            self._assert_cycles(phi, loops)
+
+    def test_fully_split_abilene_one_cycle_per_stage(self):
+        # every stage loops; listing every simple cycle would give hundreds
+        s = build_scenario(table_row("abilene"), seed=1)
+        comp = compiled(s)
+        phi = Strategy._stacked(comp, self._split(comp, np.arange(len(comp.keys))))
+        loops = detect_loops(phi)
+        assert list(loops) == list(comp.keys) and len(loops) == 9
+        self._assert_cycles(phi, loops)
 
 
 class TestComputeFlows:

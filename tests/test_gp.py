@@ -642,12 +642,13 @@ class TestRunGp:
             return ("worse", "state"), 2.0, float("nan")
 
         config = GpConfig(stepsize=0.5, on_iterate=lambda *args: seen.append(args))
-        point, trace, history, iterations, converged, gap = gp._adaptive_descent(
+        point, res = gp._adaptive_descent(
             (start, 1.0), config, lambda point, prev: (3.0, None), step)
-        assert point is start and trace == [1.0] and iterations == 0
-        assert not converged and gap == 3.0
+        assert point is start and res.trace == [1.0] and res.iterations == 0
+        assert (res.phi, res.state) == start
+        assert not res.converged and res.final_gap == 3.0
         assert calls == [0.5 * 2.0 ** -m for m in range(41)]
-        assert history == [{"iter": 0, "T": 1.0, "max_gap": 3.0, "stepsize": 0.5,
+        assert res.history == [{"iter": 0, "T": 1.0, "max_gap": 3.0, "stepsize": 0.5,
                             "halvings": 40}]
         assert seen == [(0, "phi", "state")]
 
@@ -728,7 +729,7 @@ def _quadratic_descent(stepsize, slope=lambda g, dT: g, max_iters=2):
 
     config = GpConfig(stepsize=stepsize, max_iters=max_iters, tol=1e-12)
     history = gp._adaptive_descent(((1.0, None), 1.0), config,
-                                   lambda point, prev: (abs(2.0 * point[0]), None), step)[2]
+                                   lambda point, prev: (abs(2.0 * point[0]), None), step)[1].history
     return tried, history
 
 
@@ -764,9 +765,9 @@ class TestModelStepsize:
             tried.append(alpha)
             return point, 1.0, -1e-6
 
-        out = gp._adaptive_descent(((None, None), 1.0), GpConfig(stepsize=1.0, max_iters=50),
-                                   lambda point, prev: (1.0, None), step)
-        assert out[3] == 50 and not out[4]
+        res = gp._adaptive_descent(((None, None), 1.0), GpConfig(stepsize=1.0, max_iters=50),
+                                   lambda point, prev: (1.0, None), step)[1]
+        assert res.iterations == 50 and not res.converged
         assert tried == [2.0 ** -min(m, 40) for m in range(50)]
 
     @pytest.mark.parametrize("slope", [
@@ -809,7 +810,7 @@ class TestModelStepsize:
 
         def capture(start, config, slot, step):
             out = real(start, config, slot, step)
-            probe.update(point=out[0], cost=out[1][-1], slot=slot, step=step)
+            probe.update(point=out[0], cost=out[1].trace[-1], slot=slot, step=step)
             return out
 
         monkeypatch.setattr(congestion, "_adaptive_descent", capture)

@@ -1,5 +1,6 @@
-"""chainflow imports and solves without networkx; only detect_loops' cycle
-listing loads it, and only for a strategy that has a cycle."""
+"""chainflow needs numpy alone: it imports, solves, runs its CLI and finds
+a looping strategy's cycles without networkx, which serves only the tests
+and tools. Each blocking mode runs in one fresh interpreter."""
 
 import os
 import subprocess
@@ -28,11 +29,30 @@ SOLVE_PATHS = """
     tmp, block = sys.argv[1], sys.argv[2] == "True"
     if block:
         sys.modules["networkx"] = None      # any import of networkx raises ImportError
-    from chainflow import (ExperimentConfig, GpConfig, Graph, LinearUtility, Scenario,
-                           adapt, build_scenario, extend_scenario, lcof, lpr_sc,
-                           run_experiment, run_gp, run_gp_cc, solve_flow_domain, spoc,
-                           table_row)
+    from chainflow import (Application, ExperimentConfig, GpConfig, GpResult, Graph, Linear,
+                           LinearUtility, Scenario, Strategy, adapt, build_scenario,
+                           detect_loops, extend_scenario, lcof, lpr_sc, run_experiment, run_gp,
+                           run_gp_cc, solve_flow_domain, spoc, table_row)
     from chainflow.cli import main
+    assert sys.modules.get("networkx") is None
+
+    # the e1 two-cycle of tests/test_flows.py::TestDetectLoops::test_two_cycle_detected
+    g = Graph.from_undirected_edges([1, 2], [(1, 2)])
+    app = Application(id="a", chain_length=1, destination=2, packet_sizes=(2.0, 1.0))
+    e1 = Scenario(graph=g, applications=(app,),
+                  link_costs={(1, 2): Linear(1.0), (2, 1): Linear(1.0)},
+                  comp_costs={1: Linear(1.0), 2: Linear(3.0)},
+                  input_rates={(1, "a"): 1.0})
+    phi = Strategy.zeros(e1)
+    phi.set_row(1, "a", 0, {"cpu": 1.0})
+    phi.set_row(2, "a", 0, {"cpu": 1.0})
+    phi.set_row(1, "a", 1, {2: 1.0})
+    assert detect_loops(phi) == {}
+    phi.set_row(1, "a", 0, {2: 0.5, "cpu": 0.5})
+    phi.set_row(2, "a", 0, {1: 0.5, "cpu": 0.5})
+    loops = detect_loops(phi)
+    assert list(loops) == [("a", 0)]
+    assert sorted(loops[("a", 0)][0]) == [1, 2]
 
     cfg = GpConfig(tol=1e-4)
     sw_spec = {"name": "sw", "topology": {"kind": "small_world", "n": 12, "short": 2,
@@ -63,7 +83,7 @@ SOLVE_PATHS = """
 
     caps = {pair: 2.0 * r for pair, r in sw.input_rates.items()}
     ext = extend_scenario(sw, caps, {pair: LinearUtility(5.0, cap=c) for pair, c in caps.items()})
-    run_gp_cc(ext, cfg)
+    assert isinstance(run_gp_cc(ext, cfg), GpResult)
 
     records = run_experiment(ExperimentConfig(scenarios=["abilene"], seeds=[1],
                                               gp={"tol": 1e-4}))
@@ -81,38 +101,8 @@ SOLVE_PATHS = """
 
 @pytest.mark.parametrize("block", [True, False])
 def test_solve_paths_run_without_networkx(tmp_path, block):
-    # blocked: nothing may import networkx; unblocked: nothing does
+    # blocked: nothing may import networkx; unblocked: nothing does, a
+    # looping strategy's detect_loops included
     _run_fresh(SOLVE_PATHS, tmp_path, block)
     assert (tmp_path / "out" / "strategy.json").exists()
 
-
-TWO_CYCLE = """
-    import sys
-    from chainflow import Application, Graph, Linear, Scenario, Strategy, detect_loops
-    assert "networkx" not in sys.modules
-
-    g = Graph.from_undirected_edges([1, 2], [(1, 2)])
-    app = Application(id="a", chain_length=1, destination=2, packet_sizes=(2.0, 1.0))
-    e1 = Scenario(graph=g, applications=(app,),
-                  link_costs={(1, 2): Linear(1.0), (2, 1): Linear(1.0)},
-                  comp_costs={1: Linear(1.0), 2: Linear(3.0)},
-                  input_rates={(1, "a"): 1.0})
-    phi = Strategy.zeros(e1)
-    phi.set_row(1, "a", 0, {"cpu": 1.0})
-    phi.set_row(2, "a", 0, {"cpu": 1.0})
-    phi.set_row(1, "a", 1, {2: 1.0})
-    assert detect_loops(phi) == {}
-    assert "networkx" not in sys.modules     # a loop-free strategy needs no cycle listing
-
-    phi.set_row(1, "a", 0, {2: 0.5, "cpu": 0.5})
-    phi.set_row(2, "a", 0, {1: 0.5, "cpu": 0.5})
-    loops = detect_loops(phi)
-    assert list(loops) == [("a", 0)]
-    assert sorted(loops[("a", 0)][0]) == [1, 2]
-    assert "networkx" in sys.modules
-"""
-
-
-def test_detect_loops_lists_cycles_with_networkx():
-    # the e1 two-cycle of tests/test_flows.py::TestDetectLoops::test_two_cycle_detected
-    _run_fresh(TWO_CYCLE)
