@@ -608,18 +608,12 @@ class Strategy:
     engine packs a dense strategy's rows on every use, so edits to `rows`
     always count. A strategy is evaluated only on a scenario with the same
     node tuple.
-
-    run_gp keeps what its last slot's modified marginals are made of on
-    the strategy it returns, for adapt's repair (`_marginals`); the repair
-    reads them once, `rows`, and so `set_row`, drops them, and a copy does
-    not carry them.
     """
 
     def __init__(self, nodes, rows):
         self.nodes = tuple(nodes)
         self._rows = rows
         self._view = None   # the direction array, as a view
-        self._marginals = None
 
     @classmethod
     def _stacked(cls, comp: _Compiled, X) -> "Strategy":
@@ -635,7 +629,6 @@ class Strategy:
 
     @property
     def rows(self) -> dict:
-        self._marginals = None
         if self._rows is None:
             self._rows = {key: block.copy() for key, block in self._view.items()}
             self._view = None

@@ -53,8 +53,8 @@ import numpy as np
 from .errors import CapacityExceeded, LoopDetected, NoFeasibleStrategy
 from .flows import (FlowState, Strategy, compiled, compute_flows, feasible_start,
                     tree_fractions, validate_strategy)
-from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, _state_and_delta, blocked_sets,
-                        direction_marginals, modified_marginals, traffic_marginals)
+from .marginals import (DEFAULT_TOL, DEFAULT_TOL_MASS, blocked_sets, modified_marginals,
+                        traffic_marginals)
 from .network import Scenario
 
 _TIE_REL = 1e-11
@@ -407,8 +407,6 @@ def run_gp(scenario: Scenario, phi0: Strategy | None = None,
         phi, state = point
         # the first slot picks the run's stages from its start
         tables = _Slot(comp, scenario, phi, state, None if prev is None else prev.stages)
-        # what adapt's repair reads: the makings of the modified marginals
-        phi._marginals = (tables.marginals, state.link_marginals, state.cpu_marginals)
         return tables.gap, tables
 
     def step(point, tables, alpha):
@@ -427,24 +425,14 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     """phi_prev carried over to the new scenario's stage stack.
 
     A row keeps its fractions on the directions that still exist; a CPU
-    keeps its own only where it can still run the task. The freed mass goes
-    to the first remaining direction, CPU first, with the smallest previous
-    modified marginal, and the row is renormalized. New nodes and stages,
-    and rows whose freed mass finds no such direction, get fresh rows
-    (tree_fractions); stages that the repair leaves cyclic are rebuilt
-    fresh.
+    keeps its own only where it can still run the task. The row is then
+    renormalized, so the mass freed by a lost direction spreads over the
+    surviving ones in proportion to their fractions, as in Gallager's
+    (1977) routing after a topology change. New nodes and stages, and rows
+    that keep no mass, get fresh rows (tree_fractions); stages that the
+    repair leaves cyclic are rebuilt fresh. Nothing is evaluated.
     """
     old, new = compiled(old_scenario), compiled(new_scenario)
-    # the previous modified marginals, from what run_gp's last slot kept on
-    # phi_prev (read once) when it is for old, else from phi_prev itself
-    kept, phi_prev._marginals = phi_prev._marginals, None
-    if kept is not None and kept[0]._comp is old:
-        d_old = direction_marginals(old, kept[0]._a, *kept[1:], old.every_stage())
-    else:
-        try:
-            d_old = _state_and_delta(old_scenario, phi_prev)[1]
-        except (CapacityExceeded, LoopDetected) as err:
-            raise NoFeasibleStrategy(f"previous strategy unusable: {err}") from err
     X_old = phi_prev.fractions(old)
 
     # the old stage, node and direction behind each new one, -1 for none
@@ -458,22 +446,10 @@ def _repair_strategy(old_scenario, new_scenario, phi_prev):
     has = (so >= 0)[:, None] & (op >= 0)[None, :] & new.active[:, new.dnode]
     has[:, new.seg] &= np.isfinite(new.w)
     X = np.where(has, X_old[so][:, op], 0.0)
-    marginal = np.where(has, d_old[so][:, op], np.inf)
-
-    # mass on old directions that were not carried over goes to the first
-    # direction, in segment order, with the smallest old modified marginal
-    carried = np.zeros((len(new.keys), X_old.shape[1]), dtype=bool)
-    s, p = np.nonzero(has)
-    carried[s, op[p]] = True
-    freed = old.row_sum(np.where(carried, 0.0, X_old[so]))[:, oi]
-    lo = new.row_min(marginal)
-    moved = (freed > 0) & np.isfinite(lo)
-    s, i = np.nonzero(moved)
-    X[s, new.row_argmin(marginal)[s, i]] += freed[s, i]
     sums = new.row_sum(X)
     X /= np.where(sums > 0, sums, 1.0)[:, new.dnode]
 
-    renew = ((so < 0)[:, None] | (oi < 0)[None, :] | (freed > 0) & ~moved) & new.active
+    renew = ((so < 0)[:, None] | (oi < 0)[None, :] | ~(sums > 0)) & new.active
     if renew.any():
         X = np.where(renew[:, new.dnode], tree_fractions(new), X)
     cyclic = new.peel(X[:, new.edge_pos]).cyclic
@@ -487,10 +463,11 @@ def adapt(old_scenario: Scenario, new_scenario: Scenario, phi_prev: Strategy,
     """Warm-started re-optimization after input-rate or topology changes.
 
     Removed links, and CPUs that can no longer run a task, lose their
-    fractions (mass goes to the remaining direction with the smallest
-    previous modified marginal); new links start at zero; new nodes get
-    fresh rows. Raises NoFeasibleStrategy when the repaired strategy has no
-    finite cost.
+    fractions, and each row is renormalized over the directions it keeps:
+    its freed mass spreads over them in proportion to their fractions, and
+    phi_prev is not evaluated. New links start at zero; new nodes and rows
+    that keep no mass get fresh rows. Raises NoFeasibleStrategy when the
+    repaired strategy has no finite cost.
     """
     phi0 = _repair_strategy(old_scenario, new_scenario, phi_prev)
     try:

@@ -47,30 +47,21 @@ def modified_marginals(scenario: Scenario, state: FlowState, marginals: dict, st
     Column 0 is the CPU direction, column 1+j the link toward node j; absent
     directions (non-links, CPU at the final stage, non-performable tasks)
     carry +inf. The blocks are dense views of the stage stack's (S, n+E)
-    direction array (direction_marginals), built on access. Given `stages`
-    (what a GP slot visits, _Compiled.slot_stages), it returns the rows of
-    those stages alone, a (len(stages.index), n+E) array: the inert stages
-    left out read 0 on every link and inf at the CPU.
+    direction array, built on access. Given `stages` (what a GP slot
+    visits, _Compiled.slot_stages), it returns the rows of those stages
+    alone, a (len(stages.index), n+E) array: the inert stages left out read
+    0 on every link and inf at the CPU.
     """
     comp = compiled(scenario)
-    d = direction_marginals(comp, comp.pack(marginals, "node"), state.link_marginals,
-                            state.cpu_marginals,
-                            comp.every_stage() if stages is None else stages)
-    return d if stages is not None else comp.view(d, "direction", np.inf)
-
-
-def direction_marginals(comp, lam, Dp, Cp, stages) -> np.ndarray:
-    """The modified marginals of the stages `stages` (flows._Stages) on the
-    direction layout, one row per stage, from the (S, n) traffic marginals
-    lam and the marginal costs of the links (Dp, per edge) and CPUs (Cp,
-    per node)."""
+    on = comp.every_stage() if stages is None else stages
+    lam, Dp = comp.pack(marginals, "node"), comp.on_directions(state.link_marginals)
     # the CPU columns read node -1 through toward until they are overwritten
-    d = stages.L[:, None] * comp.on_directions(Dp) + lam.take(stages.index, 0)[:, comp.toward]
+    d = on.L[:, None] * Dp + lam.take(on.index, 0)[:, comp.toward]
     # w is inf at final stages, where comp.next points nowhere
     with np.errstate(invalid="ignore"):
-        d[:, comp.seg] = np.where(stages.cannot_run, np.inf,
-                                  stages.w * Cp + lam.take(stages.next, 0))
-    return d
+        d[:, comp.seg] = np.where(on.cannot_run, np.inf,
+                                  on.w * state.cpu_marginals + lam.take(on.next, 0))
+    return d if stages is not None else comp.view(d, "direction", np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +129,7 @@ class CheckResult:
 
 def _state_and_delta(scenario: Scenario, phi: Strategy, state: FlowState | None = None):
     """(state, delta) of phi: its FlowState (evaluated when not given) and
-    its (S, n+E) modified marginals on every stage, which the checkers and
-    adapt's repair read."""
+    its (S, n+E) modified marginals on every stage, which the checkers read."""
     if state is None:
         state = compute_flows(scenario, phi)
     delta = modified_marginals(scenario, state, traffic_marginals(scenario, phi, state),

@@ -3,13 +3,15 @@ line (run with `pytest tests/test_acceptance.py -v -s`). Tolerances are fixed
 here, not tuned per run.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainflow import (CostSpec, GpConfig, Graph, Scenario, TABLE_ROWS, adapt, build_scenario,
+from chainflow import (CostSpec, GpConfig, TABLE_ROWS, adapt, build_scenario,
                        check_kkt, check_sufficient, check_sufficient_cc,
                        compute_flows, detect_loops, enumerate_bruteforce,
                        extend_scenario, generate_topology, geodesic_probe,
@@ -19,9 +21,13 @@ from chainflow import (CostSpec, GpConfig, Graph, Scenario, TABLE_ROWS, adapt, b
                        AlphaFair, CapacityExceeded)
 from chainflow.experiments import (_gp_config, _scale_rates, run_algorithm,
                                    trend_inversions)
-from chainflow.flows import compiled
 
 from conftest import random_loopfree_strategy, random_scenario
+
+_spec = importlib.util.spec_from_file_location(
+    "online_track", Path(__file__).resolve().parents[1] / "tools" / "online_track.py")
+online_track = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(online_track)
 
 
 def _report(criterion, ok, detail):
@@ -343,55 +349,20 @@ def test_c12_online_tracking_trend():
     rate, rate, link up, rates jittered by up to 5%) by warm adapt with k
     slots per event: the mean excess over each event's optimum falls
     strictly from k = 1 to 2, 4, 8 and to the c04 tolerance, and the to-tol
-    run stays within its bound of the optimum."""
+    run stays within its bound of the optimum. The trace and the ladder of
+    k are tools/online_track.py's, which prints the same table."""
     # fixed before the run: 200 times the worst to-tol excess that the same
     # tracking read over the 240 events of each of the abilene-online
     # benchmark's traces 1 and 2 (5.3e-10), and below the mean excess of 8
     # slots per event there (1.1e-6), so a run that stopped short of tol
     # would exceed it
     to_tol_bound = 1e-7
-    base = build_scenario(table_row("abilene"), seed=1)
-    cold = run_gp(base, config=_gp_config({}))
-    comp = compiled(base)
-
-    def without(s, gone):
-        links = base.graph.links - gone
-        return Scenario(graph=Graph(nodes=base.graph.nodes, links=links),
-                        applications=s.applications, comp_costs=s.comp_costs,
-                        link_costs={l: c for l, c in base.link_costs.items() if l in links},
-                        input_rates=s.input_rates)
-
-    # the down events remove the most loaded link at the cold optimum whose
-    # removal keeps the graph connected (Graph raises ValueError otherwise)
-    for e in np.argsort(-cold.state.edge_bits, kind="stable"):
-        u, v = comp.nodes[comp.src[e]], comp.nodes[comp.dst[e]]
-        try:
-            without(base, {(u, v), (v, u)})
-            break
-        except ValueError:
-            continue
-    rng = np.random.default_rng(12)
-    keys = sorted(base.input_rates, key=str)
-    cur, events = base, []
-    for e in range(36):
-        kind = ("rate", "rate", "down", "rate", "rate", "up")[e % 6]
-        if kind == "rate":
-            jitter = rng.uniform(-0.05, 0.05, size=len(keys))
-            cur = cur.with_rates({k: base.input_rates[k] * (1 + j) for k, j in zip(keys, jitter)})
-        elif kind == "down":
-            cur = without(cur, {(u, v), (v, u)})
-        else:
-            cur = base.with_rates(cur.input_rates)
-        events.append(cur)
+    base, cold, events = online_track.trace()
     optima = [solve_flow_domain(s, tol=1e-9) for s in events]
 
-    means, excess = [], []
-    for cfg in [GpConfig(tol=1e-4, max_iters=k) for k in (1, 2, 4, 8)] + [_gp_config({})]:
-        prev, phi, excess = base, cold.phi, []
-        for s, opt in zip(events, optima):
-            res = adapt(prev, s, phi, cfg)
-            prev, phi = s, res.phi
-            excess.append(res.total_cost / opt.total_cost - 1.0)
+    means = []
+    for _, cfg in online_track.LADDER:
+        excess = online_track.track(base, cold.phi, events, optima, cfg)[0]
         means.append(float(np.mean(excess)))
     falls = all(b < a for a, b in zip(means, means[1:]))
     # the certified gap bounds the oracle's cost above the true optimum

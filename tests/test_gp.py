@@ -9,8 +9,7 @@ from chainflow import marginals
 from chainflow.flows import DenseView, FlowState, compiled, tree_fractions
 from chainflow.gp import UpdatePlan, robust_start, sufficient_gap
 from chainflow.marginals import (DEFAULT_TOL_MASS, BlockedSets, _state_and_delta, blocked_sets,
-                                 direction_marginals, excess, modified_marginals,
-                                 traffic_marginals)
+                                 excess, modified_marginals, traffic_marginals)
 
 from conftest import hub_scenario, make_strategy, random_loopfree_strategy, random_scenario
 
@@ -929,43 +928,10 @@ class TestAdapt:
             assert mat[iu, 1 + iv] == 0.0
             assert mat[iv, 1 + iu] == 0.0
 
-    def test_repair_reads_the_last_slot_marginals(self, monkeypatch):
-        # run_gp keeps what its last slot's modified marginals are made of
-        # with the strategy it returns; the repair reads them once, inert
-        # stages included, and repairs as from marginals it computes itself
-        evaluated, real = [], gp._state_and_delta
-        monkeypatch.setattr(gp, "_state_and_delta",
-                            lambda *args: evaluated.append(1) or real(*args))
-        s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
-        comp = compiled(s)
-        cfg = GpConfig(tol=1e-6, max_iters=500)
-        res = run_gp(s, config=cfg)
-        want = real(s, res.phi)[1]
-        lam, Dp, Cp = res.phi._marginals
-        assert lam._comp is comp
-        assert np.array_equal(direction_marginals(comp, lam._a, Dp, Cp, comp.every_stage()), want)
-        loaded = res.state.edge_flows.sum(axis=0)
-        u, v = comp.src[np.argmax(loaded)], comp.dst[np.argmax(loaded)]
-        s2 = _without(s, links=[(comp.nodes[u], comp.nodes[v])])
-        # kept for another compiled scenario: not read, and dropped
-        gp._repair_strategy(random_scenario(4, link_bound=15.0, comp_bound=10.0), s2, res.phi)
-        assert evaluated == [1] and res.phi._marginals is None
-        phi = run_gp(s, config=cfg).phi
-        assert phi._marginals is not None and phi.copy()._marginals is None
-        kept = gp._repair_strategy(s, s2, phi)
-        assert evaluated == [1]
-        again = gp._repair_strategy(s, s2, phi)
-        assert phi._marginals is None and evaluated == [1, 1]
-        assert np.array_equal(kept.fractions(compiled(s2)), again.fractions(compiled(s2)))
-        phi = run_gp(s, config=cfg).phi
-        node, (app_id, _) = comp.nodes[0], comp.keys[0]
-        phi.set_row(node, app_id, 0, phi.row(node, app_id, 0))
-        assert phi._marginals is None
-
-    def test_repair_without_kept_marginals_builds_no_slot(self, monkeypatch):
-        # a strategy that keeps nothing (a copy, or one edited by set_row)
-        # is evaluated again for its modified marginals alone: no blocked
-        # sets, gap or plan; it repairs as from the kept marginals
+    def test_repair_evaluates_nothing(self, monkeypatch):
+        # the repair maps the fractions alone: it evaluates no flows or
+        # marginals, and a run_gp result, its copy and a copy edited by
+        # set_row repair to the same start
         s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
         comp = compiled(s)
         res = run_gp(s, config=GpConfig(tol=1e-6, max_iters=500))
@@ -975,24 +941,23 @@ class TestAdapt:
         copy, edited = res.phi.copy(), res.phi.copy()
         node, (app_id, _) = comp.nodes[0], comp.keys[0]
         edited.set_row(node, app_id, 0, edited.row(node, app_id, 0))
-        built = []
-        for module, name in ((gp, "blocked_sets"), (marginals, "blocked_sets"),
-                             (gp, "sufficient_gap"), (gp, "UpdatePlan")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
-                                built.append(name) or real(*args))
+        calls = []
+        for module in (gp, marginals):
+            for name in ("compute_flows", "traffic_marginals", "modified_marginals",
+                         "blocked_sets"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw:
+                                    calls.append(name) or real(*args, **kw))
         want = gp._repair_strategy(s, s2, res.phi).fractions(compiled(s2))
         for phi in (copy, edited):
-            assert phi._marginals is None
             assert np.array_equal(gp._repair_strategy(s, s2, phi).fractions(compiled(s2)), want)
-        assert built == []
+        assert calls == []
 
     def test_result_keeps_only_the_repair_inputs(self):
-        # the strategy run_gp returns keeps its fractions and, of its last
-        # slot, the (S, n) traffic marginals and the (E,) and (n,) marginal
-        # costs: no slot, plan, blocked sets, FlowState or (S, n+E)
-        # modified-marginal table, which a caller that holds many results
-        # would hold too
+        # the strategy run_gp returns holds its fractions alone, all that
+        # the repair reads: no slot, plan, blocked sets, FlowState or
+        # marginal table, which a caller that holds many results would hold
+        # too
         s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
         comp = compiled(s)
         phi = run_gp(s, config=GpConfig(tol=1e-6, max_iters=500)).phi
@@ -1011,7 +976,25 @@ class TestAdapt:
         for value in vars(phi).values():
             walk(value)
         S, n, E = len(comp.keys), comp.n, comp.E
-        assert sum(a.nbytes for a in held) == 8 * (S * (n + E) + S * n + E + n)
+        assert sum(a.nbytes for a in held) == 8 * S * (n + E)
+
+    def test_capacity_upgrade(self):
+        # the previous strategy sends every result over (1,3), twice that
+        # link's old capacity: it has no finite cost on the old scenario,
+        # where the repair does not evaluate it, and on the upgraded link it
+        # is a feasible start
+        from chainflow import Queue, solve_flow_domain
+        edges = [(1, 2), (2, 3), (1, 3)]
+        old, new = (_chain_scenario([1, 2, 3], edges,
+                                    {frozenset(e): Queue(c if e == (1, 3) else 10.0) for e in edges})
+                    for c in (0.5, 10.0))
+        rows = {**TestRepair.ROWS, (1, "a", 1): {3: 1.0}}
+        res = adapt(old, new, make_strategy(old, rows), GpConfig(tol=1e-8))
+        assert res.converged
+        assert validate_strategy(new, res.phi) == []
+        assert detect_loops(res.phi) == {}
+        assert res.total_cost == pytest.approx(solve_flow_domain(new, tol=1e-10).total_cost,
+                                               rel=1e-9)
 
     def test_warm_start_tracks_small_perturbations(self):
         s = random_scenario(7, n=6, num_apps=1, K=1)
@@ -1099,15 +1082,16 @@ class TestAdaptRobustness:
 # adapt's repair: the start it hands to run_gp (max_iters=0 runs no slot)
 # ---------------------------------------------------------------------------
 
-def _chain_scenario(nodes, edges, slopes=None, cpus=None):
+def _chain_scenario(nodes, edges, costs=None, cpus=None):
     """One task, then results to node 3; unit input at node 1, unit packet
-    sizes and workloads, Linear links (slope 1 unless given) and CPUs."""
+    sizes and workloads, Linear(1) CPUs, and links at their cost in `costs`
+    (keyed by frozenset), Linear(1) unless given."""
     from chainflow import Application, Graph, Linear, Scenario
     g = Graph.from_undirected_edges(nodes, edges)
-    slopes = slopes or {}
+    costs = costs or {}
     app = Application(id="a", chain_length=1, destination=3, packet_sizes=(1.0, 1.0))
     return Scenario(graph=g, applications=(app,),
-                    link_costs={(u, v): Linear(slopes.get(frozenset((u, v)), 1.0))
+                    link_costs={(u, v): costs.get(frozenset((u, v)), Linear(1.0))
                                 for (u, v) in g.links},
                     comp_costs={v: Linear(1.0) for v in nodes} if cpus is None else cpus,
                     input_rates={(1, "a"): 1.0})
@@ -1139,25 +1123,23 @@ class TestRepair:
                 (2, "a", 1): {3: 0.5, 4: 0.5}}
         new = _chain_scenario([1, 2, 3], [(1, 2), (2, 3)])
         phi = _repaired(old, new, make_strategy(old, rows))
-        # the half sent to 4 joins the cheaper remaining link (2,3)
+        # the half sent to 4 is renormalized onto the only link left, (2,3)
         assert self._rows(phi, [1, 2, 3]) == self.ROWS
 
-    def test_cpu_lost_moves_mass_to_cheapest_link(self):
+    def test_cpu_lost_spreads_mass_in_proportion(self):
         from chainflow import Linear
-        slopes = {frozenset((1, 3)): 5.0}
         edges = [(1, 2), (2, 3), (1, 3)]
-        old = _chain_scenario([1, 2, 3], edges, slopes)
-        rows = {**self.ROWS, (1, "a", 0): {"cpu": 0.6, 3: 0.4}, (1, "a", 1): {3: 1.0}}
-        new = _chain_scenario([1, 2, 3], edges, slopes,
-                              cpus={1: None, 2: Linear(1.0), 3: Linear(1.0)})
+        old = _chain_scenario([1, 2, 3], edges)
+        rows = {**self.ROWS, (1, "a", 0): {"cpu": 0.5, 2: 0.3, 3: 0.2}, (1, "a", 1): {3: 1.0}}
+        new = _chain_scenario([1, 2, 3], edges, cpus={1: None, 2: Linear(1.0), 3: Linear(1.0)})
         phi = _repaired(old, new, make_strategy(old, rows))
-        # stage-0 modified marginals at node 1: (1,2) costs 1 + (1 + 1) = 3,
-        # (1,3) costs 5 + 1 = 6, so the CPU's 0.6 goes to node 2
+        # the CPU's half goes to the links in proportion to their fractions
         assert self._rows(phi, [1, 2, 3]) == {**rows, (1, "a", 0): {2: 0.6, 3: 0.4}}
 
-    def test_freed_mass_tie_goes_to_first_direction(self):
-        # without the diagonal (1,3), node 1's results can go via 2 or via 4
-        # at exactly equal modified marginals, 1 + 1 = 2: the first wins
+    def test_row_that_keeps_nothing_gets_its_tree_row(self):
+        # node 1 sent all its results over the diagonal (1,3), so without
+        # it the row keeps nothing and gets its tree row: via 2 and via 4
+        # tie at zero-flow cost 1 + 1 = 2, and the first direction wins
         edges = [(1, 2), (2, 3), (3, 4), (4, 1)]
         old = _chain_scenario([1, 2, 3, 4], edges + [(1, 3)])
         rows = {**self.ROWS, (4, "a", 0): {"cpu": 1.0}, (1, "a", 1): {3: 1.0},
