@@ -953,6 +953,31 @@ class TestAdapt:
             assert np.array_equal(gp._repair_strategy(s, s2, phi).fractions(compiled(s2)), want)
         assert calls == []
 
+    def test_repair_without_kept_marginals_builds_no_slot(self, monkeypatch):
+        # no strategy keeps anything beyond its fractions now: a copy, or one
+        # edited by set_row, repairs as the run_gp result does, and the
+        # repair builds no blocked sets, gap or plan for any of them
+        s = random_scenario(4, link_bound=15.0, comp_bound=10.0)
+        comp = compiled(s)
+        res = run_gp(s, config=GpConfig(tol=1e-6, max_iters=500))
+        loaded = res.state.edge_flows.sum(axis=0)
+        u, v = comp.src[np.argmax(loaded)], comp.dst[np.argmax(loaded)]
+        s2 = _without(s, links=[(comp.nodes[u], comp.nodes[v])])
+        copy, edited = res.phi.copy(), res.phi.copy()
+        node, (app_id, _) = comp.nodes[0], comp.keys[0]
+        edited.set_row(node, app_id, 0, edited.row(node, app_id, 0))
+        built = []
+        for module, name in ((gp, "blocked_sets"), (marginals, "blocked_sets"),
+                             (gp, "sufficient_gap"), (gp, "UpdatePlan")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                built.append(name) or real(*args))
+        want = gp._repair_strategy(s, s2, res.phi).fractions(compiled(s2))
+        for phi in (copy, edited):
+            assert not hasattr(phi, "_marginals")
+            assert np.array_equal(gp._repair_strategy(s, s2, phi).fractions(compiled(s2)), want)
+        assert built == []
+
     def test_result_keeps_only_the_repair_inputs(self):
         # the strategy run_gp returns holds its fractions alone, all that
         # the repair reads: no slot, plan, blocked sets, FlowState or
