@@ -102,6 +102,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
         if self.sweep is not None and self.sweep.get("kind") not in ("rate_scale", "size_ratio"):
             raise ValueError("sweep kind must be rate_scale or size_ratio")
+        if self.sweep is not None and self.sweep["kind"] == "size_ratio":
+            # _apply_sweep divides by the chain length and takes roots of the ratio
+            if any(spec.get("chain_length", 2) < 1 for spec in self.scenarios):
+                raise ValueError("a size_ratio sweep needs chain_length >= 1")
+            if not all(0 <= float(v) < math.inf for v in self.sweep.get("values", ())):
+                raise ValueError("size ratios must be finite and nonnegative")
         unknown = sorted(set(self.gp) - {f.name for f in fields(GpConfig)})
         if unknown:
             raise ValueError(f"unknown GP settings {unknown}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, NoFeasibleStrategy, NotConverged, TooLarge
 from .flows import Strategy, cheapest_to_go, compiled, marginal_sweep, stage_levels
-from .network import QUEUE, Scenario, queue_prime, queue_room
+from .network import QUEUE, Scenario, queue_room
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +325,19 @@ def _newton_bracket(newton, hi: float, d: float, c: float):
 
 
 def _exact_line_search(comp, F, G, dF, dG):
-    """Step in [0, 1] along the direction (dF, dG), per edge and per node,
-    that minimizes the total cost, kept inside the queue domains."""
+    """Step in [0, 1] along (dF, dG) that minimizes the total cost inside the
+    queue domains: the zero of the kernels' sum(deriv(x + gamma dx) * dx),
+    Newton-bracketed by its curvature, 2 c d^2 / (c - x - gamma d)^3 on queues."""
+    moves = ((comp.links, F, dF), (comp.cpus, G, dG))
     hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
-    # derivative times direction, Linear entries set once and Queue entries
-    # where they move, in zero buffers that np.sum adds as the full products
-    parts = []
-    for cost, x, dx in ((comp.links, F, dF), (comp.cpus, G, dG)):
-        que, buf = cost.que[dx[cost.que] != 0], np.zeros_like(x)
-        buf[cost.lin] = cost.p_lin * dx[cost.lin]
-        parts.append((cost, x, dx, buf, que, cost.param[que], x[que], dx[que]))
+    queues = [(cost.p_que, x[cost.que], dx[cost.que]) for cost, x, dx in moves]
 
     def deriv(gamma):
-        for cost, x, dx, buf, que, p, xq, dq in parts:
-            if ((y := xq + gamma * dq) >= p).any():
-                cost.deriv(x + gamma * dx)      # raises CapacityExceeded
-            buf[que] = queue_prime(p, y) * dq
-        return float(np.sum(parts[0][3]) + np.sum(parts[1][3]))
+        return float(sum(np.sum(cost.deriv(x + gamma * dx) * dx) for cost, x, dx in moves))
 
     def newton(gamma):
         return deriv(gamma), sum(float(np.sum(2 * p * dq * dq / (p - (xq + gamma * dq)) ** 3))
-                                 for *_, p, xq, dq in parts)
+                                 for p, xq, dq in queues)
 
     return _bisect(deriv, hi, newton)
 

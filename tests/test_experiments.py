@@ -277,6 +277,32 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chain_length, ratios, match", [
+        (0, [1.0, 2.0], "chain_length"),           # sizes over a chain of no tasks
+        (None, [2.0, -0.5], "size ratios"),        # a negative ratio's roots are complex
+        (None, [math.inf], "size ratios"),
+        (1, [math.nan], "size ratios")])
+    def test_run_unbuildable_size_ratio_sweep_exit_1(self, tmp_path, capsys, chain_length,
+                                                       ratios, match):
+        spec = {"name": "mini", "topology": {"kind": "balanced_tree", "depth": 3}}
+        if chain_length is not None:
+            spec["chain_length"] = chain_length
+        exp = {"scenarios": [spec], "seeds": [1], "algorithms": ["gp"],
+               "sweep": {"kind": "size_ratio", "values": ratios}}
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_jsonable(exp)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(exp))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_size_ratio_zero_stays_allowed(self):
+        from chainflow.experiments import _apply_sweep
+        spec = {"name": "mini", "topology": {"kind": "balanced_tree", "depth": 3}}
+        ExperimentConfig(scenarios=[spec], seeds=[1],
+                         sweep={"kind": "size_ratio", "values": [0, 0.0, 1]})
+        assert _apply_sweep(spec, "size_ratio", 0)["packet_sizes"] == [0.0, 0.0, 1.0]
+
     def test_zero_tol_reaches_check_and_oracle(self, tmp_path, monkeypatch, capsys, e1,
                                                e1_strategy_b):
         # an explicit --tol 0 must not fall back to the 1e-6 default

@@ -568,21 +568,40 @@ class TestPathTable:
         # a full solve with _rebuild, the gap sum, the atom costs and the
         # exact line search put back to the Python loops and full arrays
         # they replaced takes the same trajectory and ends at the same flows
-        s = random_scenario(seed, R=4, link_bound=8.0, comp_bound=6.0)   # 1-35 iterations
-        masks = _spoc_masks(compiled(s)) if masked else None
-        got = solve_flow_domain(s, tol=1e-9, app_link_masks=masks, strict=False)
-        monkeypatch.setattr(oracle, "_rebuild", _rebuild_loop)
-        monkeypatch.setattr(oracle, "_inner", _inner_loop)
-        monkeypatch.setattr(oracle._PathTable, "costs", _path_cost_loop)
-        monkeypatch.setattr(oracle, "_exact_line_search", _full_array_line_search)
-        want = solve_flow_domain(s, tol=1e-9, app_link_masks=masks, strict=False)
-        assert got.iterations == want.iterations >= 1
-        assert repr(got.cost_trace) == repr(want.cost_trace)
-        assert repr(got.gap_trace) == repr(want.gap_trace)
-        comp = compiled(s)
-        for a, b in zip(got.flows.arrays(comp), want.flows.arrays(comp)):
-            assert a.tobytes() == b.tobytes()
+        s = random_scenario(seed, R=4, link_bound=8.0, comp_bound=6.0)   # 1-2 iterations
+        assert _solve_on_the_reference_loops(monkeypatch, s, masked) >= 1
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_frank_wolfe_runs_keep_their_traces_on_the_reference_loops(
+            self, monkeypatch, seed, masked):
+        # the same draws without pairwise moves run out their 30 iterations,
+        # so the exact line search runs at each step and the periodic
+        # _rebuild at iteration 25 runs too, which the solves above never reach
+        s = random_scenario(seed, R=4, link_bound=8.0, comp_bound=6.0)
+        assert _solve_on_the_reference_loops(monkeypatch, s, masked, max_iters=30,
+                                             pairwise=False) == 30
+
+
+def _solve_on_the_reference_loops(monkeypatch, s, masked, **kw):
+    """Iterations of solve_flow_domain(s, tol=1e-9, **kw), after asserting
+    that the solve with _rebuild, _inner, the atom costs and the exact line
+    search put back to the reference loops has the same cost and gap traces
+    and flows, bit for bit."""
+    comp = compiled(s)
+    kw.update(tol=1e-9, app_link_masks=_spoc_masks(comp) if masked else None, strict=False)
+    got = solve_flow_domain(s, **kw)
+    monkeypatch.setattr(oracle, "_rebuild", _rebuild_loop)
+    monkeypatch.setattr(oracle, "_inner", _inner_loop)
+    monkeypatch.setattr(oracle._PathTable, "costs", _path_cost_loop)
+    monkeypatch.setattr(oracle, "_exact_line_search", _full_array_line_search)
+    want = solve_flow_domain(s, **kw)
+    assert got.iterations == want.iterations
+    assert repr(got.cost_trace) == repr(want.cost_trace)
+    assert repr(got.gap_trace) == repr(want.gap_trace)
+    for a, b in zip(got.flows.arrays(comp), want.flows.arrays(comp)):
+        assert a.tobytes() == b.tobytes()
+    return got.iterations
 
 def _swap_cases():
     """(comp, F, G, ef, eg, dF, dG) of the swaps from each greedy-start atom
@@ -612,8 +631,9 @@ def _swap_cases():
 
 
 def _full_array_line_search(comp, F, G, dF, dG):
-    """_exact_line_search as it was before it evaluated the moving entries
-    only: the derivative from CostArray.deriv over every entry."""
+    """_exact_line_search as plain bisection of the same derivative, from
+    CostArray.deriv over every entry: the reference for its replay of the
+    bisection inside a Newton bracket."""
     hi = min(1.0, comp.links.room(F, dF) * (1 - 1e-9), comp.cpus.room(G, dG) * (1 - 1e-9))
 
     def deriv(gamma):
@@ -636,11 +656,10 @@ class TestLineSearches:
         assert interior >= 5
 
     def test_exact_equals_the_full_array_search(self):
-        # evaluating the derivative on the moving entries only, in zero
-        # buffers of full length, must give the full-array search's step bit
-        # for bit: on the swaps above and on conditional-gradient directions
-        # toward every block's cheapest path, with Queue, Linear and mixed
-        # link costs
+        # the Newton bracket and the bisection replayed inside it must give
+        # plain bisection's step bit for bit: on the swaps above and on
+        # conditional-gradient directions toward every block's cheapest
+        # path, with Queue, Linear and mixed link costs
         cases = [(comp, F, G, dF, dG) for comp, F, G, _, _, dF, dG in _swap_cases()]
         for s in [random_scenario(seed, link_kind=kind) for seed in range(4)
                   for kind in ("queue", "linear")] + [build_scenario(table_row("sw-queue"), 1)]:
