@@ -44,8 +44,9 @@ class AlphaFair:
     cap: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.eps <= 0 or self.cap < 0:
-            raise ValueError("need alpha >= 0, eps > 0, cap >= 0")
+        if not (0 <= self.alpha < math.inf and 0 < self.eps < math.inf
+                and 0 <= self.cap < math.inf):
+            raise ValueError("need finite alpha >= 0, eps > 0, cap >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class LinearUtility:
     cap: float = 1.0
 
     def __post_init__(self):
-        if self.slope < 0 or self.cap < 0:
-            raise ValueError("need slope >= 0, cap >= 0")
+        if not (0 <= self.slope < math.inf and 0 <= self.cap < math.inf):
+            raise ValueError("need finite slope >= 0, cap >= 0")
 
 
 Utility = AlphaFair | LinearUtility
@@ -120,8 +121,8 @@ class ExtendedScenario:
 
     def __post_init__(self):
         for pair, cap in self.caps.items():
-            if cap < 0:
-                raise ValueError(f"negative cap at {pair}")
+            if not 0 <= cap < math.inf:
+                raise ValueError(f"cap {cap} at {pair} is not finite and >= 0")
             u = self.utilities[pair]
             if abs(u.cap - cap) > 1e-9 * max(1.0, cap):
                 raise ValueError(f"utility cap mismatch at {pair}")
@@ -133,12 +134,16 @@ class ExtendedScenario:
     def admitted_rates(self, admit: dict) -> dict:
         return {pair: self.caps[pair] * admit.get(pair, 0.0) for pair in self.pairs}
 
+    @functools.cached_property
+    def _full_utilities(self):
+        """Each pair's utility at full admission, in `pairs` order."""
+        return tuple(utility_eval(self.utilities[p], self.utilities[p].cap) for p in self.pairs)
+
     def rejection_cost(self, admit: dict) -> float:
         total = 0.0
-        for pair in self.pairs:
-            u = self.utilities[pair]
+        for pair, full in zip(self.pairs, self._full_utilities):
             r = self.caps[pair] * admit.get(pair, 0.0)
-            total += utility_eval(u, u.cap) - utility_eval(u, r)
+            total += full - utility_eval(self.utilities[pair], r)
         return total
 
 
@@ -167,7 +172,7 @@ def utility_minus_cost(ext: ExtendedScenario, phi: Strategy, admit: dict,
     rates = ext.admitted_rates(admit)
     if state is None:
         state = compute_flows(ext.base, phi, rates=rates)
-    total = -state.total_cost
+    total = 0.0 - state.total_cost      # not -cost: a zero cost gives +0.0, not -0.0
     for pair in ext.pairs:
         total += utility_eval(ext.utilities[pair], rates[pair])
     return total

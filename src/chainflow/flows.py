@@ -302,7 +302,8 @@ class _Compiled(Segments):
         trees = [self._trees[t.tobytes()] for t in sets]
         if targets.ndim == 1:
             return trees[0]
-        return tuple(np.reshape([tree[i] for tree in trees], (len(trees), self.n)) for i in (0, 1))
+        return tuple(np.array([tree[i] for tree in trees], dtype=dt).reshape(len(trees), self.n)
+                     for i, dt in ((0, float), (1, int)))
 
     def chain(self, app=None) -> list:
         """The chain positions of an application, rows counted from its
@@ -394,8 +395,9 @@ class _Compiled(Segments):
         if rates is None:
             return self.r
         inj = np.zeros((len(self.keys), self.n))
-        for s in self.positions[0].rows:
-            inj[s] = [rates.get((node, self.keys[s][0]), 0.0) for node in self.nodes]
+        for (node, app_id), r in rates.items():     # nodes and applications not here are skipped
+            if node in self.index and (s := self.stage_index.get((app_id, 0))) is not None:
+                inj[s, self.index[node]] = r
         return inj
 
     def totals(self, fe, g):

@@ -73,8 +73,8 @@ class GpConfig:
     on_iterate: object = None       # optional callback(slot, phi, state) per accepted slot
 
     def __post_init__(self):
-        if self.stepsize <= 0 or self.tol <= 0:
-            raise ValueError("stepsize and tol must be > 0")
+        if not (0 < self.stepsize < math.inf and self.tol > 0):
+            raise ValueError("stepsize must be finite and > 0, and tol > 0")
 
 
 def sufficient_gap(comp, phi: Strategy, delta, stages, out=None) -> float:

@@ -33,8 +33,8 @@ class Linear:
     slope: float
 
     def __post_init__(self):
-        if self.slope < 0:
-            raise ValueError("linear cost slope must be >= 0")
+        if not 0 <= self.slope < math.inf:
+            raise ValueError(f"linear cost slope must be finite and >= 0, got {self.slope}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class Queue:
     capacity: float
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("queue capacity must be > 0")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"queue capacity must be finite and > 0, got {self.capacity}")
 
 
 CostFunction = Linear | Queue
@@ -398,8 +398,8 @@ class Application:
             raise ValueError("chain_length must be >= 0")
         if len(self.packet_sizes) != self.chain_length + 1:
             raise ValueError("packet_sizes must have chain_length + 1 entries")
-        if any(s < 0 for s in self.packet_sizes):
-            raise ValueError("packet sizes must be >= 0")
+        if not all(0 <= s < math.inf for s in self.packet_sizes):
+            raise ValueError("packet sizes must be finite and >= 0")
 
     def weight(self, node, k: int) -> float:
         if np.isscalar(self.comp_weights):
@@ -423,8 +423,8 @@ class CostSpec:
         for kind in (self.link_kind, self.comp_kind):
             if kind not in ("queue", "linear"):
                 raise ValueError(f"unknown cost kind {kind!r}")
-        if self.link_bound <= 0 or self.comp_bound <= 0:
-            raise ValueError("cost parameter bounds must be > 0")
+        if not (0 < self.link_bound < math.inf and 0 < self.comp_bound < math.inf):
+            raise ValueError("cost parameter bounds must be finite and > 0")
 
 
 def _make_cost(kind: str, value: float) -> CostFunction:
@@ -457,8 +457,8 @@ class Scenario:
             if link not in link_costs:
                 raise ValueError(f"missing cost function for link {link}")
         for (node, app_id), r in rates.items():
-            if r < 0:
-                raise ValueError(f"negative input rate at {(node, app_id)}")
+            if not 0 <= r < math.inf:
+                raise ValueError(f"input rate {r} at {(node, app_id)} is not finite and >= 0")
         nodes = set(self.graph.nodes)
         fed = {app_id for (node, app_id), r in rates.items() if r > 0 and node in nodes}
         # the dataclass is frozen: fields are set once, here

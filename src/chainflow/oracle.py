@@ -119,17 +119,6 @@ class _PathTable:
             self.paths.append(path)
         return pid
 
-    def steps(self, *ids) -> list:
-        """Per path in ids, its steps as Python scalars, (is a link, stage,
-        edge or node, coefficient), read from its cells."""
-        E, ids, out = self.comp.E, list(ids), []
-        stage, col = np.divmod(self.cell[ids], self.width)
-        for pid, ks, cs, fs in zip(ids, stage.tolist(), col.tolist(), self.coef[ids].tolist()):
-            n = len(self.paths[pid])
-            out.append([(c < E, k, c if c < E else c - E, f)
-                        for k, c, f in zip(ks[:n], cs[:n], fs[:n])])
-        return out
-
     def costs(self, ids, Dp, Cp):
         """path_cost of each path in ids: np.cumsum adds a row step by step."""
         D, ids = np.concatenate((Dp, Cp, [0.0])), np.array(ids, dtype=int)
@@ -342,15 +331,18 @@ def _exact_line_search(comp, F, G, dF, dG):
     return _bisect(deriv, hi, newton)
 
 
-def _deltas(plus, minus):
+def _deltas(comp, app, plus, minus):
     """Sparse bit/workload deltas, per edge and per node, of a unit-rate
-    swap from the path of steps `minus` to that of `plus` (_PathTable.steps),
-    each in first-seen order."""
+    swap from extended path `minus` of application `app` to path `plus`,
+    each in first-seen order, as Python scalars."""
     ef, eg = {}, {}
-    for sign, steps in ((1.0, plus), (-1.0, minus)):
-        for link, _, i, unit in steps:
-            d = ef if link else eg
-            d[i] = d.get(i, 0.0) + sign * unit
+    for sign, path in ((1.0, plus), (-1.0, minus)):
+        for _, k, v, *to in path:
+            if to:
+                e = comp.eid.item(v, to[0])
+                ef[e] = ef.get(e, 0.0) + sign * app.L.item(k)
+            else:
+                eg[v] = eg.get(v, 0.0) + sign * app.w.item(v, k)
     return ({e: d for e, d in ef.items() if d != 0.0},
             {v: d for v, d in eg.items() if d != 0.0})
 
@@ -389,17 +381,12 @@ def _sparse_line_search(comp, F, G, ef, eg, hi_cap):
     return _bisect(deriv, hi, newton)
 
 
-def _apply_swap(fe, g, F, G, plus, minus, amount, ef, eg):
-    """Shift `amount` packets/sec from the path of steps `minus` to that of
-    `plus` (_PathTable.steps), updating the flows step by step as _add_path
-    does and the network totals in place; (ef, eg) are the swap's unit
-    deltas from _deltas."""
-    for steps, a in ((plus, amount), (minus, -amount)):
-        for link, s, i, _ in steps:
-            if link:
-                fe[s, i] += a
-            else:
-                g[s, i] += a
+def _apply_swap(comp, app, fe, g, F, G, plus, minus, amount, ef, eg):
+    """Shift `amount` packets/sec from extended path `minus` of application
+    `app` to path `plus`, adding the flows with _add_path and updating the
+    network totals in place; (ef, eg) are the swap's unit deltas from _deltas."""
+    _add_path(comp, fe, g, app, plus, amount)
+    _add_path(comp, fe, g, app, minus, -amount)
     for e, d in ef.items():
         F[e] += amount * d
     for v, d in eg.items():
@@ -613,8 +600,8 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                     worst = max(atoms, key=lambda p: (costs[p], paths[p]))
                     if target == worst or costs[worst] - to_go[src] <= 0:
                         continue
-                    plus, minus = table.steps(target, worst)
-                    ef, eg = _deltas(plus, minus)
+                    plus, minus = paths[target], paths[worst]
+                    ef, eg = _deltas(comp, app, plus, minus)
                     move = _sparse_line_search(
                         comp, F, G,
                         {e: rate * d for e, d in ef.items()},
@@ -622,7 +609,7 @@ def solve_flow_domain(scenario: Scenario, tol: float = 1e-6, max_iters: int = 20
                         hi_cap=atoms[worst])
                     if move <= 0:
                         continue
-                    _apply_swap(fe, g, F, G, plus, minus, move * rate, ef, eg)
+                    _apply_swap(comp, app, fe, g, F, G, plus, minus, move * rate, ef, eg)
                     Dp = None
                     atoms[worst] = max(atoms[worst] - move, 0.0)
                     atoms[target] = atoms.get(target, 0.0) + move

@@ -619,7 +619,7 @@ def _swap_cases():
             _, succ = cheapest_extended_paths(comp, app, Dp, Cp)
             target = _extract_path(succ, src)
             for worst in atoms:
-                ef, eg = _deltas(*table.steps(table.id(app, target), worst))
+                ef, eg = _deltas(comp, app, target, table.paths[worst])
                 ef = {e: rate * d for e, d in ef.items()}
                 eg = {v: rate * d for v, d in eg.items()}
                 dF, dG = np.zeros_like(F), np.zeros_like(G)
