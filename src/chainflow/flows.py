@@ -993,9 +993,6 @@ class FlowState:
     def t(self, node, app_id, k: int) -> float:
         return float(self.traffic[(app_id, k)][self.nodes.index(node)])
 
-    def f(self, u, v, app_id, k: int) -> float:
-        return float(self.link_flows[(app_id, k)][self.nodes.index(u), self.nodes.index(v)])
-
     def g(self, node, app_id, k: int) -> float:
         return float(self.cpu_flows[(app_id, k)][self.nodes.index(node)])
 

@@ -292,6 +292,9 @@ def _small_world(n: int, short: int, long: int, rng) -> Graph:
         raise ValueError("small_world needs n >= 4")
     if short < 1 or 2 * short >= n:
         raise ValueError("short-range distance out of range")
+    chords = n * (n - 1) // 2 - n * short      # the node pairs the ring leaves unlinked
+    if not 0 <= long <= chords:
+        raise ValueError(f"long must be in [0, {chords}], the node pairs the ring leaves unlinked")
     edges = set()
     for i in range(n):
         for d in range(1, short + 1):
@@ -400,6 +403,14 @@ class Application:
             raise ValueError("packet_sizes must have chain_length + 1 entries")
         if not all(0 <= s < math.inf for s in self.packet_sizes):
             raise ValueError("packet sizes must be finite and >= 0")
+        if np.isscalar(self.comp_weights):
+            weights = [self.comp_weights]
+        else:
+            if any(len(seq) != self.chain_length for seq in self.comp_weights.values()):
+                raise ValueError("comp_weights sequences must have chain_length entries")
+            weights = [w for seq in self.comp_weights.values() for w in seq]
+        if not all(w >= 0 for w in weights):
+            raise ValueError("comp weights must be >= 0 or math.inf, not NaN")
 
     def weight(self, node, k: int) -> float:
         if np.isscalar(self.comp_weights):

@@ -3,10 +3,8 @@ line (run with `pytest tests/test_acceptance.py -v -s`). Tolerances are fixed
 here, not tuned per run.
 """
 
-import importlib.util
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +20,8 @@ from chainflow import (CostSpec, GpConfig, TABLE_ROWS, adapt, build_scenario,
 from chainflow.experiments import (_gp_config, _scale_rates, run_algorithm,
                                    trend_inversions)
 
+import online_track
 from conftest import random_loopfree_strategy, random_scenario
-
-_spec = importlib.util.spec_from_file_location(
-    "online_track", Path(__file__).resolve().parents[1] / "tools" / "online_track.py")
-online_track = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(online_track)
 
 
 def _report(criterion, ok, detail):

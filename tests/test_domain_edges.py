@@ -1,17 +1,19 @@
 """Inputs at the edges of the domain: scenarios whose applications all
-drop out (no application has a positive rate), and parameters that are NaN
-or infinite, which the range checks must refuse before any solver runs."""
+drop out (no application has a positive rate), and parameters that are NaN,
+infinite, negative or of the wrong shape, which the range checks must refuse
+before any solver runs."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainflow import (AlphaFair, Application, CostSpec, GpConfig, Linear, LinearUtility,
                        Queue, Scenario, adapt, build_scenario, compute_flows, extend_scenario,
-                       feasible_start, init_strategy, lcof, lpr_sc, run_gp, run_gp_cc,
-                       solve_flow_domain, spoc, utility_eval)
+                       feasible_start, generate_topology, init_strategy, lcof, lpr_sc, run_gp,
+                       run_gp_cc, solve_flow_domain, spoc, utility_eval)
 from chainflow.cli import main as cli_main
 from chainflow.flows import compiled
 from chainflow.serialize import scenario_to_jsonable
@@ -148,6 +150,45 @@ class TestRangeChecks:
             data["link_costs"][0][2]["param"] = NAN
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps(data))         # json writes the NaN literal
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "invalid configuration:" in capsys.readouterr().err
+
+
+def _with_weights(s, w):
+    """s with its one application's comp_weights set to w."""
+    return replace(s, applications=(replace(s.applications[0], comp_weights=w),))
+
+
+class TestCompWeights:
+    @pytest.mark.parametrize("w", [-1.0, {1: (-1.0,)}, {1: (NAN,)}, NAN, {1: ()}, {1: (1.0, 2.0)}],
+                             ids=["negative", "negative-at-node", "nan-at-node", "nan",
+                                  "empty-sequence", "too-long-sequence"])
+    def test_refused(self, e1, w):
+        with pytest.raises(ValueError):
+            _with_weights(e1, w)
+
+    def test_inf_marks_a_task_not_performable(self, e1):
+        # node 1 cannot run the task, so the raw data goes to node 2:
+        # link 2 (two bits at slope 1) + CPU 3 (one packet at slope 3)
+        res = run_gp(_with_weights(e1, {1: (INF,)}))
+        assert res.converged and res.state.total_cost == pytest.approx(5.0)
+
+
+class TestSmallWorldChords:
+    @pytest.mark.parametrize("long", [3, -1])
+    def test_more_chords_than_pairs_or_negative_refused(self, long):
+        # a 4-ring with short 1 leaves 2 of the 6 node pairs unlinked
+        with pytest.raises(ValueError, match="long"):
+            generate_topology("small_world", {"n": 4, "short": 1, "long": long})
+
+    def test_every_unlinked_pair_drawn(self):
+        g = generate_topology("small_world", {"n": 4, "short": 1, "long": 2})
+        assert g.num_undirected_edges == 6
+
+    def test_solve_exit_1(self, tmp_path, capsys):
+        spec = {**TREE, "topology": {"kind": "small_world", "n": 4, "short": 1, "long": 3}}
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({**spec, "seed": 1}))
         assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
 

@@ -1,14 +1,8 @@
 """tools/fpdiff.py, the comparison of two fingerprints."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "fpdiff", Path(__file__).resolve().parents[1] / "tools" / "fpdiff.py")
-fpdiff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fpdiff)
+import fpdiff
 
 
 class TestLineDifferences:

@@ -11,15 +11,12 @@ adapt from the strategy left by the previous one, with k = 1, 2, 4 and 8
 slots per event and then at the c04 settings (tol 1e-4, 1000 slots), the
 `tol` line. A line gives k, the mean and the worst excess over the events'
 optima (solve_flow_domain at tol 1e-9), and the adapt slots that made a
-step and the candidate evaluations over the trace (gp_work.work). The
-numbers depend on no timing, so two checkouts compare directly. Takes about
-1 s on one core of a 2-core Xeon VM.
+step and the candidate evaluations over the trace (tools/work.py's work).
+The numbers depend on no timing, so two checkouts compare directly. Takes
+about 1 s on one core of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +24,7 @@ from chainflow import (GpConfig, Graph, Scenario, adapt, build_scenario, run_gp,
                        solve_flow_domain, table_row)
 from chainflow.experiments import _gp_config
 from chainflow.flows import compiled
-
-_spec = importlib.util.spec_from_file_location("gp_work", Path(__file__).with_name("gp_work.py"))
-gp_work = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gp_work)
+from work import work
 
 EVENTS = 36
 # the slots per event, then the c04 settings
@@ -87,7 +81,7 @@ def track(base, phi, events, optima, config):
         res = adapt(prev, s, phi, config)
         prev, phi = s, res.phi
         excess.append(res.total_cost / opt.total_cost - 1.0)
-        done, tried = gp_work.work(res)
+        done, tried = work(res)
         slots, candidates = slots + done, candidates + tried
     return excess, slots, candidates
 
